@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos bench bench-json bench-diff fuzz cover ci experiments experiments-small examples trace-demo clean
+.PHONY: all build test vet race chaos bench bench-check bench-json bench-diff fuzz cover ci experiments experiments-small examples trace-demo clean
 
 all: vet test build
 
@@ -26,6 +26,12 @@ chaos:
 # suite needs an explicit -timeout past go test's 10m default.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 60m .
+
+# bench/ is its own module, so `go test ./...` above never compiles it:
+# an internal/ API change could silently break the harness every perf
+# claim is measured with. Vet, build and unit-test it (~5 s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 # Machine-readable benchmark trajectory for perf PRs.
 # go test runs first, alone, so a bench failure or timeout fails the
@@ -68,6 +74,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(MAKE) bench-check
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
 

@@ -47,6 +47,23 @@ func setupBench(b *testing.B) *experiment.Setup {
 	return benchSetup
 }
 
+// midTraceSessions returns up to limit non-empty 20-minute sessions, one
+// per user, taken at the middle of each user's trace.
+func midTraceSessions(s *experiment.Setup, limit int) [][]string {
+	per := s.Filtered.PerUserVisits()
+	var sessions [][]string
+	for _, uid := range s.Filtered.Users() {
+		visits := per[uid]
+		if sess := s.Filtered.Session(uid, visits[len(visits)/2].Time, 1200); len(sess) > 0 {
+			sessions = append(sessions, sess)
+		}
+		if len(sessions) == limit {
+			break
+		}
+	}
+	return sessions
+}
+
 // --- One benchmark per table/figure -----------------------------------
 
 func BenchmarkFig2UserDiversityHostnames(b *testing.B) {
@@ -267,13 +284,23 @@ func BenchmarkProfileSession(b *testing.B) {
 	}
 }
 
+// BenchmarkAdSelection selects ads for the profiles reports actually
+// carry: each user's mid-trace session through Eq. 4, a mixture of a few
+// dozen label rows.
 func BenchmarkAdSelection(b *testing.B) {
 	s := setupBench(b)
-	profile := s.Universe.Tax.NewVector()
-	profile[3], profile[40], profile[100] = 0.4, 0.3, 0.2
+	var profiles []hostprof.Vector
+	for _, session := range midTraceSessions(s, 64) {
+		if p, err := s.Profiler.ProfileSession(session); err == nil {
+			profiles = append(profiles, p)
+		}
+	}
+	if len(profiles) == 0 {
+		b.Fatal("no bench profiles")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.Selector.Select(profile, 20); len(got) == 0 {
+		if got := s.Selector.Select(profiles[i%len(profiles)], 20); len(got) == 0 {
 			b.Fatal("no ads")
 		}
 	}
@@ -708,17 +735,7 @@ func BenchmarkNearestToVector(b *testing.B) {
 // API over the parallel index.
 func BenchmarkProfileBatch(b *testing.B) {
 	s := setupBench(b)
-	per := s.Filtered.PerUserVisits()
-	var sessions [][]string
-	for _, uid := range s.Filtered.Users() {
-		visits := per[uid]
-		if sess := s.Filtered.Session(uid, visits[len(visits)/2].Time, 1200); len(sess) > 0 {
-			sessions = append(sessions, sess)
-		}
-		if len(sessions) == 64 {
-			break
-		}
-	}
+	sessions := midTraceSessions(s, 64)
 	if len(sessions) == 0 {
 		b.Fatal("no bench sessions")
 	}

@@ -205,7 +205,10 @@ func ReadTraceJSONL(r io.Reader) (*Trace, error) { return trace.ReadJSONL(r) }
 func NewAdDB(tax *Taxonomy) *AdDB { return ads.NewDB(tax) }
 
 // NewAdSelector indexes an inventory for the paper's K-nearest-host ad
-// selection (K <= 0 selects the paper's 20).
+// selection (K <= 0 selects the paper's 20). The selector is an
+// immutable snapshot of db and ont, safe for concurrent use; Select
+// returns no ads for maxAds <= 0 or a profile whose length is not the
+// taxonomy size.
 func NewAdSelector(db *AdDB, ont *Ontology, k int) (*AdSelector, error) {
 	return ads.NewSelector(db, ont, k)
 }

@@ -8,8 +8,10 @@
 package ads
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"hostprof/internal/ontology"
 	"hostprof/internal/stats"
@@ -114,12 +116,29 @@ func BuildFromOntology(ont *ontology.Ontology, cfg BuildConfig) *DB {
 // rank the labelled hosts H_L by Euclidean distance between their
 // category vector and the session profile, take the K nearest (K = 20),
 // and serve ads landing on those hosts.
+//
+// A Selector is an immutable snapshot of the ontology rows and inventory
+// taken by NewSelector — ads added to the DB afterwards are not served —
+// and is therefore safe for concurrent use without locking.
 type Selector struct {
-	db *DB
-	// hosts and vecs hold the labelled hosts with inventory.
-	hosts []string
-	vecs  []ontology.Vector
-	k     int
+	k   int
+	dim int // taxonomy size; the only profile length Select accepts
+
+	// Label rows of the hosts with inventory, in host-name order, packed
+	// CSR: row r's non-zeros are cols/vals[rowPtr[r]:rowPtr[r+1]] with
+	// columns ascending, and norm2[r] is ‖v_r‖². Label rows are well
+	// under 1% dense, so a distance costs a handful of multiplies
+	// instead of one per category.
+	rowPtr   []int32
+	cols     []int32
+	vals     []float64
+	norm2    []float64
+	maxNorm2 float64
+
+	// Row r's inventory, resolved up front so Select touches no map:
+	// ads[adPtr[r]:adPtr[r+1]].
+	adPtr []int32
+	ads   []Ad
 }
 
 // NewSelector indexes the inventory's landing hosts. k <= 0 selects the
@@ -128,16 +147,35 @@ func NewSelector(db *DB, ont *ontology.Ontology, k int) (*Selector, error) {
 	if k <= 0 {
 		k = 20
 	}
-	s := &Selector{db: db, k: k}
+	s := &Selector{k: k, dim: ont.Taxonomy().NumCategories(), rowPtr: []int32{0}, adPtr: []int32{0}}
 	for _, host := range ont.Hosts() {
-		if len(db.ByHost(host)) == 0 {
+		ids := db.ByHost(host)
+		if len(ids) == 0 {
 			continue
 		}
 		v, _ := ont.Lookup(host)
-		s.hosts = append(s.hosts, host)
-		s.vecs = append(s.vecs, v)
+		if len(v) != s.dim {
+			return nil, fmt.Errorf("ads: label of %q has %d categories, taxonomy has %d", host, len(v), s.dim)
+		}
+		var n2 float64
+		for c, x := range v {
+			if x != 0 {
+				s.cols = append(s.cols, int32(c))
+				s.vals = append(s.vals, x)
+				n2 += x * x
+			}
+		}
+		s.rowPtr = append(s.rowPtr, int32(len(s.cols)))
+		s.norm2 = append(s.norm2, n2)
+		if n2 > s.maxNorm2 {
+			s.maxNorm2 = n2
+		}
+		for _, id := range ids {
+			s.ads = append(s.ads, db.Ad(id))
+		}
+		s.adPtr = append(s.adPtr, int32(len(s.ads)))
 	}
-	if len(s.hosts) == 0 {
+	if len(s.norm2) == 0 {
 		return nil, fmt.Errorf("ads: no labelled hosts with inventory")
 	}
 	return s, nil
@@ -146,38 +184,156 @@ func NewSelector(db *DB, ont *ontology.Ontology, k int) (*Selector, error) {
 // K returns the neighbour count used for selection.
 func (s *Selector) K() int { return s.k }
 
+// cand is a candidate row keyed by distance: the expanded-form squared
+// distance while scanning, the exact distance once rescored.
+type cand struct {
+	dist float64
+	row  int32
+}
+
+// insertSorted places c into the ascending slice a, whose last slot is
+// free; c goes after entries of equal distance.
+func insertSorted(a []cand, c cand) {
+	i := len(a) - 1
+	for i > 0 && a[i-1].dist > c.dist {
+		a[i] = a[i-1]
+		i--
+	}
+	a[i] = c
+}
+
 // Select returns up to maxAds ads for the given session profile, drawn
-// from the K labelled hosts nearest in category space. The paper sends 20
-// eavesdropper ads per report.
+// from the K labelled hosts nearest in category space: hosts in
+// (distance, host name) order, each contributing its inventory in ad-ID
+// order. The paper sends 20 eavesdropper ads per report. It returns no
+// ads when maxAds <= 0 or when len(profile) is not the taxonomy size.
+// Scratch lives on the stack, so at the paper's K the only allocation is
+// the returned slice.
 func (s *Selector) Select(profile ontology.Vector, maxAds int) []Ad {
-	type hd struct {
-		idx  int
-		dist float64
+	if maxAds <= 0 || len(profile) != s.dim {
+		return nil
 	}
-	ds := make([]hd, len(s.hosts))
-	for i, v := range s.vecs {
-		ds[i] = hd{idx: i, dist: stats.Euclidean(profile, v)}
-	}
-	sort.Slice(ds, func(a, b int) bool {
-		if ds[a].dist != ds[b].dist {
-			return ds[a].dist < ds[b].dist
+	// The profile's non-zero categories: Eq. 4 mixes a few dozen sparse
+	// label rows, so a profile is sparse too. (The array holds any
+	// profile over the 328-category taxonomy.)
+	var nzStack [512]int32
+	nz := nzStack[:0]
+	var pn float64
+	for i, x := range profile {
+		if x != 0 {
+			nz = append(nz, int32(i))
+			pn += x * x
 		}
-		return s.hosts[ds[a].idx] < s.hosts[ds[b].idx]
-	})
+	}
+	// Every row is ranked by ‖p‖² + ‖v‖² − 2·p·v over its non-zeros
+	// only. That value and the textbook Σ(p−v)² differ by rounding
+	// (≈1e-13 relative at 328 categories), so it only nominates
+	// candidates: the K best plus any row within tol of the K-th, which
+	// provably include the K nearest by the textbook value.
+	tol := 1e-9 * (pn + s.maxNorm2)
 	k := s.k
-	if k > len(ds) {
-		k = len(ds)
+	if rows := len(s.norm2); k > rows {
+		k = rows
 	}
-	var out []Ad
-	for _, d := range ds[:k] {
-		for _, id := range s.db.ByHost(s.hosts[d.idx]) {
-			out = append(out, s.db.Ad(id))
-			if len(out) >= maxAds {
-				return out
-			}
+	// cands[:k] is the running top-K, ascending; cands[k:] collects the
+	// near-ties of the K-th. The stack array covers the paper's K = 20
+	// with room for ties; a larger K or tie group spills to the heap.
+	var candStack [64]cand
+	cands := candStack[:0]
+	limit := math.Inf(1) // K-th best so far plus tol, once K rows are in
+	lo := s.rowPtr[0]
+	for r, hi := range s.rowPtr[1:] {
+		var dot float64
+		for j := lo; j < hi; j++ {
+			dot += profile[s.cols[j]] * s.vals[j]
 		}
+		lo = hi
+		c := cand{dist: pn + s.norm2[r] - 2*dot, row: int32(r)}
+		if c.dist > limit {
+			continue
+		}
+		if len(cands) < k {
+			cands = append(cands, c)
+			insertSorted(cands, c)
+			if len(cands) == k {
+				limit = cands[k-1].dist + tol
+			}
+			continue
+		}
+		kth := cands[k-1]
+		if c.dist >= kth.dist { // rows come in index order: a tie sorts after
+			cands = append(cands, c)
+			continue
+		}
+		insertSorted(cands[:k], c)
+		limit = cands[k-1].dist + tol
+		if kth.dist <= limit {
+			cands = append(cands, kth)
+		}
+	}
+	// Near-ties recorded against an earlier, larger K-th may be stale.
+	n := k
+	for _, c := range cands[k:] {
+		if c.dist <= limit {
+			cands[n] = c
+			n++
+		}
+	}
+	cands = cands[:n]
+	// Rescore the candidates with the textbook distance and order them
+	// by it, ties by row — rows are in host-name order — so the result
+	// is exactly the (distance asc, host asc) ranking of a dense scan.
+	for i := range cands {
+		cands[i].dist = s.distance(profile, nz, cands[i].row)
+	}
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	cands = cands[:k]
+
+	total := 0
+	for _, c := range cands {
+		total += int(s.adPtr[c.row+1] - s.adPtr[c.row])
+	}
+	if total > maxAds {
+		total = maxAds
+	}
+	out := make([]Ad, 0, total)
+	for _, c := range cands {
+		inv := s.ads[s.adPtr[c.row]:s.adPtr[c.row+1]]
+		if room := total - len(out); len(inv) > room {
+			inv = inv[:room]
+		}
+		out = append(out, inv...)
 	}
 	return out
+}
+
+// distance returns the Euclidean distance between profile, whose non-zero
+// categories are nz, and label row r — bit-identical to stats.Euclidean on
+// the dense row: the same terms in the same order, less the categories
+// where both are zero, whose terms add exactly nothing.
+func (s *Selector) distance(profile ontology.Vector, nz []int32, r int32) float64 {
+	j, end := s.rowPtr[r], s.rowPtr[r+1]
+	var sum float64
+	for _, c := range nz {
+		for ; j < end && s.cols[j] < c; j++ {
+			sum += s.vals[j] * s.vals[j]
+		}
+		d := profile[c]
+		if j < end && s.cols[j] == c {
+			d -= s.vals[j]
+			j++
+		}
+		sum += d * d
+	}
+	for ; j < end; j++ {
+		sum += s.vals[j] * s.vals[j]
+	}
+	return math.Sqrt(sum)
 }
 
 // SizeMatch reports whether a replacement creative fits the slot of the

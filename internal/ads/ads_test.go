@@ -1,10 +1,15 @@
 package ads
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"hostprof/internal/ontology"
+	"hostprof/internal/stats"
 	"hostprof/internal/synth"
 )
 
@@ -242,5 +247,339 @@ func TestAdNetworkCampaignsRotateDaily(t *testing.T) {
 	}
 	if same == len(day0) && same == len(day9) {
 		t.Fatal("campaigns identical across days")
+	}
+}
+
+// --- Selector kernel: reference, equivalence, contracts -----------------
+
+// referenceSelector is the dense implementation the CSR kernel replaced —
+// a stats.Euclidean against every label row and a full sort by
+// (distance, host name) — kept as the oracle Select must match exactly.
+type referenceSelector struct {
+	db    *DB
+	hosts []string
+	vecs  []ontology.Vector
+	k     int
+}
+
+func newReferenceSelector(db *DB, ont *ontology.Ontology, k int) *referenceSelector {
+	ref := &referenceSelector{db: db, k: k}
+	for _, host := range ont.Hosts() {
+		if len(db.ByHost(host)) == 0 {
+			continue
+		}
+		v, _ := ont.Lookup(host)
+		ref.hosts = append(ref.hosts, host)
+		ref.vecs = append(ref.vecs, v)
+	}
+	return ref
+}
+
+func (ref *referenceSelector) selectReference(profile ontology.Vector, maxAds int) []Ad {
+	type hd struct {
+		idx  int
+		dist float64
+	}
+	ds := make([]hd, len(ref.hosts))
+	for i, v := range ref.vecs {
+		ds[i] = hd{idx: i, dist: stats.Euclidean(profile, v)}
+	}
+	sort.Slice(ds, func(a, b int) bool {
+		if ds[a].dist != ds[b].dist {
+			return ds[a].dist < ds[b].dist
+		}
+		return ref.hosts[ds[a].idx] < ref.hosts[ds[b].idx]
+	})
+	k := ref.k
+	if k > len(ds) {
+		k = len(ds)
+	}
+	var out []Ad
+	for _, d := range ds[:k] {
+		for _, id := range ref.db.ByHost(ref.hosts[d.idx]) {
+			if len(out) >= maxAds {
+				return out
+			}
+			out = append(out, ref.db.Ad(id))
+		}
+	}
+	return out
+}
+
+// selectorWorld is a labelled universe with inventory, the selector
+// under test and its oracle.
+type selectorWorld struct {
+	tax *ontology.Taxonomy
+	sel *Selector
+	ref *referenceSelector
+}
+
+// benchWorld builds the world at the size bench/ runs (3000 sites, 200
+// trackers, 10.6% coverage: ≈1.1K label rows with inventory). noise < 0
+// disables label jitter, so hosts of one site share identical rows.
+func benchWorld(tb testing.TB, seed uint64, noise float64) *selectorWorld {
+	tb.Helper()
+	u := synth.NewUniverse(synth.UniverseConfig{Sites: 3000, Trackers: 200, Seed: seed})
+	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.106, Noise: noise, Seed: seed + 1})
+	return newSelectorWorld(tb, ont, 20)
+}
+
+func newSelectorWorld(tb testing.TB, ont *ontology.Ontology, k int) *selectorWorld {
+	tb.Helper()
+	db := BuildFromOntology(ont, BuildConfig{Seed: 1})
+	sel, err := NewSelector(db, ont, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &selectorWorld{tax: ont.Taxonomy(), sel: sel, ref: newReferenceSelector(db, ont, sel.K())}
+}
+
+// eq4Profile draws a profile shaped like Eq. 4's output: the weighted
+// average of the label rows of a few session hosts (α = 1) and of up to
+// 30 neighbours (α = a positive cosine), clamped.
+func (w *selectorWorld) eq4Profile(rng *stats.RNG) ontology.Vector {
+	out := w.tax.NewVector()
+	var denom float64
+	add := func(alpha float64) {
+		stats.AXPY(alpha, w.ref.vecs[rng.Intn(len(w.ref.vecs))], out)
+		denom += alpha
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		add(1)
+	}
+	for i := 1 + rng.Intn(30); i > 0; i-- {
+		add(1 - rng.Float64())
+	}
+	stats.Scale(1/denom, out)
+	out.Clamp()
+	return out
+}
+
+func adIDs(list []Ad) []int {
+	ids := make([]int, len(list))
+	for i, ad := range list {
+		ids[i] = ad.ID
+	}
+	return ids
+}
+
+func (w *selectorWorld) requireSame(t *testing.T, what string, profile ontology.Vector, maxAds int) {
+	t.Helper()
+	got, want := adIDs(w.sel.Select(profile, maxAds)), adIDs(w.ref.selectReference(profile, maxAds))
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s (maxAds %d):\n got %v\nwant %v", what, maxAds, got, want)
+	}
+}
+
+// permutedWorld labels hosts with the same few weights on different
+// categories, as real ontologies do (one category at weight 1). Rows
+// disjoint from the profile are then equidistant in exact arithmetic;
+// the dense scan separates them by summation-order rounding alone, which
+// the expanded form ‖p‖² + ‖v‖² − 2·p·v does not reproduce — the case
+// that makes Select rescore its candidates.
+func permutedWorld(tb testing.TB, seed uint64) *selectorWorld {
+	tax := ontology.NewTaxonomy()
+	ont := ontology.New(tax)
+	rng := stats.NewRNG(seed)
+	for i := 0; i < 300; i++ {
+		v := tax.NewVector()
+		for _, x := range []float64{0.7, 0.55, 0.3, 0.15, 0.1} {
+			v[rng.Intn(len(v))] = x
+		}
+		ont.Add(fmt.Sprintf("h%03d.example", i), v)
+	}
+	return newSelectorWorld(tb, ont, 20)
+}
+
+// TestSelectMatchesReference is the equivalence harness: on every seeded
+// profile the CSR kernel must return the reference's ad-ID list, order
+// included. The jitter-free worlds make support hosts share rows, so the
+// host-name tie-break decides who sits on the K-th boundary.
+func TestSelectMatchesReference(t *testing.T) {
+	profiles := 0
+	check := func(name string, w *selectorWorld, seed uint64, ownAdsFirst bool) {
+		rng := stats.NewRNG(seed ^ 0x5e1ec7)
+		for i := 0; i < 500; i++ {
+			w.requireSame(t, fmt.Sprintf("%s mixture %d", name, i), w.eq4Profile(rng), 20)
+			profiles++
+		}
+		for i := 0; i < 60; i++ {
+			oneHot := w.tax.NewVector()
+			oneHot[rng.Intn(len(oneHot))] = 1 - rng.Float64()
+			w.requireSame(t, name+" one-hot", oneHot, 1+rng.Intn(60))
+			profiles++
+		}
+		w.requireSame(t, name+" all-zero", w.tax.NewVector(), 20)
+		for i := 0; i < 40; i++ {
+			r := rng.Intn(len(w.ref.vecs))
+			what := fmt.Sprintf("%s label row of %s", name, w.ref.hosts[r])
+			w.requireSame(t, what, w.ref.vecs[r], 1000)
+			if got := w.sel.Select(w.ref.vecs[r], 1); ownAdsFirst && got[0].LandingHost != w.ref.hosts[r] {
+				t.Fatalf("%s: first ad lands on %s", what, got[0].LandingHost)
+			}
+			profiles++
+		}
+	}
+	for _, seed := range []uint64{101, 202, 303} {
+		check(fmt.Sprintf("seed %d jittered", seed), benchWorld(t, seed, 0), seed, true)
+	}
+	// Without jitter several hosts share a row, so a host's own ads come
+	// first only if its name sorts first among its twins.
+	for _, seed := range []uint64{101, 202} {
+		check(fmt.Sprintf("seed %d exact-tie", seed), benchWorld(t, seed, -1), seed, false)
+	}
+	check("permuted", permutedWorld(t, 5), 5, false)
+	if profiles < 2000 {
+		t.Fatalf("harness covered %d profiles, want >= 2000", profiles)
+	}
+}
+
+// TestSelectorDistanceIsEuclidean pins the property the exact ranking
+// rests on: the sparse rescoring reproduces stats.Euclidean bit for bit.
+func TestSelectorDistanceIsEuclidean(t *testing.T) {
+	w := benchWorld(t, 404, 0)
+	rng := stats.NewRNG(405)
+	for i := 0; i < 50; i++ {
+		p := w.eq4Profile(rng)
+		var nz []int32
+		for c, x := range p {
+			if x != 0 {
+				nz = append(nz, int32(c))
+			}
+		}
+		for r, v := range w.ref.vecs {
+			got, want := w.sel.distance(p, nz, int32(r)), stats.Euclidean(p, v)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d: distance %v, Euclidean %v", r, got, want)
+			}
+		}
+	}
+}
+
+func TestSelectEdgeContracts(t *testing.T) {
+	fx := newAdsFixture(t)
+	w := newSelectorWorld(t, fx.ont, 1000) // k > rows: every host is a neighbour
+	first := fx.ont.Hosts()[0]
+	own, _ := fx.ont.Lookup(first)
+	inventory := len(w.ref.db.ByHost(first))
+	all := len(w.ref.db.Ads())
+	for _, tc := range []struct {
+		name    string
+		profile ontology.Vector
+		maxAds  int
+		want    int
+	}{
+		{"maxAds zero", own, 0, 0},
+		{"maxAds negative", own, -3, 0},
+		{"nil profile", nil, 20, 0},
+		{"empty profile", ontology.Vector{}, 20, 0},
+		{"short profile", own[:len(own)-1], 20, 0},
+		{"long profile", append(own.Clone(), 0), 20, 0},
+		{"k beyond rows serves every host", own, math.MaxInt, all},
+		{"maxAds one", own, 1, 1},
+		{"maxAds below first host's inventory", own, inventory - 1, inventory - 1},
+		{"maxAds at first host's inventory", own, inventory, inventory},
+	} {
+		got := w.sel.Select(tc.profile, tc.maxAds)
+		if len(got) != tc.want {
+			t.Errorf("%s: %d ads, want %d", tc.name, len(got), tc.want)
+			continue
+		}
+		for i, ad := range got {
+			if i < inventory && ad.LandingHost != first {
+				t.Errorf("%s: ad %d lands on %s, want %s first", tc.name, i, ad.LandingHost, first)
+			}
+		}
+		if tc.want > 0 {
+			w.requireSame(t, tc.name, tc.profile, tc.maxAds)
+		}
+	}
+}
+
+func TestNewSelectorRejectsMisSizedLabel(t *testing.T) {
+	tax := ontology.NewTaxonomy()
+	ont := ontology.New(tax)
+	ont.Add("short.example", make(ontology.Vector, 3))
+	db := NewDB(tax)
+	db.Add("short.example", tax.NewVector(), standardSizes[0])
+	if _, err := NewSelector(db, ont, 20); err == nil {
+		t.Fatal("expected error for a label shorter than the taxonomy")
+	}
+}
+
+func TestSelectAllocatesOnlyResult(t *testing.T) {
+	w := benchWorld(t, 505, 0)
+	p := w.eq4Profile(stats.NewRNG(506))
+	if n := testing.AllocsPerRun(200, func() { w.sel.Select(p, 20) }); n > 1 {
+		t.Fatalf("Select allocates %v times per call, want <= 1", n)
+	}
+}
+
+// TestSelectConcurrent is the immutability contract that lets the server
+// call Select without a lock: goroutines sharing one Selector get the
+// serial answers (run under -race).
+func TestSelectConcurrent(t *testing.T) {
+	w := benchWorld(t, 606, -1)
+	rng := stats.NewRNG(607)
+	profiles := make([]ontology.Vector, 64)
+	want := make([][]int, len(profiles))
+	for i := range profiles {
+		profiles[i] = w.eq4Profile(rng)
+		want[i] = adIDs(w.sel.Select(profiles[i], 20))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 4*len(profiles); n++ {
+				i := (n + g*7) % len(profiles)
+				if got := adIDs(w.sel.Select(profiles[i], 20)); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d profile %d: got %v want %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+var selectSink []Ad
+
+// BenchmarkSelect measures one report's ad selection on Eq. 4-shaped
+// profiles at the bench world's label count and at the paper's
+// (470K hostnames x 10.6% coverage ≈ 50K labelled hosts).
+func BenchmarkSelect(b *testing.B) {
+	base := benchWorld(b, 707, 0)
+	for _, rows := range []int{len(base.ref.vecs), 50000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			w := base
+			if rows != len(base.ref.vecs) {
+				// Paper scale: resample the bench world's rows, re-jittered,
+				// under fresh host names.
+				rng := stats.NewRNG(708)
+				ont := ontology.New(base.tax)
+				for i := 0; i < rows; i++ {
+					v := base.ref.vecs[rng.Intn(len(base.ref.vecs))].Clone()
+					for c, x := range v {
+						if x > 0 {
+							v[c] = x + 0.05*(rng.Float64()-0.5)
+						}
+					}
+					ont.Add(fmt.Sprintf("h%05d.example", i), v)
+				}
+				w = newSelectorWorld(b, ont, 20)
+			}
+			rng := stats.NewRNG(709)
+			profiles := make([]ontology.Vector, 256)
+			for i := range profiles {
+				profiles[i] = w.eq4Profile(rng)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				selectSink = w.sel.Select(profiles[i%len(profiles)], 20)
+			}
+		})
 	}
 }

@@ -47,7 +47,7 @@ func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("session %d: ann err %v, exact err %v", i, errA, errB)
 		}
-		if !vectorsAlmostEqual(a, b) {
+		if !vectorsBitEqual(a, b) {
 			t.Fatalf("session %d: ann profile differs from exact under full fallback", i)
 		}
 		ga := annP.NearestLabelled(s, 5)

@@ -247,15 +247,15 @@ func TestProfileIndexedMatchesSerial(t *testing.T) {
 	}
 }
 
-// vectorsAlmostEqual compares two category vectors to within 1-ulp-ish
-// slack: profile aggregation folds map-ordered contributions, so the
-// last bit of each weight varies run to run even on identical input.
-func vectorsAlmostEqual(a, b ontology.Vector) bool {
+// vectorsBitEqual compares two category vectors bit for bit: Eq. 4 folds
+// its contributions in a fixed order, so identical input on one model
+// gives identical float64s whichever path computed them.
+func vectorsBitEqual(a, b ontology.Vector) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
 	for c := range a {
-		if math.Abs(a[c]-b[c]) > 1e-12 {
+		if math.Float64bits(a[c]) != math.Float64bits(b[c]) {
 			return false
 		}
 	}
@@ -284,7 +284,7 @@ func TestProfileBatchMatchesSequential(t *testing.T) {
 		if !errors.Is(errs[i], wantErr) && !errors.Is(wantErr, errs[i]) {
 			t.Fatalf("session %d: batch err %v, sequential err %v", i, errs[i], wantErr)
 		}
-		if !vectorsAlmostEqual(vecs[i], want) {
+		if !vectorsBitEqual(vecs[i], want) {
 			t.Fatalf("session %d: batch profile differs from sequential", i)
 		}
 	}

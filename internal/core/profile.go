@@ -428,14 +428,22 @@ func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (o
 
 	// L: labelled hosts appearing in the session (whether or not they
 	// made it into the vocabulary — the observer knows their names).
+	// Contributions are kept in a fixed order — session hosts in session
+	// order, then neighbours in rank order — because Eq. 4 sums floats:
+	// the same session must give the same bits on every call.
 	type contrib struct {
 		alpha float64
 		vec   ontology.Vector
 	}
-	contribs := make(map[string]contrib)
+	var contribs []contrib
+	inSession := make(map[string]struct{})
 	for _, h := range hosts {
+		if _, dup := inSession[h]; dup {
+			continue // only reachable with SkipDedup
+		}
 		if v, ok := p.ont.Lookup(h); ok {
-			contribs[h] = contrib{alpha: 1, vec: v} // Eq. (3), h ∈ L
+			inSession[h] = struct{}{}
+			contribs = append(contribs, contrib{alpha: 1, vec: v}) // Eq. (3), h ∈ L
 		}
 	}
 
@@ -446,12 +454,12 @@ func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (o
 			if !ok {
 				continue // unlabelled neighbours carry no categories
 			}
-			if _, inSession := contribs[nb.Host]; inSession {
+			if _, ok := inSession[nb.Host]; ok {
 				continue // session membership dominates (alpha = 1)
 			}
 			alpha := stats.SumPositive(nb.Cosine) // Eq. (3), otherwise
 			if alpha > 0 {
-				contribs[nb.Host] = contrib{alpha: alpha, vec: v}
+				contribs = append(contribs, contrib{alpha: alpha, vec: v})
 			}
 		}
 	}
@@ -470,10 +478,7 @@ func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (o
 		denom += c.alpha
 	}
 	for _, c := range contribs {
-		w := c.alpha / denom
-		for i, x := range c.vec {
-			out[i] += w * x
-		}
+		stats.AXPY(c.alpha/denom, c.vec, out)
 	}
 	out.Clamp() // guard accumulated rounding just above 1
 	return out, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -242,6 +243,49 @@ func TestProfilePermutationInvariantQuick(t *testing.T) {
 		for i := range ref {
 			if d := got[i] - ref[i]; d > 1e-9 || d < -1e-9 {
 				t.Fatalf("trial %d: category %d differs by %v", trial, i, d)
+			}
+		}
+	}
+}
+
+// TestProfileSessionBitDeterministic pins Eq. 4's summation order: the
+// same session on the same model must return the same float64 bits on
+// every call, and the batch workers the same bits as the single-session
+// path. (Folding the contributions in map order made the last bit follow
+// Go's randomised iteration.)
+func TestProfileSessionBitDeterministic(t *testing.T) {
+	fx := newProfilingFixture(t, 0.75)
+	p := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20})
+	all := append(append([]string{}, fx.ta...), fx.tb...)
+	rng := stats.NewRNG(4242)
+	sessions := make([][]string, 40)
+	for i := range sessions {
+		perm := rng.Perm(len(all))[:1+rng.Intn(8)]
+		for _, j := range perm {
+			sessions[i] = append(sessions[i], all[j])
+		}
+	}
+	want := make([]ontology.Vector, len(sessions))
+	for i, s := range sessions {
+		var err error
+		if want[i], err = p.ProfileSession(s); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		for call := 1; call < 50; call++ {
+			got, err := p.ProfileSession(s)
+			if err != nil {
+				t.Fatalf("session %d call %d: %v", i, call, err)
+			}
+			if !vectorsBitEqual(got, want[i]) {
+				t.Fatalf("session %d: call %d differs from call 0 in the last bits", i, call)
+			}
+		}
+	}
+	for round := 0; round < 5; round++ {
+		vecs, errs := p.ProfileSessions(context.Background(), sessions)
+		for i := range sessions {
+			if errs[i] != nil || !vectorsBitEqual(vecs[i], want[i]) {
+				t.Fatalf("round %d session %d: batch profile differs from ProfileSession (err %v)", round, i, errs[i])
 			}
 		}
 	}

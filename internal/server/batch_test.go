@@ -259,9 +259,9 @@ func TestProfileCacheNeverStaleAcrossRetrain(t *testing.T) {
 		if (vecs[i] == nil) != (want == nil) || len(vecs[i]) != len(want) {
 			t.Fatalf("session %d: cached profile does not match the post-swap model", i)
 		}
-		// Aggregation folds map-ordered contributions, so recomputation
-		// wobbles in the last bit; a stale pre-swap profile differs by
-		// far more than this.
+		// The cache key ignores session order while Eq. 4's float sum
+		// follows it, so an answer cached for a permutation wobbles in
+		// the last bit; a stale pre-swap profile differs by far more.
 		for c := range want {
 			if d := math.Abs(vecs[i][c] - want[c]); d > 1e-9 {
 				t.Fatalf("session %d category %d: cached %g vs post-swap %g",

@@ -148,10 +148,17 @@ type Backend struct {
 	retrains flight.Group
 	inflight atomic.Int64
 
+	// selector is built once in New and immutable thereafter: reports
+	// call Select concurrently without a lock.
+	selector *ads.Selector
+
+	// mu guards the model generation — the (profiler, pcache) pair a
+	// retrain or model import swaps — and the campaign tallies. Request
+	// paths hold it only to read the pair or bump a tally, never across
+	// profiling or ad selection.
 	mu       sync.Mutex
 	profiler *core.Profiler
 	pcache   *profileCache // one generation per profiler, swapped together
-	selector *ads.Selector
 
 	// campaign statistics
 	impressions map[string]int64 // by source: "eavesdropper" / "original"
@@ -481,8 +488,9 @@ func (b *Backend) retrainRun(ctx context.Context) error {
 
 // report ingests one extension report and returns the replacement-ad
 // list for the user's current profile. Visits go straight into the
-// sharded store — concurrent reports from different users contend only
-// on the WAL, never on a backend-wide lock.
+// sharded store, and the ad selector is immutable, so concurrent reports
+// from different users contend only on the WAL; b.mu is taken just long
+// enough to read the current (profiler, cache) pair.
 func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []string) ([]ads.Ad, error) {
 	b.met.reports.Inc()
 	// Ingest every non-blocklisted host before surfacing any error, so a
@@ -530,9 +538,7 @@ func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []str
 	}
 	psp.End()
 	_, asp := b.tr.StartSpan(ctx, "ads.select")
-	b.mu.Lock()
 	list := b.selector.Select(profile, b.cfg.AdsPerReport)
-	b.mu.Unlock()
 	asp.SetAttr("ads", strconv.Itoa(len(list)))
 	asp.End()
 	return list, nil
