@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos bench bench-check bench-json bench-diff fuzz cover ci experiments experiments-small examples trace-demo clean
+.PHONY: all build test vet race chaos recall loc bench bench-check bench-json bench-diff fuzz cover ci experiments experiments-small examples trace-demo clean
 
 all: vet test build
 
@@ -21,6 +21,27 @@ race:
 # coordination, live cluster-resize migration under traffic.
 chaos:
 	$(GO) test -race -run 'Chaos|Degraded|Retrain|Shed|Panic|Fault' ./...
+
+# ANN recall gate: recall@10 >= 0.95 against the exact scan, on the
+# clustered corpus and on trained embeddings.
+recall:
+	$(GO) test ./internal/index -run 'TestANNRecall' -v
+	$(GO) test ./internal/core -run 'TestANNRecallTrainedModel' -v
+
+# Net lines against a base ref, folded the way CHANGES.md reports them:
+# make loc BASE=<ref>. Product Go is non-test Go outside bench/.
+loc:
+	@test -n "$(BASE)" || { echo "usage: make loc BASE=<git ref>"; exit 2; }
+	@git diff --numstat $(BASE) | awk '\
+		$$1 == "-" { next } \
+		{ k = "other" } \
+		$$3 ~ /^bench\// { k = "bench/" } \
+		$$3 !~ /^bench\// && $$3 ~ /_test\.go$$/ { k = "test Go" } \
+		$$3 !~ /^bench\// && $$3 ~ /\.go$$/ && $$3 !~ /_test\.go$$/ { k = "product Go" } \
+		$$3 !~ /^bench\// && $$3 ~ /\.md$$/ { k = "docs" } \
+		{ add[k] += $$1; del[k] += $$2 } \
+		END { n = split("product Go,test Go,bench/,docs,other", ks, ","); \
+			for (i = 1; i <= n; i++) printf "%-11s +%-6d -%-6d net %+d\n", ks[i], add[ks[i]], del[ks[i]], add[ks[i]] - del[ks[i]] }'
 
 # The 470Kx128 ANN graph build alone runs ~15 min on one core, so the
 # suite needs an explicit -timeout past go test's 10m default.
@@ -67,7 +88,7 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
 
-# Mirrors .github/workflows/ci.yml.
+# The single CI definition: the workflow's test job runs exactly this.
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...
@@ -75,8 +96,9 @@ ci:
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check
-	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
-	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
+	$(MAKE) chaos
+	$(MAKE) fuzz
+	$(MAKE) recall
 
 # End-to-end distributed-tracing demo: serve a small synthetic world,
 # post one traced report (triggering a retrain), and print the merged

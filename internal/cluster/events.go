@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 )
 
 // Event types recorded on the cluster timeline. The set is closed and
@@ -152,7 +153,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("since"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad since cursor: "+s)
+			httpmw.WriteError(w, http.StatusBadRequest, "bad since cursor: "+s)
 			return
 		}
 		after = v
@@ -161,14 +162,14 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit: "+s)
+			httpmw.WriteError(w, http.StatusBadRequest, "bad limit: "+s)
 			return
 		}
 		if n < len(events) {
 			events = events[len(events)-n:] // keep the newest
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpmw.WriteJSON(w, http.StatusOK, map[string]any{
 		"events":  events,
 		"last_id": lastID,
 	})

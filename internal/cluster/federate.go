@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 )
 
 // federator caches per-shard /varz scrapes behind a short TTL so the
@@ -310,7 +311,7 @@ func scrapeStatuses(scrapes map[string]*shardScrape) []ShardScrapeStatus {
 // the merge covers whoever did answer.
 func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	scrapes := g.federate(r.Context())
-	writeJSON(w, http.StatusOK, ClusterMetrics{
+	httpmw.WriteJSON(w, http.StatusOK, ClusterMetrics{
 		Shards:  scrapeStatuses(scrapes),
 		Metrics: mergeScrapes(scrapes),
 	})

@@ -2,18 +2,17 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/prof"
 	"hostprof/internal/obs/tracer"
 )
@@ -168,14 +167,13 @@ type Gateway struct {
 	client *http.Client
 
 	// observability plane: the cluster event timeline, the federated
-	// shard-metrics cache, the gateway's own SLOs / slow-request log /
-	// statusz page, and the slow-capture profiler.
+	// shard-metrics cache, the statusz page, and the handler wrapper
+	// holding the gateway's own SLOs, slow-request log and slow-capture
+	// profiler.
 	events  *eventLog
 	fed     *federator
-	slos    *prof.SLOTracker
-	slowlog *prof.SlowLog
-	profz   *prof.Profiler
 	statusz *prof.Statusz
+	mw      httpmw.Config
 
 	ringMu sync.Mutex
 	ring   *Ring
@@ -300,20 +298,28 @@ func New(cfg Config) (*Gateway, error) {
 		client:   client,
 		events:   newEventLog(cfg.EventBuffer),
 		fed:      &federator{ttl: cfg.FederationTTL},
-		profz:    cfg.Profiler,
 		ring:     ring,
 		shards:   make(map[string]*shardState, len(cfg.Backends)),
 		backends: append([]string(nil), cfg.Backends...),
 		stop:     make(chan struct{}),
 	}
+	g.mw = httpmw.Config{
+		MetricPrefix: "hostprof_gateway",
+		SpanPrefix:   "gw.",
+		Metrics:      reg,
+		Tracer:       cfg.Tracer,
+		Profiler:     cfg.Profiler,
+		Logger:       cfg.Logger,
+		SlowRequest:  cfg.SlowRequest,
+	}
 	if len(cfg.SLOTargets) > 0 {
-		g.slos = prof.NewNamedSLOTracker("hostprof_gateway_slo", cfg.SLOWindow, reg)
+		g.mw.SLOs = prof.NewNamedSLOTracker("hostprof_gateway_slo", cfg.SLOWindow, reg)
 		for endpoint, target := range cfg.SLOTargets {
-			g.slos.Register(endpoint, target)
+			g.mw.SLOs.Register(endpoint, target)
 		}
 	}
 	if cfg.SlowRequest > 0 {
-		g.slowlog = prof.NewSlowLog(32)
+		g.mw.SlowLog = prof.NewSlowLog(32)
 	}
 	for _, b := range cfg.Backends {
 		g.shards[b] = &shardState{name: b}
@@ -332,10 +338,10 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) buildStatusz() *prof.Statusz {
 	sz := prof.NewStatusz()
 	sz.Section("cluster", func() any { return g.ClusterStatus() })
-	sz.Section("slo", func() any { return g.slos.Status() })
+	sz.Section("slo", func() any { return g.mw.SLOs.Status() })
 	sz.Section("events", func() any { return g.events.last(50) })
 	sz.Section("federation", func() any { return scrapeStatuses(g.fed.cached()) })
-	sz.Section("slow_requests", func() any { return g.slowlog.Snapshot() })
+	sz.Section("slow_requests", func() any { return g.mw.SlowLog.Snapshot() })
 	return sz
 }
 
@@ -457,15 +463,15 @@ func (g *Gateway) healthLoop() {
 //	GET  /debug/prof/       → profile capture ring, when a Profiler is wired
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/report", g.instrument("report", g.handleReport))
-	mux.HandleFunc("POST /v1/feedback", g.instrument("feedback", g.handleFeedback))
-	mux.HandleFunc("POST /v1/profile/batch", g.instrument("profile_batch", g.handleProfileBatch))
-	mux.HandleFunc("POST /v1/retrain", g.instrument("retrain", g.handleRetrain))
-	mux.HandleFunc("GET /v1/stats", g.instrument("stats", g.handleStats))
-	mux.HandleFunc("GET /v1/cluster", g.instrument("cluster", g.handleCluster))
-	mux.HandleFunc("POST /v1/cluster/resize", g.instrument("cluster_resize", g.handleResize))
-	mux.HandleFunc("GET /v1/cluster/metrics", g.instrument("cluster_metrics", g.handleClusterMetrics))
-	mux.HandleFunc("GET /v1/cluster/events", g.instrument("cluster_events", g.handleEvents))
+	mux.HandleFunc("POST /v1/report", g.mw.Wrap("report", g.handleReport))
+	mux.HandleFunc("POST /v1/feedback", g.mw.Wrap("feedback", g.handleFeedback))
+	mux.HandleFunc("POST /v1/profile/batch", g.mw.Wrap("profile_batch", g.handleProfileBatch))
+	mux.HandleFunc("POST /v1/retrain", g.mw.Wrap("retrain", g.handleRetrain))
+	mux.HandleFunc("GET /v1/stats", g.mw.Wrap("stats", g.handleStats))
+	mux.HandleFunc("GET /v1/cluster", g.mw.Wrap("cluster", g.handleCluster))
+	mux.HandleFunc("POST /v1/cluster/resize", g.mw.Wrap("cluster_resize", g.handleResize))
+	mux.HandleFunc("GET /v1/cluster/metrics", g.mw.Wrap("cluster_metrics", g.handleClusterMetrics))
+	mux.HandleFunc("GET /v1/cluster/events", g.mw.Wrap("cluster_events", g.handleEvents))
 	mux.Handle("GET /metrics", g.federatedMetricsHandler())
 	mux.Handle("GET /varz", g.reg.VarzHandler())
 	mux.Handle("GET /healthz", obs.HealthzHandler(nil))
@@ -474,113 +480,8 @@ func (g *Gateway) Handler() http.Handler {
 	if g.tr.Enabled() {
 		mux.Handle("/debug/traces", g.tr.Handler())
 	}
-	if g.profz.Enabled() {
-		mux.Handle("/debug/prof/", g.profz.Handler())
+	if g.mw.Profiler.Enabled() {
+		mux.Handle("/debug/prof/", g.mw.Profiler.Handler())
 	}
 	return mux
-}
-
-// instrument wraps a gateway endpoint with tracing, latency and
-// request-count metrics, mirroring the backend's contract: the handler
-// span joins an incoming W3C traceparent, so a traced client, this
-// gateway and the shards it fans out to share one trace ID.
-func (g *Gateway) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	lat := g.reg.Histogram("hostprof_gateway_request_seconds", nil, obs.L("endpoint", endpoint))
-	// The SLO handle is resolved once per endpoint at wrap time; per
-	// request it is one nil-safe Observe. Endpoints without a
-	// configured target get a nil handle — zero cost.
-	slo := g.slos.Get(endpoint)
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		var span *tracer.Span
-		if g.tr.Enabled() {
-			ctx := r.Context()
-			if sc, ok := tracer.ParseTraceparent(r.Header.Get("traceparent")); ok {
-				ctx = tracer.ContextWithRemote(ctx, sc)
-			}
-			ctx, span = g.tr.StartSpan(ctx, "gw."+endpoint)
-			span.SetAttr("endpoint", endpoint)
-			r = r.WithContext(ctx)
-		}
-		defer func() {
-			d := time.Since(start)
-			if rec.code >= 500 {
-				span.Error(fmt.Errorf("HTTP %d", rec.code))
-			}
-			slow := g.cfg.SlowRequest > 0 && d >= g.cfg.SlowRequest
-			var capIDs []uint64
-			if slow {
-				// Snapshot goroutine+mutex profiles tagged with this
-				// trace before the span closes, so the /debug/traces
-				// entry links to the evidence. The profiler rate-limits
-				// trigger captures internally; nil profiler = no-op.
-				capIDs = g.profz.CaptureSlow(span.TraceIDString())
-			}
-			span.SetAttr("code", strconv.Itoa(rec.code))
-			span.End()
-			lat.ObserveExemplar(d.Seconds(), span.TraceIDString())
-			slo.Observe(d.Seconds())
-			g.reg.Counter("hostprof_gateway_requests_total",
-				obs.L("endpoint", endpoint),
-				obs.L("code", strconv.Itoa(rec.code))).Inc()
-			if slow {
-				g.slowlog.Add(prof.SlowEntry{
-					Endpoint:   endpoint,
-					Code:       rec.code,
-					Seconds:    d.Seconds(),
-					TraceID:    span.TraceIDString(),
-					CaptureIDs: capIDs,
-				})
-				g.log.LogAttrs(r.Context(), slog.LevelWarn, "slow gateway request",
-					slog.String("endpoint", endpoint),
-					slog.Int("code", rec.code),
-					slog.Duration("elapsed", d),
-					slog.String("stages", formatStages(span.Stages())))
-			}
-		}()
-		h(rec, r)
-	}
-}
-
-// formatStages renders a span's per-stage breakdown for the slow-log
-// line: "shard.report=12ms shard.retry=3ms".
-func formatStages(stages []tracer.Stage) string {
-	if len(stages) == 0 {
-		return "-"
-	}
-	var b strings.Builder
-	for i, st := range stages {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(st.Name)
-		b.WriteByte('=')
-		b.WriteString(st.Duration.Round(time.Microsecond).String())
-	}
-	return b.String()
-}
-
-// statusRecorder captures the response code a handler wrote.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// writeJSON sends a JSON response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeError sends the backend's JSON error envelope, so clients parse
-// gateway and shard errors identically.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -9,11 +9,15 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hostprof/internal/ads"
 	"hostprof/internal/core"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/ontology"
 	"hostprof/internal/server"
@@ -448,7 +452,13 @@ func TestGatewayTraceSpansCluster(t *testing.T) {
 	if err := gwExt.PushTrace(context.Background(), clientTraces[len(clientTraces)-1].Spans); err != nil {
 		t.Fatalf("pushing client spans to gateway: %v", err)
 	}
+	// The batch answer is large enough to reach the client in chunks
+	// before the gateway's wrapper has ended gw.profile_batch: wait for it.
 	gwTrace := fetchTrace(t, fx.gwSrv.URL, traceID)
+	for deadline := time.Now().Add(5 * time.Second); !hasSpan(gwTrace, "gw.profile_batch") && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		gwTrace = fetchTrace(t, fx.gwSrv.URL, traceID)
+	}
 	if !hasSpan(gwTrace, "gw.profile_batch") || !hasSpan(gwTrace, "client.profile_batch") {
 		t.Fatalf("gateway trace %s missing gateway or client span: %+v", traceID, spanNames(gwTrace))
 	}
@@ -523,4 +533,67 @@ func spanNames(tr tracer.TraceJSON) []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// panicOnce is a shard transport whose first armed round trip panics,
+// standing in for any bug on a gateway handler's goroutine.
+type panicOnce struct {
+	armed atomic.Bool
+	next  http.RoundTripper
+}
+
+func (p *panicOnce) RoundTrip(r *http.Request) (*http.Response, error) {
+	if p.armed.CompareAndSwap(true, false) {
+		panic("wired to explode")
+	}
+	return p.next.RoundTrip(r)
+}
+
+// TestGatewayHandlerPanicRecovery mirrors the shard's
+// TestHandlerPanicRecovery: a panicking gateway handler is contained
+// into a 500 JSON error, counted, marks its trace errored, and the
+// gateway keeps serving.
+func TestGatewayHandlerPanicRecovery(t *testing.T) {
+	rt := &panicOnce{next: http.DefaultTransport}
+	fx := newClusterFixtureCfg(t, 1, 4, func(cfg *Config) {
+		cfg.HTTPClient = &http.Client{Transport: rt}
+	})
+	body := []byte(`{"user":1,"ad_id":1,"source":"original"}`)
+	post := func() *http.Response {
+		t.Helper()
+		resp, err := http.Post(fx.gwSrv.URL+"/v1/feedback", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	rt.armed.Store(true)
+	resp := post()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", resp.StatusCode)
+	}
+	var eb httpmw.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || !strings.Contains(eb.Error, "internal error") {
+		t.Fatalf("panic response body: %v (%q)", err, eb.Error)
+	}
+	if got := fx.gw.Metrics().Counter("hostprof_gateway_panics_total").Value(); got != 1 {
+		t.Fatalf("hostprof_gateway_panics_total = %d, want 1", got)
+	}
+	errored := false
+	for _, tr := range fx.gw.tr.Traces() {
+		for _, sp := range tr.Spans {
+			if sp.Name == "gw.feedback" && tr.Errored && strings.Contains(sp.Error, "panic") {
+				errored = true
+			}
+		}
+	}
+	if !errored {
+		t.Fatal("no errored gw.feedback trace recorded for the panicking request")
+	}
+	// The transport panics once: the next request goes through normally.
+	if resp := post(); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("post-panic status = %d, want 204", resp.StatusCode)
+	}
 }

@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/server"
 )
 
@@ -1094,24 +1095,24 @@ type ResizeResponse struct {
 func (g *Gateway) handleResize(w http.ResponseWriter, r *http.Request) {
 	var req ResizeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
 		return
 	}
 	if len(req.Backends) == 0 {
-		writeError(w, http.StatusBadRequest, "cluster: resize needs a backend list")
+		httpmw.WriteError(w, http.StatusBadRequest, "cluster: resize needs a backend list")
 		return
 	}
 	wasInstalled := g.migration.Load() != nil
 	m, started, err := g.Resize(r.Context(), req.Backends)
 	switch {
 	case errors.Is(err, ErrResizeConflict):
-		writeError(w, http.StatusConflict, err.Error())
+		httpmw.WriteError(w, http.StatusConflict, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	case m == nil:
-		writeJSON(w, http.StatusOK, ResizeResponse{Status: "noop"})
+		httpmw.WriteJSON(w, http.StatusOK, ResizeResponse{Status: "noop"})
 		return
 	}
 	st := m.Status()
@@ -1128,7 +1129,7 @@ func (g *Gateway) handleResize(w http.ResponseWriter, r *http.Request) {
 	if !started {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, resp)
+	httpmw.WriteJSON(w, code, resp)
 }
 
 // handleReadyz is the gateway's readiness: 503 only when no shard is
@@ -1150,7 +1151,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case st.Migration != nil && !terminalPhase(st.Migration.State):
 		body.Status = "degraded"
 	}
-	writeJSON(w, code, body)
+	httpmw.WriteJSON(w, code, body)
 }
 
 // registerMigrationMetrics wires the migration gauges; called from New

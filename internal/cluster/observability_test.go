@@ -409,8 +409,9 @@ func TestEventLogEviction(t *testing.T) {
 // TestInstrumentDisabledPathAllocs guards the acceptance criterion
 // that the observability plane costs nothing when switched off: with
 // no SLO targets, no slow-request threshold, no profiler and no
-// tracer, one pass through the gateway's instrument wrapper must not
-// allocate beyond the pre-existing recorder + counter-lookup baseline.
+// tracer, one pass through the gateway's mounted handler wrapper must
+// not allocate beyond the pre-existing recorder + counter-lookup
+// baseline.
 func TestInstrumentDisabledPathAllocs(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	gw, err := New(Config{
@@ -423,7 +424,7 @@ func TestInstrumentDisabledPathAllocs(t *testing.T) {
 	}
 	t.Cleanup(gw.Close)
 
-	h := gw.instrument("report", func(w http.ResponseWriter, r *http.Request) {})
+	h := gw.mw.Wrap("report", func(w http.ResponseWriter, r *http.Request) {})
 	req := httptest.NewRequest(http.MethodPost, "/v1/report", nil)
 	rec := httptest.NewRecorder()
 	allocs := testing.AllocsPerRun(500, func() { h(rec, req) })

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/server"
 )
@@ -142,7 +143,7 @@ func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string,
 	defer g.migBarrier.RUnlock()
 	owner, ok := g.Ring().Owner(user)
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable, "cluster: empty ring")
+		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: empty ring")
 		return
 	}
 	var doubleTo string
@@ -193,7 +194,7 @@ func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string,
 		g.met.shed.Inc()
 		g.noteShed(owner)
 		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable,
+		httpmw.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("cluster: shard %s (owner of user %d) is down; retry later", owner, user))
 		return
 	}
@@ -201,7 +202,7 @@ func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string,
 		map[string]string{"Content-Type": "application/json"}, raw)
 	if err != nil {
 		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusBadGateway, err.Error())
+		httpmw.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	if doubleTo != "" && ans.status < 300 {
@@ -244,12 +245,12 @@ func (g *Gateway) doubleWrite(ctx context.Context, target string, rg *migRange, 
 func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "cluster: report too large")
+		httpmw.WriteError(w, http.StatusRequestEntityTooLarge, "cluster: report too large")
 		return
 	}
 	var req server.ReportRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
 		return
 	}
 	g.routeUser(w, r, "/v1/report", req.User, raw, &req)
@@ -258,12 +259,12 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "cluster: feedback too large")
+		httpmw.WriteError(w, http.StatusRequestEntityTooLarge, "cluster: feedback too large")
 		return
 	}
 	var req server.FeedbackRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
 		return
 	}
 	g.routeUser(w, r, "/v1/feedback", req.User, raw, nil)
@@ -280,18 +281,18 @@ func (g *Gateway) handleFeedback(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.ProfileBatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProxyBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
 		return
 	}
 	if len(req.Sessions) > g.cfg.MaxSessionsPerBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("cluster: %d sessions exceeds limit %d", len(req.Sessions), g.cfg.MaxSessionsPerBatch))
 		return
 	}
 	shards := g.readyShards()
 	if len(shards) == 0 {
 		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "cluster: no ready shards")
+		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: no ready shards")
 		return
 	}
 	if sp := tracer.FromContext(r.Context()); sp.Recording() {
@@ -359,7 +360,7 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 			sp.Event("partial batch: at least one shard chunk degraded")
 		}
 	}
-	writeJSON(w, http.StatusOK, server.ProfileBatchResponse{Profiles: results})
+	httpmw.WriteJSON(w, http.StatusOK, server.ProfileBatchResponse{Profiles: results})
 }
 
 // RetrainResponse is the gateway's /v1/retrain body: which shard
@@ -385,7 +386,7 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	trainer := g.trainNode()
 	if trainer == "" {
 		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "cluster: no alive shard to train on")
+		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: no alive shard to train on")
 		return
 	}
 	if sp := tracer.FromContext(ctx); sp.Recording() {
@@ -395,7 +396,7 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	// takes longer than a serving request — so it bypasses doShard.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, trainer+"/v1/retrain", bytes.NewReader([]byte("{}")))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpmw.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -406,7 +407,7 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	resp, err := g.client.Do(req)
 	if err != nil {
 		g.markDead(trainer, err)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cluster: retrain on %s: %v", trainer, err))
+		httpmw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("cluster: retrain on %s: %v", trainer, err))
 		return
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -422,13 +423,13 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 
 	out, err := g.distributeModel(ctx, trainer)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
+		httpmw.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	// Refresh health state so /v1/cluster reflects convergence
 	// immediately rather than after the next probe tick.
 	g.CheckHealth(ctx)
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 // distributeModel pulls the artifact from one shard and pushes it to
@@ -574,7 +575,7 @@ func (g *Gateway) SyncModels(ctx context.Context) int {
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	shards := g.aliveShards()
 	if len(shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "cluster: no alive shards")
+		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: no alive shards")
 		return
 	}
 	type answer struct {
@@ -620,7 +621,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if reached == 0 {
-		writeError(w, http.StatusBadGateway, "cluster: no shard answered stats")
+		httpmw.WriteError(w, http.StatusBadGateway, "cluster: no shard answered stats")
 		return
 	}
 	for k, imp := range agg.Impressions {
@@ -631,11 +632,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if reached < len(shards) {
 		w.Header().Set(PartialHeader, "1")
 	}
-	writeJSON(w, http.StatusOK, agg)
+	httpmw.WriteJSON(w, http.StatusOK, agg)
 }
 
 // handleCluster serves the operator view: ring membership, per-shard
 // health and model versions, convergence.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.ClusterStatus())
+	httpmw.WriteJSON(w, http.StatusOK, g.ClusterStatus())
 }

@@ -1,21 +1,23 @@
-package server
+package engine
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
+	"hostprof/internal/core"
 	"hostprof/internal/obs"
 	"hostprof/internal/ontology"
 )
 
 // profileCache is an LRU of session-profile outcomes keyed by
 // core.Profiler.SessionKey. A cache belongs to exactly one profiler
-// generation: retrains swap a fresh cache in together with the new
-// profiler under the backend mutex, so a key can never resolve to a
-// profile computed on a previous model (in-flight computations started
-// before the swap insert into the orphaned old cache). Deterministic
-// error outcomes (ErrNoLabels) are cached like values — an unlabelled
-// session stays unlabelled until the model or ontology changes.
+// generation: Install publishes a fresh cache together with the new
+// profiler, so a key can never resolve to a profile computed on a
+// previous model (in-flight computations started before the swap insert
+// into the orphaned old cache). Deterministic error outcomes
+// (ErrNoLabels) are cached like values — an unlabelled session stays
+// unlabelled until the model or ontology changes.
 type profileCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -39,7 +41,6 @@ func newProfileCache(capacity int, reg *obs.Registry) *profileCache {
 	reg.Describe("hostprof_profile_cache_hits_total", "Session profiles served from the LRU cache.")
 	reg.Describe("hostprof_profile_cache_misses_total", "Session profiles computed because the LRU cache had no entry.")
 	reg.Describe("hostprof_profile_cache_evictions_total", "Session profiles evicted from the LRU cache by capacity.")
-	reg.Describe("hostprof_profile_cache_size", "Entries currently held by the session-profile cache.")
 	return &profileCache{
 		cap:       capacity,
 		ll:        list.New(),
@@ -51,8 +52,13 @@ func newProfileCache(capacity int, reg *obs.Registry) *profileCache {
 }
 
 // get returns the memoised outcome for key. The vector is cloned so
-// callers can hold it across a later eviction or mutate it freely.
+// callers can hold it across a later eviction or mutate it freely. A nil
+// cache and the empty key (a session nothing can be said about) always
+// miss, uncounted.
 func (c *profileCache) get(key string) (ontology.Vector, error, bool) {
+	if c == nil || key == "" {
+		return nil, nil, false
+	}
 	c.mu.Lock()
 	el, ok := c.byKey[key]
 	if !ok {
@@ -73,8 +79,13 @@ func (c *profileCache) get(key string) (ontology.Vector, error, bool) {
 }
 
 // put memoises one outcome, evicting the least recently used entry past
-// capacity.
+// capacity. Only outcomes that are deterministic under a fixed profiler
+// are kept: a profile, or ErrNoLabels (which depends only on the
+// session's host set, model and ontology).
 func (c *profileCache) put(key string, vec ontology.Vector, err error) {
+	if c == nil || key == "" || (err != nil && !errors.Is(err, core.ErrNoLabels)) {
+		return
+	}
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)

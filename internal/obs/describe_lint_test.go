@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hostprof"
 	"hostprof/internal/ads"
 	"hostprof/internal/cluster"
 	"hostprof/internal/core"
@@ -57,8 +58,9 @@ func lintHelp(t *testing.T, who string, reg *obs.Registry) {
 }
 
 // TestDescribeCoverage builds every metric-producing component on a
-// fresh registry, drives enough traffic to materialize the lazily
-// created families, and lints each exposition for HELP coverage.
+// fresh registry (backend, gateway, pipeline), drives enough traffic to
+// materialize the lazily created families, and lints each exposition
+// for HELP coverage.
 func TestDescribeCoverage(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 60, Trackers: 10, Seed: 3})
@@ -141,6 +143,28 @@ func TestDescribeCoverage(t *testing.T) {
 		resp.Body.Close()
 	}
 
+	// Pipeline: the observer front end over the same serving engine,
+	// with its own ingest and sniffer families.
+	preg := obs.NewRegistry()
+	pipe, err := hostprof.NewPipeline(hostprof.PipelineConfig{
+		Ontology: ont,
+		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
+		Metrics:  preg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.Ingest([]byte{0}, 1000) // undecodable, but counted
+	site := u.Hosts[u.Sites[0].Host].Name
+	pipe.IngestVisit(hostprof.Visit{User: 1, Time: 1000, Host: site})
+	pipe.IngestVisit(hostprof.Visit{User: 1, Time: 1001, Host: u.Hosts[u.Sites[1].Host].Name})
+	if err := pipe.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	pipe.ProfileSession([]string{site}) // outcome irrelevant: the call is the traffic
+
 	lintHelp(t, "backend", breg)
 	lintHelp(t, "gateway", greg)
+	lintHelp(t, "pipeline", preg)
 }

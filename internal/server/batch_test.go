@@ -154,29 +154,36 @@ func TestProfileCacheHitsAndMetrics(t *testing.T) {
 	}
 }
 
+// TestProfileCacheLRU checks Config.ProfileCache end to end: with room
+// for two entries, a third distinct session evicts exactly one. (The
+// LRU order itself is pinned white-box in internal/engine.)
 func TestProfileCacheLRU(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := newProfileCache(2, reg)
-	c.put("a", nil, core.ErrNoLabels)
-	c.put("b", nil, core.ErrNoLabels)
-	if _, _, ok := c.get("a"); !ok {
-		t.Fatal("a should be cached")
+	fx, reg := newBatchFixture(t, 2)
+	ext := &Extension{BaseURL: fx.srv.URL, User: 0}
+	fx.feedVisits(t)
+	if err := ext.Retrain(); err != nil {
+		t.Fatalf("retrain: %v", err)
 	}
-	c.put("c", nil, core.ErrNoLabels) // evicts b (a was just used)
-	if _, _, ok := c.get("b"); ok {
-		t.Fatal("b should have been evicted")
+	// Three single-site sessions the model can tell apart (a site pruned
+	// from the vocabulary has an empty key and bypasses the cache).
+	var sessions [][]string
+	for _, site := range fx.u.Sites {
+		s := []string{fx.u.Hosts[site.Host].Name}
+		if len(sessions) < 3 && fx.b.eng.Profiler().SessionKey(s) != "" {
+			sessions = append(sessions, s)
+		}
 	}
-	if _, _, ok := c.get("a"); !ok {
-		t.Fatal("a should survive (recently used)")
+	if _, err := ext.ProfileBatch(context.Background(), sessions); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("hostprof_profile_cache_misses_total").Value(); got != 3 {
+		t.Fatalf("misses = %d, want 3 (sessions must have distinct in-vocabulary keys)", got)
 	}
 	if got := reg.Counter("hostprof_profile_cache_evictions_total").Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	if nil2 := newProfileCache(0, reg); nil2 != nil {
-		t.Fatal("capacity 0 must disable the cache")
+	if got := gaugeVal(t, reg, "hostprof_profile_cache_size"); got != 2 {
+		t.Fatalf("hostprof_profile_cache_size = %v, want 2", got)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/tracer"
 )
 
@@ -127,7 +128,7 @@ func (e *Extension) postOnce(ctx context.Context, span *tracer.Span, path string
 		apiErr := &APIError{Status: resp.StatusCode}
 		// The backend wraps errors as {"error": "..."}; fall back to the
 		// raw body for proxies and older servers.
-		var eb errorBody
+		var eb httpmw.ErrorBody
 		if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
 			apiErr.Message = eb.Error
 		} else {

@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hostprof/internal/engine"
+	"hostprof/internal/obs/httpmw"
 )
 
 // TestClientRetriesShedRequests: a 429 + Retry-After answer is retried
@@ -18,7 +21,7 @@ func TestClientRetriesShedRequests(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
+			httpmw.WriteError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -52,7 +55,7 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "still overloaded")
+		httpmw.WriteError(w, http.StatusTooManyRequests, "still overloaded")
 	}))
 	defer srv.Close()
 
@@ -74,7 +77,7 @@ func TestClientDoesNotRetryBare503(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server: model not trained yet")
+		httpmw.WriteError(w, http.StatusServiceUnavailable, engine.ErrNotTrained.Error())
 	}))
 	defer srv.Close()
 
@@ -94,7 +97,7 @@ func TestClientDoesNotRetryBare503(t *testing.T) {
 func TestClientRetryHonorsContext(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "overloaded")
+		httpmw.WriteError(w, http.StatusTooManyRequests, "overloaded")
 	}))
 	defer srv.Close()
 

@@ -10,6 +10,7 @@ import (
 
 	"hostprof/internal/ads"
 	"hostprof/internal/core"
+	"hostprof/internal/engine"
 	"hostprof/internal/obs"
 	"hostprof/internal/store"
 	"hostprof/internal/synth"
@@ -70,7 +71,7 @@ func TestBackendCrashRecovery(t *testing.T) {
 	visits := pop.Browse().Visits()
 	half := len(visits) / 2
 	for _, v := range visits[:half] {
-		if _, err := b.report(context.Background(), v.User, v.Time, []string{v.Host}); err != nil && err != errNotTrained {
+		if _, err := b.report(context.Background(), v.User, v.Time, []string{v.Host}); err != nil && !errors.Is(err, engine.ErrNotTrained) {
 			t.Fatalf("report: %v", err)
 		}
 	}
@@ -128,10 +129,10 @@ func TestBackendCrashRecovery(t *testing.T) {
 	}
 
 	// The warm backend serves reports without a retrain: only
-	// errNotTrained would betray a cold start; sparse-session profiler
+	// ErrNotTrained would betray a cold start; sparse-session profiler
 	// errors are fine.
 	v0 := visits[len(visits)-1]
-	if _, err := b2.report(context.Background(), v0.User, v0.Time+60, []string{v0.Host}); errors.Is(err, errNotTrained) {
+	if _, err := b2.report(context.Background(), v0.User, v0.Time+60, []string{v0.Host}); errors.Is(err, engine.ErrNotTrained) {
 		t.Fatal("warm backend claims not trained")
 	}
 }
@@ -142,7 +143,7 @@ func TestBackendGracefulClose(t *testing.T) {
 	dir := t.TempDir()
 	b := newDurableBackend(t, dir, nil)
 	for i := 0; i < 20; i++ {
-		if _, err := b.report(context.Background(), 1, int64(i), []string{"graceful.example"}); err != nil && err != errNotTrained {
+		if _, err := b.report(context.Background(), 1, int64(i), []string{"graceful.example"}); err != nil && !errors.Is(err, engine.ErrNotTrained) {
 			t.Fatal(err)
 		}
 	}

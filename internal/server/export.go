@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/trace"
 )
 
@@ -111,8 +112,7 @@ func parseUserList(raw string) ([]int, error) {
 }
 
 func (b *Backend) handleExportUsers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(ExportUsersResponse{Users: b.store.Users()})
+	httpmw.WriteJSON(w, http.StatusOK, ExportUsersResponse{Users: b.store.Users()})
 }
 
 // handleExport streams visit records: ?users=1,2,3&from=N&limit=M reads
@@ -124,20 +124,20 @@ func (b *Backend) handleExport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	users, err := parseUserList(q.Get("users"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	from := 0
 	if s := q.Get("from"); s != "" {
 		if from, err = strconv.Atoi(s); err != nil || from < 0 {
-			writeError(w, http.StatusBadRequest, "bad from offset")
+			httpmw.WriteError(w, http.StatusBadRequest, "bad from offset")
 			return
 		}
 	}
 	limit := exportDefaultLimit
 	if s := q.Get("limit"); s != "" {
 		if limit, err = strconv.Atoi(s); err != nil || limit <= 0 {
-			writeError(w, http.StatusBadRequest, "bad limit")
+			httpmw.WriteError(w, http.StatusBadRequest, "bad limit")
 			return
 		}
 	}
@@ -161,8 +161,7 @@ func (b *Backend) handleExport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	b.reg.Counter("hostprof_export_records_total").Add(int64(exported))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleExportDigest answers the migration's checksum handshake:
@@ -170,7 +169,7 @@ func (b *Backend) handleExport(w http.ResponseWriter, r *http.Request) {
 func (b *Backend) handleExportDigest(w http.ResponseWriter, r *http.Request) {
 	users, err := parseUserList(r.URL.Query().Get("users"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	resp := DigestResponse{Digests: make(map[string]UserDigestWire, len(users))}
@@ -178,8 +177,7 @@ func (b *Backend) handleExportDigest(w http.ResponseWriter, r *http.Request) {
 		count, sum := b.store.UserDigest(u)
 		resp.Digests[strconv.Itoa(u)] = UserDigestWire{Count: count, Sum: strconv.FormatUint(sum, 16)}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleImport applies one migration chunk: reset listed users, then
@@ -195,15 +193,15 @@ func (b *Backend) handleImport(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+			httpmw.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	for _, v := range req.Visits {
 		if v.User < 0 || v.Time < 0 || v.Host == "" {
-			writeError(w, http.StatusBadRequest, "import visit needs non-negative user/time and a host")
+			httpmw.WriteError(w, http.StatusBadRequest, "import visit needs non-negative user/time and a host")
 			return
 		}
 	}
@@ -225,9 +223,8 @@ func (b *Backend) handleImport(w http.ResponseWriter, r *http.Request) {
 			obs.L("outcome", "ok")).Add(int64(len(req.Reset)))
 	}
 	if appendErr != nil {
-		writeError(w, http.StatusInternalServerError, "import: "+appendErr.Error())
+		httpmw.WriteError(w, http.StatusInternalServerError, "import: "+appendErr.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"hostprof/internal/core"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/store"
 )
 
@@ -41,28 +42,19 @@ func (b *Backend) ModelArtifact() (store.ModelArtifact, bool, error) {
 }
 
 // ImportModel installs a serialized model received from a peer: the
-// bytes are validated by loading them, a fresh profiler (and empty
-// profile cache) is swapped in exactly as a local retrain would, and the
-// store snapshots so a crash recovers the imported generation. Returns
-// the installed artifact version.
+// bytes are validated by loading them, then installed through the engine
+// exactly as a local retrain's model would be (fresh profiler and
+// cache, store hand-over, snapshot so a crash recovers the imported
+// generation). Returns the installed artifact version.
 func (b *Backend) ImportModel(data []byte) (string, error) {
 	model, err := core.Load(bytes.NewReader(data))
 	if err != nil {
 		return "", fmt.Errorf("server: importing model: %w", err)
 	}
-	prof := core.NewProfiler(model, b.cfg.Ontology, b.cfg.Profile)
-	pc := newProfileCache(b.cfg.ProfileCache, b.reg)
-	b.mu.Lock()
-	b.profiler = prof
-	b.pcache = pc
-	b.mu.Unlock()
-	b.store.InstallModel(model, data)
-	version := b.store.ModelVersion()
+	b.eng.Install(model, data)
+	version := store.ArtifactVersion(data)
 	b.met.modelImports.Inc()
-	// Snapshot failures must not undo a successful import; they are
-	// visible in hostprof_store_snapshot_errors_total.
-	b.store.Snapshot()
-	b.log.LogAttrs(context.Background(), slog.LevelInfo, "model imported",
+	b.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "model imported",
 		slog.String("version", version),
 		slog.Int("vocab", model.Vocab().Len()),
 		slog.Int("bytes", len(data)))
@@ -96,11 +88,11 @@ func matchesETag(header, version string) bool {
 func (b *Backend) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	art, ok, err := b.store.ModelArtifact()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpmw.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "no model trained yet")
+		httpmw.WriteError(w, http.StatusNotFound, "no model trained yet")
 		return
 	}
 	w.Header().Set(ModelVersionHeader, art.Version)
@@ -127,20 +119,20 @@ func (b *Backend) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("model exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading model: %v", err))
+		httpmw.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading model: %v", err))
 		return
 	}
 	if len(data) == 0 {
-		writeError(w, http.StatusBadRequest, "empty model body")
+		httpmw.WriteError(w, http.StatusBadRequest, "empty model body")
 		return
 	}
 	version := store.ArtifactVersion(data)
 	if want := r.Header.Get(ModelVersionHeader); want != "" && want != version {
-		writeError(w, http.StatusBadRequest,
+		httpmw.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("model version mismatch: header %s, body hashes to %s", want, version))
 		return
 	}
@@ -151,7 +143,7 @@ func (b *Backend) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	}
 	installed, err := b.ImportModel(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpmw.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	w.Header().Set(ModelVersionHeader, installed)

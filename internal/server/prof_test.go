@@ -99,7 +99,7 @@ func TestSlowRequestProfileLinkage(t *testing.T) {
 
 	// The slow log remembers the request with its capture IDs.
 	var found bool
-	for _, e := range fx.b.slowlog.Snapshot() {
+	for _, e := range fx.b.mw.SlowLog.Snapshot() {
 		if e.TraceID == traceID && len(e.CaptureIDs) == 2 {
 			found = true
 		}

@@ -17,6 +17,7 @@ import (
 	"hostprof/internal/core"
 	"hostprof/internal/fault"
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/store"
 	"hostprof/internal/synth"
 )
@@ -121,7 +122,7 @@ func TestHandlerFailureModes(t *testing.T) {
 			if resp.StatusCode != tc.wantCode {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.wantCode)
 			}
-			var eb errorBody
+			var eb httpmw.ErrorBody
 			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 				t.Fatalf("error body is not JSON: %v", err)
 			}
@@ -294,7 +295,7 @@ func TestReportShedding(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 missing Retry-After")
 	}
-	var eb errorBody
+	var eb httpmw.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
 		t.Fatalf("shed response body not a JSON error: %v (%q)", err, eb.Error)
 	}
@@ -330,7 +331,7 @@ func TestHandlerPanicRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", resp.StatusCode)
 	}
-	var eb errorBody
+	var eb httpmw.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || !strings.Contains(eb.Error, "internal error") {
 		t.Fatalf("panic response body: %v (%q)", err, eb.Error)
 	}

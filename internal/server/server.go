@@ -18,16 +18,16 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hostprof/internal/ads"
 	"hostprof/internal/core"
+	"hostprof/internal/engine"
 	"hostprof/internal/fault"
-	"hostprof/internal/flight"
 	"hostprof/internal/obs"
+	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/prof"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/ontology"
@@ -124,101 +124,66 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Backend is the profiling/ad server. All methods are safe for
+// Backend is the profiling/ad server: the HTTP adapter over the shared
+// serving engine (internal/engine), which owns retraining, the model
+// swap, the profile cache and profiling. All methods are safe for
 // concurrent use.
 type Backend struct {
 	cfg Config
 	reg *obs.Registry
 	met backendMetrics
 	tr  *tracer.Tracer
-	log *slog.Logger
 
-	// Profiling/SLO pillar: trigger captures, per-endpoint SLOs, the
-	// recent-slow-request log and the /debug/statusz page.
-	profz   *prof.Profiler
-	slos    *prof.SLOTracker
-	slowlog *prof.SlowLog
+	// mw is the instrumented-handler wrapper every /v1 route mounts; it
+	// holds the profiling/SLO pillar's handles (trigger-capture profiler,
+	// per-endpoint SLOs, recent-slow-request log) that /debug/statusz
+	// renders.
+	mw      httpmw.Config
 	statusz *prof.Statusz
 
 	store *store.Store
+	eng   *engine.Engine
 
-	// retrains coalesces concurrent retrain requests into one training
-	// run; inflight counts /v1/report requests being served for the
+	// inflight counts /v1/report requests being served, for the
 	// admission gate.
-	retrains flight.Group
 	inflight atomic.Int64
 
 	// selector is built once in New and immutable thereafter: reports
 	// call Select concurrently without a lock.
 	selector *ads.Selector
 
-	// mu guards the model generation — the (profiler, pcache) pair a
-	// retrain or model import swaps — and the campaign tallies. Request
-	// paths hold it only to read the pair or bump a tally, never across
-	// profiling or ad selection.
-	mu       sync.Mutex
-	profiler *core.Profiler
-	pcache   *profileCache // one generation per profiler, swapped together
-
-	// campaign statistics
+	// mu guards the campaign tallies.
+	mu          sync.Mutex
 	impressions map[string]int64 // by source: "eavesdropper" / "original"
 	clicks      map[string]int64
 }
 
-// backendMetrics caches the backend's registry handles.
+// backendMetrics caches the backend's own registry handles (the engine
+// and the middleware register theirs).
 type backendMetrics struct {
-	reports        *obs.Counter
-	reportHosts    *obs.Counter
-	reportDrops    *obs.Counter
-	retrains       *obs.Counter
-	retrainErrors  *obs.Counter
-	retrainSeconds *obs.Histogram
-	epochs         *obs.Counter
-	epochSeconds   *obs.Histogram
-	epochLoss      *obs.Gauge
-	profileSeconds *obs.Histogram
-	shed           *obs.Counter
-	panics         *obs.Counter
-	modelImports   *obs.Counter
+	reports      *obs.Counter
+	reportHosts  *obs.Counter
+	reportDrops  *obs.Counter
+	shed         *obs.Counter
+	modelImports *obs.Counter
 }
-
-var trainBuckets = obs.ExpBuckets(0.01, 4, 10)
 
 func newBackendMetrics(reg *obs.Registry) backendMetrics {
 	reg.Describe("hostprof_reports_total", "extension hostname reports accepted")
 	reg.Describe("hostprof_report_hosts_total", "hostnames ingested across accepted reports")
 	reg.Describe("hostprof_report_blocklist_drops_total", "reported hostnames dropped by the blocklist before ingest")
-	reg.Describe("hostprof_retrain_total", "model retrains attempted")
-	reg.Describe("hostprof_retrain_errors_total", "model retrains that failed or were aborted")
-	reg.Describe("hostprof_retrain_seconds", "wall time of full model retrains")
-	reg.Describe("hostprof_train_epochs_total", "training epochs completed across retrains")
-	reg.Describe("hostprof_train_epoch_seconds", "wall time of one training epoch")
-	reg.Describe("hostprof_train_epoch_loss", "training loss of the most recent epoch")
-	reg.Describe("hostprof_profile_seconds", "per-report session profiling latency")
 	reg.Describe("hostprof_campaign_impressions", "ad impressions recorded, by ad source")
 	reg.Describe("hostprof_campaign_clicks", "ad clicks recorded, by ad source")
 	reg.Describe("hostprof_http_shed_total", "report requests shed by the max-in-flight admission gate")
-	reg.Describe("hostprof_http_panics_total", "handler panics recovered into 500s")
-	reg.Describe("hostprof_retrain_state", "0 idle, 1 retrain in flight")
 	reg.Describe("hostprof_model_imports_total", "models installed via PUT /v1/model (gateway distribution)")
 	reg.Describe("hostprof_http_requests_total", "HTTP requests served, by endpoint and status code")
 	reg.Describe("hostprof_http_request_seconds", "HTTP request latency, by endpoint")
-	reg.Describe("hostprof_profile_cache_size", "entries currently held by the session-profile LRU")
-	reg.Describe("hostprof_model_trained", "1 when a trained model is being served, else 0")
 	return backendMetrics{
-		reports:        reg.Counter("hostprof_reports_total"),
-		reportHosts:    reg.Counter("hostprof_report_hosts_total"),
-		reportDrops:    reg.Counter("hostprof_report_blocklist_drops_total"),
-		retrains:       reg.Counter("hostprof_retrain_total"),
-		retrainErrors:  reg.Counter("hostprof_retrain_errors_total"),
-		retrainSeconds: reg.Histogram("hostprof_retrain_seconds", trainBuckets),
-		epochs:         reg.Counter("hostprof_train_epochs_total"),
-		epochSeconds:   reg.Histogram("hostprof_train_epoch_seconds", trainBuckets),
-		epochLoss:      reg.Gauge("hostprof_train_epoch_loss"),
-		profileSeconds: reg.Histogram("hostprof_profile_seconds", nil),
-		shed:           reg.Counter("hostprof_http_shed_total"),
-		panics:         reg.Counter("hostprof_http_panics_total"),
-		modelImports:   reg.Counter("hostprof_model_imports_total"),
+		reports:      reg.Counter("hostprof_reports_total"),
+		reportHosts:  reg.Counter("hostprof_report_hosts_total"),
+		reportDrops:  reg.Counter("hostprof_report_blocklist_drops_total"),
+		shed:         reg.Counter("hostprof_http_shed_total"),
+		modelImports: reg.Counter("hostprof_model_imports_total"),
 	}
 }
 
@@ -258,15 +223,6 @@ func New(cfg Config) (*Backend, error) {
 		reg = obs.NewRegistry()
 	}
 	obs.RegisterRuntimeMetrics(reg)
-	// Profilers inherit the backend's observability plane unless the
-	// caller wired their own: the index scan then exports its
-	// hostprof_index_* series here and spans under request traces.
-	if cfg.Profile.Metrics == nil {
-		cfg.Profile.Metrics = reg
-	}
-	if cfg.Profile.Tracer == nil {
-		cfg.Profile.Tracer = cfg.Tracer
-	}
 	st := cfg.Store
 	if st == nil {
 		st, err = store.Open(store.Config{
@@ -284,42 +240,38 @@ func New(cfg Config) (*Backend, error) {
 		reg:         reg,
 		met:         newBackendMetrics(reg),
 		tr:          cfg.Tracer,
-		log:         cfg.Logger,
 		store:       st,
 		selector:    sel,
 		impressions: make(map[string]int64),
 		clicks:      make(map[string]int64),
+		// A snapshot-restored model starts the engine warm: ads are
+		// served immediately, without waiting for the first retrain.
+		eng: engine.New(engine.Config{
+			Ontology:       cfg.Ontology,
+			Store:          st,
+			Train:          cfg.Train,
+			Profile:        cfg.Profile,
+			RetrainTimeout: cfg.RetrainTimeout,
+			CacheSize:      cfg.ProfileCache,
+			Metrics:        reg,
+			Tracer:         cfg.Tracer,
+			Logger:         cfg.Logger,
+		}),
 	}
-	// A snapshot-restored model means the backend is ready to serve ads
-	// immediately, without waiting for the first retrain.
-	if m := st.Model(); m != nil {
-		b.profiler = core.NewProfiler(m, cfg.Ontology, cfg.Profile)
-		b.pcache = newProfileCache(cfg.ProfileCache, reg)
+	b.mw = httpmw.Config{
+		MetricPrefix: "hostprof_http",
+		SpanPrefix:   "http.",
+		Metrics:      reg,
+		Tracer:       cfg.Tracer,
+		SlowLog:      prof.NewSlowLog(32),
+		Profiler:     cfg.Profiler,
+		Logger:       cfg.Logger,
+		SlowRequest:  cfg.SlowRequest,
 	}
-	reg.GaugeFunc("hostprof_profile_cache_size", func() float64 {
-		b.mu.Lock()
-		c := b.pcache
-		b.mu.Unlock()
-		return float64(c.len())
-	})
-	reg.GaugeFunc("hostprof_model_trained", func() float64 {
-		if b.Ready() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("hostprof_retrain_state", func() float64 {
-		if b.retrains.Running() {
-			return 1
-		}
-		return 0
-	})
-	b.profz = cfg.Profiler
-	b.slowlog = prof.NewSlowLog(32)
 	if len(cfg.SLOTargets) > 0 {
-		b.slos = prof.NewSLOTracker(cfg.SLOWindow, reg)
+		b.mw.SLOs = prof.NewSLOTracker(cfg.SLOWindow, reg)
 		for endpoint, target := range cfg.SLOTargets {
-			b.slos.Register(endpoint, target)
+			b.mw.SLOs.Register(endpoint, target)
 		}
 	}
 	b.statusz = b.buildStatusz()
@@ -330,7 +282,7 @@ func New(cfg Config) (*Backend, error) {
 // an on-call needs in one place, each section computed at render time.
 func (b *Backend) buildStatusz() *prof.Statusz {
 	sz := prof.NewStatusz()
-	sz.Section("slo", func() any { return b.slos.Status() })
+	sz.Section("slo", func() any { return b.mw.SLOs.Status() })
 	sz.Section("store", func() any {
 		rec := b.store.Recovery()
 		return map[string]any{
@@ -341,24 +293,23 @@ func (b *Backend) buildStatusz() *prof.Statusz {
 		}
 	})
 	sz.Section("retrain", func() any {
+		p := b.eng.Profiler()
 		st := map[string]any{
-			"trained": b.Ready(),
-			"running": b.retrains.Running(),
+			"trained": p != nil,
+			"running": b.eng.Running(),
 		}
-		b.mu.Lock()
-		if b.profiler != nil {
-			st["vocab"] = b.profiler.Model().Vocab().Len()
+		if p != nil {
+			st["vocab"] = p.Model().Vocab().Len()
 		}
-		b.mu.Unlock()
 		return st
 	})
-	sz.Section("slow_requests", func() any { return b.slowlog.Snapshot() })
+	sz.Section("slow_requests", func() any { return b.mw.SlowLog.Snapshot() })
 	sz.Section("profile_ring", func() any {
 		return map[string]any{
-			"captures":    b.profz.Ring().Len(),
-			"bytes":       b.profz.Ring().Bytes(),
-			"recent":      b.profz.Ring().Snapshot(),
-			"enabled":     b.profz.Enabled(),
+			"captures":    b.mw.Profiler.Ring().Len(),
+			"bytes":       b.mw.Profiler.Ring().Bytes(),
+			"recent":      b.mw.Profiler.Ring().Snapshot(),
+			"enabled":     b.mw.Profiler.Enabled(),
 			"download_at": "/debug/prof/",
 		}
 	})
@@ -387,11 +338,7 @@ func (b *Backend) Metrics() *obs.Registry { return b.reg }
 
 // Ready reports whether the model has been trained, i.e. whether
 // /v1/report can serve ads; it feeds the /readyz readiness probe.
-func (b *Backend) Ready() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.profiler != nil
-}
+func (b *Backend) Ready() bool { return b.eng.Profiler() != nil }
 
 // Retrain fits a fresh embedding on every per-user-day sequence stored so
 // far and swaps in a new profiler (the paper's daily retraining step).
@@ -400,104 +347,42 @@ func (b *Backend) Retrain() error {
 	return b.RetrainContext(context.Background())
 }
 
-// RetrainContext is the backend's retrain coordinator. Concurrent calls
-// are coalesced: while a run is in flight, new callers join it and share
-// its result instead of starting a second training pass. The run itself
-// is bound to the first caller's ctx (plus Config.RetrainTimeout, when
-// set); a joiner whose own ctx expires stops waiting and gets its ctx
-// error, but the run keeps going for the callers still attached.
-// On success the model is handed to the store and a snapshot is taken,
-// so a crash after a retrain recovers warm.
+// RetrainContext is Retrain under ctx, which bounds both the caller's
+// wait and (for the call that starts it) the run. Concurrent calls
+// coalesce into one training pass; see engine.Engine.Retrain.
 func (b *Backend) RetrainContext(ctx context.Context) error {
-	_, err := b.retrains.Do(ctx, ctx, b.retrainRun)
+	_, err := b.eng.Retrain(ctx, ctx, b.store.AllSequences, retrainLabel)
 	return err
 }
 
 // RetrainAsync starts a retrain in the background unless one is already
 // running, reporting whether this call started it. The run is bound to
-// ctx (use context.Background() to detach it from any request); its
-// outcome lands in the retrain metrics and, on success, the swapped-in
-// profiler. Poll RetrainRunning or hostprof_retrain_state for progress.
+// ctx (use context.Background() to detach it from any request). Poll
+// RetrainRunning or hostprof_retrain_state for progress.
 func (b *Backend) RetrainAsync(ctx context.Context) bool {
-	return b.retrains.Start(ctx, b.retrainRun)
+	return b.eng.RetrainAsync(ctx, b.store.AllSequences, retrainLabel)
 }
 
 // RetrainRunning reports whether a retrain is in flight.
-func (b *Backend) RetrainRunning() bool { return b.retrains.Running() }
+func (b *Backend) RetrainRunning() bool { return b.eng.Running() }
 
-// retrainRun is the single-flight body: exactly one instance runs at a
-// time, however many HTTP requests or callers are attached to it.
-func (b *Backend) retrainRun(ctx context.Context) error {
-	if b.cfg.RetrainTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.cfg.RetrainTimeout)
-		defer cancel()
-	}
-	// The retrain span is a child of whatever request started the run
-	// (flight preserves context values), so a stalled profile request
-	// traces through to the epoch that held it up.
-	ctx, tsp := b.tr.StartSpan(ctx, "train.retrain")
-	defer tsp.End()
-	corpus := b.store.AllSequences()
-	tsp.SetAttr("sequences", strconv.Itoa(len(corpus)))
-	tc := b.cfg.Train
-	user := tc.Progress
-	tc.Progress = func(e core.EpochStats) {
-		b.met.epochs.Inc()
-		b.met.epochSeconds.Observe(e.Duration.Seconds())
-		b.met.epochLoss.Set(e.Loss)
-		tsp.Event(fmt.Sprintf("epoch %d: loss=%.4f dur=%s", e.Epoch, e.Loss, e.Duration.Round(time.Millisecond)))
-		if user != nil {
-			user(e)
-		}
-	}
-	// The duration histogram observes failed retrains too, so slow
-	// failures remain visible in hostprof_retrain_seconds.
-	sp := obs.StartSpan(b.met.retrainSeconds)
-	model, err := core.TrainContext(ctx, corpus, tc)
-	d := sp.End()
-	if err != nil {
-		b.met.retrainErrors.Inc()
-		tsp.Error(err)
-		b.log.LogAttrs(ctx, slog.LevelWarn, "retrain failed",
-			slog.Int("sequences", len(corpus)),
-			slog.Duration("elapsed", d),
-			slog.String("error", err.Error()))
-		return fmt.Errorf("server: retrain: %w", err)
-	}
-	b.met.retrains.Inc()
-	b.log.LogAttrs(ctx, slog.LevelInfo, "retrain complete",
-		slog.Int("sequences", len(corpus)),
-		slog.Int("vocab", model.Vocab().Len()),
-		slog.Duration("elapsed", d))
-	prof := core.NewProfiler(model, b.cfg.Ontology, b.cfg.Profile)
-	// The cache swaps atomically with the profiler: a compute that began
-	// on the old model inserts into the orphaned old cache, so the new
-	// generation can never serve a stale profile.
-	pc := newProfileCache(b.cfg.ProfileCache, b.reg)
-	b.mu.Lock()
-	b.profiler = prof
-	b.pcache = pc
-	b.mu.Unlock()
-	b.store.SetModel(model)
-	// Snapshot failures must not undo a successful retrain; they are
-	// visible in hostprof_store_snapshot_errors_total.
-	b.store.Snapshot()
-	return nil
-}
+// retrainLabel names the backend's full-history retrains in errors and
+// on the train.retrain span.
+const retrainLabel = "retrain"
 
 // report ingests one extension report and returns the replacement-ad
 // list for the user's current profile. Visits go straight into the
-// sharded store, and the ad selector is immutable, so concurrent reports
-// from different users contend only on the WAL; b.mu is taken just long
-// enough to read the current (profiler, cache) pair.
+// sharded store, the engine's current generation is one atomic load and
+// the ad selector is immutable, so concurrent reports from different
+// users contend only on the WAL.
 func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []string) ([]ads.Ad, error) {
 	b.met.reports.Inc()
 	// Ingest every non-blocklisted host before surfacing any error, so a
-	// failure on host N doesn't silently drop hosts N+1..end: the stored
-	// prefix+suffix matches what the store accepted, and the client's
-	// retry (the whole report) is then a harmless duplicate-free replay
-	// of the failed entries only in the degraded-store sense.
+	// failure on host N doesn't silently drop hosts N+1..end. Append
+	// fails only for an unstorable record (an oversized hostname; WAL
+	// trouble degrades the store instead), so after an error the store
+	// holds every storable host of the report and the 500 names the one
+	// it refused.
 	_, isp := b.tr.StartSpan(ctx, "store.ingest")
 	isp.SetAttr("hosts", strconv.Itoa(len(hosts)))
 	var appendErr error
@@ -525,18 +410,10 @@ func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []str
 	session := b.store.Session(userID, now, b.cfg.SessionWindow)
 	ssp.SetAttr("session_hosts", strconv.Itoa(len(session)))
 	ssp.End()
-	pctx, psp := b.tr.StartSpan(ctx, "profile")
-	sp := obs.StartSpan(b.met.profileSeconds)
-	profile, err := b.profile(pctx, session)
-	sp.End()
+	profile, err := b.eng.Profile(ctx, session)
 	if err != nil {
-		// Empty or unlabelled sessions are expected outcomes; only
-		// genuine failures mark the trace errored in the handler above.
-		psp.SetAttr("outcome", err.Error())
-		psp.End()
 		return nil, err
 	}
-	psp.End()
 	_, asp := b.tr.StartSpan(ctx, "ads.select")
 	list := b.selector.Select(profile, b.cfg.AdsPerReport)
 	asp.SetAttr("ads", strconv.Itoa(len(list)))
@@ -544,82 +421,10 @@ func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []str
 	return list, nil
 }
 
-var errNotTrained = errors.New("server: model not trained yet")
-
-// cacheableProfileErr reports whether a profiling outcome is
-// deterministic under a fixed profiler — safe to memoise. ErrNoLabels
-// depends only on the session's host set, model and ontology;
-// ErrEmptySession never reaches the cache (its key is empty).
-func cacheableProfileErr(err error) bool {
-	return err == nil || errors.Is(err, core.ErrNoLabels)
-}
-
-// profile computes one session profile through the LRU cache. Profiler
-// and cache are read under one lock acquisition, so the pair is always
-// from the same generation.
-func (b *Backend) profile(ctx context.Context, session []string) (ontology.Vector, error) {
-	b.mu.Lock()
-	prof, cache := b.profiler, b.pcache
-	b.mu.Unlock()
-	if prof == nil {
-		return nil, errNotTrained
-	}
-	var key string
-	if cache != nil {
-		key = prof.SessionKey(session)
-		if key != "" {
-			if vec, err, ok := cache.get(key); ok {
-				return vec, err
-			}
-		}
-	}
-	vec, err := prof.ProfileSessionContext(ctx, session)
-	if cache != nil && key != "" && cacheableProfileErr(err) {
-		cache.put(key, vec, err)
-	}
-	return vec, err
-}
-
 // ProfileSessions profiles a batch of sessions against the current
-// model: cached sessions are answered from the LRU, the rest fan out
-// over the profiler's batch workers, and fresh deterministic outcomes
-// are memoised. Results align with the input; the error return is
-// global (errNotTrained before the first retrain).
+// model; see engine.Engine.ProfileSessions.
 func (b *Backend) ProfileSessions(ctx context.Context, sessions [][]string) ([]ontology.Vector, []error, error) {
-	b.mu.Lock()
-	prof, cache := b.profiler, b.pcache
-	b.mu.Unlock()
-	if prof == nil {
-		return nil, nil, errNotTrained
-	}
-	vecs := make([]ontology.Vector, len(sessions))
-	errs := make([]error, len(sessions))
-	keys := make([]string, len(sessions))
-	var missIdx []int
-	var missSessions [][]string
-	for i, s := range sessions {
-		if cache != nil {
-			keys[i] = prof.SessionKey(s)
-			if keys[i] != "" {
-				if vec, err, ok := cache.get(keys[i]); ok {
-					vecs[i], errs[i] = vec, err
-					continue
-				}
-			}
-		}
-		missIdx = append(missIdx, i)
-		missSessions = append(missSessions, s)
-	}
-	if len(missIdx) > 0 {
-		mv, me := prof.ProfileSessions(ctx, missSessions)
-		for j, i := range missIdx {
-			vecs[i], errs[i] = mv[j], me[j]
-			if cache != nil && keys[i] != "" && cacheableProfileErr(me[j]) {
-				cache.put(keys[i], mv[j], me[j])
-			}
-		}
-	}
-	return vecs, errs, nil
+	return b.eng.ProfileSessions(ctx, sessions)
 }
 
 // observeImpression records one displayed ad, mirroring the campaign
@@ -650,10 +455,6 @@ type CampaignStats struct {
 func (b *Backend) CampaignStats() CampaignStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.campaignStatsLocked()
-}
-
-func (b *Backend) campaignStatsLocked() CampaignStats {
 	cs := CampaignStats{
 		Impressions: make(map[string]int64, len(b.impressions)),
 		Clicks:      make(map[string]int64, len(b.clicks)),
@@ -682,20 +483,18 @@ type Stats struct {
 
 // CurrentStats snapshots the backend state.
 func (b *Backend) CurrentStats() Stats {
-	visits, users := b.store.Len(), len(b.store.Users())
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cs := b.campaignStatsLocked()
+	cs := b.CampaignStats()
+	p := b.eng.Profiler()
 	st := Stats{
-		Visits:      visits,
-		Users:       users,
-		Trained:     b.profiler != nil,
+		Visits:      b.store.Len(),
+		Users:       len(b.store.Users()),
+		Trained:     p != nil,
 		Impressions: cs.Impressions,
 		Clicks:      cs.Clicks,
 		CTRPercent:  cs.CTRPercent,
 	}
-	if b.profiler != nil {
-		st.VocabSize = b.profiler.Model().Vocab().Len()
+	if p != nil {
+		st.VocabSize = p.Model().Vocab().Len()
 	}
 	return st
 }
@@ -780,18 +579,18 @@ func (b *Backend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Fault hooks sit inside the admission gate so injected latency
 	// holds an in-flight slot, the way a slow store would.
-	mux.HandleFunc("POST /v1/report", b.instrument("report", b.admit(b.faulty("report", b.handleReport))))
-	mux.HandleFunc("POST /v1/profile/batch", b.instrument("profile_batch", b.admit(b.faulty("profile_batch", b.handleProfileBatch))))
-	mux.HandleFunc("POST /v1/feedback", b.instrument("feedback", b.faulty("feedback", b.handleFeedback)))
-	mux.HandleFunc("POST /v1/retrain", b.instrument("retrain", b.faulty("retrain", b.handleRetrain)))
-	mux.HandleFunc("GET /v1/stats", b.instrument("stats", b.handleStats))
-	mux.HandleFunc("GET /v1/model", b.instrument("model_get", b.handleModelGet))
+	mux.HandleFunc("POST /v1/report", b.mw.Wrap("report", b.admit(b.faulty("report", b.handleReport))))
+	mux.HandleFunc("POST /v1/profile/batch", b.mw.Wrap("profile_batch", b.admit(b.faulty("profile_batch", b.handleProfileBatch))))
+	mux.HandleFunc("POST /v1/feedback", b.mw.Wrap("feedback", b.faulty("feedback", b.handleFeedback)))
+	mux.HandleFunc("POST /v1/retrain", b.mw.Wrap("retrain", b.faulty("retrain", b.handleRetrain)))
+	mux.HandleFunc("GET /v1/stats", b.mw.Wrap("stats", b.handleStats))
+	mux.HandleFunc("GET /v1/model", b.mw.Wrap("model_get", b.handleModelGet))
 	mux.HandleFunc("HEAD /v1/model", b.handleModelGet)
-	mux.HandleFunc("PUT /v1/model", b.instrument("model_put", b.faulty("model_put", b.handleModelPut)))
-	mux.HandleFunc("GET /v1/export", b.instrument("export", b.handleExport))
-	mux.HandleFunc("GET /v1/export/users", b.instrument("export_users", b.handleExportUsers))
-	mux.HandleFunc("GET /v1/export/digest", b.instrument("export_digest", b.handleExportDigest))
-	mux.HandleFunc("POST /v1/import", b.instrument("import", b.faulty("import", b.handleImport)))
+	mux.HandleFunc("PUT /v1/model", b.mw.Wrap("model_put", b.faulty("model_put", b.handleModelPut)))
+	mux.HandleFunc("GET /v1/export", b.mw.Wrap("export", b.handleExport))
+	mux.HandleFunc("GET /v1/export/users", b.mw.Wrap("export_users", b.handleExportUsers))
+	mux.HandleFunc("GET /v1/export/digest", b.mw.Wrap("export_digest", b.handleExportDigest))
+	mux.HandleFunc("POST /v1/import", b.mw.Wrap("import", b.faulty("import", b.handleImport)))
 	mux.Handle("GET /metrics", b.reg.MetricsHandler())
 	mux.Handle("GET /varz", b.reg.VarzHandler())
 	// Liveness and readiness are deliberately split: /healthz answers
@@ -807,155 +606,11 @@ func (b *Backend) Handler() http.Handler {
 	if b.tr.Enabled() {
 		mux.Handle("/debug/traces", b.tr.Handler())
 	}
-	if b.profz.Enabled() {
-		mux.Handle("GET /debug/prof/", b.profz.Handler())
+	if b.mw.Profiler.Enabled() {
+		mux.Handle("GET /debug/prof/", b.mw.Profiler.Handler())
 	}
 	mux.Handle("GET /debug/statusz", b.statusz.Handler())
 	return mux
-}
-
-// statusRecorder captures the response code written by a handler and
-// whether anything was written, so panic recovery knows if a 500 can
-// still be sent.
-type statusRecorder struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusRecorder) WriteHeader(code int) {
-	w.code = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusRecorder) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
-}
-
-// instrument wraps an endpoint handler with a per-endpoint latency
-// histogram, a per-(endpoint, code) request counter, request tracing
-// and panic containment: a panicking handler becomes a 500 (when
-// nothing has been written yet) instead of tearing down the connection,
-// and is counted in hostprof_http_panics_total.
-//
-// With tracing enabled the handler span joins an incoming W3C
-// traceparent (so a traced client and this server share one trace ID),
-// the latency histogram gets a trace-ID exemplar, and requests slower
-// than Config.SlowRequest emit one structured warning carrying the
-// trace ID and the per-stage breakdown. With tracing disabled all of
-// that collapses to nil checks — no allocation on the request path.
-func (b *Backend) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	lat := b.reg.Histogram("hostprof_http_request_seconds", nil, obs.L("endpoint", endpoint))
-	// The SLO handle is resolved once per endpoint at wrap time; per
-	// request it is one nil-safe Observe. Endpoints without a
-	// configured target get a nil handle — zero cost.
-	slo := b.slos.Get(endpoint)
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		var span *tracer.Span
-		if b.tr.Enabled() {
-			ctx := r.Context()
-			if sc, ok := tracer.ParseTraceparent(r.Header.Get("traceparent")); ok {
-				ctx = tracer.ContextWithRemote(ctx, sc)
-			}
-			ctx, span = b.tr.StartSpan(ctx, "http."+endpoint)
-			span.SetAttr("endpoint", endpoint)
-			r = r.WithContext(ctx)
-		}
-		defer func() {
-			d := time.Since(start)
-			if p := recover(); p != nil {
-				b.met.panics.Inc()
-				rec.code = http.StatusInternalServerError
-				if !rec.wrote {
-					writeError(rec, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
-				}
-				span.Error(fmt.Errorf("panic: %v", p))
-			} else if rec.code >= 500 {
-				span.Error(fmt.Errorf("HTTP %d", rec.code))
-			}
-			slow := b.cfg.SlowRequest > 0 && d >= b.cfg.SlowRequest
-			var capIDs []uint64
-			if slow {
-				// Snapshot goroutine+mutex profiles tagged with this
-				// trace before the span closes, so the /debug/traces
-				// entry carries a link to the evidence. The profiler
-				// rate-limits trigger captures internally.
-				capIDs = b.profz.CaptureSlow(span.TraceIDString())
-				if len(capIDs) > 0 {
-					span.SetAttr("profiles", profileRingURL(span.TraceIDString(), capIDs))
-				}
-			}
-			lat.ObserveExemplar(d.Seconds(), span.TraceIDString())
-			span.SetAttr("code", strconv.Itoa(rec.code))
-			span.End()
-			slo.Observe(d.Seconds())
-			b.reg.Counter("hostprof_http_requests_total",
-				obs.L("endpoint", endpoint),
-				obs.L("code", strconv.Itoa(rec.code))).Inc()
-			if slow {
-				b.slowlog.Add(prof.SlowEntry{
-					Endpoint:   endpoint,
-					Code:       rec.code,
-					Seconds:    d.Seconds(),
-					TraceID:    span.TraceIDString(),
-					CaptureIDs: capIDs,
-				})
-				b.log.LogAttrs(r.Context(), slog.LevelWarn, "slow request",
-					slog.String("endpoint", endpoint),
-					slog.Int("code", rec.code),
-					slog.Duration("elapsed", d),
-					slog.String("stages", formatStages(span.Stages())),
-					slog.String("profiles", profileRingURL(span.TraceIDString(), capIDs)))
-			}
-		}()
-		h(rec, r)
-	}
-}
-
-// profileRingURL renders the /debug/prof/ link for a slow request's
-// trigger captures: the trace-filtered index when the request was
-// traced, the capture IDs otherwise, "-" when the trigger was in
-// cooldown and nothing was captured.
-func profileRingURL(traceID string, capIDs []uint64) string {
-	switch {
-	case len(capIDs) == 0:
-		return "-"
-	case traceID != "":
-		return "/debug/prof/?trace=" + traceID
-	default:
-		var sb strings.Builder
-		for i, id := range capIDs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString("/debug/prof/")
-			sb.WriteString(strconv.FormatUint(id, 10))
-		}
-		return sb.String()
-	}
-}
-
-// formatStages renders a span's child durations as a compact breakdown
-// ("store.ingest=1.2ms profile=840ms"); "-" when tracing is off or no
-// stage completed.
-func formatStages(stages []tracer.Stage) string {
-	if len(stages) == 0 {
-		return "-"
-	}
-	var sb strings.Builder
-	for i, st := range stages {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(st.Name)
-		sb.WriteByte('=')
-		sb.WriteString(st.Duration.Round(time.Microsecond).String())
-	}
-	return sb.String()
 }
 
 // admit is the /v1/report overload gate: beyond MaxInflightReports
@@ -971,7 +626,7 @@ func (b *Backend) admit(h http.HandlerFunc) http.HandlerFunc {
 			b.inflight.Add(-1)
 			b.met.shed.Inc()
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
+			httpmw.WriteError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 			return
 		}
 		defer b.inflight.Add(-1)
@@ -981,13 +636,13 @@ func (b *Backend) admit(h http.HandlerFunc) http.HandlerFunc {
 
 // faulty exposes the handler to the test-only fault plane (see
 // internal/fault): an armed hook can delay the request, fail it with
-// 500, or panic into instrument's recovery. Unarmed, it is one atomic
+// 500, or panic into the middleware's recovery. Unarmed, it is one atomic
 // load.
 func (b *Backend) faulty(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	point := fault.HTTPPoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if err := fault.Inject(point); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("injected fault: %v", err))
+			httpmw.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("injected fault: %v", err))
 			return
 		}
 		h(w, r)
@@ -996,29 +651,17 @@ func (b *Backend) faulty(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 
 const maxBodyBytes = 1 << 20
 
-// errorBody is the JSON error envelope every /v1 endpoint uses.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeError sends a structured JSON error response.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorBody{Error: msg})
-}
-
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+		httpmw.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return false
 	}
 	return true
@@ -1031,29 +674,29 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case len(req.Hosts) == 0:
-		writeError(w, http.StatusBadRequest, "empty host list")
+		httpmw.WriteError(w, http.StatusBadRequest, "empty host list")
 		return
 	case len(req.Hosts) > b.cfg.MaxHostsPerReport:
-		writeError(w, http.StatusBadRequest,
+		httpmw.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("report carries %d hosts, limit %d", len(req.Hosts), b.cfg.MaxHostsPerReport))
 		return
 	case req.User < 0:
-		writeError(w, http.StatusBadRequest, "user must be non-negative")
+		httpmw.WriteError(w, http.StatusBadRequest, "user must be non-negative")
 		return
 	case req.Time < 0:
-		writeError(w, http.StatusBadRequest, "time must be non-negative")
+		httpmw.WriteError(w, http.StatusBadRequest, "time must be non-negative")
 		return
 	}
 	list, err := b.report(r.Context(), req.User, req.Time, req.Hosts)
 	switch {
-	case errors.Is(err, errNotTrained):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, engine.ErrNotTrained):
+		httpmw.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, core.ErrNoLabels), errors.Is(err, core.ErrEmptySession):
 		// Profiling undefined for this session: legitimate, no ads.
 		list = nil
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpmw.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := ReportResponse{Ads: make([]WireAd, 0, len(list))}
@@ -1062,11 +705,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 			ID: ad.ID, Landing: ad.LandingHost, W: ad.Size.W, H: ad.Size.H,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Response already committed; nothing safe to do.
-		return
-	}
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (b *Backend) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
@@ -1076,23 +715,23 @@ func (b *Backend) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case len(req.Sessions) == 0:
-		writeError(w, http.StatusBadRequest, "empty session list")
+		httpmw.WriteError(w, http.StatusBadRequest, "empty session list")
 		return
 	case len(req.Sessions) > b.cfg.MaxSessionsPerBatch:
-		writeError(w, http.StatusBadRequest,
+		httpmw.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch carries %d sessions, limit %d", len(req.Sessions), b.cfg.MaxSessionsPerBatch))
 		return
 	}
 	for i, s := range req.Sessions {
 		if len(s) > b.cfg.MaxHostsPerReport {
-			writeError(w, http.StatusBadRequest,
+			httpmw.WriteError(w, http.StatusBadRequest,
 				fmt.Sprintf("session %d carries %d hosts, limit %d", i, len(s), b.cfg.MaxHostsPerReport))
 			return
 		}
 	}
 	vecs, errs, err := b.ProfileSessions(r.Context(), req.Sessions)
-	if errors.Is(err, errNotTrained) {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+	if errors.Is(err, engine.ErrNotTrained) {
+		httpmw.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	tax := b.cfg.Ontology.Taxonomy()
@@ -1110,10 +749,7 @@ func (b *Backend) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Profiles[i].Categories = cats
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		return
-	}
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (b *Backend) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -1125,13 +761,13 @@ func (b *Backend) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// leave the campaign tallies untouched.
 	switch {
 	case req.Source != "eavesdropper" && req.Source != "original":
-		writeError(w, http.StatusBadRequest, "source must be eavesdropper or original")
+		httpmw.WriteError(w, http.StatusBadRequest, "source must be eavesdropper or original")
 		return
 	case req.User < 0:
-		writeError(w, http.StatusBadRequest, "user must be non-negative")
+		httpmw.WriteError(w, http.StatusBadRequest, "user must be non-negative")
 		return
 	case req.AdID < 0:
-		writeError(w, http.StatusBadRequest, "ad_id must be non-negative")
+		httpmw.WriteError(w, http.StatusBadRequest, "ad_id must be non-negative")
 		return
 	}
 	b.observeImpression(req.Source, req.Clicked)
@@ -1145,15 +781,13 @@ func (b *Backend) handleRetrain(w http.ResponseWriter, r *http.Request) {
 		// for completion. 202 either way — joining an in-flight run is
 		// exactly what a second async request means.
 		b.RetrainAsync(context.WithoutCancel(r.Context()))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"status": "retraining"})
+		httpmw.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "retraining"})
 		return
 	}
 	// Synchronous mode: the wait is bound to the request context (a
 	// dropped client stops waiting), but the run itself is detached so a
 	// disconnect cannot abort training that other callers joined.
-	leader, err := b.retrains.Do(r.Context(), context.WithoutCancel(r.Context()), b.retrainRun)
+	leader, err := b.eng.Retrain(r.Context(), context.WithoutCancel(r.Context()), b.store.AllSequences, retrainLabel)
 	if sp := tracer.FromContext(r.Context()); sp != nil {
 		// Joiners attached to an in-flight run carry that on their
 		// trace: the retrain span lives in the leader's trace.
@@ -1163,19 +797,16 @@ func (b *Backend) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, core.ErrEmptyCorpus):
-		writeError(w, http.StatusConflict, err.Error())
+		httpmw.WriteError(w, http.StatusConflict, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err.Error())
+		httpmw.WriteError(w, http.StatusGatewayTimeout, err.Error())
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		httpmw.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpmw.WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
 func (b *Backend) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(b.CurrentStats()); err != nil {
-		return
-	}
+	httpmw.WriteJSON(w, http.StatusOK, b.CurrentStats())
 }

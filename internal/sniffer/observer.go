@@ -130,6 +130,11 @@ func newObserverMetrics(reg *obs.Registry) observerMetrics {
 	reg.Describe("hostprof_sniffer_visits_total", "hostname visits extracted, by leak channel")
 	reg.Describe("hostprof_sniffer_packets_total", "Ethernet frames offered to the observer")
 	reg.Describe("hostprof_sniffer_flows_active", "TCP flows currently buffered awaiting an SNI")
+	reg.Describe("hostprof_sniffer_undecodable_total", "frames the layer decoder rejected")
+	reg.Describe("hostprof_sniffer_resolved_fallbacks_total", "SNI-less flows named from an observed DNS answer instead of a raw IP token")
+	reg.Describe("hostprof_sniffer_dns_mappings_total", "address-to-hostname mappings learned from DNS responses")
+	reg.Describe("hostprof_sniffer_flows_opened_total", "TCP flows the observer started tracking")
+	reg.Describe("hostprof_sniffer_flows_evicted_total", "tracked flows dropped after the idle timeout")
 	return observerMetrics{
 		packets:           reg.Counter("hostprof_sniffer_packets_total"),
 		undecodable:       reg.Counter("hostprof_sniffer_undecodable_total"),

@@ -3,11 +3,12 @@ package hostprof
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"sync"
 	"time"
 
-	"hostprof/internal/core"
-	"hostprof/internal/flight"
+	"hostprof/internal/engine"
 	"hostprof/internal/obs"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/sniffer"
@@ -52,69 +53,45 @@ type PipelineConfig struct {
 }
 
 // Pipeline is the end-to-end eavesdropper: packets in, profiles and ads
-// out. All exported methods are safe for concurrent use: visits land in
-// a sharded store (per-shard locks), packet decoding serializes only on
-// the observer's flow state, and model swaps take a separate lock.
+// out. It owns packet decoding, blocklist filtering and ingest, and
+// adapts the shared serving engine (internal/engine) for retraining and
+// profiling. All exported methods are safe for concurrent use: visits
+// land in a sharded store (per-shard locks) and packet decoding
+// serializes only on the observer's flow state.
 type Pipeline struct {
 	cfg PipelineConfig
 	reg *obs.Registry
 	met pipelineMetrics
 
 	store *store.Store
-
-	// retrains coalesces concurrent retrain calls into one training run
-	// (the paper retrained daily; overlapping triggers must not fit two
-	// models over the same corpus).
-	retrains flight.Group
+	eng   *engine.Engine
 
 	// obsMu serializes packet decoding, which mutates the observer's
-	// flow-reassembly state. It is intentionally separate from mu so
-	// profiling and retraining never stall packet capture.
+	// flow-reassembly state, so profiling and retraining never stall
+	// packet capture.
 	obsMu    sync.Mutex
 	observer *Observer
-
-	mu       sync.Mutex
-	model    *Model
-	profiler *Profiler
 }
 
-// pipelineMetrics caches the pipeline's registry handles.
+// pipelineMetrics caches the pipeline's ingest handles; the retrain,
+// train and profile families are the engine's.
 type pipelineMetrics struct {
-	frames         *obs.Counter
-	visits         *obs.Counter
-	blocked        *obs.Counter
-	storeErrors    *obs.Counter
-	retrains       *obs.Counter
-	retrainErrors  *obs.Counter
-	retrainSeconds *obs.Histogram
-	epochs         *obs.Counter
-	epochSeconds   *obs.Histogram
-	epochLoss      *obs.Gauge
-	profileSeconds *obs.Histogram
-	profileErrors  *obs.Counter
+	frames      *obs.Counter
+	visits      *obs.Counter
+	blocked     *obs.Counter
+	storeErrors *obs.Counter
 }
-
-// retrainBuckets spans sub-second toy corpora to multi-hour production
-// retrains.
-var retrainBuckets = obs.ExpBuckets(0.01, 4, 10)
 
 func newPipelineMetrics(reg *obs.Registry) pipelineMetrics {
+	reg.Describe("hostprof_ingest_frames_total", "captured frames handed to the observer")
 	reg.Describe("hostprof_ingest_visits_total", "visits recorded into the trace store")
-	reg.Describe("hostprof_retrain_seconds", "wall time of full model retrains")
-	reg.Describe("hostprof_train_epoch_loss", "mean negative-sampling loss of the last epoch")
+	reg.Describe("hostprof_ingest_blocklist_drops_total", "extracted visits dropped by the blocklist before ingest")
+	reg.Describe("hostprof_ingest_store_errors_total", "visits the store refused (append failed)")
 	return pipelineMetrics{
-		frames:         reg.Counter("hostprof_ingest_frames_total"),
-		visits:         reg.Counter("hostprof_ingest_visits_total"),
-		blocked:        reg.Counter("hostprof_ingest_blocklist_drops_total"),
-		storeErrors:    reg.Counter("hostprof_ingest_store_errors_total"),
-		retrains:       reg.Counter("hostprof_retrain_total"),
-		retrainErrors:  reg.Counter("hostprof_retrain_errors_total"),
-		retrainSeconds: reg.Histogram("hostprof_retrain_seconds", retrainBuckets),
-		epochs:         reg.Counter("hostprof_train_epochs_total"),
-		epochSeconds:   reg.Histogram("hostprof_train_epoch_seconds", retrainBuckets),
-		epochLoss:      reg.Gauge("hostprof_train_epoch_loss"),
-		profileSeconds: reg.Histogram("hostprof_profile_seconds", nil),
-		profileErrors:  reg.Counter("hostprof_profile_errors_total"),
+		frames:      reg.Counter("hostprof_ingest_frames_total"),
+		visits:      reg.Counter("hostprof_ingest_visits_total"),
+		blocked:     reg.Counter("hostprof_ingest_blocklist_drops_total"),
+		storeErrors: reg.Counter("hostprof_ingest_store_errors_total"),
 	}
 }
 
@@ -133,12 +110,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Observer.Metrics == nil {
 		cfg.Observer.Metrics = reg
 	}
-	if cfg.Profile.Metrics == nil {
-		cfg.Profile.Metrics = reg
-	}
-	if cfg.Profile.Tracer == nil {
-		cfg.Profile.Tracer = cfg.Tracer
-	}
 	st := cfg.Store
 	if st == nil {
 		var err error
@@ -147,20 +118,25 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			return nil, fmt.Errorf("hostprof: opening visit store: %w", err)
 		}
 	}
-	p := &Pipeline{
+	return &Pipeline{
 		cfg:      cfg,
 		reg:      reg,
 		met:      newPipelineMetrics(reg),
 		observer: sniffer.NewObserver(cfg.Observer),
 		store:    st,
-	}
-	// A durable store restored from snapshot carries the trained model:
-	// start warm instead of waiting for the first retrain.
-	if m := st.Model(); m != nil {
-		p.model = m
-		p.profiler = core.NewProfiler(m, cfg.Ontology, cfg.Profile)
-	}
-	return p, nil
+		// A durable store restored from snapshot carries the trained
+		// model: the engine starts warm.
+		eng: engine.New(engine.Config{
+			Ontology:       cfg.Ontology,
+			Store:          st,
+			Train:          cfg.Train,
+			Profile:        cfg.Profile,
+			RetrainTimeout: cfg.RetrainTimeout,
+			Metrics:        reg,
+			Tracer:         cfg.Tracer,
+			Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		}),
+	}, nil
 }
 
 // Metrics returns the registry the pipeline exports into — the
@@ -216,59 +192,6 @@ func (p *Pipeline) Trace() *Trace {
 // durability operations (Flush, Snapshot, Close) and recovery stats.
 func (p *Pipeline) Store() *store.Store { return p.store }
 
-// trainConfig returns the configured TrainConfig with the pipeline's
-// epoch instrumentation chained in front of any caller-supplied
-// Progress hook.
-func (p *Pipeline) trainConfig() core.TrainConfig {
-	tc := p.cfg.Train
-	user := tc.Progress
-	tc.Progress = func(e core.EpochStats) {
-		p.met.epochs.Inc()
-		p.met.epochSeconds.Observe(e.Duration.Seconds())
-		p.met.epochLoss.Set(e.Loss)
-		if user != nil {
-			user(e)
-		}
-	}
-	return tc
-}
-
-// retrain coalesces concurrent retrain calls (the corpus is gathered
-// inside the run, so a joiner doesn't fit yesterday's snapshot), fits a
-// model and swaps it in, recording retrain duration and outcome. The
-// duration histogram observes failed retrains too — a retrain that dies
-// after an hour must show up in hostprof_retrain_seconds, not vanish.
-func (p *Pipeline) retrain(ctx context.Context, corpus func() [][]string, label string) error {
-	_, err := p.retrains.Do(ctx, ctx, func(runCtx context.Context) error {
-		if p.cfg.RetrainTimeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(runCtx, p.cfg.RetrainTimeout)
-			defer cancel()
-		}
-		runCtx, tsp := p.cfg.Tracer.StartSpan(runCtx, "train.retrain")
-		tsp.SetAttr("label", label)
-		defer tsp.End()
-		sp := obs.StartSpan(p.met.retrainSeconds)
-		model, err := core.TrainContext(runCtx, corpus(), p.trainConfig())
-		sp.End()
-		if err != nil {
-			p.met.retrainErrors.Inc()
-			tsp.Error(err)
-			return fmt.Errorf("hostprof: %s: %w", label, err)
-		}
-		p.met.retrains.Inc()
-		profiler := core.NewProfiler(model, p.cfg.Ontology, p.cfg.Profile)
-
-		p.store.SetModel(model)
-		p.mu.Lock()
-		p.model = model
-		p.profiler = profiler
-		p.mu.Unlock()
-		return nil
-	})
-	return err
-}
-
 // Retrain fits a fresh embedding on every per-user-day sequence observed
 // so far and swaps it in, mirroring the paper's daily retraining
 // (Section 5.4). Equivalent to RetrainContext(context.Background()).
@@ -279,10 +202,10 @@ func (p *Pipeline) Retrain() error {
 // RetrainContext is Retrain with cancellation: cancel ctx (or let its
 // deadline pass) and training stops at the next epoch boundary with the
 // old model still in place. Concurrent retrain calls coalesce into one
-// training run; joiners whose ctx expires stop waiting without aborting
-// the run for the callers still attached.
+// training run; see engine.Engine.Retrain.
 func (p *Pipeline) RetrainContext(ctx context.Context) error {
-	return p.retrain(ctx, p.store.AllSequences, "retraining")
+	_, err := p.eng.Retrain(ctx, ctx, p.store.AllSequences, "retraining")
+	return err
 }
 
 // RetrainOnDay fits the embedding on a single day's sequences (the
@@ -294,63 +217,33 @@ func (p *Pipeline) RetrainOnDay(day int) error {
 // RetrainOnDayContext is RetrainOnDay with cancellation, with the same
 // coalescing semantics as RetrainContext.
 func (p *Pipeline) RetrainOnDayContext(ctx context.Context, day int) error {
-	return p.retrain(ctx, func() [][]string { return p.store.DailySequences(day) },
+	_, err := p.eng.Retrain(ctx, ctx, func() [][]string { return p.store.DailySequences(day) },
 		fmt.Sprintf("retraining on day %d", day))
+	return err
 }
 
 // RetrainRunning reports whether a retrain is in flight.
-func (p *Pipeline) RetrainRunning() bool { return p.retrains.Running() }
+func (p *Pipeline) RetrainRunning() bool { return p.eng.Running() }
 
 // ErrNotTrained is returned by profiling before the first Retrain.
-var ErrNotTrained = fmt.Errorf("hostprof: pipeline model not trained yet")
+var ErrNotTrained = engine.ErrNotTrained
 
 // Model returns the current embedding model, or nil before training.
-func (p *Pipeline) Model() *Model {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.model
-}
+func (p *Pipeline) Model() *Model { return p.store.Model() }
 
 // Ready reports whether the pipeline has a trained model, i.e. whether
 // profiling can succeed (a readiness probe).
-func (p *Pipeline) Ready() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.profiler != nil
-}
-
-// profile runs one session through the profiler, timing it and counting
-// failures.
-func (p *Pipeline) profile(profiler *Profiler, hosts []string) (Vector, error) {
-	if profiler == nil {
-		return nil, ErrNotTrained
-	}
-	sp := obs.StartSpan(p.met.profileSeconds)
-	v, err := profiler.ProfileSession(hosts)
-	sp.End()
-	if err != nil {
-		p.met.profileErrors.Inc()
-		return nil, err
-	}
-	return v, nil
-}
+func (p *Pipeline) Ready() bool { return p.eng.Profiler() != nil }
 
 // ProfileUser profiles the hostnames user requested in the window
 // (now-T, now].
 func (p *Pipeline) ProfileUser(user int, now int64) (Vector, error) {
-	p.mu.Lock()
-	profiler := p.profiler
-	p.mu.Unlock()
-	session := p.store.Session(user, now, p.cfg.SessionWindow)
-	return p.profile(profiler, session)
+	return p.ProfileSession(p.store.Session(user, now, p.cfg.SessionWindow))
 }
 
 // ProfileSession profiles an explicit hostname sequence.
 func (p *Pipeline) ProfileSession(hosts []string) (Vector, error) {
-	p.mu.Lock()
-	profiler := p.profiler
-	p.mu.Unlock()
-	return p.profile(profiler, hosts)
+	return p.eng.Profile(context.Background(), hosts)
 }
 
 // ProfileSessions profiles many sessions in one call, fanning them out
@@ -365,21 +258,7 @@ func (p *Pipeline) ProfileSessions(sessions [][]string) ([]Vector, []error, erro
 // span carried by ctx parents the batch span, and cancellation stops
 // the fan-out between sessions.
 func (p *Pipeline) ProfileSessionsContext(ctx context.Context, sessions [][]string) ([]Vector, []error, error) {
-	p.mu.Lock()
-	profiler := p.profiler
-	p.mu.Unlock()
-	if profiler == nil {
-		return nil, nil, ErrNotTrained
-	}
-	sp := obs.StartSpan(p.met.profileSeconds)
-	vecs, errs := profiler.ProfileSessions(ctx, sessions)
-	sp.End()
-	for _, err := range errs {
-		if err != nil {
-			p.met.profileErrors.Inc()
-		}
-	}
-	return vecs, errs, nil
+	return p.eng.ProfileSessions(ctx, sessions)
 }
 
 // ObserverStats returns packet-level counters. The snapshot is built

@@ -3,6 +3,7 @@ package hostprof
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +12,10 @@ import (
 	"hostprof/internal/fault"
 )
 
-// trainedPipeline builds a pipeline with a seeded store and the given
-// extra config mutation.
-func retrainFixture(t *testing.T, mutate func(*PipelineConfig)) *Pipeline {
+// emptyRetrainFixture builds a pipeline over the test world with the
+// given extra config mutation, and returns the world's visit trace for
+// the caller to ingest.
+func emptyRetrainFixture(t *testing.T, mutate func(*PipelineConfig)) (*Pipeline, *Trace) {
 	t.Helper()
 	_, ont, tr, _ := buildWorld(t)
 	cfg := PipelineConfig{
@@ -27,6 +29,13 @@ func retrainFixture(t *testing.T, mutate func(*PipelineConfig)) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, tr
+}
+
+// retrainFixture is emptyRetrainFixture with the trace ingested.
+func retrainFixture(t *testing.T, mutate func(*PipelineConfig)) *Pipeline {
+	t.Helper()
+	p, tr := emptyRetrainFixture(t, mutate)
 	for _, v := range tr.Visits() {
 		p.IngestVisit(v)
 	}
@@ -107,5 +116,42 @@ func TestPipelineRetrainCoalesces(t *testing.T) {
 	}
 	if !p.Ready() {
 		t.Fatal("pipeline not ready after coalesced retrain")
+	}
+}
+
+// TestPipelineDurableWarmRestart: a pipeline over a durable store that
+// retrains and exits comes back with its visits and its model — the
+// engine snapshots after every install, so nobody has to remember
+// Store().Snapshot() — and profiles without a retrain.
+func TestPipelineDurableWarmRestart(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(cfg *PipelineConfig) {
+		st, err := OpenStore(StoreConfig{Dir: dir, Fsync: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = st
+	}
+	p := retrainFixture(t, durable)
+	if err := p.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	session := p.Store().Session(0, 1<<62, 1<<62)
+	want, err := p.ProfileSession(session)
+	if err != nil {
+		t.Fatalf("profiling user 0's history: %v", err)
+	}
+	if err := p.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, _ := emptyRetrainFixture(t, durable)
+	defer p2.Store().Close()
+	if !p2.Ready() {
+		t.Fatal("reopened durable pipeline has its visits but no model")
+	}
+	got, err := p2.ProfileSession(session)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile after warm restart = (%v, %v), want %v", got, err, want)
 	}
 }
