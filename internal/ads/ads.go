@@ -124,14 +124,13 @@ type Selector struct {
 	k   int
 	dim int // taxonomy size; the only profile length Select accepts
 
-	// Label rows of the hosts with inventory, in host-name order, packed
-	// CSR: row r's non-zeros are cols/vals[rowPtr[r]:rowPtr[r+1]] with
-	// columns ascending, and norm2[r] is ‖v_r‖². Label rows are well
-	// under 1% dense, so a distance costs a handful of multiplies
-	// instead of one per category.
-	rowPtr   []int32
-	cols     []int32
-	vals     []float64
+	// labels is the ontology's shared CSR label matrix (label rows are
+	// well under 1% dense, so a distance costs a handful of multiplies
+	// instead of one per category). Selector row r — the r-th labelled
+	// host with inventory, in host-name order — is matrix row rows[r],
+	// and norm2[r] is ‖v_r‖².
+	labels   *ontology.LabelMatrix
+	rows     []int32
 	norm2    []float64
 	maxNorm2 float64
 
@@ -147,25 +146,23 @@ func NewSelector(db *DB, ont *ontology.Ontology, k int) (*Selector, error) {
 	if k <= 0 {
 		k = 20
 	}
-	s := &Selector{k: k, dim: ont.Taxonomy().NumCategories(), rowPtr: []int32{0}, adPtr: []int32{0}}
-	for _, host := range ont.Hosts() {
+	m := ont.LabelMatrix()
+	s := &Selector{k: k, dim: ont.Taxonomy().NumCategories(), labels: m, adPtr: []int32{0}}
+	for r := 0; r < m.Rows(); r++ {
+		host := m.Host(r)
 		ids := db.ByHost(host)
 		if len(ids) == 0 {
 			continue
 		}
-		v, _ := ont.Lookup(host)
-		if len(v) != s.dim {
+		if v, _ := ont.Lookup(host); len(v) != s.dim {
 			return nil, fmt.Errorf("ads: label of %q has %d categories, taxonomy has %d", host, len(v), s.dim)
 		}
 		var n2 float64
-		for c, x := range v {
-			if x != 0 {
-				s.cols = append(s.cols, int32(c))
-				s.vals = append(s.vals, x)
-				n2 += x * x
-			}
+		_, vals := m.Row(int32(r))
+		for _, x := range vals {
+			n2 += x * x
 		}
-		s.rowPtr = append(s.rowPtr, int32(len(s.cols)))
+		s.rows = append(s.rows, int32(r))
 		s.norm2 = append(s.norm2, n2)
 		if n2 > s.maxNorm2 {
 			s.maxNorm2 = n2
@@ -241,13 +238,12 @@ func (s *Selector) Select(profile ontology.Vector, maxAds int) []Ad {
 	var candStack [64]cand
 	cands := candStack[:0]
 	limit := math.Inf(1) // K-th best so far plus tol, once K rows are in
-	lo := s.rowPtr[0]
-	for r, hi := range s.rowPtr[1:] {
+	for r, mr := range s.rows {
 		var dot float64
-		for j := lo; j < hi; j++ {
-			dot += profile[s.cols[j]] * s.vals[j]
+		cols, vals := s.labels.Row(mr)
+		for j, col := range cols {
+			dot += profile[col] * vals[j]
 		}
-		lo = hi
 		c := cand{dist: pn + s.norm2[r] - 2*dot, row: int32(r)}
 		if c.dist > limit {
 			continue
@@ -317,21 +313,22 @@ func (s *Selector) Select(profile ontology.Vector, maxAds int) []Ad {
 // the dense row: the same terms in the same order, less the categories
 // where both are zero, whose terms add exactly nothing.
 func (s *Selector) distance(profile ontology.Vector, nz []int32, r int32) float64 {
-	j, end := s.rowPtr[r], s.rowPtr[r+1]
+	cols, vals := s.labels.Row(s.rows[r])
+	j, end := 0, len(cols)
 	var sum float64
 	for _, c := range nz {
-		for ; j < end && s.cols[j] < c; j++ {
-			sum += s.vals[j] * s.vals[j]
+		for ; j < end && cols[j] < c; j++ {
+			sum += vals[j] * vals[j]
 		}
 		d := profile[c]
-		if j < end && s.cols[j] == c {
-			d -= s.vals[j]
+		if j < end && cols[j] == c {
+			d -= vals[j]
 			j++
 		}
 		sum += d * d
 	}
 	for ; j < end; j++ {
-		sum += s.vals[j] * s.vals[j]
+		sum += vals[j] * vals[j]
 	}
 	return math.Sqrt(sum)
 }

@@ -597,3 +597,48 @@ func TestGatewayHandlerPanicRecovery(t *testing.T) {
 		t.Fatalf("post-panic status = %d, want 204", resp.StatusCode)
 	}
 }
+
+// TestGatewayBatchRejectsMalformedSessions pins the gateway's own 400
+// for a session that is not a JSON array of strings: the request must
+// be refused whole, before any shard sees a chunk — never forwarded and
+// degraded to per-session errors. Shapes encoding/json accepts for a
+// []string (null sessions, null hosts, free whitespace) pass through.
+func TestGatewayBatchRejectsMalformedSessions(t *testing.T) {
+	fx := newClusterFixture(t, 2, 4)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(fx.gwSrv.URL+"/v1/profile/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"sessions":[["a.example"],[1,2]]}`,
+		`{"sessions":[["a.example"],{"hosts":["b.example"]}]}`,
+		`{"sessions":["a.example"]}`,
+		`{"sessions":[["a.example",["nested.example"]]]}`,
+		`{"sessions":[["a.example",true]]}`,
+		`{"sessions":[7]}`,
+		`{"sessions":[["a.example"]`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s → %d, want 400", body, code)
+		}
+	}
+	for i, pc := range fx.counters {
+		if n := pc.count("/v1/profile/batch"); n != 0 {
+			t.Errorf("shard %d saw %d chunks of refused batches", i, n)
+		}
+	}
+	for _, body := range []string{
+		`{"sessions":[]}`,
+		`{"sessions":[ [ "a.example" , "b\"[1]\\.example" ] , null , [ ] , [null, "c.example"] ]}`,
+	} {
+		if code := post(body); code == http.StatusBadRequest {
+			t.Errorf("%s → 400, want it forwarded", body)
+		}
+	}
+}

@@ -278,11 +278,24 @@ func (g *Gateway) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // degrades to per-session errors instead of failing the batch —
 // responses with any degraded chunk carry the X-Hostprof-Partial
 // header.
+//
+// The gateway needs the session boundaries and nothing inside them, so
+// sessions and shard results stay raw JSON: chunk bodies and the merged
+// answer are spliced from the original bytes, never re-encoded.
 func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.ProfileBatchRequest
+	var req struct {
+		Sessions []json.RawMessage `json:"sessions"`
+	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProxyBody)).Decode(&req); err != nil {
 		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
 		return
+	}
+	for i, raw := range req.Sessions {
+		if !isStringArray(raw) {
+			httpmw.WriteError(w, http.StatusBadRequest,
+				fmt.Sprintf("cluster: invalid JSON: session %d is not an array of strings", i))
+			return
+		}
 	}
 	if len(req.Sessions) > g.cfg.MaxSessionsPerBatch {
 		httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
@@ -313,7 +326,7 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		chunks = append(chunks, chunk{start: start, end: end, shard: shards[i%len(shards)]})
 	}
 
-	results := make([]server.ProfileResult, len(req.Sessions))
+	results := make([]json.RawMessage, len(req.Sessions))
 	var (
 		wg      sync.WaitGroup
 		partial sync.Once
@@ -323,32 +336,32 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(c chunk) {
 			defer wg.Done()
-			body, err := json.Marshal(server.ProfileBatchRequest{Sessions: req.Sessions[c.start:c.end]})
+			body := spliceArray(`{"sessions":[`, req.Sessions[c.start:c.end], "]}")
+			ans, err := g.forwardWithRetry(r.Context(), http.MethodPost, c.shard, "/v1/profile/batch",
+				map[string]string{"Content-Type": "application/json"}, body)
+			if err == nil && ans.status != http.StatusOK {
+				err = fmt.Errorf("cluster: shard %s answered HTTP %d", c.shard, ans.status)
+			}
 			if err == nil {
-				var ans shardAnswer
-				ans, err = g.forwardWithRetry(r.Context(), http.MethodPost, c.shard, "/v1/profile/batch",
-					map[string]string{"Content-Type": "application/json"}, body)
-				if err == nil && ans.status != http.StatusOK {
-					err = fmt.Errorf("cluster: shard %s answered HTTP %d", c.shard, ans.status)
+				var resp struct {
+					Profiles []json.RawMessage `json:"profiles"`
 				}
-				if err == nil {
-					var resp server.ProfileBatchResponse
-					if jerr := json.Unmarshal(ans.body, &resp); jerr != nil {
-						err = fmt.Errorf("cluster: decoding batch from %s: %w", c.shard, jerr)
-					} else if len(resp.Profiles) != c.end-c.start {
-						err = fmt.Errorf("cluster: shard %s returned %d profiles for %d sessions",
-							c.shard, len(resp.Profiles), c.end-c.start)
-					} else {
-						copy(results[c.start:c.end], resp.Profiles)
-						return
-					}
+				if jerr := json.Unmarshal(ans.body, &resp); jerr != nil {
+					err = fmt.Errorf("cluster: decoding batch from %s: %w", c.shard, jerr)
+				} else if len(resp.Profiles) != c.end-c.start {
+					err = fmt.Errorf("cluster: shard %s returned %d profiles for %d sessions",
+						c.shard, len(resp.Profiles), c.end-c.start)
+				} else {
+					copy(results[c.start:c.end], resp.Profiles)
+					return
 				}
 			}
 			// Degrade this chunk only: the sessions the other shards
 			// handled still come back profiled.
 			partial.Do(func() { degrade = true })
+			failed, _ := json.Marshal(server.ProfileResult{Error: err.Error()}) // a struct of strings cannot fail
 			for i := c.start; i < c.end; i++ {
-				results[i] = server.ProfileResult{Error: err.Error()}
+				results[i] = failed
 			}
 		}(c)
 	}
@@ -360,7 +373,60 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 			sp.Event("partial batch: at least one shard chunk degraded")
 		}
 	}
-	httpmw.WriteJSON(w, http.StatusOK, server.ProfileBatchResponse{Profiles: results})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(spliceArray(`{"profiles":[`, results, "]}\n"))
+}
+
+// spliceArray returns prefix, the elements joined by commas, suffix.
+func spliceArray(prefix string, elems []json.RawMessage, suffix string) []byte {
+	n := len(prefix) + len(suffix) + len(elems)
+	for _, e := range elems {
+		n += len(e)
+	}
+	out := append(make([]byte, 0, n), prefix...)
+	for i, e := range elems {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, e...)
+	}
+	return append(out, suffix...)
+}
+
+// isStringArray reports whether raw — one syntactically valid JSON
+// value, as the decoder hands out a RawMessage — is what encoding/json
+// accepts for a []string: null, or an array whose elements are strings
+// or null. It only looks at the shape, and allocates nothing.
+func isStringArray(raw []byte) bool {
+	if string(raw) == "null" {
+		return true
+	}
+	if len(raw) == 0 || raw[0] != '[' {
+		return false
+	}
+	// Inside the array, at nesting depth one, every value must open
+	// with '"' or be null; inside a string only the closing quote
+	// matters.
+	inString := false
+	for i := 1; i < len(raw); i++ {
+		switch c := raw[i]; {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == 'n':
+			i += len("null") - 1
+		case c == ' ', c == '\t', c == '\n', c == '\r', c == ',', c == ']':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // RetrainResponse is the gateway's /v1/retrain body: which shard

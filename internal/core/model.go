@@ -474,8 +474,8 @@ func (m *Model) NearestToVector(query []float64, k int, exclude map[int]bool) []
 	}
 	m.ensureIndex()
 	qn := append([]float64(nil), query...)
-	if stats.Normalize(qn) == 0 {
-		return nil
+	if n := stats.Normalize(qn); n == 0 || math.IsNaN(n) || math.IsInf(n, 0) {
+		return nil // no direction to rank against, as in the packed index
 	}
 	// Bounded min-heap rooted at the worst kept neighbour.
 	h := make([]Neighbour, 0, k+1)

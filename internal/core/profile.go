@@ -82,9 +82,13 @@ type Profiler struct {
 	ont   *ontology.Ontology
 	cfg   ProfilerConfig
 
-	// labelledIDs are vocabulary IDs with ontology coverage (H_L ∩ H).
-	labelledIDs map[int]ontology.Vector
-	idf         []float64
+	// labels is the ontology's CSR label matrix as of NewProfiler — one
+	// immutable snapshot per model generation, shared with the ad
+	// selector — and labelRow maps a vocabulary ID to its row in it, -1
+	// for the unlabelled majority (the rows ≥ 0 are H_L ∩ H).
+	labels   *ontology.LabelMatrix
+	labelRow []int32
+	idf      []float64
 
 	// idx is the model's packed similarity index; lab is its view over
 	// the labelled IDs only (nil when no vocabulary host is labelled or
@@ -111,6 +115,25 @@ type Profiler struct {
 	mANNQueries   *obs.Counter
 	mANNFallbacks *obs.Counter
 	mANNSampled   *obs.Counter
+
+	scratch sync.Pool // *profileScratch
+}
+
+// contrib is one term of Eq. (4): label row `row` weighted by alpha.
+type contrib struct {
+	alpha float64
+	row   int32
+}
+
+// profileScratch is the pooled working memory of one ProfileSession
+// call, so the steady-state profile allocates only its result.
+type profileScratch struct {
+	sVec     []float64      // session representation s
+	res      []index.Result // neighbourhood answer
+	contribs []contrib      // Eq. (3) terms in summation order
+	// inSession marks the label rows claimed by the session's own hosts
+	// (alpha = 1); set and cleared within one call.
+	inSession []bool
 }
 
 // Profiler errors.
@@ -125,19 +148,33 @@ var (
 )
 
 // NewProfiler builds a profiler over a trained model and an ontology.
+// Labels are fixed per Profiler generation: the profiler works from the
+// ontology's label matrix as of this call, so a later Ontology.Add is
+// seen — for session hosts and neighbours alike — only by the next
+// NewProfiler.
 func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler {
 	if cfg.N <= 0 {
 		cfg.N = 1000
 	}
 	p := &Profiler{
-		model:       m,
-		ont:         ont,
-		cfg:         cfg,
-		labelledIDs: make(map[int]ontology.Vector),
+		model:    m,
+		ont:      ont,
+		cfg:      cfg,
+		labels:   ont.LabelMatrix(),
+		labelRow: make([]int32, m.Vocab().Len()),
 	}
-	for id := 0; id < m.Vocab().Len(); id++ {
-		if v, ok := ont.Lookup(m.Vocab().Host(id)); ok {
-			p.labelledIDs[id] = v
+	var labelled []int // vocabulary IDs with a label row, ascending
+	for id := range p.labelRow {
+		p.labelRow[id] = -1
+		if r, ok := p.labels.RowOf(m.Vocab().Host(id)); ok {
+			p.labelRow[id] = r
+			labelled = append(labelled, id)
+		}
+	}
+	p.scratch.New = func() any {
+		return &profileScratch{
+			sVec:      make([]float64, m.Dim()),
+			inSession: make([]bool, p.labels.Rows()),
 		}
 	}
 	if cfg.Agg == AggIDF {
@@ -150,13 +187,8 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 	if !cfg.SerialScan {
 		start := time.Now()
 		p.idx = m.SimilarityIndex()
-		if len(p.labelledIDs) > 0 {
-			ids := make([]int, 0, len(p.labelledIDs))
-			for id := range p.labelledIDs {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			p.lab = p.idx.Subset(ids)
+		if len(labelled) > 0 {
+			p.lab = p.idx.Subset(labelled)
 		}
 		if cfg.ANN {
 			annCfg := index.ANNConfig{M: cfg.ANNM, Ef: cfg.ANNEf}
@@ -247,28 +279,33 @@ func (p *Profiler) Ontology() *ontology.Ontology { return p.ont }
 // vector g({h : h ∈ s})). Hosts outside the vocabulary are ignored. The
 // second return value is the number of in-vocabulary hosts used.
 func (p *Profiler) SessionVector(hosts []string) ([]float64, int) {
-	dim := p.model.Dim()
-	s := make([]float64, dim)
+	s := make([]float64, p.model.Dim())
 	n := 0
 	for _, h := range hosts {
-		id, ok := p.model.Vocab().ID(h)
-		if !ok {
-			continue
+		if id, ok := p.model.Vocab().ID(h); ok {
+			p.addHost(s, id)
+			n++
 		}
-		w := 1.0
-		if p.cfg.Agg == AggIDF {
-			w = p.idf[id]
-		}
-		stats.AXPY(w, p.model.VectorByID(id), s)
-		n++
 	}
-	if n == 0 {
-		return s, 0
+	p.finishSessionVector(s, n)
+	return s, n
+}
+
+// addHost folds vocabulary host id into the running session sum s.
+func (p *Profiler) addHost(s []float64, id int) {
+	w := 1.0
+	if p.cfg.Agg == AggIDF {
+		w = p.idf[id]
 	}
-	if p.cfg.Agg == AggMean {
+	stats.AXPY(w, p.model.VectorByID(id), s)
+}
+
+// finishSessionVector turns the sum over n in-vocabulary hosts into the
+// configured aggregate.
+func (p *Profiler) finishSessionVector(s []float64, n int) {
+	if n > 0 && p.cfg.Agg == AggMean {
 		stats.Scale(1/float64(n), s)
 	}
-	return s, n
 }
 
 // dedupFirst keeps the first occurrence of every host, preserving order.
@@ -285,15 +322,16 @@ func dedupFirst(hosts []string) []string {
 	return out
 }
 
-// annSearch answers one Eq. (3) neighbourhood query: through the HNSW
-// graph when one is attached (counting queries and fallbacks, and
-// keeping a sampled recall estimate by re-running every 64th
-// graph-answered query exactly), through the exact scan otherwise.
-func (p *Profiler) annSearch(ix *index.Index, ann *index.ANN, sVec []float64, k int) []index.Result {
+// annSearch appends to dst the answer to one Eq. (3) neighbourhood
+// query: through the HNSW graph when one is attached (counting queries
+// and fallbacks, and keeping a sampled recall estimate by re-running
+// every 64th graph-answered query exactly), through the exact scan
+// otherwise.
+func (p *Profiler) annSearch(dst []index.Result, ix *index.Index, ann *index.ANN, sVec []float64, k int) []index.Result {
 	if ann == nil {
-		return ix.SearchAppend(nil, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
+		return ix.SearchAppend(dst, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
 	}
-	res, fellBack := ann.SearchAppend(nil, sVec, k, 0, p.cfg.IndexWorkers, index.NoExclude)
+	res, fellBack := ann.SearchAppend(dst, sVec, k, 0, p.cfg.IndexWorkers, index.NoExclude)
 	p.mANNQueries.Inc() // nil-safe without cfg.Metrics
 	if fellBack {
 		p.mANNFallbacks.Inc()
@@ -301,39 +339,51 @@ func (p *Profiler) annSearch(ix *index.Index, ann *index.ANN, sVec []float64, k 
 	}
 	if p.annSample.Add(1)%64 == 1 {
 		exact := ix.SearchAppend(nil, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
-		p.annHits.Add(int64(index.RecallHits(exact, res)))
+		p.annHits.Add(int64(index.RecallHits(exact, res[len(dst):])))
 		p.annWant.Add(int64(len(exact)))
 		p.mANNSampled.Inc()
 	}
 	return res
 }
 
-// nearest runs the Eq. (3) neighbourhood query — the k vocabulary hosts
-// closest to the session representation — through the packed index (ANN
-// graph first when enabled), or the serial float64 reference when
-// SerialScan is set. The index scan is recorded as a profile.index span
-// under ctx and counted in the hostprof_index_* metrics.
-func (p *Profiler) nearest(ctx context.Context, sVec []float64, k int) []Neighbour {
+// neighbourContribs runs the Eq. (3) neighbourhood query — the N
+// vocabulary hosts closest to the session representation — and appends
+// the labelled ones outside the session to contribs in rank order,
+// weighted [cos]_+. The packed index answers it (the exact scan, or the
+// ANN graph when enabled), or the serial float64 reference when
+// SerialScan is set. The index query is recorded as a profile.index
+// span under ctx and counted in the hostprof_index_* metrics.
+func (p *Profiler) neighbourContribs(ctx context.Context, sc *profileScratch, contribs []contrib) []contrib {
+	add := func(id int, cos float64) {
+		row := p.labelRow[id]
+		if row < 0 || sc.inSession[row] {
+			return // unlabelled, or session membership dominates (alpha = 1)
+		}
+		if alpha := stats.SumPositive(cos); alpha > 0 { // Eq. (3), otherwise
+			contribs = append(contribs, contrib{alpha: alpha, row: row})
+		}
+	}
 	if p.idx == nil {
-		return p.model.NearestToVector(sVec, k, nil)
+		for _, nb := range p.model.NearestToVector(sc.sVec, p.cfg.N, nil) {
+			add(nb.ID, nb.Cosine)
+		}
+		return contribs
 	}
 	_, span := p.cfg.Tracer.StartSpan(ctx, "profile.index")
 	start := time.Now()
-	res := p.annSearch(p.idx, p.ann, sVec, k)
+	sc.res = p.annSearch(sc.res[:0], p.idx, p.ann, sc.sVec, p.cfg.N)
 	if p.mQueries != nil {
 		p.mQueries.Inc()
 		p.mQuerySeconds.Observe(time.Since(start).Seconds())
 	}
 	span.SetAttr("rows", strconv.Itoa(p.idx.Rows()))
-	span.SetAttr("k", strconv.Itoa(k))
+	span.SetAttr("k", strconv.Itoa(p.cfg.N))
 	span.SetAttr("ann", strconv.FormatBool(p.ann != nil))
 	span.End()
-	ns := make([]Neighbour, len(res))
-	for i, r := range res {
-		id := int(r.ID)
-		ns[i] = Neighbour{ID: id, Host: p.model.Vocab().Host(id), Cosine: float64(r.Score)}
+	for _, r := range sc.res {
+		add(int(r.ID), float64(r.Score))
 	}
-	return ns
+	return contribs
 }
 
 // NearestLabelled returns the k ontology-labelled vocabulary hosts
@@ -356,7 +406,7 @@ func (p *Profiler) NearestLabelled(hosts []string, k int) []Neighbour {
 		// Serial fallback: scan everything, keep the labelled prefix.
 		var out []Neighbour
 		for _, nb := range p.model.NearestToVector(sVec, p.model.Vocab().Len(), nil) {
-			if _, ok := p.labelledIDs[nb.ID]; !ok {
+			if p.labelRow[nb.ID] < 0 {
 				continue
 			}
 			out = append(out, nb)
@@ -366,7 +416,7 @@ func (p *Profiler) NearestLabelled(hosts []string, k int) []Neighbour {
 		}
 		return out
 	}
-	res := p.annSearch(p.lab, p.labANN, sVec, k)
+	res := p.annSearch(nil, p.lab, p.labANN, sVec, k)
 	ns := make([]Neighbour, len(res))
 	for i, r := range res {
 		id := int(r.ID)
@@ -416,6 +466,12 @@ func (p *Profiler) ProfileSession(hosts []string) (ontology.Vector, error) {
 // ProfileSessionContext is ProfileSession under a request context: when
 // ctx carries an active trace, the index scan appears as a profile.index
 // child span.
+//
+// It is one pass over pooled scratch. Every labelled host is known by
+// its row in the profiler's label matrix, so the contributions of Eq. (3)
+// are (alpha, row) pairs and Eq. (4) adds only each row's few non-zero
+// categories. The categories it skips would each add w·0 = +0 to a
+// non-negative sum, so the result has the bits of the dense sum.
 func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (ontology.Vector, error) {
 	if !p.cfg.SkipDedup {
 		hosts = dedupFirst(hosts)
@@ -423,62 +479,66 @@ func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (o
 	if len(hosts) == 0 {
 		return nil, ErrEmptySession
 	}
-
-	sVec, inVocab := p.SessionVector(hosts)
+	sc := p.scratch.Get().(*profileScratch)
 
 	// L: labelled hosts appearing in the session (whether or not they
 	// made it into the vocabulary — the observer knows their names).
 	// Contributions are kept in a fixed order — session hosts in session
 	// order, then neighbours in rank order — because Eq. 4 sums floats:
 	// the same session must give the same bits on every call.
-	type contrib struct {
-		alpha float64
-		vec   ontology.Vector
-	}
-	var contribs []contrib
-	inSession := make(map[string]struct{})
+	clear(sc.sVec)
+	contribs := sc.contribs[:0]
+	inVocab := 0
 	for _, h := range hosts {
-		if _, dup := inSession[h]; dup {
-			continue // only reachable with SkipDedup
+		row := int32(-1)
+		if id, ok := p.model.Vocab().ID(h); ok {
+			p.addHost(sc.sVec, id)
+			inVocab++
+			row = p.labelRow[id]
+		} else if r, ok := p.labels.RowOf(h); ok {
+			row = r
 		}
-		if v, ok := p.ont.Lookup(h); ok {
-			inSession[h] = struct{}{}
-			contribs = append(contribs, contrib{alpha: 1, vec: v}) // Eq. (3), h ∈ L
+		if row >= 0 && !sc.inSession[row] { // a repeat is only reachable with SkipDedup
+			sc.inSession[row] = true
+			contribs = append(contribs, contrib{alpha: 1, row: row}) // Eq. (3), h ∈ L
 		}
 	}
-
+	own := len(contribs)
 	if inVocab > 0 {
 		// H_{s}: the N nearest hosts to the session representation.
-		for _, nb := range p.nearest(ctx, sVec, p.cfg.N) {
-			v, ok := p.labelledIDs[nb.ID]
-			if !ok {
-				continue // unlabelled neighbours carry no categories
-			}
-			if _, ok := inSession[nb.Host]; ok {
-				continue // session membership dominates (alpha = 1)
-			}
-			alpha := stats.SumPositive(nb.Cosine) // Eq. (3), otherwise
-			if alpha > 0 {
-				contribs = append(contribs, contrib{alpha: alpha, vec: v})
-			}
-		}
+		p.finishSessionVector(sc.sVec, inVocab)
+		contribs = p.neighbourContribs(ctx, sc, contribs)
 	}
+	for _, c := range contribs[:own] {
+		sc.inSession[c.row] = false
+	}
+	sc.contribs = contribs
 
+	out, err := p.average(contribs)
+	p.scratch.Put(sc)
+	return out, err
+}
+
+// average evaluates Eq. (4), the alpha-weighted average of the
+// contributions' label rows, in slice order.
+func (p *Profiler) average(contribs []contrib) (ontology.Vector, error) {
 	// Nothing labelled in the session or its neighbourhood (this also
-	// covers the all-unknown session: inVocab == 0 leaves only the
-	// session's own ontology hits, of which there were none).
+	// covers the all-unknown session: no in-vocabulary host leaves only
+	// the session's own ontology hits, of which there were none).
 	if len(contribs) == 0 {
 		return nil, ErrNoLabels
 	}
-
-	// Eq. (4): weighted average of category vectors.
 	out := p.ont.Taxonomy().NewVector()
 	var denom float64
 	for _, c := range contribs {
 		denom += c.alpha
 	}
 	for _, c := range contribs {
-		stats.AXPY(c.alpha/denom, c.vec, out)
+		w := c.alpha / denom
+		cols, vals := p.labels.Row(c.row)
+		for j, col := range cols {
+			out[col] += w * vals[j]
+		}
 	}
 	out.Clamp() // guard accumulated rounding just above 1
 	return out, nil

@@ -93,3 +93,57 @@ func FuzzANNBuild(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSearchSelect feeds arbitrary matrices, queries, k, exclusions and
+// subset views through the exact scan and requires the answer of the
+// sort-everything oracle (refSelect), bit for bit: every score, the
+// order, the cut through ties.
+func FuzzSearchSelect(f *testing.F) {
+	f.Add([]byte{})                                                                   // empty matrix
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 128, 63})                                          // one row, dim 1
+	f.Add([]byte{1, 2, 1, 3, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 63, 0, 0, 0, 64}) // duplicate rows: a tie at the cut
+	f.Add([]byte{0, 3, 2, 9, 0, 0, 128, 63, 0, 0, 128, 191, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 192, 127})
+	f.Add(append([]byte{3, 40, 7, 77}, make([]byte, 4*4*50)...)) // all-zero rows: everything ties at 0
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<14 {
+			t.Skip("cap corpus growth")
+		}
+		dim, k, flags, seed := 1, 1, 0, 0
+		if len(data) >= 4 {
+			dim = 1 + int(data[0])%12
+			k = 1 + int(data[1])
+			flags = int(data[2])
+			seed = int(data[3])
+			data = data[4:]
+		}
+		rows := len(data) / 4 / dim
+		vecs := make([]float64, rows*dim)
+		for i := range vecs {
+			bits := uint32(data[4*i]) | uint32(data[4*i+1])<<8 | uint32(data[4*i+2])<<16 | uint32(data[4*i+3])<<24
+			vecs[i] = float64(math.Float32frombits(bits))
+		}
+		ix := New(vecs, rows, dim, Config{BlockRows: 1 + flags%7})
+		query := make([]float64, dim)
+		for i := range query {
+			// Mix two rows so the query is rarely parallel to one.
+			if rows > 0 {
+				query[i] = vecs[(seed%rows)*dim+i] + 0.5*vecs[((seed+1)%rows)*dim+i]
+			} else {
+				query[i] = float64(i + 1)
+			}
+		}
+		if flags&8 != 0 && rows > 2 { // a subset view: every other row
+			var ids []int
+			for id := seed % 2; id < rows; id += 2 {
+				ids = append(ids, id)
+			}
+			ix = ix.Subset(ids)
+		}
+		exclude := NoExclude
+		if flags&16 != 0 && rows > 0 {
+			exclude = int32(seed % rows)
+		}
+		assertSelectMatchesOracle(t, "fuzz", ix, query, k, exclude)
+		assertSelectMatchesOracle(t, "fuzz", ix, query, rows, exclude)
+	})
+}

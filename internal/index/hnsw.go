@@ -493,7 +493,7 @@ func (a *ANN) SearchAppend(dst []Result, query []float64, k, ef, workers int, ex
 		return a.ix.SearchAppend(dst, query, k, workers, exclude), true
 	}
 	st := a.states.Get().(*annState)
-	if !st.setQuery(query) {
+	if !packQuery(st.q, query) {
 		a.states.Put(st)
 		return dst, false
 	}
@@ -562,24 +562,6 @@ func (st *annState) nextEpoch() {
 		}
 		st.epoch = 1
 	}
-}
-
-// setQuery packs query unit-normalized into st.q, mirroring the exact
-// scan's normalization bit for bit, and reports false for a zero or
-// non-finite query.
-func (st *annState) setQuery(query []float64) bool {
-	var norm float64
-	for _, x := range query {
-		norm += x * x
-	}
-	if norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
-		return false
-	}
-	inv := 1 / math.Sqrt(norm)
-	for i, x := range query {
-		st.q[i] = float32(x * inv)
-	}
-	return true
 }
 
 // frontier is a max-heap of entries under the shared total order: pop

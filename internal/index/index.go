@@ -8,10 +8,12 @@
 // vocabulary row per session, so the scan is bandwidth-bound). The row
 // space is partitioned into cache-sized blocks claimed by a bounded set
 // of scanners — the querying goroutine plus idle helpers from a
-// process-wide pool — each folding its share into a bounded top-k heap;
-// the per-scanner heaps are merged at the end under a total order
-// (higher score first, ties broken by ascending ID), so results are
-// reproducible across runs, worker counts and block partitions.
+// process-wide pool — each scoring its blocks straight into one
+// row-indexed score buffer with a four-lane SIMD kernel (dot.go); the
+// querying goroutine then folds the buffer through one bounded heap
+// under a total order (higher score first, ties broken by ascending
+// ID), so results are reproducible across runs, worker counts and block
+// partitions.
 //
 // Exactness: the index performs the same brute-force scan as the serial
 // reference, only in float32. A dot product of two unit vectors of
@@ -40,8 +42,7 @@ type Config struct {
 	Workers int
 	// BlockRows is the claim granularity of the scan in rows. Zero
 	// selects a block spanning roughly 256 KiB of packed matrix,
-	// clamped to [64, 8192] rows, so a block stays cache-resident while
-	// a scanner folds it into its heap.
+	// clamped to [64, 8192] rows.
 	BlockRows int
 }
 
@@ -92,8 +93,8 @@ func New(vecs []float64, rows, dim int, cfg Config) *Index {
 			// Zero rows stay zero (cosine 0 against everything), and rows
 			// with NaN/Inf components join them: their cosine is
 			// undefined, the float64 serial reference already scores them
-			// 0 via its rn > 0 guard, and a NaN packed value would poison
-			// every heap comparison it ever takes part in.
+			// 0 via its rn > 0 guard, and a NaN score would poison the
+			// selection (it has no place in the order).
 			continue
 		}
 		inv := 1 / math.Sqrt(norm)
@@ -174,8 +175,8 @@ func (ix *Index) Search(query []float64, k int) []Result {
 // returns the extended slice, in decreasing cosine order with ties
 // broken by ascending ID. workers caps scan parallelism for this query
 // (0 selects the index default); exclude suppresses one original ID
-// (NoExclude for none). A zero query has no defined neighbourhood and
-// returns dst unchanged, like the serial reference.
+// (NoExclude for none). A zero or non-finite query has no defined
+// neighbourhood and returns dst unchanged, like the serial reference.
 //
 // Steady state, the query allocates nothing: scratch comes from a pool
 // sized on first use, and parallel scanning hands blocks to persistent
@@ -187,35 +188,50 @@ func (ix *Index) SearchAppend(dst []Result, query []float64, k, workers int, exc
 	if len(query) != ix.dim {
 		panic("index: query dimensionality mismatch")
 	}
-	if k > ix.rows {
-		k = ix.rows
-	}
 	qs := ix.states.Get().(*queryState)
-	if !qs.setQuery(query) {
+	if !packQuery(qs.q, query) {
 		ix.states.Put(qs)
 		return dst
 	}
-	qs.k = k
-	qs.exclude = ix.rowOf(exclude)
 	qs.next.Store(0)
-	qs.slots.Store(0)
 	qs.wg.Add(ix.blocks)
 	epoch := qs.epoch.Add(1) // odd: query active, helpers may enter
 
 	if w := ix.clampWorkers(workers); w > 1 {
 		offerHelp(qs, epoch, w-1)
 	}
-	qs.scan(true)
+	qs.scan()
 	qs.wg.Wait()
 	qs.epoch.Add(1) // even: query done, new helpers bounce
 	for qs.active.Load() != 0 {
 		// A helper that entered just before the epoch flip exits as soon
-		// as it sees no blocks left; wait it out before touching heaps.
+		// as it sees no blocks left; wait it out before the state can be
+		// handed to another query.
 		runtime.Gosched()
 	}
-	dst = qs.merge(dst)
+	dst = qs.selectTop(dst, k, ix.rowOf(exclude))
 	ix.states.Put(qs)
 	return dst
+}
+
+// packQuery writes query unit-normalized into dst as float32, reporting
+// false — dst undefined — for a query without a direction: zero, or
+// with a NaN/Inf component or a norm that overflows. Every search path
+// normalizes through here, so exact and ANN queries see the same bits
+// and reject the same inputs.
+func packQuery(dst []float32, query []float64) bool {
+	var norm float64
+	for _, x := range query {
+		norm += x * x
+	}
+	if norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return false
+	}
+	inv := 1 / math.Sqrt(norm)
+	for i, x := range query {
+		dst[i] = float32(x * inv)
+	}
+	return true
 }
 
 // clampWorkers resolves the per-query scanner budget.
@@ -259,37 +275,16 @@ func (ix *Index) rowOf(origID int32) int32 {
 	return -1
 }
 
-// scanBlock folds block b into heap h.
-func (ix *Index) scanBlock(q []float32, b int, exclude int32, h *topk) {
+// scoreBlock writes the score of every row of block b into scores.
+func (ix *Index) scoreBlock(q []float32, b int, scores []float32) {
 	lo := b * ix.blockRows
-	hi := lo + ix.blockRows
-	if hi > ix.rows {
-		hi = ix.rows
-	}
+	hi := min(lo+ix.blockRows, ix.rows)
 	dim := ix.dim
-	for r := lo; r < hi; r++ {
-		if int32(r) == exclude {
-			continue
-		}
-		s := dot32(q, ix.packed[r*dim:r*dim+dim])
-		h.offer(entry{score: s, row: int32(r)})
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		dot32x4(q, ix.packed[r*dim:(r+4)*dim], (*[4]float32)(scores[r:r+4]))
 	}
-}
-
-// dot32 returns the float32 inner product of two equal-length vectors,
-// unrolled four-wide for instruction-level parallelism.
-func dot32(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a) &^ 3
-	_ = b[len(a)-1]
-	for i := 0; i < n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+	for ; r < hi; r++ {
+		scores[r] = dot32(q, ix.packed[r*dim:r*dim+dim])
 	}
-	for i := n; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
 }

@@ -1,21 +1,24 @@
 package index
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // queryState is the pooled scratch of one in-flight query: the packed
-// query vector, one bounded heap per scanner slot, and the atomics
+// query vector, the row-indexed score buffer the scanners fill (4 bytes
+// per indexed row), the owner's selection heap, and the atomics
 // coordinating block claims. It is reused across queries via the
 // index's sync.Pool, so the steady-state query allocates nothing.
 type queryState struct {
-	ix      *Index
-	q       []float32
-	k       int
-	exclude int32
+	ix *Index
+	q  []float32
+	// scores[r] is row r's cosine to q. Scanners own disjoint block
+	// ranges of it; the query owner reads it after wg.Wait.
+	scores []float32
+	// top selects the k best of scores, touched by the query owner only.
+	top topk
 
 	// epoch is odd while a query is active. Helpers receive (state,
 	// epoch) tokens from the process-wide channel; a token whose epoch
@@ -23,64 +26,32 @@ type queryState struct {
 	// and the helper bounces off without touching anything.
 	epoch atomic.Uint64
 	// active counts helpers inside help(); the query owner waits for it
-	// to drain after the epoch flip before reading the heaps.
+	// to drain after the epoch flip before releasing the state.
 	active atomic.Int32
 	// next is the index of the next unclaimed scan block.
 	next atomic.Int32
-	// slots hands out heap slots 1..len(heaps)-1 to helpers; slot 0
-	// belongs to the calling goroutine.
-	slots atomic.Int32
 
-	wg    sync.WaitGroup
-	heaps []topk
-	out   topk
+	wg sync.WaitGroup
 }
 
 func newQueryState(ix *Index) *queryState {
 	return &queryState{
-		ix:    ix,
-		q:     make([]float32, ix.dim),
-		heaps: make([]topk, 1+helperCount()),
+		ix:     ix,
+		q:      make([]float32, ix.dim),
+		scores: make([]float32, ix.rows),
 	}
 }
 
-// setQuery normalizes query into the packed float32 buffer, reporting
-// false for a zero vector (no defined neighbourhood).
-func (qs *queryState) setQuery(query []float64) bool {
-	var norm float64
-	for _, x := range query {
-		norm += x * x
-	}
-	if norm == 0 {
-		return false
-	}
-	inv := 1 / math.Sqrt(norm)
-	for i, x := range query {
-		qs.q[i] = float32(x * inv)
-	}
-	return true
-}
-
-// scan claims blocks until none remain. The caller owns heap slot 0; a
-// helper acquires its slot only after winning its first block claim —
-// a successful claim means the query owner is still blocked in wg.Wait,
-// so resetting the slot's heap cannot race with the merge.
-func (qs *queryState) scan(caller bool) {
-	var h *topk
-	if caller {
-		h = &qs.heaps[0]
-		h.reset(qs.k)
-	}
+// scan claims blocks until none remain, scoring each into qs.scores. A
+// successful claim means the query owner is still blocked in wg.Wait,
+// so the write cannot race with the selection.
+func (qs *queryState) scan() {
 	for {
 		b := int(qs.next.Add(1)) - 1
 		if b >= qs.ix.blocks {
 			return
 		}
-		if h == nil {
-			h = &qs.heaps[qs.slots.Add(1)]
-			h.reset(qs.k)
-		}
-		qs.ix.scanBlock(qs.q, b, qs.exclude, h)
+		qs.ix.scoreBlock(qs.q, b, qs.scores)
 		qs.wg.Done()
 	}
 }
@@ -89,22 +60,22 @@ func (qs *queryState) scan(caller bool) {
 func (qs *queryState) help(epoch uint64) {
 	qs.active.Add(1)
 	if qs.epoch.Load() == epoch {
-		qs.scan(false)
+		qs.scan()
 	}
 	qs.active.Add(-1)
 }
 
-// merge folds every used heap into the output heap and appends the
-// final ranking to dst, best first.
-func (qs *queryState) merge(dst []Result) []Result {
-	used := int(qs.slots.Load())
-	qs.out.reset(qs.k)
-	for s := 0; s <= used; s++ {
-		for _, e := range qs.heaps[s].e {
-			qs.out.offer(e)
+// selectTop appends to dst the k best rows of qs.scores, skipping row
+// exclude (-1 for none), best first.
+func (qs *queryState) selectTop(dst []Result, k int, exclude int32) []Result {
+	h := &qs.top
+	h.reset(min(k, len(qs.scores)))
+	for r, s := range qs.scores {
+		if int32(r) != exclude {
+			h.offer(entry{score: s, row: int32(r)})
 		}
 	}
-	n := len(qs.out.e)
+	n := len(h.e)
 	base := len(dst)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Result{})
@@ -113,7 +84,7 @@ func (qs *queryState) merge(dst []Result) []Result {
 	// the back.
 	ids := qs.ix.ids
 	for i := n - 1; i >= 0; i-- {
-		e := qs.out.pop()
+		e := h.pop()
 		id := e.row
 		if ids != nil {
 			id = ids[id]
@@ -184,9 +155,9 @@ type entry struct {
 }
 
 // worse reports whether a ranks strictly below b in the total result
-// order: lower score, or equal score and higher row. Using a total
-// order at every comparison makes the kept set — not just its final
-// sort — independent of the block partition.
+// order: lower score, or equal score and higher row. The exact scan's
+// selection and every HNSW comparison share it, which is what makes
+// their scores and ranks comparable bit for bit.
 func worse(a, b entry) bool {
 	return a.score < b.score || (a.score == b.score && a.row > b.row)
 }

@@ -1,0 +1,272 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// refSelect is the selection oracle: score every row with the portable
+// kernel, sort them all by the total order (score desc, ID asc), cut to
+// k. It shares nothing with the scan's kernel, score buffer and heap but
+// the packed rows.
+func refSelect(ix *Index, query []float64, k int, exclude int32) []Result {
+	var norm float64
+	for _, x := range query {
+		norm += x * x
+	}
+	if k <= 0 || norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return nil
+	}
+	q := make([]float32, ix.dim)
+	for i, x := range query {
+		q[i] = float32(x * (1 / math.Sqrt(norm)))
+	}
+	var all []Result
+	for r := 0; r < ix.rows; r++ {
+		id := int32(r)
+		if ix.ids != nil {
+			id = ix.ids[r]
+		}
+		if id == exclude {
+			continue
+		}
+		all = append(all, Result{ID: id, Score: dot32Portable(q, ix.packed[r*ix.dim:(r+1)*ix.dim])})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].ID < all[j].ID
+	})
+	if k < len(all) {
+		all = all[:k]
+	}
+	return all
+}
+
+// sameResults compares two answers bit for bit.
+func sameResults(a, b []Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float32bits(a[i].Score) != math.Float32bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// assertSelectMatchesOracle runs one query through SearchAppend, at one
+// worker and at many, and requires the oracle's answer from each.
+func assertSelectMatchesOracle(t *testing.T, what string, ix *Index, query []float64, k int, exclude int32) {
+	t.Helper()
+	want := refSelect(ix, query, k, exclude)
+	for _, workers := range []int{1, 8} {
+		if got := ix.SearchAppend(nil, query, k, workers, exclude); !sameResults(got, want) {
+			t.Fatalf("%s: SearchAppend(k=%d, workers=%d, exclude=%d) over %d rows differs from the oracle\n got %v\nwant %v",
+				what, k, workers, exclude, ix.rows, clip(got), clip(want))
+		}
+	}
+}
+
+func clip(r []Result) []Result {
+	if len(r) > 12 {
+		return r[:12]
+	}
+	return r
+}
+
+// selectKs is the k grid of the issue: 1, a mid value, rows-1, rows and
+// beyond.
+func selectKs(rows int) []int {
+	ks := []int{1, rows - 1, rows, rows + 7}
+	if rows > 4 {
+		ks = append(ks, rows/2, rows/10+1)
+	}
+	return ks
+}
+
+func TestSearchSelectMatchesOracleRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1601))
+	for trial := 0; trial < 60; trial++ {
+		rows := 2 + rng.Intn(600)
+		dim := 1 + rng.Intn(40)
+		var zero []int
+		for r := 0; r < rows; r++ {
+			if rng.Float64() < 0.03 {
+				zero = append(zero, r)
+			}
+		}
+		vecs := randMatrix(rng, rows, dim, zero...)
+		ix := New(vecs, rows, dim, Config{BlockRows: 1 + rng.Intn(64)})
+		query := randMatrix(rng, 1, dim)
+		switch trial % 15 { // a query without a direction has no neighbours
+		case 12:
+			clear(query)
+		case 13:
+			query[0] = math.NaN()
+		case 14:
+			query[dim-1] = math.Inf(1)
+		}
+		for _, k := range selectKs(rows) {
+			// exclude: none, a winner (the best row), a likely loser.
+			best := NoExclude
+			if top := ix.Search(query, 1); len(top) == 1 {
+				best = top[0].ID
+			}
+			for _, ex := range []int32{NoExclude, best, int32(rng.Intn(rows)), int32(rows + 3)} {
+				assertSelectMatchesOracle(t, fmt.Sprintf("trial %d", trial), ix, query, k, ex)
+			}
+		}
+	}
+}
+
+// TestSearchSelectMatchesOracleTies drives the cut through long runs of
+// equal and nearly equal scores, where only the total order decides
+// which rows make the cut.
+func TestSearchSelectMatchesOracleTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(1602))
+	dim := 12
+	query := randMatrix(rng, 1, dim)
+	matrices := map[string]func(rows int) []float64{
+		// Every score equal.
+		"identical rows": func(rows int) []float64 {
+			base := randMatrix(rng, 1, dim)
+			m := make([]float64, 0, rows*dim)
+			for r := 0; r < rows; r++ {
+				m = append(m, base...)
+			}
+			return m
+		},
+		// A handful of distinct directions, each repeated many times.
+		"few distinct rows": func(rows int) []float64 {
+			bases := randMatrix(rng, 5, dim)
+			m := make([]float64, 0, rows*dim)
+			for r := 0; r < rows; r++ {
+				b := rng.Intn(5)
+				m = append(m, bases[b*dim:(b+1)*dim]...)
+			}
+			return m
+		},
+		// Scores that differ only in their last bits, interleaved with
+		// exact duplicates.
+		"nearly equal rows": func(rows int) []float64 {
+			base := randMatrix(rng, 1, dim)
+			m := make([]float64, 0, rows*dim)
+			for r := 0; r < rows; r++ {
+				for i, x := range base {
+					if i == r%dim && r%3 != 0 {
+						x += 1e-5 * (rng.Float64() - 0.5)
+					}
+					m = append(m, x)
+				}
+			}
+			return m
+		},
+		// Zero rows tie at exactly 0 with everything orthogonal.
+		"mostly zero rows": func(rows int) []float64 {
+			m := randMatrix(rng, rows, dim)
+			for r := 0; r < rows; r++ {
+				if r%4 != 0 {
+					clear(m[r*dim : (r+1)*dim])
+				}
+			}
+			return m
+		},
+	}
+	for what, build := range matrices {
+		for _, rows := range []int{9, 257, 700} {
+			ix := New(build(rows), rows, dim, Config{BlockRows: 32})
+			for _, k := range selectKs(rows) {
+				for _, ex := range []int32{NoExclude, 0, int32(rows / 2), int32(rows - 1)} {
+					assertSelectMatchesOracle(t, what, ix, query, k, ex)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchSelectMatchesOracleSubset checks the same equivalence on a
+// Subset view, where rows and original IDs differ.
+func TestSearchSelectMatchesOracleSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(1603))
+	rows, dim := 400, 9
+	full := New(randMatrix(rng, rows, dim, 5, 6, 200), rows, dim, Config{BlockRows: 16})
+	var ids []int
+	for id := 0; id < rows; id++ {
+		if rng.Float64() < 0.3 {
+			ids = append(ids, id)
+		}
+	}
+	sub := full.Subset(ids)
+	for trial := 0; trial < 10; trial++ {
+		query := randMatrix(rng, 1, dim)
+		for _, k := range selectKs(len(ids)) {
+			for _, ex := range []int32{NoExclude, int32(ids[0]), int32(ids[len(ids)/2]), 1} {
+				assertSelectMatchesOracle(t, "subset", sub, query, k, ex)
+			}
+		}
+	}
+}
+
+// TestSearchRejectsNonFiniteQuery is the regression test for the exact
+// scan ranking a query with a NaN or Inf component (it returned k rows
+// scored NaN in arbitrary order): exact, ANN and ANN-fallback searches
+// all treat such a query like the zero query — no neighbourhood.
+func TestSearchRejectsNonFiniteQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(1604))
+	rows, dim := 300, 8
+	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{})
+	graph := ix.BuildANN(ANNConfig{Ef: 16}) // 300 rows > ef: answers from the graph
+	fallback := ix.BuildANN(ANNConfig{})    // 300 rows > default ef 128, but k below forces the scan
+	for what, bad := range map[string]float64{"+Inf": math.Inf(1), "-Inf": math.Inf(-1), "NaN": math.NaN(), "overflowing norm": 1e200} {
+		q := randMatrix(rng, 1, dim)
+		q[rng.Intn(dim)] = bad
+		if got := ix.Search(q, 5); len(got) != 0 {
+			t.Errorf("%s query: exact scan returned %d rows: %v", what, len(got), clip(got))
+		}
+		if got, fell := graph.SearchAppend(nil, q, 5, 0, 1, NoExclude); len(got) != 0 || fell {
+			t.Errorf("%s query: ANN returned %d rows: %v (fallback %v)", what, len(got), clip(got), fell)
+		}
+		if got, fell := fallback.SearchAppend(nil, q, rows, 0, 1, NoExclude); len(got) != 0 || !fell {
+			t.Errorf("%s query: ANN fallback returned %d rows: %v (fallback %v)", what, len(got), clip(got), fell)
+		}
+	}
+}
+
+// BenchmarkSearchPaperScale times the exact scan in the paper's regime —
+// 470K hostnames, 128 dimensions, N ≪ rows — which no declared workload
+// of bench/ reaches: a clustered synthetic matrix (the recall gate's
+// shape), k = 10 and the paper's k = 1000, one scanner and GOMAXPROCS.
+func BenchmarkSearchPaperScale(b *testing.B) {
+	if testing.Short() {
+		b.Skip("builds a 470K x 128 matrix")
+	}
+	rng := rand.New(rand.NewSource(470))
+	rows, dim, clusters := 470_000, 128, 2000
+	vecs := clusteredMatrix(rng, rows, dim, clusters, 0.25)
+	ix := New(vecs, rows, dim, Config{})
+	queries := make([][]float64, 16)
+	for i := range queries {
+		queries[i] = sessionQuery(rng, vecs, rows, dim, clusters)
+	}
+	vecs = nil
+	var dst []Result
+	for _, k := range []int{10, 1000} {
+		for _, workers := range []int{1, 0} {
+			name := fmt.Sprintf("k=%d/workers=%d", k, workers)
+			if workers == 0 {
+				name = fmt.Sprintf("k=%d/workers=GOMAXPROCS", k)
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dst = ix.SearchAppend(dst[:0], queries[i%len(queries)], k, workers, NoExclude)
+				}
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"sort"
+	"sync/atomic"
 )
 
 // Ontology is the lookup service mapping hostnames to category vectors —
@@ -12,6 +13,8 @@ import (
 type Ontology struct {
 	tax    *Taxonomy
 	labels map[string]Vector
+	// matrix caches the LabelMatrix snapshot of labels; Add drops it.
+	matrix atomic.Pointer[LabelMatrix]
 }
 
 // New returns an empty ontology over taxonomy tax.
@@ -24,9 +27,13 @@ func (o *Ontology) Taxonomy() *Taxonomy { return o.tax }
 
 // Add registers the category vector for host. The vector is clamped into
 // [0,1] and stored by reference; callers must not mutate it afterwards.
+// Profilers and ad selectors built before the call keep the label
+// matrix they were built with and do not observe it. Not safe for use
+// concurrent with any other method.
 func (o *Ontology) Add(host string, v Vector) {
 	v.Clamp()
 	o.labels[host] = v
+	o.matrix.Store(nil)
 }
 
 // Lookup returns the category vector for host and whether it is labelled.
