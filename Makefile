@@ -83,11 +83,12 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below $(COVER_FLOOR)%"; exit 1; }
 
-# Short fuzz smoke over the WAL record decoder, the ANN build and the
-# exact scan's selection (CI runs the same).
+# Short fuzz smoke over the WAL record decoder, the ANN build, the ANN
+# graph loader and the exact scan's selection (CI runs the same).
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSearchSelect$$' -fuzztime 10s
 
 # The single CI definition: the workflow's test job runs exactly this.

@@ -37,7 +37,7 @@ func cmdServe(args []string) error {
 	epochs := fs.Int("epochs", 5, "training epochs per retrain")
 	n := fs.Int("n", 40, "profiler neighbourhood size N")
 	indexWorkers := fs.Int("index-workers", 0, "goroutines per similarity-index query (0 = GOMAXPROCS)")
-	ann := fs.Bool("ann", false, "answer neighbourhood queries with an HNSW graph (sublinear in vocabulary; rebuilt on retrain; falls back to the exact scan when the graph cannot meet recall)")
+	ann := fs.Bool("ann", false, "answer neighbourhood queries with an HNSW graph (sublinear in vocabulary; built per retrain, restored from the snapshot on restart; falls back to the exact scan when the graph cannot meet recall)")
 	annEf := fs.Int("ann-ef", 0, "ANN search breadth ef: larger is more accurate and slower (0 = default 128; only with -ann)")
 	annM := fs.Int("ann-m", 0, "ANN graph degree M: neighbours kept per node per layer (0 = default 16; only with -ann)")
 	profileCache := fs.Int("profile-cache", 4096, "session-profile LRU entries, invalidated on retrain (0 disables)")

@@ -127,6 +127,15 @@ type Model struct {
 	// embeddings; built lazily by SimilarityIndex, once per model.
 	fastIdx  *index.Index
 	fastOnce sync.Once
+
+	// ann is the HNSW graph over fastIdx, cached like it: every profiler
+	// over this model that asks for the same graph shares one build, and
+	// a snapshot of the model can carry it. annEncoded is a graph a
+	// snapshot carried for this model, unchecked until the first
+	// profiler over the model takes it — to load or to drop.
+	annMu      sync.Mutex
+	ann        *index.ANN
+	annEncoded []byte
 }
 
 // ErrEmptyCorpus is returned when no trainable sequences remain after
@@ -428,6 +437,74 @@ func (m *Model) SimilarityIndex() *index.Index {
 		m.fastIdx = index.New(m.in, m.vocab.Len(), m.dim, index.Config{})
 	})
 	return m.fastIdx
+}
+
+// SetEncodedANN hands the model a graph encoded by index.ANN.AppendBinary
+// for it — the bytes a snapshot carried beside the model. They are held
+// only until the first NewProfiler over the model, which loads them if
+// it wants exactly that graph and drops them either way.
+func (m *Model) SetEncodedANN(data []byte) {
+	m.annMu.Lock()
+	m.annEncoded = data
+	m.annMu.Unlock()
+}
+
+// EncodedANN returns the model's HNSW graph in index.ANN.AppendBinary's
+// encoding, for a snapshot to carry: encoded from the live graph on
+// every call, not kept. Until a profiler has taken them it returns the
+// bytes SetEncodedANN was given, so a snapshot in that window carries
+// them on; nil when the model has neither.
+func (m *Model) EncodedANN() []byte {
+	m.annMu.Lock()
+	defer m.annMu.Unlock()
+	if m.ann == nil {
+		return m.annEncoded
+	}
+	return m.ann.AppendBinary(nil)
+}
+
+// ANNRestore reports how NewProfiler came by its HNSW graph, for the
+// caller's log.
+type ANNRestore struct {
+	// Built: this profiler ran BuildANN. Restored: it decoded and
+	// validated the graph from a snapshot's bytes instead, in LoadTime,
+	// and Rows and Edges size what it got. Neither: an earlier profiler
+	// over the same model had the graph already, or cfg.ANN is off.
+	Built, Restored bool
+	LoadTime        time.Duration
+	Rows, Edges     int
+	// Rejected is why a snapshot's graph was refused — it is some other
+	// graph, or damaged — and built afresh instead.
+	Rejected error
+}
+
+// annGraph returns the model's HNSW graph under cfg: the cached one when
+// cfg names it, else the one a snapshot carried when that loads, else a
+// fresh build, which replaces the cache. Pending snapshot bytes do not
+// survive the call.
+func (m *Model) annGraph(cfg index.ANNConfig) (*index.ANN, ANNRestore) {
+	ix := m.SimilarityIndex()
+	m.annMu.Lock()
+	defer m.annMu.Unlock()
+	data := m.annEncoded
+	m.annEncoded = nil
+	if m.ann != nil && m.ann.BuiltWith(cfg) {
+		return m.ann, ANNRestore{}
+	}
+	var how ANNRestore
+	m.ann = nil
+	if data != nil {
+		start := time.Now()
+		if m.ann, how.Rejected = ix.LoadANN(data, cfg); how.Rejected == nil {
+			how.Restored, how.LoadTime = true, time.Since(start)
+			st := m.ann.Stats()
+			how.Rows, how.Edges = st.GraphRows, st.Edges
+		}
+	}
+	if m.ann == nil {
+		m.ann, how.Built = ix.BuildANN(cfg), true
+	}
+	return m.ann, how
 }
 
 // Similarity returns the cosine similarity between the embeddings of two

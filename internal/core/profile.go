@@ -57,7 +57,10 @@ type ProfilerConfig struct {
 	// over the packed rows instead of the exact scan — sublinear in the
 	// vocabulary, opt-in, with a transparent exact-scan fallback when
 	// the graph cannot meet its recall contract (see index.ANN). The
-	// labelled view gets its own graph. Ignored under SerialScan.
+	// graph belongs to the model: profilers over one model share it, and
+	// one a snapshot carried for the model is loaded instead of built.
+	// The labelled view gets its own graph on the first NearestLabelled
+	// call. Ignored under SerialScan.
 	ANN bool
 	// ANNEf is the ANN search breadth (dynamic candidate list size);
 	// 0 selects the index default (128). Larger is slower and more
@@ -96,12 +99,16 @@ type Profiler struct {
 	idx *index.Index
 	lab *index.Index
 
-	// ann and labANN are the HNSW graphs over idx and lab, nil unless
-	// cfg.ANN. They are immutable once built, so a retrain swaps in a
-	// whole new Profiler with fresh graphs — queries can never pair an
-	// old graph with new vectors.
-	ann    *index.ANN
-	labANN *index.ANN
+	// ann is the model's HNSW graph over idx, nil unless cfg.ANN; annHow
+	// says whether this profiler built, loaded or shared it. A graph is
+	// immutable and cached on the model it was built over, so queries
+	// can never pair an old graph with new vectors. labANN is the graph
+	// over lab, which no serving path queries: labelledANN builds it when
+	// NearestLabelled first asks.
+	ann     *index.ANN
+	annHow  ANNRestore
+	labANN  *index.ANN
+	labOnce sync.Once
 
 	// Sampled recall accounting: every 64th graph-answered query also
 	// runs the exact scan and scores the ANN answer against it.
@@ -112,6 +119,7 @@ type Profiler struct {
 	// Cached metric handles, nil without cfg.Metrics.
 	mQueries      *obs.Counter
 	mQuerySeconds *obs.Histogram
+	mANNBuild     *obs.Histogram
 	mANNQueries   *obs.Counter
 	mANNFallbacks *obs.Counter
 	mANNSampled   *obs.Counter
@@ -191,11 +199,7 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 			p.lab = p.idx.Subset(labelled)
 		}
 		if cfg.ANN {
-			annCfg := index.ANNConfig{M: cfg.ANNM, Ef: cfg.ANNEf}
-			p.ann = p.idx.BuildANN(annCfg)
-			if p.lab != nil {
-				p.labANN = p.lab.BuildANN(annCfg)
-			}
+			p.ann, p.annHow = m.annGraph(p.annConfig())
 		}
 		if reg := cfg.Metrics; reg != nil {
 			reg.Describe("hostprof_index_build_seconds", "Time to build (or attach) the packed similarity index per profiler.")
@@ -217,7 +221,7 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 			p.mQueries = reg.Counter("hostprof_index_queries_total")
 			p.mQuerySeconds = reg.Histogram("hostprof_index_query_seconds", obs.ExpBuckets(0.0001, 2, 14))
 			if p.ann != nil {
-				reg.Describe("hostprof_index_ann_build_seconds", "Time to build each HNSW graph (full and labelled view).")
+				reg.Describe("hostprof_index_ann_build_seconds", "Time to build each HNSW graph (full and labelled view); a graph restored from a snapshot is not a build.")
 				reg.Describe("hostprof_index_ann_nodes", "Rows inserted into the HNSW graph, by graph.")
 				reg.Describe("hostprof_index_ann_edges", "Directed edges in the HNSW graph over all layers, by graph.")
 				reg.Describe("hostprof_index_ann_max_level", "Highest populated HNSW layer, by graph.")
@@ -225,20 +229,10 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 				reg.Describe("hostprof_index_ann_fallbacks_total", "ANN queries answered by the exact-scan fallback instead of the graph.")
 				reg.Describe("hostprof_index_ann_sampled_queries_total", "Graph-answered queries re-run exactly for the recall estimate.")
 				reg.Describe("hostprof_index_ann_recall_estimate", "Sampled ANN recall against the exact scan since the last (re)build; 1 before any sample.")
-				bh := reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 2, 16))
-				for _, g := range []struct {
-					name string
-					ann  *index.ANN
-				}{{"full", p.ann}, {"labelled", p.labANN}} {
-					if g.ann == nil {
-						continue
-					}
-					st := g.ann.Stats()
-					bh.Observe(st.BuildTime.Seconds())
-					reg.Gauge("hostprof_index_ann_nodes", obs.L("graph", g.name)).Set(float64(st.GraphRows))
-					reg.Gauge("hostprof_index_ann_edges", obs.L("graph", g.name)).Set(float64(st.Edges))
-					reg.Gauge("hostprof_index_ann_max_level", obs.L("graph", g.name)).Set(float64(st.MaxLevel))
-				}
+				// Registered even when nothing is built, so its count says
+				// whether this process built its graph or was handed it.
+				p.mANNBuild = reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 2, 16))
+				p.observeANN("full", p.ann, p.annHow.Built)
 				p.mANNQueries = reg.Counter("hostprof_index_ann_queries_total")
 				p.mANNFallbacks = reg.Counter("hostprof_index_ann_fallbacks_total")
 				p.mANNSampled = reg.Counter("hostprof_index_ann_sampled_queries_total")
@@ -254,8 +248,51 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 			}
 		}
 	}
+	if p.ann == nil {
+		// This profiler serves without a graph, so the one a snapshot
+		// carried for the model has no taker: do not keep its bytes alive.
+		m.SetEncodedANN(nil)
+	}
 	return p
 }
+
+// annConfig is the graph this profiler's configuration names. ANNEf is
+// passed per query instead, so profilers of different search breadth
+// share one graph.
+func (p *Profiler) annConfig() index.ANNConfig { return index.ANNConfig{M: p.cfg.ANNM} }
+
+// observeANN publishes one graph's shape, and its build time when this
+// profiler built it.
+func (p *Profiler) observeANN(graph string, ann *index.ANN, built bool) {
+	reg := p.cfg.Metrics
+	if reg == nil {
+		return
+	}
+	st := ann.Stats()
+	if built {
+		p.mANNBuild.Observe(st.BuildTime.Seconds())
+	}
+	reg.Gauge("hostprof_index_ann_nodes", obs.L("graph", graph)).Set(float64(st.GraphRows))
+	reg.Gauge("hostprof_index_ann_edges", obs.L("graph", graph)).Set(float64(st.Edges))
+	reg.Gauge("hostprof_index_ann_max_level", obs.L("graph", graph)).Set(float64(st.MaxLevel))
+}
+
+// labelledANN returns the HNSW graph over the labelled view, nil without
+// cfg.ANN, building it on first use.
+func (p *Profiler) labelledANN() *index.ANN {
+	if p.ann == nil {
+		return nil
+	}
+	p.labOnce.Do(func() {
+		p.labANN = p.lab.BuildANN(p.annConfig())
+		p.observeANN("labelled", p.labANN, true)
+	})
+	return p.labANN
+}
+
+// ANNRestore reports how the profiler came by its HNSW graph; the zero
+// value without cfg.ANN.
+func (p *Profiler) ANNRestore() ANNRestore { return p.annHow }
 
 // logIDF returns ln(total/count) floored at a small positive value, so
 // ubiquitous hosts still contribute to the session vector, just weakly.
@@ -331,7 +368,7 @@ func (p *Profiler) annSearch(dst []index.Result, ix *index.Index, ann *index.ANN
 	if ann == nil {
 		return ix.SearchAppend(dst, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
 	}
-	res, fellBack := ann.SearchAppend(dst, sVec, k, 0, p.cfg.IndexWorkers, index.NoExclude)
+	res, fellBack := ann.SearchAppend(dst, sVec, k, p.cfg.ANNEf, p.cfg.IndexWorkers, index.NoExclude)
 	p.mANNQueries.Inc() // nil-safe without cfg.Metrics
 	if fellBack {
 		p.mANNFallbacks.Inc()
@@ -416,7 +453,7 @@ func (p *Profiler) NearestLabelled(hosts []string, k int) []Neighbour {
 		}
 		return out
 	}
-	res := p.annSearch(nil, p.lab, p.labANN, sVec, k)
+	res := p.annSearch(nil, p.lab, p.labelledANN(), sVec, k)
 	ns := make([]Neighbour, len(res))
 	for i, r := range res {
 		id := int(r.ID)

@@ -151,10 +151,22 @@ func New(cfg Config) *Engine {
 }
 
 // build assembles the serving state for one model: its profiler (index,
-// optional ANN graphs) and an empty cache.
+// optional ANN graph — loaded when the store's snapshot carried the
+// model's, built otherwise) and an empty cache.
 func (e *Engine) build(model *core.Model) *generation {
+	p := core.NewProfiler(model, e.cfg.Ontology, e.cfg.Profile)
+	switch how := p.ANNRestore(); {
+	case how.Rejected != nil:
+		e.cfg.Logger.Warn("snapshot's ANN graph rejected, rebuilt",
+			slog.String("reason", how.Rejected.Error()))
+	case how.Restored:
+		e.cfg.Logger.Info("ANN graph restored from snapshot",
+			slog.Int("rows", how.Rows),
+			slog.Int("edges", how.Edges),
+			slog.Duration("elapsed", how.LoadTime))
+	}
 	return &generation{
-		profiler: core.NewProfiler(model, e.cfg.Ontology, e.cfg.Profile),
+		profiler: p,
 		cache:    newProfileCache(e.cfg.CacheSize, e.cfg.Metrics),
 	}
 }

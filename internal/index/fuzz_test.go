@@ -2,6 +2,8 @@ package index
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,6 +55,14 @@ func FuzzANNBuild(f *testing.F) {
 				t.Fatalf("rebuild changed the graph: %+v vs %+v", st, s2)
 			}
 		}
+		// So is its encoding: what was built loads, as the same graph.
+		loaded, err := ix.LoadANN(ann.AppendBinary(nil), ANNConfig{M: m, EfConstruction: ef, Ef: ef, Seed: 42})
+		if err != nil {
+			t.Fatalf("a built graph does not load: %v", err)
+		}
+		if d := graphDiff(loaded, ann); d != "" {
+			t.Fatalf("round trip changed the graph in %s", d)
+		}
 
 		query := make([]float64, dim)
 		if rows > 0 {
@@ -88,6 +98,63 @@ func FuzzANNBuild(f *testing.F) {
 			for _, r := range ex {
 				if r.ID == 0 {
 					t.Fatal("excluded ID 0 present in results")
+				}
+			}
+		}
+	})
+}
+
+// FuzzANNLoad feeds arbitrary bytes to LoadANN over a fixed index. The
+// harness rewrites the trailing checksum, so mutations reach the header
+// and structure checks instead of all dying at the first one. Nothing
+// may panic, and whatever the loader accepts must be safe to query: 100
+// queries return at most k unique in-range rows in (score desc, ID asc)
+// order.
+func FuzzANNLoad(f *testing.F) {
+	const rows, dim, k = 96, 4, 5
+	rng := rand.New(rand.NewSource(96))
+	cfg := ANNConfig{M: 3, EfConstruction: 12, Ef: 8, Seed: 7}
+	ix := New(randMatrix(rng, rows, dim, 11), rows, dim, Config{BlockRows: 16})
+	built := ix.BuildANN(cfg)
+	valid := built.AppendBinary(nil)
+	queries := make([][]float64, 100)
+	for i := range queries {
+		queries[i] = randMatrix(rng, 1, dim)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:annHeaderLen+4])
+	f.Add(valid[:len(valid)/2])
+	for _, off := range []int{8, 24, annHeaderLen, annHeaderLen + 4*len(built.cnt), len(valid) - 8} {
+		d := slices.Clone(valid)
+		d[off] ^= 0x41 // header field, first count, first and last edge
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*len(valid) {
+			t.Skip("cap corpus growth")
+		}
+		// The engine owns data; the checksum fix-up works on a copy.
+		ann, err := ix.LoadANN(fixChecksum(slices.Clone(data)), cfg)
+		if err != nil {
+			if ann != nil {
+				t.Fatal("LoadANN returned a graph with its error")
+			}
+			return
+		}
+		for _, q := range queries {
+			got, _ := ann.SearchAppend(nil, q, k, 0, 1, NoExclude)
+			if len(got) > k {
+				t.Fatalf("returned %d results for k=%d", len(got), k)
+			}
+			seen := make(map[int32]bool, len(got))
+			for i, r := range got {
+				if r.ID < 0 || int(r.ID) >= rows || seen[r.ID] {
+					t.Fatalf("result %d: ID %d out of range or repeated", i, r.ID)
+				}
+				seen[r.ID] = true
+				if i > 0 && worse(entry{score: got[i-1].Score, row: got[i-1].ID}, entry{score: r.Score, row: r.ID}) {
+					t.Fatalf("results out of (score desc, ID asc) order at %d: %v then %v", i, got[i-1], r)
 				}
 			}
 		}

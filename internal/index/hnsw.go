@@ -84,7 +84,8 @@ func (c ANNConfig) withDefaults() ANNConfig {
 }
 
 // ANN is a frozen HNSW graph over an Index's packed rows. Queries are
-// safe for concurrent use; the graph is immutable after BuildANN.
+// safe for concurrent use; the graph is immutable once BuildANN or
+// LoadANN returns it.
 type ANN struct {
 	ix  *Index
 	cfg ANNConfig
@@ -106,8 +107,8 @@ type ANN struct {
 	cnt     []int32
 	nbr     []int32
 
-	buildTime time.Duration
-	states    sync.Pool // *annState
+	buildTime time.Duration // zero for a loaded graph
+	states    sync.Pool     // *annState
 }
 
 // ANNStats describes a built graph, for metrics and diagnostics.
@@ -125,8 +126,28 @@ type ANNStats struct {
 // BuildANN constructs an HNSW graph over the index's packed rows. The
 // build is sequential and deterministic: same rows, same cfg, same
 // graph. The index itself is unchanged and keeps serving exact scans.
+// It is the only constructor of a graph's edges; LoadANN restores what
+// an earlier BuildANN over the same rows produced.
 func (ix *Index) BuildANN(cfg ANNConfig) *ANN {
 	start := time.Now()
+	a := ix.newANN(cfg)
+	st := newAnnState(a)
+	for r, l := range a.levels {
+		if l < 0 {
+			continue
+		}
+		a.insert(int32(r), int(l), st)
+		a.graphRows++
+	}
+	a.buildTime = time.Since(start)
+	return a
+}
+
+// newANN lays out an edgeless graph over ix: node levels (-1 for rows
+// rejected at insert) and the segment and neighbour bases they imply.
+// All of it is a pure function of (cfg, rows), so BuildANN and LoadANN
+// both start here and differ only in where cnt and nbr come from.
+func (ix *Index) newANN(cfg ANNConfig) *ANN {
 	cfg = cfg.withDefaults()
 	a := &ANN{
 		ix:    ix,
@@ -154,15 +175,6 @@ func (ix *Index) BuildANN(cfg ANNConfig) *ANN {
 	}
 	a.cnt = make([]int32, a.segBase[rows])
 	a.nbr = make([]int32, a.nbrBase[rows])
-	st := newAnnState(a)
-	for r := 0; r < rows; r++ {
-		if a.levels[r] < 0 {
-			continue
-		}
-		a.insert(int32(r), int(a.levels[r]), st)
-		a.graphRows++
-	}
-	a.buildTime = time.Since(start)
 	a.states.New = func() any { return newAnnState(a) }
 	return a
 }
@@ -184,6 +196,10 @@ func (a *ANN) Stats() ANNStats {
 		BuildTime: a.buildTime,
 	}
 }
+
+// BuiltWith reports whether the graph is what BuildANN(cfg) returns over
+// its index, so a holder can reuse it instead of building again.
+func (a *ANN) BuiltWith(cfg ANNConfig) bool { return a.cfg == cfg.withDefaults() }
 
 // Index returns the exact index the graph was built over.
 func (a *ANN) Index() *Index { return a.ix }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,30 +21,33 @@ const snapshotVersion = 1
 // core.Model.Save), if any. Seq is the WAL cut sequence: segments with
 // seq <= Seq are folded into this snapshot and must be skipped (and may
 // be deleted) once it exists.
+//
+// ANN is the model's HNSW graph, if it has one, in the encoding of
+// internal/index — opaque here, and in the same file as Model so the
+// rename that publishes one publishes the other. It is optional in both
+// directions, which is why it did not bump snapshotVersion: gob drops a
+// field the decoding struct lacks and leaves a field the stream lacks
+// zero, so a snapshot written before the field existed loads here (and
+// the graph is rebuilt) and one written here loads there.
 type snapshotWire struct {
 	Version int
 	Seq     uint64
 	Visits  []trace.Visit
 	Model   []byte
+	ANN     []byte
 }
 
 func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
 }
 
-// writeSnapshot persists visits and model atomically: encode to a temp
-// file, fsync it, rename into place, fsync the directory. A crash at any
-// point leaves either the previous snapshot or the new one, never a
-// partially visible file.
-func writeSnapshot(dir string, seq uint64, visits []trace.Visit, model *core.Model) error {
-	wire := snapshotWire{Version: snapshotVersion, Seq: seq, Visits: visits}
-	if model != nil {
-		var mb bytes.Buffer
-		if err := model.Save(&mb); err != nil {
-			return fmt.Errorf("store: serializing model for snapshot: %w", err)
-		}
-		wire.Model = mb.Bytes()
-	}
+// writeSnapshot persists visits, the serialized model and its encoded
+// graph (either may be nil) atomically: encode to a temp file, fsync it,
+// rename into place, fsync the directory. A crash at any point leaves
+// either the previous snapshot or the new one, never a partially visible
+// file.
+func writeSnapshot(dir string, seq uint64, visits []trace.Visit, model, ann []byte) error {
+	wire := snapshotWire{Version: snapshotVersion, Seq: seq, Visits: visits, Model: model, ANN: ann}
 	tmp, err := os.CreateTemp(dir, snapPrefix+"*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot temp: %w", err)
@@ -86,14 +90,21 @@ func loadSnapshot(path string) (snapshotWire, *core.Model, error) {
 		if err != nil {
 			return snapshotWire{}, nil, fmt.Errorf("store: snapshot model: %w", err)
 		}
+		// The model checks the graph against its rows when a profiler
+		// asks for one; a graph it refuses costs a rebuild, not the open.
+		model.SetEncodedANN(wire.ANN)
 	}
 	return wire, model, nil
 }
 
 // newestSnapshot finds the newest loadable snapshot under dir, skipping
 // any that fail validation (e.g. written by a newer version or damaged
-// by the storage layer). ok is false when no usable snapshot exists.
-func newestSnapshot(dir string) (wire snapshotWire, model *core.Model, ok bool, err error) {
+// by the storage layer) — each with a warning and a count in
+// RecoveryStats.SkippedSnapshots, because the visits only it held are
+// gone once its WAL segments were retired. ok is false when no usable
+// snapshot exists.
+func (s *Store) newestSnapshot() (wire snapshotWire, model *core.Model, ok bool, err error) {
+	dir := s.cfg.Dir
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return snapshotWire{}, nil, false, fmt.Errorf("store: listing snapshots: %w", err)
@@ -108,6 +119,10 @@ func newestSnapshot(dir string) (wire snapshotWire, model *core.Model, ok bool, 
 	for _, seq := range seqs {
 		w, m, lerr := loadSnapshot(snapPath(dir, seq))
 		if lerr != nil {
+			s.rec.SkippedSnapshots++
+			s.cfg.Logger.Warn("store skipping unreadable snapshot",
+				slog.String("path", snapPath(dir, seq)),
+				slog.String("error", lerr.Error()))
 			continue
 		}
 		return w, m, true, nil

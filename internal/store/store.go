@@ -160,6 +160,10 @@ type RecoveryStats struct {
 	// ModelRestored reports whether the snapshot carried a trained
 	// model.
 	ModelRestored bool
+	// SkippedSnapshots counts snapshots newer than the one loaded (or
+	// than none) that could not be read. Non-zero means recovery fell
+	// back, and visits only the skipped files held are missing.
+	SkippedSnapshots int
 }
 
 // Store is the sharded visit store. All methods are safe for concurrent
@@ -229,7 +233,8 @@ func Open(cfg Config) (*Store, error) {
 		slog.Int("snapshot_visits", s.rec.SnapshotVisits),
 		slog.Int("wal_records", s.rec.ReplayedRecords),
 		slog.Bool("torn_tail", s.rec.TornTail),
-		slog.Bool("model_restored", s.rec.ModelRestored))
+		slog.Bool("model_restored", s.rec.ModelRestored),
+		slog.Int("skipped_snapshots", s.rec.SkippedSnapshots))
 	if cfg.Fsync == FsyncInterval {
 		s.wg.Add(1)
 		go s.fsyncLoop()
@@ -244,7 +249,7 @@ func Open(cfg Config) (*Store, error) {
 // recover loads the newest snapshot, replays the WAL tail and opens a
 // fresh segment for new appends.
 func (s *Store) recover() error {
-	wire, model, haveSnap, err := newestSnapshot(s.cfg.Dir)
+	wire, model, haveSnap, err := s.newestSnapshot()
 	if err != nil {
 		return err
 	}
@@ -254,7 +259,13 @@ func (s *Store) recover() error {
 		for _, v := range wire.Visits {
 			s.applyVisit(v)
 		}
-		s.model = model
+		if model != nil {
+			// The snapshot's bytes are the model's artifact: the version
+			// served after a restart is the hash of what is on disk, and
+			// the first /readyz does not encode the model to learn it.
+			s.model = model
+			s.artifact = &ModelArtifact{Version: ArtifactVersion(wire.Model), Data: wire.Model}
+		}
 		s.rec.SnapshotVisits = len(wire.Visits)
 		s.rec.ModelRestored = model != nil
 	}
@@ -513,22 +524,30 @@ func ArtifactVersion(data []byte) string {
 // repeated exports (a gateway distributing one generation to N peers)
 // pay the encoding cost once. ok is false when no model is trained yet.
 func (s *Store) ModelArtifact() (art ModelArtifact, ok bool, err error) {
+	m, art, err := s.modelAndArtifact()
+	return art, m != nil, err
+}
+
+// modelAndArtifact returns the current model with its artifact, encoding
+// it if no one has since the model was set. Both are zero without a
+// model.
+func (s *Store) modelAndArtifact() (*core.Model, ModelArtifact, error) {
 	s.modelMu.Lock()
 	defer s.modelMu.Unlock()
 	if s.model == nil {
-		return ModelArtifact{}, false, nil
+		return nil, ModelArtifact{}, nil
 	}
 	if s.artifact == nil {
 		var buf bytes.Buffer
 		if err := s.model.Save(&buf); err != nil {
-			return ModelArtifact{}, false, fmt.Errorf("store: exporting model: %w", err)
+			return nil, ModelArtifact{}, fmt.Errorf("store: exporting model: %w", err)
 		}
 		s.artifact = &ModelArtifact{
 			Version: ArtifactVersion(buf.Bytes()),
 			Data:    buf.Bytes(),
 		}
 	}
-	return *s.artifact, true, nil
+	return s.model, *s.artifact, nil
 }
 
 // ModelVersion returns the current model's content version, or "" when
@@ -565,9 +584,12 @@ func (s *Store) Flush() error {
 var ErrDegraded = errors.New("store: degraded (WAL detached)")
 
 // Snapshot writes a durable snapshot of the current visits and model,
-// then retires the WAL segments it covers. Appends are blocked only for
-// the in-memory copy and WAL cut, not for the disk write. No-op for
-// in-memory stores; ErrDegraded while the WAL is detached.
+// then retires the WAL segments it covers. The model goes to disk as its
+// cached artifact — the bytes whose hash ModelVersion reports — with the
+// model's HNSW graph, when it has one, encoded beside it. Appends are
+// blocked only for the in-memory copy and WAL cut, not for the disk
+// write. No-op for in-memory stores; ErrDegraded while the WAL is
+// detached.
 func (s *Store) Snapshot() error {
 	if s.wal == nil {
 		return nil
@@ -586,7 +608,16 @@ func (s *Store) Snapshot() error {
 		s.met.snapshotErrors.Inc()
 		return err
 	}
-	if err := writeSnapshot(s.cfg.Dir, cut, visits, s.Model()); err != nil {
+	model, art, err := s.modelAndArtifact()
+	if err != nil {
+		s.met.snapshotErrors.Inc()
+		return err
+	}
+	var ann []byte
+	if model != nil {
+		ann = model.EncodedANN()
+	}
+	if err := writeSnapshot(s.cfg.Dir, cut, visits, art.Data, ann); err != nil {
 		s.met.snapshotErrors.Inc()
 		return err
 	}
