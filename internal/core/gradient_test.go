@@ -38,11 +38,12 @@ func sgnsLoss(m *Model, centre, ctx, neg int) float64 {
 // host c (index 2) and whose window shrink is deterministic (Window=1).
 func newFixedTrainer(m *Model) *trainer {
 	return &trainer{
-		m:     m,
-		cfg:   TrainConfig{Window: 1, Negative: 1, Subsample: -1},
-		rng:   stats.NewRNG(1),
-		noise: stats.NewWeighted(stats.NewRNG(2), []float64{0, 0, 1}),
-		neu1e: make([]float64, 4),
+		m:        m,
+		cfg:      TrainConfig{Window: 1, Negative: 1, Subsample: -1},
+		rng:      stats.NewRNG(1),
+		noise:    stats.NewAlias([]float64{0, 0, 1}),
+		noiseRNG: stats.NewRNG(2),
+		neu1e:    make([]float64, 4),
 	}
 }
 
@@ -139,7 +140,7 @@ func TestTrainStepSkipsNegativeEqualToContext(t *testing.T) {
 	m := fixedModel()
 	tr := newFixedTrainer(m)
 	// Noise distribution concentrated on the context host b (=1).
-	tr.noise = stats.NewWeighted(stats.NewRNG(3), []float64{0, 1, 0})
+	tr.noise = stats.NewAlias([]float64{0, 1, 0})
 	before := append([]float64(nil), m.out[8:12]...) // v_c untouched
 	tr.trainSequence([]int32{0, 1}, 0.1)
 	for i, x := range m.out[8:12] {

@@ -48,14 +48,16 @@ type TrainConfig struct {
 	// than one worker, weight updates follow the standard lock-free
 	// Hogwild scheme used by word2vec/gensim: concurrent updates may
 	// race benignly, trading bit-level determinism for throughput.
-	// Default 1 (fully deterministic).
+	// Default runtime.GOMAXPROCS(0); a bit-identical model per seed needs
+	// Workers: 1. A race-detector build always trains on one worker (see
+	// race_on.go).
 	Workers int
 	// Seed seeds all training randomness.
 	Seed uint64
 	// Progress, when non-nil, is called once after every completed
 	// epoch, from the goroutine running Train, with all workers
 	// quiesced. Setting it also enables loss tracking, which costs one
-	// log evaluation per trained pair.
+	// log evaluation per trained (centre, context) pair.
 	Progress func(EpochStats)
 }
 
@@ -192,13 +194,14 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 		m.in[i] = (init.Float64() - 0.5) / float64(cfg.Dim)
 	}
 
-	// Noise distribution: counts^power, sampled by binary search over
-	// the CDF (equivalent to word2vec's unigram table, exact instead of
-	// discretized).
-	noise := make([]float64, vocab.Len())
-	for i := range noise {
-		noise[i] = math.Pow(float64(vocab.Count(i)), cfg.UnigramPower)
+	// Noise distribution: counts^power behind one alias table that every
+	// worker draws from with its own generator (word2vec's unigram table,
+	// exact instead of discretized, O(1) per draw).
+	weights := make([]float64, vocab.Len())
+	for i := range weights {
+		weights[i] = math.Pow(float64(vocab.Count(i)), cfg.UnigramPower)
 	}
+	noise := stats.NewAlias(weights)
 
 	// Subsampling keep-probabilities (word2vec formula).
 	keep := make([]float64, vocab.Len())
@@ -233,7 +236,8 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 			m:         m,
 			cfg:       cfg,
 			rng:       stats.NewRNG(cfg.Seed ^ (0x9e37*uint64(w) + 1)),
-			noise:     stats.NewWeighted(stats.NewRNG(cfg.Seed+uint64(w)*7919+13), noise),
+			noise:     noise,
+			noiseRNG:  stats.NewRNG(cfg.Seed + uint64(w)*7919 + 13),
 			keep:      keep,
 			neu1e:     make([]float64, cfg.Dim),
 			trackLoss: cfg.Progress != nil,
@@ -302,12 +306,14 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 
 // trainer holds per-worker training state.
 type trainer struct {
-	m     *Model
-	cfg   TrainConfig
-	rng   *stats.RNG
-	noise *stats.Weighted
-	keep  []float64
-	neu1e []float64 // gradient accumulator for the centre vector
+	m        *Model
+	cfg      TrainConfig
+	rng      *stats.RNG   // subsampling and window shrink
+	noise    *stats.Alias // shared by all workers, read-only
+	noiseRNG *stats.RNG
+	keep     []float64
+	kept     []int32   // subsampled sequence, reused across sequences
+	neu1e    []float64 // gradient accumulator for the centre vector
 
 	// Loss accounting, only maintained when trackLoss is set; read by
 	// the Train goroutine at epoch barriers.
@@ -323,17 +329,19 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 	// spans the retained subsequence.
 	kept := seq
 	if t.cfg.Subsample > 0 {
-		kept = kept[:0:0]
+		kept = t.kept[:0]
 		for _, id := range seq {
 			if t.keep[id] >= 1 || t.rng.Float64() < t.keep[id] {
 				kept = append(kept, id)
 			}
 		}
+		t.kept = kept
 		if len(kept) < 2 {
 			return
 		}
 	}
 	dim := t.m.dim
+	neu1e := t.neu1e
 	for c := range kept {
 		centre := int(kept[c])
 		// Random window shrink: uniform in [1, Window].
@@ -352,41 +360,69 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 				continue
 			}
 			ctx := int(kept[j])
-			for i := range t.neu1e {
-				t.neu1e[i] = 0
-			}
-			// One positive pair plus K negatives.
+			clear(neu1e)
+			// One positive pair plus K negatives. Equation (2)'s loss for
+			// the pair is -log σ(x) - Σ log σ(-x_k): the probabilities are
+			// multiplied up in lik and logged once.
+			lik := 1.0
 			for k := 0; k <= t.cfg.Negative; k++ {
-				var target int
-				var label float64
-				if k == 0 {
-					target, label = ctx, 1
-				} else {
-					target = t.noise.Draw()
+				target, label := ctx, 1.0
+				if k > 0 {
+					target, label = t.noise.Draw(t.noiseRNG), 0
 					if target == ctx {
 						continue
 					}
-					label = 0
 				}
-				ovec := t.m.out[target*dim : target*dim+dim]
-				y := stats.Sigmoid(stats.Dot(cvec, ovec))
+				y := sgnsStep(cvec, t.m.out[target*dim:target*dim+dim], neu1e, label, lr)
 				if t.trackLoss {
-					// Negative-sampling objective of Equation (2):
-					// -log σ(x) for the pair, -log σ(-x) per negative.
-					if label == 1 {
-						t.lossSum -= math.Log(y + lossEps)
-						t.lossPairs++
-					} else {
-						t.lossSum -= math.Log(1 - y + lossEps)
+					if k > 0 {
+						y = 1 - y
+					}
+					// Each factor is at least lossEps, so flushing below
+					// 1e-280 keeps lik normal for any Negative.
+					if lik *= y + lossEps; lik < 1e-280 {
+						t.lossSum -= math.Log(lik)
+						lik = 1
 					}
 				}
-				g := (label - y) * lr
-				stats.AXPY(g, ovec, t.neu1e)
-				stats.AXPY(g, cvec, ovec)
 			}
-			stats.AXPY(1, t.neu1e, cvec)
+			if t.trackLoss {
+				t.lossSum -= math.Log(lik)
+				t.lossPairs++
+			}
+			stats.AXPY(1, neu1e, cvec)
 		}
 	}
+}
+
+// sgnsStep is one SGD step of Equation (2) on a (centre, target) sample:
+// it scores y = σ(c·o), adds the centre's share of the gradient
+// g = (label - y)·lr to neu, moves the target row o along c, and returns
+// y. All three slices have the model's dimensionality.
+func sgnsStep(c, o, neu []float64, label, lr float64) float64 {
+	n := len(c)
+	o, neu = o[:n], neu[:n]
+	// Four independent partial sums: a single one would serialise the
+	// loop on the latency of its add.
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i <= n-4; i += 4 {
+		s0 += c[i] * o[i]
+		s1 += c[i+1] * o[i+1]
+		s2 += c[i+2] * o[i+2]
+		s3 += c[i+3] * o[i+3]
+	}
+	for ; i < n; i++ {
+		s0 += c[i] * o[i]
+	}
+	y := stats.Sigmoid((s0 + s1) + (s2 + s3))
+	g := (label - y) * lr
+	for i, ci := range c {
+		oi := o[i]
+		neu[i] += g * oi
+		o[i] = oi + g*ci
+	}
+	return y
 }
 
 // Vocab returns the model's vocabulary.

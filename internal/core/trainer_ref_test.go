@@ -1,0 +1,241 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"hostprof/internal/stats"
+)
+
+// refTrainSequence is the trainer's inner loop as it stood before the
+// fused kernel — stats.Dot, then one stats.AXPY per update, one log per
+// sample — kept as the oracle trainSequence is checked against. It draws
+// from the same generators in the same order, so from equal state the two
+// see identical samples.
+func (t *trainer) refTrainSequence(seq []int32, lr float64) {
+	kept := seq
+	if t.cfg.Subsample > 0 {
+		kept = kept[:0:0]
+		for _, id := range seq {
+			if t.keep[id] >= 1 || t.rng.Float64() < t.keep[id] {
+				kept = append(kept, id)
+			}
+		}
+		if len(kept) < 2 {
+			return
+		}
+	}
+	dim := t.m.dim
+	for c := range kept {
+		centre := int(kept[c])
+		b := 1 + t.rng.Intn(t.cfg.Window)
+		lo := c - b
+		if lo < 0 {
+			lo = 0
+		}
+		hi := c + b
+		if hi >= len(kept) {
+			hi = len(kept) - 1
+		}
+		cvec := t.m.in[centre*dim : centre*dim+dim]
+		for j := lo; j <= hi; j++ {
+			if j == c {
+				continue
+			}
+			ctx := int(kept[j])
+			for i := range t.neu1e {
+				t.neu1e[i] = 0
+			}
+			for k := 0; k <= t.cfg.Negative; k++ {
+				var target int
+				var label float64
+				if k == 0 {
+					target, label = ctx, 1
+				} else {
+					target = t.noise.Draw(t.noiseRNG)
+					if target == ctx {
+						continue
+					}
+					label = 0
+				}
+				ovec := t.m.out[target*dim : target*dim+dim]
+				y := stats.Sigmoid(stats.Dot(cvec, ovec))
+				if t.trackLoss {
+					if label == 1 {
+						t.lossSum -= math.Log(y + lossEps)
+						t.lossPairs++
+					} else {
+						t.lossSum -= math.Log(1 - y + lossEps)
+					}
+				}
+				g := (label - y) * lr
+				stats.AXPY(g, ovec, t.neu1e)
+				stats.AXPY(g, cvec, ovec)
+			}
+			stats.AXPY(1, t.neu1e, cvec)
+		}
+	}
+}
+
+// kernelFixture returns a trainer over a random hosts×dim model with the
+// library's default window, negatives and subsampling, and one encoded
+// sequence to train on. Equal arguments give equal fixtures.
+func kernelFixture(hosts, dim, seqLen int) (*trainer, []int32) {
+	rng := stats.NewRNG(uint64(1000 + dim))
+	m := &Model{dim: dim, in: make([]float64, hosts*dim), out: make([]float64, hosts*dim)}
+	for i := range m.in {
+		// Larger than a fresh model's weights, so the sigmoids leave 0.5
+		// and a summation-order slip would show.
+		m.in[i] = rng.Float64() - 0.5
+		m.out[i] = rng.Float64() - 0.5
+	}
+	weights := make([]float64, hosts)
+	keep := make([]float64, hosts)
+	for i := range weights {
+		weights[i] = math.Pow(float64(i+1), -0.75)
+		keep[i] = 0.5 + 0.5*rng.Float64()
+	}
+	seq := make([]int32, seqLen)
+	for i := range seq {
+		seq[i] = int32(rng.Intn(hosts))
+	}
+	return &trainer{
+		m:         m,
+		cfg:       TrainConfig{Window: 2, Negative: 5, Subsample: 1e-3},
+		rng:       stats.NewRNG(7),
+		noise:     stats.NewAlias(weights),
+		noiseRNG:  stats.NewRNG(8),
+		keep:      keep,
+		neu1e:     make([]float64, dim),
+		trackLoss: true,
+	}, seq
+}
+
+// TestTrainSequenceMatchesReference runs the product kernel and the
+// reference loop from identical state over identical draws: every weight
+// must agree to 1e-12 — they differ only in the order the dot product is
+// summed — and the tracked loss, one log per pair against one per sample,
+// to 1e-9 relative with the same pair count.
+func TestTrainSequenceMatchesReference(t *testing.T) {
+	for _, dim := range []int{1, 3, 4, 7, 64, 100, 130} {
+		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
+			got, seq := kernelFixture(50, dim, 200)
+			want, _ := kernelFixture(50, dim, 200)
+			got.trainSequence(seq, 0.025)
+			want.refTrainSequence(seq, 0.025)
+			for i := range want.m.in {
+				if d := math.Abs(got.m.in[i] - want.m.in[i]); !(d <= 1e-12) {
+					t.Fatalf("in[%d] = %v, reference %v", i, got.m.in[i], want.m.in[i])
+				}
+				if d := math.Abs(got.m.out[i] - want.m.out[i]); !(d <= 1e-12) {
+					t.Fatalf("out[%d] = %v, reference %v", i, got.m.out[i], want.m.out[i])
+				}
+			}
+			if got.lossPairs != want.lossPairs || got.lossPairs == 0 {
+				t.Fatalf("pairs = %d, reference %d", got.lossPairs, want.lossPairs)
+			}
+			if rel := math.Abs(got.lossSum-want.lossSum) / want.lossSum; !(rel <= 1e-9) {
+				t.Fatalf("loss = %v, reference %v (relative error %g)", got.lossSum, want.lossSum, rel)
+			}
+			if got.rng.Uint64() != want.rng.Uint64() || got.noiseRNG.Uint64() != want.noiseRNG.Uint64() {
+				t.Fatal("kernel and reference consumed different random streams")
+			}
+		})
+	}
+}
+
+// TestTrainSequenceLossSurvivesManyNegatives drives the per-pair
+// likelihood product far past what a float64 holds — 400 saturated
+// negatives at 1e-12 each — and still wants the reference's loss.
+func TestTrainSequenceLossSurvivesManyNegatives(t *testing.T) {
+	build := func() *trainer {
+		tr, _ := kernelFixture(50, 8, 2)
+		tr.cfg.Negative, tr.cfg.Subsample = 400, -1
+		for i := range tr.m.in {
+			tr.m.in[i], tr.m.out[i] = 3, 3 // σ(72) is 1 to the last bit
+		}
+		return tr
+	}
+	got, want := build(), build()
+	seq := []int32{0, 1}
+	got.trainSequence(seq, 1e-9)
+	want.refTrainSequence(seq, 1e-9)
+	if math.IsInf(got.lossSum, 0) || math.IsNaN(got.lossSum) {
+		t.Fatalf("loss = %v", got.lossSum)
+	}
+	if rel := math.Abs(got.lossSum-want.lossSum) / want.lossSum; !(rel <= 1e-9) {
+		t.Fatalf("loss = %v, reference %v", got.lossSum, want.lossSum)
+	}
+}
+
+// TestTrainSeparatesTopicsQualityPin holds the alias-sampled trainer to
+// the separation the CDF-sampled one reached on TestTrainSeparatesTopics'
+// corpus with one worker: mean within-topic minus mean across-topic
+// cosine. Moving the negative-draw stream reshuffles the value per seed
+// as much as moving the seed does — the parent spans 0.8648–0.8744 over
+// seeds 40–51, with smallConfig's seed 42 (0.874438) its maximum, where
+// this trainer gives 0.872538 — so the pin is the mean over those twelve
+// seeds, which is what the parent's trainer and this one can be held to.
+func TestTrainSeparatesTopicsQualityPin(t *testing.T) {
+	const parentMean = 0.869900
+	corpus, ta, tb := topicCorpus(stats.NewRNG(7), 10, 400, 12)
+	var mean float64
+	for seed := uint64(40); seed < 52; seed++ {
+		cfg := smallConfig()
+		cfg.Seed = seed
+		m, err := Train(corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var intra, inter float64
+		var nIntra, nInter int
+		for i := 0; i < 5; i++ {
+			for j := i + 1; j < 5; j++ {
+				for _, pair := range [][2]string{{ta[i], ta[j]}, {tb[i], tb[j]}} {
+					s, err := m.Similarity(pair[0], pair[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					intra += s
+					nIntra++
+				}
+				s, err := m.Similarity(ta[i], tb[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				inter += s
+				nInter++
+			}
+		}
+		gap := intra/float64(nIntra) - inter/float64(nInter)
+		t.Logf("seed %d: within-topic minus across-topic similarity %.6f", seed, gap)
+		mean += gap / 12
+	}
+	if mean < parentMean {
+		t.Fatalf("mean separation %.6f fell below the parent's %.6f", mean, parentMean)
+	}
+}
+
+// BenchmarkTrainSequence times one 200-host sequence through the
+// reference loop and the product kernel over a 3 749-row model (the bench
+// world's vocabulary), loss tracking on as in every served retrain.
+func BenchmarkTrainSequence(b *testing.B) {
+	for _, dim := range []int{64, 100} {
+		for _, impl := range []string{"ref", "kernel"} {
+			b.Run(fmt.Sprintf("%s/dim%d", impl, dim), func(b *testing.B) {
+				tr, seq := kernelFixture(3749, dim, 200)
+				step := tr.trainSequence
+				if impl == "ref" {
+					step = tr.refTrainSequence
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// A vanishing rate keeps the weights, and so the work
+					// per iteration, where the fixture put them.
+					step(seq, 1e-9)
+				}
+			})
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -174,6 +176,49 @@ func TestBackendGracefulClose(t *testing.T) {
 	}
 	if rec.SnapshotVisits != 20 {
 		t.Fatalf("SnapshotVisits = %d, want 20", rec.SnapshotVisits)
+	}
+}
+
+// TestBackendStoreLogsToConfiguredLogger: the store New opens on
+// DataDir reports through Config.Logger like the rest of the backend —
+// the recovery summary, and the warning for a snapshot it had to skip —
+// and puts nothing on the process default.
+func TestBackendStoreLogsToConfiguredLogger(t *testing.T) {
+	var stray bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&stray, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	dir := t.TempDir()
+	var logs bytes.Buffer
+	b := newDurableBackendWith(t, dir, nil, core.ProfilerConfig{N: 30, Agg: core.AggIDF}, &logs)
+	if !strings.Contains(logs.String(), "store recovered") {
+		t.Fatalf("configured logger lacks the store's recovery line:\n%s", logs.String())
+	}
+	if _, err := b.report(context.Background(), 1, 1, []string{"logged.example"}); err != nil && !errors.Is(err, engine.ErrNotTrained) {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.gob"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots after Close: %v, %v", snaps, err)
+	}
+	if err := os.Truncate(snaps[0], 10); err != nil {
+		t.Fatal(err)
+	}
+
+	logs.Reset()
+	b2 := newDurableBackendWith(t, dir, nil, core.ProfilerConfig{N: 30, Agg: core.AggIDF}, &logs)
+	t.Cleanup(func() { b2.Close() })
+	for _, want := range []string{"level=WARN", "store skipping unreadable snapshot", "store recovered", "skipped_snapshots=1"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Fatalf("configured logger lacks %q:\n%s", want, logs.String())
+		}
+	}
+	if stray.Len() != 0 {
+		t.Fatalf("logged to slog.Default() beside the configured logger:\n%s", stray.String())
 	}
 }
 

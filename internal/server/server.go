@@ -230,6 +230,7 @@ func New(cfg Config) (*Backend, error) {
 			Fsync:         cfg.Fsync,
 			SnapshotEvery: cfg.SnapshotEvery,
 			Metrics:       reg,
+			Logger:        cfg.Logger,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)

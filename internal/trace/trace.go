@@ -5,6 +5,8 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -43,11 +45,11 @@ func (t *Trace) ensureSorted() {
 	if t.sorted {
 		return
 	}
-	sort.SliceStable(t.visits, func(i, j int) bool {
-		if t.visits[i].Time != t.visits[j].Time {
-			return t.visits[i].Time < t.visits[j].Time
+	slices.SortStableFunc(t.visits, func(a, b Visit) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		return t.visits[i].User < t.visits[j].User
+		return cmp.Compare(a.User, b.User)
 	})
 	t.sorted = true
 }
