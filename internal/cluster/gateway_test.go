@@ -642,3 +642,30 @@ func TestGatewayBatchRejectsMalformedSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayOversizedBodyIs413 pins one answer for a body past the
+// proxy limit on every forwarded route; /v1/profile/batch used to call
+// it 400 "invalid JSON: http: request body too large".
+func TestGatewayOversizedBodyIs413(t *testing.T) {
+	fx := newClusterFixture(t, 1, 2)
+	// Valid JSON all the way, so only the size can be at fault.
+	pad := strings.Repeat(" ", maxProxyBody)
+	for path, body := range map[string]string{
+		"/v1/report":        `{"user":1,"time":2,"hosts":["a.example"]` + pad + `}`,
+		"/v1/feedback":      `{"user":1,"ad_id":2,"source":"original"` + pad + `}`,
+		"/v1/profile/batch": `{"sessions":[["a.example"]]` + pad + `}`,
+	} {
+		resp, err := http.Post(fx.gwSrv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body → %d, want 413", path, len(body), resp.StatusCode)
+		}
+		if n := fx.counters[0].count(path); n != 0 {
+			t.Errorf("%s: the shard saw %d requests of a refused body", path, n)
+		}
+	}
+}

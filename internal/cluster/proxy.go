@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -73,7 +74,13 @@ func (g *Gateway) doShard(ctx context.Context, method, shard, path string, hdr m
 	g.reg.Counter("hostprof_gateway_shard_requests_total",
 		obs.L("backend", shard), obs.L("code", strconv.Itoa(resp.StatusCode))).Inc()
 	ans := shardAnswer{status: resp.StatusCode, header: resp.Header}
-	ans.body, err = io.ReadAll(resp.Body)
+	if n := resp.ContentLength; n >= 0 && n <= maxProxyBody {
+		// ReadAll would regrow its buffer a dozen times over a batch answer.
+		ans.body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, ans.body)
+	} else {
+		ans.body, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
 		g.reg.Counter("hostprof_gateway_shard_errors_total", obs.L("backend", shard)).Inc()
 		return shardAnswer{}, fmt.Errorf("cluster: reading %s %s from %s: %w", method, path, shard, err)
@@ -283,23 +290,30 @@ func (g *Gateway) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // sessions and shard results stay raw JSON: chunk bodies and the merged
 // answer are spliced from the original bytes, never re-encoded.
 func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Sessions []json.RawMessage `json:"sessions"`
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpmw.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+		return
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProxyBody)).Decode(&req); err != nil {
+	var sessions []json.RawMessage
+	if err == nil {
+		sessions, err = arrayField(raw, "sessions")
+	}
+	if err != nil {
 		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
 		return
 	}
-	for i, raw := range req.Sessions {
-		if !isStringArray(raw) {
+	for i, sess := range sessions {
+		if !isStringArray(sess) {
 			httpmw.WriteError(w, http.StatusBadRequest,
 				fmt.Sprintf("cluster: invalid JSON: session %d is not an array of strings", i))
 			return
 		}
 	}
-	if len(req.Sessions) > g.cfg.MaxSessionsPerBatch {
+	if len(sessions) > g.cfg.MaxSessionsPerBatch {
 		httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: %d sessions exceeds limit %d", len(req.Sessions), g.cfg.MaxSessionsPerBatch))
+			fmt.Sprintf("cluster: %d sessions exceeds limit %d", len(sessions), g.cfg.MaxSessionsPerBatch))
 		return
 	}
 	shards := g.readyShards()
@@ -309,7 +323,7 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sp := tracer.FromContext(r.Context()); sp.Recording() {
-		sp.SetAttr("sessions", strconv.Itoa(len(req.Sessions)))
+		sp.SetAttr("sessions", strconv.Itoa(len(sessions)))
 		sp.SetAttr("shards", strconv.Itoa(len(shards)))
 	}
 
@@ -318,15 +332,15 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		shard      string
 	}
 	var chunks []chunk
-	for i, start := 0, 0; start < len(req.Sessions); i, start = i+1, start+g.cfg.ShardBatchLimit {
+	for i, start := 0, 0; start < len(sessions); i, start = i+1, start+g.cfg.ShardBatchLimit {
 		end := start + g.cfg.ShardBatchLimit
-		if end > len(req.Sessions) {
-			end = len(req.Sessions)
+		if end > len(sessions) {
+			end = len(sessions)
 		}
 		chunks = append(chunks, chunk{start: start, end: end, shard: shards[i%len(shards)]})
 	}
 
-	results := make([]json.RawMessage, len(req.Sessions))
+	results := make([]json.RawMessage, len(sessions))
 	var (
 		wg      sync.WaitGroup
 		partial sync.Once
@@ -336,23 +350,21 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(c chunk) {
 			defer wg.Done()
-			body := spliceArray(`{"sessions":[`, req.Sessions[c.start:c.end], "]}")
+			body := spliceArray(`{"sessions":[`, sessions[c.start:c.end], "]}")
 			ans, err := g.forwardWithRetry(r.Context(), http.MethodPost, c.shard, "/v1/profile/batch",
 				map[string]string{"Content-Type": "application/json"}, body)
 			if err == nil && ans.status != http.StatusOK {
 				err = fmt.Errorf("cluster: shard %s answered HTTP %d", c.shard, ans.status)
 			}
 			if err == nil {
-				var resp struct {
-					Profiles []json.RawMessage `json:"profiles"`
-				}
-				if jerr := json.Unmarshal(ans.body, &resp); jerr != nil {
+				profiles, jerr := arrayField(ans.body, "profiles")
+				if jerr != nil {
 					err = fmt.Errorf("cluster: decoding batch from %s: %w", c.shard, jerr)
-				} else if len(resp.Profiles) != c.end-c.start {
+				} else if len(profiles) != c.end-c.start {
 					err = fmt.Errorf("cluster: shard %s returned %d profiles for %d sessions",
-						c.shard, len(resp.Profiles), c.end-c.start)
+						c.shard, len(profiles), c.end-c.start)
 				} else {
-					copy(results[c.start:c.end], resp.Profiles)
+					copy(results[c.start:c.end], profiles)
 					return
 				}
 			}

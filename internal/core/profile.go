@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,6 +142,9 @@ type profileScratch struct {
 	// inSession marks the label rows claimed by the session's own hosts
 	// (alpha = 1); set and cleared within one call.
 	inSession []bool
+	// hosts and seen back dedupFirst and SessionKey.
+	hosts []string
+	seen  map[string]struct{}
 }
 
 // Profiler errors.
@@ -183,6 +186,7 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 		return &profileScratch{
 			sVec:      make([]float64, m.Dim()),
 			inSession: make([]bool, p.labels.Rows()),
+			seen:      make(map[string]struct{}),
 		}
 	}
 	if cfg.Agg == AggIDF {
@@ -345,17 +349,19 @@ func (p *Profiler) finishSessionVector(s []float64, n int) {
 	}
 }
 
-// dedupFirst keeps the first occurrence of every host, preserving order.
-func dedupFirst(hosts []string) []string {
-	seen := make(map[string]bool, len(hosts))
-	out := make([]string, 0, len(hosts))
+// dedupFirst keeps the first occurrence of every host, preserving order
+// (Eq. 4 sums floats in session order). The result is sc's memory: it
+// must not outlive the caller's hold on sc.
+func (sc *profileScratch) dedupFirst(hosts []string) []string {
+	clear(sc.seen)
+	out := sc.hosts[:0]
 	for _, h := range hosts {
-		if seen[h] {
-			continue
+		n := len(sc.seen)
+		if sc.seen[h] = struct{}{}; len(sc.seen) > n {
+			out = append(out, h)
 		}
-		seen[h] = true
-		out = append(out, h)
 	}
+	sc.hosts = out
 	return out
 }
 
@@ -430,7 +436,7 @@ func (p *Profiler) neighbourContribs(ctx context.Context, sc *profileScratch, co
 // is labelled.
 func (p *Profiler) NearestLabelled(hosts []string, k int) []Neighbour {
 	if !p.cfg.SkipDedup {
-		hosts = dedupFirst(hosts)
+		hosts = (&profileScratch{seen: make(map[string]struct{})}).dedupFirst(hosts)
 	}
 	sVec, inVocab := p.SessionVector(hosts)
 	if inVocab == 0 || k <= 0 {
@@ -472,10 +478,9 @@ func (p *Profiler) NearestLabelled(hosts []string, k int) []Neighbour {
 // dropped unless SkipDedup is set (then multiplicity changes the
 // session vector, and the key keeps it).
 func (p *Profiler) SessionKey(hosts []string) string {
-	if !p.cfg.SkipDedup {
-		hosts = dedupFirst(hosts)
-	}
-	keep := make([]string, 0, len(hosts))
+	sc := p.scratch.Get().(*profileScratch)
+	defer p.scratch.Put(sc)
+	keep := sc.hosts[:0]
 	for _, h := range hosts {
 		if _, ok := p.model.Vocab().ID(h); ok {
 			keep = append(keep, h)
@@ -485,10 +490,11 @@ func (p *Profiler) SessionKey(hosts []string) string {
 			keep = append(keep, h)
 		}
 	}
-	if len(keep) == 0 {
-		return ""
+	sc.hosts = keep
+	slices.Sort(keep)
+	if !p.cfg.SkipDedup {
+		keep = slices.Compact(keep) // sorted, so repeats are adjacent
 	}
-	sort.Strings(keep)
 	return strings.Join(keep, "\n")
 }
 
@@ -510,13 +516,13 @@ func (p *Profiler) ProfileSession(hosts []string) (ontology.Vector, error) {
 // categories. The categories it skips would each add w·0 = +0 to a
 // non-negative sum, so the result has the bits of the dense sum.
 func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (ontology.Vector, error) {
-	if !p.cfg.SkipDedup {
-		hosts = dedupFirst(hosts)
-	}
 	if len(hosts) == 0 {
 		return nil, ErrEmptySession
 	}
 	sc := p.scratch.Get().(*profileScratch)
+	if !p.cfg.SkipDedup {
+		hosts = sc.dedupFirst(hosts)
+	}
 
 	// L: labelled hosts appearing in the session (whether or not they
 	// made it into the vocabulary — the observer knows their names).

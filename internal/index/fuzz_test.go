@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -161,6 +162,25 @@ func FuzzANNLoad(f *testing.F) {
 	})
 }
 
+// selectSeed lays out one FuzzSearchSelect input: dim-1, k-1, flags and
+// seed bytes, then the matrix as little-endian float32.
+func selectSeed(dim, k, flags, seed byte, vals ...float32) []byte {
+	data := []byte{dim, k, flags, seed}
+	for _, v := range vals {
+		data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
+	}
+	return data
+}
+
+// repeat32 returns n copies of vals, end to end.
+func repeat32(n int, vals ...float32) []float32 {
+	var out []float32
+	for i := 0; i < n; i++ {
+		out = append(out, vals...)
+	}
+	return out
+}
+
 // FuzzSearchSelect feeds arbitrary matrices, queries, k, exclusions and
 // subset views through the exact scan and requires the answer of the
 // sort-everything oracle (refSelect), bit for bit: every score, the
@@ -171,6 +191,25 @@ func FuzzSearchSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 3, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 63, 0, 0, 0, 64}) // duplicate rows: a tie at the cut
 	f.Add([]byte{0, 3, 2, 9, 0, 0, 128, 63, 0, 0, 128, 191, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 192, 127})
 	f.Add(append([]byte{3, 40, 7, 77}, make([]byte, 4*4*50)...)) // all-zero rows: everything ties at 0
+	// The pre-filter's corners, 50 rows each. All scores equal, k = 5
+	// (ten times k ties in the cut bucket), rows-1, rows, rows+1:
+	for _, k := range []byte{4, 48, 49, 50} {
+		f.Add(selectSeed(0, k, 0, 0, repeat32(50, 1)...))
+	}
+	// ... the excluded row alone in the top bucket (flags 16 excludes
+	// row seed, the row the query leans to):
+	crowd := repeat32(50, 0.6, 0.8)
+	crowd[2*7], crowd[2*7+1] = 1, 0
+	f.Add(selectSeed(1, 9, 16, 7, crowd...))
+	f.Add(selectSeed(1, 48, 16, 7, crowd...))
+	// ... and scores on ±1 and an ulp past it: rows parallel and
+	// anti-parallel to the query at assorted scales.
+	var ends []float32
+	for r := 0; r < 50; r++ {
+		scale := float32(1+r) * float32(1-2*(r%2)) / 7
+		ends = append(ends, scale, 2*scale, 3*scale)
+	}
+	f.Add(selectSeed(2, 9, 0, 4, ends...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			t.Skip("cap corpus growth")

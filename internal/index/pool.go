@@ -17,8 +17,10 @@ type queryState struct {
 	// scores[r] is row r's cosine to q. Scanners own disjoint block
 	// ranges of it; the query owner reads it after wg.Wait.
 	scores []float32
-	// top selects the k best of scores, touched by the query owner only.
-	top topk
+	// top selects the k best of scores, touched by the query owner only;
+	// counts is its pre-filter's histogram (8 KiB at any row count).
+	top    topk
+	counts [selectBuckets]int32
 
 	// epoch is odd while a query is active. Helpers receive (state,
 	// epoch) tokens from the process-wide channel; a token whose epoch
@@ -65,13 +67,47 @@ func (qs *queryState) help(epoch uint64) {
 	qs.active.Add(-1)
 }
 
+// selectBuckets divides the cosine range [-1, 1] for selectTop's pre-filter.
+const selectBuckets = 2048
+
+// bucketOf maps a score to its bucket, non-decreasingly: scores outside
+// [-1, 1) clamp to the end buckets, NaN (no scan produces it) to 0.
+func bucketOf(s float32) int {
+	f := (s + 1) * (selectBuckets / 2)
+	if !(f >= 0) {
+		return 0
+	}
+	return int(min(f, selectBuckets-1))
+}
+
 // selectTop appends to dst the k best rows of qs.scores, skipping row
 // exclude (-1 for none), best first.
+//
+// Each row offered to the heap costs a mispredicted sift and most rows
+// cannot win, so a count goes first: histogram the scores, walk the
+// buckets from the top until they hold k selectable rows, offer only
+// rows at or above that cut. A row below it scores strictly under k
+// selectable rows, so no tie-break puts it in the top k; the rest meet
+// the heap in row order as before.
 func (qs *queryState) selectTop(dst []Result, k int, exclude int32) []Result {
 	h := &qs.top
 	h.reset(min(k, len(qs.scores)))
+	cut := 0
+	if k < len(qs.scores) {
+		clear(qs.counts[:])
+		for _, s := range qs.scores {
+			qs.counts[bucketOf(s)]++
+		}
+		need := int32(k)
+		if exclude >= 0 {
+			need++ // the excluded row may be among those counted
+		}
+		for cut = selectBuckets - 1; cut > 0 && qs.counts[cut] < need; cut-- {
+			need -= qs.counts[cut]
+		}
+	}
 	for r, s := range qs.scores {
-		if int32(r) != exclude {
+		if bucketOf(s) >= cut && int32(r) != exclude {
 			h.offer(entry{score: s, row: int32(r)})
 		}
 	}

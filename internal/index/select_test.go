@@ -83,7 +83,7 @@ func clip(r []Result) []Result {
 // selectKs is the k grid of the issue: 1, a mid value, rows-1, rows and
 // beyond.
 func selectKs(rows int) []int {
-	ks := []int{1, rows - 1, rows, rows + 7}
+	ks := []int{1, rows - 1, rows, rows + 1, rows + 7}
 	if rows > 4 {
 		ks = append(ks, rows/2, rows/10+1)
 	}
@@ -167,6 +167,37 @@ func TestSearchSelectMatchesOracleTies(t *testing.T) {
 			}
 			return m
 		},
+		// One row parallel to the query — alone in the top bucket of the
+		// selection's pre-filter, and excluded in some runs — over a
+		// crowd whose scores share one bucket and mostly tie.
+		"one winner over a crowd": func(rows int) []float64 {
+			crowd := randMatrix(rng, 1, dim)
+			m := make([]float64, 0, rows*dim)
+			for r := 0; r < rows; r++ {
+				row := crowd
+				if r == rows/2 {
+					row = query
+				}
+				m = append(m, row...)
+				if r%3 == 0 {
+					m[len(m)-1] += 1e-5 * rng.Float64()
+				}
+			}
+			return m
+		},
+		// Rows parallel and anti-parallel to the query at many scales:
+		// their float32 scores land on ±1 and an ulp past it, outside the
+		// range the pre-filter's buckets divide.
+		"scores at and past ±1": func(rows int) []float64 {
+			m := make([]float64, 0, rows*dim)
+			for r := 0; r < rows; r++ {
+				scale := (0.1 + 10*rng.Float64()) * float64(1-2*(r%2))
+				for _, x := range query {
+					m = append(m, scale*x)
+				}
+			}
+			return m
+		},
 		// Zero rows tie at exactly 0 with everything orthogonal.
 		"mostly zero rows": func(rows int) []float64 {
 			m := randMatrix(rng, rows, dim)
@@ -187,6 +218,34 @@ func TestSearchSelectMatchesOracleTies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBucketOfMonotone pins the one property the selection's pre-filter
+// needs of its score-to-bucket map: it never decreases, and it stays in
+// range for scores past ±1, infinities and NaN.
+func TestBucketOfMonotone(t *testing.T) {
+	past := math.Nextafter32(1, 2)
+	scores := []float32{float32(math.Inf(-1)), -2, -past, -1, -math.Nextafter32(1, 0), -0.5, -1e-9, 0, 1e-9,
+		0.25, 0.5 - 1e-7, 0.5, 0.999, math.Nextafter32(1, 0), 1, past, 2, float32(math.Inf(1))}
+	rng := rand.New(rand.NewSource(1605))
+	for i := 0; i < 5000; i++ {
+		scores = append(scores, 2.2*rng.Float32()-1.1)
+	}
+	sort.Slice(scores, func(i, j int) bool { return scores[i] < scores[j] })
+	prev := 0
+	for _, s := range scores {
+		b := bucketOf(s)
+		if b < prev || b >= selectBuckets {
+			t.Fatalf("bucketOf(%g) = %d after %d", s, b, prev)
+		}
+		prev = b
+	}
+	if bucketOf(-1) != 0 || bucketOf(1) != selectBuckets-1 || bucketOf(0) != selectBuckets/2 {
+		t.Fatalf("buckets of -1, 0, 1: %d, %d, %d", bucketOf(-1), bucketOf(0), bucketOf(1))
+	}
+	if b := bucketOf(float32(math.NaN())); b != 0 {
+		t.Fatalf("bucketOf(NaN) = %d", b)
 	}
 }
 

@@ -151,6 +151,8 @@ type Backend struct {
 	// selector is built once in New and immutable thereafter: reports
 	// call Select concurrently without a lock.
 	selector *ads.Selector
+	// cats writes /v1/profile/batch answers; immutable like selector.
+	cats categoryTable
 
 	// mu guards the campaign tallies.
 	mu          sync.Mutex
@@ -243,6 +245,7 @@ func New(cfg Config) (*Backend, error) {
 		tr:          cfg.Tracer,
 		store:       st,
 		selector:    sel,
+		cats:        newCategoryTable(cfg.Ontology.Taxonomy()),
 		impressions: make(map[string]int64),
 		clicks:      make(map[string]int64),
 		// A snapshot-restored model starts the engine warm: ads are
@@ -735,22 +738,11 @@ func (b *Backend) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		httpmw.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	tax := b.cfg.Ontology.Taxonomy()
-	resp := ProfileBatchResponse{Profiles: make([]ProfileResult, len(req.Sessions))}
-	for i := range req.Sessions {
-		if errs[i] != nil {
-			resp.Profiles[i].Error = errs[i].Error()
-			continue
-		}
-		cats := make(map[string]float64)
-		for id, v := range vecs[i] {
-			if v != 0 {
-				cats[tax.Category(id).Name] = v
-			}
-		}
-		resp.Profiles[i].Categories = cats
-	}
-	httpmw.WriteJSON(w, http.StatusOK, resp)
+	// The stated length lets the gateway size its read buffer.
+	body := b.cats.appendBatch(make([]byte, 0, 1024*len(vecs)), vecs, errs)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func (b *Backend) handleFeedback(w http.ResponseWriter, r *http.Request) {
