@@ -503,11 +503,12 @@ func (m *Model) EncodedANN() []byte {
 // caller's log.
 type ANNRestore struct {
 	// Built: this profiler ran BuildANN. Restored: it decoded and
-	// validated the graph from a snapshot's bytes instead, in LoadTime,
-	// and Rows and Edges size what it got. Neither: an earlier profiler
-	// over the same model had the graph already, or cfg.ANN is off.
+	// validated the graph from a snapshot's bytes instead. Either took
+	// Elapsed, and Rows and Edges size what it got. Neither: an earlier
+	// profiler over the same model had the graph already, or cfg.ANN is
+	// off.
 	Built, Restored bool
-	LoadTime        time.Duration
+	Elapsed         time.Duration
 	Rows, Edges     int
 	// Rejected is why a snapshot's graph was refused — it is some other
 	// graph, or damaged — and built afresh instead.
@@ -532,13 +533,16 @@ func (m *Model) annGraph(cfg index.ANNConfig) (*index.ANN, ANNRestore) {
 	if data != nil {
 		start := time.Now()
 		if m.ann, how.Rejected = ix.LoadANN(data, cfg); how.Rejected == nil {
-			how.Restored, how.LoadTime = true, time.Since(start)
-			st := m.ann.Stats()
-			how.Rows, how.Edges = st.GraphRows, st.Edges
+			how.Restored, how.Elapsed = true, time.Since(start)
 		}
 	}
 	if m.ann == nil {
 		m.ann, how.Built = ix.BuildANN(cfg), true
+	}
+	st := m.ann.Stats()
+	how.Rows, how.Edges = st.GraphRows, st.Edges
+	if how.Built {
+		how.Elapsed = st.BuildTime
 	}
 	return m.ann, how
 }

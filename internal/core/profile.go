@@ -235,7 +235,9 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 				reg.Describe("hostprof_index_ann_recall_estimate", "Sampled ANN recall against the exact scan since the last (re)build; 1 before any sample.")
 				// Registered even when nothing is built, so its count says
 				// whether this process built its graph or was handed it.
-				p.mANNBuild = reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 2, 16))
+				// 1 ms to 70 min: a build is ~0.25 s at 3.7K rows and
+				// minutes at the paper's 470K.
+				p.mANNBuild = reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 4, 12))
 				p.observeANN("full", p.ann, p.annHow.Built)
 				p.mANNQueries = reg.Counter("hostprof_index_ann_queries_total")
 				p.mANNFallbacks = reg.Counter("hostprof_index_ann_fallbacks_total")

@@ -155,15 +155,20 @@ func New(cfg Config) *Engine {
 // model's, built otherwise) and an empty cache.
 func (e *Engine) build(model *core.Model) *generation {
 	p := core.NewProfiler(model, e.cfg.Ontology, e.cfg.Profile)
-	switch how := p.ANNRestore(); {
-	case how.Rejected != nil:
+	how := p.ANNRestore()
+	if how.Rejected != nil {
 		e.cfg.Logger.Warn("snapshot's ANN graph rejected, rebuilt",
 			slog.String("reason", how.Rejected.Error()))
-	case how.Restored:
-		e.cfg.Logger.Info("ANN graph restored from snapshot",
+	}
+	if how.Restored || how.Built {
+		msg := "ANN graph restored from snapshot"
+		if how.Built {
+			msg = "ANN graph built"
+		}
+		e.cfg.Logger.Info(msg,
 			slog.Int("rows", how.Rows),
 			slog.Int("edges", how.Edges),
-			slog.Duration("elapsed", how.LoadTime))
+			slog.Duration("elapsed", how.Elapsed))
 	}
 	return &generation{
 		profiler: p,

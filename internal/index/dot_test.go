@@ -11,7 +11,8 @@ import (
 var kernelDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 100, 128, 129}
 
 // assertKernelsAgree checks dot32 and dot32x4 against the portable
-// oracle, bit for bit, on q and four rows laid out back to back.
+// oracle, and dot32 against itself with its operands swapped, bit for
+// bit, on q and four rows laid out back to back.
 func assertKernelsAgree(t *testing.T, what string, q, rows []float32) {
 	t.Helper()
 	d := len(q)
@@ -24,6 +25,10 @@ func assertKernelsAgree(t *testing.T, what string, q, rows []float32) {
 		ref := dot32Portable(q, row)
 		if math.Float32bits(one) != math.Float32bits(ref) {
 			t.Fatalf("%s dim %d row %d: dot32 = %x, portable = %x", what, d, j, math.Float32bits(one), math.Float32bits(ref))
+		}
+		// A build stores an edge's score once for both of its directions.
+		if back := dot32(row, q); math.Float32bits(back) != math.Float32bits(one) {
+			t.Fatalf("%s dim %d row %d: dot32(q, row) = %x, dot32(row, q) = %x", what, d, j, math.Float32bits(one), math.Float32bits(back))
 		}
 		if math.Float32bits(got[j]) != math.Float32bits(ref) || math.Float32bits(want[j]) != math.Float32bits(ref) {
 			t.Fatalf("%s dim %d row %d: dot32x4 = %x (portable x4 %x), single-row portable = %x",

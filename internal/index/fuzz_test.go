@@ -10,9 +10,10 @@ import (
 
 // FuzzANNBuild feeds arbitrary vector sets — empty, single row,
 // duplicates, NaN/Inf payloads — through BuildANN and SearchAppend,
-// asserting the pair never panics, returns at most k unique in-range
-// IDs, keeps the (score desc, ID asc) order among finite scores, and
-// rejects non-finite rows at insert.
+// asserting the pair never panics, builds the reference build's graph
+// (refBuildANN) array for array, returns at most k unique in-range IDs,
+// keeps the (score desc, ID asc) order among finite scores, and rejects
+// non-finite rows at insert.
 func FuzzANNBuild(f *testing.F) {
 	f.Add([]byte{})                                                                                      // empty matrix
 	f.Add([]byte{4, 3, 2, 16})                                                                           // header only: single short row
@@ -42,14 +43,18 @@ func FuzzANNBuild(f *testing.F) {
 			vecs[i] = float64(math.Float32frombits(bits))
 		}
 		ix := New(vecs, rows, dim, Config{BlockRows: 8})
-		ann := ix.BuildANN(ANNConfig{M: m, EfConstruction: ef, Ef: ef, Seed: 42})
+		cfg := ANNConfig{M: m, EfConstruction: ef, Ef: ef, Seed: 42}
+		ann := ix.BuildANN(cfg)
+		if d := graphDiff(ann, refBuildANN(ix, cfg)); d != "" {
+			t.Fatalf("BuildANN differs from the reference build in %s", d)
+		}
 
 		st := ann.Stats()
 		if st.GraphRows+st.Unindexed != rows {
 			t.Fatalf("graph rows %d + unindexed %d != rows %d", st.GraphRows, st.Unindexed, rows)
 		}
 		// Rebuild determinism: the graph is a pure function of its input.
-		if s2 := ix.BuildANN(ANNConfig{M: m, EfConstruction: ef, Ef: ef, Seed: 42}).Stats(); s2 != st {
+		if s2 := ix.BuildANN(cfg).Stats(); s2 != st {
 			// BuildTime differs by nature; compare everything else.
 			s2.BuildTime, st.BuildTime = 0, 0
 			if s2 != st {
@@ -57,7 +62,7 @@ func FuzzANNBuild(f *testing.F) {
 			}
 		}
 		// So is its encoding: what was built loads, as the same graph.
-		loaded, err := ix.LoadANN(ann.AppendBinary(nil), ANNConfig{M: m, EfConstruction: ef, Ef: ef, Seed: 42})
+		loaded, err := ix.LoadANN(ann.AppendBinary(nil), cfg)
 		if err != nil {
 			t.Fatalf("a built graph does not load: %v", err)
 		}

@@ -130,17 +130,10 @@ type ANNStats struct {
 // an earlier BuildANN over the same rows produced.
 func (ix *Index) BuildANN(cfg ANNConfig) *ANN {
 	start := time.Now()
-	a := ix.newANN(cfg)
-	st := newAnnState(a)
-	for r, l := range a.levels {
-		if l < 0 {
-			continue
-		}
-		a.insert(int32(r), int(l), st)
-		a.graphRows++
-	}
-	a.buildTime = time.Since(start)
-	return a
+	b := newANNBuilder(ix.newANN(cfg))
+	b.build()
+	b.a.buildTime = time.Since(start)
+	return b.a
 }
 
 // newANN lays out an edgeless graph over ix: node levels (-1 for rows
@@ -267,19 +260,6 @@ func (a *ANN) neighborsOf(row int32, layer int) []int32 {
 	return a.nbr[off : off+n]
 }
 
-// addLink appends a directed edge from→to at layer l, reporting false
-// when the segment is full.
-func (a *ANN) addLink(from, to int32, layer int) bool {
-	seg := a.segBase[from] + int32(layer)
-	c := a.cnt[seg]
-	if int(c) >= a.capAt(layer) {
-		return false
-	}
-	a.nbr[a.nbrBase[from]+a.segOff(layer)+c] = to
-	a.cnt[seg] = c + 1
-	return true
-}
-
 // greedy hill-climbs layer l from cur towards the query, following the
 // (score desc, row asc) total order so equal-score plateaus resolve
 // deterministically and the walk terminates.
@@ -356,70 +336,250 @@ func (st *annState) drainBestFirst() []entry {
 	return st.scratch
 }
 
+// annBuilder is what one BuildANN call knows beyond the graph it grows,
+// dropped when the call returns. A back-link into a full neighbour list
+// prunes that list with Algorithm 4 (selectNeighbors) over the list plus
+// the one new candidate; remembering what the previous prune computed
+// lets the next one re-decide only what the newcomer can change.
+type annBuilder struct {
+	a  *ANN
+	st *annState // the beam search's scratch, as a query takes it
+
+	// score[i] is the similarity of the edge at a.nbr[i] to the row that
+	// owns the segment, kept from when the edge was made: the search's
+	// score for a forward link, the same number for its back-link (dot32
+	// is commutative bit for bit).
+	score []float32
+	// ndiv[seg] is how many leading entries of a segment Algorithm 4
+	// kept as diverse when it last selected the list — its output is the
+	// diverse candidates in rank order, then the pruned ones filling up
+	// in rank order — or -1 for a list no selection has overflowed yet,
+	// whose entries sit in arrival order. A classified list is full and
+	// stays full.
+	ndiv []int32
+
+	sel   []entry // forward-link selection
+	cands []entry // an unclassified list and its newcomer, sorted
+	div   []entry // a re-decided list: its diverse run, then the whole list
+	fill  []entry // candidates a selection pruned, in rank order
+	added []entry // the newcomer and the entries it let be promoted
+
+	took pruneBranches
+}
+
+// pruneBranches counts the ways a back-link into a full list went, so a
+// test can show the reference build was compared against each.
+type pruneBranches struct {
+	unclassified int // first prune of a list: sorted and selected whole
+	stopped      int // a full diverse run outranks x: never examined
+	pruned       int // x fails against a diverse entry above it: joins the fill
+	kept         int // x kept, every diverse entry below it still is
+	demoted      int // prunes where x, or an entry x promoted, demoted a diverse entry
+	promoted     int // entries a demotion let back into the diverse run
+}
+
+func newANNBuilder(a *ANN) *annBuilder {
+	b := &annBuilder{
+		a:     a,
+		st:    newAnnState(a),
+		score: make([]float32, len(a.nbr)),
+		ndiv:  make([]int32, len(a.cnt)),
+	}
+	for i := range b.ndiv {
+		b.ndiv[i] = -1
+	}
+	return b
+}
+
+// build inserts every insertable row in ascending row order.
+func (b *annBuilder) build() {
+	for r, l := range b.a.levels {
+		if l < 0 {
+			continue
+		}
+		b.insert(int32(r), int(l))
+		b.a.graphRows++
+	}
+}
+
+// diverse reports whether c is closer to the node being linked than to
+// every entry of kept — Algorithm 4's test for one candidate.
+func (b *annBuilder) diverse(c entry, kept []entry) bool {
+	cv := b.a.vec(c.row)
+	for _, s := range kept {
+		if dot32(cv, b.a.vec(s.row)) > c.score {
+			return false
+		}
+	}
+	return true
+}
+
 // selectNeighbors applies the diversity heuristic of HNSW Algorithm 4
 // to cands (sorted best-first, scores relative to the node being
 // linked): a candidate is kept only if it is closer to the query node
 // than to every already-kept neighbour, then remaining slots are filled
 // with the pruned candidates in rank order (keepPruned), preserving
-// connectivity on uniform data. The result is appended to sel.
-func (a *ANN) selectNeighbors(cands []entry, max int, sel []entry) []entry {
+// connectivity on uniform data. The result is appended to sel; the
+// second result is how many leading entries are the diverse ones, -1
+// when cands fit without a selection.
+func (b *annBuilder) selectNeighbors(cands []entry, max int, sel []entry) ([]entry, int) {
 	sel = sel[:0]
 	if len(cands) <= max {
-		return append(sel, cands...)
+		return append(sel, cands...), -1
 	}
+	b.fill = b.fill[:0]
 	for _, c := range cands {
 		if len(sel) == max {
 			break
 		}
-		cv := a.vec(c.row)
-		diverse := true
-		for _, s := range sel {
-			if dot32(cv, a.vec(s.row)) > c.score {
-				diverse = false
-				break
-			}
-		}
-		if diverse {
+		if b.diverse(c, sel) {
 			sel = append(sel, c)
+		} else {
+			b.fill = append(b.fill, c)
 		}
 	}
-	for _, c := range cands {
-		if len(sel) == max {
-			break
-		}
-		kept := false
-		for _, s := range sel {
-			if s.row == c.row {
-				kept = true
-				break
-			}
-		}
-		if !kept {
-			sel = append(sel, c)
-		}
-	}
-	return sel
+	ndiv := len(sel)
+	return append(sel, b.fill[:max-ndiv]...), ndiv
 }
 
-// linkBack adds the reverse edge nb→r, pruning nb's neighbour list with
-// the same diversity heuristic when it overflows.
-func (a *ANN) linkBack(nb, r int32, layer int, st *annState) {
-	if a.addLink(nb, r, layer) {
+// setList makes list row's layer-l neighbours, ndiv of them diverse.
+func (b *annBuilder) setList(row int32, layer int, list []entry, ndiv int) {
+	a := b.a
+	seg := a.segBase[row] + int32(layer)
+	off := a.nbrBase[row] + a.segOff(layer)
+	for i, e := range list {
+		a.nbr[off+int32(i)] = e.row
+		b.score[off+int32(i)] = e.score
+	}
+	a.cnt[seg] = int32(len(list))
+	b.ndiv[seg] = int32(ndiv)
+}
+
+// linkBack adds the reverse edge nb→r, of similarity score, pruning nb's
+// neighbour list with the same diversity heuristic when it overflows.
+// The list it leaves is the one selectNeighbors returns over the old
+// list and r, sorted: a candidate's class depends only on the diverse
+// entries ranked above it, and whatever a selection drops was pruned or
+// ranks below all it kept, so the remembered classes are what a fresh
+// run over the old list alone would find, and r can only change what
+// ranks below r.
+func (b *annBuilder) linkBack(nb, r int32, score float32, layer int) {
+	a := b.a
+	seg := a.segBase[nb] + int32(layer)
+	off := a.nbrBase[nb] + a.segOff(layer)
+	max := a.capAt(layer)
+	if n := a.cnt[seg]; int(n) < max {
+		a.nbr[off+n], b.score[off+n] = r, score
+		a.cnt[seg] = n + 1
 		return
 	}
-	nv := a.vec(nb)
-	st.prune = st.prune[:0]
-	for _, o := range a.neighborsOf(nb, layer) {
-		st.prune = append(st.prune, entry{score: dot32(nv, a.vec(o)), row: o})
+	rows, scores := a.nbr[off:off+int32(max)], b.score[off:off+int32(max)]
+	at := func(i int) entry { return entry{score: scores[i], row: rows[i]} }
+	x := entry{score: score, row: r}
+	nd := int(b.ndiv[seg])
+	if nd < 0 {
+		b.took.unclassified++
+		b.cands = b.cands[:0]
+		for i := range rows {
+			b.cands = append(b.cands, at(i))
+		}
+		b.cands = append(b.cands, x)
+		sortEntries(b.cands)
+		b.div, nd = b.selectNeighbors(b.cands, max, b.div)
+		b.setList(nb, layer, b.div, nd)
+		return
 	}
-	st.prune = append(st.prune, entry{score: dot32(nv, a.vec(r)), row: r})
-	sortEntries(st.prune)
-	st.sel2 = a.selectNeighbors(st.prune, a.capAt(layer), st.sel2)
-	off := a.nbrBase[nb] + a.segOff(layer)
-	for i, e := range st.sel2 {
-		a.nbr[off+int32(i)] = e.row
+	if nd == max && worse(x, at(max-1)) {
+		b.took.stopped++
+		return // max diverse entries outrank x: the selection stops before it
 	}
-	a.cnt[a.segBase[nb]+int32(layer)] = int32(len(st.sel2))
+	// x answers to the diverse entries ranked above it.
+	xv := a.vec(r)
+	p := 0
+	for ; p < nd && worse(x, at(p)); p++ {
+		if dot32(xv, a.vec(rows[p])) > score {
+			// Pruned, so nothing else changes class: x joins the fill in
+			// rank order and the fill's last entry falls off.
+			b.took.pruned++
+			i := max
+			for i > nd && worse(at(i-1), x) {
+				i--
+			}
+			if i < max {
+				insertEntry(rows, scores, i, x)
+			}
+			return
+		}
+	}
+	// x is kept, so the diverse entries below it answer to x as well,
+	// until max are kept.
+	j := p
+	for j < nd && j+1 < max && dot32(a.vec(rows[j]), xv) <= scores[j] {
+		j++
+	}
+	if j == nd || j+1 == max {
+		// They all still are, so every pruned entry still has the diverse
+		// entry above it that pruned it: x slots in at its rank and the
+		// list's last entry falls off.
+		b.took.kept++
+		insertEntry(rows, scores, p, x)
+		if nd < max {
+			b.ndiv[seg] = int32(nd + 1)
+		}
+		return
+	}
+	// x demotes the diverse entry at j. Below it the remembered classes
+	// no longer hold on their own: a pruned entry may have lost the one
+	// entry that pruned it, so it is checked against everything kept, and
+	// once promoted it is news to the diverse entries below it, which are
+	// checked against x and every promoted entry (they already cleared
+	// the rest). Both runs are in rank order; merge them from j down.
+	b.took.demoted++
+	b.div = b.div[:0]
+	for i := 0; i < p; i++ {
+		b.div = append(b.div, at(i))
+	}
+	b.div = append(b.div, x)
+	for i := p; i < j; i++ {
+		b.div = append(b.div, at(i))
+	}
+	b.fill = b.fill[:0]
+	f := nd
+	for ; f < max && worse(at(j), at(f)); f++ {
+		b.fill = append(b.fill, at(f))
+	}
+	b.fill = append(b.fill, at(j))
+	b.added = append(b.added[:0], x)
+	for i := j + 1; len(b.div) < max && (i < nd || f < max); {
+		if f == max || (i < nd && worse(at(f), at(i))) {
+			if c := at(i); b.diverse(c, b.added) {
+				b.div = append(b.div, c)
+			} else {
+				b.fill = append(b.fill, c)
+			}
+			i++
+		} else {
+			if c := at(f); b.diverse(c, b.div) {
+				b.took.promoted++
+				b.div = append(b.div, c)
+				b.added = append(b.added, c)
+			} else {
+				b.fill = append(b.fill, c)
+			}
+			f++
+		}
+	}
+	nd = len(b.div)
+	b.div = append(b.div, b.fill[:max-nd]...)
+	b.setList(nb, layer, b.div, nd)
+}
+
+// insertEntry puts x at position i of a full neighbour list, shifting
+// the entries from i down one place; the last one falls off.
+func insertEntry(rows []int32, scores []float32, i int, x entry) {
+	copy(rows[i+1:], rows[i:])
+	copy(scores[i+1:], scores[i:])
+	rows[i], scores[i] = x.row, x.score
 }
 
 // sortEntries orders a small slice best-first under the shared total
@@ -437,7 +597,8 @@ func sortEntries(e []entry) {
 }
 
 // insert adds row r at level lr to the graph (HNSW Algorithm 1).
-func (a *ANN) insert(r int32, lr int, st *annState) {
+func (b *annBuilder) insert(r int32, lr int) {
+	a, st := b.a, b.st
 	if a.entry < 0 {
 		a.entry = r
 		a.maxLevel = lr
@@ -456,10 +617,11 @@ func (a *ANN) insert(r int32, lr int, st *annState) {
 	for layer := top; layer >= 0; layer-- {
 		a.searchLayerFrom(q, a.cfg.EfConstruction, layer, st)
 		cands := st.drainBestFirst()
-		st.sel = a.selectNeighbors(cands, a.capAt(layer), st.sel)
-		for _, e := range st.sel {
-			a.addLink(r, e.row, layer)
-			a.linkBack(e.row, r, layer, st)
+		var ndiv int
+		b.sel, ndiv = b.selectNeighbors(cands, a.capAt(layer), b.sel)
+		b.setList(r, layer, b.sel, ndiv)
+		for _, e := range b.sel {
+			b.linkBack(e.row, r, e.score, layer)
 		}
 		// The whole candidate set seeds the next layer down (Alg. 1).
 		st.seed = append(st.seed[:0], cands...)
@@ -544,7 +706,8 @@ func (a *ANN) SearchAppend(dst []Result, query []float64, k, ef, workers int, ex
 	return dst, false
 }
 
-// annState is the pooled scratch of one ANN query or build step.
+// annState is the pooled scratch of one ANN query; a build walks the
+// growing graph with one of its own.
 type annState struct {
 	q       []float32
 	visited []uint32
@@ -553,18 +716,12 @@ type annState struct {
 	cand    frontier // best-first expansion queue
 	scratch []entry  // drained beam, best first
 	seed    []entry  // entry points handed into searchLayerFrom
-	sel     []entry  // forward-link selection
-	sel2    []entry  // back-link pruning selection
-	prune   []entry  // back-link candidate list
 }
 
 func newAnnState(a *ANN) *annState {
 	return &annState{
 		q:       make([]float32, a.ix.dim),
 		visited: make([]uint32, a.ix.rows),
-		sel:     make([]entry, 0, a.m0+1),
-		sel2:    make([]entry, 0, a.m0+1),
-		prune:   make([]entry, 0, a.m0+1),
 	}
 }
 

@@ -260,20 +260,33 @@ func TestANNLoadDefaultsMatchExplicit(t *testing.T) {
 // BenchmarkANNLoad puts restoring a graph beside building it, on a
 // clustered 40K×64 matrix — ten times the rows of bench/'s world, and
 // until a paper-scale workload exists the largest measurement of the
-// pair. bytes/row is the encoded graph's size over the index's rows.
+// pair — with the build also at bench/'s own 3.8K rows, since the cost
+// of an insert grows with the graph. bytes/row is the encoded graph's
+// size over the index's rows.
 func BenchmarkANNLoad(b *testing.B) {
 	if testing.Short() {
-		b.Skip("builds a 40K x 64 graph (~10 s)")
+		b.Skip("builds a 40K x 64 graph (~5 s)")
 	}
 	const rows, dim = 40_000, 64
 	rng := rand.New(rand.NewSource(40))
 	ix := New(clusteredMatrix(rng, rows, dim, 400, 0.25), rows, dim, Config{})
+	small := New(clusteredMatrix(rand.New(rand.NewSource(38)), 3_800, dim, 40, 0.25), 3_800, dim, Config{})
 	var ann *ANN
-	b.Run("BuildANN", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ann = ix.BuildANN(ANNConfig{})
-		}
-	})
+	for _, c := range []struct {
+		name string
+		ix   *Index
+	}{{"BuildANN/3.8Kx64", small}, {"BuildANN/40Kx64", ix}} {
+		b.Run(c.name, func(b *testing.B) {
+			var built *ANN
+			for i := 0; i < b.N; i++ {
+				built = c.ix.BuildANN(ANNConfig{})
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(c.ix.Rows()), "us/insert")
+			if c.ix == ix {
+				ann = built
+			}
+		})
+	}
 	if ann == nil { // -bench selected LoadANN only
 		ann = ix.BuildANN(ANNConfig{})
 	}

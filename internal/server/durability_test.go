@@ -394,6 +394,10 @@ func TestRestartUnderOtherANNConfig(t *testing.T) {
 		if tc.logged != "" && !(strings.Contains(logs.String(), "level=WARN") && strings.Contains(logs.String(), tc.logged)) {
 			t.Fatalf("%s: no warning gives the reason %q:\n%s", tc.name, tc.logged, logs.String())
 		}
+		// The outcome that costs time says so, with its size and duration.
+		if built := strings.Contains(logs.String(), `msg="ANN graph built" rows=`); built != (tc.builds > 0) {
+			t.Fatalf("%s: %d graph builds, built line logged = %v:\n%s", tc.name, tc.builds, built, logs.String())
+		}
 		if !tc.profile.ANN && b2.Store().Model().EncodedANN() != nil {
 			t.Fatalf("%s: the served model still holds graph bytes", tc.name)
 		}
