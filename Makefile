@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos recall loc bench bench-check bench-json bench-diff fuzz cover ci experiments experiments-small examples trace-demo clean
+.PHONY: all build test vet race chaos recall loc bench bench-check fuzz cover ci experiments experiments-small examples trace-demo clean
 
 all: vet test build
 
@@ -55,24 +55,6 @@ bench:
 # claim is measured with. Vet, build and unit-test it (~5 s).
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
-
-# Machine-readable benchmark trajectory for perf PRs.
-# go test runs first, alone, so a bench failure or timeout fails the
-# target instead of vanishing into the pipe.
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 60m -run '^$$' . > /tmp/bench-raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench-raw.txt > BENCH_results.json
-	@echo wrote BENCH_results.json
-
-# Perf-regression gate: rerun the benchmarks and diff against the
-# committed baseline. Single-shot runs are noisy, so the tolerance is
-# generous — this catches order-of-magnitude cliffs, not drift. CI runs
-# the same (see the perf-gate job).
-BENCH_TOLERANCE ?= 2.0
-bench-diff:
-	$(GO) test -bench=. -benchmem -benchtime 1x -timeout 60m -run '^$$' . > /tmp/bench-raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench-raw.txt > /tmp/bench-head.json
-	$(GO) run ./cmd/hostprof bench-diff -tolerance $(BENCH_TOLERANCE) BENCH_results.json /tmp/bench-head.json
 
 # Statement-coverage floor over the profiling core and the serving
 # index (the equivalence harness is the main consumer). CI runs the

@@ -323,15 +323,6 @@ func BenchmarkTSNE(b *testing.B) {
 	}
 }
 
-func BenchmarkModelNearestNeighbours(b *testing.B) {
-	s := setupBench(b)
-	q := s.Model.VectorByID(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Model.NearestToVector(q, 40, nil)
-	}
-}
-
 // --- Ablations (DESIGN.md "Design notes") -------------------------------
 
 // ablationCampaign runs the campaign with a profiler variant and reports
@@ -698,24 +689,15 @@ func nearestBenchModel(b *testing.B) *core.Model {
 	return nnModel
 }
 
-// BenchmarkNearestToVector compares the serial float64 scan against the
-// packed parallel index at vocab=100K, dim=128, k=1000 — the old and new
-// code paths behind Profiler neighbourhood queries.
+// BenchmarkNearestToVector times the packed parallel index at
+// vocab=100K, dim=128, k=1000 — the scan behind Profiler neighbourhood
+// queries.
 func BenchmarkNearestToVector(b *testing.B) {
 	m := nearestBenchModel(b)
 	q := m.VectorByID(17)
 	const k = 1000
 	bytesPerQuery := int64(m.Vocab().Len()) * 128 * 4
 
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(bytesPerQuery * 2) // float64 rows
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := m.NearestToVector(q, k, nil); len(got) != k {
-				b.Fatalf("got %d neighbours", len(got))
-			}
-		}
-	})
 	b.Run("indexed", func(b *testing.B) {
 		ix := m.SimilarityIndex() // built outside the timer
 		var dst []index.Result
@@ -730,8 +712,7 @@ func BenchmarkNearestToVector(b *testing.B) {
 	})
 }
 
-// BenchmarkProfileBatch compares profiling a block of sessions one at a
-// time through the serial scan (the pre-index path) against the batch
+// BenchmarkProfileBatch profiles a block of sessions through the batch
 // API over the parallel index.
 func BenchmarkProfileBatch(b *testing.B) {
 	s := setupBench(b)
@@ -741,20 +722,6 @@ func BenchmarkProfileBatch(b *testing.B) {
 	}
 	cfg := core.ProfilerConfig{N: 40, Agg: core.AggIDF}
 
-	b.Run("sequential-serial", func(b *testing.B) {
-		serialCfg := cfg
-		serialCfg.SerialScan = true
-		prof := core.NewProfiler(s.Model, s.Ontology, serialCfg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, sess := range sessions {
-				if _, err := prof.ProfileSession(sess); err != nil && err != core.ErrNoLabels {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(sessions)), "sessions")
-	})
 	b.Run("batch-indexed", func(b *testing.B) {
 		prof := core.NewProfiler(s.Model, s.Ontology, cfg)
 		ctx := context.Background()

@@ -11,7 +11,6 @@
 //	hostprof gateway    run the cluster router in front of N serve shards
 //	hostprof report     post one traced session report to a running backend
 //	hostprof status     render a one-page cluster dashboard from a gateway
-//	hostprof bench-diff compare two bench-json files, failing on perf regressions
 //
 // Every subcommand accepts -h for its flags. A typical session:
 //
@@ -54,8 +53,6 @@ func main() {
 		err = cmdReport(os.Args[2:])
 	case "status":
 		err = cmdStatus(os.Args[2:])
-	case "bench-diff":
-		err = cmdBenchDiff(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -82,6 +79,5 @@ commands:
   serve     run the profiling/ad back-end over HTTP
   gateway   run the cluster router (consistent-hash + scatter-gather) over serve shards
   report    post one traced session report to a running backend
-  status    render a one-page cluster dashboard (health, federated metrics, events)
-  bench-diff  compare two bench-json result files; non-zero exit on regression`)
+  status    render a one-page cluster dashboard (health, federated metrics, events)`)
 }

@@ -64,7 +64,7 @@ type (
 
 	// SimilarityIndex is the packed parallel top-k cosine index every
 	// trained Model builds lazily (Model.SimilarityIndex); the profiler
-	// queries it instead of the serial scan.
+	// answers every Eq. (3) neighbourhood query from it.
 	SimilarityIndex = index.Index
 	// IndexResult is one SimilarityIndex hit (vocabulary ID + cosine).
 	IndexResult = index.Result

@@ -141,8 +141,8 @@ func (g *Gateway) scrapeVarz(ctx context.Context, backend string) ([]obs.MetricS
 	return snaps, nil
 }
 
-// seriesKey is benchfmt-style series identity: family name plus the
-// sorted label pairs, one string so map lookups are one hash.
+// seriesKey is a series' identity: family name plus the sorted label
+// pairs, one string so map lookups are one hash.
 func seriesKey(name string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return name

@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
-	"reflect"
 	"testing"
 
 	"hostprof/internal/index"
@@ -31,9 +29,9 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 
 // TestANNSmallVocabFallsBackIdentical pins the fallback trigger end to
 // end: a vocabulary smaller than the search breadth ef means every ANN
-// query is answered by the exact scan, so profiles, labelled
-// neighbourhoods and session keys are bit-identical to the exact
-// profiler's, and the fallback counter matches the query counter.
+// query is answered by the exact scan, so profiles are bit-identical to
+// the exact profiler's, and the fallback counter matches the query
+// counter.
 func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
 	fx := newProfilingFixture(t, 0.5) // vocab 24 « default ef 128
 	reg := obs.NewRegistry()
@@ -50,11 +48,6 @@ func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
 		if !vectorsBitEqual(a, b) {
 			t.Fatalf("session %d: ann profile differs from exact under full fallback", i)
 		}
-		ga := annP.NearestLabelled(s, 5)
-		gb := exactP.NearestLabelled(s, 5)
-		if !reflect.DeepEqual(ga, gb) {
-			t.Fatalf("session %d: ann labelled neighbourhood %v != exact %v", i, ga, gb)
-		}
 	}
 	queries := metricValue(t, reg, "hostprof_index_ann_queries_total")
 	fallbacks := metricValue(t, reg, "hostprof_index_ann_fallbacks_total")
@@ -63,60 +56,6 @@ func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
 	}
 	if est := metricValue(t, reg, "hostprof_index_ann_recall_estimate"); est != 1 {
 		t.Fatalf("recall estimate %v before any graph-answered sample, want 1", est)
-	}
-}
-
-// TestANNLabelledViewEquivalence drives the labelled-subset graph with
-// a breadth small enough to engage it: results must stay inside the
-// labelled ID set, in (score desc, ID asc) order, with scores
-// bit-equal to the exact labelled view's for the same IDs.
-func TestANNLabelledViewEquivalence(t *testing.T) {
-	rng := stats.NewRNG(404)
-	m := randModel(t, rng, 2000, 16)
-	tax := ontology.NewTaxonomy()
-	ont := ontology.New(tax)
-	labelled := map[int]bool{}
-	for id := 0; id < 2000; id += 2 {
-		v := tax.NewVector()
-		v[id%tax.NumCategories()] = 1
-		ont.Add(m.Vocab().Host(id), v)
-		labelled[id] = true
-	}
-	reg := obs.NewRegistry()
-	annP := NewProfiler(m, ont, ProfilerConfig{N: 20, ANN: true, ANNEf: 32, Metrics: reg})
-	exactP := NewProfiler(m, ont, ProfilerConfig{N: 20})
-
-	for trial := 0; trial < 10; trial++ {
-		session := []string{
-			m.Vocab().Host(rng.Intn(2000)),
-			m.Vocab().Host(rng.Intn(2000)),
-			m.Vocab().Host(rng.Intn(2000)),
-		}
-		got := annP.NearestLabelled(session, 10)
-		want := exactP.NearestLabelled(session, len(labelled))
-		exactCos := make(map[int]float64, len(want))
-		for _, nb := range want {
-			exactCos[nb.ID] = nb.Cosine
-		}
-		prevID, prevCos := -1, math.Inf(1)
-		for i, nb := range got {
-			if !labelled[nb.ID] {
-				t.Fatalf("trial %d rank %d: unlabelled ID %d escaped the labelled view", trial, i, nb.ID)
-			}
-			cos, ok := exactCos[nb.ID]
-			if !ok || cos != nb.Cosine {
-				t.Fatalf("trial %d rank %d: ann cosine %v, exact %v for ID %d", trial, i, nb.Cosine, cos, nb.ID)
-			}
-			if nb.Cosine > prevCos || (nb.Cosine == prevCos && nb.ID <= prevID) {
-				t.Fatalf("trial %d: results out of (score desc, ID asc) order at rank %d", trial, i)
-			}
-			prevID, prevCos = nb.ID, nb.Cosine
-		}
-	}
-	queries := metricValue(t, reg, "hostprof_index_ann_queries_total")
-	fallbacks := metricValue(t, reg, "hostprof_index_ann_fallbacks_total")
-	if queries == 0 || fallbacks == queries {
-		t.Fatalf("queries=%v fallbacks=%v; ef=32 over 1000 labelled rows must engage the graph", queries, fallbacks)
 	}
 }
 

@@ -3,8 +3,8 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -38,19 +38,19 @@ func histCount(reg *obs.Registry, name string) int64 {
 	return -1
 }
 
-// hasSeries reports whether the registry holds name{graph=v}.
-func hasSeries(reg *obs.Registry, name, v string) bool {
-	for _, m := range reg.Snapshot() {
-		if m.Name == name && m.Labels["graph"] == v {
-			return true
-		}
-	}
-	return false
-}
-
 // profilesHash profiles n seeded sessions and hashes every outcome bit
 // for bit — errors included — so two profilers agree on all of them or
 // the hashes differ.
+//
+// exactProfilesHash and annProfilesHash are its value, n = 2000, for the
+// exact and the ANN profiler of TestANNRestoredGraphProfilesIdentically,
+// computed at commit 263956e (the last one with a second scan path
+// beside the index): the profiles a change must keep serving.
+const (
+	exactProfilesHash = "da6102069dc4581e46f55203b7cd7e788241c788583997c20642aacee3290168"
+	annProfilesHash   = "5bcaa838dd4ba9f8ff1757e8fd289a067996912d01953c3ba3e66f959f9cb941"
+)
+
 func profilesHash(t *testing.T, p *Profiler, n int) [32]byte {
 	t.Helper()
 	rng := stats.NewRNG(2000)
@@ -77,8 +77,7 @@ func profilesHash(t *testing.T, p *Profiler, n int) [32]byte {
 
 // TestANNGraphOnePerModel: the graph is a property of the model, built
 // once however many profilers ask; search breadth is per profiler and
-// does not fork it; another degree does. The labelled view's graph is
-// not built until NearestLabelled needs it.
+// does not fork it; another degree does.
 func TestANNGraphOnePerModel(t *testing.T) {
 	m := randModel(t, stats.NewRNG(606), 2000, 16)
 	ont := halfLabelled(m)
@@ -101,7 +100,7 @@ func TestANNGraphOnePerModel(t *testing.T) {
 	rng := stats.NewRNG(607)
 	for i := 0; i < 50; i++ {
 		sVec, _ := p1.SessionVector([]string{m.Vocab().Host(rng.Intn(2000)), m.Vocab().Host(rng.Intn(2000))})
-		got := p1.annSearch(nil, ix, p1.ann, sVec, 20)
+		got := p1.annSearch(nil, sVec, 20)
 		want, _ := direct.SearchAppend(nil, sVec, 20, 0, 0, index.NoExclude)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d results, graph built with Ef=32 gives %d", i, len(got), len(want))
@@ -113,22 +112,33 @@ func TestANNGraphOnePerModel(t *testing.T) {
 		}
 	}
 
-	if p1.labANN != nil || hasSeries(reg, "hostprof_index_ann_nodes", "labelled") {
-		t.Fatal("labelled graph built before anyone asked for labelled neighbours")
-	}
-	if got := p1.NearestLabelled([]string{m.Vocab().Host(3)}, 5); len(got) != 5 {
-		t.Fatalf("NearestLabelled returned %d neighbours, want 5", len(got))
-	}
-	if p1.labANN == nil || !hasSeries(reg, "hostprof_index_ann_nodes", "labelled") {
-		t.Fatal("NearestLabelled did not build and publish the labelled graph")
-	}
-	if got := histCount(reg, "hostprof_index_ann_build_seconds"); got != 2 {
-		t.Fatalf("build histogram count %d after the labelled build, want 2", got)
-	}
-
 	p3 := NewProfiler(m, ont, ProfilerConfig{N: 20, ANN: true, ANNM: 8})
 	if p3.ann == p1.ann || !p3.ANNRestore().Built {
 		t.Fatal("a profiler of another degree was handed the M=16 graph")
+	}
+}
+
+// TestIndexMetricsDescribeThePackedIndex: the size gauge is the one
+// packed matrix (no labelled copy beside it), the labelled-rows gauge is
+// |H_L ∩ H|, and the pack-time histogram stops before the graph build,
+// which has a histogram of its own.
+func TestIndexMetricsDescribeThePackedIndex(t *testing.T) {
+	const rows, dim = 2000, 16
+	m := randModel(t, stats.NewRNG(707), rows, dim)
+	reg := obs.NewRegistry()
+	NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true, Metrics: reg})
+	if got := metricValue(t, reg, "hostprof_index_bytes"); got != 4*rows*dim {
+		t.Errorf("hostprof_index_bytes = %v, want 4·rows·dim = %d", got, 4*rows*dim)
+	}
+	if got := metricValue(t, reg, "hostprof_index_labelled_rows"); got != rows/2 {
+		t.Errorf("hostprof_index_labelled_rows = %v, want %d", got, rows/2)
+	}
+	sum := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		sum[s.Name] = s.Sum
+	}
+	if pack, graph := sum["hostprof_index_build_seconds"], sum["hostprof_index_ann_build_seconds"]; graph == 0 || pack >= graph {
+		t.Errorf("index_build_seconds sum %v, ann_build_seconds sum %v: packing %d rows counted the graph build", pack, graph, rows)
 	}
 }
 
@@ -136,7 +146,8 @@ func TestANNGraphOnePerModel(t *testing.T) {
 // the graph bytes of one Model, handed to a second Model over the same
 // vectors, load instead of building — build histogram untouched — and
 // 2000 seeded sessions profile to the same bits through the built
-// graph, the loaded one, and one rebuilt after the bytes were refused.
+// graph, the loaded one, and one rebuilt after the bytes were refused:
+// the bits the parent commit served, for the exact scan as well.
 func TestANNRestoredGraphProfilesIdentically(t *testing.T) {
 	m := randModel(t, stats.NewRNG(808), 2000, 16)
 	ont := halfLabelled(m)
@@ -147,6 +158,13 @@ func TestANNRestoredGraphProfilesIdentically(t *testing.T) {
 		t.Fatal("no encoded graph after a build")
 	}
 	want := profilesHash(t, built, 2000)
+	if got := hex.EncodeToString(want[:]); got != annProfilesHash {
+		t.Fatalf("ANN profiles hash %s, the pinned parent commit served %s", got, annProfilesHash)
+	}
+	exact := profilesHash(t, NewProfiler(m, ont, ProfilerConfig{N: 20}), 2000)
+	if got := hex.EncodeToString(exact[:]); got != exactProfilesHash {
+		t.Fatalf("exact profiles hash %s, the pinned parent commit served %s", got, exactProfilesHash)
+	}
 
 	restart := func() *Model { return &Model{vocab: m.vocab, dim: m.dim, in: m.in} }
 	m2 := restart()
@@ -184,20 +202,18 @@ func TestANNRestoredGraphProfilesIdentically(t *testing.T) {
 		t.Fatal("profiles through the rebuilt graph differ from the built graph's")
 	}
 
-	// SerialScan ignores ANN, and like any graphless profiler drops the
-	// bytes.
+	// A graphless profiler has no use for the bytes and drops them.
 	m4 := restart()
 	m4.SetEncodedANN(enc)
-	NewProfiler(m4, ont, ProfilerConfig{N: 20, ANN: true, SerialScan: true})
+	NewProfiler(m4, ont, ProfilerConfig{N: 20})
 	if m4.EncodedANN() != nil {
-		t.Fatal("a serial-scan profiler left the encoded graph on the model")
+		t.Fatal("a graphless profiler left the encoded graph on the model")
 	}
 }
 
 // TestANNGraphConcurrentProfilers: profilers built over one model from
 // several goroutines, while a snapshot encodes its graph, end up sharing
-// one graph that exactly one of them built; concurrent first
-// NearestLabelled calls build one labelled graph.
+// one graph that exactly one of them built.
 func TestANNGraphConcurrentProfilers(t *testing.T) {
 	m := randModel(t, stats.NewRNG(909), 600, 8)
 	ont := halfLabelled(m)
@@ -224,25 +240,5 @@ func TestANNGraphConcurrentProfilers(t *testing.T) {
 	}
 	if built != 1 {
 		t.Fatalf("%d of %d concurrent profilers built the graph, want 1", built, n)
-	}
-	session := []string{m.Vocab().Host(1), m.Vocab().Host(2)}
-	got := make([][]Neighbour, n)
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = ps[0].NearestLabelled(session, 5)
-		}()
-	}
-	wg.Wait()
-	labANN := ps[0].labANN
-	want := ps[0].NearestLabelled(session, 5)
-	if labANN == nil || ps[0].labANN != labANN || len(want) != 5 {
-		t.Fatal("the labelled graph was not built exactly once")
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("concurrent first NearestLabelled %d: %v, want %v", i, got[i], want)
-		}
 	}
 }

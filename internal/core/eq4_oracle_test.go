@@ -13,9 +13,12 @@ import (
 // profileSessionDense is the dense Eq. 3–4 implementation the sparse
 // single-pass path replaced, kept as its oracle: ontology map lookups by
 // host name, a string-keyed session set, the full N-neighbour answer
-// filtered afterwards, and one taxonomy-wide AXPY per contribution.
-// ProfileSession must return its bits.
-func profileSessionDense(p *Profiler, hosts []string) (ontology.Vector, error) {
+// filtered afterwards, and one taxonomy-wide AXPY per contribution. Fed
+// the profiler's own neighbourhood answer, ProfileSession must return its
+// bits; fed refNearestToVector's float64 scan (serial) it shares no code
+// with the product below SessionVector, and ProfileSession must agree to
+// within profileTol.
+func profileSessionDense(p *Profiler, hosts []string, serial bool) (ontology.Vector, error) {
 	if !p.cfg.SkipDedup {
 		hosts = dedupFirst(hosts)
 	}
@@ -40,10 +43,10 @@ func profileSessionDense(p *Profiler, hosts []string) (ontology.Vector, error) {
 	}
 	if inVocab > 0 {
 		var neighbours []Neighbour
-		if p.idx == nil {
-			neighbours = p.model.NearestToVector(sVec, p.cfg.N, nil)
+		if serial {
+			neighbours = refNearestToVector(p.model, sVec, p.cfg.N)
 		} else {
-			for _, r := range p.annSearch(nil, p.idx, p.ann, sVec, p.cfg.N) {
+			for _, r := range p.annSearch(nil, sVec, p.cfg.N) {
 				neighbours = append(neighbours, Neighbour{ID: int(r.ID), Host: p.model.Vocab().Host(int(r.ID)), Cosine: float64(r.Score)})
 			}
 		}
@@ -113,13 +116,14 @@ func eq4World(t testing.TB, seed uint64, vocab, dim int) (*Model, *ontology.Onto
 // and the dense oracle over every profiler shape — first-visit dedup on
 // and off, all three aggregations, the exact scan, the ANN graph and the
 // serial reference — with sessions that repeat hosts and mix in unknown
-// and out-of-vocabulary labelled ones. Same error or the same bits.
+// and out-of-vocabulary labelled ones. Same error or the same bits; the
+// serial rows, whose cosines are float64, within profileTol instead.
 func TestProfileSessionMatchesDenseOracle(t *testing.T) {
 	m, ont, oov := eq4World(t, 1616, 1500, 16)
 	modes := map[string]ProfilerConfig{
 		"exact":  {N: 700},
 		"ann":    {N: 20, ANN: true, ANNEf: 32},
-		"serial": {N: 700, SerialScan: true},
+		"serial": {N: 700},
 	}
 	for mode, base := range modes {
 		for _, skip := range []bool{false, true} {
@@ -147,11 +151,15 @@ func TestProfileSessionMatchesDenseOracle(t *testing.T) {
 						hosts = []string{"unknown-0.example"} // ErrNoLabels on both
 					}
 					got, gotErr := p.ProfileSession(hosts)
-					want, wantErr := profileSessionDense(p, hosts)
+					want, wantErr := profileSessionDense(p, hosts, mode == "serial")
 					if !errors.Is(gotErr, wantErr) || !errors.Is(wantErr, gotErr) {
 						t.Fatalf("%s skip=%v agg=%d session %d: err %v, dense oracle %v", mode, skip, agg, s, gotErr, wantErr)
 					}
-					if !vectorsBitEqual(got, want) {
+					same := vectorsBitEqual(got, want)
+					if mode == "serial" {
+						same = vectorsWithin(got, want, profileTol)
+					}
+					if !same {
 						t.Fatalf("%s skip=%v agg=%d session %d %v: profile differs from the dense oracle", mode, skip, agg, s, hosts)
 					}
 					if got != nil {
@@ -171,6 +179,7 @@ func TestProfileSessionMatchesDenseOracle(t *testing.T) {
 // such a row, but the session vector still sums the float64 original and
 // goes NaN. A session over a poisoned host must profile from its own
 // labels, or report ErrNoLabels — never from the ranks of a NaN query.
+// The serial row holds the float64 oracle to the same answers.
 func TestProfileSessionPoisonedHost(t *testing.T) {
 	m, ont, oov := eq4World(t, 1617, 400, 8)
 	const poisoned = 7
@@ -181,18 +190,22 @@ func TestProfileSessionPoisonedHost(t *testing.T) {
 		"exact":        {N: 50},
 		"ann":          {N: 10, ANN: true, ANNEf: 16},
 		"ann fallback": {N: 400, ANN: true},
-		"serial":       {N: 50, SerialScan: true},
+		"serial":       {N: 50},
 	} {
 		p := NewProfiler(m, ont, cfg)
+		profile := p.ProfileSession
+		if mode == "serial" {
+			profile = func(hosts []string) (ontology.Vector, error) { return profileSessionDense(p, hosts, true) }
+		}
 		// No label in the session, no usable neighbourhood.
 		if ont.Covered(poisonedHost) || ont.Covered(clean) {
 			t.Fatal("fixture: hosts 7 and 11 must be unlabelled")
 		}
-		if v, err := p.ProfileSession([]string{poisonedHost, clean}); !errors.Is(err, ErrNoLabels) {
+		if v, err := profile([]string{poisonedHost, clean}); !errors.Is(err, ErrNoLabels) {
 			t.Errorf("%s: poisoned session with no labels: profile %v, err %v; want ErrNoLabels", mode, v != nil, err)
 		}
 		// The session's own label is all there is to go by.
-		got, err := p.ProfileSession([]string{poisonedHost, oov[0]})
+		got, err := profile([]string{poisonedHost, oov[0]})
 		if err != nil {
 			t.Errorf("%s: poisoned session with a labelled host: %v", mode, err)
 			continue

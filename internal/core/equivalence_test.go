@@ -53,7 +53,7 @@ func randModel(t testing.TB, rng *stats.RNG, vocab, dim int, zeroRows ...int) *M
 // scores must sit within the tolerance of their serial values.
 func assertIndexMatchesSerial(t *testing.T, m *Model, query []float64, k int) {
 	t.Helper()
-	ref := m.NearestToVector(query, m.Vocab().Len(), nil)
+	ref := refNearestToVector(m, query, m.Vocab().Len())
 	got := m.SimilarityIndex().Search(query, k)
 
 	wantLen := k
@@ -174,7 +174,7 @@ func TestIndexSerialTieBreak(t *testing.T) {
 	}
 	query := append([]float64(nil), m.in[1*dim:2*dim]...)
 
-	ref := m.NearestToVector(query, 4, nil)
+	ref := refNearestToVector(m, query, 4)
 	got := m.SimilarityIndex().Search(query, 4)
 	wantIDs := []int{1, 4, 9, 14}
 	for i, id := range wantIDs {
@@ -187,44 +187,13 @@ func TestIndexSerialTieBreak(t *testing.T) {
 	}
 }
 
-// TestNearestLabelledMatchesFilteredSerial checks the labelled-candidates
-// view against filtering the full serial ranking down to labelled IDs.
-func TestNearestLabelledMatchesFilteredSerial(t *testing.T) {
-	rng := stats.NewRNG(88)
-	m := randModel(t, rng, 60, 8)
-	tax := ontology.NewTaxonomy()
-	ont := ontology.New(tax)
-	for id := 0; id < 60; id += 3 { // label every third host
-		v := tax.NewVector()
-		v[id%tax.NumCategories()] = 1
-		ont.Add(m.Vocab().Host(id), v)
-	}
-	indexed := NewProfiler(m, ont, ProfilerConfig{N: 10})
-	serial := NewProfiler(m, ont, ProfilerConfig{N: 10, SerialScan: true})
-
-	session := []string{m.Vocab().Host(2), m.Vocab().Host(17), m.Vocab().Host(40)}
-	got := indexed.NearestLabelled(session, 7)
-	want := serial.NearestLabelled(session, 7)
-	if len(got) != len(want) {
-		t.Fatalf("labelled view returned %d hosts, serial filter %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("rank %d: labelled view ID %d, serial filter ID %d", i, got[i].ID, want[i].ID)
-		}
-		if d := math.Abs(got[i].Cosine - want[i].Cosine); d > rankCosTol {
-			t.Fatalf("rank %d: cosine diff %g > %g", i, d, rankCosTol)
-		}
-	}
-}
-
 // TestProfileIndexedMatchesSerial profiles real trained-model sessions
-// through both scan paths; the resulting category vectors must agree to
-// within the neighbourhood tolerance.
+// through the packed index and through the dense oracle over the serial
+// float64 scan; the resulting category vectors must agree to within the
+// neighbourhood tolerance.
 func TestProfileIndexedMatchesSerial(t *testing.T) {
 	fx := newProfilingFixture(t, 0.5)
 	indexed := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20})
-	serial := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20, SerialScan: true})
 	sessions := [][]string{
 		fx.ta[:4],
 		fx.tb[len(fx.tb)-4:],
@@ -232,19 +201,37 @@ func TestProfileIndexedMatchesSerial(t *testing.T) {
 	}
 	for i, s := range sessions {
 		a, errA := indexed.ProfileSession(s)
-		b, errB := serial.ProfileSession(s)
+		b, errB := profileSessionDense(indexed, s, true)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("session %d: indexed err %v, serial err %v", i, errA, errB)
 		}
 		if errA != nil {
 			continue
 		}
-		for c := range a {
-			if d := math.Abs(a[c] - b[c]); d > 1e-4 {
-				t.Fatalf("session %d category %d: indexed %g vs serial %g", i, c, a[c], b[c])
-			}
+		if !vectorsWithin(a, b, profileTol) {
+			t.Fatalf("session %d: indexed %v vs serial %v", i, a, b)
 		}
 	}
+}
+
+// profileTol bounds how far a category may move between a profile from
+// the packed float32 index and one from the serial float64 scan: the
+// cosines differ by at most rankCosTol, and so may who holds the last
+// ranks of the neighbourhood.
+const profileTol = 1e-4
+
+// vectorsWithin reports whether two category vectors agree to within tol
+// in every category.
+func vectorsWithin(a, b ontology.Vector, tol float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for c := range a {
+		if math.Abs(a[c]-b[c]) > tol {
+			return false
+		}
+	}
+	return true
 }
 
 // vectorsBitEqual compares two category vectors bit for bit: Eq. 4 folds

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,11 +118,6 @@ type Model struct {
 	dim   int
 	in    []float64 // |H| × dim central representations, row-major
 	out   []float64 // |H| × dim context representations, row-major
-
-	// normed caches unit-normalized central vectors for the serial
-	// float64 similarity scan; built lazily by ensureIndex.
-	normed   []float64
-	normOnce sync.Once
 
 	// fastIdx is the packed float32 similarity index over the central
 	// embeddings; built lazily by SimilarityIndex, once per model.
@@ -453,17 +447,6 @@ func (m *Model) ContextVectorByID(id int) []float64 {
 	return m.out[id*m.dim : id*m.dim+m.dim]
 }
 
-// ensureIndex builds the unit-normalized copy of the central embeddings
-// used by similarity search.
-func (m *Model) ensureIndex() {
-	m.normOnce.Do(func() {
-		m.normed = append([]float64(nil), m.in...)
-		for id := 0; id < m.vocab.Len(); id++ {
-			stats.Normalize(m.normed[id*m.dim : id*m.dim+m.dim])
-		}
-	})
-}
-
 // SimilarityIndex returns the packed float32 top-k similarity index over
 // the central embeddings, building it on first use. The index is
 // immutable — models are frozen after training — so every profiler over
@@ -566,88 +549,6 @@ type Neighbour struct {
 	ID     int
 	Host   string
 	Cosine float64
-}
-
-// worseNeighbour reports whether a ranks strictly below b under the
-// result order shared with internal/index: lower cosine, ties broken by
-// higher ID. Applying this total order at every heap comparison — not
-// just the final sort — makes the serial scan's kept set deterministic,
-// so the equivalence suite can compare it position-by-position against
-// the parallel index.
-func worseNeighbour(a, b Neighbour) bool {
-	return a.Cosine < b.Cosine || (a.Cosine == b.Cosine && a.ID > b.ID)
-}
-
-// NearestToVector returns the k vocabulary hosts whose central embeddings
-// have the highest cosine similarity to query, in decreasing order (ties
-// broken by ascending vocabulary ID). exclude, if non-nil, suppresses
-// specific vocabulary IDs (e.g. the query host itself).
-//
-// This is the single-threaded float64 reference scan; hot paths go
-// through SimilarityIndex, which is rank-equivalent (see internal/index).
-func (m *Model) NearestToVector(query []float64, k int, exclude map[int]bool) []Neighbour {
-	if k <= 0 {
-		return nil
-	}
-	m.ensureIndex()
-	qn := append([]float64(nil), query...)
-	if n := stats.Normalize(qn); n == 0 || math.IsNaN(n) || math.IsInf(n, 0) {
-		return nil // no direction to rank against, as in the packed index
-	}
-	// Bounded min-heap rooted at the worst kept neighbour.
-	h := make([]Neighbour, 0, k+1)
-	push := func(n Neighbour) {
-		h = append(h, n)
-		// Sift up.
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !worseNeighbour(h[i], h[p]) {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-	}
-	pop := func() {
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			s := i
-			if l < n && worseNeighbour(h[l], h[s]) {
-				s = l
-			}
-			if r < n && worseNeighbour(h[r], h[s]) {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			h[i], h[s] = h[s], h[i]
-			i = s
-		}
-	}
-	for id := 0; id < m.vocab.Len(); id++ {
-		if exclude != nil && exclude[id] {
-			continue
-		}
-		cos := stats.Dot(qn, m.normed[id*m.dim:id*m.dim+m.dim])
-		cand := Neighbour{ID: id, Cosine: cos}
-		if len(h) < k {
-			push(cand)
-		} else if worseNeighbour(h[0], cand) {
-			pop()
-			push(cand)
-		}
-	}
-	sort.Slice(h, func(i, j int) bool { return worseNeighbour(h[j], h[i]) })
-	for i := range h {
-		h[i].Host = m.vocab.Host(h[i].ID)
-	}
-	return h
 }
 
 // MostSimilar returns the k nearest hosts to the given host, excluding the

