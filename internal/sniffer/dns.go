@@ -20,6 +20,9 @@ const (
 	dnsTypeA    = 1
 	dnsTypeAAAA = 28
 	dnsClassIN  = 1
+	// maxDNSName is the longest name DNS carries, counted as it is
+	// encoded (RFC 1035 Section 2.3.4): 253 characters written out.
+	maxDNSName = 255
 )
 
 // ErrNotDNSResponse marks a datagram that is not a DNS response.
@@ -48,6 +51,9 @@ func BuildDNSQuery(host string, txid uint16) ([]byte, error) {
 func appendDNSName(buf []byte, host string) ([]byte, error) {
 	if host == "" {
 		return nil, fmt.Errorf("%w: empty name", ErrBadName)
+	}
+	if len(host)+2 > maxDNSName { // a length byte per label, and the root's
+		return nil, fmt.Errorf("%w: name of %d bytes", ErrBadName, len(host))
 	}
 	for _, label := range strings.Split(host, ".") {
 		if len(label) == 0 || len(label) > 63 {
@@ -199,6 +205,9 @@ func readDNSName(b []byte) (string, int, error) {
 		}
 		if off+1+l > len(b) {
 			return "", 0, fmt.Errorf("%w: label overflow", ErrBadName)
+		}
+		if off+1+l >= maxDNSName {
+			return "", 0, fmt.Errorf("%w: name longer than %d bytes", ErrBadName, maxDNSName)
 		}
 		labels = append(labels, string(b[off+1:off+1+l]))
 		off += 1 + l

@@ -2,9 +2,70 @@ package sniffer
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"hostprof/internal/stats"
 )
+
+// HKDF (RFC 5869) in full over the package's own HMAC, which derives
+// only QUIC's four short outputs in product code: the RFC's vectors pin
+// the MAC across key and message lengths the opener never meets.
+
+func hkdfExtract(salt, ikm []byte) []byte {
+	h := newHMACSHA256()
+	h.setKey(salt)
+	return append([]byte(nil), h.finish(ikm)...)
+}
+
+func hkdfExpand(prk, info []byte, length int) []byte {
+	h := newHMACSHA256()
+	var out, t []byte
+	for counter := byte(1); len(out) < length; counter++ {
+		h.setKey(prk)
+		t = h.finish(append(append(append([]byte(nil), t...), info...), counter))
+		out = append(out, t...)
+	}
+	return out[:length]
+}
+
+func hkdfExpandLabel(secret []byte, label string, context []byte, length int) []byte {
+	info := expandLabelInfo(label, length)
+	info = info[:len(info)-2] // hkdfExpand counts blocks itself
+	info = append(append(info, byte(len(context))), context...)
+	return hkdfExpand(secret, info, length)
+}
+
+// The MAC against crypto/hmac over random keys and messages, both sides
+// of the block size, one hmacSHA256 re-keyed throughout.
+func TestHMACMatchesStdlib(t *testing.T) {
+	rng := stats.NewRNG(7)
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Uint64())
+		}
+		return b
+	}
+	h := newHMACSHA256()
+	for i := 0; i < 1000; i++ {
+		key, msg := random(rng.Intn(150)), random(rng.Intn(300))
+		ref := hmac.New(sha256.New, key)
+		ref.Write(msg)
+		want := ref.Sum(nil)
+		h.setKey(key)
+		if got := h.finish(msg); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (key %d bytes, msg %d): %x, want %x", i, len(key), len(msg), got, want)
+		}
+		saved := newKeyedHMAC(key)
+		h.restore(saved)
+		if got := h.finish(msg); !bytes.Equal(got, want) {
+			t.Fatalf("case %d restored: %x, want %x", i, got, want)
+		}
+	}
+}
 
 // RFC 5869 Appendix A, Test Case 1 (SHA-256).
 func TestHKDFRFC5869Case1(t *testing.T) {

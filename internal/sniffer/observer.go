@@ -18,7 +18,7 @@ type FlowKey struct {
 // flowState buffers the beginning of a TCP client stream until an SNI has
 // been extracted or the flow is declared uninteresting.
 type flowState struct {
-	asm      *streamAssembler
+	asm      streamAssembler
 	done     bool
 	lastSeen int64
 }
@@ -84,6 +84,9 @@ type Observer struct {
 	cfg   ObserverConfig
 	flows map[FlowKey]*flowState
 	pkt   Packet
+	// quic holds the scratch QUIC Initials are opened in. Like pkt it is
+	// why ProcessPacket belongs to one goroutine.
+	quic *initialOpener
 	// ipToHost maps server addresses to hostnames learned from DNS
 	// responses flowing past the observer; used to resolve SNI-less
 	// (ECH) flows to real hostnames instead of raw IP tokens.
@@ -162,6 +165,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	return &Observer{
 		cfg:      cfg,
 		flows:    make(map[FlowKey]*flowState),
+		quic:     newInitialOpener(),
 		ipToHost: make(map[[16]byte]string),
 		met:      newObserverMetrics(reg),
 	}
@@ -223,7 +227,7 @@ func (o *Observer) ProcessPacket(data []byte, ts int64) (v trace.Visit, ok bool)
 			o.met.dnsVisits.Inc()
 			return trace.Visit{User: o.cfg.UserOf(p.SrcAddr()), Time: ts, Host: host}, true
 		case portIn(p.UDP.DstPort, o.cfg.QUICPorts):
-			host, err := ParseQUICInitialSNI(p.Payload)
+			host, err := o.quic.sni(p.Payload)
 			if err != nil {
 				return trace.Visit{}, false
 			}
@@ -250,7 +254,7 @@ func (o *Observer) processTCP(ts int64) (trace.Visit, bool) {
 	}
 	st := o.flows[key]
 	if st == nil {
-		st = &flowState{asm: newStreamAssembler()}
+		st = &flowState{}
 		o.flows[key] = st
 		o.met.flowsTracked.Inc()
 		o.maybeEvict(ts)
@@ -266,38 +270,48 @@ func (o *Observer) processTCP(ts int64) (trace.Visit, bool) {
 	if len(p.Payload) == 0 {
 		return trace.Visit{}, false
 	}
-	// Sequence-aware reassembly: reordered, duplicated or overlapping
-	// segments are spliced back into the in-order stream prefix.
-	if !st.asm.Add(p.TCP.Seq, p.Payload) {
-		st.done = true
-		st.asm.Release()
-		return trace.Visit{}, false
+	// A hello usually arrives whole in the stream's first segment: parse
+	// it where it lies, and buffer only if more of it is still to come.
+	// Otherwise reassemble by sequence number: reordered, duplicated or
+	// overlapping segments are spliced back into the in-order prefix.
+	stream := p.Payload
+	inPlace := len(stream) <= assemblerLimit && st.asm.startsStream(p.TCP.Seq)
+	if !inPlace {
+		if !st.asm.Add(p.TCP.Seq, p.Payload) {
+			st.done = true
+			st.asm.Release()
+			return trace.Visit{}, false
+		}
+		stream = st.asm.Bytes()
 	}
-	host, err := ParseSNI(st.asm.Bytes())
-	switch {
-	case err == nil:
-		st.done = true
-		st.asm.Release()
-		o.met.tlsVisits.Inc()
-		return trace.Visit{User: o.cfg.UserOf(p.SrcAddr()), Time: ts, Host: host}, true
-	case errors.Is(err, ErrNeedMore):
-		return trace.Visit{}, false
-	case errors.Is(err, ErrNoSNI):
-		st.done = true
-		st.asm.Release()
-		if o.cfg.IPFallback {
-			// ECH or SNI-less hello: fall back to the destination
-			// address, or a hostname learned from DNS responses.
-			o.met.ipFallbacks.Inc()
-			return trace.Visit{User: o.cfg.UserOf(p.SrcAddr()), Time: ts, Host: o.hostForAddr(p.DstAddr())}, true
+	host, err := ParseSNI(stream)
+	if errors.Is(err, ErrNeedMore) {
+		if inPlace {
+			st.asm.Add(p.TCP.Seq, p.Payload)
 		}
 		return trace.Visit{}, false
-	default:
-		// Not a ClientHello (or hopeless): stop buffering this flow.
-		st.done = true
-		st.asm.Release()
-		return trace.Visit{}, false
 	}
+	return o.finishFlow(st, ts, host, err)
+}
+
+// finishFlow stops buffering a flow whose stream prefix has been decided
+// — a hostname, a hello without one, or not a hello at all — and returns
+// the visit it yields, if any.
+func (o *Observer) finishFlow(st *flowState, ts int64, host string, err error) (trace.Visit, bool) {
+	p := &o.pkt
+	st.done = true
+	st.asm.Release()
+	switch {
+	case err == nil:
+		o.met.tlsVisits.Inc()
+		return trace.Visit{User: o.cfg.UserOf(p.SrcAddr()), Time: ts, Host: host}, true
+	case errors.Is(err, ErrNoSNI) && o.cfg.IPFallback:
+		// ECH or SNI-less hello: fall back to the destination
+		// address, or a hostname learned from DNS responses.
+		o.met.ipFallbacks.Inc()
+		return trace.Visit{User: o.cfg.UserOf(p.SrcAddr()), Time: ts, Host: o.hostForAddr(p.DstAddr())}, true
+	}
+	return trace.Visit{}, false
 }
 
 // hostForAddr resolves a destination address to a hostname learned from

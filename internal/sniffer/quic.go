@@ -3,10 +3,12 @@ package sniffer
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"hostprof/internal/stats"
 )
@@ -68,76 +70,96 @@ func readVarint(b []byte) (uint64, int, error) {
 	return v, n, nil
 }
 
-// initialKeys holds the derived client Initial protection material.
-type initialKeys struct {
-	key, iv, hp []byte
+// Header rejections an observer meets on almost every UDP/443 datagram
+// (1-RTT packets have short headers), preallocated so turning one away
+// costs no more than reading its first bytes.
+var (
+	errQUICShortDatagram = fmt.Errorf("%w: short datagram", ErrNotQUICInitial)
+	errQUICShortHeader   = fmt.Errorf("%w: short header", ErrNotQUICInitial)
+	errQUICVersion       = fmt.Errorf("%w: version is not 1", ErrNotQUICInitial)
+	errQUICLongType      = fmt.Errorf("%w: long header type is not Initial", ErrNotQUICInitial)
+	errQUICAuth          = fmt.Errorf("%w: message authentication failed", ErrQUICDecrypt)
+)
+
+// Inputs to the client Initial key schedule (RFC 9001 Section 5.2) that
+// no packet changes: the salt already keyed into HKDF-Extract's MAC, and
+// each HKDF-Expand-Label's info.
+var (
+	quicV1SaltHMAC = newKeyedHMAC(quicV1InitialSalt)
+	infoClientIn   = expandLabelInfo("client in", sha256.Size)
+	infoQUICKey    = expandLabelInfo("quic key", 16)
+	infoQUICIV     = expandLabelInfo("quic iv", 12)
+	infoQUICHP     = expandLabelInfo("quic hp", 16)
+)
+
+// initialOpener derives client Initial keys and opens (or, for the
+// synthesizer, seals) Initial packets. It owns every buffer a packet
+// needs, so a caller that keeps one — the Observer does — pays for the
+// arithmetic and the two AES key schedules and little else. One goroutine
+// at a time; captured bytes are only ever read.
+type initialOpener struct {
+	mac    hmacSHA256
+	secret [sha256.Size]byte
+	key    [16]byte
+	hp     [16]byte
+	iv     [12]byte
+	nonce  [12]byte
+	mask   [aes.BlockSize]byte
+	// hdr is the header with its protection removed (the AEAD's
+	// additional data), plain the decrypted frames, chunks and crypto
+	// the CRYPTO stream when more than one frame carries it.
+	hdr    []byte
+	plain  []byte
+	chunks []cryptoChunk
+	crypto []byte
 }
 
-// deriveClientInitialKeys derives the client-side Initial keys from the
-// Destination Connection ID, per RFC 9001 Section 5.2.
-func deriveClientInitialKeys(dcid []byte) initialKeys {
-	initial := hkdfExtract(quicV1InitialSalt, dcid)
-	client := hkdfExpandLabel(initial, "client in", nil, 32)
-	return initialKeys{
-		key: hkdfExpandLabel(client, "quic key", nil, 16),
-		iv:  hkdfExpandLabel(client, "quic iv", nil, 12),
-		hp:  hkdfExpandLabel(client, "quic hp", nil, 16),
-	}
+func newInitialOpener() *initialOpener {
+	return &initialOpener{mac: newHMACSHA256()}
 }
 
-// aeadSeal encrypts plaintext with AES-128-GCM using nonce = iv XOR pn.
-func (k initialKeys) aeadSeal(pn uint64, header, plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(k.key)
+// openerPool serves the callers that have no opener of their own.
+var openerPool = sync.Pool{New: func() any { return newInitialOpener() }}
+
+// deriveKeys sets key, iv and hp to the client Initial protection
+// material for the Destination Connection ID (RFC 9001 Section 5.2).
+func (o *initialOpener) deriveKeys(dcid []byte) {
+	m := &o.mac
+	m.restore(quicV1SaltHMAC)
+	copy(o.secret[:], m.finish(dcid)) // initial_secret
+	m.setKey(o.secret[:])
+	copy(o.secret[:], m.finish(infoClientIn)) // client_initial_secret
+	m.setKey(o.secret[:])
+	copy(o.key[:], m.finish(infoQUICKey))
+	m.setKey(o.secret[:])
+	copy(o.iv[:], m.finish(infoQUICIV))
+	m.setKey(o.secret[:])
+	copy(o.hp[:], m.finish(infoQUICHP))
+}
+
+// aead returns AES-128-GCM under the derived key and sets the nonce for
+// packet number pn (iv XOR pn).
+func (o *initialOpener) aead(pn uint64) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(o.key[:])
 	if err != nil {
 		return nil, err
 	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	nonce := k.nonce(pn)
-	return aead.Seal(nil, nonce, plaintext, header), nil
-}
-
-// aeadOpen decrypts ciphertext produced by aeadSeal.
-func (k initialKeys) aeadOpen(pn uint64, header, ciphertext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(k.key)
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := aead.Open(nil, k.nonce(pn), ciphertext, header)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrQUICDecrypt, err)
-	}
-	return pt, nil
-}
-
-func (k initialKeys) nonce(pn uint64) []byte {
-	nonce := append([]byte(nil), k.iv...)
-	var pnb [8]byte
-	binary.BigEndian.PutUint64(pnb[:], pn)
+	o.nonce = o.iv
 	for i := 0; i < 8; i++ {
-		nonce[len(nonce)-8+i] ^= pnb[i]
+		o.nonce[len(o.nonce)-1-i] ^= byte(pn >> (8 * i))
 	}
-	return nonce
+	return cipher.NewGCM(block)
 }
 
-// hpMask computes the 5-byte header-protection mask from a 16-byte
-// ciphertext sample (RFC 9001 Section 5.4.3, AES-based).
-func (k initialKeys) hpMask(sample []byte) ([5]byte, error) {
-	var mask [5]byte
-	block, err := aes.NewCipher(k.hp)
+// setMask computes the header-protection mask from a 16-byte ciphertext
+// sample (RFC 9001 Section 5.4.3, AES-based); its first five bytes apply.
+func (o *initialOpener) setMask(sample []byte) error {
+	block, err := aes.NewCipher(o.hp[:])
 	if err != nil {
-		return mask, err
+		return err
 	}
-	var out [16]byte
-	block.Encrypt(out[:], sample[:16])
-	copy(mask[:], out[:5])
-	return mask, nil
+	block.Encrypt(o.mask[:], sample[:aes.BlockSize])
+	return nil
 }
 
 // BuildQUICInitial renders a protected QUIC v1 client Initial datagram
@@ -191,22 +213,22 @@ func BuildQUICInitial(sni string, rng *stats.RNG) ([]byte, error) {
 	pnOffset := len(hdr)
 	hdr = binary.BigEndian.AppendUint16(hdr, uint16(pn))
 
-	keys := deriveClientInitialKeys(dcid)
-	ct, err := keys.aeadSeal(pn, hdr, payload)
+	o := openerPool.Get().(*initialOpener)
+	defer openerPool.Put(o)
+	o.deriveKeys(dcid)
+	aead, err := o.aead(pn)
 	if err != nil {
 		return nil, fmt.Errorf("sniffer: sealing Initial: %w", err)
 	}
-	pkt := append(hdr, ct...)
+	pkt := append(hdr, aead.Seal(nil, o.nonce[:], payload, hdr)...)
 
 	// Header protection.
-	sample := pkt[pnOffset+4 : pnOffset+20]
-	mask, err := keys.hpMask(sample)
-	if err != nil {
+	if err := o.setMask(pkt[pnOffset+4 : pnOffset+20]); err != nil {
 		return nil, err
 	}
-	pkt[0] ^= mask[0] & 0x0f
+	pkt[0] ^= o.mask[0] & 0x0f
 	for i := 0; i < pnLen; i++ {
-		pkt[pnOffset+i] ^= mask[1+i]
+		pkt[pnOffset+i] ^= o.mask[1+i]
 	}
 	return pkt, nil
 }
@@ -215,85 +237,111 @@ func BuildQUICInitial(sni string, rng *stats.RNG) ([]byte, error) {
 // Initial datagram: it derives the Initial keys from the DCID, removes
 // header protection, decrypts the payload, reassembles the CRYPTO stream
 // and parses the ClientHello — exactly what an on-path observer does.
+// The datagram is not modified.
 func ParseQUICInitialSNI(datagram []byte) (string, error) {
+	o := openerPool.Get().(*initialOpener)
+	host, err := o.sni(datagram)
+	openerPool.Put(o)
+	return host, err
+}
+
+// initialHeader is what a protected Initial shows before its keys are
+// known: the connection ID they derive from, where the packet number
+// starts, and the Length field covering it and the sealed payload.
+type initialHeader struct {
+	dcid     []byte
+	pnOffset int
+	length   uint64
+}
+
+func parseInitialHeader(datagram []byte) (initialHeader, error) {
+	var h initialHeader
 	if len(datagram) < 7 {
-		return "", fmt.Errorf("%w: short datagram", ErrNotQUICInitial)
+		return h, errQUICShortDatagram
 	}
 	first := datagram[0]
 	if first&0x80 == 0 {
-		return "", fmt.Errorf("%w: short header", ErrNotQUICInitial)
+		return h, errQUICShortHeader
 	}
-	if v := binary.BigEndian.Uint32(datagram[1:5]); v != quicVersion1 {
-		return "", fmt.Errorf("%w: version %#08x", ErrNotQUICInitial, v)
+	if binary.BigEndian.Uint32(datagram[1:5]) != quicVersion1 {
+		return h, errQUICVersion
 	}
 	if (first>>4)&0x03 != 0 { // long packet type must be Initial (00)
-		return "", fmt.Errorf("%w: long header type %d", ErrNotQUICInitial, (first>>4)&0x03)
+		return h, errQUICLongType
 	}
 	off := 5
-	if off >= len(datagram) {
-		return "", fmt.Errorf("%w: dcid", ErrTruncated)
-	}
 	dcidLen := int(datagram[off])
 	off++
 	if off+dcidLen > len(datagram) {
-		return "", fmt.Errorf("%w: dcid", ErrTruncated)
+		return h, fmt.Errorf("%w: dcid", ErrTruncated)
 	}
-	dcid := datagram[off : off+dcidLen]
+	h.dcid = datagram[off : off+dcidLen]
 	off += dcidLen
 	if off >= len(datagram) {
-		return "", fmt.Errorf("%w: scid", ErrTruncated)
+		return h, fmt.Errorf("%w: scid", ErrTruncated)
 	}
 	scidLen := int(datagram[off])
 	off++
 	if off+scidLen > len(datagram) {
-		return "", fmt.Errorf("%w: scid", ErrTruncated)
+		return h, fmt.Errorf("%w: scid", ErrTruncated)
 	}
 	off += scidLen
 	tokenLen, n, err := readVarint(datagram[off:])
 	if err != nil {
-		return "", err
+		return h, err
+	}
+	if tokenLen > uint64(len(datagram)-off-n) {
+		return h, fmt.Errorf("%w: token", ErrTruncated)
 	}
 	off += n + int(tokenLen)
-	if off > len(datagram) {
-		return "", fmt.Errorf("%w: token", ErrTruncated)
-	}
-	length, n, err := readVarint(datagram[off:])
+	h.length, n, err = readVarint(datagram[off:])
 	if err != nil {
-		return "", err
+		return h, err
 	}
-	off += n
-	pnOffset := off
-	if pnOffset+20 > len(datagram) {
-		return "", fmt.Errorf("%w: too short for header protection sample", ErrTruncated)
+	h.pnOffset = off + n
+	if h.pnOffset+20 > len(datagram) {
+		return h, fmt.Errorf("%w: too short for header protection sample", ErrTruncated)
 	}
+	return h, nil
+}
 
-	keys := deriveClientInitialKeys(dcid)
-	sample := datagram[pnOffset+4 : pnOffset+20]
-	mask, err := keys.hpMask(sample)
+// sni is ParseQUICInitialSNI on o's buffers.
+func (o *initialOpener) sni(datagram []byte) (string, error) {
+	h, err := parseInitialHeader(datagram)
 	if err != nil {
 		return "", err
 	}
-	// Work on a copy: the observer must not mutate captured bytes.
-	pkt := append([]byte(nil), datagram...)
-	pkt[0] ^= mask[0] & 0x0f
-	pnLen := int(pkt[0]&0x03) + 1
-	var pn uint64
-	for i := 0; i < pnLen; i++ {
-		pkt[pnOffset+i] ^= mask[1+i]
-		pn = pn<<8 | uint64(pkt[pnOffset+i])
+	o.deriveKeys(h.dcid)
+	if err := o.setMask(datagram[h.pnOffset+4 : h.pnOffset+20]); err != nil {
+		return "", err
 	}
-	payloadStart := pnOffset + pnLen
-	payloadEnd := pnOffset + int(length)
-	if payloadEnd > len(pkt) || payloadStart >= payloadEnd {
+	first := datagram[0] ^ o.mask[0]&0x0f
+	pnLen := int(first&0x03) + 1
+	if h.length <= uint64(pnLen) || h.length > uint64(len(datagram)-h.pnOffset) {
 		return "", fmt.Errorf("%w: length field", ErrTruncated)
 	}
-	header := pkt[:payloadStart]
-	plaintext, err := keys.aeadOpen(pn, header, pkt[payloadStart:payloadEnd])
+	payloadStart := h.pnOffset + pnLen
+	payloadEnd := h.pnOffset + int(h.length)
+	// The observer must not write to captured bytes, and only the header
+	// has any to change: unmask a copy of it, decrypt straight from the
+	// datagram.
+	o.hdr = append(o.hdr[:0], datagram[:payloadStart]...)
+	o.hdr[0] = first
+	var pn uint64
+	for i := h.pnOffset; i < payloadStart; i++ {
+		o.hdr[i] ^= o.mask[1+i-h.pnOffset]
+		pn = pn<<8 | uint64(o.hdr[i])
+	}
+	aead, err := o.aead(pn)
 	if err != nil {
 		return "", err
 	}
-
-	crypto, err := reassembleCrypto(plaintext)
+	plain, err := aead.Open(o.plain[:0], o.nonce[:], datagram[payloadStart:payloadEnd], o.hdr)
+	if err != nil {
+		return "", errQUICAuth
+	}
+	o.plain = plain
+	crypto, err := o.reassembleCrypto(plain)
 	if err != nil {
 		return "", err
 	}
@@ -306,13 +354,30 @@ type cryptoChunk struct {
 	data []byte
 }
 
+// skipPadding returns payload past its leading PADDING frames. An Initial
+// is padded to 1200 bytes around a ClientHello a quarter that size, so
+// the run is taken a word at a time.
+func skipPadding(payload []byte) []byte {
+	for len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == 0 {
+		payload = payload[8:]
+	}
+	for len(payload) > 0 && payload[0] == frameTypePadding {
+		payload = payload[1:]
+	}
+	return payload
+}
+
 // reassembleCrypto walks the frames of a decrypted Initial payload and
-// concatenates the CRYPTO stream.
-func reassembleCrypto(payload []byte) ([]byte, error) {
-	var chunks []cryptoChunk
+// returns the CRYPTO stream: the frame's own bytes when one frame carries
+// it, a concatenation in o otherwise. Either way the result is only good
+// until o opens its next packet.
+func (o *initialOpener) reassembleCrypto(payload []byte) ([]byte, error) {
+	chunks := o.chunks[:0]
 	for len(payload) > 0 {
 		switch payload[0] {
-		case frameTypePadding, frameTypePing:
+		case frameTypePadding:
+			payload = skipPadding(payload)
+		case frameTypePing:
 			payload = payload[1:]
 		case frameTypeCrypto:
 			payload = payload[1:]
@@ -337,16 +402,24 @@ func reassembleCrypto(payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: frame type %#02x", ErrNotQUICInitial, payload[0])
 		}
 	}
+	o.chunks = chunks
 	if len(chunks) == 0 {
 		return nil, fmt.Errorf("%w: no CRYPTO frames", ErrNotQUICInitial)
 	}
+	if len(chunks) == 1 {
+		if chunks[0].off != 0 {
+			return nil, fmt.Errorf("%w: CRYPTO stream gap at %d", ErrTruncated, chunks[0].off)
+		}
+		return chunks[0].data, nil
+	}
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i].off < chunks[j].off })
-	var out []byte
+	out := o.crypto[:0]
 	for _, c := range chunks {
 		if uint64(len(out)) != c.off {
 			return nil, fmt.Errorf("%w: CRYPTO stream gap at %d", ErrTruncated, c.off)
 		}
 		out = append(out, c.data...)
 	}
+	o.crypto = out
 	return out, nil
 }

@@ -9,6 +9,20 @@ import (
 	"hostprof/internal/stats"
 )
 
+// deriveClientInitialKeys is the opener's key schedule, with the keys
+// copied out of it.
+func deriveClientInitialKeys(dcid []byte) (k struct{ key, iv, hp []byte }) {
+	o := newInitialOpener()
+	o.deriveKeys(dcid)
+	k.key, k.iv, k.hp = o.key[:], o.iv[:], o.hp[:]
+	return k
+}
+
+// reassembleCrypto runs the frame walk on a fresh opener.
+func reassembleCrypto(payload []byte) ([]byte, error) {
+	return newInitialOpener().reassembleCrypto(payload)
+}
+
 func unhex(t *testing.T, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)

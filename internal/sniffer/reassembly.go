@@ -8,7 +8,8 @@ package sniffer
 // It is deliberately scoped to what the observer needs — the first few
 // kilobytes of the client stream where the ClientHello lives — rather
 // than a general reassembler: total buffering is bounded, and the
-// assembler is abandoned once the prefix has been consumed.
+// assembler is abandoned once the prefix has been consumed. The zero
+// value is an empty assembler.
 type streamAssembler struct {
 	// isn is the initial sequence number; the first payload byte is
 	// isn+1 (the SYN consumes one sequence number).
@@ -17,7 +18,8 @@ type streamAssembler struct {
 	// assembled is the contiguous in-order prefix.
 	assembled []byte
 	// pending holds out-of-order segments keyed by their relative
-	// stream offset.
+	// stream offset; made when the first one arrives, which on most
+	// flows is never.
 	pending map[uint32][]byte
 	// pendingBytes bounds memory for reordered data.
 	pendingBytes int
@@ -25,11 +27,6 @@ type streamAssembler struct {
 
 // assemblerLimit bounds the total buffered bytes (in-order plus pending).
 const assemblerLimit = maxFlowBuffer
-
-// newStreamAssembler returns an empty assembler.
-func newStreamAssembler() *streamAssembler {
-	return &streamAssembler{pending: make(map[uint32][]byte)}
-}
 
 // SYN records the initial sequence number.
 func (a *streamAssembler) SYN(seq uint32) {
@@ -72,6 +69,9 @@ func (a *streamAssembler) Add(seq uint32, payload []byte) bool {
 			return false
 		}
 		if _, dup := a.pending[rel]; !dup {
+			if a.pending == nil {
+				a.pending = make(map[uint32][]byte)
+			}
 			a.pending[rel] = append([]byte(nil), payload...)
 			a.pendingBytes += len(payload)
 		}
@@ -105,6 +105,13 @@ func (a *streamAssembler) drainPending() {
 			return
 		}
 	}
+}
+
+// startsStream reports whether a segment at seq would be the stream's
+// first byte with nothing buffered before or after it, so that it alone
+// is the whole prefix Add would assemble.
+func (a *streamAssembler) startsStream(seq uint32) bool {
+	return len(a.assembled) == 0 && len(a.pending) == 0 && (!a.haveISN || seq == a.isn+1)
 }
 
 // Bytes returns the contiguous in-order prefix assembled so far.

@@ -145,7 +145,10 @@ func ParseSNI(stream []byte) (string, error) {
 }
 
 // reassembleHandshake concatenates the payloads of leading handshake
-// records until a complete ClientHello message is available.
+// records until a complete ClientHello message is available. A message
+// that one record holds — nearly every hello — is returned where it lies
+// in stream; the first record's payload is taken with no spare capacity,
+// so joining a second to it copies and stream is never written.
 func reassembleHandshake(stream []byte) ([]byte, error) {
 	var hs []byte
 	rest := stream
@@ -175,18 +178,27 @@ func reassembleHandshake(stream []byte) ([]byte, error) {
 		if len(rest) < 5+rl {
 			// Partial record: keep what we have; if the handshake
 			// message is already complete we are done.
-			hs = append(hs, rest[5:]...)
+			hs = joinFragment(hs, rest[5:])
 			if hsComplete(hs) {
 				return hs, nil
 			}
 			return nil, ErrNeedMore
 		}
-		hs = append(hs, rest[5:5+rl]...)
+		hs = joinFragment(hs, rest[5:5+rl])
 		rest = rest[5+rl:]
 		if hsComplete(hs) {
 			return hs, nil
 		}
 	}
+}
+
+// joinFragment appends a record's payload to the handshake bytes before
+// it, aliasing the record while it is the only one.
+func joinFragment(hs, frag []byte) []byte {
+	if hs == nil {
+		return frag[:len(frag):len(frag)]
+	}
+	return append(hs, frag...)
 }
 
 // hsComplete reports whether hs holds a full handshake message.
