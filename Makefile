@@ -68,28 +68,31 @@ cover:
 		{ echo "coverage $$total% fell below $(COVER_FLOOR)%"; exit 1; }
 
 # Short fuzz smoke over the WAL record decoder, the ANN build, the ANN
-# graph loader, the exact scan's selection, the gateway's batch-body
-# scanner and the observer's three wire parsers (CI runs the same). The
-# sniffer targets cap minimization: shrinking one 1200-byte Initial
-# otherwise takes the whole ten seconds.
+# graph loader, the exact scan's selection, the trainer's two row
+# kernels against their portable twins, the gateway's batch-body scanner
+# and the observer's three wire parsers (CI runs the same). The sniffer
+# targets cap minimization: shrinking one 1200-byte Initial otherwise
+# takes the whole ten seconds.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSearchSelect$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSGNSKernels$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzArrayField$$' -fuzztime 10s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzQUICInitial$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzClientHello$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzDNS$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # The single CI definition: the workflow's test job runs exactly this.
-# The arm64 cross-build keeps internal/index's portable scan kernel
-# compiling and vetted: on an amd64 runner nothing else builds it.
+# The arm64 cross-build keeps the portable kernels — internal/index's
+# scan, internal/core's trainer pair — compiling and vetted: on an amd64
+# runner nothing else builds them.
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/index/
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/index/ ./internal/core/
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check

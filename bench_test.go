@@ -694,7 +694,7 @@ func nearestBenchModel(b *testing.B) *core.Model {
 // queries.
 func BenchmarkNearestToVector(b *testing.B) {
 	m := nearestBenchModel(b)
-	q := m.VectorByID(17)
+	q := stats.Widen(m.VectorByID(17))
 	const k = 1000
 	bytesPerQuery := int64(m.Vocab().Len()) * 128 * 4
 

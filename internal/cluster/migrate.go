@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hostprof/internal/fault"
 	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/server"
 )
@@ -815,6 +816,9 @@ func (m *Migration) copyRange(ctx context.Context, r *migRange) error {
 			m.mu.Unlock()
 			m.records.Add(int64(len(visits)))
 			g.met.migRecords.Add(int64(len(visits)))
+			if err := fault.Inject(fault.MigrateCopyChunk); err != nil {
+				return err
+			}
 			if g.cfg.MigrationThrottle > 0 {
 				select {
 				case <-ctx.Done():

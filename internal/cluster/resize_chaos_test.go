@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hostprof/internal/fault"
 	"hostprof/internal/server"
 	"hostprof/internal/synth"
 )
@@ -327,7 +328,7 @@ func TestChaosClusterResizeSourceKill(t *testing.T) {
 		VirtualNodes:      8,
 		HealthInterval:    -1,
 		ShardTimeout:      3 * time.Second,
-		MigrationThrottle: 2 * time.Millisecond, // hold the copy open for the kill
+		MigrationThrottle: 2 * time.Millisecond,
 		MigrationChunk:    8,
 		MigrationWorkers:  1,
 		Logger:            quiet,
@@ -380,8 +381,16 @@ func TestChaosClusterResizeSourceKill(t *testing.T) {
 	}
 	oldRing := gw.Ring()
 
-	// Start the grow, wait for the copy to demonstrably run, then
-	// SIGKILL the source of a range that is still copying.
+	// Start the grow with the copy held after its first chunk (the
+	// gateway runs in this process, so its fault point is this test's to
+	// arm), SIGKILL the source of a range that cannot have finished, and
+	// only let the copy go on once the kill has been delivered and
+	// reaped: nothing here races the migration's pace.
+	killed := make(chan struct{})
+	release := sync.OnceFunc(func() { close(killed) })
+	defer release() // a failing test must not leave gw.Close waiting on the copy
+	fault.Set(fault.MigrateCopyChunk, func() error { <-killed; return nil })
+	t.Cleanup(fault.Reset)
 	if got := resizeViaHTTP(t, gwSrv, urls, http.StatusAccepted); got != "started" {
 		t.Fatalf("resize answered %q", got)
 	}
@@ -415,6 +424,7 @@ func TestChaosClusterResizeSourceKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmds[victim].Wait()
+	release()
 
 	failed := waitMigrationState(t, gw, "failed", 60*time.Second)
 	if failed.RangesAborted == 0 {

@@ -69,7 +69,7 @@ func TestANNSelfExclusionTrainedModel(t *testing.T) {
 	ix := m.SimilarityIndex()
 	ann := ix.BuildANN(index.ANNConfig{Ef: 24})
 	for _, id := range []int32{0, 3, 599, 1199} {
-		q := m.VectorByID(int(id))
+		q := stats.Widen(m.VectorByID(int(id)))
 		got, _ := ann.SearchAppend(nil, q, 8, 0, 1, id)
 		exact := ix.SearchAppend(nil, q, 8, 1, id)
 		for _, r := range got {

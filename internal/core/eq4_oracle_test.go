@@ -183,7 +183,7 @@ func TestProfileSessionMatchesDenseOracle(t *testing.T) {
 func TestProfileSessionPoisonedHost(t *testing.T) {
 	m, ont, oov := eq4World(t, 1617, 400, 8)
 	const poisoned = 7
-	m.in[poisoned*m.dim+2] = math.Inf(1)
+	m.in[poisoned*m.dim+2] = float32(math.Inf(1))
 	poisonedHost := m.Vocab().Host(poisoned)
 	clean := m.Vocab().Host(11)
 	for mode, cfg := range map[string]ProfilerConfig{

@@ -172,7 +172,7 @@ func TestIndexSerialTieBreak(t *testing.T) {
 	for _, dup := range []int{4, 9, 14} {
 		copy(m.in[dup*dim:(dup+1)*dim], m.in[1*dim:2*dim])
 	}
-	query := append([]float64(nil), m.in[1*dim:2*dim]...)
+	query := stats.Widen(m.in[1*dim : 2*dim])
 
 	ref := refNearestToVector(m, query, 4)
 	got := m.SimilarityIndex().Search(query, 4)

@@ -7,16 +7,17 @@ import (
 	"hostprof/internal/stats"
 )
 
-// fixedModel builds a 3-host, 4-dim model with known weights:
+// fixedModel builds a 3-host, 4-dim model with known weights — the
+// float32 values nearest the decimals below:
 // vocab order (all counts equal, lexicographic): a=0, b=1, c=2.
 func fixedModel() *Model {
 	m := &Model{vocab: BuildVocab([][]string{{"a", "b", "c"}}, 1), dim: 4}
-	m.in = []float64{
+	m.in = []float32{
 		0.10, -0.20, 0.30, 0.05, // u_a
 		-0.15, 0.25, 0.10, -0.30, // u_b
 		0.20, 0.10, -0.10, 0.15, // u_c
 	}
-	m.out = []float64{
+	m.out = []float32{
 		0.05, 0.15, -0.20, 0.10, // v_a
 		-0.10, 0.05, 0.25, -0.15, // v_b
 		0.30, -0.05, 0.10, 0.20, // v_c
@@ -24,12 +25,16 @@ func fixedModel() *Model {
 	return m
 }
 
-// sgnsLoss computes the negative-sampling loss of Equation (2) for one
-// (centre, context) pair with the given negative target.
+// row returns row id of a 4-dim matrix, widened to float64.
+func row(w []float32, id int) []float64 { return stats.Widen(w[id*4 : id*4+4]) }
+
+// sgnsLoss computes the negative-sampling loss of Equation (2), in
+// float64, for one (centre, context) pair with the given negative target.
 func sgnsLoss(m *Model, centre, ctx, neg int) float64 {
-	u := m.in[centre*4 : centre*4+4]
-	vp := m.out[ctx*4 : ctx*4+4]
-	vn := m.out[neg*4 : neg*4+4]
+	return sgnsLossVecs(row(m.in, centre), row(m.out, ctx), row(m.out, neg))
+}
+
+func sgnsLossVecs(u, vp, vn []float64) float64 {
 	return -math.Log(stats.Sigmoid(stats.Dot(u, vp))) -
 		math.Log(stats.Sigmoid(-stats.Dot(u, vn)))
 }
@@ -43,7 +48,8 @@ func newFixedTrainer(m *Model) *trainer {
 		rng:      stats.NewRNG(1),
 		noise:    stats.NewAlias([]float64{0, 0, 1}),
 		noiseRNG: stats.NewRNG(2),
-		neu1e:    make([]float64, 4),
+		kernels:  sgnsKernels{sgnsDot, sgnsUpdate},
+		neu1e:    make([]float32, 4),
 	}
 }
 
@@ -61,7 +67,7 @@ func TestTrainStepDecreasesLoss(t *testing.T) {
 	}
 	// The positive pair's similarity must have grown and the negative
 	// pair's shrunk.
-	if stats.Dot(m.in[0:4], m.out[4:8]) <= 0 {
+	if stats.Dot(row(m.in, 0), row(m.out, 1)) <= 0 {
 		t.Fatal("positive score not pushed up")
 	}
 }
@@ -74,23 +80,18 @@ func TestTrainStepDecreasesLoss(t *testing.T) {
 //	g_neg = (0 − σ(u·v_neg))·lr      v_neg += g_neg·u;  acc += g_neg·v_neg(old)
 //	u += acc
 //
-// and verifies every weight of the model to 1e-12.
+// in float64 from the model's float32 starting weights, and verifies every
+// weight of the model to 1e-7: the trainer rounds the dot (4 products of
+// magnitude ≤ 0.1), g and each of the two updates a weight receives here
+// to float32, half an ulp of a weight below 0.5 — 3e-8 — at a time.
 func TestTrainStepMatchesHandComputedUpdate(t *testing.T) {
 	const lr = 0.1
 	m := fixedModel()
 	tr := newFixedTrainer(m)
 
 	// Independent copy for manual computation.
-	u := [][]float64{
-		append([]float64(nil), m.in[0:4]...),
-		append([]float64(nil), m.in[4:8]...),
-		append([]float64(nil), m.in[8:12]...),
-	}
-	v := [][]float64{
-		append([]float64(nil), m.out[0:4]...),
-		append([]float64(nil), m.out[4:8]...),
-		append([]float64(nil), m.out[8:12]...),
-	}
+	u := [][]float64{row(m.in, 0), row(m.in, 1), row(m.in, 2)}
+	v := [][]float64{row(m.out, 0), row(m.out, 1), row(m.out, 2)}
 	dot := func(a, b []float64) float64 {
 		var s float64
 		for i := range a {
@@ -124,10 +125,10 @@ func TestTrainStepMatchesHandComputedUpdate(t *testing.T) {
 
 	for host := 0; host < 3; host++ {
 		for d := 0; d < 4; d++ {
-			if got, want := m.in[host*4+d], u[host][d]; math.Abs(got-want) > 1e-12 {
+			if got, want := float64(m.in[host*4+d]), u[host][d]; math.Abs(got-want) > 1e-7 {
 				t.Fatalf("in[%d][%d] = %v, want %v", host, d, got, want)
 			}
-			if got, want := m.out[host*4+d], v[host][d]; math.Abs(got-want) > 1e-12 {
+			if got, want := float64(m.out[host*4+d]), v[host][d]; math.Abs(got-want) > 1e-7 {
 				t.Fatalf("out[%d][%d] = %v, want %v", host, d, got, want)
 			}
 		}
@@ -141,7 +142,7 @@ func TestTrainStepSkipsNegativeEqualToContext(t *testing.T) {
 	tr := newFixedTrainer(m)
 	// Noise distribution concentrated on the context host b (=1).
 	tr.noise = stats.NewAlias([]float64{0, 1, 0})
-	before := append([]float64(nil), m.out[8:12]...) // v_c untouched
+	before := append([]float32(nil), m.out[8:12]...) // v_c untouched
 	tr.trainSequence([]int32{0, 1}, 0.1)
 	for i, x := range m.out[8:12] {
 		if x != before[i] {
@@ -149,29 +150,30 @@ func TestTrainStepSkipsNegativeEqualToContext(t *testing.T) {
 		}
 	}
 	// Positive update still applied.
-	if stats.Dot(m.in[0:4], m.out[4:8]) <= stats.Dot(fixedModel().in[0:4], fixedModel().out[4:8]) {
+	if stats.Dot(row(m.in, 0), row(m.out, 1)) <= stats.Dot(row(fixedModel().in, 0), row(fixedModel().out, 1)) {
 		t.Fatal("positive pair not trained")
 	}
 }
 
 // TestNumericalGradient verifies the analytic gradient of the SGNS loss
-// against central finite differences at the initial weights.
+// against central finite differences at the initial weights, on float64
+// copies of them: a step of 1e-6 is not one a float32 weight can take.
 func TestNumericalGradient(t *testing.T) {
 	m := fixedModel()
 	const eps = 1e-6
 	// Analytic gradient of L(centre=0, ctx=1, neg=2) wrt u_0:
 	// ∂L/∂u = -(1-σ(u·v1))·v1 + σ(u·v2)·v2.
-	u := m.in[0:4]
-	v1 := m.out[4:8]
-	v2 := m.out[8:12]
+	u := row(m.in, 0)
+	v1 := row(m.out, 1)
+	v2 := row(m.out, 2)
 	for d := 0; d < 4; d++ {
 		analytic := -(1-stats.Sigmoid(stats.Dot(u, v1)))*v1[d] +
 			stats.Sigmoid(stats.Dot(u, v2))*v2[d]
 		orig := u[d]
 		u[d] = orig + eps
-		lp := sgnsLoss(m, 0, 1, 2)
+		lp := sgnsLossVecs(u, v1, v2)
 		u[d] = orig - eps
-		lm := sgnsLoss(m, 0, 1, 2)
+		lm := sgnsLossVecs(u, v1, v2)
 		u[d] = orig
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(analytic-numeric) > 1e-6 {

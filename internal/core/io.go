@@ -8,14 +8,18 @@ import (
 	"os"
 )
 
-// modelWire is the on-disk representation of a Model.
+// modelWire is the on-disk representation of a Model. gob sends a
+// float32 and a float64 field as the same wire type and decodes either
+// from either, so the encoding is the one that carried []float64 rows: a
+// model written then loads here, rounded to float32, and one written
+// here loads there.
 type modelWire struct {
 	Version int
 	Dim     int
 	Hosts   []string
 	Counts  []int64
-	In      []float64
-	Out     []float64
+	In      []float32
+	Out     []float32
 }
 
 const modelWireVersion = 1

@@ -44,8 +44,8 @@ func TestLoadRejectsWireVersionMismatch(t *testing.T) {
 		Dim:     4,
 		Hosts:   []string{"a"},
 		Counts:  []int64{1},
-		In:      make([]float64, 4),
-		Out:     make([]float64, 4),
+		In:      make([]float32, 4),
+		Out:     make([]float32, 4),
 	})
 	_, err := Load(bytes.NewReader(raw))
 	if err == nil {
@@ -81,10 +81,10 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 			Hosts: []string{"a"}, Counts: []int64{1}}},
 		{"hosts/counts mismatch", modelWire{Version: modelWireVersion, Dim: 2,
 			Hosts: []string{"a", "b"}, Counts: []int64{1},
-			In: make([]float64, 4), Out: make([]float64, 4)}},
+			In: make([]float32, 4), Out: make([]float32, 4)}},
 		{"short weights", modelWire{Version: modelWireVersion, Dim: 3,
 			Hosts: []string{"a", "b"}, Counts: []int64{1, 1},
-			In: make([]float64, 5), Out: make([]float64, 6)}},
+			In: make([]float32, 5), Out: make([]float32, 6)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,7 +34,8 @@ type TrainConfig struct {
 	// noise distribution. Default 0.75.
 	UnigramPower float64
 	// Subsample is the frequent-host subsampling threshold (gensim's
-	// `sample`); 0 disables. Default 1e-3.
+	// `sample`). 0 selects the default, 1e-3; a negative value disables
+	// subsampling.
 	Subsample float64
 	// MinCount drops hostnames seen fewer times. Default 5.
 	MinCount int
@@ -112,15 +113,16 @@ func (c TrainConfig) withDefaults() TrainConfig {
 
 // Model holds the learned hostname representations: the central embeddings
 // W (paper's h) and the context embeddings W' (paper's h'). Central
-// embeddings are what downstream profiling consumes.
+// embeddings are what downstream profiling consumes. Both are float32
+// from the first SGD step on, as in gensim's trainer.
 type Model struct {
 	vocab *Vocab
 	dim   int
-	in    []float64 // |H| × dim central representations, row-major
-	out   []float64 // |H| × dim context representations, row-major
+	in    []float32 // |H| × dim central representations, row-major
+	out   []float32 // |H| × dim context representations, row-major
 
-	// fastIdx is the packed float32 similarity index over the central
-	// embeddings; built lazily by SimilarityIndex, once per model.
+	// fastIdx is the packed, unit-normalized similarity index over the
+	// central embeddings; built lazily by SimilarityIndex, once per model.
 	fastIdx  *index.Index
 	fastOnce sync.Once
 
@@ -155,6 +157,19 @@ func Train(corpus [][]string, cfg TrainConfig) (*Model, error) {
 // is discarded and ctx.Err() is returned (wrapped; test with
 // errors.Is).
 func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Model, error) {
+	return train(ctx, corpus, cfg, sgnsKernels{sgnsDot, sgnsUpdate})
+}
+
+// sgnsKernels is the pair of row kernels a trainer steps through (see
+// sgns.go); a parameter so that a test can train through the portable
+// pair on an architecture that has assembly.
+type sgnsKernels struct {
+	dot    func(a, b []float32) float32
+	update func(g float32, c, o, neu []float32)
+}
+
+// train is TrainContext through the given kernels.
+func train(ctx context.Context, corpus [][]string, cfg TrainConfig, kernels sgnsKernels) (*Model, error) {
 	cfg = cfg.withDefaults()
 	vocab := BuildVocab(corpus, cfg.MinCount)
 	if vocab.Len() == 0 {
@@ -181,11 +196,11 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 	}
 
 	m := &Model{vocab: vocab, dim: cfg.Dim}
-	m.in = make([]float64, vocab.Len()*cfg.Dim)
-	m.out = make([]float64, vocab.Len()*cfg.Dim)
+	m.in = make([]float32, vocab.Len()*cfg.Dim)
+	m.out = make([]float32, vocab.Len()*cfg.Dim)
 	init := stats.NewRNG(cfg.Seed)
 	for i := range m.in {
-		m.in[i] = (init.Float64() - 0.5) / float64(cfg.Dim)
+		m.in[i] = float32((init.Float64() - 0.5) / float64(cfg.Dim))
 	}
 
 	// Noise distribution: counts^power behind one alias table that every
@@ -197,20 +212,7 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 	}
 	noise := stats.NewAlias(weights)
 
-	// Subsampling keep-probabilities (word2vec formula).
-	keep := make([]float64, vocab.Len())
-	for i := range keep {
-		if cfg.Subsample <= 0 {
-			keep[i] = 1
-			continue
-		}
-		f := float64(vocab.Count(i)) / float64(vocab.Total())
-		p := (math.Sqrt(f/cfg.Subsample) + 1) * cfg.Subsample / f
-		if p > 1 {
-			p = 1
-		}
-		keep[i] = p
-	}
+	keep := keepProbabilities(vocab, cfg.Subsample)
 
 	totalWork := tokens * int64(cfg.Epochs)
 	var done atomic.Int64
@@ -229,11 +231,12 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 		trainers[w] = &trainer{
 			m:         m,
 			cfg:       cfg,
+			kernels:   kernels,
 			rng:       stats.NewRNG(cfg.Seed ^ (0x9e37*uint64(w) + 1)),
 			noise:     noise,
 			noiseRNG:  stats.NewRNG(cfg.Seed + uint64(w)*7919 + 13),
 			keep:      keep,
-			neu1e:     make([]float64, cfg.Dim),
+			neu1e:     make([]float32, cfg.Dim),
 			trackLoss: cfg.Progress != nil,
 		}
 	}
@@ -298,16 +301,35 @@ func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Mod
 	return m, nil
 }
 
+// keepProbabilities returns, per vocabulary entry, the probability that
+// an occurrence survives frequent-host subsampling at threshold sample
+// (word2vec's formula); all ones when sample is not positive.
+func keepProbabilities(vocab *Vocab, sample float64) []float64 {
+	keep := make([]float64, vocab.Len())
+	for i := range keep {
+		keep[i] = 1
+		if sample <= 0 {
+			continue
+		}
+		f := float64(vocab.Count(i)) / float64(vocab.Total())
+		if p := (math.Sqrt(f/sample) + 1) * sample / f; p < 1 {
+			keep[i] = p
+		}
+	}
+	return keep
+}
+
 // trainer holds per-worker training state.
 type trainer struct {
 	m        *Model
 	cfg      TrainConfig
+	kernels  sgnsKernels
 	rng      *stats.RNG   // subsampling and window shrink
 	noise    *stats.Alias // shared by all workers, read-only
 	noiseRNG *stats.RNG
 	keep     []float64
 	kept     []int32   // subsampled sequence, reused across sequences
-	neu1e    []float64 // gradient accumulator for the centre vector
+	neu1e    []float32 // gradient accumulator for the centre vector
 
 	// Loss accounting, only maintained when trackLoss is set; read by
 	// the Train goroutine at epoch barriers.
@@ -367,7 +389,13 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 						continue
 					}
 				}
-				y := sgnsStep(cvec, t.m.out[target*dim:target*dim+dim], neu1e, label, lr)
+				// One SGD step of Equation (2): score y = σ(c·o), move the
+				// target row along c and add the centre's share of the
+				// gradient, g = (label - y)·lr, to neu1e. σ, g and the loss
+				// are float64; only the rows are float32.
+				ovec := t.m.out[target*dim : target*dim+dim]
+				y := stats.Sigmoid(float64(t.kernels.dot(cvec, ovec)))
+				t.kernels.update(float32((label-y)*lr), cvec, ovec, neu1e)
 				if t.trackLoss {
 					if k > 0 {
 						y = 1 - y
@@ -384,39 +412,11 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 				t.lossSum -= math.Log(lik)
 				t.lossPairs++
 			}
-			stats.AXPY(1, neu1e, cvec)
+			for i, e := range neu1e {
+				cvec[i] += e
+			}
 		}
 	}
-}
-
-// sgnsStep is one SGD step of Equation (2) on a (centre, target) sample:
-// it scores y = σ(c·o), adds the centre's share of the gradient
-// g = (label - y)·lr to neu, moves the target row o along c, and returns
-// y. All three slices have the model's dimensionality.
-func sgnsStep(c, o, neu []float64, label, lr float64) float64 {
-	n := len(c)
-	o, neu = o[:n], neu[:n]
-	// Four independent partial sums: a single one would serialise the
-	// loop on the latency of its add.
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i <= n-4; i += 4 {
-		s0 += c[i] * o[i]
-		s1 += c[i+1] * o[i+1]
-		s2 += c[i+2] * o[i+2]
-		s3 += c[i+3] * o[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += c[i] * o[i]
-	}
-	y := stats.Sigmoid((s0 + s1) + (s2 + s3))
-	g := (label - y) * lr
-	for i, ci := range c {
-		oi := o[i]
-		neu[i] += g * oi
-		o[i] = oi + g*ci
-	}
-	return y
 }
 
 // Vocab returns the model's vocabulary.
@@ -427,7 +427,7 @@ func (m *Model) Dim() int { return m.dim }
 
 // Vector returns the central embedding of host. The returned slice aliases
 // model storage and must not be modified.
-func (m *Model) Vector(host string) ([]float64, bool) {
+func (m *Model) Vector(host string) ([]float32, bool) {
 	id, ok := m.vocab.ID(host)
 	if !ok {
 		return nil, false
@@ -437,13 +437,13 @@ func (m *Model) Vector(host string) ([]float64, bool) {
 
 // VectorByID returns the central embedding for a vocabulary index. The
 // returned slice aliases model storage and must not be modified.
-func (m *Model) VectorByID(id int) []float64 {
+func (m *Model) VectorByID(id int) []float32 {
 	return m.in[id*m.dim : id*m.dim+m.dim]
 }
 
 // ContextVectorByID returns the context embedding h' for a vocabulary
 // index; exposed for tests and diagnostics.
-func (m *Model) ContextVectorByID(id int) []float64 {
+func (m *Model) ContextVectorByID(id int) []float32 {
 	return m.out[id*m.dim : id*m.dim+m.dim]
 }
 
@@ -541,7 +541,7 @@ func (m *Model) Similarity(a, b string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: host %q not in vocabulary", b)
 	}
-	return stats.Cosine(va, vb), nil
+	return stats.Cosine(stats.Widen(va), stats.Widen(vb)), nil
 }
 
 // Neighbour is one result of a nearest-neighbour query.
@@ -559,7 +559,7 @@ func (m *Model) MostSimilar(host string, k int) ([]Neighbour, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: host %q not in vocabulary", host)
 	}
-	res := m.SimilarityIndex().SearchAppend(nil, m.VectorByID(id), k, 0, int32(id))
+	res := m.SimilarityIndex().SearchAppend(nil, stats.Widen(m.VectorByID(id)), k, 0, int32(id))
 	ns := make([]Neighbour, len(res))
 	for i, r := range res {
 		ns[i] = Neighbour{ID: int(r.ID), Host: m.vocab.Host(int(r.ID)), Cosine: float64(r.Score)}
@@ -569,9 +569,10 @@ func (m *Model) MostSimilar(host string, k int) ([]Neighbour, error) {
 
 // NewModelFromVectors assembles a frozen Model directly from a host list
 // and a row-major central-embedding matrix of len(hosts)×dim, for tools,
-// benchmarks and tests that need a model without running training. Hosts
-// must be unique; each gets a uniform count of 1 and the context matrix
-// is left empty.
+// benchmarks and tests that need a model without running training. The
+// matrix is rounded to float32, the model's representation. Hosts must be
+// unique; each gets a uniform count of 1 and the context matrix is left
+// empty.
 func NewModelFromVectors(hosts []string, dim int, in []float64) (*Model, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: non-positive dimensionality %d", dim)
@@ -592,5 +593,9 @@ func NewModelFromVectors(hosts []string, dim int, in []float64) (*Model, error) 
 		v.index[h] = i
 		v.counts[i] = 1
 	}
-	return &Model{vocab: v, dim: dim, in: append([]float64(nil), in...)}, nil
+	m := &Model{vocab: v, dim: dim, in: make([]float32, len(in))}
+	for i, x := range in {
+		m.in[i] = float32(x)
+	}
+	return m, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -77,31 +78,64 @@ func TestTrainSeparatesTopics(t *testing.T) {
 	}
 }
 
+// TestTrainDeterministicSingleWorker: one worker is a function of the
+// corpus and the configuration — twice gives the same Save bytes — and
+// not of the architecture's kernels: the portable pair trains the model
+// the assembly trains (the same test on an architecture without assembly
+// compares the portable pair with itself).
 func TestTrainDeterministicSingleWorker(t *testing.T) {
 	rng := stats.NewRNG(9)
 	corpus, _, _ := topicCorpus(rng, 6, 50, 8)
-	m1, err := Train(corpus, smallConfig())
+	cfg := smallConfig()
+	cfg.Dim = 23 // a group of eight, one of four and a tail of three
+	m1, err := Train(corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(corpus, smallConfig())
+	m2, err := Train(corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(f64bytes(m1.in), f64bytes(m2.in)) {
+	if !bytes.Equal(savedBytes(t, m1), savedBytes(t, m2)) {
 		t.Fatal("single-worker training is not deterministic")
+	}
+	portable, err := train(context.Background(), corpus, cfg, sgnsKernels{sgnsDotPortable, sgnsUpdatePortable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(savedBytes(t, m1), savedBytes(t, portable)) {
+		t.Fatal("training through the portable kernels and through this architecture's gave different models")
 	}
 }
 
-func f64bytes(xs []float64) []byte {
-	b := make([]byte, 0, len(xs)*8)
-	for _, x := range xs {
-		u := math.Float64bits(x)
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(u>>s))
+func savedBytes(t *testing.T, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSubsampleZeroSelectsTheDefault pins what TrainConfig.Subsample
+// documents: 0 is the 1e-3 default, only a negative value disables, and
+// a positive value is taken as given.
+func TestSubsampleZeroSelectsTheDefault(t *testing.T) {
+	vocab := BuildVocab([][]string{{"a", "a", "a", "a", "a", "a", "a", "a", "b", "c"}}, 1)
+	for _, tc := range []struct{ set, effective float64 }{{0, 1e-3}, {-1, 0}, {1e-5, 1e-5}} {
+		keep := keepProbabilities(vocab, TrainConfig{Subsample: tc.set}.withDefaults().Subsample)
+		for id, got := range keep {
+			want := 1.0
+			if s := tc.effective; s > 0 {
+				// word2vec's (√(f/s) + 1)·s/f, below 1 for all three hosts.
+				f := float64(vocab.Count(id)) / float64(vocab.Total())
+				want = (math.Sqrt(f/s) + 1) * s / f
+			}
+			if got != want {
+				t.Errorf("Subsample %v: %s is kept with probability %v, want %v", tc.set, vocab.Host(id), got, want)
+			}
 		}
 	}
-	return b
 }
 
 func TestTrainSeedChangesResult(t *testing.T) {
@@ -111,7 +145,7 @@ func TestTrainSeedChangesResult(t *testing.T) {
 	m1, _ := Train(corpus, cfg)
 	cfg.Seed = 43
 	m2, _ := Train(corpus, cfg)
-	if bytes.Equal(f64bytes(m1.in), f64bytes(m2.in)) {
+	if bytes.Equal(savedBytes(t, m1), savedBytes(t, m2)) {
 		t.Fatal("different seeds produced identical weights")
 	}
 }
@@ -224,7 +258,7 @@ func TestNearestToVectorEdgeCases(t *testing.T) {
 		t.Fatal("k=0 should return nil")
 	}
 	// k larger than vocab returns everything.
-	v := m.VectorByID(0)
+	v := stats.Widen(m.VectorByID(0))
 	all := refNearestToVector(m, v, 10000)
 	if len(all) != m.Vocab().Len() {
 		t.Fatalf("len = %d, want %d", len(all), m.Vocab().Len())
@@ -242,7 +276,7 @@ func TestNearestToVectorMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := m.VectorByID(3)
+	q := stats.Widen(m.VectorByID(3))
 	got := refNearestToVector(m, q, 4)
 	// Brute force reference.
 	type pair struct {
@@ -251,7 +285,7 @@ func TestNearestToVectorMatchesBruteForce(t *testing.T) {
 	}
 	var ref []pair
 	for id := 0; id < m.Vocab().Len(); id++ {
-		ref = append(ref, pair{id, stats.Cosine(q, m.VectorByID(id))})
+		ref = append(ref, pair{id, stats.Cosine(q, stats.Widen(m.VectorByID(id)))})
 	}
 	for i := 0; i < 4; i++ {
 		best := i

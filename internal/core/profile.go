@@ -297,7 +297,9 @@ func (p *Profiler) addHost(s []float64, id int) {
 	if p.cfg.Agg == AggIDF {
 		w = p.idf[id]
 	}
-	stats.AXPY(w, p.model.VectorByID(id), s)
+	for i, x := range p.model.VectorByID(id) {
+		s[i] += w * float64(x)
+	}
 }
 
 // finishSessionVector turns the sum over n in-vocabulary hosts into the

@@ -69,7 +69,9 @@ func refNearestToVector(m *Model, query []float64, k int) []Neighbour {
 	}
 	row := make([]float64, m.dim)
 	for id := 0; id < m.vocab.Len(); id++ {
-		copy(row, m.VectorByID(id))
+		for i, x := range m.VectorByID(id) {
+			row[i] = float64(x)
+		}
 		stats.Normalize(row)
 		cand := Neighbour{ID: id, Cosine: stats.Dot(qn, row)}
 		if len(h) < k {

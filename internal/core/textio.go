@@ -24,7 +24,7 @@ func (m *Model) WriteText(w io.Writer) error {
 		vec := m.in[id*m.dim : id*m.dim+m.dim]
 		for _, x := range vec {
 			bw.WriteByte(' ')
-			bw.Write(strconv.AppendFloat(nil, x, 'g', 9, 64))
+			bw.Write(strconv.AppendFloat(nil, float64(x), 'g', 9, 32))
 		}
 		if err := bw.WriteByte('\n'); err != nil {
 			return fmt.Errorf("core: writing text row: %w", err)
@@ -59,7 +59,7 @@ func ReadText(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: bad dimensionality %q", header[1])
 	}
 	v := &Vocab{index: make(map[string]int, n)}
-	in := make([]float64, 0, n*dim)
+	in := make([]float32, 0, n*dim)
 	row := 0
 	for sc.Scan() {
 		line := sc.Text()
@@ -79,11 +79,11 @@ func ReadText(r io.Reader) (*Model, error) {
 		v.counts = append(v.counts, 1)
 		v.total++
 		for _, f := range fields[1:] {
-			x, err := strconv.ParseFloat(f, 64)
+			x, err := strconv.ParseFloat(f, 32)
 			if err != nil {
 				return nil, fmt.Errorf("core: row %d: %w", row, err)
 			}
-			in = append(in, x)
+			in = append(in, float32(x))
 		}
 		row++
 	}
@@ -97,6 +97,6 @@ func ReadText(r io.Reader) (*Model, error) {
 		vocab: v,
 		dim:   dim,
 		in:    in,
-		out:   make([]float64, len(in)),
+		out:   make([]float32, len(in)),
 	}, nil
 }

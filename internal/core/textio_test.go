@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -34,7 +33,8 @@ func TestTextRoundTrip(t *testing.T) {
 		t.Fatal("host missing after round trip")
 	}
 	for i := range v1 {
-		if math.Abs(v1[i]-v2[i]) > 1e-8 {
+		// Nine significant digits round-trip a float32 exactly.
+		if v1[i] != v2[i] {
 			t.Fatalf("dim %d: %v vs %v", i, v1[i], v2[i])
 		}
 	}

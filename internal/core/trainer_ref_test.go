@@ -8,12 +8,22 @@ import (
 	"hostprof/internal/stats"
 )
 
-// refTrainSequence is the trainer's inner loop as it stood before the
-// fused kernel — stats.Dot, then one stats.AXPY per update, one log per
-// sample — kept as the oracle trainSequence is checked against. It draws
-// from the same generators in the same order, so from equal state the two
-// see identical samples.
-func (t *trainer) refTrainSequence(seq []int32, lr float64) {
+// refWeights is a model in float64: what refTrainSequence moves, started
+// from a trainer's float32 rows widened.
+type refWeights struct{ in, out, neu1e []float64 }
+
+func widenWeights(m *Model) *refWeights {
+	return &refWeights{in: stats.Widen(m.in), out: stats.Widen(m.out), neu1e: make([]float64, m.dim)}
+}
+
+// refTrainSequence is Equation (2)'s SGD in float64 throughout, as the
+// trainer ran it before its rows became float32 and, before that, before
+// its steps were fused — stats.Dot, then one stats.AXPY per update, one
+// log per sample — kept as the oracle trainSequence is checked against.
+// It trains w, not t.m, and otherwise uses t's state: it draws from the
+// same generators in the same order, so from equal state the two see
+// identical samples.
+func (t *trainer) refTrainSequence(w *refWeights, seq []int32, lr float64) {
 	kept := seq
 	if t.cfg.Subsample > 0 {
 		kept = kept[:0:0]
@@ -38,15 +48,13 @@ func (t *trainer) refTrainSequence(seq []int32, lr float64) {
 		if hi >= len(kept) {
 			hi = len(kept) - 1
 		}
-		cvec := t.m.in[centre*dim : centre*dim+dim]
+		cvec := w.in[centre*dim : centre*dim+dim]
 		for j := lo; j <= hi; j++ {
 			if j == c {
 				continue
 			}
 			ctx := int(kept[j])
-			for i := range t.neu1e {
-				t.neu1e[i] = 0
-			}
+			clear(w.neu1e)
 			for k := 0; k <= t.cfg.Negative; k++ {
 				var target int
 				var label float64
@@ -59,7 +67,7 @@ func (t *trainer) refTrainSequence(seq []int32, lr float64) {
 					}
 					label = 0
 				}
-				ovec := t.m.out[target*dim : target*dim+dim]
+				ovec := w.out[target*dim : target*dim+dim]
 				y := stats.Sigmoid(stats.Dot(cvec, ovec))
 				if t.trackLoss {
 					if label == 1 {
@@ -70,10 +78,10 @@ func (t *trainer) refTrainSequence(seq []int32, lr float64) {
 					}
 				}
 				g := (label - y) * lr
-				stats.AXPY(g, ovec, t.neu1e)
+				stats.AXPY(g, ovec, w.neu1e)
 				stats.AXPY(g, cvec, ovec)
 			}
-			stats.AXPY(1, t.neu1e, cvec)
+			stats.AXPY(1, w.neu1e, cvec)
 		}
 	}
 }
@@ -83,12 +91,12 @@ func (t *trainer) refTrainSequence(seq []int32, lr float64) {
 // sequence to train on. Equal arguments give equal fixtures.
 func kernelFixture(hosts, dim, seqLen int) (*trainer, []int32) {
 	rng := stats.NewRNG(uint64(1000 + dim))
-	m := &Model{dim: dim, in: make([]float64, hosts*dim), out: make([]float64, hosts*dim)}
+	m := &Model{dim: dim, in: make([]float32, hosts*dim), out: make([]float32, hosts*dim)}
 	for i := range m.in {
 		// Larger than a fresh model's weights, so the sigmoids leave 0.5
 		// and a summation-order slip would show.
-		m.in[i] = rng.Float64() - 0.5
-		m.out[i] = rng.Float64() - 0.5
+		m.in[i] = float32(rng.Float64() - 0.5)
+		m.out[i] = float32(rng.Float64() - 0.5)
 	}
 	weights := make([]float64, hosts)
 	keep := make([]float64, hosts)
@@ -107,39 +115,46 @@ func kernelFixture(hosts, dim, seqLen int) (*trainer, []int32) {
 		noise:     stats.NewAlias(weights),
 		noiseRNG:  stats.NewRNG(8),
 		keep:      keep,
-		neu1e:     make([]float64, dim),
+		kernels:   sgnsKernels{sgnsDot, sgnsUpdate},
+		neu1e:     make([]float32, dim),
 		trackLoss: true,
 	}, seq
 }
 
-// TestTrainSequenceMatchesReference runs the product kernel and the
-// reference loop from identical state over identical draws: every weight
-// must agree to 1e-12 — they differ only in the order the dot product is
-// summed — and the tracked loss, one log per pair against one per sample,
-// to 1e-9 relative with the same pair count.
+// TestTrainSequenceMatchesReference runs the float32 trainer and the
+// float64 reference loop from the same float32-representable weights over
+// identical draws, and holds them together at float32 tolerance. A weight
+// here stays below 1 in magnitude and is moved some 70 times, each move
+// rounding it to half an ulp (≤ 6e-8) beside the rounding of the dot and
+// of g: weights agree to 5e-6 (measured: ≤ 8.3e-7 at every dim), which is
+// still a tenth of what reading the moved o[i] in place of the old one,
+// (lr·|c|)² ≈ 8e-5, would cost. The loss is summed in float64 on both
+// sides from sigmoids of dots that differ by float32 rounding: 1e-6
+// relative (measured: ≤ 7.7e-9), the same pair count. Summation order
+// is below this test's sight; TestSGNSKernelsBitEqualPortable holds it.
 func TestTrainSequenceMatchesReference(t *testing.T) {
 	for _, dim := range []int{1, 3, 4, 7, 64, 100, 130} {
 		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
 			got, seq := kernelFixture(50, dim, 200)
 			want, _ := kernelFixture(50, dim, 200)
+			ref := widenWeights(want.m)
 			got.trainSequence(seq, 0.025)
-			want.refTrainSequence(seq, 0.025)
-			for i := range want.m.in {
-				if d := math.Abs(got.m.in[i] - want.m.in[i]); !(d <= 1e-12) {
-					t.Fatalf("in[%d] = %v, reference %v", i, got.m.in[i], want.m.in[i])
-				}
-				if d := math.Abs(got.m.out[i] - want.m.out[i]); !(d <= 1e-12) {
-					t.Fatalf("out[%d] = %v, reference %v", i, got.m.out[i], want.m.out[i])
-				}
+			want.refTrainSequence(ref, seq, 0.025)
+			var worst float64
+			for i := range ref.in {
+				worst = max(worst, math.Abs(float64(got.m.in[i])-ref.in[i]), math.Abs(float64(got.m.out[i])-ref.out[i]))
+			}
+			if !(worst <= 5e-6) {
+				t.Fatalf("a weight is %g from the float64 reference's", worst)
 			}
 			if got.lossPairs != want.lossPairs || got.lossPairs == 0 {
 				t.Fatalf("pairs = %d, reference %d", got.lossPairs, want.lossPairs)
 			}
-			if rel := math.Abs(got.lossSum-want.lossSum) / want.lossSum; !(rel <= 1e-9) {
+			if rel := math.Abs(got.lossSum-want.lossSum) / want.lossSum; !(rel <= 1e-6) {
 				t.Fatalf("loss = %v, reference %v (relative error %g)", got.lossSum, want.lossSum, rel)
 			}
 			if got.rng.Uint64() != want.rng.Uint64() || got.noiseRNG.Uint64() != want.noiseRNG.Uint64() {
-				t.Fatal("kernel and reference consumed different random streams")
+				t.Fatal("trainer and reference consumed different random streams")
 			}
 		})
 	}
@@ -147,7 +162,9 @@ func TestTrainSequenceMatchesReference(t *testing.T) {
 
 // TestTrainSequenceLossSurvivesManyNegatives drives the per-pair
 // likelihood product far past what a float64 holds — 400 saturated
-// negatives at 1e-12 each — and still wants the reference's loss.
+// negatives at 1e-12 each — and still wants the reference's loss, to the
+// 1e-9 it always did: the weights (3) and every dot (72) are exact in
+// float32, and at this rate a step is far below half an ulp of either.
 func TestTrainSequenceLossSurvivesManyNegatives(t *testing.T) {
 	build := func() *trainer {
 		tr, _ := kernelFixture(50, 8, 2)
@@ -160,7 +177,7 @@ func TestTrainSequenceLossSurvivesManyNegatives(t *testing.T) {
 	got, want := build(), build()
 	seq := []int32{0, 1}
 	got.trainSequence(seq, 1e-9)
-	want.refTrainSequence(seq, 1e-9)
+	want.refTrainSequence(widenWeights(want.m), seq, 1e-9)
 	if math.IsInf(got.lossSum, 0) || math.IsNaN(got.lossSum) {
 		t.Fatalf("loss = %v", got.lossSum)
 	}
@@ -227,7 +244,8 @@ func BenchmarkTrainSequence(b *testing.B) {
 				tr, seq := kernelFixture(3749, dim, 200)
 				step := tr.trainSequence
 				if impl == "ref" {
-					step = tr.refTrainSequence
+					w := widenWeights(tr.m)
+					step = func(seq []int32, lr float64) { tr.refTrainSequence(w, seq, lr) }
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -75,7 +75,7 @@ func Fig4TSNE(s *Setup, day, iterations int) (Fig4Result, error) {
 	topics := make([]int, n)
 	hosts := make([]string, n)
 	for id := 0; id < n; id++ {
-		vecs[id] = model.VectorByID(id)
+		vecs[id] = stats.Widen(model.VectorByID(id))
 		hosts[id] = model.Vocab().Host(id)
 		topics[id] = s.topicOf2LD(hosts[id])
 	}
@@ -162,7 +162,7 @@ func Fig5ClusterPurity(s *Setup) Fig5Result {
 		if site == nil {
 			continue
 		}
-		vecs = append(vecs, s.Model.VectorByID(id))
+		vecs = append(vecs, stats.Widen(s.Model.VectorByID(id)))
 		topics = append(topics, site.Top)
 		topicCount[site.Top]++
 	}

@@ -26,6 +26,10 @@ const (
 	StoreWALAppend = "store/wal-append"
 	// TrainEpoch fires at the start of every training epoch.
 	TrainEpoch = "core/train-epoch"
+	// MigrateCopyChunk fires after every chunk a resize copies from a
+	// range's source to its target; an error fails that round of the
+	// range's copy.
+	MigrateCopyChunk = "cluster/migrate-copy-chunk"
 )
 
 // HTTPPoint names the injection point of one HTTP endpoint handler

@@ -211,7 +211,7 @@ func TestANNZeroAndEdgeQueries(t *testing.T) {
 	if got, _ := ann.SearchAppend(nil, randMatrix(rng, 1, 8), 0, 0, 1, NoExclude); got != nil {
 		t.Fatalf("k=0: got %v, want nil", got)
 	}
-	empty := New(nil, 0, 8, Config{})
+	empty := New[float64](nil, 0, 8, Config{})
 	ea := empty.BuildANN(ANNConfig{})
 	if got, _ := ea.SearchAppend(nil, randMatrix(rng, 1, 8), 3, 0, 1, NoExclude); got != nil {
 		t.Fatalf("empty graph: got %v, want nil", got)

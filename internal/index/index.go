@@ -76,10 +76,11 @@ type Index struct {
 	states sync.Pool // *queryState
 }
 
-// New builds an index over a row-major float64 matrix of rows×dim
-// central embeddings. The matrix is copied and normalized; the source is
-// not retained.
-func New(vecs []float64, rows, dim int, cfg Config) *Index {
+// New builds an index over a row-major matrix of rows×dim central
+// embeddings, float32 as a trained model holds them or float64. The
+// matrix is copied and normalized, each row's norm accumulated in
+// float64; the source is not retained.
+func New[F float32 | float64](vecs []F, rows, dim int, cfg Config) *Index {
 	if rows < 0 || dim <= 0 || len(vecs) < rows*dim {
 		panic("index: matrix shorter than rows*dim")
 	}
@@ -88,7 +89,7 @@ func New(vecs []float64, rows, dim int, cfg Config) *Index {
 		src := vecs[r*dim : r*dim+dim]
 		var norm float64
 		for _, x := range src {
-			norm += x * x
+			norm += float64(x) * float64(x)
 		}
 		if norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
 			// Zero rows stay zero (cosine 0 against everything), and rows
@@ -101,7 +102,7 @@ func New(vecs []float64, rows, dim int, cfg Config) *Index {
 		inv := 1 / math.Sqrt(norm)
 		dst := ix.packed[r*dim : r*dim+dim]
 		for i, x := range src {
-			dst[i] = float32(x * inv)
+			dst[i] = float32(float64(x) * inv)
 		}
 	}
 	ix.configure(cfg)

@@ -154,7 +154,7 @@ func TestSearchEdgeCases(t *testing.T) {
 	if got := ix.Search(make([]float64, 4), 3); got != nil {
 		t.Fatalf("zero query: got %v, want nil", got)
 	}
-	empty := New(nil, 0, 4, Config{})
+	empty := New[float64](nil, 0, 4, Config{})
 	if got := empty.Search(q, 3); got != nil {
 		t.Fatalf("empty index: got %v, want nil", got)
 	}

@@ -2,6 +2,16 @@ package stats
 
 import "math"
 
+// Widen returns a float64 copy of a float32 vector — an embedding row, as
+// the model stores it — for the float64 arithmetic below.
+func Widen(v []float32) []float64 {
+	w := make([]float64, len(v))
+	for i, x := range v {
+		w[i] = float64(x)
+	}
+	return w
+}
+
 // Dot returns the inner product of a and b, which must have equal length.
 func Dot(a, b []float64) float64 {
 	_ = b[len(a)-1] // bounds hint

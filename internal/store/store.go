@@ -25,6 +25,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"log/slog"
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -462,7 +464,11 @@ func (s *Store) Session(user int, end, window int64) []string {
 		}
 	}
 	sh.mu.Unlock()
-	sort.SliceStable(sel, func(i, j int) bool { return sel[i].Time < sel[j].Time })
+	// One user's appends arrive in time order except for a late report.
+	byTime := func(a, b trace.Visit) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(sel, byTime) {
+		slices.SortStableFunc(sel, byTime)
+	}
 	hosts := make([]string, len(sel))
 	for i, v := range sel {
 		hosts[i] = v.Host

@@ -248,6 +248,20 @@ func TestSessionOrdersAcrossInterleavedAppends(t *testing.T) {
 	if got := s.Session(7, 40, 100); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Session = %v, want %v", got, want)
 	}
+	// The common shape: appends in time order but for one late report,
+	// among other users' visits. Equal times keep their append order.
+	appendAll(t, s, []trace.Visit{
+		visit(8, 10, "a.example"),
+		visit(9, 15, "other.example"),
+		visit(8, 20, "b1.example"),
+		visit(8, 30, "c.example"),
+		visit(8, 20, "b2.example"),
+		visit(8, 40, "d.example"),
+	})
+	want = []string{"a.example", "b1.example", "b2.example", "c.example", "d.example"}
+	if got := s.Session(8, 40, 100); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Session after a late append = %v, want %v", got, want)
+	}
 }
 
 func TestUsersSorted(t *testing.T) {
