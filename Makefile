@@ -69,10 +69,10 @@ cover:
 
 # Short fuzz smoke over the WAL record decoder, the ANN build, the ANN
 # graph loader, the exact scan's selection, the trainer's two row
-# kernels against their portable twins, the gateway's batch-body scanner
-# and the observer's three wire parsers (CI runs the same). The sniffer
-# targets cap minimization: shrinking one 1200-byte Initial otherwise
-# takes the whole ten seconds.
+# kernels against their portable twins, the gateway's batch-body
+# scanner, the observer's three wire parsers and the pcap reader (CI
+# runs the same). The sniffer targets cap minimization: shrinking one
+# 1200-byte Initial otherwise takes the whole ten seconds.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzQUICInitial$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzClientHello$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzDNS$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzPcap$$' -fuzztime 10s
 
 # The single CI definition: the workflow's test job runs exactly this.
 # The arm64 cross-build keeps the portable kernels — internal/index's

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	netpprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -16,7 +15,6 @@ import (
 
 	"hostprof/internal/cluster"
 	"hostprof/internal/obs"
-	"hostprof/internal/obs/prof"
 	"hostprof/internal/obs/tracer"
 )
 
@@ -42,8 +40,8 @@ func cmdGateway(args []string) error {
 	httpTimeout := fs.Duration("http-timeout", time.Minute, "HTTP read/write timeout (idle timeout is 4x this)")
 	traceSample := fs.Float64("trace-sample", 1, "request-trace head-sampling rate in [0,1]; 0 disables tracing")
 	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained for /debug/traces")
-	withPprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning per gateway request slower than this, capture a goroutine+mutex profile tagged with its trace ID (0 disables)")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ and sample mutex and block events")
+	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning, with trace ID and stage breakdown, per gateway request slower than this (0 disables)")
 	sloReport := fs.Duration("slo-report", 250*time.Millisecond, "latency SLO target for /v1/report through the gateway: 99%% of windowed requests under this, burn rate on hostprof_gateway_slo_* (0 disables)")
 	sloProfile := fs.Duration("slo-profile", 500*time.Millisecond, "latency SLO target for /v1/profile/batch through the gateway (0 disables)")
 	fedTTL := fs.Duration("federate-ttl", 2*time.Second, "shard /varz scrape cache TTL behind /v1/cluster/metrics and the federated /metrics block")
@@ -76,14 +74,6 @@ func cmdGateway(args []string) error {
 		BufferTraces: *traceBuffer,
 		Metrics:      obs.Default,
 	})
-	// The profiler backs slow-request trigger captures and the
-	// /debug/prof/ ring; the gateway skips the background cadence (its
-	// load profile is fan-out I/O, not CPU) but keeps the trigger path.
-	var profiler *prof.Profiler
-	if *slowReq > 0 || *withPprof {
-		profiler = prof.New(prof.Config{Interval: -1, Metrics: obs.Default})
-		defer profiler.Stop()
-	}
 	sloTargets := make(map[string]time.Duration)
 	if *sloReport > 0 {
 		sloTargets["report"] = *sloReport
@@ -106,7 +96,6 @@ func cmdGateway(args []string) error {
 		MigrationWorkers:    *migWorkers,
 		SLOTargets:          sloTargets,
 		SlowRequest:         *slowReq,
-		Profiler:            profiler,
 		FederationTTL:       *fedTTL,
 		EventBuffer:         *eventBuffer,
 		Metrics:             obs.Default,
@@ -130,25 +119,7 @@ func cmdGateway(args []string) error {
 		slog.Int("ready", st.ReadyShards))
 	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain /v1/cluster/resize; GET /v1/stats /v1/cluster /v1/cluster/metrics /v1/cluster/events /metrics /varz /healthz /readyz /debug/traces /debug/statusz")
 
-	handler := gw.Handler()
-	if *withPprof {
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", netpprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-		// Named runtime profiles, mounted explicitly so the on-demand
-		// heap/mutex/block/goroutine views work however the outer mux
-		// routes (same block as serve -pprof).
-		for _, name := range []string{"heap", "allocs", "mutex", "block", "goroutine", "threadcreate"} {
-			mux.Handle("/debug/pprof/"+name, netpprof.Handler(name))
-		}
-		handler = mux
-		slog.Info("profiling: GET /debug/pprof/ (incl. heap/allocs/mutex/block/goroutine)")
-	}
-
+	handler := withPprof(*pprofOn, gw.Handler())
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -17,7 +16,6 @@ import (
 	"hostprof/internal/ads"
 	"hostprof/internal/core"
 	"hostprof/internal/obs"
-	"hostprof/internal/obs/prof"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/ontology"
 	"hostprof/internal/server"
@@ -42,7 +40,7 @@ func cmdServe(args []string) error {
 	annM := fs.Int("ann-m", 0, "ANN graph degree M: neighbours kept per node per layer (0 = default 16; only with -ann)")
 	profileCache := fs.Int("profile-cache", 4096, "session-profile LRU entries, invalidated on retrain (0 disables)")
 	adsSeed := fs.Uint64("ads-seed", 1, "ad inventory seed")
-	withPprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ and sample mutex and block events")
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL + snapshots); empty keeps visits in memory only")
 	fsync := fs.String("fsync", "interval", "WAL fsync policy: always, interval or never")
 	snapEvery := fs.Duration("snapshot-interval", 10*time.Minute, "periodic snapshot cadence with -data-dir (0 disables the timer)")
@@ -53,10 +51,8 @@ func cmdServe(args []string) error {
 	traceSample := fs.Float64("trace-sample", 1, "request-trace head-sampling rate in [0,1]; errored traces are always kept; 0 disables tracing")
 	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained for /debug/traces")
 	tracePush := fs.String("trace-push", "", "gateway base URL to push completed traces to (e.g. http://127.0.0.1:8410), assembling whole-cluster traces at the gateway's /debug/traces; empty disables")
-	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning per request slower than this, capture a goroutine+mutex profile tagged with its trace ID (negative disables)")
-	profInterval := fs.Duration("prof-interval", time.Minute, "continuous-profiling cadence: each cycle captures cpu/heap/mutex/block/goroutine into the /debug/prof/ ring (0 keeps only slow-request trigger captures)")
-	mutexFrac := fs.Int("mutex-profile-fraction", 5, "sample 1/n of mutex contention events (runtime.SetMutexProfileFraction; 0 disables)")
-	blockRate := fs.Int("block-profile-rate", 10000, "sample one blocking event per n ns blocked (runtime.SetBlockProfileRate; 0 disables)")
+	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning, with trace ID and stage breakdown, per request slower than this (negative disables)")
+	fs.Duration("prof-interval", 0, "ignored; accepted so existing command lines still start")
 	sloReport := fs.Duration("slo-report", 250*time.Millisecond, "latency SLO target for /v1/report: 99%% of windowed requests under this, burn rate on hostprof_slo_* (0 disables)")
 	sloProfile := fs.Duration("slo-profile", 500*time.Millisecond, "latency SLO target for /v1/profile/batch (0 disables)")
 	logf := addLogFlags(fs)
@@ -99,29 +95,6 @@ func cmdServe(args []string) error {
 		trcCfg.Sink = pusher.Offer
 	}
 	trc := tracer.New(trcCfg)
-
-	// The continuous profiler is always on: it owns the mutex/block
-	// sampling rates and the /debug/prof/ capture ring, and backs the
-	// slow-request trigger captures even when the background cadence is
-	// disabled with -prof-interval 0.
-	mf, br := *mutexFrac, *blockRate
-	if mf <= 0 {
-		mf = -1
-	}
-	if br <= 0 {
-		br = -1
-	}
-	interval := *profInterval
-	if interval <= 0 {
-		interval = -1
-	}
-	profiler := prof.New(prof.Config{
-		Interval:      interval,
-		MutexFraction: mf,
-		BlockRate:     br,
-		Metrics:       obs.Default,
-	})
-	defer profiler.Stop()
 
 	sloTargets := make(map[string]time.Duration)
 	if *sloReport > 0 {
@@ -177,30 +150,10 @@ func cmdServe(args []string) error {
 		MaxHostsPerReport:  *maxHosts,
 		Tracer:             trc,
 		SlowRequest:        *slowReq,
-		Profiler:           profiler,
 		SLOTargets:         sloTargets,
 	})
 	if err != nil {
 		return err
-	}
-
-	handler := backend.Handler()
-	if *withPprof {
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// Named runtime profiles, mounted explicitly so the on-demand
-		// heap/mutex/block/goroutine views work however the outer mux
-		// routes; sampling rates come from -mutex-profile-fraction /
-		// -block-profile-rate (applied above, with or without -pprof).
-		for _, name := range []string{"heap", "allocs", "mutex", "block", "goroutine", "threadcreate"} {
-			mux.Handle("/debug/pprof/"+name, pprof.Handler(name))
-		}
-		handler = mux
 	}
 
 	slog.Info("backend listening",
@@ -208,10 +161,8 @@ func cmdServe(args []string) error {
 		slog.Int("labelled_hosts", ont.Len()),
 		slog.Int("ads", db.Len()),
 		slog.Float64("trace_sample", *traceSample))
-	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain[?async=1]; GET/PUT /v1/model; GET /v1/stats /metrics /varz /healthz /readyz /debug/traces /debug/statusz /debug/prof/")
-	if *withPprof {
-		slog.Info("profiling: GET /debug/pprof/ (incl. heap/allocs/mutex/block/goroutine)")
-	}
+	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain[?async=1]; GET/PUT /v1/model; GET /v1/stats /metrics /varz /healthz /readyz /debug/traces /debug/statusz")
+	handler := withPprof(*pprofOn, backend.Handler())
 
 	// Serve until SIGTERM/SIGINT, then drain in-flight requests and shut
 	// the store down cleanly: flush the WAL and snapshot, so the next

@@ -79,13 +79,9 @@ type Config struct {
 	// SLOWindow is the SLO sliding window (default 5 minutes).
 	SLOWindow time.Duration
 	// SlowRequest, when positive, logs one structured warning per
-	// gateway request slower than this, records it on /debug/statusz,
-	// and (with a Profiler) captures goroutine+mutex profiles tagged
-	// with the request's trace ID.
+	// gateway request slower than this (with its trace ID and stage
+	// breakdown) and records it on /debug/statusz.
 	SlowRequest time.Duration
-	// Profiler, when non-nil, backs slow-request trigger captures and
-	// mounts /debug/prof/ on the gateway.
-	Profiler *prof.Profiler
 	// EventBuffer is the cluster timeline capacity (default 512
 	// events).
 	EventBuffer int
@@ -308,7 +304,6 @@ func New(cfg Config) (*Gateway, error) {
 		SpanPrefix:   "gw.",
 		Metrics:      reg,
 		Tracer:       cfg.Tracer,
-		Profiler:     cfg.Profiler,
 		Logger:       cfg.Logger,
 		SlowRequest:  cfg.SlowRequest,
 	}
@@ -460,7 +455,6 @@ func (g *Gateway) healthLoop() {
 //	GET  /readyz            → 200 when ≥1 shard is alive ("degraded" mid-migration)
 //	GET  /debug/traces      → distributed traces (gateway spans + shard-pushed spans)
 //	GET  /debug/statusz     → cluster one-pager (health, SLOs, events, federation)
-//	GET  /debug/prof/       → profile capture ring, when a Profiler is wired
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/report", g.mw.Wrap("report", g.handleReport))
@@ -479,9 +473,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("GET /debug/statusz", g.statusz.Handler())
 	if g.tr.Enabled() {
 		mux.Handle("/debug/traces", g.tr.Handler())
-	}
-	if g.mw.Profiler.Enabled() {
-		mux.Handle("/debug/prof/", g.mw.Profiler.Handler())
 	}
 	return mux
 }

@@ -631,20 +631,25 @@ func (m *Migration) plan(ctx context.Context) error {
 		}
 	}
 	g.mu.Unlock()
-	if modelSrc != "" {
-		for _, j := range m.joiners {
-			if g.shardSnapshot(j).modelVersion == want {
-				continue
+	var seed []string // joiners not yet serving the source's version
+	for _, j := range m.joiners {
+		if modelSrc != "" && g.shardSnapshot(j).modelVersion != want {
+			seed = append(seed, j)
+		}
+	}
+	if len(seed) > 0 {
+		var seedErr error
+		if _, err := g.shipModel(ctx, modelSrc, seed, func(j string, err error) {
+			if err == nil {
+				g.probeShard(ctx, j)
+			} else if seedErr == nil {
+				seedErr = fmt.Errorf("cluster: seeding model on %s: %w", j, err)
 			}
-			version, data, err := g.fetchModel(ctx, modelSrc)
-			if err != nil {
-				return fmt.Errorf("cluster: fetching model for joiner: %w", err)
-			}
-			if err := g.pushModel(ctx, j, version, data); err != nil {
-				return fmt.Errorf("cluster: seeding model on %s: %w", j, err)
-			}
-			g.met.modelPushes.Inc()
-			g.probeShard(ctx, j)
+		}); err != nil {
+			return fmt.Errorf("cluster: fetching model for joiner: %w", err)
+		}
+		if seedErr != nil {
+			return seedErr
 		}
 	}
 

@@ -375,6 +375,59 @@ func TestClusterEventsCursor(t *testing.T) {
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
+// TestModelShippingEmitsEdgeEvents pins the timeline entries a shipped
+// model leaves: a retrain's peer logs model_version on the probe that
+// follows distribution, and a resize joiner seeded during planning logs
+// shard_ready and model_version.
+func TestModelShippingEmitsEdgeEvents(t *testing.T) {
+	fx := newClusterFixtureCfg(t, 2, 60, func(c *Config) { c.VirtualNodes = 8 })
+	fx.feedViaGateway(t)
+	type eventsBody struct {
+		Events []Event `json:"events"`
+		LastID int64   `json:"last_id"`
+	}
+	var before eventsBody
+	getJSON(t, fx.gwSrv.URL+"/v1/cluster/events", &before)
+	saw := func(since int64, typ, shard, key, version string) bool {
+		var got eventsBody
+		getJSON(t, fx.gwSrv.URL+"/v1/cluster/events?since="+itoa(since), &got)
+		for _, e := range got.Events {
+			if e.Type == typ && e.Shard == shard && e.Attrs[key] == version {
+				return true
+			}
+		}
+		t.Logf("events since %d: %+v", since, got.Events)
+		return false
+	}
+
+	rep := fx.retrainViaGateway(t)
+	if len(rep.Distributed) != 1 || rep.Partial {
+		t.Fatalf("retrain report: %+v", rep)
+	}
+	if peer := rep.Distributed[0]; !saw(before.LastID, EventModelVersion, peer, "to", rep.Version) {
+		t.Fatalf("no model_version event for retrain peer %s", peer)
+	}
+
+	var mid eventsBody
+	getJSON(t, fx.gwSrv.URL+"/v1/cluster/events", &mid)
+	joiner := fx.addShard(t)
+	m, started, err := fx.gw.Resize(context.Background(), append(fx.gw.Ring().Nodes(), joiner))
+	if err != nil || !started {
+		t.Fatalf("Resize: started=%v err=%v", started, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := m.Wait(ctx); err != nil {
+		t.Fatalf("grow migration: %v", err)
+	}
+	if !saw(mid.LastID, EventShardReady, joiner, "model_version", rep.Version) {
+		t.Fatalf("no shard_ready event for seeded joiner %s", joiner)
+	}
+	if !saw(mid.LastID, EventModelVersion, joiner, "to", rep.Version) {
+		t.Fatalf("no model_version event for seeded joiner %s", joiner)
+	}
+}
+
 // TestEventLogEviction pins the ring semantics: capacity bounds the
 // buffer, eviction drops the oldest, and the cursor stays valid across
 // evictions because IDs keep increasing.

@@ -513,33 +513,46 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 // distributeModel pulls the artifact from one shard and pushes it to
 // every other alive shard that is not already at that version.
 func (g *Gateway) distributeModel(ctx context.Context, from string) (RetrainResponse, error) {
-	version, data, err := g.fetchModel(ctx, from)
+	out := RetrainResponse{TrainedOn: from, Failed: map[string]string{}}
+	version, err := g.shipModel(ctx, from, g.aliveShards(), func(peer string, err error) {
+		if err != nil {
+			out.Failed[peer] = err.Error()
+			out.Partial = true
+			g.log.Warn("model push failed", slog.String("peer", peer), slog.String("err", err.Error()))
+		} else {
+			out.Distributed = append(out.Distributed, peer)
+		}
+	})
 	if err != nil {
 		return RetrainResponse{}, fmt.Errorf("cluster: pulling model from %s: %w", from, err)
 	}
-	out := RetrainResponse{TrainedOn: from, Version: version, Failed: map[string]string{}}
-	for _, peer := range g.aliveShards() {
-		if peer == from {
-			continue
-		}
-		if g.shardSnapshot(peer).modelVersion == version {
-			out.Distributed = append(out.Distributed, peer)
-			continue
-		}
-		if err := g.pushModel(ctx, peer, version, data); err != nil {
-			out.Failed[peer] = err.Error()
-			out.Partial = true
-			g.met.pushErrors.Inc()
-			g.log.Warn("model push failed", slog.String("peer", peer), slog.String("err", err.Error()))
-			continue
-		}
-		out.Distributed = append(out.Distributed, peer)
-		g.met.modelPushes.Inc()
-	}
+	out.Version = version
 	if len(out.Failed) == 0 {
 		out.Failed = nil
 	}
 	return out, nil
+}
+
+// shipModel fetches from's model artifact once and pushes it to each
+// peer other than from that does not already serve that version. done
+// sees each peer's outcome: a nil err for a peer that now serves
+// version, pushed or not. The error returned is the fetch's.
+func (g *Gateway) shipModel(ctx context.Context, from string, peers []string, done func(peer string, err error)) (string, error) {
+	version, data, err := g.fetchModel(ctx, from)
+	if err != nil {
+		return "", err
+	}
+	for _, peer := range peers {
+		if peer == from {
+			continue
+		}
+		var err error
+		if g.shardSnapshot(peer).modelVersion != version {
+			err = g.pushModel(ctx, peer, version, data)
+		}
+		done(peer, err)
+	}
+	return version, nil
 }
 
 // fetchModel GETs a shard's model artifact, using the gateway's cached
@@ -575,19 +588,23 @@ func (g *Gateway) fetchModel(ctx context.Context, from string) (version string, 
 }
 
 // pushModel PUTs an artifact to a peer with its version header, so the
-// peer verifies content integrity before installing.
+// peer verifies content integrity before installing, and counts the
+// push. The peer's recorded state is left to the caller: the next probe
+// notices the new version and logs the model_version/shard_ready edges.
 func (g *Gateway) pushModel(ctx context.Context, peer, version string, data []byte) error {
 	ans, err := g.doShard(ctx, http.MethodPut, peer, "/v1/model", map[string]string{
 		"Content-Type":            "application/octet-stream",
 		server.ModelVersionHeader: version,
 	}, data)
-	if err != nil {
-		return err
-	}
-	if ans.status != http.StatusNoContent {
-		return fmt.Errorf("peer %s answered HTTP %d to PUT /v1/model: %s",
+	if err == nil && ans.status != http.StatusNoContent {
+		err = fmt.Errorf("peer %s answered HTTP %d to PUT /v1/model: %s",
 			peer, ans.status, bytes.TrimSpace(ans.body))
 	}
+	if err != nil {
+		g.met.pushErrors.Inc()
+		return err
+	}
+	g.met.modelPushes.Inc()
 	return nil
 }
 
@@ -596,9 +613,8 @@ func (g *Gateway) pushModel(ctx context.Context, peer, version string, data []by
 // generation, a peer that missed a distribution), re-ship the
 // designated source's artifact until everyone matches. The source is
 // the first alive configured backend serving any model — the same
-// order retrain uses, so sync and retrain never fight. Returns the
-// number of pushes performed.
-func (g *Gateway) SyncModels(ctx context.Context) int {
+// order retrain uses, so sync and retrain never fight.
+func (g *Gateway) SyncModels(ctx context.Context) {
 	var source, want string
 	g.mu.Lock()
 	for _, name := range g.backends {
@@ -609,7 +625,7 @@ func (g *Gateway) SyncModels(ctx context.Context) int {
 	}
 	if source == "" {
 		g.mu.Unlock()
-		return 0
+		return
 	}
 	var stale []string
 	for _, name := range g.backends {
@@ -619,22 +635,21 @@ func (g *Gateway) SyncModels(ctx context.Context) int {
 	}
 	g.mu.Unlock()
 	if len(stale) == 0 {
-		return 0
+		return
 	}
-	version, data, err := g.fetchModel(ctx, source)
+	var converged []string
+	version, err := g.shipModel(ctx, source, stale, func(peer string, err error) {
+		if err != nil {
+			g.log.Warn("model sync: push failed", slog.String("peer", peer), slog.String("err", err.Error()))
+			return
+		}
+		converged = append(converged, peer)
+	})
 	if err != nil {
 		g.log.Warn("model sync: fetch failed", slog.String("source", source), slog.String("err", err.Error()))
-		return 0
+		return
 	}
-	pushed := 0
-	for _, peer := range stale {
-		if err := g.pushModel(ctx, peer, version, data); err != nil {
-			g.met.pushErrors.Inc()
-			g.log.Warn("model sync: push failed", slog.String("peer", peer), slog.String("err", err.Error()))
-			continue
-		}
-		g.met.modelPushes.Inc()
-		pushed++
+	for _, peer := range converged {
 		g.mu.Lock()
 		if s := g.shards[peer]; s != nil {
 			s.modelVersion = version
@@ -643,7 +658,6 @@ func (g *Gateway) SyncModels(ctx context.Context) int {
 		g.mu.Unlock()
 		g.log.Info("model sync: peer converged", slog.String("peer", peer), slog.String("version", version))
 	}
-	return pushed
 }
 
 // handleStats aggregates /v1/stats across alive shards: visit and user

@@ -16,7 +16,6 @@ import (
 	"hostprof/internal/cluster"
 	"hostprof/internal/core"
 	"hostprof/internal/obs"
-	"hostprof/internal/obs/prof"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/server"
 	"hostprof/internal/synth"
@@ -57,20 +56,30 @@ func lintHelp(t *testing.T, who string, reg *obs.Registry) {
 	}
 }
 
-// TestDescribeCoverage builds every metric-producing component on a
-// fresh registry (backend, gateway, pipeline), drives enough traffic to
-// materialize the lazily created families, and lints each exposition
+// TestDescribeCoverage lints each fully wired registry's exposition
 // for HELP coverage.
 func TestDescribeCoverage(t *testing.T) {
+	for _, w := range wiredRegistries(t) {
+		lintHelp(t, w.who, w.reg)
+	}
+}
+
+// wiredRegistries builds every metric-producing component on a fresh
+// registry (backend, gateway, pipeline) with its full observability
+// plane on, and drives enough traffic to materialize the lazily created
+// families.
+func wiredRegistries(t *testing.T) []struct {
+	who string
+	reg *obs.Registry
+} {
+	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 60, Trackers: 10, Seed: 3})
 	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.2, Seed: 5})
 	db := ads.BuildFromOntology(ont, ads.BuildConfig{Seed: 7})
 
-	// Backend: tracer, profiler, SLOs and the store all export here.
+	// Backend: tracer, SLOs and the store all export here.
 	breg := obs.NewRegistry()
-	profiler := prof.New(prof.Config{Interval: -1, Metrics: breg})
-	defer profiler.Stop()
 	b, err := server.New(server.Config{
 		Ontology:    ont,
 		AdDB:        db,
@@ -78,7 +87,6 @@ func TestDescribeCoverage(t *testing.T) {
 		Profile:     core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Metrics:     breg,
 		Tracer:      tracer.New(tracer.Config{Service: "lint", SampleRate: 1, Metrics: breg}),
-		Profiler:    profiler,
 		SLOTargets:  map[string]time.Duration{"report": 250 * time.Millisecond},
 		SlowRequest: time.Nanosecond, // every request trips the slow path
 		Logger:      quiet,
@@ -87,7 +95,7 @@ func TestDescribeCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	bsrv := httptest.NewServer(b.Handler())
-	defer bsrv.Close()
+	t.Cleanup(bsrv.Close)
 
 	// Shard-side pusher counters ride the same registry.
 	pusher := tracer.NewPusher(tracer.PushConfig{
@@ -96,7 +104,7 @@ func TestDescribeCoverage(t *testing.T) {
 		Logger:  quiet,
 	})
 	pusher.Offer([]tracer.SpanData{{TraceID: "0102030405060708090a0b0c0d0e0f10", SpanID: "0000000000000001", Service: "lint", Name: "x"}})
-	defer pusher.Close()
+	t.Cleanup(pusher.Close)
 
 	// Gateway over that backend, with the full observability plane on.
 	greg := obs.NewRegistry()
@@ -113,10 +121,10 @@ func TestDescribeCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gw.Close()
+	t.Cleanup(gw.Close)
 	gw.CheckHealth(context.Background())
 	gsrv := httptest.NewServer(gw.Handler())
-	defer gsrv.Close()
+	t.Cleanup(gsrv.Close)
 
 	// Traffic through the gateway materializes request counters,
 	// latency histograms, SLO gauges, federation and event series on
@@ -164,7 +172,8 @@ func TestDescribeCoverage(t *testing.T) {
 	}
 	pipe.ProfileSession([]string{site}) // outcome irrelevant: the call is the traffic
 
-	lintHelp(t, "backend", breg)
-	lintHelp(t, "gateway", greg)
-	lintHelp(t, "pipeline", preg)
+	return []struct {
+		who string
+		reg *obs.Registry
+	}{{"backend", breg}, {"gateway", greg}, {"pipeline", preg}}
 }

@@ -35,12 +35,10 @@ type Config struct {
 	// SLOs supplies per-endpoint latency SLOs; endpoints without a
 	// registered target observe nothing.
 	SLOs *prof.SLOTracker
-	// SlowLog and Profiler receive slow requests: an entry for
-	// /debug/statusz and goroutine+mutex trigger captures tagged with
-	// the request's trace ID.
-	SlowLog  *prof.SlowLog
-	Profiler *prof.Profiler
-	Logger   *slog.Logger
+	// SlowLog receives slow requests, each with its trace ID, for
+	// /debug/statusz.
+	SlowLog *prof.SlowLog
+	Logger  *slog.Logger
 	// SlowRequest is the latency at which a request takes the slow path;
 	// zero or negative disables it.
 	SlowRequest time.Duration
@@ -116,17 +114,6 @@ func (c Config) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			slow := c.SlowRequest > 0 && d >= c.SlowRequest
 			traceID := span.TraceIDString()
-			var capIDs []uint64
-			if slow {
-				// Snapshot goroutine+mutex profiles tagged with this
-				// trace before the span closes, so the /debug/traces
-				// entry carries a link to the evidence. The profiler
-				// rate-limits trigger captures internally.
-				capIDs = c.Profiler.CaptureSlow(traceID)
-				if len(capIDs) > 0 {
-					span.SetAttr("profiles", profileRingURL(traceID, capIDs))
-				}
-			}
 			lat.ObserveExemplar(d.Seconds(), traceID)
 			span.SetAttr("code", strconv.Itoa(rec.code))
 			span.End()
@@ -136,44 +123,19 @@ func (c Config) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 				obs.L("code", strconv.Itoa(rec.code))).Inc()
 			if slow {
 				c.SlowLog.Add(prof.SlowEntry{
-					Endpoint:   endpoint,
-					Code:       rec.code,
-					Seconds:    d.Seconds(),
-					TraceID:    traceID,
-					CaptureIDs: capIDs,
+					Endpoint: endpoint,
+					Code:     rec.code,
+					Seconds:  d.Seconds(),
+					TraceID:  traceID,
 				})
 				c.Logger.LogAttrs(r.Context(), slog.LevelWarn, "slow request",
 					slog.String("endpoint", endpoint),
 					slog.Int("code", rec.code),
 					slog.Duration("elapsed", d),
-					slog.String("stages", formatStages(span.Stages())),
-					slog.String("profiles", profileRingURL(traceID, capIDs)))
+					slog.String("stages", formatStages(span.Stages())))
 			}
 		}()
 		h(rec, r)
-	}
-}
-
-// profileRingURL renders the /debug/prof/ link for a slow request's
-// trigger captures: the trace-filtered index when the request was
-// traced, the capture IDs otherwise, "-" when the trigger was in
-// cooldown and nothing was captured.
-func profileRingURL(traceID string, capIDs []uint64) string {
-	switch {
-	case len(capIDs) == 0:
-		return "-"
-	case traceID != "":
-		return "/debug/prof/?trace=" + traceID
-	default:
-		var sb strings.Builder
-		for i, id := range capIDs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString("/debug/prof/")
-			sb.WriteString(strconv.FormatUint(id, 10))
-		}
-		return sb.String()
 	}
 }
 

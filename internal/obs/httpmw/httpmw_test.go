@@ -28,7 +28,6 @@ var processes = []struct{ name, metricPrefix, spanPrefix string }{
 type plane struct {
 	reg     *obs.Registry
 	tr      *tracer.Tracer
-	profz   *prof.Profiler
 	slos    *prof.SLOTracker
 	slowlog *prof.SlowLog
 	logs    *bytes.Buffer
@@ -39,8 +38,6 @@ func newPlane(t *testing.T, metricPrefix, spanPrefix string, slow time.Duration)
 	t.Helper()
 	p := &plane{reg: obs.NewRegistry(), slowlog: prof.NewSlowLog(8), logs: new(bytes.Buffer)}
 	p.tr = tracer.New(tracer.Config{Service: "mw-test", SampleRate: 1, BufferTraces: 8, Seed: 3})
-	p.profz = prof.New(prof.Config{Interval: -1, TriggerCooldown: -1, MutexFraction: -1, BlockRate: -1, Metrics: p.reg})
-	t.Cleanup(p.profz.Stop)
 	p.slos = prof.NewNamedSLOTracker(metricPrefix+"_slo", time.Minute, p.reg)
 	p.slos.Register("op", time.Second)
 	p.mw = Config{
@@ -50,7 +47,6 @@ func newPlane(t *testing.T, metricPrefix, spanPrefix string, slow time.Duration)
 		Tracer:       p.tr,
 		SLOs:         p.slos,
 		SlowLog:      p.slowlog,
-		Profiler:     p.profz,
 		Logger:       slog.New(slog.NewJSONHandler(p.logs, nil)),
 		SlowRequest:  slow,
 	}
@@ -173,10 +169,9 @@ func TestTraceparentJoinAndExemplar(t *testing.T) {
 	}
 }
 
-// TestSlowPath: a request past the threshold triggers goroutine+mutex
-// captures tagged with its trace, links them from the span, lands in
-// the slow log, and emits exactly one "slow request" warning with the
-// stage breakdown and the capture link.
+// TestSlowPath: a request past the threshold lands in the slow log
+// under its trace ID and emits exactly one "slow request" warning with
+// the stage breakdown.
 func TestSlowPath(t *testing.T) {
 	for _, pr := range processes {
 		t.Run(pr.name, func(t *testing.T) {
@@ -187,22 +182,15 @@ func TestSlowPath(t *testing.T) {
 			})(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/op", nil))
 
 			_, sd := p.handlerSpan(t, pr.spanPrefix+"op")
-			link := "/debug/prof/?trace=" + sd.TraceID
-			if got := attr(sd, "profiles"); got != link {
-				t.Fatalf("span profiles attr = %q, want %q", got, link)
-			}
-			if caps := p.profz.Ring().ByTrace(sd.TraceID); len(caps) != 2 {
-				t.Fatalf("%d captures tagged with the trace, want 2", len(caps))
-			}
 			entries := p.slowlog.Snapshot()
-			if len(entries) != 1 || entries[0].Endpoint != "op" || entries[0].TraceID != sd.TraceID || len(entries[0].CaptureIDs) != 2 {
+			if len(entries) != 1 || entries[0].Endpoint != "op" || entries[0].TraceID != sd.TraceID {
 				t.Fatalf("slow log = %+v", entries)
 			}
 			out := p.logs.String()
 			if strings.Count(out, `"msg":"slow request"`) != 1 {
 				t.Fatalf("want exactly one slow-request warning, got: %s", out)
 			}
-			for _, want := range []string{`"level":"WARN"`, `"endpoint":"op"`, `"code":200`, `"stages":"stage.one=`, `"profiles":"` + link + `"`} {
+			for _, want := range []string{`"level":"WARN"`, `"endpoint":"op"`, `"code":200`, `"stages":"stage.one=`} {
 				if !strings.Contains(out, want) {
 					t.Errorf("slow-request log missing %s: %s", want, out)
 				}
@@ -254,7 +242,7 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestDisabledPathAllocs: with no tracer, SLOs, profiler, slow log or
+// TestDisabledPathAllocs: with no tracer, SLOs, slow log or
 // threshold, one pass through the wrapper allocates only the recorder,
 // the deferred closure and the per-request counter lookup — every
 // observability hook must be free when switched off.

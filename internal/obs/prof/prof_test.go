@@ -2,8 +2,6 @@ package prof
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -159,156 +157,12 @@ func TestCountAboveExactAtBound(t *testing.T) {
 	}
 }
 
-// --- Ring ---------------------------------------------------------------
-
-func TestRingCountEviction(t *testing.T) {
-	r := NewRing(3, 1<<20)
-	var ids []uint64
-	for i := 0; i < 5; i++ {
-		ids = append(ids, r.Add(Capture{Kind: "heap", Bytes: []byte{1, 2, 3}}))
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-	if r.Get(ids[0]) != nil || r.Get(ids[1]) != nil {
-		t.Fatal("oldest captures not evicted")
-	}
-	for _, id := range ids[2:] {
-		if r.Get(id) == nil {
-			t.Fatalf("capture %d missing", id)
-		}
-	}
-}
-
-func TestRingByteEviction(t *testing.T) {
-	r := NewRing(100, 100)
-	big := make([]byte, 40)
-	id1 := r.Add(Capture{Kind: "heap", Bytes: big})
-	id2 := r.Add(Capture{Kind: "heap", Bytes: big})
-	id3 := r.Add(Capture{Kind: "heap", Bytes: big}) // 120 > 100: evict id1
-	if r.Get(id1) != nil {
-		t.Fatal("byte cap did not evict oldest")
-	}
-	if r.Get(id2) == nil || r.Get(id3) == nil {
-		t.Fatal("newer captures missing")
-	}
-	if got := r.Bytes(); got != 80 {
-		t.Fatalf("bytes = %d, want 80", got)
-	}
-	// An oversized capture is rejected outright, not allowed to flush
-	// the ring.
-	if id := r.Add(Capture{Kind: "cpu", Bytes: make([]byte, 200)}); id != 0 {
-		t.Fatalf("oversized capture accepted with id %d", id)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("ring flushed by oversized capture: len=%d", r.Len())
-	}
-}
-
-func TestRingByTrace(t *testing.T) {
-	r := NewRing(10, 1<<20)
-	r.Add(Capture{Kind: "goroutine", TraceID: "aaaa", Bytes: []byte{1}})
-	r.Add(Capture{Kind: "mutex", TraceID: "aaaa", Bytes: []byte{2}})
-	r.Add(Capture{Kind: "heap", Bytes: []byte{3}})
-	got := r.ByTrace("aaaa")
-	if len(got) != 2 || got[0].Kind != "goroutine" || got[1].Kind != "mutex" {
-		t.Fatalf("ByTrace = %+v", got)
-	}
-	if r.ByTrace("bbbb") != nil {
-		t.Fatal("ByTrace on unknown trace should be nil")
-	}
-	var nilR *Ring
-	if nilR.Add(Capture{}) != 0 || nilR.Get(1) != nil || nilR.Len() != 0 {
-		t.Fatal("nil ring not inert")
-	}
-}
-
-// --- Profiler -----------------------------------------------------------
-
-func TestCaptureNamedAndSlow(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := New(Config{
-		Interval:        -1, // no background loop
-		TriggerCooldown: time.Hour,
-		Metrics:         reg,
-		MutexFraction:   -1,
-		BlockRate:       -1,
-	})
-	defer p.Stop()
-	id := p.CaptureNamed("heap", "interval", "")
-	if id == 0 {
-		t.Fatal("heap capture failed")
-	}
-	c := p.Ring().Get(id)
-	if c == nil || len(c.Bytes) == 0 {
-		t.Fatal("capture empty")
-	}
-	// pprof WriteTo(debug=0) output is gzip: magic bytes 1f 8b.
-	if c.Bytes[0] != 0x1f || c.Bytes[1] != 0x8b {
-		t.Fatalf("capture is not gzip: % x", c.Bytes[:2])
-	}
-	if p.CaptureNamed("no-such-profile", "interval", "") != 0 {
-		t.Fatal("unknown profile kind should fail")
-	}
-
-	ids := p.CaptureSlow("deadbeef")
-	if len(ids) != 2 {
-		t.Fatalf("CaptureSlow ids = %v, want 2 captures", ids)
-	}
-	byTrace := p.Ring().ByTrace("deadbeef")
-	if len(byTrace) != 2 {
-		t.Fatalf("trace-tagged captures = %d, want 2", len(byTrace))
-	}
-	kinds := map[string]bool{}
-	for _, c := range byTrace {
-		kinds[c.Kind] = true
-	}
-	if !kinds["goroutine"] || !kinds["mutex"] {
-		t.Fatalf("trigger kinds = %v", kinds)
-	}
-	// Inside the cooldown the trigger is suppressed.
-	if got := p.CaptureSlow("cafe"); got != nil {
-		t.Fatalf("cooldown not enforced: %v", got)
-	}
-	if v := reg.Counter("hostprof_prof_triggers_suppressed_total").Value(); v != 1 {
-		t.Fatalf("suppressed counter = %d", v)
-	}
-}
-
-func TestProfilerBackgroundLoopAndStop(t *testing.T) {
-	p := New(Config{
-		Interval:      50 * time.Millisecond,
-		CPUDuration:   10 * time.Millisecond,
-		MutexFraction: -1,
-		BlockRate:     -1,
-	})
-	deadline := time.After(5 * time.Second)
-	for p.Ring().Len() < 4 {
-		select {
-		case <-deadline:
-			t.Fatalf("background loop captured only %d profiles", p.Ring().Len())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	p.Stop()
-	p.Stop() // idempotent
-	n := p.Ring().Len()
-	time.Sleep(80 * time.Millisecond)
-	if p.Ring().Len() != n {
-		t.Fatal("loop still capturing after Stop")
-	}
-}
-
 func TestNilProfilerZeroAlloc(t *testing.T) {
-	// The disabled path — nil profiler, nil SLO — must not allocate on
+	// The disabled path — nil SLO, nil slow log — must not allocate on
 	// the request path, matching the tracer's contract.
-	var p *Profiler
 	var s *SLO
 	var l *SlowLog
 	allocs := testing.AllocsPerRun(1000, func() {
-		if ids := p.CaptureSlow("id"); ids != nil {
-			t.Fatal("nil profiler captured")
-		}
 		s.Observe(0.001)
 		l.Add(SlowEntry{})
 	})
@@ -397,78 +251,7 @@ func TestSLOTrackerNilAndStatus(t *testing.T) {
 	}
 }
 
-// --- HTTP: profile index + statusz -------------------------------------
-
-func TestProfHandler(t *testing.T) {
-	p := New(Config{Interval: -1, MutexFraction: -1, BlockRate: -1, TriggerCooldown: time.Hour})
-	id := p.CaptureNamed("heap", "interval", "")
-	ids := p.CaptureSlow("feedface")
-	if id == 0 || len(ids) != 2 {
-		t.Fatalf("capture setup failed: id=%d ids=%v", id, ids)
-	}
-	h := p.Handler()
-
-	get := func(url string) *httptest.ResponseRecorder {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
-		return rr
-	}
-
-	// Download: raw gzip bytes with an attachment header.
-	rr := get(fmt.Sprintf("/debug/prof/%d", id))
-	if rr.Code != 200 {
-		t.Fatalf("download code = %d", rr.Code)
-	}
-	body, _ := io.ReadAll(rr.Body)
-	if len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
-		t.Fatal("download is not the pprof gzip")
-	}
-	if cd := rr.Header().Get("Content-Disposition"); !strings.Contains(cd, "heap") {
-		t.Fatalf("content-disposition = %q", cd)
-	}
-
-	// JSON index.
-	rr = get("/debug/prof/?format=json")
-	var idx struct {
-		Captures []Capture `json:"captures"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &idx); err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Captures) != 3 {
-		t.Fatalf("index lists %d captures, want 3", len(idx.Captures))
-	}
-
-	// Trace-filtered index: only the trigger captures.
-	rr = get("/debug/prof/?trace=feedface&format=json")
-	idx.Captures = nil
-	if err := json.Unmarshal(rr.Body.Bytes(), &idx); err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Captures) != 2 {
-		t.Fatalf("trace filter lists %d captures, want 2", len(idx.Captures))
-	}
-
-	// HTML index links the trace.
-	rr = get("/debug/prof/")
-	if !strings.Contains(rr.Body.String(), "/debug/traces?trace=feedface") {
-		t.Fatal("HTML index does not link the trace")
-	}
-
-	// Errors.
-	if got := get("/debug/prof/notanumber").Code; got != 400 {
-		t.Fatalf("bad id code = %d", got)
-	}
-	if got := get("/debug/prof/99999").Code; got != 404 {
-		t.Fatalf("missing id code = %d", got)
-	}
-	var nilP *Profiler
-	rr = httptest.NewRecorder()
-	nilP.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/prof/", nil))
-	if rr.Code != 404 {
-		t.Fatalf("nil profiler handler code = %d", rr.Code)
-	}
-}
+// --- statusz + slow log ---------------------------------------------
 
 func TestStatuszRendering(t *testing.T) {
 	s := NewStatusz()

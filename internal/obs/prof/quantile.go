@@ -1,24 +1,21 @@
 // Package prof is the repo's third observability pillar, after metrics
-// (internal/obs) and traces (internal/obs/tracer): continuous
-// profiling and latency SLOs, dependency-free like its siblings.
+// (internal/obs) and traces (internal/obs/tracer): latency SLOs, the
+// slow-request log and the statusz page, dependency-free like its
+// siblings. (CPU, heap, mutex and block profiles are served by
+// net/http/pprof under `-pprof`; this package captures none.)
 //
-//   - A background Profiler periodically captures CPU, heap, mutex,
-//     block and goroutine profiles into a bounded in-memory ring of
-//     pprof-gzip bytes, downloadable at /debug/prof/. Requests that
-//     breach the slow-request threshold trigger an extra
-//     goroutine+mutex capture tagged with the request's trace ID, so a
-//     slow trace in /debug/traces links to the profile that explains
-//     it.
 //   - Windowed fixed-bucket quantile estimators feed per-endpoint SLOs
 //     (latency target + objective) whose burn rates are exported as
 //     hostprof_slo_* gauges.
-//   - A Statusz page aggregates build info, SLO state, the profile
-//     ring and whatever sections the server registers into one
-//     operational view at /debug/statusz.
+//   - A SlowLog retains the most recent slow requests, each with its
+//     trace ID, for /debug/statusz.
+//   - A Statusz page aggregates build info, SLO state and whatever
+//     sections the server registers into one operational view at
+//     /debug/statusz.
 //
 // Cost contract (mirrors obs and tracer): every method is safe on a
 // nil receiver, so instrumentation is wired unconditionally and a
-// disabled profiler or SLO is a nil check — no allocation on the
+// disabled SLO or slow log is a nil check — no allocation on the
 // request path.
 package prof
 

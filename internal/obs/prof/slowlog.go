@@ -6,16 +6,13 @@ import (
 )
 
 // A SlowEntry is one recorded slow request: what breached, by how
-// much, and the handles (trace ID, capture IDs) that explain it.
+// much, and the trace ID that explains it.
 type SlowEntry struct {
 	Endpoint string  `json:"endpoint"`
 	Code     int     `json:"code"`
 	Seconds  float64 `json:"seconds"`
 	TraceID  string  `json:"trace_id,omitempty"`
-	// CaptureIDs are the /debug/prof/<id> profiles snapshotted when
-	// this request breached, when the trigger was not in cooldown.
-	CaptureIDs []uint64 `json:"capture_ids,omitempty"`
-	UnixNano   int64    `json:"unix_nano"`
+	UnixNano int64   `json:"unix_nano"`
 }
 
 // A SlowLog retains the most recent slow requests for /debug/statusz.

@@ -102,7 +102,7 @@ func (s *Statusz) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, "<!DOCTYPE html><html><head><title>hostprof statusz</title></head><body><h1>statusz</h1>")
-		fmt.Fprint(w, `<p><a href="/metrics">/metrics</a> · <a href="/varz">/varz</a> · <a href="/debug/traces">/debug/traces</a> · <a href="/debug/prof/">/debug/prof/</a></p>`)
+		fmt.Fprint(w, `<p><a href="/metrics">/metrics</a> · <a href="/varz">/varz</a> · <a href="/debug/traces">/debug/traces</a></p>`)
 		for _, n := range names {
 			body, err := json.MarshalIndent(sections[n], "", "  ")
 			if err != nil {

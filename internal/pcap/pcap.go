@@ -151,18 +151,44 @@ func (r *Reader) Next() (Record, error) {
 	if capLen > r.SnapLen && r.SnapLen > 0 {
 		return Record{}, fmt.Errorf("pcap: record claims %d bytes beyond snaplen %d", capLen, r.SnapLen)
 	}
-	// Guard allocation against hostile headers: no sane link-layer
-	// capture carries frames beyond this (jumbo frames are <64 KiB;
-	// the classic-format ceiling seen in the wild is 256 KiB).
+	// No sane link-layer capture carries frames beyond this (jumbo
+	// frames are <64 KiB; the classic-format ceiling seen in the wild
+	// is 256 KiB). Below it, readBody keeps a hostile header from
+	// allocating more than the stream delivers.
 	const maxRecordBytes = 1 << 24
 	if capLen > maxRecordBytes {
 		return Record{}, fmt.Errorf("pcap: record claims implausible %d bytes", capLen)
 	}
-	rec.Data = make([]byte, capLen)
-	if _, err := io.ReadFull(r.r, rec.Data); err != nil {
+	data, err := readBody(r.r, int(capLen))
+	if err != nil {
 		return Record{}, fmt.Errorf("%w: record body", ErrTruncated)
 	}
+	rec.Data = data
 	return rec, nil
+}
+
+// eagerBody is the record length readBody allocates in one go: every
+// Ethernet frame, jumbo frames aside, fits.
+const eagerBody = 4 << 10
+
+// readBody reads exactly n bytes. Past eagerBody the buffer at most
+// doubles per step, and only once the bytes before it have arrived, so
+// a header that claims megabytes over a short stream costs what the
+// stream holds, not what the header says.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, eagerBody))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for got := len(buf); got < n; got = len(buf) {
+		next := make([]byte, got+min(n-got, got))
+		copy(next, buf)
+		buf = next
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // ReadAll consumes every record.

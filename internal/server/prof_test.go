@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -15,27 +14,17 @@ import (
 	"hostprof/internal/obs/tracer"
 )
 
-// TestSlowRequestProfileLinkage is the profiling-pillar acceptance
-// test: a request breaching SlowRequest must yield goroutine+mutex
-// captures tagged with its trace ID, the trace's handler span must
-// carry the /debug/prof/ link, and the captures must be downloadable
-// over the backend handler — so /debug/traces leads to the profile
-// that explains the slow request.
+// TestSlowRequestProfileLinkage: a request breaching SlowRequest must
+// land in the slow log under its trace ID, and that ID must resolve
+// through the backend's /debug/traces to the request's span tree — so
+// /debug/statusz leads to the stage breakdown that explains the slow
+// request.
 func TestSlowRequestProfileLinkage(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := tracer.New(tracer.Config{Service: "hostprof-serve", SampleRate: 1, BufferTraces: 32, Metrics: reg, Seed: 21})
-	profiler := prof.New(prof.Config{
-		Interval:        -1, // trigger captures only
-		TriggerCooldown: -1, // every slow request captures
-		MutexFraction:   -1,
-		BlockRate:       -1,
-		Metrics:         reg,
-	})
-	defer profiler.Stop()
 	fx := newResilienceFixture(t, func(cfg *Config) {
 		cfg.Metrics = reg
 		cfg.Tracer = tr
-		cfg.Profiler = profiler
 		cfg.SlowRequest = time.Nanosecond // everything is slow
 	})
 	seedVisits(t, fx)
@@ -48,70 +37,48 @@ func TestSlowRequestProfileLinkage(t *testing.T) {
 		t.Fatalf("report: %v", err)
 	}
 
-	// Find a slow-tagged trace with its profiles attr.
-	var traceID, profURL string
-	for _, tj := range tr.Traces() {
-		for _, sd := range tj.Spans {
-			for _, a := range sd.Attrs {
-				if a.Key == "profiles" && a.Value != "-" {
-					traceID, profURL = sd.TraceID, a.Value
-				}
-			}
+	// The slow log remembers the report with its trace ID.
+	var traceID string
+	for _, e := range fx.b.mw.SlowLog.Snapshot() {
+		if e.Endpoint == "report" && e.TraceID != "" {
+			traceID = e.TraceID
 		}
 	}
 	if traceID == "" {
-		t.Fatal("no span carries a profiles attr")
-	}
-	if want := "/debug/prof/?trace=" + traceID; profURL != want {
-		t.Fatalf("profiles attr = %q, want %q", profURL, want)
+		t.Fatal("slow log holds no traced report")
 	}
 
-	// The trigger captured goroutine+mutex under that trace ID.
-	caps := profiler.Ring().ByTrace(traceID)
-	if len(caps) != 2 {
-		t.Fatalf("captures for trace = %d, want 2", len(caps))
-	}
-
-	// And they are listed and downloadable through the backend handler.
-	resp, err := http.Get(fx.srv.URL + profURL + "&format=json")
+	// And the ID resolves over the backend handler to the report's span
+	// tree, stages included.
+	resp, err := http.Get(fx.srv.URL + "/debug/traces?trace=" + traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx struct {
-		Captures []prof.Capture `json:"captures"`
+	var page struct {
+		Traces []tracer.TraceJSON `json:"traces"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(idx.Captures) != 2 {
-		t.Fatalf("handler lists %d captures, want 2", len(idx.Captures))
+	if len(page.Traces) != 1 {
+		t.Fatalf("/debug/traces?trace= answered %d traces, want 1", len(page.Traces))
 	}
-	resp, err = http.Get(fx.srv.URL + fmt.Sprintf("/debug/prof/%d", idx.Captures[0].ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
-		t.Fatalf("capture download: code=%d len=%d", resp.StatusCode, len(body))
-	}
-
-	// The slow log remembers the request with its capture IDs.
-	var found bool
-	for _, e := range fx.b.mw.SlowLog.Snapshot() {
-		if e.TraceID == traceID && len(e.CaptureIDs) == 2 {
-			found = true
+	names := map[string]bool{}
+	for _, sd := range page.Traces[0].Spans {
+		if sd.TraceID != traceID {
+			t.Fatalf("span %s carries trace %s, want %s", sd.Name, sd.TraceID, traceID)
 		}
+		names[sd.Name] = true
 	}
-	if !found {
-		t.Fatal("slow log does not link the trace to its captures")
+	if !names["http.report"] || len(names) < 2 {
+		t.Fatalf("trace spans = %v, want the handler span and its stages", names)
 	}
 }
 
 // TestStatuszEndpoint exercises the aggregated operational view over
-// HTTP: build info, SLO state, store status, retrain state, the slow
-// log and the profile ring must all render in one page.
+// HTTP: build info, SLO state, store status, retrain state and the slow
+// log must all render in one page.
 func TestStatuszEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	fx := newResilienceFixture(t, func(cfg *Config) {
@@ -137,7 +104,7 @@ func TestStatuszEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
-	for _, section := range []string{"build", "slo", "store", "retrain", "slow_requests", "profile_ring"} {
+	for _, section := range []string{"build", "slo", "store", "retrain", "slow_requests"} {
 		if _, ok := page[section]; !ok {
 			t.Fatalf("statusz missing section %q (has %v)", section, keys(page))
 		}
@@ -231,10 +198,9 @@ func grepLines(s, substr string) string {
 }
 
 // BenchmarkReportIngestProfiled extends the tracing cost contract to
-// the profiling pillar: the "slo" variant measures the per-request
-// cost of an enabled SLO window (one Observe), the "disabled" variant
-// pins that a nil SLO plus a nil profiler add nothing over the
-// BenchmarkReportIngest baseline.
+// the SLO window: the "slo" variant measures the per-request cost of an
+// enabled SLO (one Observe), the "disabled" variant pins that a nil SLO
+// adds nothing over the BenchmarkReportIngest baseline.
 func BenchmarkReportIngestProfiled(b *testing.B) {
 	b.Run("slo", func(b *testing.B) {
 		bk, hosts := newBenchBackend(b, nil)
@@ -253,7 +219,6 @@ func BenchmarkReportIngestProfiled(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		bk, hosts := newBenchBackend(b, nil)
 		var slo *prof.SLO
-		var profiler *prof.Profiler
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -263,7 +228,6 @@ func BenchmarkReportIngestProfiled(b *testing.B) {
 				b.Fatal(err)
 			}
 			slo.Observe(time.Since(start).Seconds())
-			_ = profiler.Enabled()
 		}
 	})
 }

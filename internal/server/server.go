@@ -103,13 +103,6 @@ type Config struct {
 	// structured warning with its trace ID and stage breakdown.
 	// Default 1s; negative disables the slow-request log.
 	SlowRequest time.Duration
-	// Profiler, when non-nil, is the continuous-profiling layer: slow
-	// requests trigger goroutine+mutex captures tagged with their
-	// trace ID, and the capture ring is served at /debug/prof/ on the
-	// backend handler. The backend does not own the profiler's
-	// lifecycle — the caller that built it stops it. Nil costs a nil
-	// check on the slow path only.
-	Profiler *prof.Profiler
 	// SLOTargets maps endpoint names ("report", "profile_batch",
 	// "retrain", ...) to latency targets. Each named endpoint gets a
 	// sliding-window SLO (99% of requests under target) whose burn
@@ -268,7 +261,6 @@ func New(cfg Config) (*Backend, error) {
 		Metrics:      reg,
 		Tracer:       cfg.Tracer,
 		SlowLog:      prof.NewSlowLog(32),
-		Profiler:     cfg.Profiler,
 		Logger:       cfg.Logger,
 		SlowRequest:  cfg.SlowRequest,
 	}
@@ -308,15 +300,6 @@ func (b *Backend) buildStatusz() *prof.Statusz {
 		return st
 	})
 	sz.Section("slow_requests", func() any { return b.mw.SlowLog.Snapshot() })
-	sz.Section("profile_ring", func() any {
-		return map[string]any{
-			"captures":    b.mw.Profiler.Ring().Len(),
-			"bytes":       b.mw.Profiler.Ring().Bytes(),
-			"recent":      b.mw.Profiler.Ring().Snapshot(),
-			"enabled":     b.mw.Profiler.Enabled(),
-			"download_at": "/debug/prof/",
-		}
-	})
 	return sz
 }
 
@@ -572,7 +555,6 @@ type FeedbackRequest struct {
 //	GET  /healthz       → liveness (200 while the process serves)
 //	GET  /readyz        → readiness JSON (trained, store-degraded, model version)
 //	GET  /debug/statusz → single-page operational view (HTML, ?format=json)
-//	GET  /debug/prof/   → profile-capture ring (with Config.Profiler)
 //
 // Error responses from /v1 endpoints carry a JSON body {"error": "..."}.
 // Every /v1 endpoint is instrumented with a request counter
@@ -609,9 +591,6 @@ func (b *Backend) Handler() http.Handler {
 	}))
 	if b.tr.Enabled() {
 		mux.Handle("/debug/traces", b.tr.Handler())
-	}
-	if b.mw.Profiler.Enabled() {
-		mux.Handle("GET /debug/prof/", b.mw.Profiler.Handler())
 	}
 	mux.Handle("GET /debug/statusz", b.statusz.Handler())
 	return mux
