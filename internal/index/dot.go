@@ -35,12 +35,12 @@ func dot32Portable(a, b []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// dot32x4Portable scores q against four consecutive packed rows:
-// out[j] = dot32Portable(q, rows[j*len(q):(j+1)*len(q)]).
-func dot32x4Portable(q, rows []float32, out *[4]float32) {
+// dot32x4Portable scores q against four rows of m, each len(q) wide and
+// starting at the element offsets off, in any order and repeated or not:
+// out[j] = dot32Portable(q, m[off[j]:off[j]+len(q)]).
+func dot32x4Portable(q, m []float32, off *[4]int, out *[4]float32) {
 	d := len(q)
-	_ = rows[4*d-1]
-	for j := range out {
-		out[j] = dot32Portable(q, rows[j*d:j*d+d])
+	for j, o := range off {
+		out[j] = dot32Portable(q, m[o:o+d])
 	}
 }

@@ -50,18 +50,25 @@ reduce:
 	MOVSS  X0, ret+48(FP)
 	RET
 
-// func dot32x4Asm(q, rows []float32, out *[4]float32)
+// func dot32x4Asm(q, m []float32, off *[4]int, out *[4]float32)
 //
 // Four independent accumulator registers, one per row, share each load
-// of q: four add chains in flight instead of one.
-TEXT ·dot32x4Asm(SB), NOSPLIT, $0-56
+// of q: four add chains in flight instead of one. The rows start at
+// m + 4*off[j] bytes, anywhere in the matrix.
+TEXT ·dot32x4Asm(SB), NOSPLIT, $0-64
 	MOVQ  q_base+0(FP), SI
 	MOVQ  q_len+8(FP), CX
-	MOVQ  rows_base+24(FP), DI
-	MOVQ  out+48(FP), R8
-	LEAQ  (DI)(CX*4), R9     // row 1
-	LEAQ  (R9)(CX*4), R10    // row 2
-	LEAQ  (R10)(CX*4), R11   // row 3
+	MOVQ  m_base+24(FP), BX
+	MOVQ  off+48(FP), DX
+	MOVQ  out+56(FP), R8
+	MOVQ  (DX), DI
+	LEAQ  (BX)(DI*4), DI     // row 0
+	MOVQ  8(DX), R9
+	LEAQ  (BX)(R9*4), R9     // row 1
+	MOVQ  16(DX), R10
+	LEAQ  (BX)(R10*4), R10   // row 2
+	MOVQ  24(DX), R11
+	LEAQ  (BX)(R11*4), R11   // row 3
 	XORPS X0, X0
 	XORPS X1, X1
 	XORPS X2, X2

@@ -6,5 +6,5 @@ package index
 // under the lane contract in dot.go.
 func dot32(a, b []float32) float32 { return dot32Portable(a, b) }
 
-// dot32x4 scores q against four consecutive packed rows.
-func dot32x4(q, rows []float32, out *[4]float32) { dot32x4Portable(q, rows, out) }
+// dot32x4 scores q against four rows of m at the element offsets off.
+func dot32x4(q, m []float32, off *[4]int, out *[4]float32) { dot32x4Portable(q, m, off, out) }

@@ -12,13 +12,14 @@ var kernelDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 100, 128, 129}
 
 // assertKernelsAgree checks dot32 and dot32x4 against the portable
 // oracle, and dot32 against itself with its operands swapped, bit for
-// bit, on q and four rows laid out back to back.
+// bit, on q and four rows laid out back to back — the exact scan's case.
 func assertKernelsAgree(t *testing.T, what string, q, rows []float32) {
 	t.Helper()
 	d := len(q)
 	var got, want [4]float32
-	dot32x4(q, rows, &got)
-	dot32x4Portable(q, rows, &want)
+	off := [4]int{0, d, 2 * d, 3 * d}
+	dot32x4(q, rows, &off, &got)
+	dot32x4Portable(q, rows, &off, &want)
 	for j := 0; j < 4; j++ {
 		row := rows[j*d : j*d+d]
 		one := dot32(q, row)
@@ -103,5 +104,10 @@ func TestDotKernelsRejectShortOperands(t *testing.T) {
 		f()
 	}
 	mustPanic("dot32 with a short second operand", func() { dot32(make([]float32, 8), make([]float32, 7)) })
-	mustPanic("dot32x4 with three rows", func() { dot32x4(make([]float32, 8), make([]float32, 31), new([4]float32)) })
+	mustPanic("dot32x4 with a row past the end", func() {
+		dot32x4(make([]float32, 8), make([]float32, 31), &[4]int{0, 8, 16, 24}, new([4]float32))
+	})
+	mustPanic("dot32x4 with a negative offset", func() {
+		dot32x4(make([]float32, 8), make([]float32, 32), &[4]int{0, -1, 16, 24}, new([4]float32))
+	})
 }

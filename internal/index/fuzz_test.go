@@ -258,3 +258,59 @@ func FuzzSearchSelect(f *testing.F) {
 		assertSelectMatchesOracle(t, "fuzz", ix, query, rows, exclude)
 	})
 }
+
+// FuzzDot32Rows holds the 4-row kernel to the single-row oracle on any
+// width (1–70, every tail length), any four row picks — repeated, out of
+// order, one row four times — and raw float32 bits (NaN, ±Inf,
+// denormals, −0): out[j] must be dot32Portable(q, row j) bit for bit,
+// NaN only as NaN, from both dot32x4 and dot32x4Portable.
+func FuzzDot32Rows(f *testing.F) {
+	f.Add([]byte{63, 0, 1, 2, 3}, int64(1))                                                               // the bench world's width, rows in order
+	f.Add([]byte{0, 5, 5, 5, 5}, int64(2))                                                                // width 1, one row four times
+	f.Add([]byte{6, 3, 1, 2, 0}, int64(3))                                                                // width 7, out of order
+	f.Add([]byte{69, 9, 0, 9, 0}, int64(4))                                                               // width 70, repeats
+	f.Add([]byte{3, 0, 1, 0, 1, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80}, int64(5)) // NaN, −Inf, denormal, −0
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		if len(data) < 5 || len(data) > 1<<14 {
+			return
+		}
+		d := 1 + int(data[0])%70
+		picks, bits := data[1:5], data[5:]
+		// Raw bits first, random fill for the rest of a 16-row matrix.
+		rng := rand.New(rand.NewSource(seed))
+		const rows = 16
+		q, m := make([]float32, d), make([]float32, rows*d)
+		for i := range q {
+			q[i] = float32(rng.NormFloat64())
+		}
+		for i := range m {
+			m[i] = float32(rng.NormFloat64())
+		}
+		for i := 0; i+4 <= len(bits) && i/4 < len(q)+len(m); i += 4 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(bits[i:]))
+			if j := i / 4; j < len(q) {
+				q[j] = v
+			} else {
+				m[j-len(q)] = v
+			}
+		}
+		var off [4]int
+		for j := range off {
+			off[j] = int(picks[j]) % rows * d
+		}
+		var got, port [4]float32
+		dot32x4(q, m, &off, &got)
+		dot32x4Portable(q, m, &off, &port)
+		for j, o := range off {
+			want := dot32Portable(q, m[o:o+d])
+			for _, v := range []float32{got[j], port[j]} {
+				same := math.Float32bits(v) == math.Float32bits(want)
+				bothNaN := math.IsNaN(float64(v)) && math.IsNaN(float64(want))
+				if !same && !bothNaN {
+					t.Fatalf("width %d row %d (offset %d): dot32x4 %x, portable x4 %x, dot32Portable %x",
+						d, j, o, math.Float32bits(got[j]), math.Float32bits(port[j]), math.Float32bits(want))
+				}
+			}
+		}
+	})
+}

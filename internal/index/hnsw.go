@@ -11,8 +11,8 @@
 //     hash fed through the standard exponential level formula — so the
 //     layer assignment never depends on timing or insertion order.
 //   - The graph is built by inserting rows in ascending row order on a
-//     single goroutine; every candidate heap and neighbour-selection
-//     pass compares entries under the same (score desc, row asc) total
+//     single goroutine; the search beam and every neighbour-selection
+//     pass compare entries under the same (score desc, row asc) total
 //     order the exact scan uses, so equal-score choices are stable.
 //   - Queries are sequential over the frozen graph; the `workers`
 //     argument only parallelizes the exact-scan fallback, which is
@@ -279,61 +279,94 @@ func (a *ANN) greedy(q []float32, cur entry, layer int) entry {
 	}
 }
 
-// searchLayer runs the best-first beam search of the HNSW paper at one
-// layer from one entry row, leaving the ef best entries found in
-// st.res.
-func (a *ANN) searchLayer(q []float32, enter int32, ef, layer int, st *annState) {
-	st.seed = st.seed[:0]
-	st.seed = append(st.seed, entry{score: dot32(q, a.vec(enter)), row: enter})
-	a.searchLayerFrom(q, ef, layer, st)
-}
-
-// searchLayerFrom is searchLayer seeded with st.seed — Algorithm 1 of
-// the paper hands the whole previous layer's candidate set down as
-// entry points while inserting, which matters for recall on corpora
-// where the greedy path from a single entry dead-ends early.
+// searchLayerFrom runs the best-first beam search of the HNSW paper at
+// one layer from the entry points in st.seed, leaving the ef best
+// entries found in st.beam, best first. A query seeds it with one row;
+// an insert hands the whole previous layer's beam down (Algorithm 1),
+// which matters for recall where a greedy path dead-ends early.
+//
+// Each step expands st.cur, the best unexpanded entry: its unvisited
+// neighbours are scored four rows per kernel call — a score does not
+// depend on the beam — then admitted in list order. The search ends
+// when every entry kept is expanded: the paper's stop, "nearest
+// candidate farther than the furthest result", because a candidate the
+// beam dropped ranks below all it kept.
 func (a *ANN) searchLayerFrom(q []float32, ef, layer int, st *annState) {
 	st.nextEpoch()
-	st.res.reset(ef)
-	st.cand.reset()
+	st.beam, st.expanded, st.cur = st.beam[:0], st.expanded[:0], 0
 	for _, e := range st.seed {
-		if st.visited[e.row] == st.epoch {
-			continue
+		if st.visited[e.row] != st.epoch {
+			st.visited[e.row] = st.epoch
+			st.admit(e, ef)
 		}
-		st.visited[e.row] = st.epoch
-		st.cand.push(e)
-		st.res.offer(e)
 	}
-	for st.cand.len() > 0 {
-		c := st.cand.pop()
-		if len(st.res.e) >= ef && worse(c, st.res.e[0]) {
-			break // best frontier candidate ranks below the worst kept
+	for st.cur < len(st.beam) {
+		c := st.beam[st.cur].row
+		st.expanded[st.cur] = true
+		for st.cur < len(st.beam) && st.expanded[st.cur] {
+			st.cur++
 		}
-		for _, nb := range a.neighborsOf(c.row, layer) {
-			if st.visited[nb] == st.epoch {
-				continue
-			}
+		nbrs := a.neighborsOf(c, layer)
+		fresh, n := st.fresh[:len(nbrs)], 0
+		for _, nb := range nbrs {
+			// Branch-free: whether a neighbour was seen is a coin toss.
+			seen := st.visited[nb] == st.epoch
 			st.visited[nb] = st.epoch
-			en := entry{score: dot32(q, a.vec(nb)), row: nb}
-			if len(st.res.e) < ef || !worse(en, st.res.e[0]) {
-				st.cand.push(en)
-				st.res.offer(en)
+			fresh[n] = nb
+			if !seen {
+				n++
 			}
+		}
+		fresh = fresh[:n]
+		scores := st.scores[:n]
+		a.scoreRows(q, fresh, scores)
+		for i, nb := range fresh {
+			st.admit(entry{score: scores[i], row: nb}, ef)
 		}
 	}
 }
 
-// drainBestFirst empties st.res into st.scratch, best entry first.
-func (st *annState) drainBestFirst() []entry {
-	n := len(st.res.e)
-	if cap(st.scratch) < n {
-		st.scratch = make([]entry, n)
+// scoreRows writes q's similarity to each of rows into out, four rows
+// per kernel call. The 1–3 rows left over go one at a time: the 4-row
+// kernel with the last row repeated measured no faster.
+func (a *ANN) scoreRows(q []float32, rows []int32, out []float32) {
+	d := a.ix.dim
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		off := [4]int{int(rows[i]) * d, int(rows[i+1]) * d, int(rows[i+2]) * d, int(rows[i+3]) * d}
+		dot32x4(q, a.ix.packed, &off, (*[4]float32)(out[i:i+4]))
 	}
-	st.scratch = st.scratch[:n]
-	for i := n - 1; i >= 0; i-- {
-		st.scratch[i] = st.res.pop()
+	for ; i < len(rows); i++ {
+		out[i] = dot32(q, a.vec(rows[i]))
 	}
-	return st.scratch
+}
+
+// admit puts e into the beam at its rank if the beam has room or e
+// outranks the worst kept entry, which then falls off. An entry landing
+// above the cursor becomes the best unexpanded one.
+func (st *annState) admit(e entry, ef int) {
+	n := len(st.beam)
+	if n == ef && !worse(st.beam[n-1], e) {
+		return
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if worse(st.beam[mid], e) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if n < ef {
+		st.beam, st.expanded = append(st.beam, entry{}), append(st.expanded, false)
+	}
+	copy(st.beam[lo+1:], st.beam[lo:])
+	copy(st.expanded[lo+1:], st.expanded[lo:])
+	st.beam[lo], st.expanded[lo] = e, false
+	if lo < st.cur {
+		st.cur = lo
+	}
 }
 
 // annBuilder is what one BuildANN call knows beyond the graph it grows,
@@ -616,7 +649,7 @@ func (b *annBuilder) insert(r int32, lr int) {
 	st.seed = append(st.seed[:0], cur)
 	for layer := top; layer >= 0; layer-- {
 		a.searchLayerFrom(q, a.cfg.EfConstruction, layer, st)
-		cands := st.drainBestFirst()
+		cands := st.beam
 		var ndiv int
 		b.sel, ndiv = b.selectNeighbors(cands, a.capAt(layer), b.sel)
 		b.setList(r, layer, b.sel, ndiv)
@@ -679,12 +712,12 @@ func (a *ANN) SearchAppend(dst []Result, query []float64, k, ef, workers int, ex
 	for layer := a.maxLevel; layer > 0; layer-- {
 		cur = a.greedy(st.q, cur, layer)
 	}
-	a.searchLayer(st.q, cur.row, ef, 0, st)
-	found := st.drainBestFirst()
+	st.seed = append(st.seed[:0], cur)
+	a.searchLayerFrom(st.q, ef, 0, st)
 	exRow := a.ix.rowOf(exclude)
 	base := len(dst)
 	kept := 0
-	for _, e := range found {
+	for _, e := range st.beam {
 		if e.row == exRow {
 			continue
 		}
@@ -709,19 +742,23 @@ func (a *ANN) SearchAppend(dst []Result, query []float64, k, ef, workers int, ex
 // annState is the pooled scratch of one ANN query; a build walks the
 // growing graph with one of its own.
 type annState struct {
-	q       []float32
-	visited []uint32
-	epoch   uint32
-	res     topk     // beam of the best ef entries
-	cand    frontier // best-first expansion queue
-	scratch []entry  // drained beam, best first
-	seed    []entry  // entry points handed into searchLayerFrom
+	q        []float32
+	visited  []uint32
+	epoch    uint32
+	beam     []entry // the ef best entries found, best first
+	expanded []bool  // expanded[i]: beam[i]'s neighbours were visited
+	cur      int     // index of the best unexpanded beam entry
+	fresh    []int32 // an expansion's unvisited neighbours
+	scores   []float32
+	seed     []entry // entry points handed into searchLayerFrom
 }
 
 func newAnnState(a *ANN) *annState {
 	return &annState{
 		q:       make([]float32, a.ix.dim),
 		visited: make([]uint32, a.ix.rows),
+		fresh:   make([]int32, a.m0),
+		scores:  make([]float32, a.m0),
 	}
 }
 
@@ -734,50 +771,5 @@ func (st *annState) nextEpoch() {
 			st.visited[i] = 0
 		}
 		st.epoch = 1
-	}
-}
-
-// frontier is a max-heap of entries under the shared total order: pop
-// returns the best (highest score, lowest row) entry.
-type frontier struct {
-	e []entry
-}
-
-func (f *frontier) reset()   { f.e = f.e[:0] }
-func (f *frontier) len() int { return len(f.e) }
-
-func (f *frontier) push(e entry) {
-	f.e = append(f.e, e)
-	i := len(f.e) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(f.e[p], f.e[i]) {
-			break
-		}
-		f.e[p], f.e[i] = f.e[i], f.e[p]
-		i = p
-	}
-}
-
-func (f *frontier) pop() entry {
-	root := f.e[0]
-	n := len(f.e) - 1
-	f.e[0] = f.e[n]
-	f.e = f.e[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && worse(f.e[s], f.e[l]) {
-			s = l
-		}
-		if r < n && worse(f.e[s], f.e[r]) {
-			s = r
-		}
-		if s == i {
-			return root
-		}
-		f.e[i], f.e[s] = f.e[s], f.e[i]
-		i = s
 	}
 }

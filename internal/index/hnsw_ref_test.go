@@ -14,7 +14,117 @@ import (
 // verbatim. Every prune re-scores its whole neighbour list and re-runs
 // Algorithm 4 over it from nothing, so it remembers nothing the product
 // build could get wrong; refBuildANN's graph is the oracle BuildANN's
-// must equal array for array.
+// must equal array for array. Its layer search is refSearchLayerFrom,
+// the two-heap beam search as it stood before the sorted beam, so the
+// oracle shares no search code with the product either.
+
+// refState is the scratch the two-heap search kept: a visited stamp per
+// row, the beam as a bounded min-heap, the expansion queue as a
+// max-heap, and the drained beam.
+type refState struct {
+	visited []uint32
+	epoch   uint32
+	res     topk     // beam of the best ef entries
+	cand    frontier // best-first expansion queue
+	scratch []entry  // drained beam, best first
+	seed    []entry  // entry points handed into refSearchLayerFrom
+}
+
+func newRefState(a *ANN) *refState {
+	return &refState{visited: make([]uint32, a.ix.rows)}
+}
+
+// refSearchLayerFrom is the best-first beam search of the HNSW paper at
+// one layer, seeded with st.seed, leaving the ef best entries found in
+// st.res.
+func refSearchLayerFrom(a *ANN, q []float32, ef, layer int, st *refState) {
+	st.epoch++
+	st.res.reset(ef)
+	st.cand.reset()
+	for _, e := range st.seed {
+		if st.visited[e.row] == st.epoch {
+			continue
+		}
+		st.visited[e.row] = st.epoch
+		st.cand.push(e)
+		st.res.offer(e)
+	}
+	for st.cand.len() > 0 {
+		c := st.cand.pop()
+		if len(st.res.e) >= ef && worse(c, st.res.e[0]) {
+			break // best frontier candidate ranks below the worst kept
+		}
+		for _, nb := range a.neighborsOf(c.row, layer) {
+			if st.visited[nb] == st.epoch {
+				continue
+			}
+			st.visited[nb] = st.epoch
+			en := entry{score: dot32(q, a.vec(nb)), row: nb}
+			if len(st.res.e) < ef || !worse(en, st.res.e[0]) {
+				st.cand.push(en)
+				st.res.offer(en)
+			}
+		}
+	}
+}
+
+// drainBestFirst empties st.res into st.scratch, best entry first.
+func (st *refState) drainBestFirst() []entry {
+	n := len(st.res.e)
+	if cap(st.scratch) < n {
+		st.scratch = make([]entry, n)
+	}
+	st.scratch = st.scratch[:n]
+	for i := n - 1; i >= 0; i-- {
+		st.scratch[i] = st.res.pop()
+	}
+	return st.scratch
+}
+
+// frontier is a max-heap of entries under the shared total order: pop
+// returns the best (highest score, lowest row) entry.
+type frontier struct {
+	e []entry
+}
+
+func (f *frontier) reset()   { f.e = f.e[:0] }
+func (f *frontier) len() int { return len(f.e) }
+
+func (f *frontier) push(e entry) {
+	f.e = append(f.e, e)
+	i := len(f.e) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(f.e[p], f.e[i]) {
+			break
+		}
+		f.e[p], f.e[i] = f.e[i], f.e[p]
+		i = p
+	}
+}
+
+func (f *frontier) pop() entry {
+	root := f.e[0]
+	n := len(f.e) - 1
+	f.e[0] = f.e[n]
+	f.e = f.e[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < n && worse(f.e[s], f.e[l]) {
+			s = l
+		}
+		if r < n && worse(f.e[s], f.e[r]) {
+			s = r
+		}
+		if s == i {
+			return root
+		}
+		f.e[i], f.e[s] = f.e[s], f.e[i]
+		i = s
+	}
+}
 
 // refBuilder carries the three scratch lists the old build kept in the
 // pooled query state.
@@ -28,7 +138,7 @@ type refBuilder struct {
 func refBuildANN(ix *Index, cfg ANNConfig) *ANN {
 	a := ix.newANN(cfg)
 	rb := &refBuilder{a: a}
-	st := newAnnState(a)
+	st := newRefState(a)
 	for r, l := range a.levels {
 		if l < 0 {
 			continue
@@ -122,7 +232,7 @@ func (rb *refBuilder) linkBack(nb, r int32, layer int) {
 }
 
 // insert adds row r at level lr to the graph (HNSW Algorithm 1).
-func (rb *refBuilder) insert(r int32, lr int, st *annState) {
+func (rb *refBuilder) insert(r int32, lr int, st *refState) {
 	a := rb.a
 	if a.entry < 0 {
 		a.entry = r
@@ -140,7 +250,7 @@ func (rb *refBuilder) insert(r int32, lr int, st *annState) {
 	}
 	st.seed = append(st.seed[:0], cur)
 	for layer := top; layer >= 0; layer-- {
-		a.searchLayerFrom(q, a.cfg.EfConstruction, layer, st)
+		refSearchLayerFrom(a, q, a.cfg.EfConstruction, layer, st)
 		cands := st.drainBestFirst()
 		rb.sel = rb.selectNeighbors(cands, a.capAt(layer), rb.sel)
 		for _, e := range rb.sel {
@@ -273,5 +383,69 @@ func TestANNBuildTakesEveryPruneBranch(t *testing.T) {
 		if n == 0 {
 			t.Errorf("no back-link prune took the branch %q", name)
 		}
+	}
+}
+
+// assertSearchMatchesReference runs searchLayerFrom and the two-heap
+// refSearchLayerFrom from the same seeds and requires the same entries
+// in the same order and the same rows visited.
+func assertSearchMatchesReference(t *testing.T, a *ANN, q []float32, seeds []entry, ef, layer int, st *annState, ref *refState) {
+	t.Helper()
+	st.seed, ref.seed = append(st.seed[:0], seeds...), append(ref.seed[:0], seeds...)
+	a.searchLayerFrom(q, ef, layer, st)
+	refSearchLayerFrom(a, q, ef, layer, ref)
+	if want := ref.drainBestFirst(); !slices.Equal(st.beam, want) {
+		t.Fatalf("layer %d ef %d, %d seeds: beam %v, reference %v", layer, ef, len(seeds), st.beam, want)
+	}
+	for r := range st.visited {
+		if (st.visited[r] == st.epoch) != (ref.visited[r] == ref.epoch) {
+			t.Fatalf("layer %d ef %d, %d seeds: row %d visited by one search only", layer, ef, len(seeds), r)
+		}
+	}
+}
+
+// TestANNSearchEqualsReference holds the sorted beam to the two-heap
+// search it replaced, beam for beam: on queries walked down from the
+// entry point at ef k, k+1 (what SearchAppend raises k to under an
+// exclusion), 128 and 256, and on build-style calls that hand one
+// layer's whole beam down as the next layer's seeds — seeds beyond ef
+// included — over the clustered bench-sized world, random rows with
+// exact score ties, and a width below the kernel's four lanes.
+func TestANNSearchEqualsReference(t *testing.T) {
+	const k = 10
+	corpora := []struct {
+		name string
+		ix   *Index
+		cfg  ANNConfig
+	}{
+		{"clustered 3.7Kx64", pinCorpus(), ANNConfig{}},
+		{"random duplicates zeros", duplicatesAndZeros(4), ANNConfig{M: 4, EfConstruction: 12, Seed: 4}},
+		{"dim 3", New(clusteredMatrix(rand.New(rand.NewSource(3)), 2000, 3, 12, 0.2), 2000, 3, Config{}), ANNConfig{Seed: 3}},
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			a := c.ix.BuildANN(c.cfg)
+			st, ref := newAnnState(a), newRefState(a)
+			rng := rand.New(rand.NewSource(31))
+			q := make([]float32, c.ix.Dim())
+			for trial := 0; trial < 30; trial++ {
+				if !packQuery(q, randMatrix(rng, 1, c.ix.Dim())) {
+					continue
+				}
+				cur := entry{score: dot32(q, a.vec(a.entry)), row: a.entry}
+				for layer := a.maxLevel; layer > 0; layer-- {
+					cur = a.greedy(q, cur, layer)
+				}
+				for _, ef := range []int{k, k + 1, 128, 256} {
+					assertSearchMatchesReference(t, a, q, []entry{cur}, ef, 0, st, ref)
+				}
+				seeds := []entry{{score: dot32(q, a.vec(a.entry)), row: a.entry}}
+				for layer := a.maxLevel; layer >= 0; layer-- {
+					ef := []int{a.cfg.EfConstruction, k, 256}[(trial+layer)%3]
+					assertSearchMatchesReference(t, a, q, seeds, ef, layer, st, ref)
+					seeds = append(seeds[:0], st.beam...)
+				}
+			}
+		})
 	}
 }

@@ -274,3 +274,34 @@ func TestANNSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state ANN SearchAppend allocates %.1f times per query, want 0", allocs)
 	}
 }
+
+// BenchmarkANNSearchAppend times one graph query at the bench world's
+// shape: pinCorpus (3.7K×64), k 40, ef 128, queries cycling through
+// perturbed rows.
+func BenchmarkANNSearchAppend(b *testing.B) {
+	ix := pinCorpus()
+	ann := ix.BuildANN(ANNConfig{})
+	rng := rand.New(rand.NewSource(40))
+	queries := make([][]float64, 256)
+	for i := range queries {
+		r := rng.Intn(ix.Rows())
+		q := make([]float64, ix.Dim())
+		for j := range q {
+			q[j] = float64(ix.packed[r*ix.Dim()+j]) + 0.1*rng.NormFloat64()
+		}
+		queries[i] = q
+	}
+	var dst []Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = ann.SearchAppend(dst[:0], queries[i%len(queries)], 40, 128, 1, NoExclude)
+	}
+}
+
+// BenchmarkBuildANN times the graph build over pinCorpus at defaults.
+func BenchmarkBuildANN(b *testing.B) {
+	ix := pinCorpus()
+	for i := 0; i < b.N; i++ {
+		ix.BuildANN(ANNConfig{})
+	}
+}

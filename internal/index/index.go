@@ -289,7 +289,8 @@ func (ix *Index) scoreBlock(q []float32, b int, scores []float32) {
 	dim := ix.dim
 	r := lo
 	for ; r+4 <= hi; r += 4 {
-		dot32x4(q, ix.packed[r*dim:(r+4)*dim], (*[4]float32)(scores[r:r+4]))
+		off := [4]int{r * dim, (r + 1) * dim, (r + 2) * dim, (r + 3) * dim}
+		dot32x4(q, ix.packed, &off, (*[4]float32)(scores[r:r+4]))
 	}
 	for ; r < hi; r++ {
 		scores[r] = dot32(q, ix.packed[r*dim:r*dim+dim])

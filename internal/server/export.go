@@ -22,6 +22,7 @@ import (
 
 	"hostprof/internal/obs"
 	"hostprof/internal/obs/httpmw"
+	"hostprof/internal/store"
 	"hostprof/internal/trace"
 )
 
@@ -199,9 +200,15 @@ func (b *Backend) handleImport(w http.ResponseWriter, r *http.Request) {
 		httpmw.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
+	// Everything Append could refuse is refused here, before the reset, so
+	// a bad chunk changes nothing.
 	for _, v := range req.Visits {
 		if v.User < 0 || v.Time < 0 || v.Host == "" {
 			httpmw.WriteError(w, http.StatusBadRequest, "import visit needs non-negative user/time and a host")
+			return
+		}
+		if err := store.CheckHost(v.Host); err != nil {
+			httpmw.WriteError(w, http.StatusBadRequest, "import: "+err.Error())
 			return
 		}
 	}

@@ -25,12 +25,12 @@ type backendFixture struct {
 	pop *synth.Population
 }
 
-func newBackendFixture(t *testing.T) *backendFixture {
+func newBackendFixture(t testing.TB) *backendFixture {
 	t.Helper()
 	return newBackendFixtureWith(t, nil)
 }
 
-func newBackendFixtureWith(t *testing.T, reg *obs.Registry) *backendFixture {
+func newBackendFixtureWith(t testing.TB, reg *obs.Registry) *backendFixture {
 	t.Helper()
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 100, Trackers: 15, Seed: 3})
 	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.2, Seed: 5})

@@ -27,6 +27,10 @@ const (
 	maxRecordPayload = 1 << 20
 )
 
+// MaxHostBytes is the longest hostname one record stores: half the
+// payload bound, so the varints beside it always fit.
+const MaxHostBytes = maxRecordPayload / 2
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 var (
@@ -39,10 +43,19 @@ var (
 	ErrCorruptRecord = errors.New("store: corrupt wal record")
 )
 
+// CheckHost reports whether a hostname fits in one record; Append
+// refuses a visit whose hostname does not.
+func CheckHost(host string) error {
+	if len(host) > MaxHostBytes {
+		return fmt.Errorf("store: hostname of %d bytes exceeds record limit", len(host))
+	}
+	return nil
+}
+
 // appendRecord appends the framed encoding of v to dst.
 func appendRecord(dst []byte, v trace.Visit) ([]byte, error) {
-	if len(v.Host) > maxRecordPayload/2 {
-		return dst, fmt.Errorf("store: hostname of %d bytes exceeds record limit", len(v.Host))
+	if err := CheckHost(v.Host); err != nil {
+		return dst, err
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)

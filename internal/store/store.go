@@ -328,8 +328,8 @@ func (s *Store) Recovery() RecoveryStats { return s.rec }
 // during the degraded window can lose them — the price of staying up.
 // Append fails only for an unstorable record (oversized hostname).
 func (s *Store) Append(v trace.Visit) error {
-	if len(v.Host) > maxRecordPayload/2 {
-		return fmt.Errorf("store: hostname of %d bytes exceeds record limit", len(v.Host))
+	if err := CheckHost(v.Host); err != nil {
+		return err
 	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
