@@ -56,26 +56,40 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
-# Statement-coverage floor over the profiling core and the serving
-# index (the equivalence harness is the main consumer). CI runs the
-# same; raise COVER_FLOOR as the suites grow.
+# Statement-coverage floors: one over the profiling core and the serving
+# index together (the equivalence harness is the main consumer), one
+# over the visit store, whose oracle and fuzz suites keep the
+# late-report scan, the drop path and the WAL's rotation split
+# exercised. CI runs the same; raise a floor as its suites grow.
 COVER_FLOOR ?= 85.0
+STORE_COVER_FLOOR ?= 91.5
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/core ./internal/index
-	@total="$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}')"; \
-	echo "coverage: $$total% (floor $(COVER_FLOOR)%)"; \
-	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
-		{ echo "coverage $$total% fell below $(COVER_FLOOR)%"; exit 1; }
+	@$(call cover_floor,coverage.out,$(COVER_FLOOR))
+	$(GO) test -coverprofile=coverage-store.out ./internal/store
+	@$(call cover_floor,coverage-store.out,$(STORE_COVER_FLOOR))
 
-# Short fuzz smoke over the WAL record decoder, the ANN build, the ANN
-# graph loader, the exact scan's selection, the scan's 4-row kernel and
-# the trainer's two row kernels against their portable twins, the
+# cover_floor fails unless the statement total of coverage profile $(1)
+# is at least $(2) percent.
+define cover_floor
+total="$$($(GO) tool cover -func=$(1) | awk '/^total:/ {sub(/%/, "", $$3); print $$3}')"; \
+echo "coverage $(1): $$total% (floor $(2)%)"; \
+awk -v t="$$total" -v f="$(2)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
+	{ echo "coverage $$total% fell below $(2)%"; exit 1; }
+endef
+
+# Short fuzz smoke over the WAL record decoder, the visit store against
+# its shard-scan reference, the ANN build, the ANN graph loader, the
+# exact scan's selection, the scan's 4-row kernel and the trainer's two
+# row kernels against their portable twins, the
 # gateway's batch-body scanner, the shard's /v1/import body, the
 # observer's three wire parsers and the pcap reader (CI runs the same).
-# The sniffer targets cap minimization: shrinking one 1200-byte Initial
-# otherwise takes the whole ten seconds.
+# The sniffer and store-op targets cap minimization: shrinking one
+# 1200-byte Initial, or one op stream that each run replays against the
+# reference store, otherwise takes the whole ten seconds.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSearchSelect$$' -fuzztime 10s

@@ -20,9 +20,11 @@ import (
 // Injection points wired through the serving stack. HTTP handler points
 // are derived with HTTPPoint.
 const (
-	// StoreWALAppend fires before every WAL write and before every
-	// degraded-mode re-attach probe, so an armed error keeps the store
-	// degraded until cleared.
+	// StoreWALAppend fires once per Store.Append call that reaches the
+	// WAL — before the batch's first write, so an armed error leaves no
+	// record of the batch on disk — and before every degraded-mode
+	// re-attach probe, so an armed error keeps the store degraded until
+	// cleared.
 	StoreWALAppend = "store/wal-append"
 	// TrainEpoch fires at the start of every training epoch.
 	TrainEpoch = "core/train-epoch"

@@ -213,16 +213,16 @@ func (b *Backend) handleImport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := ImportResponse{Dropped: b.store.DropUsers(req.Reset)}
-	var appendErr error
+	batch := make([]trace.Visit, 0, len(req.Visits))
 	for _, v := range req.Visits {
 		if b.cfg.Blocklist != nil && b.cfg.Blocklist.Contains(v.Host) {
 			continue
 		}
-		if err := b.store.Append(trace.Visit{User: v.User, Time: v.Time, Host: v.Host}); err != nil {
-			appendErr = err
-			break
-		}
-		resp.Appended++
+		batch = append(batch, trace.Visit{User: v.User, Time: v.Time, Host: v.Host})
+	}
+	appendErr := b.store.Append(batch...)
+	if appendErr == nil {
+		resp.Appended = len(batch)
 	}
 	b.reg.Counter("hostprof_import_records_total").Add(int64(resp.Appended))
 	if len(req.Reset) > 0 {

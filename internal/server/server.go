@@ -284,7 +284,7 @@ func (b *Backend) buildStatusz() *prof.Statusz {
 		return map[string]any{
 			"degraded": b.store.Degraded(),
 			"visits":   b.store.Len(),
-			"users":    len(b.store.Users()),
+			"users":    b.store.UserCount(),
 			"recovery": rec,
 		}
 	})
@@ -365,28 +365,36 @@ const retrainLabel = "retrain"
 func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []string) ([]ads.Ad, error) {
 	b.met.reports.Inc()
 	// Ingest every non-blocklisted host before surfacing any error, so a
-	// failure on host N doesn't silently drop hosts N+1..end. Append
-	// fails only for an unstorable record (an oversized hostname; WAL
-	// trouble degrades the store instead), so after an error the store
-	// holds every storable host of the report and the 500 names the one
-	// it refused.
+	// refused host N doesn't silently drop hosts N+1..end. Append refuses
+	// only an unstorable record (an oversized hostname; WAL trouble
+	// degrades the store instead), so hosts are checked here and the
+	// storable ones go in as one batch: after an error the store holds
+	// every storable host of the report and the 500 names the first one
+	// refused.
 	_, isp := b.tr.StartSpan(ctx, "store.ingest")
 	isp.SetAttr("hosts", strconv.Itoa(len(hosts)))
 	var appendErr error
-	for i, h := range hosts {
+	batch := make([]trace.Visit, 0, len(hosts))
+	for _, h := range hosts {
 		if b.cfg.Blocklist != nil && b.cfg.Blocklist.Contains(h) {
 			b.met.reportDrops.Inc()
 			continue
 		}
-		// Hosts within one report share the report timestamp; order is
-		// preserved because store sessions sort stably by time.
-		if err := b.store.Append(trace.Visit{User: userID, Time: now, Host: hosts[i]}); err != nil {
+		if err := store.CheckHost(h); err != nil {
 			if appendErr == nil {
 				appendErr = fmt.Errorf("server: storing report: %w", err)
 			}
 			continue
 		}
-		b.met.reportHosts.Inc()
+		// Hosts within one report share the report timestamp; order is
+		// preserved because store sessions keep equal times in arrival
+		// order.
+		batch = append(batch, trace.Visit{User: userID, Time: now, Host: h})
+	}
+	if err := b.store.Append(batch...); err != nil {
+		appendErr = fmt.Errorf("server: storing report: %w", err)
+	} else {
+		b.met.reportHosts.Add(int64(len(batch)))
 	}
 	isp.Error(appendErr)
 	isp.End()
@@ -474,7 +482,7 @@ func (b *Backend) CurrentStats() Stats {
 	p := b.eng.Profiler()
 	st := Stats{
 		Visits:      b.store.Len(),
-		Users:       len(b.store.Users()),
+		Users:       b.store.UserCount(),
 		Trained:     p != nil,
 		Impressions: cs.Impressions,
 		Clicks:      cs.Clicks,

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 
 	"hostprof/internal/trace"
 )
@@ -16,29 +17,31 @@ import (
 // UserVisits returns up to limit of the user's visits starting at offset
 // from within the user's stored subsequence, plus the subsequence's
 // current total length. Offsets are stable: a user's visits live in one
-// shard and are only ever appended (DropUsers removes whole users, never
-// a prefix), so visits[0:from] never changes between calls — the
-// property that makes an export watermark resumable across chunks and
-// across exporter restarts. limit <= 0 means no limit.
+// arrival-ordered log that is only ever appended to (DropUsers removes
+// whole users, never a prefix), so log[0:from] never changes between
+// calls — the property that makes an export watermark resumable across
+// chunks and across exporter restarts. limit <= 0 means no limit.
 func (s *Store) UserVisits(user int, from, limit int) ([]trace.Visit, int) {
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	sh := &s.shards[s.shardOf(user)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	total := 0
-	var out []trace.Visit
-	for _, v := range sh.visits {
-		if v.User != user {
-			continue
-		}
-		if total >= from && (limit <= 0 || len(out) < limit) {
-			out = append(out, v)
-		}
-		total++
+	lg := sh.logs[user]
+	if lg == nil {
+		return nil, 0
 	}
-	return out, total
+	if from >= len(lg.recs) {
+		return nil, len(lg.recs)
+	}
+	recs := lg.recs[from:]
+	if limit > 0 && len(recs) > limit {
+		recs = recs[:limit]
+	}
+	out := make([]trace.Visit, len(recs))
+	for i, r := range recs {
+		out[i] = sh.visit(user, r)
+	}
+	return out, len(lg.recs)
 }
 
 // UserDigest summarizes one user's stored history as a record count and
@@ -51,47 +54,51 @@ func (s *Store) UserDigest(user int) (count int, sum uint64) {
 	sh := &s.shards[s.shardOf(user)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, v := range sh.visits {
-		if v.User != user {
-			continue
-		}
-		count++
-		sum += VisitHash(v)
+	lg := sh.logs[user]
+	if lg == nil {
+		return 0, 0
 	}
-	return count, sum
+	for _, r := range lg.recs {
+		sum += VisitHash(sh.visit(user, r))
+	}
+	return len(lg.recs), sum
 }
 
 // DropUsers removes every visit belonging to the given users, returning
-// the number of visits removed. The removal is memory-only — the WAL
-// holds no tombstones — so callers that need the drop to survive a crash
-// must Snapshot afterwards; until then a replay resurrects the dropped
-// records. The migration protocol tolerates that: a resurrected target
-// fails the pre-cutover digest handshake and is simply reset and
-// recopied.
+// the number of visits removed. Each user's log is released whole. The
+// removal is memory-only — the WAL holds no tombstones — so callers that
+// need the drop to survive a crash must Snapshot afterwards; until then a
+// replay resurrects the dropped records. The migration protocol tolerates
+// that: a resurrected target fails the pre-cutover digest handshake and
+// is simply reset and recopied.
 func (s *Store) DropUsers(users []int) int {
 	if len(users) == 0 {
 		return 0
 	}
-	drop := make(map[int]bool, len(users))
+	byShard := make(map[uint64][]int)
 	for _, u := range users {
-		drop[u] = true
+		i := s.shardOf(u)
+		byShard[i] = append(byShard[i], u)
 	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	removed := 0
-	for i := range s.shards {
+	for i, us := range byShard {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		kept := sh.visits[:0]
-		for _, v := range sh.visits {
-			if drop[v.User] {
-				removed++
-				continue
+		n := 0
+		for _, u := range us {
+			if lg := sh.logs[u]; lg != nil {
+				n += len(lg.recs)
+				delete(sh.logs, u)
 			}
-			kept = append(kept, v)
 		}
-		sh.visits = kept
+		if n > 0 {
+			sh.n -= n
+			sh.order = slices.DeleteFunc(sh.order, func(u int) bool { return sh.logs[u] == nil })
+		}
 		sh.mu.Unlock()
+		removed += n
 	}
 	return removed
 }

@@ -51,3 +51,19 @@ func FuzzWALRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStoreOps runs TestStoreMatchesReference's op stream decoded from
+// fuzz bytes against an in-memory store: every read must equal the
+// reference's after every op.
+func FuzzStoreOps(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(opBytes(seed, 200))
+	}
+	f.Add([]byte{0, 1, 0, 0, 3, 255, 7, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		runStoreOps(t, mustOpen(t, Config{Shards: 2}), data)
+	})
+}

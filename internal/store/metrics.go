@@ -40,7 +40,7 @@ func newStoreMetrics(reg *obs.Registry, s *Store) storeMetrics {
 	reg.Describe("hostprof_store_append_errors_total", "WAL append failures (each one degrades the store)")
 	reg.Describe("hostprof_store_wal_reattaches_total", "successful WAL re-attachments after degraded mode")
 	reg.GaugeFunc("hostprof_store_visits", func() float64 { return float64(s.Len()) })
-	reg.GaugeFunc("hostprof_store_users", func() float64 { return float64(len(s.Users())) })
+	reg.GaugeFunc("hostprof_store_users", func() float64 { return float64(s.UserCount()) })
 	reg.GaugeFunc("hostprof_store_degraded", func() float64 {
 		if s.Degraded() {
 			return 1

@@ -12,9 +12,11 @@
 //   - Concurrency — visits are partitioned into power-of-two shards by
 //     user, each behind its own mutex, so concurrent ingestion from
 //     many capture threads scales instead of serializing on one lock.
-//     Session reads touch exactly one shard.
-//   - Durability — when a directory is configured, every append is
-//     framed (length + CRC-32C) into an append-only segmented WAL, and
+//     Within a shard every user has one arrival-ordered log of 16-byte
+//     records (time, interned host), so a session read is a binary
+//     search over one user's log.
+//   - Durability — when a directory is configured, every appended visit
+//     is framed (length + CRC-32C) into an append-only segmented WAL, and
 //     snapshots (visits + trained model) are written atomically via
 //     temp-file + rename. Recovery loads the newest valid snapshot and
 //     replays the WAL tail, tolerating a torn final record.
@@ -33,8 +35,10 @@ import (
 	"log/slog"
 	"math/bits"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +56,8 @@ const (
 	// Config.FsyncEvery: bounded data loss on power failure, near-zero
 	// per-append cost.
 	FsyncInterval FsyncPolicy = iota
-	// FsyncAlways fsyncs after every append: zero-loss, slowest.
+	// FsyncAlways fsyncs once per acknowledged Append call (a report,
+	// or an import chunk) before it returns: zero-loss, slowest.
 	FsyncAlways
 	// FsyncNever leaves flushing to the OS page cache: complete records
 	// still survive process crashes, but not power loss.
@@ -142,12 +147,73 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is one visit partition. The padding keeps independently locked
-// shards on separate cache lines.
+// shard is one visit partition: one arrival-ordered log per user, with
+// hostnames interned per shard so a stored visit is a 16-byte record that
+// holds no pointer. The table never shrinks; it is bounded by the
+// distinct hostnames the shard has seen. The padding keeps independently
+// locked shards on separate cache lines.
 type shard struct {
-	mu     sync.Mutex
-	visits []trace.Visit
-	_      [24]byte
+	mu    sync.Mutex
+	logs  map[int]*userLog
+	order []int // users in first-append order, the order snapshots use
+	n     int   // visits held
+	ids   map[string]uint32
+	names []string // names[id] is the hostname interned as id
+	_     [48]byte
+}
+
+// userLog is one user's visits in arrival order. sorted stays true while
+// every record's time is at least its predecessor's; a late report clears
+// it for good, and reads of this user then sort a copy.
+type userLog struct {
+	recs   []visitRec
+	sorted bool
+}
+
+// visitRec is one stored visit of a known user.
+type visitRec struct {
+	Time int64
+	Host uint32 // index into the shard's names
+}
+
+// add appends v to its user's log. The caller holds sh.mu (or owns the
+// store, during recovery).
+func (sh *shard) add(v trace.Visit) {
+	lg := sh.logs[v.User]
+	if lg == nil {
+		lg = &userLog{sorted: true}
+		sh.logs[v.User] = lg
+		sh.order = append(sh.order, v.User)
+	}
+	if n := len(lg.recs); n > 0 && v.Time < lg.recs[n-1].Time {
+		lg.sorted = false
+	}
+	id, ok := sh.ids[v.Host]
+	if !ok {
+		// A clone, so the table never pins the buffer a host was cut from.
+		host := strings.Clone(v.Host)
+		id = uint32(len(sh.names))
+		sh.names = append(sh.names, host)
+		sh.ids[host] = id
+	}
+	lg.recs = append(lg.recs, visitRec{Time: v.Time, Host: id})
+	sh.n++
+}
+
+// visit rebuilds the trace.Visit of user's record r.
+func (sh *shard) visit(user int, r visitRec) trace.Visit {
+	return trace.Visit{User: user, Time: r.Time, Host: sh.names[r.Host]}
+}
+
+// byTime returns the log's records in time order, equal times in arrival
+// order: the log itself while it is sorted, else a sorted copy.
+func (lg *userLog) byTime() []visitRec {
+	if lg.sorted {
+		return lg.recs
+	}
+	recs := slices.Clone(lg.recs)
+	slices.SortStableFunc(recs, func(a, b visitRec) int { return cmp.Compare(a.Time, b.Time) })
+	return recs
 }
 
 // RecoveryStats reports what startup recovery found.
@@ -219,6 +285,10 @@ func Open(cfg Config) (*Store, error) {
 		mask:   uint64(cfg.Shards - 1),
 		stop:   make(chan struct{}),
 	}
+	for i := range s.shards {
+		s.shards[i].logs = make(map[int]*userLog)
+		s.shards[i].ids = make(map[string]uint32)
+	}
 	s.met = newStoreMetrics(cfg.Metrics, s)
 	if cfg.Dir == "" {
 		return s, nil
@@ -258,9 +328,7 @@ func (s *Store) recover() error {
 	var snapSeq uint64
 	if haveSnap {
 		snapSeq = wire.Seq
-		for _, v := range wire.Visits {
-			s.applyVisit(v)
-		}
+		s.applyVisits(wire.Visits)
 		if model != nil {
 			// The snapshot's bytes are the model's artifact: the version
 			// served after a restart is the hash of what is on disk, and
@@ -302,8 +370,28 @@ func (s *Store) recover() error {
 
 // applyVisit inserts v without WAL traffic (recovery path).
 func (s *Store) applyVisit(v trace.Visit) {
-	sh := &s.shards[s.shardOf(v.User)]
-	sh.visits = append(sh.visits, v)
+	s.shards[s.shardOf(v.User)].add(v)
+}
+
+// applyVisits inserts a snapshot's visits without WAL traffic, each
+// shard's in slice order. Interning a host is a map lookup per visit, so
+// the shards are split across GOMAXPROCS workers: the store is not yet
+// shared and each worker owns the shards it fills.
+func (s *Store) applyVisits(vs []trace.Visit) {
+	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range vs {
+				if i := s.shardOf(v.User); int(i)%workers == w {
+					s.shards[i].add(v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func (s *Store) shardOf(user int) uint64 {
@@ -316,9 +404,13 @@ func (s *Store) shardOf(user int) uint64 {
 // first-boot stores).
 func (s *Store) Recovery() RecoveryStats { return s.rec }
 
-// Append records one visit: WAL first (when durable), then the user's
-// shard. Appends from different users contend only on the WAL's internal
-// lock, never on a store-wide mutex.
+// Append records a batch of visits — a report's hosts, an import chunk —
+// WAL first (when durable), then the users' shards. The call takes the
+// snapshot gate once, frames every record into one WAL write per segment
+// it lands in, and locks each shard once per run of consecutive visits
+// that hash to it. Appends from different users contend only on the
+// WAL's internal lock, never on a store-wide mutex. Under FsyncAlways the
+// batch is fsynced once before Append returns.
 //
 // A WAL write failure does not fail the append: the store degrades to
 // memory-only mode (visible as Degraded and the hostprof_store_degraded
@@ -326,24 +418,40 @@ func (s *Store) Recovery() RecoveryStats { return s.rec }
 // exponential backoff until it re-attaches. Visits accepted while
 // degraded are covered by the snapshot taken on re-attach; only a crash
 // during the degraded window can lose them — the price of staying up.
-// Append fails only for an unstorable record (oversized hostname).
-func (s *Store) Append(v trace.Visit) error {
-	if err := CheckHost(v.Host); err != nil {
-		return err
+// Append fails only for an unstorable record (oversized hostname), and
+// then stores none of the batch.
+func (s *Store) Append(vs ...trace.Visit) error {
+	for _, v := range vs {
+		if err := CheckHost(v.Host); err != nil {
+			return err
+		}
+	}
+	if len(vs) == 0 {
+		return nil
 	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.wal != nil && !s.degraded.Load() {
-		if err := s.wal.Append(v); err != nil {
+		if err := s.wal.Append(vs); err != nil {
 			s.met.appendErrors.Inc()
 			s.degrade()
 		}
 	}
-	sh := &s.shards[s.shardOf(v.User)]
-	sh.mu.Lock()
-	sh.visits = append(sh.visits, v)
-	sh.mu.Unlock()
-	s.met.appends.Inc()
+	s.met.appends.Add(int64(len(vs)))
+	for len(vs) > 0 {
+		i := s.shardOf(vs[0].User)
+		n := 1
+		for n < len(vs) && s.shardOf(vs[n].User) == i {
+			n++
+		}
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, v := range vs[:n] {
+			sh.add(v)
+		}
+		sh.mu.Unlock()
+		vs = vs[n:]
+	}
 	return nil
 }
 
@@ -407,7 +515,20 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.visits)
+		n += sh.n
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// UserCount returns the number of distinct users in the store, read from
+// the shards' user maps without visiting a record.
+func (s *Store) UserCount() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += len(sh.logs)
 		sh.mu.Unlock()
 	}
 	return n
@@ -415,31 +536,33 @@ func (s *Store) Len() int {
 
 // Users returns the sorted distinct user IDs in the store.
 func (s *Store) Users() []int {
-	set := make(map[int]bool)
+	out := []int{}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, v := range sh.visits {
-			set[v.User] = true
+		for u := range sh.logs {
+			out = append(out, u)
 		}
 		sh.mu.Unlock()
 	}
-	out := make([]int, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// copyVisits merges every shard into one fresh slice. Callers that need
-// a cut consistent with the WAL must hold the gate exclusively.
+// copyVisits copies every visit into one fresh slice, user by user in
+// each shard's first-append order, each user's visits in arrival order.
+// Callers that need a cut consistent with the WAL must hold the gate
+// exclusively.
 func (s *Store) copyVisits() []trace.Visit {
 	out := make([]trace.Visit, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		out = append(out, sh.visits...)
+		for _, u := range sh.order {
+			for _, r := range sh.logs[u].recs {
+				out = append(out, sh.visit(u, r))
+			}
+		}
 		sh.mu.Unlock()
 	}
 	return out
@@ -453,38 +576,120 @@ func (s *Store) SnapshotTrace() *trace.Trace {
 }
 
 // Session returns the hostnames user requested in (end-window, end], in
-// time order — the paper's s_u^T — touching only the user's shard.
+// time order with equal times in arrival order — the paper's s_u^T. It
+// reads only the user's log: two binary searches while the log is
+// sorted, a scan of that one log after a late report.
 func (s *Store) Session(user int, end, window int64) []string {
 	sh := &s.shards[s.shardOf(user)]
 	sh.mu.Lock()
-	var sel []trace.Visit
-	for _, v := range sh.visits {
-		if v.User == user && v.Time > end-window && v.Time <= end {
-			sel = append(sel, v)
+	defer sh.mu.Unlock()
+	lg := sh.logs[user]
+	if lg == nil {
+		return []string{}
+	}
+	var sel []visitRec
+	if lg.sorted {
+		recs := lg.recs
+		lo := sort.Search(len(recs), func(i int) bool { return recs[i].Time > end-window })
+		hi := sort.Search(len(recs), func(i int) bool { return recs[i].Time > end })
+		sel = recs[lo:max(lo, hi)]
+	} else {
+		for _, r := range lg.recs {
+			if r.Time > end-window && r.Time <= end {
+				sel = append(sel, r)
+			}
 		}
+		slices.SortStableFunc(sel, func(a, b visitRec) int { return cmp.Compare(a.Time, b.Time) })
 	}
-	sh.mu.Unlock()
-	// One user's appends arrive in time order except for a late report.
-	byTime := func(a, b trace.Visit) int { return cmp.Compare(a.Time, b.Time) }
-	if !slices.IsSortedFunc(sel, byTime) {
-		slices.SortStableFunc(sel, byTime)
+	return sh.hosts(sel)
+}
+
+// secondsPerDay cuts the timeline into the days trace.Visit.Day counts.
+const secondsPerDay = 86400
+
+// userSeq is one user's hostname sequence over some span of time.
+type userSeq struct {
+	day   int64
+	user  int
+	hosts []string
+}
+
+// sortedHosts orders training sequences by day, then user ID, and
+// returns their hostnames.
+func sortedHosts(seqs []userSeq) [][]string {
+	slices.SortFunc(seqs, func(a, b userSeq) int {
+		if c := cmp.Compare(a.day, b.day); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.user, b.user)
+	})
+	out := make([][]string, len(seqs))
+	for i, q := range seqs {
+		out[i] = q.hosts
 	}
-	hosts := make([]string, len(sel))
-	for i, v := range sel {
-		hosts[i] = v.Host
+	return out
+}
+
+// hosts returns the hostnames of recs.
+func (sh *shard) hosts(recs []visitRec) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = sh.names[r.Host]
 	}
-	return hosts
+	return out
 }
 
 // AllSequences returns one hostname sequence per (user, day) pair — the
-// full-history training corpus.
+// full-history training corpus — in (day, user ascending) order, each in
+// time order. Visits before time 0 belong to no day and are left out. It
+// is read straight from the user logs: each user's time-ordered log is
+// cut into days, and only those per-(user, day) runs are sorted.
 func (s *Store) AllSequences() [][]string {
-	return s.SnapshotTrace().AllSequences()
+	var seqs []userSeq
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for u, lg := range sh.logs {
+			recs := lg.byTime()
+			j := sort.Search(len(recs), func(k int) bool { return recs[k].Time >= 0 })
+			for j < len(recs) {
+				day := recs[j].Time / secondsPerDay
+				k := j + 1
+				for k < len(recs) && recs[k].Time/secondsPerDay == day {
+					k++
+				}
+				seqs = append(seqs, userSeq{day: day, user: u, hosts: sh.hosts(recs[j:k])})
+				j = k
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if len(seqs) == 0 {
+		return nil
+	}
+	return sortedHosts(seqs)
 }
 
-// DailySequences returns day d's per-user training sequences.
+// DailySequences returns day d's per-user training sequences — the
+// visits in [d·86400, (d+1)·86400) — in ascending user order, each in
+// time order.
 func (s *Store) DailySequences(d int) [][]string {
-	return s.SnapshotTrace().DailySequences(d)
+	lo, hi := int64(d)*secondsPerDay, int64(d+1)*secondsPerDay
+	var seqs []userSeq
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for u, lg := range sh.logs {
+			recs := lg.byTime()
+			a := sort.Search(len(recs), func(k int) bool { return recs[k].Time >= lo })
+			b := sort.Search(len(recs), func(k int) bool { return recs[k].Time >= hi })
+			if a < b {
+				seqs = append(seqs, userSeq{user: u, hosts: sh.hosts(recs[a:b])})
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return sortedHosts(seqs)
 }
 
 // Model returns the store's current trained model, or nil. After a

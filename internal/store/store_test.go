@@ -98,7 +98,7 @@ func TestShardRoundingAndSpread(t *testing.T) {
 	// few shards.
 	used := 0
 	for i := range s.shards {
-		if len(s.shards[i].visits) > 0 {
+		if s.shards[i].n > 0 {
 			used++
 		}
 	}

@@ -67,33 +67,72 @@ func (w *walWriter) openSegment() error {
 	return nil
 }
 
-// Append frames v and writes it to the current segment, rotating first
-// if the segment has reached its size bound.
-func (w *walWriter) Append(v trace.Visit) error {
+// maxKeptBuf bounds the framing buffer a writer keeps between calls: a
+// report's batch reuses it, a one-off import chunk of megabytes does not
+// stay resident.
+const maxKeptBuf = 256 << 10
+
+// Append frames every visit of vs into one buffer and writes it with one
+// write per segment the batch lands in. A record that would push a
+// non-empty segment past its size bound starts the next segment, exactly
+// where appending the visits one per call would have rotated, so the
+// segment files do not depend on how visits were batched. Under
+// FsyncAlways the call ends with one fsync.
+func (w *walWriter) Append(vs []trace.Visit) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf, err := appendRecord(w.buf[:0], v)
-	if err != nil {
-		return err
+	buf, size := w.buf[:0], w.size
+	var cuts []int // offsets in buf where the batch starts a new segment
+	for _, v := range vs {
+		start := len(buf)
+		var err error
+		if buf, err = appendRecord(buf, v); err != nil {
+			return err
+		}
+		n := int64(len(buf) - start)
+		if size > 0 && size+n > w.segBytes {
+			cuts = append(cuts, start)
+			size = 0
+		}
+		size += n
 	}
-	w.buf = buf
+	if cap(buf) <= maxKeptBuf {
+		w.buf = buf
+	}
 	if err := fault.Inject(fault.StoreWALAppend); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	if w.size > 0 && w.size+int64(len(buf)) > w.segBytes {
+	from := 0
+	for _, c := range cuts {
+		if err := w.writeLocked(buf[from:c]); err != nil {
+			return err
+		}
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
+		from = c
 	}
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
+	if err := w.writeLocked(buf[from:]); err != nil {
+		return err
 	}
-	w.size += int64(len(buf))
-	w.dirty = true
-	w.met.walBytes.Add(int64(len(buf)))
 	if w.policy == FsyncAlways {
 		return w.syncLocked()
 	}
+	return nil
+}
+
+// writeLocked writes b to the open segment. size advances only on a
+// complete write, which is what lets reattach truncate a partial one.
+func (w *walWriter) writeLocked(b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
+	if _, err := w.f.Write(b); err != nil {
+		return fmt.Errorf("store: wal append: %w", err)
+	}
+	w.size += int64(len(b))
+	w.dirty = true
+	w.met.walBytes.Add(int64(len(b)))
 	return nil
 }
 
