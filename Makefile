@@ -81,8 +81,8 @@ endef
 # Short fuzz smoke over the WAL record decoder, the visit store against
 # its shard-scan reference, the ANN build, the ANN graph loader, the
 # exact scan's selection, the scan's 4-row kernel and the trainer's two
-# row kernels against their portable twins, the
-# gateway's batch-body scanner, the shard's /v1/import body, the
+# row kernels against their portable twins, the model loader (what
+# PUT /v1/model parses), the gateway's batch-body scanner, the shard's /v1/import body, the
 # observer's three wire parsers and the pcap reader (CI runs the same).
 # The sniffer and store-op targets cap minimization: shrinking one
 # 1200-byte Initial, or one op stream that each run replays against the
@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSearchSelect$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzDot32Rows$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSGNSKernels$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelLoad$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzArrayField$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzImportStream$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzQUICInitial$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -107,7 +108,9 @@ fuzz:
 # pair — are what every GOARCH but amd64 runs. The arm64 cross-build
 # keeps them compiling and vetted; the 386 step runs them natively on an
 # amd64 runner, against the same pinned graph and profile hashes the
-# assembly meets (~40 s).
+# assembly meets and the pinned trained-model hashes and loss bits
+# (TestTrainPinnedAcrossCommits), which also hold pure-Go math.Exp to
+# the assembly's (~40 s).
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...

@@ -48,7 +48,7 @@ func newFixedTrainer(m *Model) *trainer {
 		rng:      stats.NewRNG(1),
 		noise:    stats.NewAlias([]float64{0, 0, 1}),
 		noiseRNG: stats.NewRNG(2),
-		kernels:  sgnsKernels{sgnsDot, sgnsUpdate},
+		kernels:  sgnsKernels{sgnsDotRows, sgnsUpdateRows},
 		neu1e:    make([]float32, 4),
 	}
 }

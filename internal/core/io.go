@@ -54,12 +54,14 @@ func Load(r io.Reader) (*Model, error) {
 	if wire.Version != modelWireVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", wire.Version)
 	}
-	if wire.Dim <= 0 || len(wire.Hosts) != len(wire.Counts) {
+	if wire.Dim <= 0 || len(wire.Hosts) == 0 || len(wire.Hosts) != len(wire.Counts) {
 		return nil, fmt.Errorf("core: corrupt model header")
 	}
-	n := len(wire.Hosts) * wire.Dim
-	if len(wire.In) != n || len(wire.Out) != n {
-		return nil, fmt.Errorf("core: corrupt model weights: have %d/%d, want %d", len(wire.In), len(wire.Out), n)
+	// len(Hosts)·Dim can wrap around for a hostile Dim; the quotient
+	// cannot. With at least one host, Dim is then bounded by the input.
+	if len(wire.In) != len(wire.Out) || len(wire.In)%wire.Dim != 0 || len(wire.In)/wire.Dim != len(wire.Hosts) {
+		return nil, fmt.Errorf("core: corrupt model weights: have %d/%d, want %d hosts × dim %d",
+			len(wire.In), len(wire.Out), len(wire.Hosts), wire.Dim)
 	}
 	v := &Vocab{
 		hosts:  wire.Hosts,

@@ -4,8 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"hostprof/internal/ontology"
 )
 
 // ioTestModel trains a tiny deterministic model for serialization tests.
@@ -85,6 +90,10 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 		{"short weights", modelWire{Version: modelWireVersion, Dim: 3,
 			Hosts: []string{"a", "b"}, Counts: []int64{1, 1},
 			In: make([]float32, 5), Out: make([]float32, 6)}},
+		{"no hosts", modelWire{Version: modelWireVersion, Dim: math.MaxInt}},
+		// 4·(2⁶²+1) wraps to 4 in a 64-bit int (4·(2³⁰+1) in a 32-bit
+		// one): the four weights per matrix must not pass for four rows.
+		{"dim overflow", dimOverflowWire()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,4 +102,45 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dimOverflowWire is a four-host model whose Dim times its host count
+// overflows an int to the number of weights it carries.
+func dimOverflowWire() modelWire {
+	return modelWire{Version: modelWireVersion, Dim: 1<<(strconv.IntSize-2) + 1,
+		Hosts: []string{"a", "b", "c", "d"}, Counts: []int64{1, 1, 1, 1},
+		In: make([]float32, 4), Out: make([]float32, 4)}
+}
+
+// FuzzModelLoad holds the one parser of model bytes — what PUT /v1/model
+// and a snapshot hand to Load — to: an error, or a model that serves.
+// Its index builds, a profiler over it builds, and profiling a session
+// of one of its hosts returns rather than panics.
+func FuzzModelLoad(f *testing.F) {
+	m, err := Train([][]string{{"a.example", "b.example", "a.example", "c.example"}}, smallConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		m.SimilarityIndex()
+		tax := ontology.NewTaxonomy()
+		ont := ontology.New(tax)
+		v := tax.NewVector()
+		v[0] = 1
+		ont.Add(m.Vocab().Host(0), v)
+		p := NewProfiler(m, ont, ProfilerConfig{N: 3})
+		if _, err := p.ProfileSession([]string{m.Vocab().Host(m.Vocab().Len() - 1)}); err != nil && !errors.Is(err, ErrNoLabels) {
+			t.Fatalf("profiling an in-vocabulary host: %v", err)
+		}
+	})
 }

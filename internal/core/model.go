@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,15 +158,15 @@ func Train(corpus [][]string, cfg TrainConfig) (*Model, error) {
 // is discarded and ctx.Err() is returned (wrapped; test with
 // errors.Is).
 func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Model, error) {
-	return train(ctx, corpus, cfg, sgnsKernels{sgnsDot, sgnsUpdate})
+	return train(ctx, corpus, cfg, sgnsKernels{sgnsDotRows, sgnsUpdateRows})
 }
 
 // sgnsKernels is the pair of row kernels a trainer steps through (see
 // sgns.go); a parameter so that a test can train through the portable
 // pair on an architecture that has assembly.
 type sgnsKernels struct {
-	dot    func(a, b []float32) float32
-	update func(g float32, c, o, neu []float32)
+	dot    func(c, m []float32, off []int, out []float32)
+	update func(g, c, m []float32, off []int, neu []float32)
 }
 
 // train is TrainContext through the given kernels.
@@ -331,6 +332,11 @@ type trainer struct {
 	kept     []int32   // subsampled sequence, reused across sequences
 	neu1e    []float32 // gradient accumulator for the centre vector
 
+	// One pair's target rows, as offsets into m.out, and their dots and
+	// steps; sized for 1+Negative on first use.
+	rows        []int
+	dots, grads []float32
+
 	// Loss accounting, only maintained when trackLoss is set; read by
 	// the Train goroutine at epoch barriers.
 	trackLoss bool
@@ -358,6 +364,10 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 	}
 	dim := t.m.dim
 	neu1e := t.neu1e
+	if len(t.grads) <= t.cfg.Negative {
+		t.rows = make([]int, 0, t.cfg.Negative+1)
+		t.dots, t.grads = make([]float32, t.cfg.Negative+1), make([]float32, t.cfg.Negative+1)
+	}
 	for c := range kept {
 		centre := int(kept[c])
 		// Random window shrink: uniform in [1, Window].
@@ -376,37 +386,62 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 				continue
 			}
 			ctx := int(kept[j])
+			// One positive pair plus K negatives, all drawn before any
+			// row moves: a negative equal to the context is skipped. The
+			// rows are distinct unless two negatives coincide, and then a
+			// later dot must see the earlier step's row, so that pair
+			// steps one row at a time; otherwise every dot reads rows no
+			// step of this pair has moved, and one call scores them all
+			// and one call moves them all (sgns.go).
+			rows := append(t.rows[:0], ctx*dim)
+			perCall := 0 // rows per kernel call: all, or one if a row repeats
+			for k := 0; k < t.cfg.Negative; k++ {
+				target := t.noise.Draw(t.noiseRNG)
+				if target == ctx {
+					continue
+				}
+				if slices.Contains(rows, target*dim) {
+					perCall = 1
+				}
+				rows = append(rows, target*dim)
+			}
+			t.rows = rows
+			if perCall == 0 {
+				perCall = len(rows)
+			}
 			clear(neu1e)
-			// One positive pair plus K negatives. Equation (2)'s loss for
-			// the pair is -log σ(x) - Σ log σ(-x_k): the probabilities are
-			// multiplied up in lik and logged once.
+			// Equation (2)'s loss for the pair is -log σ(x) - Σ log σ(-x_k):
+			// the probabilities are multiplied up in lik and logged once.
 			lik := 1.0
-			for k := 0; k <= t.cfg.Negative; k++ {
-				target, label := ctx, 1.0
-				if k > 0 {
-					target, label = t.noise.Draw(t.noiseRNG), 0
-					if target == ctx {
-						continue
+			for first := 0; first < len(rows); first += perCall {
+				group := rows[first : first+perCall]
+				dots, grads := t.dots[:len(group)], t.grads[:len(group)]
+				t.kernels.dot(cvec, t.m.out, group, dots)
+				for i, x := range dots {
+					// One SGD step of Equation (2) per target: score
+					// y = σ(c·o), then move the target row along c and add
+					// the centre's share of the gradient, g = (label - y)·lr,
+					// to neu1e. σ, g and the loss are float64; only the rows
+					// are float32.
+					label := 0.0
+					if first+i == 0 {
+						label = 1
+					}
+					y := stats.Sigmoid(float64(x))
+					grads[i] = float32((label - y) * lr)
+					if t.trackLoss {
+						if first+i > 0 {
+							y = 1 - y
+						}
+						// Each factor is at least lossEps, so flushing below
+						// 1e-280 keeps lik normal for any Negative.
+						if lik *= y + lossEps; lik < 1e-280 {
+							t.lossSum -= math.Log(lik)
+							lik = 1
+						}
 					}
 				}
-				// One SGD step of Equation (2): score y = σ(c·o), move the
-				// target row along c and add the centre's share of the
-				// gradient, g = (label - y)·lr, to neu1e. σ, g and the loss
-				// are float64; only the rows are float32.
-				ovec := t.m.out[target*dim : target*dim+dim]
-				y := stats.Sigmoid(float64(t.kernels.dot(cvec, ovec)))
-				t.kernels.update(float32((label-y)*lr), cvec, ovec, neu1e)
-				if t.trackLoss {
-					if k > 0 {
-						y = 1 - y
-					}
-					// Each factor is at least lossEps, so flushing below
-					// 1e-280 keeps lik normal for any Negative.
-					if lik *= y + lossEps; lik < 1e-280 {
-						t.lossSum -= math.Log(lik)
-						lik = 1
-					}
-				}
+				t.kernels.update(grads, cvec, t.m.out, group, neu1e)
 			}
 			if t.trackLoss {
 				t.lossSum -= math.Log(lik)

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"slices"
 	"testing"
 
 	"hostprof/internal/stats"
@@ -99,12 +102,48 @@ func TestTrainDeterministicSingleWorker(t *testing.T) {
 	if !bytes.Equal(savedBytes(t, m1), savedBytes(t, m2)) {
 		t.Fatal("single-worker training is not deterministic")
 	}
-	portable, err := train(context.Background(), corpus, cfg, sgnsKernels{sgnsDotPortable, sgnsUpdatePortable})
+	portable, err := train(context.Background(), corpus, cfg, sgnsKernels{sgnsDotRowsPortable, sgnsUpdateRowsPortable})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(savedBytes(t, m1), savedBytes(t, portable)) {
 		t.Fatal("training through the portable kernels and through this architecture's gave different models")
+	}
+}
+
+// TestTrainPinnedAcrossCommits pins one worker's trained model and
+// per-epoch loss to their bits, so that a change to the trainer's step
+// that claims the same model is held to it across commits, and so that
+// the portable kernels and pure-Go math.Exp on other architectures (make
+// ci runs this under GOARCH=386) are held to what the amd64 assembly
+// trains. It runs under -short on purpose.
+func TestTrainPinnedAcrossCommits(t *testing.T) {
+	corpus, _, _ := topicCorpus(stats.NewRNG(7), 10, 400, 12)
+	for _, tc := range []struct {
+		dim    int
+		sha256 string
+		loss   []uint64
+	}{
+		{23, "2a1be3771f5de222b424fc59374a8e8d736b81b8473fa75591ea544ca4f20e37",
+			[]uint64{0x40043ab8826dfe18, 0x40002c8c64bb2db2, 0x400025f3554a16f4}},
+		{64, "9942fefc31daca25a6bf6b0a3bcde4658a2c307198751c908d9af30a54c8ba66",
+			[]uint64{0x40047ede38d3aca7, 0x40002da54170be43, 0x4000265be967ac2a}},
+	} {
+		cfg := smallConfig()
+		cfg.Dim = tc.dim
+		var loss []uint64
+		cfg.Progress = func(e EpochStats) { loss = append(loss, math.Float64bits(e.Loss)) }
+		m, err := Train(corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(savedBytes(t, m))
+		if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+			t.Errorf("dim %d: saved model sha256 %s, pinned %s", tc.dim, got, tc.sha256)
+		}
+		if !slices.Equal(loss, tc.loss) {
+			t.Errorf("dim %d: per-epoch loss bits %x, pinned %x", tc.dim, loss, tc.loss)
+		}
 	}
 }
 

@@ -1,70 +1,88 @@
 package core
 
 // The trainer's kernel contract. One SGD step of Equation (2) on a
-// (centre, target) sample is a dot product of two float32 rows, a sigmoid
-// on that dot widened to float64, and one pass that moves both rows; the
-// two passes over the rows are the kernels below.
+// (centre, context) pair scores 1+K target rows of the context matrix
+// against the centre row, takes a sigmoid of each dot widened to float64,
+// and moves every target row along the centre row while summing the
+// centre's share of the gradient. The two passes are the kernels below;
+// both take their rows as one matrix m plus element offsets, a row being
+// m[off[k] : off[k]+len(c)].
 //
-// sgnsDot keeps eight partial sums: lane j adds the products of elements
-// j, j+8, j+16, … in index order, each product rounded to float32 before
-// it is added. What the groups of eight leave is, if four or more
-// elements, one group of four added to lanes 0–3, then up to three
-// elements folded into lane 0. The reduction adds lane j+4 to lane j for
-// j = 0..3 and returns ((t0+t1)+t2)+t3.
+// sgnsDotRows sets out[k] to the dot product of c with row k. Each dot
+// keeps eight partial sums: lane j adds the products of elements j, j+8,
+// j+16, … in index order, each product rounded to float32 before it is
+// added. What the groups of eight leave is, if four or more elements, one
+// group of four added to lanes 0–3, then up to three elements folded into
+// lane 0. The reduction adds lane j+4 to lane j for j = 0..3 and returns
+// ((t0+t1)+t2)+t3. Rows are scored one after another and nothing is
+// written but out, so a row may repeat.
 //
-// sgnsUpdate is elementwise: neu[i] += g·o[i], then o[i] += g·c[i] on the
-// o[i] it read, each product rounded to float32 before its add.
+// sgnsUpdateRows is elementwise: for element i, for k = 0, 1, … in order,
+// neu[i] += g[k]·o_k[i], then o_k[i] += g[k]·c[i] on the o_k[i] it read,
+// each product rounded to float32 before its add. Those are the IEEE
+// operations, in the same order, of one single-row update per k in turn:
+// each element touches only element i of neu, c and the rows. A repeated
+// offset therefore moves its row twice, the second step reading what the
+// first wrote. Two rows either coincide or do not overlap, and neither
+// neu nor c overlaps a row.
 //
-// The amd64 assembly (sgns_amd64.s) holds the dot's lanes in two SSE
-// registers, two add chains in flight; the portable code below spells
-// them out. Both perform the same IEEE-754 operations in the same order,
-// so from equal rows they leave equal bits — except that a NaN is only
-// promised to be a NaN, sign and payload being the processor's — and one
-// worker trains the same model whichever ran.
+// The amd64 assembly (sgns_amd64.s) prefetches every row before the
+// first dot, holds a dot's lanes in two SSE registers, two add chains in
+// flight, and keeps four elements of c and neu in registers while it
+// steps through the rows; the portable code below spells the same
+// arithmetic out. Both perform the same IEEE-754 operations in
+// the same order, so from equal rows they leave equal bits — except that
+// a NaN is only promised to be a NaN, sign and payload being the
+// processor's — and one worker trains the same model whichever ran.
 
-// sgnsDotPortable is the dot contract in plain Go: the implementation on
-// architectures without assembly and the oracle the assembly is tested
+// sgnsDotRowsPortable is the dot contract in plain Go: the implementation
+// on architectures without assembly and the oracle the assembly is tested
 // against. The float32 conversions pin the rounding of each product,
 // which the language otherwise lets a compiler fuse into the add.
-func sgnsDotPortable(a, b []float32) float32 {
-	n := len(a)
-	if n == 0 {
-		return 0
+func sgnsDotRowsPortable(c, m []float32, off []int, out []float32) {
+	out = out[:len(off)]
+	n := len(c)
+	for k, o := range off {
+		b := m[o : o+n]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		i := 0
+		for ; i+8 <= n; i += 8 {
+			s0 += float32(c[i] * b[i])
+			s1 += float32(c[i+1] * b[i+1])
+			s2 += float32(c[i+2] * b[i+2])
+			s3 += float32(c[i+3] * b[i+3])
+			s4 += float32(c[i+4] * b[i+4])
+			s5 += float32(c[i+5] * b[i+5])
+			s6 += float32(c[i+6] * b[i+6])
+			s7 += float32(c[i+7] * b[i+7])
+		}
+		if i+4 <= n {
+			s0 += float32(c[i] * b[i])
+			s1 += float32(c[i+1] * b[i+1])
+			s2 += float32(c[i+2] * b[i+2])
+			s3 += float32(c[i+3] * b[i+3])
+			i += 4
+		}
+		for ; i < n; i++ {
+			s0 += float32(c[i] * b[i])
+		}
+		s0, s1, s2, s3 = s0+s4, s1+s5, s2+s6, s3+s7
+		out[k] = s0 + s1 + s2 + s3
 	}
-	_ = b[n-1]
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s0 += float32(a[i] * b[i])
-		s1 += float32(a[i+1] * b[i+1])
-		s2 += float32(a[i+2] * b[i+2])
-		s3 += float32(a[i+3] * b[i+3])
-		s4 += float32(a[i+4] * b[i+4])
-		s5 += float32(a[i+5] * b[i+5])
-		s6 += float32(a[i+6] * b[i+6])
-		s7 += float32(a[i+7] * b[i+7])
-	}
-	if i+4 <= n {
-		s0 += float32(a[i] * b[i])
-		s1 += float32(a[i+1] * b[i+1])
-		s2 += float32(a[i+2] * b[i+2])
-		s3 += float32(a[i+3] * b[i+3])
-		i += 4
-	}
-	for ; i < n; i++ {
-		s0 += float32(a[i] * b[i])
-	}
-	s0, s1, s2, s3 = s0+s4, s1+s5, s2+s6, s3+s7
-	return s0 + s1 + s2 + s3
 }
 
-// sgnsUpdatePortable is the update contract in plain Go; c, o and neu
-// have one length.
-func sgnsUpdatePortable(g float32, c, o, neu []float32) {
-	o, neu = o[:len(c)], neu[:len(c)]
+// sgnsUpdateRowsPortable is the update contract in plain Go; g holds one
+// step per offset and neu is as long as c.
+func sgnsUpdateRowsPortable(g, c, m []float32, off []int, neu []float32) {
+	g, neu = g[:len(off)], neu[:len(c)]
+	for _, o := range off {
+		_ = m[o : o+len(c)]
+	}
 	for i, ci := range c {
-		oi := o[i]
-		neu[i] += float32(g * oi)
-		o[i] = oi + float32(g*ci)
+		for k, o := range off {
+			oi := m[o+i]
+			neu[i] += float32(g[k] * oi)
+			m[o+i] = oi + float32(g[k]*ci)
+		}
 	}
 }

@@ -1,28 +1,40 @@
 package core
 
-// sgnsDot returns the float32 inner product of two equal-length rows
-// under the contract in sgns.go.
-func sgnsDot(a, b []float32) float32 {
-	if len(b) < len(a) {
-		panic("core: sgnsDot length mismatch")
+// sgnsDotRows sets out[k] to the float32 inner product of c with the row
+// of m at element offset off[k], under the contract in sgns.go.
+func sgnsDotRows(c, m []float32, off []int, out []float32) {
+	if len(out) < len(off) {
+		panic("core: sgnsDotRows output shorter than its rows")
 	}
-	return sgnsDotAsm(a, b)
+	checkRows(len(c), m, off)
+	sgnsDotRowsAsm(c, m, off, out)
 }
 
-// sgnsUpdate adds g·o to neu and g·c to o under the contract in sgns.go.
-func sgnsUpdate(g float32, c, o, neu []float32) {
-	if len(o) < len(c) || len(neu) < len(c) {
-		panic("core: sgnsUpdate length mismatch")
+// sgnsUpdateRows adds g[k]·(row k) to neu and g[k]·c to row k of m for
+// every offset, under the contract in sgns.go.
+func sgnsUpdateRows(g, c, m []float32, off []int, neu []float32) {
+	if len(g) < len(off) || len(neu) < len(c) {
+		panic("core: sgnsUpdateRows length mismatch")
 	}
-	sgnsUpdateAsm(g, c, o, neu)
+	checkRows(len(c), m, off)
+	sgnsUpdateRowsAsm(g, c, m, off, neu)
 }
 
-// The assembly reads and writes len(a) (resp. len(c)) values through its
-// other pointers without a bounds check; the wrappers above are the
-// check.
+// checkRows panics unless every offset starts a whole n-element row of m.
+func checkRows(n int, m []float32, off []int) {
+	for _, o := range off {
+		// A negative offset wraps past len(m) as an unsigned number.
+		if uint(o) > uint(len(m)) || n > len(m)-o {
+			panic("core: sgns row outside the matrix")
+		}
+	}
+}
+
+// The assembly reads len(c) values from every row, and from neu, through
+// raw pointers without a bounds check; the wrappers above are the check.
 
 //go:noescape
-func sgnsDotAsm(a, b []float32) float32
+func sgnsDotRowsAsm(c, m []float32, off []int, out []float32)
 
 //go:noescape
-func sgnsUpdateAsm(grad float32, c, o, neu []float32)
+func sgnsUpdateRowsAsm(g, c, m []float32, off []int, neu []float32)

@@ -2,9 +2,12 @@
 
 package core
 
-// sgnsDot returns the float32 inner product of two equal-length rows
-// under the contract in sgns.go.
-func sgnsDot(a, b []float32) float32 { return sgnsDotPortable(a, b) }
+// sgnsDotRows sets out[k] to the float32 inner product of c with the row
+// of m at element offset off[k], under the contract in sgns.go.
+func sgnsDotRows(c, m []float32, off []int, out []float32) { sgnsDotRowsPortable(c, m, off, out) }
 
-// sgnsUpdate adds g·o to neu and g·c to o under the contract in sgns.go.
-func sgnsUpdate(g float32, c, o, neu []float32) { sgnsUpdatePortable(g, c, o, neu) }
+// sgnsUpdateRows adds g[k]·(row k) to neu and g[k]·c to row k of m for
+// every offset, under the contract in sgns.go.
+func sgnsUpdateRows(g, c, m []float32, off []int, neu []float32) {
+	sgnsUpdateRowsPortable(g, c, m, off, neu)
+}

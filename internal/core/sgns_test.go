@@ -12,34 +12,46 @@ func sameFloat32(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// assertSGNSKernelsAgree runs sgnsDot and sgnsUpdate — whatever they
-// compile to on this architecture — and the portable pair over copies of
-// the same operands and wants the same dot and the same o and neu
-// afterwards; c must come back untouched.
-func assertSGNSKernelsAgree(t *testing.T, what string, g float32, c, o, neu []float32) {
+// assertSGNSKernelsAgree runs sgnsDotRows and sgnsUpdateRows — whatever
+// they compile to on this architecture — and the portable pair over
+// copies of the same operands and wants the same dots and the same m and
+// neu afterwards, every element of m included; c must come back
+// untouched.
+func assertSGNSKernelsAgree(t *testing.T, what string, g, c, m []float32, off []int, neu []float32) {
 	t.Helper()
-	if got, want := sgnsDot(c, o), sgnsDotPortable(c, o); !sameFloat32(got, want) {
-		t.Fatalf("%s dim %d: sgnsDot = %x, portable = %x", what, len(c), math.Float32bits(got), math.Float32bits(want))
+	d := len(c)
+	got, want := make([]float32, len(off)), make([]float32, len(off))
+	sgnsDotRows(c, m, off, got)
+	sgnsDotRowsPortable(c, m, off, want)
+	for k := range off {
+		if !sameFloat32(got[k], want[k]) {
+			t.Fatalf("%s dim %d, offsets %v: row %d dot = %x, portable = %x", what, d, off, k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+		}
 	}
 	c0 := append([]float32(nil), c...)
-	o2, neu2 := append([]float32(nil), o...), append([]float32(nil), neu...)
-	sgnsUpdate(g, c, o, neu)
-	sgnsUpdatePortable(g, c0, o2, neu2)
+	m2, neu2 := append([]float32(nil), m...), append([]float32(nil), neu...)
+	sgnsUpdateRows(g, c, m, off, neu)
+	sgnsUpdateRowsPortable(g, c0, m2, off, neu2)
+	for i := range m {
+		if !sameFloat32(m[i], m2[i]) {
+			t.Fatalf("%s dim %d, offsets %v, g %v: sgnsUpdateRows left m[%d] = %x, portable %x", what, d, off, g, i, math.Float32bits(m[i]), math.Float32bits(m2[i]))
+		}
+	}
 	for i := range c {
-		if !sameFloat32(o[i], o2[i]) || !sameFloat32(neu[i], neu2[i]) {
-			t.Fatalf("%s dim %d, g %v, element %d: sgnsUpdate left o %x neu %x, portable o %x neu %x", what, len(c), g, i,
-				math.Float32bits(o[i]), math.Float32bits(neu[i]), math.Float32bits(o2[i]), math.Float32bits(neu2[i]))
+		if !sameFloat32(neu[i], neu2[i]) {
+			t.Fatalf("%s dim %d, offsets %v, g %v: sgnsUpdateRows left neu[%d] = %x, portable %x", what, d, off, g, i, math.Float32bits(neu[i]), math.Float32bits(neu2[i]))
 		}
 		if math.Float32bits(c[i]) != math.Float32bits(c0[i]) {
-			t.Fatalf("%s dim %d: sgnsUpdate wrote c[%d]", what, len(c), i)
+			t.Fatalf("%s dim %d: sgnsUpdateRows wrote c[%d]", what, d, i)
 		}
 	}
 }
 
 // TestSGNSKernelsBitEqualPortable is the kernel contract's oracle test
 // (sgns.go): every dimension from an empty main loop through two tails
-// past the default 100, on operands cut from larger buffers at odd
-// offsets — the kernels must not assume 16-byte alignment.
+// past the default 100, 0 to 8 rows — repeated ones among them — on
+// operands cut from larger buffers at odd offsets: the kernels must not
+// assume 16-byte alignment.
 func TestSGNSKernelsBitEqualPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	uniform := func() float32 { return rng.Float32()*2 - 1 }
@@ -52,7 +64,7 @@ func TestSGNSKernelsBitEqualPortable(t *testing.T) {
 		// Denormal products and sums (no flush-to-zero on either path).
 		"denormal": func() float32 { return uniform() * 1e-22 },
 		// Inf - Inf and 0 · Inf make NaN in both or in neither, and one
-		// NaN takes over its lane, and only its lane of o and neu.
+		// NaN takes over its lane, and only its lane of the rows and neu.
 		"specials": func() float32 {
 			if rng.Intn(8) == 0 {
 				return special[rng.Intn(len(special))]
@@ -62,32 +74,45 @@ func TestSGNSKernelsBitEqualPortable(t *testing.T) {
 	}
 	for what, gen := range gens {
 		for d := 1; d <= 130; d++ {
-			for trial := 0; trial < 4; trial++ {
-				cut := func() []float32 {
+			for rows := 0; rows <= 8; rows++ {
+				cut := func(n int) []float32 {
 					off := rng.Intn(4)
-					buf := make([]float32, d+off)
+					buf := make([]float32, n+off)
 					for i := range buf {
 						buf[i] = gen()
 					}
 					return buf[off:]
 				}
-				g := gen()
-				if trial == 0 {
-					g = 0 // a saturated sigmoid: the step must leave finite rows alone
+				// rows+1 row slots, one never stepped; after the first
+				// trial, rows draw their slots with repeats.
+				slots := rows + 1
+				for trial := 0; trial < 2; trial++ {
+					off := make([]int, rows)
+					for k := range off {
+						off[k] = k * d
+						if trial > 0 {
+							off[k] = rng.Intn(slots) * d
+						}
+					}
+					g := cut(rows)
+					if rows > 0 && trial == 0 {
+						g[0] = 0 // a saturated sigmoid: the step must leave finite rows alone
+					}
+					assertSGNSKernelsAgree(t, what, g, cut(d), cut(slots*d), off, cut(d))
 				}
-				assertSGNSKernelsAgree(t, what, g, cut(), cut(), cut())
 			}
 		}
 	}
-	o, neu := []float32{1, 2, 3, 4, 5}, []float32{6, 7, 8, 9, 10}
-	sgnsUpdate(0, []float32{1, 1, 1, 1, 1}, o, neu)
-	for i := range o {
-		if o[i] != float32(i+1) || neu[i] != float32(i+6) {
-			t.Fatalf("g = 0 moved element %d: o %v neu %v", i, o[i], neu[i])
+	m, neu := []float32{1, 2, 3, 4, 5}, []float32{6, 7, 8, 9, 10}
+	sgnsUpdateRows([]float32{0}, []float32{1, 1, 1, 1, 1}, m, []int{0}, neu)
+	for i := range m {
+		if m[i] != float32(i+1) || neu[i] != float32(i+6) {
+			t.Fatalf("g = 0 moved element %d: o %v neu %v", i, m[i], neu[i])
 		}
 	}
-	if got := sgnsDot(nil, nil); math.Float32bits(got) != 0 {
-		t.Fatalf("empty dot = %x, want +0", math.Float32bits(got))
+	out := []float32{1}
+	if sgnsDotRows(nil, nil, []int{0}, out); math.Float32bits(out[0]) != 0 {
+		t.Fatalf("empty dot = %x, want +0", math.Float32bits(out[0]))
 	}
 }
 
@@ -104,35 +129,70 @@ func TestSGNSKernelsRejectShortOperands(t *testing.T) {
 		f()
 	}
 	v := func(n int) []float32 { return make([]float32, n) }
-	mustPanic("sgnsDot with a short second operand", func() { sgnsDot(v(8), v(7)) })
-	mustPanic("sgnsUpdate with a short o", func() { sgnsUpdate(1, v(8), v(7), v(8)) })
-	mustPanic("sgnsUpdate with a short neu", func() { sgnsUpdate(1, v(8), v(8), v(7)) })
+	mustPanic("sgnsDotRows with a short out", func() { sgnsDotRows(v(8), v(16), []int{0, 8}, v(1)) })
+	mustPanic("sgnsDotRows with a row past the end", func() { sgnsDotRows(v(8), v(15), []int{0, 8}, v(2)) })
+	mustPanic("sgnsDotRows with a negative offset", func() { sgnsDotRows(v(8), v(16), []int{-1}, v(1)) })
+	mustPanic("sgnsDotRows with a row wider than the matrix", func() { sgnsDotRows(v(8), v(7), []int{0}, v(1)) })
+	mustPanic("sgnsUpdateRows with a short g", func() { sgnsUpdateRows(v(1), v(8), v(16), []int{0, 8}, v(8)) })
+	mustPanic("sgnsUpdateRows with a short neu", func() { sgnsUpdateRows(v(1), v(8), v(8), []int{0}, v(7)) })
+	mustPanic("sgnsUpdateRows with a row past the end", func() { sgnsUpdateRows(v(2), v(8), v(15), []int{0, 8}, v(8)) })
+	mustPanic("sgnsUpdateRows with a negative offset", func() { sgnsUpdateRows(v(1), v(8), v(16), []int{-8}, v(8)) })
 }
 
-// FuzzSGNSKernels reinterprets arbitrary bytes as g followed by (c, o,
-// neu) float32 triples — every bit pattern, NaN payloads and denormals
-// included — and holds the kernels to the portable pair on them.
+// FuzzSGNSKernels reads a row count and each row's slot from the first
+// bytes, then reinterprets the rest as float32 words — every bit pattern,
+// NaN payloads and denormals included: one step per row, then per element
+// c, neu and one value per slot. It holds the kernels to the portable
+// pair on them, repeated rows included.
 func FuzzSGNSKernels(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(binary.LittleEndian.AppendUint32(nil, math.Float32bits(0.5)))
-	seed := binary.LittleEndian.AppendUint32(nil, math.Float32bits(-0.0125))
-	for i := 0; i < 3*13; i++ {
+	f.Add(append([]byte{1, 0}, binary.LittleEndian.AppendUint32(nil, math.Float32bits(0.5))...))
+	seed := []byte{6, 0, 1, 2, 3, 4, 5}
+	for i := 0; i < 6; i++ {
+		seed = binary.LittleEndian.AppendUint32(seed, math.Float32bits(-0.0125*float32(i+1)))
+	}
+	for i := 0; i < 8*13; i++ {
 		seed = binary.LittleEndian.AppendUint32(seed, math.Float32bits(float32(i)/7-2))
 	}
 	f.Add(seed)
 	inf := binary.LittleEndian.AppendUint32(nil, 0x7f800000)
-	f.Add(append(append(append(inf, inf...), 0, 0, 0, 0), 0xff, 0xff, 0xff, 0xff))
+	f.Add(append(append(append([]byte{2, 1, 1}, inf...), inf...), append(append(inf, 0, 0, 0, 0), 0xff, 0xff, 0xff, 0xff)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		word := func(i int) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])) }
-		var g float32
-		if len(data) >= 4 {
-			g = word(0)
+		rows := 0
+		if len(data) > 0 {
+			rows, data = int(data[0])%9, data[1:]
 		}
-		d := min((len(data)/4-1)/3, 512) // 0 for anything under four words
-		c, o, neu := make([]float32, d), make([]float32, d), make([]float32, d)
-		for i := range c {
-			c[i], o[i], neu[i] = word(1+3*i), word(2+3*i), word(3+3*i)
+		slot := make([]int, rows)
+		for k := range slot {
+			slot[k] = k
+			if len(data) > 0 {
+				slot[k], data = int(data[0])%rows, data[1:]
+			}
 		}
-		assertSGNSKernelsAgree(t, "fuzz", g, c, o, neu)
+		words := len(data) / 4
+		word := func(i int) float32 {
+			if i >= words {
+				return 0
+			}
+			return math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		g := make([]float32, rows)
+		for k := range g {
+			g[k] = word(k)
+		}
+		d := min(max(words-rows, 0)/(2+rows), 512)
+		c, neu, m := make([]float32, d), make([]float32, d), make([]float32, rows*d)
+		for i := 0; i < d; i++ {
+			w := rows + i*(2+rows)
+			c[i], neu[i] = word(w), word(w+1)
+			for s := 0; s < rows; s++ {
+				m[s*d+i] = word(w + 2 + s)
+			}
+		}
+		off := make([]int, rows)
+		for k, s := range slot {
+			off[k] = s * d
+		}
+		assertSGNSKernelsAgree(t, "fuzz", g, c, m, off, neu)
 	})
 }

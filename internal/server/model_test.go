@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
 	"net/http"
+	"strconv"
 	"testing"
 )
 
@@ -148,5 +150,50 @@ func TestModelPutRejectsGarbage(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET on untrained → %d, want 404", resp3.StatusCode)
+	}
+}
+
+// TestModelPutRejectsOverflowingDim: a model whose host count times Dim
+// wraps around an int to the number of weights it carries is refused
+// with 400 — not a recovered panic answered with 500 — and the served
+// model stays.
+func TestModelPutRejectsOverflowingDim(t *testing.T) {
+	fx := newBackendFixture(t)
+	fx.feedVisits(t)
+	if err := fx.b.Retrain(); err != nil {
+		t.Fatalf("retrain: %v", err)
+	}
+	version := fx.b.ModelVersion()
+	// core's wire form, field for field: four hosts of 2⁶²+1 dimensions
+	// (2³⁰+1 where an int has 32 bits) and four weights per matrix, since
+	// 4·(2⁶²+1) wraps to 4.
+	type modelWire struct {
+		Version int
+		Dim     int
+		Hosts   []string
+		Counts  []int64
+		In, Out []float32
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(modelWire{Version: 1, Dim: 1<<(strconv.IntSize-2) + 1,
+		Hosts: []string{"a", "b", "c", "d"}, Counts: []int64{1, 1, 1, 1},
+		In: make([]float32, 4), Out: make([]float32, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodPut, fx.srv.URL+"/v1/model", &body)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing-dim PUT → %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if got := fx.b.ModelVersion(); got != version {
+		t.Fatalf("served version changed to %q after a rejected push", got)
+	}
+	if !fx.b.Ready() {
+		t.Fatal("backend not ready after a rejected push")
 	}
 }
