@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos recall loc bench bench-check fuzz cover ci experiments experiments-small examples trace-demo clean
+.PHONY: all build test vet race chaos recall loc bench bench-check fuzz cover ci experiments experiments-small trace-demo clean
 
 all: vet test build
 
@@ -106,17 +106,19 @@ fuzz:
 # The single CI definition: the workflow's test job runs exactly this.
 # The portable kernels — internal/index's scan, internal/core's trainer
 # pair — are what every GOARCH but amd64 runs. The arm64 cross-build
-# keeps them compiling and vetted; the 386 step runs them natively on an
+# keeps them compiling and vetted; the 386 steps run them natively on an
 # amd64 runner, against the same pinned graph and profile hashes the
 # assembly meets and the pinned trained-model hashes and loss bits
 # (TestTrainPinnedAcrossCommits), which also hold pure-Go math.Exp to
-# the assembly's (~40 s).
+# the assembly's (~40 s), and then run the root package's Example
+# functions, whose printed outputs must hold bit for bit off amd64 (~5 s).
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/index/ ./internal/core/
 	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/
+	GOARCH=386 $(GO) test -short -run '^Example' .
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check
@@ -144,13 +146,6 @@ experiments:
 
 experiments-small:
 	$(GO) run ./cmd/experiments -small -verbose
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/isp_observer
-	$(GO) run ./examples/ad_campaign
-	$(GO) run ./examples/streaming_detection
-	$(GO) run ./examples/countermeasures
 
 clean:
 	$(GO) clean ./...

@@ -104,6 +104,23 @@ func TestCLIMissingFlags(t *testing.T) {
 	}
 }
 
+// TestSniffRejectsBadCapture: a missing capture file and a file
+// without the pcap magic are errors, not an empty trace.
+func TestSniffRejectsBadCapture(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.jsonl")
+	if err := cmdSniff([]string{"-pcap", filepath.Join(dir, "missing.pcap"), "-out", out}); err == nil {
+		t.Fatal("missing file accepted")
+	}
+	bad := filepath.Join(dir, "bad.pcap")
+	if err := os.WriteFile(bad, []byte("not a pcap file at all......"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdSniff([]string{"-pcap", bad, "-out", out}); err == nil {
+		t.Fatal("bad magic accepted")
+	}
+}
+
 func TestParseChannel(t *testing.T) {
 	for _, s := range []string{"tls", "quic", "dns", "mixed"} {
 		if _, err := parseChannel(s); err != nil {

@@ -73,11 +73,10 @@ type Config struct {
 	NoAutoSync bool
 	// SLOTargets maps endpoint names ("report", "profile_batch") to
 	// latency SLO targets, exported as hostprof_gateway_slo_* gauges
-	// over a sliding window (SLOWindow). Empty disables gateway SLOs —
+	// over a five-minute sliding window. Every target is a bucket bound
+	// of hostprof_gateway_request_seconds. Empty disables gateway SLOs —
 	// the per-request cost collapses to a nil check.
 	SLOTargets map[string]time.Duration
-	// SLOWindow is the SLO sliding window (default 5 minutes).
-	SLOWindow time.Duration
 	// SlowRequest, when positive, logs one structured warning per
 	// gateway request slower than this (with its trace ID and stage
 	// breakdown) and records it on /debug/statusz.
@@ -164,8 +163,7 @@ type Gateway struct {
 
 	// observability plane: the cluster event timeline, the federated
 	// shard-metrics cache, the statusz page, and the handler wrapper
-	// holding the gateway's own SLOs, slow-request log and slow-capture
-	// profiler.
+	// holding the gateway's own SLOs and slow-request log.
 	events  *eventLog
 	fed     *federator
 	statusz *prof.Statusz
@@ -306,12 +304,7 @@ func New(cfg Config) (*Gateway, error) {
 		Tracer:       cfg.Tracer,
 		Logger:       cfg.Logger,
 		SlowRequest:  cfg.SlowRequest,
-	}
-	if len(cfg.SLOTargets) > 0 {
-		g.mw.SLOs = prof.NewNamedSLOTracker("hostprof_gateway_slo", cfg.SLOWindow, reg)
-		for endpoint, target := range cfg.SLOTargets {
-			g.mw.SLOs.Register(endpoint, target)
-		}
+		SLOs:         prof.NewSLOTracker("hostprof_gateway_slo", "hostprof_gateway_request_seconds", cfg.SLOTargets, reg),
 	}
 	if cfg.SlowRequest > 0 {
 		g.mw.SlowLog = prof.NewSlowLog(32)

@@ -461,8 +461,7 @@ func TestEventLogEviction(t *testing.T) {
 
 // TestInstrumentDisabledPathAllocs guards the acceptance criterion
 // that the observability plane costs nothing when switched off: with
-// no SLO targets, no slow-request threshold, no profiler and no
-// tracer, one pass through the gateway's mounted handler wrapper must
+// no SLO targets, no slow-request threshold and no tracer, one pass through the gateway's mounted handler wrapper must
 // not allocate beyond the pre-existing recorder + counter-lookup
 // baseline.
 func TestInstrumentDisabledPathAllocs(t *testing.T) {
@@ -483,8 +482,8 @@ func TestInstrumentDisabledPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() { h(rec, req) })
 	// Baseline: statusRecorder, the deferred closure, and the label
 	// structs + lookup key for the per-request counter — all of which
-	// predate the observability plane. The SLO observe, slow-request
-	// check, profiler capture and event hooks must all be free when
+	// predate the observability plane. The SLO mark, slow-request
+	// check and event hooks must all be free when
 	// disabled (nil receivers / zero thresholds), so any rise here
 	// means a hook leaked onto the hot path.
 	const baseline = 14

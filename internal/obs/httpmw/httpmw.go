@@ -32,8 +32,9 @@ type Config struct {
 	SpanPrefix string
 	Metrics    *obs.Registry
 	Tracer     *tracer.Tracer
-	// SLOs supplies per-endpoint latency SLOs; endpoints without a
-	// registered target observe nothing.
+	// SLOs supplies per-endpoint latency SLOs, read from the
+	// <prefix>_request_seconds histograms, and those histograms' bucket
+	// layout; endpoints without a target pay nothing for them.
 	SLOs *prof.SLOTracker
 	// SlowLog receives slow requests, each with its trace ID, for
 	// /debug/statusz.
@@ -80,16 +81,17 @@ func (w *statusRecorder) Write(p []byte) (int, error) {
 func (c Config) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	c.Metrics.Describe(c.MetricPrefix+"_panics_total", "handler panics recovered into 500s")
 	panics := c.Metrics.Counter(c.MetricPrefix + "_panics_total")
-	lat := c.Metrics.Histogram(c.MetricPrefix+"_request_seconds", nil, obs.L("endpoint", endpoint))
+	lat := c.Metrics.Histogram(c.MetricPrefix+"_request_seconds", c.SLOs.Buckets(), obs.L("endpoint", endpoint))
 	requests := c.MetricPrefix + "_requests_total"
 	spanName := c.SpanPrefix + endpoint
 	// The SLO handle is resolved once per endpoint at wrap time; per
-	// request it is one nil-safe Observe. Endpoints without a
-	// configured target get a nil handle — zero cost.
+	// request it is one nil-safe Mark, before lat sees the request.
+	// Endpoints without a configured target get a nil handle.
 	slo := c.SLOs.Get(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
+		slo.Mark(start)
 		var span *tracer.Span
 		if c.Tracer.Enabled() {
 			ctx := r.Context()
@@ -117,7 +119,6 @@ func (c Config) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			lat.ObserveExemplar(d.Seconds(), traceID)
 			span.SetAttr("code", strconv.Itoa(rec.code))
 			span.End()
-			slo.Observe(d.Seconds())
 			c.Metrics.Counter(requests,
 				obs.L("endpoint", endpoint),
 				obs.L("code", strconv.Itoa(rec.code))).Inc()

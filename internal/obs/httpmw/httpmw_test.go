@@ -38,8 +38,8 @@ func newPlane(t *testing.T, metricPrefix, spanPrefix string, slow time.Duration)
 	t.Helper()
 	p := &plane{reg: obs.NewRegistry(), slowlog: prof.NewSlowLog(8), logs: new(bytes.Buffer)}
 	p.tr = tracer.New(tracer.Config{Service: "mw-test", SampleRate: 1, BufferTraces: 8, Seed: 3})
-	p.slos = prof.NewNamedSLOTracker(metricPrefix+"_slo", time.Minute, p.reg)
-	p.slos.Register("op", time.Second)
+	p.slos = prof.NewSLOTracker(metricPrefix+"_slo", metricPrefix+"_request_seconds",
+		map[string]time.Duration{"op": time.Second}, p.reg)
 	p.mw = Config{
 		MetricPrefix: metricPrefix,
 		SpanPrefix:   spanPrefix,

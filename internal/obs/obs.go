@@ -158,6 +158,28 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
+// Buckets returns the sorted upper bounds; the +Inf bucket is
+// implicit. The slice is shared; do not mutate. Safe on a nil receiver.
+func (h *Histogram) Buckets() []float64 {
+	if h == nil {
+		return nil
+	}
+	return h.upper
+}
+
+// BucketCounts appends the per-bucket observation counts since creation
+// to dst — not cumulative over bounds, aligned with Buckets, the +Inf
+// bucket last — and returns the extended slice. Safe on a nil receiver.
+func (h *Histogram) BucketCounts(dst []int64) []int64 {
+	if h == nil {
+		return dst
+	}
+	for i := range h.counts {
+		dst = append(dst, h.counts[i].Load())
+	}
+	return dst
+}
+
 // DefBuckets are general-purpose latency buckets in seconds (the
 // Prometheus client defaults).
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 	"hostprof/internal/obs"
 )
 
-// --- Windowed quantiles -------------------------------------------------
+// --- Quantiles from histogram counts -----------------------------------
 
 // fineBuckets give the estimator enough resolution that interpolation
 // error stays well under the assertion tolerances below.
@@ -23,14 +24,29 @@ var fineBuckets = func() []float64 {
 	return b
 }()
 
+// histogram observes values into a fresh registry histogram over
+// buckets and returns it.
+func histogram(buckets []float64, values ...float64) *obs.Histogram {
+	h := obs.NewRegistry().Histogram("h", buckets)
+	for _, v := range values {
+		h.Observe(v)
+	}
+	return h
+}
+
+// quantile is EstimateQuantile over everything h has seen.
+func quantile(h *obs.Histogram, q float64) float64 {
+	return EstimateQuantile(h.Buckets(), h.BucketCounts(nil), h.Count(), q)
+}
+
 func TestQuantileUniform(t *testing.T) {
-	w := NewWindowed(time.Minute, 4, fineBuckets)
 	// Uniform on (0, 10]: quantile q should be ~10q.
+	h := histogram(fineBuckets)
 	for i := 1; i <= 10000; i++ {
-		w.Observe(float64(i) / 1000.0)
+		h.Observe(float64(i) / 1000.0)
 	}
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.9, 0.99} {
-		got := w.Quantile(q)
+		got := quantile(h, q)
 		want := 10 * q
 		if math.Abs(got-want) > 0.05 {
 			t.Errorf("uniform q=%.2f: got %.4f want %.4f", q, got, want)
@@ -39,88 +55,47 @@ func TestQuantileUniform(t *testing.T) {
 }
 
 func TestQuantileBimodal(t *testing.T) {
-	w := NewWindowed(time.Minute, 4, fineBuckets)
 	// 90% fast (~50ms), 10% slow (~5s): p50 must sit in the fast mode,
 	// p99 in the slow mode.
+	h := histogram(fineBuckets)
 	for i := 0; i < 900; i++ {
-		w.Observe(0.05)
+		h.Observe(0.05)
 	}
 	for i := 0; i < 100; i++ {
-		w.Observe(5.0)
+		h.Observe(5.0)
 	}
-	if p50 := w.Quantile(0.5); p50 > 0.1 {
+	if p50 := quantile(h, 0.5); p50 > 0.1 {
 		t.Errorf("p50 = %.3f, want <= 0.1", p50)
 	}
-	if p99 := w.Quantile(0.99); p99 < 4.5 {
+	if p99 := quantile(h, 0.99); p99 < 4.5 {
 		t.Errorf("p99 = %.3f, want >= 4.5", p99)
 	}
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	w := NewWindowed(time.Minute, 4, nil)
-	if got := w.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("empty window: got %v, want NaN", got)
+	h := histogram(nil)
+	if got := quantile(h, 0.5); !math.IsNaN(got) {
+		t.Errorf("empty histogram: got %v, want NaN", got)
 	}
-	w.Observe(0.3)
-	if got := w.Quantile(-0.1); !math.IsNaN(got) {
+	h.Observe(0.3)
+	if got := quantile(h, -0.1); !math.IsNaN(got) {
 		t.Errorf("q<0: got %v, want NaN", got)
 	}
-	if got := w.Quantile(1.1); !math.IsNaN(got) {
+	if got := quantile(h, 1.1); !math.IsNaN(got) {
 		t.Errorf("q>1: got %v, want NaN", got)
 	}
-	var nilW *Windowed
-	nilW.Observe(1) // must not panic
-	if got := nilW.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("nil estimator: got %v, want NaN", got)
+	if got := EstimateQuantile(h.Buckets(), []int64{1}, 1, 0.5); !math.IsNaN(got) {
+		t.Errorf("counts misaligned with bounds: got %v, want NaN", got)
 	}
-	if c := nilW.Count(); c != 0 {
-		t.Errorf("nil estimator count = %d", c)
-	}
-}
-
-func TestWindowDecay(t *testing.T) {
-	w := NewWindowed(time.Minute, 4, fineBuckets) // 15s slices
-	clock := int64(0)
-	w.setNow(func() int64 { return clock })
-	for i := 0; i < 100; i++ {
-		w.Observe(1.0)
-	}
-	if c := w.Count(); c != 100 {
-		t.Fatalf("count = %d, want 100", c)
-	}
-	// Advance two slices: old samples still inside the window.
-	clock += 2 * 15 * int64(time.Second)
-	for i := 0; i < 100; i++ {
-		w.Observe(9.0)
-	}
-	if c := w.Count(); c != 200 {
-		t.Fatalf("mid-window count = %d, want 200", c)
-	}
-	if p50 := w.Quantile(0.5); p50 < 0.9 || p50 > 9.1 {
-		t.Fatalf("mixed p50 = %.3f", p50)
-	}
-	// Advance past the window for the first batch only: the 1.0s
-	// samples expire, the 9.0s samples remain.
-	clock += 3 * 15 * int64(time.Second)
-	if c := w.Count(); c != 100 {
-		t.Fatalf("post-decay count = %d, want 100", c)
-	}
-	if p50 := w.Quantile(0.5); math.Abs(p50-9.0) > 0.1 {
-		t.Fatalf("post-decay p50 = %.3f, want ~9.0", p50)
-	}
-	// A full window later everything is gone.
-	clock += 5 * 15 * int64(time.Second)
-	if c := w.Count(); c != 0 {
-		t.Fatalf("expired count = %d, want 0", c)
+	if got := EstimateQuantile(nil, nil, 0, 0.5); !math.IsNaN(got) {
+		t.Errorf("no buckets: got %v, want NaN", got)
 	}
 }
 
 func TestQuantileMerge(t *testing.T) {
-	// Quantiles over merged count vectors must match a single estimator
+	// Quantiles over merged count vectors must match a single histogram
 	// that saw the union of the observations.
-	a := NewWindowed(time.Minute, 4, fineBuckets)
-	b := NewWindowed(time.Minute, 4, fineBuckets)
-	all := NewWindowed(time.Minute, 4, fineBuckets)
+	a, b, all := histogram(fineBuckets), histogram(fineBuckets), histogram(fineBuckets)
 	for i := 1; i <= 1000; i++ {
 		v := float64(i) / 200.0
 		if i%2 == 0 {
@@ -130,15 +105,13 @@ func TestQuantileMerge(t *testing.T) {
 		}
 		all.Observe(v)
 	}
-	ca, na := a.Snapshot()
-	cb, nb := b.Snapshot()
-	merged := make([]int64, len(ca))
-	for i := range ca {
-		merged[i] = ca[i] + cb[i]
+	merged := a.BucketCounts(nil)
+	for i, c := range b.BucketCounts(nil) {
+		merged[i] += c
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		got := EstimateQuantile(a.Buckets(), merged, na+nb, q)
-		want := all.Quantile(q)
+		got := EstimateQuantile(a.Buckets(), merged, a.Count()+b.Count(), q)
+		want := quantile(all, q)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("merged q=%.2f: got %v want %v", q, got, want)
 		}
@@ -146,14 +119,14 @@ func TestQuantileMerge(t *testing.T) {
 }
 
 func TestCountAboveExactAtBound(t *testing.T) {
-	w := NewWindowed(time.Minute, 4, []float64{0.1, 0.25, 0.5})
-	for _, v := range []float64{0.05, 0.1, 0.25, 0.26, 0.7, 3} {
-		w.Observe(v)
-	}
+	h := histogram([]float64{0.1, 0.25, 0.5}, 0.05, 0.1, 0.25, 0.26, 0.7, 3)
 	// Values equal to the bound are not "above" it.
-	above, total := w.CountAbove(0.25)
-	if total != 6 || above != 3 {
-		t.Fatalf("CountAbove(0.25) = (%d, %d), want (3, 6)", above, total)
+	if above := countAbove(h.Buckets(), h.BucketCounts(nil), 0.25); above != 3 {
+		t.Fatalf("countAbove(0.25) = %d, want 3", above)
+	}
+	// Off a bound, the covering bucket (0.25, 0.5] counts as above.
+	if above := countAbove(h.Buckets(), h.BucketCounts(nil), 0.3); above != 3 {
+		t.Fatalf("countAbove(0.3) = %d, want 3", above)
 	}
 }
 
@@ -162,8 +135,9 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 	// the request path, matching the tracer's contract.
 	var s *SLO
 	var l *SlowLog
+	now := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.Observe(0.001)
+		s.Mark(now)
 		l.Add(SlowEntry{})
 	})
 	if allocs != 0 {
@@ -173,17 +147,28 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 
 // --- SLO tracker --------------------------------------------------------
 
+// observe serves one request of the given latency the way the handler
+// wrapper does: Mark at arrival, then the served histogram.
+func observe(s *SLO, at time.Time, seconds float64) {
+	s.Mark(at)
+	s.hist.Observe(seconds)
+}
+
+func newTracker(reg *obs.Registry, targets map[string]time.Duration) *SLOTracker {
+	return NewSLOTracker("hostprof_slo", "hostprof_http_request_seconds", targets, reg)
+}
+
 func TestSLOBurnRate(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := NewSLOTracker(time.Minute, reg)
-	s := tr.Register("report", 100*time.Millisecond)
+	tr := newTracker(reg, map[string]time.Duration{"report": 100 * time.Millisecond})
+	s := tr.Get("report")
 	// 95 fast, 5 slow → breach ratio 5%, burn rate 5 against the 1%
 	// budget.
 	for i := 0; i < 95; i++ {
-		s.Observe(0.010)
+		observe(s, time.Now(), 0.010)
 	}
 	for i := 0; i < 5; i++ {
-		s.Observe(0.500)
+		observe(s, time.Now(), 0.500)
 	}
 	st := s.Status()
 	if st.WindowRequests != 100 {
@@ -213,39 +198,115 @@ func TestSLOBurnRate(t *testing.T) {
 }
 
 func TestSLOExactBoundarySemantics(t *testing.T) {
-	tr := NewSLOTracker(time.Minute, nil)
-	s := tr.Register("report", 250*time.Millisecond)
-	s.Observe(0.250) // exactly on target: within SLO
-	s.Observe(0.251) // breach
+	tr := newTracker(obs.NewRegistry(), map[string]time.Duration{"report": 250 * time.Millisecond})
+	s := tr.Get("report")
+	observe(s, time.Now(), 0.250) // exactly on target: within SLO
+	observe(s, time.Now(), 0.251) // breach
 	st := s.Status()
 	if math.Abs(st.BreachRatio-0.5) > 1e-9 {
 		t.Fatalf("breach ratio = %v, want 0.5 (exact-boundary sample must not breach)", st.BreachRatio)
 	}
 }
 
+// TestSLOWindowDecay walks a fake clock slice by slice: requests count
+// while the slice they arrived in is inside the five-minute window and
+// expire, slice-granular, once it leaves.
+func TestSLOWindowDecay(t *testing.T) {
+	tr := newTracker(obs.NewRegistry(), map[string]time.Duration{"report": 2 * time.Second})
+	s := tr.Get("report")
+	slice := int64(sloSlice)
+	clock := 1000 * slice // the start of a slice
+	at := func() time.Time { return time.Unix(0, clock) }
+	window := func() int64 { return s.statusAt(clock).WindowRequests }
+
+	if n := window(); n != 0 {
+		t.Fatalf("fresh window holds %d requests", n)
+	}
+	for i := 0; i < 100; i++ {
+		observe(s, at(), 1.0)
+	}
+	if n := window(); n != 100 {
+		t.Fatalf("count = %d, want 100", n)
+	}
+	// Two slices on: the first batch is still inside the window.
+	clock += 2 * slice
+	for i := 0; i < 100; i++ {
+		observe(s, at(), 9.0)
+	}
+	if n := window(); n != 200 {
+		t.Fatalf("mid-window count = %d, want 200", n)
+	}
+	if st := s.statusAt(clock); st.BreachRatio != 0.5 || st.P50 < 0.9 || st.P50 > 9.1 {
+		t.Fatalf("mixed window: breach %v p50 %.3f", st.BreachRatio, st.P50)
+	}
+	// The first batch's slice is the window's oldest until its last
+	// nanosecond, and gone one nanosecond later.
+	clock += (sloSlices-2)*slice - 1
+	if n := window(); n != 200 {
+		t.Fatalf("count at the first slice's last instant = %d, want 200", n)
+	}
+	clock++
+	if n := window(); n != 100 {
+		t.Fatalf("post-decay count = %d, want 100", n)
+	}
+	if st := s.statusAt(clock); st.BreachRatio != 1 || st.P50 < 5 {
+		t.Fatalf("post-decay window: breach %v p50 %.3f, want only the 9 s batch", st.BreachRatio, st.P50)
+	}
+	// A full window after the second batch everything is gone, and a
+	// new request starts a fresh window.
+	clock += 2 * slice
+	if n := window(); n != 0 {
+		t.Fatalf("expired count = %d, want 0", n)
+	}
+	observe(s, at(), 0.5)
+	if st := s.statusAt(clock); st.WindowRequests != 1 || st.BreachRatio != 0 {
+		t.Fatalf("fresh window = %+v, want one request within target", st)
+	}
+	// A request whose arrival predates the newest baseline (it was
+	// scheduled late) lands in the current slice rather than reopening
+	// an old one.
+	observe(s, time.Unix(0, clock-5*slice), 0.5)
+	if n := window(); n != 2 {
+		t.Fatalf("late arrival: count = %d, want 2", n)
+	}
+}
+
 func TestSLOTrackerNilAndStatus(t *testing.T) {
 	var tr *SLOTracker
-	if tr.Register("x", time.Second) != nil {
-		t.Fatal("nil tracker registered an SLO")
-	}
-	if tr.Status() != nil || tr.Get("x") != nil {
+	if tr.Get("x") != nil || tr.Status() != nil {
 		t.Fatal("nil tracker not inert")
 	}
-	real := NewSLOTracker(0, nil)
-	if real.Register("b", 0) != nil {
-		t.Fatal("non-positive target should not register")
+	if !slices.Equal(tr.Buckets(), defaultSLOBuckets) {
+		t.Fatalf("nil tracker buckets = %v, want the defaults", tr.Buckets())
 	}
-	real.Register("b", time.Second)
-	real.Register("a", time.Second)
-	if same := real.Register("a", 2*time.Second); same != real.Get("a") {
-		t.Fatal("re-register must return the existing SLO")
+	reg := obs.NewRegistry()
+	if newTracker(reg, map[string]time.Duration{"b": 0}) != nil {
+		t.Fatal("non-positive target should not build a tracker")
 	}
+	if newTracker(nil, map[string]time.Duration{"b": time.Second}) != nil {
+		t.Fatal("a tracker without a registry has no histogram to read")
+	}
+	real := newTracker(reg, map[string]time.Duration{"b": time.Second, "a": 300 * time.Millisecond, "c": -1})
 	st := real.Status()
 	if len(st) != 2 || st[0].Endpoint != "a" || st[1].Endpoint != "b" {
 		t.Fatalf("status order = %+v", st)
 	}
+	if real.Get("c") != nil {
+		t.Fatal("non-positive target registered an SLO")
+	}
+	// One layout for the family: the defaults plus every target.
+	want := append(slices.Clone(defaultSLOBuckets), 0.3)
+	slices.Sort(want)
+	if !slices.Equal(real.Buckets(), want) {
+		t.Fatalf("buckets = %v, want %v", real.Buckets(), want)
+	}
+	// Each SLO reads the served histogram, created with that layout.
+	served := reg.Histogram("hostprof_http_request_seconds", nil, obs.L("endpoint", "a"))
+	if real.Get("a").hist != served || !slices.Equal(served.Buckets(), want) {
+		t.Fatalf("SLO does not read the served histogram (bounds %v)", served.Buckets())
+	}
 	var nilSLO *SLO
-	nilSLO.Observe(1)
+	nilSLO.Mark(time.Now())
 	if got := nilSLO.Status(); got.WindowRequests != 0 {
 		t.Fatal("nil SLO not inert")
 	}

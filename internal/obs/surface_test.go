@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,15 +15,30 @@ import (
 )
 
 // surfaceFile is the committed operator surface: every metric family,
-// every flag per `hostprof` subcommand and every /debug/* route per
-// process. TestSurfaceRatchet holds the tree to it exactly, so a PR
-// that adds a name edits the file in plain sight.
+// every flag per `hostprof` subcommand, every /debug/* route per
+// process, every command (package main) of the module and every
+// exported field of the two processes' Config structs.
+// TestSurfaceRatchet holds the tree to it exactly, so a PR that adds a
+// name edits the file in plain sight.
 const surfaceFile = "../../surface.json"
+
+// moduleRoot is the main module's root directory.
+const moduleRoot = "../.."
 
 type surface struct {
 	MetricFamilies []string            `json:"metric_families"`
 	Flags          map[string][]string `json:"flags"`
 	DebugRoutes    map[string][]string `json:"debug_routes"`
+	Commands       []string            `json:"commands"`
+	ConfigFields   map[string][]string `json:"config_fields"`
+}
+
+// configStructs names, per package directory, the Config struct whose
+// exported fields are surface: what a caller of serve's and gateway's
+// library form can set.
+var configStructs = map[string]string{
+	"server.Config":  "../server",
+	"cluster.Config": "../cluster",
 }
 
 // debugRouteSources names, per process, the functions that mount its
@@ -62,6 +78,11 @@ func TestSurfaceRatchet(t *testing.T) {
 		}
 		live.DebugRoutes[proc] = sortedKeys(routes)
 	}
+	live.Commands = mainPackages(t, moduleRoot)
+	live.ConfigFields = map[string][]string{}
+	for name, dir := range configStructs {
+		live.ConfigFields[name] = exportedFields(t, dir, "Config")
+	}
 
 	raw, err := os.ReadFile(surfaceFile)
 	if err != nil {
@@ -72,11 +93,17 @@ func TestSurfaceRatchet(t *testing.T) {
 		t.Fatalf("%s: %v", surfaceFile, err)
 	}
 	added, removed := diffNames("metric family", committed.MetricFamilies, live.MetricFamilies)
+	a, r := diffNames("command", committed.Commands, live.Commands)
+	added, removed = append(added, a...), append(removed, r...)
 	for _, kind := range []struct {
 		what      string
 		committed map[string][]string
 		live      map[string][]string
-	}{{"flag", committed.Flags, live.Flags}, {"debug route", committed.DebugRoutes, live.DebugRoutes}} {
+	}{
+		{"flag", committed.Flags, live.Flags},
+		{"debug route", committed.DebugRoutes, live.DebugRoutes},
+		{"config field", committed.ConfigFields, live.ConfigFields},
+	} {
 		for _, k := range sortedKeys(union(kind.committed, kind.live)) {
 			a, r := diffNames(k+" "+kind.what, kind.committed[k], kind.live[k])
 			added, removed = append(added, a...), append(removed, r...)
@@ -127,6 +154,92 @@ func union(a, b map[string][]string) map[string]bool {
 		out[k] = true
 	}
 	return out
+}
+
+// mainPackages lists, relative to root, every directory of the module
+// rooted there whose non-test Go files are package main. Nested modules
+// (a directory with its own go.mod, like bench/) are not this module.
+func mainPackages(t *testing.T, root string) []string {
+	t.Helper()
+	dirs := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		if file.Name.Name == "main" {
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			dirs[filepath.ToSlash(rel)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sortedKeys(dirs)
+}
+
+// exportedFields lists the exported field names of struct typeName in
+// the package in dir, sorted.
+func exportedFields(t *testing.T, dir, typeName string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]bool{}
+	found := false
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != typeName {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return false
+			}
+			found = true
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if name.IsExported() {
+						fields[name.Name] = true
+					}
+				}
+			}
+			return false
+		})
+	}
+	if !found {
+		t.Fatalf("%s: no struct %s", dir, typeName)
+	}
+	return sortedKeys(fields)
 }
 
 // parseFuncs parses a package directory's non-test files and indexes

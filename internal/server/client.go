@@ -160,12 +160,12 @@ func (e *Extension) postOnce(ctx context.Context, span *tracer.Span, path string
 // time. Shared by the Extension client and the cluster gateway's shard
 // retries.
 func RetryDelay(retryAfter string, attempt int, base, max time.Duration) time.Duration {
-	if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs > 0 {
-		d := time.Duration(secs) * time.Second
-		if d > max {
+	if secs, err := strconv.ParseInt(strings.TrimSpace(retryAfter), 10, 64); err == nil && secs > 0 {
+		// Compare before multiplying: secs·1e9 wraps for a large header.
+		if secs > int64(max/time.Second) {
 			return max
 		}
-		return d
+		return time.Duration(secs) * time.Second
 	}
 	d := base << attempt
 	if d > max || d <= 0 { // <<-overflow guard

@@ -123,6 +123,11 @@ func TestRetryDelay(t *testing.T) {
 	}{
 		{"1", 0, time.Second},
 		{"60", 0, 2 * time.Second}, // server ask capped
+		// Asks whose seconds overflow a Duration when multiplied must
+		// still cap, not wrap negative or small.
+		{"9223372037", 0, 2 * time.Second},
+		{"18446744074", 0, 2 * time.Second},
+		{"9223372036854775807", 0, 2 * time.Second},
 	}
 	for _, c := range exact {
 		if got := RetryDelay(c.retryAfter, c.attempt, base, max); got != c.want {

@@ -186,6 +186,44 @@ func TestSLOMetricsOnScrape(t *testing.T) {
 	}
 }
 
+// TestSLOTargetIsServedBucketBound: a target that is no default bound
+// (300 ms) becomes a bucket bound of the served
+// hostprof_http_request_seconds, in one layout for every endpoint, and
+// the SLO reads that very histogram, so a request of exactly the
+// target does not breach.
+func TestSLOTargetIsServedBucketBound(t *testing.T) {
+	reg := obs.NewRegistry()
+	fx := newResilienceFixture(t, func(cfg *Config) {
+		cfg.Metrics = reg
+		cfg.SLOTargets = map[string]time.Duration{"report": 300 * time.Millisecond}
+		cfg.SlowRequest = -1
+	})
+	served := reg.Histogram("hostprof_http_request_seconds", nil, obs.L("endpoint", "report"))
+	fx.b.mw.SLOs.Get("report").Mark(time.Now())
+	served.Observe((300 * time.Millisecond).Seconds())
+
+	resp, err := http.Get(fx.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	out := string(body)
+	for _, want := range []string{
+		`hostprof_http_request_seconds_bucket{endpoint="report",le="0.25"} 0`,
+		`hostprof_http_request_seconds_bucket{endpoint="report",le="0.3"} 1`,
+		`hostprof_http_request_seconds_bucket{endpoint="stats",le="0.3"} 0`,
+		`hostprof_http_request_seconds_bucket{endpoint="stats",le="0.001"} 0`,
+		`hostprof_http_request_seconds_bucket{endpoint="stats",le="0.0025"} 0`,
+		`hostprof_slo_window_requests{endpoint="report"} 1`,
+		`hostprof_slo_breach_ratio{endpoint="report"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, grepLines(out, `endpoint="report"`))
+		}
+	}
+}
+
 func grepLines(s, substr string) string {
 	var sb strings.Builder
 	for _, line := range strings.Split(s, "\n") {
@@ -199,21 +237,26 @@ func grepLines(s, substr string) string {
 
 // BenchmarkReportIngestProfiled extends the tracing cost contract to
 // the SLO window: the "slo" variant measures the per-request cost of an
-// enabled SLO (one Observe), the "disabled" variant pins that a nil SLO
-// adds nothing over the BenchmarkReportIngest baseline.
+// enabled SLO (one Mark, with the served histogram's Observe), the
+// "disabled" variant pins that a nil SLO adds nothing over the
+// BenchmarkReportIngest baseline.
 func BenchmarkReportIngestProfiled(b *testing.B) {
 	b.Run("slo", func(b *testing.B) {
 		bk, hosts := newBenchBackend(b, nil)
-		slo := prof.NewSLOTracker(time.Minute, nil).Register("report", 250*time.Millisecond)
+		reg := obs.NewRegistry()
+		slo := prof.NewSLOTracker("hostprof_slo", "hostprof_http_request_seconds",
+			map[string]time.Duration{"report": 250 * time.Millisecond}, reg).Get("report")
+		lat := reg.Histogram("hostprof_http_request_seconds", nil, obs.L("endpoint", "report"))
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
+			slo.Mark(start)
 			if _, err := bk.report(ctx, 0, int64(30_000_000+i), hosts); err != nil {
 				b.Fatal(err)
 			}
-			slo.Observe(time.Since(start).Seconds())
+			lat.Observe(time.Since(start).Seconds())
 		}
 	})
 	b.Run("disabled", func(b *testing.B) {
@@ -223,11 +266,10 @@ func BenchmarkReportIngestProfiled(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			start := time.Now()
+			slo.Mark(time.Now())
 			if _, err := bk.report(ctx, 0, int64(30_000_000+i), hosts); err != nil {
 				b.Fatal(err)
 			}
-			slo.Observe(time.Since(start).Seconds())
 		}
 	})
 }

@@ -105,13 +105,12 @@ type Config struct {
 	SlowRequest time.Duration
 	// SLOTargets maps endpoint names ("report", "profile_batch",
 	// "retrain", ...) to latency targets. Each named endpoint gets a
-	// sliding-window SLO (99% of requests under target) whose burn
-	// rate, breach ratio and latency quantiles are exported as
-	// hostprof_slo_* gauges and surfaced on /debug/statusz. Empty
+	// five-minute sliding-window SLO (99% of requests under target)
+	// whose burn rate, breach ratio and latency quantiles are exported
+	// as hostprof_slo_* gauges and surfaced on /debug/statusz. Every
+	// target is a bucket bound of hostprof_http_request_seconds. Empty
 	// disables SLO tracking — zero cost on the request path.
 	SLOTargets map[string]time.Duration
-	// SLOWindow is the SLO sliding window (default 5 minutes).
-	SLOWindow time.Duration
 	// Logger receives the backend's structured logs (retrain outcomes,
 	// slow requests). Nil selects slog.Default().
 	Logger *slog.Logger
@@ -128,9 +127,8 @@ type Backend struct {
 	tr  *tracer.Tracer
 
 	// mw is the instrumented-handler wrapper every /v1 route mounts; it
-	// holds the profiling/SLO pillar's handles (trigger-capture profiler,
-	// per-endpoint SLOs, recent-slow-request log) that /debug/statusz
-	// renders.
+	// holds the handles /debug/statusz renders (per-endpoint SLOs, the
+	// recent-slow-request log).
 	mw      httpmw.Config
 	statusz *prof.Statusz
 
@@ -263,12 +261,7 @@ func New(cfg Config) (*Backend, error) {
 		SlowLog:      prof.NewSlowLog(32),
 		Logger:       cfg.Logger,
 		SlowRequest:  cfg.SlowRequest,
-	}
-	if len(cfg.SLOTargets) > 0 {
-		b.mw.SLOs = prof.NewSLOTracker(cfg.SLOWindow, reg)
-		for endpoint, target := range cfg.SLOTargets {
-			b.mw.SLOs.Register(endpoint, target)
-		}
+		SLOs:         prof.NewSLOTracker("hostprof_slo", "hostprof_http_request_seconds", cfg.SLOTargets, reg),
 	}
 	b.statusz = b.buildStatusz()
 	return b, nil
