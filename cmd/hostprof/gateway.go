@@ -33,7 +33,6 @@ func cmdGateway(args []string) error {
 	shardRetries := fs.Int("shard-retries", 2, "re-sends per shard request the shard shed with 429/Retry-After")
 	maxBatch := fs.Int("max-batch", 2048, "sessions accepted per /v1/profile/batch")
 	chunk := fs.Int("shard-batch", 256, "sessions per shard chunk in scatter-gather")
-	noSync := fs.Bool("no-model-sync", false, "disable health-loop model anti-entropy (re-shipping the model to shards that diverge)")
 	migChunk := fs.Int("migrate-chunk", 0, "visits per export chunk during live resize (0 = default)")
 	migThrottle := fs.Duration("migrate-throttle", 0, "pause between copy chunks during live resize (0 = full speed)")
 	migWorkers := fs.Int("migrate-workers", 0, "concurrent range copiers during live resize (0 = default)")
@@ -45,7 +44,6 @@ func cmdGateway(args []string) error {
 	sloReport := fs.Duration("slo-report", 250*time.Millisecond, "latency SLO target for /v1/report through the gateway: 99%% of windowed requests under this, burn rate on hostprof_gateway_slo_* (0 disables)")
 	sloProfile := fs.Duration("slo-profile", 500*time.Millisecond, "latency SLO target for /v1/profile/batch through the gateway (0 disables)")
 	fedTTL := fs.Duration("federate-ttl", 2*time.Second, "shard /varz scrape cache TTL behind /v1/cluster/metrics and the federated /metrics block")
-	eventBuffer := fs.Int("event-buffer", 512, "cluster timeline events retained for /v1/cluster/events")
 	logf := addLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,17 +53,6 @@ func cmdGateway(args []string) error {
 	}
 	if *backends == "" {
 		return fmt.Errorf("-backends is required")
-	}
-	var list []string
-	for _, b := range strings.Split(*backends, ",") {
-		b = strings.TrimSuffix(strings.TrimSpace(b), "/")
-		if b == "" {
-			continue
-		}
-		if !strings.Contains(b, "://") {
-			b = "http://" + b
-		}
-		list = append(list, b)
 	}
 
 	trc := tracer.New(tracer.Config{
@@ -82,7 +69,7 @@ func cmdGateway(args []string) error {
 		sloTargets["profile_batch"] = *sloProfile
 	}
 	gw, err := cluster.New(cluster.Config{
-		Backends:            list,
+		Backends:            strings.Split(*backends, ","),
 		VirtualNodes:        *vnodes,
 		ShardTimeout:        *shardTimeout,
 		RetrainTimeout:      *retrainTimeout,
@@ -90,14 +77,12 @@ func cmdGateway(args []string) error {
 		ShardRetries:        *shardRetries,
 		MaxSessionsPerBatch: *maxBatch,
 		ShardBatchLimit:     *chunk,
-		NoAutoSync:          *noSync,
 		MigrationChunk:      *migChunk,
 		MigrationThrottle:   *migThrottle,
 		MigrationWorkers:    *migWorkers,
 		SLOTargets:          sloTargets,
 		SlowRequest:         *slowReq,
 		FederationTTL:       *fedTTL,
-		EventBuffer:         *eventBuffer,
 		Metrics:             obs.Default,
 		Tracer:              trc,
 		Logger:              slog.Default(),
@@ -112,12 +97,12 @@ func cmdGateway(args []string) error {
 	defer gw.Close()
 
 	st := gw.ClusterStatus()
-	slog.Info("gateway listening",
+	slog.Info("gateway listening", append([]any{
 		slog.String("addr", "http://"+*addr),
 		slog.Int("backends", st.Backends),
 		slog.Int("alive", st.AliveShards),
-		slog.Int("ready", st.ReadyShards))
-	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain /v1/cluster/resize; GET /v1/stats /v1/cluster /v1/cluster/metrics /v1/cluster/events /metrics /varz /healthz /readyz /debug/traces /debug/statusz")
+		slog.Int("ready", st.ReadyShards)}, buildAttrs()...)...)
+	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain /v1/cluster/resize; GET /v1/stats /v1/cluster /v1/cluster/metrics /v1/cluster/events /metrics /varz /healthz /readyz /debug/traces")
 
 	handler := withPprof(*pprofOn, gw.Handler())
 	srv := &http.Server{

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"log/slog"
 	"os"
+	"runtime"
+	"runtime/debug"
 
 	"hostprof/internal/obs/tracer"
 )
@@ -22,6 +24,21 @@ func addLogFlags(fs *flag.FlagSet) logFlags {
 		format: fs.String("log-format", "text", "log output format: text or json"),
 		level:  fs.String("log-level", "info", "log verbosity: debug, info, warn or error"),
 	}
+}
+
+// buildAttrs names the running build on serve's and gateway's
+// listening line: the Go version and, for a binary built from a VCS
+// checkout, its revision.
+func buildAttrs() []any {
+	attrs := []any{slog.String("go_version", runtime.Version())}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "vcs.revision" {
+				attrs = append(attrs, slog.String("vcs_revision", kv.Value))
+			}
+		}
+	}
+	return attrs
 }
 
 // setup installs the process-default slog logger per the parsed flags.

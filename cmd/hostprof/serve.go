@@ -34,7 +34,6 @@ func cmdServe(args []string) error {
 	dim := fs.Int("dim", 64, "embedding dimensionality")
 	epochs := fs.Int("epochs", 5, "training epochs per retrain")
 	n := fs.Int("n", 40, "profiler neighbourhood size N")
-	indexWorkers := fs.Int("index-workers", 0, "goroutines per similarity-index query (0 = GOMAXPROCS)")
 	ann := fs.Bool("ann", false, "answer neighbourhood queries with an HNSW graph (sublinear in vocabulary; built per retrain, restored from the snapshot on restart; falls back to the exact scan when the graph cannot meet recall)")
 	annEf := fs.Int("ann-ef", 0, "ANN search breadth ef: larger is more accurate and slower (0 = default 128; only with -ann)")
 	annM := fs.Int("ann-m", 0, "ANN graph degree M: neighbours kept per node per layer (0 = default 16; only with -ann)")
@@ -136,8 +135,7 @@ func cmdServe(args []string) error {
 		Blocklist: bl,
 		Train:     core.TrainConfig{Dim: *dim, Epochs: *epochs},
 		Profile: core.ProfilerConfig{
-			N: *n, Agg: core.AggIDF, IndexWorkers: *indexWorkers,
-			ANN: *ann, ANNEf: *annEf, ANNM: *annM,
+			N: *n, Agg: core.AggIDF, ANN: *ann, ANNEf: *annEf, ANNM: *annM,
 		},
 		ProfileCache:  *profileCache,
 		Metrics:       obs.Default,
@@ -156,12 +154,12 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	slog.Info("backend listening",
+	slog.Info("backend listening", append([]any{
 		slog.String("addr", "http://"+*addr),
 		slog.Int("labelled_hosts", ont.Len()),
 		slog.Int("ads", db.Len()),
-		slog.Float64("trace_sample", *traceSample))
-	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain[?async=1]; GET/PUT /v1/model; GET /v1/stats /metrics /varz /healthz /readyz /debug/traces /debug/statusz")
+		slog.Float64("trace_sample", *traceSample)}, buildAttrs()...)...)
+	slog.Info("endpoints: POST /v1/report /v1/profile/batch /v1/feedback /v1/retrain[?async=1]; GET/PUT /v1/model; GET /v1/stats /metrics /varz /healthz /readyz /debug/traces")
 	handler := withPprof(*pprofOn, backend.Handler())
 
 	// Serve until SIGTERM/SIGINT, then drain in-flight requests and shut

@@ -64,10 +64,10 @@ type eventLog struct {
 	buf    []Event // oldest first
 }
 
+// eventBuffer is the gateway's timeline capacity, in events.
+const eventBuffer = 512
+
 func newEventLog(capacity int) *eventLog {
-	if capacity <= 0 {
-		capacity = 512
-	}
 	return &eventLog{cap: capacity}
 }
 
@@ -111,24 +111,6 @@ func (l *eventLog) since(after int64) ([]Event, int64) {
 	out := make([]Event, len(l.buf)-i)
 	copy(out, l.buf[i:])
 	return out, l.nextID
-}
-
-// last returns up to n most recent events, newest first (the statusz
-// rendering order).
-func (l *eventLog) last(n int) []Event {
-	if l == nil || n <= 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n > len(l.buf) {
-		n = len(l.buf)
-	}
-	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = l.buf[len(l.buf)-1-i]
-	}
-	return out
 }
 
 // event records one timeline entry and counts it by type. attrs come

@@ -23,9 +23,23 @@ import (
 type federator struct {
 	ttl time.Duration
 
+	// refresh serializes fan-outs; mu guards the cache fields and is
+	// never held across I/O.
+	refresh sync.Mutex
 	mu      sync.Mutex
 	last    time.Time
 	scrapes map[string]*shardScrape
+}
+
+// fresh returns the cached scrape set while it is inside the TTL, nil
+// otherwise.
+func (f *federator) fresh() map[string]*shardScrape {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.scrapes != nil && time.Since(f.last) < f.ttl {
+		return f.scrapes
+	}
+	return nil
 }
 
 // shardScrape is the newest (or last good) view of one shard's /varz.
@@ -58,17 +72,18 @@ type ClusterMetrics struct {
 // cache is older than the TTL. A shard that fails to answer keeps its
 // previous snapshot (stale) rather than disappearing; a shard that
 // never answered is reported missing. Refreshes are serialized: a
-// second reader inside the refresh window reuses the first one's
-// result.
+// reader that arrives while another refreshes waits for it and reuses
+// its result.
 func (g *Gateway) federate(ctx context.Context) map[string]*shardScrape {
 	f := g.fed
-	f.mu.Lock()
-	if time.Since(f.last) < f.ttl && f.scrapes != nil {
-		out := f.scrapes
-		f.mu.Unlock()
+	if out := f.fresh(); out != nil {
 		return out
 	}
-	f.mu.Unlock()
+	f.refresh.Lock()
+	defer f.refresh.Unlock()
+	if out := f.fresh(); out != nil {
+		return out
+	}
 
 	g.mu.Lock()
 	backends := append([]string(nil), g.backends...)
@@ -108,17 +123,6 @@ func (g *Gateway) federate(ctx context.Context) map[string]*shardScrape {
 	f.scrapes = next
 	f.last = time.Now()
 	return next
-}
-
-// cached returns the scrape set without refreshing — what a GaugeFunc
-// evaluated during the gateway's own /metrics render may safely read.
-func (f *federator) cached() map[string]*shardScrape {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.scrapes
 }
 
 // scrapeVarz fetches one shard's /varz snapshot.
@@ -353,25 +357,4 @@ func (g *Gateway) federatedMetricsHandler() http.Handler {
 		obs.WriteSnapshots(w, combined, nil,
 			func(family string) bool { return local[family] })
 	})
-}
-
-// worstShardBurnRate is the rollup behind
-// hostprof_gateway_worst_shard_burn_rate: the maximum
-// hostprof_slo_burn_rate any shard reported in the cached federation
-// view. Reads the cache only (never scrapes), so the gauge is free
-// until something exercises federation and self-consistent with the
-// rest of the scrape that reads it.
-func (g *Gateway) worstShardBurnRate() float64 {
-	worst := 0.0
-	for _, sc := range g.fed.cached() {
-		if sc == nil {
-			continue
-		}
-		for _, s := range sc.snaps {
-			if s.Name == "hostprof_slo_burn_rate" && s.Value > worst {
-				worst = s.Value
-			}
-		}
-	}
-	return worst
 }

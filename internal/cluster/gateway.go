@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +21,8 @@ import (
 
 // Config assembles a Gateway.
 type Config struct {
-	// Backends lists the shard base URLs (e.g. "http://127.0.0.1:8421").
+	// Backends lists the shard base URLs (e.g. "http://127.0.0.1:8421";
+	// a bare "host:port" gets http://, see normalizeBackends).
 	// Order matters for one thing only: the designated training node is
 	// the first healthy backend in this order. Placement comes from the
 	// ring, which is order-independent.
@@ -43,8 +46,6 @@ type Config struct {
 	// client's backoff schedule (server.RetryDelay). Default 2;
 	// negative disables.
 	ShardRetries int
-	// RetryBase/RetryMax bound the backoff (defaults 50ms / 1s).
-	RetryBase, RetryMax time.Duration
 	// MaxSessionsPerBatch caps a gateway batch (default 2048). The
 	// gateway re-chunks below every shard's own limit, so its cap can
 	// exceed a single backend's.
@@ -62,15 +63,6 @@ type Config struct {
 	// MigrationWorkers bounds concurrently copying key ranges during a
 	// resize (default 4).
 	MigrationWorkers int
-	// MigrationAttempts bounds freeze→copy→verify rounds per range
-	// before the range is rolled back to its old owner (default 3).
-	MigrationAttempts int
-	// NoAutoSync disables the health loop's model anti-entropy: by
-	// default, when a polled shard serves a different model version
-	// than the designated node (a restarted shard that recovered an
-	// old generation, a node that missed a distribution), the gateway
-	// re-ships the artifact.
-	NoAutoSync bool
 	// SLOTargets maps endpoint names ("report", "profile_batch") to
 	// latency SLO targets, exported as hostprof_gateway_slo_* gauges
 	// over a five-minute sliding window. Every target is a bucket bound
@@ -78,12 +70,9 @@ type Config struct {
 	// the per-request cost collapses to a nil check.
 	SLOTargets map[string]time.Duration
 	// SlowRequest, when positive, logs one structured warning per
-	// gateway request slower than this (with its trace ID and stage
-	// breakdown) and records it on /debug/statusz.
+	// gateway request slower than this, with its trace ID and stage
+	// breakdown.
 	SlowRequest time.Duration
-	// EventBuffer is the cluster timeline capacity (default 512
-	// events).
-	EventBuffer int
 	// FederationTTL bounds how stale the cached shard /varz scrapes
 	// behind /v1/cluster/metrics may get before a read re-scrapes
 	// (default 2s).
@@ -118,12 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardRetries < 0 {
 		c.ShardRetries = 0
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = time.Second
-	}
 	if c.MaxSessionsPerBatch <= 0 {
 		c.MaxSessionsPerBatch = 2048
 	}
@@ -133,14 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.MigrationWorkers <= 0 {
 		c.MigrationWorkers = 4
 	}
-	if c.MigrationAttempts <= 0 {
-		c.MigrationAttempts = 3
-	}
 	if c.ShardBatchLimit <= 0 {
 		c.ShardBatchLimit = 256
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 512
 	}
 	if c.FederationTTL <= 0 {
 		c.FederationTTL = 2 * time.Second
@@ -162,12 +139,11 @@ type Gateway struct {
 	client *http.Client
 
 	// observability plane: the cluster event timeline, the federated
-	// shard-metrics cache, the statusz page, and the handler wrapper
-	// holding the gateway's own SLOs and slow-request log.
-	events  *eventLog
-	fed     *federator
-	statusz *prof.Statusz
-	mw      httpmw.Config
+	// shard-metrics cache, and the handler wrapper holding the
+	// gateway's own SLOs.
+	events *eventLog
+	fed    *federator
+	mw     httpmw.Config
 
 	ringMu sync.Mutex
 	ring   *Ring
@@ -239,7 +215,6 @@ func newGatewayMetrics(reg *obs.Registry) gatewayMetrics {
 	reg.Describe("hostprof_gateway_batch_partial_total", "scatter-gather batches answered with partial results")
 	reg.Describe("hostprof_gateway_model_pushes_total", "model artifacts pushed to shards")
 	reg.Describe("hostprof_gateway_events_total", "cluster timeline events recorded, by type")
-	reg.Describe("hostprof_gateway_worst_shard_burn_rate", "largest hostprof_slo_burn_rate any shard reported in the cached federation view")
 	return gatewayMetrics{
 		shed:         reg.Counter("hostprof_gateway_shed_total"),
 		retries:      reg.Counter("hostprof_gateway_retries_total"),
@@ -260,14 +235,45 @@ func newGatewayMetrics(reg *obs.Registry) gatewayMetrics {
 	}
 }
 
+// normalizeBackends is the one backend normalization, applied by New,
+// SetBackends and Resize alike: each entry is trimmed of surrounding
+// whitespace, empty entries are dropped (a trailing comma on the
+// command line), a scheme-less host:port gets http://, and trailing
+// slashes go. An entry with inner whitespace or no host is refused, as
+// is a list with no entry left.
+func normalizeBackends(in []string) ([]string, error) {
+	out := make([]string, 0, len(in))
+	for _, b := range in {
+		s := strings.TrimSpace(b)
+		if s == "" {
+			continue
+		}
+		if !strings.Contains(s, "://") {
+			s = "http://" + s
+		}
+		s = strings.TrimRight(s, "/")
+		// url.Parse tolerates spaces in hostnames; a dial never will.
+		if u, err := url.Parse(s); err != nil || u.Host == "" || strings.ContainsAny(s, " \t\r\n") {
+			return nil, fmt.Errorf("cluster: bad backend URL %q", b)
+		}
+		out = append(out, s)
+	}
+	if len(out) == 0 {
+		return nil, errors.New("cluster: gateway needs at least one backend")
+	}
+	return out, nil
+}
+
 // New validates cfg and builds a gateway. The ring is built immediately
 // (placement needs no I/O); every shard starts unknown-dead until the
 // first health probe, so call Start (or CheckHealth) before serving.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Backends) == 0 {
-		return nil, errors.New("cluster: gateway needs at least one backend")
+	backends, err := normalizeBackends(cfg.Backends)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Backends = backends
 	ring, err := NewRing(cfg.Backends, cfg.VirtualNodes)
 	if err != nil {
 		return nil, err
@@ -290,7 +296,7 @@ func New(cfg Config) (*Gateway, error) {
 		tr:       cfg.Tracer,
 		log:      cfg.Logger,
 		client:   client,
-		events:   newEventLog(cfg.EventBuffer),
+		events:   newEventLog(eventBuffer),
 		fed:      &federator{ttl: cfg.FederationTTL},
 		ring:     ring,
 		shards:   make(map[string]*shardState, len(cfg.Backends)),
@@ -306,31 +312,12 @@ func New(cfg Config) (*Gateway, error) {
 		SlowRequest:  cfg.SlowRequest,
 		SLOs:         prof.NewSLOTracker("hostprof_gateway_slo", "hostprof_gateway_request_seconds", cfg.SLOTargets, reg),
 	}
-	if cfg.SlowRequest > 0 {
-		g.mw.SlowLog = prof.NewSlowLog(32)
-	}
 	for _, b := range cfg.Backends {
 		g.shards[b] = &shardState{name: b}
 		g.wireShardGauges(b)
 	}
 	g.registerMigrationMetrics()
-	reg.GaugeFunc("hostprof_gateway_worst_shard_burn_rate", g.worstShardBurnRate)
-	g.statusz = g.buildStatusz()
 	return g, nil
-}
-
-// buildStatusz assembles the gateway's /debug/statusz: the cluster
-// view, gateway SLOs, the newest timeline events, the federation
-// scrape ledger and the slow-request log — the one-pager an operator
-// opens first.
-func (g *Gateway) buildStatusz() *prof.Statusz {
-	sz := prof.NewStatusz()
-	sz.Section("cluster", func() any { return g.ClusterStatus() })
-	sz.Section("slo", func() any { return g.mw.SLOs.Status() })
-	sz.Section("events", func() any { return g.events.last(50) })
-	sz.Section("federation", func() any { return scrapeStatuses(g.fed.cached()) })
-	sz.Section("slow_requests", func() any { return g.mw.SlowLog.Snapshot() })
-	return sz
 }
 
 // Metrics returns the registry the gateway exports into.
@@ -350,6 +337,10 @@ func (g *Gateway) Ring() *Ring {
 // SetBackends errors while a migration is installed. Counted in
 // hostprof_gateway_ring_rebalance_total.
 func (g *Gateway) SetBackends(backends []string) error {
+	backends, err := normalizeBackends(backends)
+	if err != nil {
+		return err
+	}
 	ring, err := NewRing(backends, g.cfg.VirtualNodes)
 	if err != nil {
 		return err
@@ -419,9 +410,7 @@ func (g *Gateway) healthLoop() {
 		case <-t.C:
 			ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ShardTimeout)
 			g.CheckHealth(ctx)
-			if !g.cfg.NoAutoSync {
-				g.SyncModels(ctx)
-			}
+			g.SyncModels(ctx)
 			cancel()
 		case <-g.stop:
 			return
@@ -447,7 +436,6 @@ func (g *Gateway) healthLoop() {
 //	GET  /healthz           → gateway liveness
 //	GET  /readyz            → 200 when ≥1 shard is alive ("degraded" mid-migration)
 //	GET  /debug/traces      → distributed traces (gateway spans + shard-pushed spans)
-//	GET  /debug/statusz     → cluster one-pager (health, SLOs, events, federation)
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/report", g.mw.Wrap("report", g.handleReport))
@@ -463,7 +451,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("GET /varz", g.reg.VarzHandler())
 	mux.Handle("GET /healthz", obs.HealthzHandler(nil))
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
-	mux.Handle("GET /debug/statusz", g.statusz.Handler())
 	if g.tr.Enabled() {
 		mux.Handle("/debug/traces", g.tr.Handler())
 	}

@@ -58,6 +58,8 @@ type clusterFixture struct {
 	ont      *ontology.Ontology
 	db       *ads.DB
 	pop      *synth.Population
+	// shardEdit, when set, adjusts every shard's config (addShard).
+	shardEdit func(*server.Config)
 }
 
 func newClusterFixture(t *testing.T, shards, users int) *clusterFixture {
@@ -68,12 +70,19 @@ func newClusterFixture(t *testing.T, shards, users int) *clusterFixture {
 // (migration tests tune vnode counts and copy throttles).
 func newClusterFixtureCfg(t *testing.T, shards, users int, edit func(*Config)) *clusterFixture {
 	t.Helper()
+	return newClusterFixtureWith(t, shards, users, edit, nil)
+}
+
+// newClusterFixtureWith is newClusterFixtureCfg with a shard-config hook
+// as well (durable stores, admission limits).
+func newClusterFixtureWith(t *testing.T, shards, users int, edit func(*Config), shardEdit func(*server.Config)) *clusterFixture {
+	t.Helper()
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 100, Trackers: 15, Seed: 3})
 	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.2, Seed: 5})
 	db := ads.BuildFromOntology(ont, ads.BuildConfig{Seed: 7})
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 
-	fx := &clusterFixture{u: u, ont: ont, db: db}
+	fx := &clusterFixture{u: u, ont: ont, db: db, shardEdit: shardEdit}
 	var urls []string
 	for i := 0; i < shards; i++ {
 		urls = append(urls, fx.addShard(t))
@@ -110,14 +119,18 @@ func (fx *clusterFixture) addShard(t *testing.T) string {
 	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	trc := tracer.New(tracer.Config{Service: "shard", SampleRate: 1})
-	b, err := server.New(server.Config{
+	cfg := server.Config{
 		Ontology: fx.ont,
 		AdDB:     fx.db,
 		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
 		Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Tracer:   trc,
 		Logger:   quiet,
-	})
+	}
+	if fx.shardEdit != nil {
+		fx.shardEdit(&cfg)
+	}
+	b, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,35 +316,6 @@ func migrationPhaseOrdinal(state string) float64 {
 	default:
 		return 0
 	}
-}
-
-// normalizeBackends mirrors the CLI's backend normalization loosely:
-// scheme defaulted to http, trailing slash trimmed, entries validated
-// as URLs.
-func normalizeBackends(in []string) ([]string, error) {
-	out := make([]string, 0, len(in))
-	for _, b := range in {
-		s := b
-		if s == "" {
-			return nil, errors.New("cluster: empty backend URL")
-		}
-		if strings.ContainsAny(s, " \t\r\n") {
-			// url.Parse tolerates spaces in hostnames; a dial never will.
-			return nil, fmt.Errorf("cluster: bad backend URL %q", b)
-		}
-		if u, err := url.Parse(s); err != nil || u.Scheme == "" {
-			s = "http://" + s
-		}
-		u, err := url.Parse(s)
-		if err != nil || u.Host == "" {
-			return nil, fmt.Errorf("cluster: bad backend URL %q", b)
-		}
-		for len(s) > 0 && s[len(s)-1] == '/' {
-			s = s[:len(s)-1]
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 func sameMembers(a, b []string) bool {
@@ -673,9 +642,13 @@ func (m *Migration) plan(ctx context.Context) error {
 	return nil
 }
 
+// migrationAttempts bounds the freeze → copy → verify rounds per range
+// before the range is rolled back to its old owner.
+const migrationAttempts = 3
+
 // runRange drives one range to done or aborted: up to
-// cfg.MigrationAttempts rounds of freeze → copy → verify, aborting
-// early when the source or target dies.
+// migrationAttempts rounds of freeze → copy → verify, aborting early
+// when the source or target dies.
 func (m *Migration) runRange(ctx context.Context, r *migRange) {
 	g := m.g
 	for {
@@ -683,8 +656,8 @@ func (m *Migration) runRange(ctx context.Context, r *migRange) {
 		r.attempts++
 		attempt := r.attempts
 		m.mu.Unlock()
-		if attempt > g.cfg.MigrationAttempts {
-			m.abortRange(r, fmt.Errorf("cluster: %d attempts exhausted", g.cfg.MigrationAttempts))
+		if attempt > migrationAttempts {
+			m.abortRange(r, fmt.Errorf("cluster: %d attempts exhausted", migrationAttempts))
 			return
 		}
 		if ctx.Err() != nil {

@@ -8,7 +8,9 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -434,10 +436,61 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	}
 }
 
+// TestNormalizeBackends pins the one backend normalization New,
+// SetBackends and Resize share with the CLI's -backends list.
+func TestNormalizeBackends(t *testing.T) {
+	cases := []struct {
+		name string
+		in   []string
+		want []string // nil: refused
+	}{
+		{"host:port", []string{"localhost:8421", "shard-a:8421"}, []string{"http://localhost:8421", "http://shard-a:8421"}},
+		{"IPv4:port", []string{"10.0.0.7:8421"}, []string{"http://10.0.0.7:8421"}},
+		{"scheme and trailing slashes", []string{"https://shard-b:8421//", "http://127.0.0.1:1/"}, []string{"https://shard-b:8421", "http://127.0.0.1:1"}},
+		{"surrounding whitespace", []string{" shard-a:8421 ", "\thttp://shard-b:8421\n"}, []string{"http://shard-a:8421", "http://shard-b:8421"}},
+		{"embedded whitespace", []string{"http://bad host:8421"}, nil},
+		{"empty entry dropped", []string{"shard-a:8421", "", " "}, []string{"http://shard-a:8421"}},
+		{"only empty entries", []string{"", " "}, nil},
+		{"no host", []string{"http://"}, nil},
+	}
+	for _, c := range cases {
+		got, err := normalizeBackends(c.in)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: %q accepted as %q, want an error", c.name, c.in, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("%s: %q → %q, %v; want %q", c.name, c.in, got, err, c.want)
+		}
+	}
+
+	// The gateway applies it at every entry point.
+	gw, err := New(Config{Backends: []string{"127.0.0.1:1/"}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	if got := gw.Ring().Nodes(); !slices.Equal(got, []string{"http://127.0.0.1:1"}) {
+		t.Fatalf("New kept backends %q", got)
+	}
+	if err := gw.SetBackends([]string{"127.0.0.1:1", "127.0.0.1:2"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := gw.Ring().Nodes(); !slices.Equal(got, []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}) {
+		t.Fatalf("SetBackends kept backends %q", got)
+	}
+}
+
 // TestResizeValidation: the resize endpoint refuses garbage before any
 // migration machinery spins up, and a no-change resize is a clean noop.
 func TestResizeValidation(t *testing.T) {
 	fx := newClusterFixtureCfg(t, 2, 10, func(c *Config) { c.VirtualNodes = 8 })
+	var schemeless []string
+	for _, n := range fx.gw.Ring().Nodes() {
+		schemeless = append(schemeless, strings.TrimPrefix(n, "http://"))
+	}
 	cases := []struct {
 		name string
 		body any
@@ -447,6 +500,7 @@ func TestResizeValidation(t *testing.T) {
 		{"empty list", ResizeRequest{Backends: []string{}}, http.StatusBadRequest},
 		{"bad URL", ResizeRequest{Backends: []string{"http://bad host"}}, http.StatusBadRequest},
 		{"noop", ResizeRequest{Backends: fx.gw.Ring().Nodes()}, http.StatusOK},
+		{"noop, scheme-less", ResizeRequest{Backends: schemeless}, http.StatusOK},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, fx.gwSrv.URL+"/v1/cluster/resize", c.body, nil)

@@ -88,6 +88,13 @@ func (g *Gateway) doShard(ctx context.Context, method, shard, path string, hdr m
 	return ans, nil
 }
 
+// retryBase seeds the shed-retry backoff and retryMax caps every wait,
+// including a shard's own Retry-After.
+const (
+	retryBase = 50 * time.Millisecond
+	retryMax  = time.Second
+)
+
 // forwardWithRetry is doShard plus the shed-retry loop: an answer that
 // means "come back later" (429, or 503 with Retry-After — the same
 // contract the Extension client honors) is retried up to ShardRetries
@@ -103,7 +110,7 @@ func (g *Gateway) forwardWithRetry(ctx context.Context, method, shard, path stri
 			return ans, nil
 		}
 		g.met.retries.Inc()
-		delay := server.RetryDelay(apiErr.RetryAfter, attempt, g.cfg.RetryBase, g.cfg.RetryMax)
+		delay := server.RetryDelay(apiErr.RetryAfter, attempt, retryBase, retryMax)
 		if sp := tracer.FromContext(ctx); sp.Recording() {
 			sp.Event(fmt.Sprintf("shard retry %d after %s (HTTP %d from %s)", attempt+1, delay, ans.status, shard))
 		}

@@ -46,9 +46,6 @@ type ProfilerConfig struct {
 	// session, keeping the first, as the paper does to damp interactive
 	// services (Section 4.1). Default true (set SkipDedup to disable).
 	SkipDedup bool
-	// IndexWorkers caps per-query scan parallelism of the similarity
-	// index; 0 selects GOMAXPROCS (see index.Config.Workers).
-	IndexWorkers int
 	// ANN routes Eq. (3) neighbourhood queries through an HNSW graph
 	// over the packed rows instead of the exact scan — sublinear in the
 	// vocabulary, opt-in, with a transparent exact-scan fallback when
@@ -330,19 +327,19 @@ func (sc *profileScratch) dedupFirst(hosts []string) []string {
 // query: through the HNSW graph when one is attached (counting queries
 // and fallbacks, and keeping a sampled recall estimate by re-running
 // every 64th graph-answered query exactly), through the exact scan
-// otherwise.
+// otherwise. Scans run at the index's default parallelism (workers 0).
 func (p *Profiler) annSearch(dst []index.Result, sVec []float64, k int) []index.Result {
 	if p.ann == nil {
-		return p.idx.SearchAppend(dst, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
+		return p.idx.SearchAppend(dst, sVec, k, 0, index.NoExclude)
 	}
-	res, fellBack := p.ann.SearchAppend(dst, sVec, k, p.cfg.ANNEf, p.cfg.IndexWorkers, index.NoExclude)
+	res, fellBack := p.ann.SearchAppend(dst, sVec, k, p.cfg.ANNEf, 0, index.NoExclude)
 	p.mANNQueries.Inc() // nil-safe without cfg.Metrics
 	if fellBack {
 		p.mANNFallbacks.Inc()
 		return res
 	}
 	if p.annSample.Add(1)%64 == 1 {
-		exact := p.idx.SearchAppend(nil, sVec, k, p.cfg.IndexWorkers, index.NoExclude)
+		exact := p.idx.SearchAppend(nil, sVec, k, 0, index.NoExclude)
 		p.annHits.Add(int64(index.RecallHits(exact, res[len(dst):])))
 		p.annWant.Add(int64(len(exact)))
 		p.mANNSampled.Inc()

@@ -36,10 +36,10 @@ type Config struct {
 	// <prefix>_request_seconds histograms, and those histograms' bucket
 	// layout; endpoints without a target pay nothing for them.
 	SLOs *prof.SLOTracker
-	// SlowLog receives slow requests, each with its trace ID, for
-	// /debug/statusz.
-	SlowLog *prof.SlowLog
-	Logger  *slog.Logger
+	// Logger receives the slow-request warnings; a trace-aware logger
+	// (tracer.NewLogger) stamps each with its trace_id, the key into
+	// /debug/traces.
+	Logger *slog.Logger
 	// SlowRequest is the latency at which a request takes the slow path;
 	// zero or negative disables it.
 	SlowRequest time.Duration
@@ -114,21 +114,13 @@ func (c Config) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			} else if rec.code >= 500 {
 				span.Error(fmt.Errorf("HTTP %d", rec.code))
 			}
-			slow := c.SlowRequest > 0 && d >= c.SlowRequest
-			traceID := span.TraceIDString()
-			lat.ObserveExemplar(d.Seconds(), traceID)
+			lat.ObserveExemplar(d.Seconds(), span.TraceIDString())
 			span.SetAttr("code", strconv.Itoa(rec.code))
 			span.End()
 			c.Metrics.Counter(requests,
 				obs.L("endpoint", endpoint),
 				obs.L("code", strconv.Itoa(rec.code))).Inc()
-			if slow {
-				c.SlowLog.Add(prof.SlowEntry{
-					Endpoint: endpoint,
-					Code:     rec.code,
-					Seconds:  d.Seconds(),
-					TraceID:  traceID,
-				})
+			if c.SlowRequest > 0 && d >= c.SlowRequest {
 				c.Logger.LogAttrs(r.Context(), slog.LevelWarn, "slow request",
 					slog.String("endpoint", endpoint),
 					slog.Int("code", rec.code),

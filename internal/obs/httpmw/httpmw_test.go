@@ -26,17 +26,16 @@ var processes = []struct{ name, metricPrefix, spanPrefix string }{
 
 // plane is a fully wired observability plane for one process.
 type plane struct {
-	reg     *obs.Registry
-	tr      *tracer.Tracer
-	slos    *prof.SLOTracker
-	slowlog *prof.SlowLog
-	logs    *bytes.Buffer
-	mw      Config
+	reg  *obs.Registry
+	tr   *tracer.Tracer
+	slos *prof.SLOTracker
+	logs *bytes.Buffer
+	mw   Config
 }
 
 func newPlane(t *testing.T, metricPrefix, spanPrefix string, slow time.Duration) *plane {
 	t.Helper()
-	p := &plane{reg: obs.NewRegistry(), slowlog: prof.NewSlowLog(8), logs: new(bytes.Buffer)}
+	p := &plane{reg: obs.NewRegistry(), logs: new(bytes.Buffer)}
 	p.tr = tracer.New(tracer.Config{Service: "mw-test", SampleRate: 1, BufferTraces: 8, Seed: 3})
 	p.slos = prof.NewSLOTracker(metricPrefix+"_slo", metricPrefix+"_request_seconds",
 		map[string]time.Duration{"op": time.Second}, p.reg)
@@ -46,8 +45,7 @@ func newPlane(t *testing.T, metricPrefix, spanPrefix string, slow time.Duration)
 		Metrics:      p.reg,
 		Tracer:       p.tr,
 		SLOs:         p.slos,
-		SlowLog:      p.slowlog,
-		Logger:       slog.New(slog.NewJSONHandler(p.logs, nil)),
+		Logger:       slog.New(tracer.WithTraceIDs(slog.NewJSONHandler(p.logs, nil))),
 		SlowRequest:  slow,
 	}
 	return p
@@ -169,9 +167,9 @@ func TestTraceparentJoinAndExemplar(t *testing.T) {
 	}
 }
 
-// TestSlowPath: a request past the threshold lands in the slow log
-// under its trace ID and emits exactly one "slow request" warning with
-// the stage breakdown.
+// TestSlowPath: a request past the threshold emits exactly one "slow
+// request" warning with the stage breakdown, stamped with the request's
+// trace ID.
 func TestSlowPath(t *testing.T) {
 	for _, pr := range processes {
 		t.Run(pr.name, func(t *testing.T) {
@@ -182,15 +180,11 @@ func TestSlowPath(t *testing.T) {
 			})(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/op", nil))
 
 			_, sd := p.handlerSpan(t, pr.spanPrefix+"op")
-			entries := p.slowlog.Snapshot()
-			if len(entries) != 1 || entries[0].Endpoint != "op" || entries[0].TraceID != sd.TraceID {
-				t.Fatalf("slow log = %+v", entries)
-			}
 			out := p.logs.String()
 			if strings.Count(out, `"msg":"slow request"`) != 1 {
 				t.Fatalf("want exactly one slow-request warning, got: %s", out)
 			}
-			for _, want := range []string{`"level":"WARN"`, `"endpoint":"op"`, `"code":200`, `"stages":"stage.one=`} {
+			for _, want := range []string{`"level":"WARN"`, `"endpoint":"op"`, `"code":200`, `"stages":"stage.one=`, `"trace_id":"` + sd.TraceID + `"`} {
 				if !strings.Contains(out, want) {
 					t.Errorf("slow-request log missing %s: %s", want, out)
 				}
@@ -242,7 +236,7 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestDisabledPathAllocs: with no tracer, SLOs, slow log or
+// TestDisabledPathAllocs: with no tracer, SLOs or slow-request
 // threshold, one pass through the wrapper allocates only the recorder,
 // the deferred closure and the per-request counter lookup — every
 // observability hook must be free when switched off.

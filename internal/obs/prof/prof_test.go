@@ -1,9 +1,7 @@
 package prof
 
 import (
-	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -131,15 +129,11 @@ func TestCountAboveExactAtBound(t *testing.T) {
 }
 
 func TestNilProfilerZeroAlloc(t *testing.T) {
-	// The disabled path — nil SLO, nil slow log — must not allocate on
-	// the request path, matching the tracer's contract.
+	// The disabled path — a nil SLO — must not allocate on the request
+	// path, matching the tracer's contract.
 	var s *SLO
-	var l *SlowLog
 	now := time.Now()
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Mark(now)
-		l.Add(SlowEntry{})
-	})
+	allocs := testing.AllocsPerRun(1000, func() { s.Mark(now) })
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f/op, want 0", allocs)
 	}
@@ -192,8 +186,8 @@ func TestSLOBurnRate(t *testing.T) {
 	if !strings.Contains(out, `hostprof_slo_burn_rate{endpoint="report"} 5`) {
 		t.Fatalf("burn-rate gauge missing:\n%s", out)
 	}
-	if !strings.Contains(out, `hostprof_slo_target_seconds{endpoint="report"} 0.1`) {
-		t.Fatalf("target gauge missing:\n%s", out)
+	if !strings.Contains(out, `hostprof_slo_window_requests{endpoint="report"} 100`) {
+		t.Fatalf("window gauge missing:\n%s", out)
 	}
 }
 
@@ -273,7 +267,7 @@ func TestSLOWindowDecay(t *testing.T) {
 
 func TestSLOTrackerNilAndStatus(t *testing.T) {
 	var tr *SLOTracker
-	if tr.Get("x") != nil || tr.Status() != nil {
+	if tr.Get("x") != nil {
 		t.Fatal("nil tracker not inert")
 	}
 	if !slices.Equal(tr.Buckets(), defaultSLOBuckets) {
@@ -287,9 +281,8 @@ func TestSLOTrackerNilAndStatus(t *testing.T) {
 		t.Fatal("a tracker without a registry has no histogram to read")
 	}
 	real := newTracker(reg, map[string]time.Duration{"b": time.Second, "a": 300 * time.Millisecond, "c": -1})
-	st := real.Status()
-	if len(st) != 2 || st[0].Endpoint != "a" || st[1].Endpoint != "b" {
-		t.Fatalf("status order = %+v", st)
+	if real.Get("a") == nil || real.Get("b") == nil || real.Get("a").target != 0.3 {
+		t.Fatal("positive targets did not each build an SLO")
 	}
 	if real.Get("c") != nil {
 		t.Fatal("non-positive target registered an SLO")
@@ -309,71 +302,5 @@ func TestSLOTrackerNilAndStatus(t *testing.T) {
 	nilSLO.Mark(time.Now())
 	if got := nilSLO.Status(); got.WindowRequests != 0 {
 		t.Fatal("nil SLO not inert")
-	}
-}
-
-// --- statusz + slow log ---------------------------------------------
-
-func TestStatuszRendering(t *testing.T) {
-	s := NewStatusz()
-	s.Section("slo", func() any {
-		return []SLOStatus{{Endpoint: "report", TargetSeconds: 0.25, BurnRate: 2.5}}
-	})
-	s.Section("store", func() any { return map[string]any{"degraded": false} })
-	// Replacing a section keeps its position and does not duplicate.
-	s.Section("store", func() any { return map[string]any{"degraded": true} })
-
-	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/statusz?format=json", nil))
-	var page map[string]json.RawMessage
-	if err := json.Unmarshal(rr.Body.Bytes(), &page); err != nil {
-		t.Fatal(err)
-	}
-	if len(page) != 3 {
-		t.Fatalf("sections = %d, want 3 (build, slo, store)", len(page))
-	}
-	if _, ok := page["build"]; !ok {
-		t.Fatal("build section missing")
-	}
-	var store map[string]bool
-	if err := json.Unmarshal(page["store"], &store); err != nil {
-		t.Fatal(err)
-	}
-	if !store["degraded"] {
-		t.Fatal("section replacement did not take")
-	}
-
-	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/statusz", nil))
-	html := rr.Body.String()
-	for _, want := range []string{"<h2>build</h2>", "<h2>slo</h2>", "<h2>store</h2>", "go_version", "burn_rate"} {
-		if !strings.Contains(html, want) {
-			t.Fatalf("HTML statusz missing %q:\n%s", want, html)
-		}
-	}
-	if idx := strings.Index(html, "<h2>slo</h2>"); idx > strings.Index(html, "<h2>store</h2>") {
-		t.Fatal("sections out of registration order")
-	}
-
-	var nilS *Statusz
-	nilS.Section("x", func() any { return nil })
-	rr = httptest.NewRecorder()
-	nilS.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/statusz", nil))
-	if rr.Code != 404 {
-		t.Fatalf("nil statusz code = %d", rr.Code)
-	}
-}
-
-func TestSlowLog(t *testing.T) {
-	l := NewSlowLog(2)
-	l.Add(SlowEntry{Endpoint: "a", Seconds: 1})
-	l.Add(SlowEntry{Endpoint: "b", Seconds: 2})
-	l.Add(SlowEntry{Endpoint: "c", Seconds: 3})
-	got := l.Snapshot()
-	if len(got) != 2 || got[0].Endpoint != "c" || got[1].Endpoint != "b" {
-		t.Fatalf("slow log = %+v", got)
-	}
-	if got[0].UnixNano == 0 {
-		t.Fatal("timestamp not stamped")
 	}
 }

@@ -1,22 +1,14 @@
 // Package prof is the repo's third observability pillar, after metrics
-// (internal/obs) and traces (internal/obs/tracer): latency SLOs, the
-// slow-request log and the statusz page, dependency-free like its
-// siblings. (CPU, heap, mutex and block profiles are served by
-// net/http/pprof under `-pprof`; this package captures none.)
-//
-//   - Per-endpoint SLOs (latency target + objective) read the request
-//     latency histogram over a sliding window and export their burn
-//     rates and quantile estimates as hostprof_slo_* gauges.
-//   - A SlowLog retains the most recent slow requests, each with its
-//     trace ID, for /debug/statusz.
-//   - A Statusz page aggregates build info, SLO state and whatever
-//     sections the server registers into one operational view at
-//     /debug/statusz.
+// (internal/obs) and traces (internal/obs/tracer): per-endpoint latency
+// SLOs, dependency-free like its siblings. (CPU, heap, mutex and block
+// profiles are served by net/http/pprof under `-pprof`; this package
+// captures none.) An SLO (latency target + objective) reads the
+// request latency histogram over a sliding window and exports its burn
+// rate and quantile estimates as hostprof_slo_* gauges.
 //
 // Cost contract (mirrors obs and tracer): every method is safe on a
 // nil receiver, so instrumentation is wired unconditionally and a
-// disabled SLO or slow log is a nil check — no allocation on the
-// request path.
+// disabled SLO is a nil check — no allocation on the request path.
 package prof
 
 import "math"

@@ -40,9 +40,8 @@ const (
 // All methods are safe for concurrent use and on a nil receiver (the
 // disabled state).
 type SLO struct {
-	endpoint string
-	target   float64 // seconds
-	hist     *obs.Histogram
+	target float64 // seconds
+	hist   *obs.Histogram
 
 	epoch atomic.Int64 // newest slice holding a baseline
 
@@ -51,8 +50,8 @@ type SLO struct {
 	base   [sloSlices][]int64 // histogram bucket counts at the slice's first request
 }
 
-func newSLO(endpoint string, target float64, hist *obs.Histogram) *SLO {
-	s := &SLO{endpoint: endpoint, target: target, hist: hist}
+func newSLO(target float64, hist *obs.Histogram) *SLO {
+	s := &SLO{target: target, hist: hist}
 	s.epoch.Store(-1)
 	for i := range s.epochs {
 		s.epochs[i] = -1
@@ -113,25 +112,19 @@ func (s *SLO) window(now int64) ([]int64, int64) {
 	return counts, total
 }
 
-// SLOStatus is one endpoint's point-in-time SLO state, as surfaced on
-// /debug/statusz and the hostprof_slo_* gauges.
+// SLOStatus is one endpoint's point-in-time SLO state, as exported by
+// the hostprof_slo_* gauges.
 type SLOStatus struct {
-	Endpoint      string  `json:"endpoint"`
-	TargetSeconds float64 `json:"target_seconds"`
-	Objective     float64 `json:"objective"`
 	// WindowRequests is the number of requests inside the sliding
-	// window; the remaining fields are meaningless (and zero/NaN-free:
-	// reported as zero) when it is 0.
-	WindowRequests int64 `json:"window_requests"`
+	// window; the remaining fields are zero when it is 0.
+	WindowRequests int64
 	// BreachRatio is the fraction of windowed requests over target.
-	BreachRatio float64 `json:"breach_ratio"`
+	BreachRatio float64
 	// BurnRate is BreachRatio divided by the error budget (1 −
 	// objective): 1.0 means the budget is being consumed exactly as
 	// fast as it accrues; above 1 the SLO is burning down.
-	BurnRate float64 `json:"burn_rate"`
-	P50      float64 `json:"p50_seconds"`
-	P90      float64 `json:"p90_seconds"`
-	P99      float64 `json:"p99_seconds"`
+	BurnRate      float64
+	P50, P90, P99 float64
 }
 
 // Status snapshots the SLO. Safe on nil (returns the zero value).
@@ -143,13 +136,8 @@ func (s *SLO) statusAt(now int64) SLOStatus {
 	if s == nil {
 		return SLOStatus{}
 	}
-	st := SLOStatus{
-		Endpoint:      s.endpoint,
-		TargetSeconds: s.target,
-		Objective:     sloObjective,
-	}
 	counts, total := s.window(now)
-	st.WindowRequests = total
+	st := SLOStatus{WindowRequests: total}
 	if total == 0 {
 		return st
 	}
@@ -213,9 +201,7 @@ func NewSLOTracker(prefix, family string, targets map[string]time.Duration, reg 
 	slices.Sort(t.buckets)
 	t.buckets = slices.Compact(t.buckets)
 
-	reg.Describe(prefix+"_target_seconds", "per-endpoint SLO latency target")
 	reg.Describe(prefix+"_window_requests", "requests inside the SLO sliding window")
-	reg.Describe(prefix+"_breach_ratio", "fraction of windowed requests over the SLO target")
 	reg.Describe(prefix+"_burn_rate", "error-budget burn rate: breach ratio / (1 - objective); >1 burns the budget down")
 	reg.Describe(prefix+"_latency_seconds", "windowed latency quantile estimates per endpoint")
 	for endpoint, target := range targets {
@@ -223,11 +209,9 @@ func NewSLOTracker(prefix, family string, targets map[string]time.Duration, reg 
 			continue
 		}
 		le := obs.L("endpoint", endpoint)
-		s := newSLO(endpoint, target.Seconds(), reg.Histogram(family, t.buckets, le))
+		s := newSLO(target.Seconds(), reg.Histogram(family, t.buckets, le))
 		t.slos[endpoint] = s
-		reg.GaugeFunc(prefix+"_target_seconds", func() float64 { return s.target }, le)
 		reg.GaugeFunc(prefix+"_window_requests", func() float64 { return float64(s.Status().WindowRequests) }, le)
-		reg.GaugeFunc(prefix+"_breach_ratio", func() float64 { return s.Status().BreachRatio }, le)
 		reg.GaugeFunc(prefix+"_burn_rate", func() float64 { return s.Status().BurnRate }, le)
 		for _, q := range []struct {
 			name string
@@ -258,20 +242,6 @@ func (t *SLOTracker) Get(endpoint string) *SLO {
 		return nil
 	}
 	return t.slos[endpoint]
-}
-
-// Status snapshots every SLO, sorted by endpoint. Safe on nil (returns
-// nil).
-func (t *SLOTracker) Status() []SLOStatus {
-	if t == nil {
-		return nil
-	}
-	out := make([]SLOStatus, 0, len(t.slos))
-	for _, s := range t.slos {
-		out = append(out, s.Status())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
 }
 
 // defaultSLOBuckets are the request-latency bounds, a denser low end

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"go/ast"
 	"go/parser"
@@ -15,11 +16,11 @@ import (
 )
 
 // surfaceFile is the committed operator surface: every metric family,
-// every flag per `hostprof` subcommand, every /debug/* route per
-// process, every command (package main) of the module and every
-// exported field of the two processes' Config structs.
-// TestSurfaceRatchet holds the tree to it exactly, so a PR that adds a
-// name edits the file in plain sight.
+// every flag per `hostprof` subcommand, every /debug/* and every other
+// route per process, every command (package main) of the module, every
+// exported field of the two processes' Config structs, and the product
+// Go line count. TestSurfaceRatchet holds the tree to it exactly, so a
+// change that adds a name or a line edits the file in plain sight.
 const surfaceFile = "../../surface.json"
 
 // moduleRoot is the main module's root directory.
@@ -29,8 +30,10 @@ type surface struct {
 	MetricFamilies []string            `json:"metric_families"`
 	Flags          map[string][]string `json:"flags"`
 	DebugRoutes    map[string][]string `json:"debug_routes"`
+	APIRoutes      map[string][]string `json:"api_routes"`
 	Commands       []string            `json:"commands"`
 	ConfigFields   map[string][]string `json:"config_fields"`
+	ProductGoLines int                 `json:"product_go_lines"`
 }
 
 // configStructs names, per package directory, the Config struct whose
@@ -41,17 +44,17 @@ var configStructs = map[string]string{
 	"cluster.Config": "../cluster",
 }
 
-// debugRouteSources names, per process, the functions that mount its
-// HTTP routes: the process's own handler plus the -pprof helper.
-var debugRouteSources = map[string][]struct{ dir, fn string }{
+// routeSources names, per process, the functions that mount its HTTP
+// routes: the process's own handler plus the -pprof helper.
+var routeSources = map[string][]struct{ dir, fn string }{
 	"serve":   {{"../server", "Backend.Handler"}, {"../../cmd/hostprof", "withPprof"}},
 	"gateway": {{"../cluster", "Gateway.Handler"}, {"../../cmd/hostprof", "withPprof"}},
 }
 
 // TestSurfaceRatchet compares the live surface — the families the fully
 // wired registries of TestDescribeCoverage hold, the flags each
-// subcommand defines, the /debug/* routes each process mounts — with
-// surface.json. A name the file lacks fails the test: adding surface is
+// subcommand defines, the routes each process mounts, the product Go
+// lines — with surface.json. A name the file lacks fails the test: adding surface is
 // a visible edit of that file. A name the file has but the tree lost
 // fails too, printing the contents to commit, so the file stays exact
 // and a deleted name cannot come back unnoticed.
@@ -66,17 +69,23 @@ func TestSurfaceRatchet(t *testing.T) {
 		MetricFamilies: sortedKeys(fams),
 		Flags:          subcommandFlags(t, "../../cmd/hostprof"),
 		DebugRoutes:    map[string][]string{},
+		APIRoutes:      map[string][]string{},
+		ProductGoLines: productGoLines(t, moduleRoot),
 	}
-	for proc, srcs := range debugRouteSources {
-		routes := map[string]bool{}
+	for proc, srcs := range routeSources {
+		debug, api := map[string]bool{}, map[string]bool{}
 		for _, src := range srcs {
 			for _, r := range mountedRoutes(t, src.dir, src.fn) {
-				if strings.HasPrefix(r, "/debug/") {
-					routes[r] = true
+				switch {
+				case strings.HasPrefix(r, "/debug/"):
+					debug[r] = true
+				case r != "/": // "/" is withPprof handing on to the process
+					api[r] = true
 				}
 			}
 		}
-		live.DebugRoutes[proc] = sortedKeys(routes)
+		live.DebugRoutes[proc] = sortedKeys(debug)
+		live.APIRoutes[proc] = sortedKeys(api)
 	}
 	live.Commands = mainPackages(t, moduleRoot)
 	live.ConfigFields = map[string][]string{}
@@ -102,6 +111,7 @@ func TestSurfaceRatchet(t *testing.T) {
 	}{
 		{"flag", committed.Flags, live.Flags},
 		{"debug route", committed.DebugRoutes, live.DebugRoutes},
+		{"api route", committed.APIRoutes, live.APIRoutes},
 		{"config field", committed.ConfigFields, live.ConfigFields},
 	} {
 		for _, k := range sortedKeys(union(kind.committed, kind.live)) {
@@ -109,10 +119,15 @@ func TestSurfaceRatchet(t *testing.T) {
 			added, removed = append(added, a...), append(removed, r...)
 		}
 	}
-	if len(added) == 0 && len(removed) == 0 {
+	lines := live.ProductGoLines != committed.ProductGoLines
+	if len(added) == 0 && len(removed) == 0 && !lines {
 		return
 	}
 	want, _ := json.MarshalIndent(live, "", "  ")
+	if lines {
+		t.Errorf("product Go is %d lines, surface.json holds %d — record the new count in plain sight",
+			live.ProductGoLines, committed.ProductGoLines)
+	}
 	for _, a := range added {
 		t.Errorf("surface grew: %s is not in surface.json — an addition edits that file in plain sight", a)
 	}
@@ -196,6 +211,44 @@ func mainPackages(t *testing.T, root string) []string {
 		t.Fatal(err)
 	}
 	return sortedKeys(dirs)
+}
+
+// productGoLines counts the lines of the module's non-test Go files,
+// as `make loc` counts product Go: nested modules (bench/) and hidden
+// and testdata directories are not product.
+func productGoLines(t *testing.T, root string) int {
+	t.Helper()
+	lines := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		lines += bytes.Count(data, []byte("\n"))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }
 
 // exportedFields lists the exported field names of struct typeName in

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,17 +17,23 @@ import (
 )
 
 // TestSlowRequestProfileLinkage: a request breaching SlowRequest must
-// land in the slow log under its trace ID, and that ID must resolve
-// through the backend's /debug/traces to the request's span tree — so
-// /debug/statusz leads to the stage breakdown that explains the slow
-// request.
+// log a WARN "slow request" line whose trace_id, stamped by the
+// trace-aware logger, resolves through the backend's /debug/traces to
+// the request's span tree — so the log line leads to the stage
+// breakdown that explains the slow request.
 func TestSlowRequestProfileLinkage(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := tracer.New(tracer.Config{Service: "hostprof-serve", SampleRate: 1, BufferTraces: 32, Metrics: reg, Seed: 21})
+	var logs syncBuffer
+	logger, err := tracer.NewLogger(&logs, "json", "warn")
+	if err != nil {
+		t.Fatal(err)
+	}
 	fx := newResilienceFixture(t, func(cfg *Config) {
 		cfg.Metrics = reg
 		cfg.Tracer = tr
 		cfg.SlowRequest = time.Nanosecond // everything is slow
+		cfg.Logger = logger
 	})
 	seedVisits(t, fx)
 
@@ -37,15 +45,22 @@ func TestSlowRequestProfileLinkage(t *testing.T) {
 		t.Fatalf("report: %v", err)
 	}
 
-	// The slow log remembers the report with its trace ID.
+	// The WARN line names the report and carries its trace ID.
 	var traceID string
-	for _, e := range fx.b.mw.SlowLog.Snapshot() {
-		if e.Endpoint == "report" && e.TraceID != "" {
-			traceID = e.TraceID
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec struct {
+			Level, Msg, Endpoint, Stages string
+			TraceID                      string `json:"trace_id"`
+		}
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "slow request" && rec.Endpoint == "report" {
+			if rec.Level != "WARN" || rec.Stages == "-" {
+				t.Fatalf("slow-request line %s: want a WARN with a stage breakdown", line)
+			}
+			traceID = rec.TraceID
 		}
 	}
 	if traceID == "" {
-		t.Fatal("slow log holds no traced report")
+		t.Fatalf("no slow-request line with a trace_id for the report:\n%s", logs.String())
 	}
 
 	// And the ID resolves over the backend handler to the report's span
@@ -74,74 +89,6 @@ func TestSlowRequestProfileLinkage(t *testing.T) {
 	if !names["http.report"] || len(names) < 2 {
 		t.Fatalf("trace spans = %v, want the handler span and its stages", names)
 	}
-}
-
-// TestStatuszEndpoint exercises the aggregated operational view over
-// HTTP: build info, SLO state, store status, retrain state and the slow
-// log must all render in one page.
-func TestStatuszEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	fx := newResilienceFixture(t, func(cfg *Config) {
-		cfg.Metrics = reg
-		cfg.SLOTargets = map[string]time.Duration{"report": 250 * time.Millisecond}
-		cfg.SlowRequest = -1
-	})
-	seedVisits(t, fx)
-	ext := &Extension{BaseURL: fx.srv.URL, User: 0}
-	if err := ext.Retrain(); err != nil {
-		t.Fatalf("retrain: %v", err)
-	}
-	if _, err := ext.Report(40_000_000, []string{"news-0.example.com"}); err != nil {
-		t.Fatalf("report: %v", err)
-	}
-
-	resp, err := http.Get(fx.srv.URL + "/debug/statusz?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var page map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		t.Fatal(err)
-	}
-	for _, section := range []string{"build", "slo", "store", "retrain", "slow_requests"} {
-		if _, ok := page[section]; !ok {
-			t.Fatalf("statusz missing section %q (has %v)", section, keys(page))
-		}
-	}
-	var slos []prof.SLOStatus
-	if err := json.Unmarshal(page["slo"], &slos); err != nil {
-		t.Fatal(err)
-	}
-	if len(slos) != 1 || slos[0].Endpoint != "report" || slos[0].WindowRequests == 0 {
-		t.Fatalf("slo section = %+v", slos)
-	}
-	var retrain map[string]any
-	if err := json.Unmarshal(page["retrain"], &retrain); err != nil {
-		t.Fatal(err)
-	}
-	if retrain["trained"] != true {
-		t.Fatalf("retrain section = %v", retrain)
-	}
-
-	// HTML rendering too.
-	resp, err = http.Get(fx.srv.URL + "/debug/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	html, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(html), "<h2>slo</h2>") || !strings.Contains(string(html), "burn_rate") {
-		t.Fatal("HTML statusz missing SLO state")
-	}
-}
-
-func keys(m map[string]json.RawMessage) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // TestSLOMetricsOnScrape pins the hostprof_slo_* exposition: a target
@@ -216,12 +163,31 @@ func TestSLOTargetIsServedBucketBound(t *testing.T) {
 		`hostprof_http_request_seconds_bucket{endpoint="stats",le="0.001"} 0`,
 		`hostprof_http_request_seconds_bucket{endpoint="stats",le="0.0025"} 0`,
 		`hostprof_slo_window_requests{endpoint="report"} 1`,
-		`hostprof_slo_breach_ratio{endpoint="report"} 0`,
+		`hostprof_slo_burn_rate{endpoint="report"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, grepLines(out, `endpoint="report"`))
 		}
 	}
+}
+
+// syncBuffer is a bytes.Buffer a handler goroutine may log into while
+// the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func grepLines(s, substr string) string {

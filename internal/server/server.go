@@ -47,11 +47,6 @@ type Config struct {
 	Train core.TrainConfig
 	// Profile configures session profiling.
 	Profile core.ProfilerConfig
-	// SessionWindow is T in seconds (default 1200, the paper's 20 min).
-	SessionWindow int64
-	// AdsPerReport is how many ads each report answer carries
-	// (default 20, paper Section 5.3).
-	AdsPerReport int
 	// Metrics, when non-nil, is the registry the backend exports into
 	// (hostprof_* names; see internal/obs). Nil creates a private
 	// registry, retrievable via Backend.Metrics, so /metrics and /varz
@@ -106,10 +101,10 @@ type Config struct {
 	// SLOTargets maps endpoint names ("report", "profile_batch",
 	// "retrain", ...) to latency targets. Each named endpoint gets a
 	// five-minute sliding-window SLO (99% of requests under target)
-	// whose burn rate, breach ratio and latency quantiles are exported
-	// as hostprof_slo_* gauges and surfaced on /debug/statusz. Every
-	// target is a bucket bound of hostprof_http_request_seconds. Empty
-	// disables SLO tracking — zero cost on the request path.
+	// whose burn rate and latency quantiles are exported as
+	// hostprof_slo_* gauges. Every target is a bucket bound of
+	// hostprof_http_request_seconds. Empty disables SLO tracking — zero
+	// cost on the request path.
 	SLOTargets map[string]time.Duration
 	// Logger receives the backend's structured logs (retrain outcomes,
 	// slow requests). Nil selects slog.Default().
@@ -126,11 +121,9 @@ type Backend struct {
 	met backendMetrics
 	tr  *tracer.Tracer
 
-	// mw is the instrumented-handler wrapper every /v1 route mounts; it
-	// holds the handles /debug/statusz renders (per-endpoint SLOs, the
-	// recent-slow-request log).
-	mw      httpmw.Config
-	statusz *prof.Statusz
+	// mw is the instrumented-handler wrapper every /v1 route mounts,
+	// holding the per-endpoint SLOs.
+	mw httpmw.Config
 
 	store *store.Store
 	eng   *engine.Engine
@@ -189,12 +182,6 @@ func New(cfg Config) (*Backend, error) {
 	if cfg.AdDB == nil {
 		return nil, errors.New("server: config requires an ad inventory")
 	}
-	if cfg.SessionWindow <= 0 {
-		cfg.SessionWindow = 20 * 60
-	}
-	if cfg.AdsPerReport <= 0 {
-		cfg.AdsPerReport = 20
-	}
 	if cfg.MaxHostsPerReport <= 0 {
 		cfg.MaxHostsPerReport = 1024
 	}
@@ -207,7 +194,7 @@ func New(cfg Config) (*Backend, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	sel, err := ads.NewSelector(cfg.AdDB, cfg.Ontology, 20)
+	sel, err := ads.NewSelector(cfg.AdDB, cfg.Ontology, adsPerReport)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -258,42 +245,11 @@ func New(cfg Config) (*Backend, error) {
 		SpanPrefix:   "http.",
 		Metrics:      reg,
 		Tracer:       cfg.Tracer,
-		SlowLog:      prof.NewSlowLog(32),
 		Logger:       cfg.Logger,
 		SlowRequest:  cfg.SlowRequest,
 		SLOs:         prof.NewSLOTracker("hostprof_slo", "hostprof_http_request_seconds", cfg.SLOTargets, reg),
 	}
-	b.statusz = b.buildStatusz()
 	return b, nil
-}
-
-// buildStatusz assembles the /debug/statusz page: the operational state
-// an on-call needs in one place, each section computed at render time.
-func (b *Backend) buildStatusz() *prof.Statusz {
-	sz := prof.NewStatusz()
-	sz.Section("slo", func() any { return b.mw.SLOs.Status() })
-	sz.Section("store", func() any {
-		rec := b.store.Recovery()
-		return map[string]any{
-			"degraded": b.store.Degraded(),
-			"visits":   b.store.Len(),
-			"users":    b.store.UserCount(),
-			"recovery": rec,
-		}
-	})
-	sz.Section("retrain", func() any {
-		p := b.eng.Profiler()
-		st := map[string]any{
-			"trained": p != nil,
-			"running": b.eng.Running(),
-		}
-		if p != nil {
-			st["vocab"] = p.Model().Vocab().Len()
-		}
-		return st
-	})
-	sz.Section("slow_requests", func() any { return b.mw.SlowLog.Snapshot() })
-	return sz
 }
 
 // Store returns the backend's visit store, for durability operations and
@@ -346,6 +302,14 @@ func (b *Backend) RetrainAsync(ctx context.Context) bool {
 // RetrainRunning reports whether a retrain is in flight.
 func (b *Backend) RetrainRunning() bool { return b.eng.Running() }
 
+// sessionWindow is the paper's T, in seconds: a report is answered
+// from the user's last twenty minutes of visits.
+const sessionWindow = 20 * 60
+
+// adsPerReport is how many ads each report answer carries (paper
+// Section 5.3).
+const adsPerReport = 20
+
 // retrainLabel names the backend's full-history retrains in errors and
 // on the train.retrain span.
 const retrainLabel = "retrain"
@@ -395,7 +359,7 @@ func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []str
 		return nil, appendErr
 	}
 	_, ssp := b.tr.StartSpan(ctx, "store.session")
-	session := b.store.Session(userID, now, b.cfg.SessionWindow)
+	session := b.store.Session(userID, now, sessionWindow)
 	ssp.SetAttr("session_hosts", strconv.Itoa(len(session)))
 	ssp.End()
 	profile, err := b.eng.Profile(ctx, session)
@@ -403,7 +367,7 @@ func (b *Backend) report(ctx context.Context, userID int, now int64, hosts []str
 		return nil, err
 	}
 	_, asp := b.tr.StartSpan(ctx, "ads.select")
-	list := b.selector.Select(profile, b.cfg.AdsPerReport)
+	list := b.selector.Select(profile, adsPerReport)
 	asp.SetAttr("ads", strconv.Itoa(len(list)))
 	asp.End()
 	return list, nil
@@ -555,7 +519,6 @@ type FeedbackRequest struct {
 //	GET  /varz          → JSON metrics snapshot
 //	GET  /healthz       → liveness (200 while the process serves)
 //	GET  /readyz        → readiness JSON (trained, store-degraded, model version)
-//	GET  /debug/statusz → single-page operational view (HTML, ?format=json)
 //
 // Error responses from /v1 endpoints carry a JSON body {"error": "..."}.
 // Every /v1 endpoint is instrumented with a request counter
@@ -593,7 +556,6 @@ func (b *Backend) Handler() http.Handler {
 	if b.tr.Enabled() {
 		mux.Handle("/debug/traces", b.tr.Handler())
 	}
-	mux.Handle("GET /debug/statusz", b.statusz.Handler())
 	return mux
 }
 
