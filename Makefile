@@ -80,7 +80,8 @@ endef
 
 # Short fuzz smoke over the WAL record decoder, the visit store against
 # its shard-scan reference, the ANN build, the ANN graph loader, the
-# exact scan's selection, the scan's 4-row kernel and the trainer's two
+# exact scan's selection, the scan's 4-row and 4-query kernels (the
+# latter on the AVX2 path and the fallback) and the trainer's two
 # row kernels against their portable twins, the model loader (what
 # PUT /v1/model parses), the gateway's batch-body scanner, the shard's /v1/import body, the
 # observer's three wire parsers and the pcap reader (CI runs the same).
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSearchSelect$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzDot32Rows$$' -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzDot32Q4$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSGNSKernels$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelLoad$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzArrayField$$' -fuzztime 10s

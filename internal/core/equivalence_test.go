@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
 
+	"hostprof/internal/obs/tracer"
 	"hostprof/internal/ontology"
 	"hostprof/internal/stats"
 )
@@ -251,29 +254,109 @@ func vectorsBitEqual(a, b ontology.Vector) bool {
 
 // TestProfileBatchMatchesSequential pins ProfileSessions to the
 // per-session outputs of ProfileSession, errors included, in input
-// order.
+// order. 37 sessions span several groups at any GOMAXPROCS; empty,
+// all-unknown, repeated and duplicate sessions sit among them. Two
+// worlds cover both kernel widths (dim 16 takes the four-query kernel,
+// dim 13 the per-query fallback), under exact and ANN profilers.
 func TestProfileBatchMatchesSequential(t *testing.T) {
 	fx := newProfilingFixture(t, 0.5)
-	p := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20})
-	sessions := [][]string{
-		fx.ta[:3],
-		nil,                    // ErrEmptySession
-		{"never-seen.example"}, // ErrNoLabels
-		fx.tb[:3],
-		{fx.ta[0]},
+	rng := stats.NewRNG(37)
+	wide := randModel(t, rng, 400, 13)
+	wideOnt := ontology.New(fx.tax)
+	for id := 0; id < 400; id += 2 {
+		v := fx.tax.NewVector()
+		v[id%5] = 1
+		wideOnt.Add(wide.Vocab().Host(id), v)
 	}
-	vecs, errs := p.ProfileSessions(context.Background(), sessions)
-	if len(vecs) != len(sessions) || len(errs) != len(sessions) {
-		t.Fatalf("batch sizes %d/%d, want %d", len(vecs), len(errs), len(sessions))
+	worlds := map[string]struct {
+		m   *Model
+		ont *ontology.Ontology
+	}{"trained dim 16": {fx.model, fx.ont}, "random dim 13": {wide, wideOnt}}
+	configs := map[string]ProfilerConfig{
+		"exact":          {N: 20},
+		"exact idf, dup": {N: 20, Agg: AggIDF, SkipDedup: true},
+		"ann":            {N: 20, ANN: true, ANNEf: 8},
 	}
-	for i, s := range sessions {
-		want, wantErr := p.ProfileSession(s)
-		if !errors.Is(errs[i], wantErr) && !errors.Is(wantErr, errs[i]) {
-			t.Fatalf("session %d: batch err %v, sequential err %v", i, errs[i], wantErr)
+	for wname, w := range worlds {
+		vocab := w.m.Vocab().Len()
+		sessions := make([][]string, 37)
+		for i := range sessions {
+			switch {
+			case i%9 == 2:
+				sessions[i] = nil // ErrEmptySession
+			case i%9 == 5:
+				sessions[i] = []string{"never-seen.example", "nor-this.example"} // ErrNoLabels
+			case i%9 == 7:
+				sessions[i] = sessions[i-3] // the same session twice in one batch
+			default:
+				n := 1 + rng.Intn(6)
+				for j := 0; j < n; j++ {
+					sessions[i] = append(sessions[i], w.m.Vocab().Host(rng.Intn(vocab)))
+				}
+				sessions[i] = append(sessions[i], sessions[i][0], "unknown.example") // a repeat, an unknown
+			}
 		}
-		if !vectorsBitEqual(vecs[i], want) {
-			t.Fatalf("session %d: batch profile differs from sequential", i)
+		for cname, cfg := range configs {
+			p := NewProfiler(w.m, w.ont, cfg)
+			vecs, errs := p.ProfileSessions(context.Background(), sessions)
+			if len(vecs) != len(sessions) || len(errs) != len(sessions) {
+				t.Fatalf("%s, %s: batch sizes %d/%d, want %d", wname, cname, len(vecs), len(errs), len(sessions))
+			}
+			for i, s := range sessions {
+				want, wantErr := p.ProfileSession(s)
+				if !errors.Is(errs[i], wantErr) && !errors.Is(wantErr, errs[i]) {
+					t.Fatalf("%s, %s, session %d: batch err %v, sequential err %v", wname, cname, i, errs[i], wantErr)
+				}
+				if !vectorsBitEqual(vecs[i], want) {
+					t.Fatalf("%s, %s, session %d: batch profile differs from sequential", wname, cname, i)
+				}
+			}
 		}
+	}
+}
+
+// TestProfileBatchTraceSpanPerGroup pins the batch's trace shape: a
+// sampled 512-session ProfileSessions records one profile.index span
+// per group of sessions, not one per session, and the spans' queries
+// attributes add up to the batch.
+func TestProfileBatchTraceSpanPerGroup(t *testing.T) {
+	fx := newProfilingFixture(t, 0.5)
+	tr := tracer.New(tracer.Config{SampleRate: 1, Seed: 7})
+	p := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20, Tracer: tr})
+	sessions := make([][]string, 512)
+	for i := range sessions {
+		sessions[i] = []string{fx.ta[i%len(fx.ta)], fx.tb[(i/3)%len(fx.tb)]}
+	}
+	ctx, root := tr.StartSpan(context.Background(), "request")
+	p.ProfileSessions(ctx, sessions)
+	root.End()
+	traces := tr.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces, want 1", len(traces))
+	}
+	size := groupSize(len(sessions), runtime.GOMAXPROCS(0))
+	groups := (len(sessions) + size - 1) / size
+	spans, queries := 0, 0
+	for _, sd := range traces[0].Spans {
+		if sd.Name != "profile.index" {
+			continue
+		}
+		spans++
+		for _, a := range sd.Attrs {
+			if a.Key == "queries" {
+				n, err := strconv.Atoi(a.Value)
+				if err != nil {
+					t.Fatalf("queries attribute %q: %v", a.Value, err)
+				}
+				queries += n
+			}
+		}
+	}
+	if spans == 0 || spans > groups {
+		t.Fatalf("%d profile.index spans for %d sessions in groups of %d, want 1..%d", spans, len(sessions), size, groups)
+	}
+	if queries != len(sessions) {
+		t.Fatalf("profile.index spans count %d queries, want %d", queries, len(sessions))
 	}
 }
 

@@ -108,6 +108,9 @@ type Profiler struct {
 	mANNFallbacks *obs.Counter
 	mANNSampled   *obs.Counter
 
+	// The profile.index span's constant attributes, formatted once.
+	attrRows, attrK, attrANN string
+
 	scratch sync.Pool // *profileScratch
 }
 
@@ -117,14 +120,16 @@ type contrib struct {
 	row   int32
 }
 
-// profileScratch is the pooled working memory of one ProfileSession
-// call, so the steady-state profile allocates only its result.
+// profileScratch is the pooled working memory of one session's profile,
+// held from prepare to finish, so the steady-state profile allocates
+// only its result.
 type profileScratch struct {
 	sVec     []float64      // session representation s
 	res      []index.Result // neighbourhood answer
 	contribs []contrib      // Eq. (3) terms in summation order
+	own      int            // contribs[:own] are the session's own hosts
 	// inSession marks the label rows claimed by the session's own hosts
-	// (alpha = 1); set and cleared within one call.
+	// (alpha = 1); set by prepare, cleared by finish.
 	inSession []bool
 	// hosts and seen back dedupFirst and SessionKey.
 	hosts []string
@@ -157,6 +162,8 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 		cfg:      cfg,
 		labels:   ont.LabelMatrix(),
 		labelRow: make([]int32, m.Vocab().Len()),
+		attrK:    strconv.Itoa(cfg.N),
+		attrANN:  strconv.FormatBool(cfg.ANN),
 	}
 	labelled := 0 // |H_L ∩ H|
 	for id := range p.labelRow {
@@ -183,6 +190,7 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 	start := time.Now()
 	p.idx = m.SimilarityIndex()
 	packed := time.Since(start) // before the graph: that has its own histogram
+	p.attrRows = strconv.Itoa(p.idx.Rows())
 	if cfg.ANN {
 		// ANNEf is passed per query instead, so profilers of different
 		// search breadth share one graph.
@@ -207,7 +215,7 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 	reg.Describe("hostprof_index_bytes", "Size of the packed similarity matrix in bytes.")
 	reg.Describe("hostprof_index_labelled_rows", "Vocabulary hosts that carry an ontology label.")
 	reg.Describe("hostprof_index_queries_total", "Neighbourhood queries answered by the packed similarity index.")
-	reg.Describe("hostprof_index_query_seconds", "Packed similarity index query latency.")
+	reg.Describe("hostprof_index_query_seconds", "Packed similarity index query latency; each query of a shared batch pass records the pass's time over its query count.")
 	reg.Histogram("hostprof_index_build_seconds", obs.ExpBuckets(0.001, 2, 14)).Observe(packed.Seconds())
 	reg.Gauge("hostprof_index_rows").Set(float64(p.idx.Rows()))
 	reg.Gauge("hostprof_index_bytes").Set(float64(p.idx.Bytes()))
@@ -347,34 +355,44 @@ func (p *Profiler) annSearch(dst []index.Result, sVec []float64, k int) []index.
 	return res
 }
 
-// neighbourContribs runs the Eq. (3) neighbourhood query — the N
-// vocabulary hosts closest to the session representation — and appends
-// the labelled ones outside the session to contribs in rank order,
-// weighted [cos]_+. The packed index answers it: the exact scan, or the
-// ANN graph when enabled. The query is recorded as a profile.index span
-// under ctx and counted in the hostprof_index_* metrics.
-func (p *Profiler) neighbourContribs(ctx context.Context, sc *profileScratch, contribs []contrib) []contrib {
+// neighbours answers the Eq. (3) neighbourhood query — H_{s}, the N
+// vocabulary hosts closest to the session representation — for every
+// session of ask, into its scratch's res. A group of exact queries
+// shares passes over the rows (index.SearchBatchAppend); a lone query,
+// or one through the ANN graph, runs on its own (annSearch). The group
+// is one profile.index span under ctx and len(ask) queries in the
+// hostprof_index_* metrics.
+func (p *Profiler) neighbours(ctx context.Context, g *sessionGroup, ask []*profileScratch) {
+	if len(ask) == 0 {
+		return
+	}
 	_, span := p.cfg.Tracer.StartSpan(ctx, "profile.index")
 	start := time.Now()
-	sc.res = p.annSearch(sc.res[:0], sc.sVec, p.cfg.N)
+	if p.ann != nil || len(ask) == 1 {
+		for _, sc := range ask {
+			sc.res = p.annSearch(sc.res[:0], sc.sVec, p.cfg.N)
+		}
+	} else {
+		for i, sc := range ask {
+			g.queries[i], g.res[i] = sc.sVec, sc.res[:0]
+		}
+		p.idx.SearchBatchAppend(g.res[:len(ask)], g.queries[:len(ask)], p.cfg.N)
+		for i, sc := range ask {
+			sc.res = g.res[i]
+		}
+	}
 	if p.mQueries != nil {
-		p.mQueries.Inc()
-		p.mQuerySeconds.Observe(time.Since(start).Seconds())
+		p.mQueries.Add(int64(len(ask)))
+		per := time.Since(start).Seconds() / float64(len(ask))
+		for range ask {
+			p.mQuerySeconds.Observe(per)
+		}
 	}
-	span.SetAttr("rows", strconv.Itoa(p.idx.Rows()))
-	span.SetAttr("k", strconv.Itoa(p.cfg.N))
-	span.SetAttr("ann", strconv.FormatBool(p.ann != nil))
+	span.SetAttr("queries", strconv.Itoa(len(ask)))
+	span.SetAttr("rows", p.attrRows)
+	span.SetAttr("k", p.attrK)
+	span.SetAttr("ann", p.attrANN)
 	span.End()
-	for _, r := range sc.res {
-		row := p.labelRow[r.ID]
-		if row < 0 || sc.inSession[row] {
-			continue // unlabelled, or session membership dominates (alpha = 1)
-		}
-		if alpha := stats.SumPositive(float64(r.Score)); alpha > 0 { // Eq. (3), otherwise
-			contribs = append(contribs, contrib{alpha: alpha, row: row})
-		}
-	}
-	return contribs
 }
 
 // SessionKey returns a canonical cache key for a session: the sorted
@@ -417,22 +435,75 @@ func (p *Profiler) ProfileSession(hosts []string) (ontology.Vector, error) {
 
 // ProfileSessionContext is ProfileSession under a request context: when
 // ctx carries an active trace, the index scan appears as a profile.index
-// child span.
-//
-// It is one pass over pooled scratch. Every labelled host is known by
-// its row in the profiler's label matrix, so the contributions of Eq. (3)
-// are (alpha, row) pairs and Eq. (4) adds only each row's few non-zero
-// categories. The categories it skips would each add w·0 = +0 to a
-// non-negative sum, so the result has the bits of the dense sum.
+// child span. It is a group of one: prepare, one SearchAppend, finish.
 func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (ontology.Vector, error) {
-	if len(hosts) == 0 {
-		return nil, ErrEmptySession
+	var g sessionGroup
+	var vec [1]ontology.Vector
+	var err [1]error
+	p.profileGroup(ctx, &g, [][]string{hosts}, vec[:], err[:])
+	return vec[0], err[0]
+}
+
+// maxGroup caps the sessions profiled together: one profile.index span
+// and one batch search, four queries per pass over the rows, per group.
+const maxGroup = 16
+
+// groupSize is the group for n sessions over the given workers: enough
+// groups to keep every worker busy, whole passes of four where that
+// allows, at most maxGroup.
+func groupSize(n, workers int) int {
+	g := (n + workers - 1) / workers
+	return min((g+3)&^3, maxGroup)
+}
+
+// sessionGroup is profileGroup's working memory, sized for the largest
+// group so that it never allocates: each session's scratch (nil for an
+// empty session), and the batch search's queries and answers.
+type sessionGroup struct {
+	scs, ask [maxGroup]*profileScratch
+	queries  [maxGroup][]float64
+	res      [maxGroup][]index.Result
+}
+
+// profileGroup profiles up to maxGroup sessions into vecs and errs in
+// three steps: prepare each session, answer all their neighbourhood
+// queries at once (neighbours), then finish each with Eq. (4).
+//
+// Each session is one pass over pooled scratch. Every labelled host is
+// known by its row in the profiler's label matrix, so the contributions
+// of Eq. (3) are (alpha, row) pairs and Eq. (4) adds only each row's few
+// non-zero categories. The categories it skips would each add w·0 = +0
+// to a non-negative sum, so the result has the bits of the dense sum.
+func (p *Profiler) profileGroup(ctx context.Context, g *sessionGroup, sessions [][]string, vecs []ontology.Vector, errs []error) {
+	ask := g.ask[:0]
+	for i, hosts := range sessions {
+		g.scs[i] = nil
+		if len(hosts) == 0 {
+			errs[i] = ErrEmptySession
+			continue
+		}
+		sc := p.scratch.Get().(*profileScratch)
+		if p.prepare(sc, hosts) {
+			ask = append(ask, sc)
+		}
+		g.scs[i] = sc
 	}
-	sc := p.scratch.Get().(*profileScratch)
+	p.neighbours(ctx, g, ask)
+	for i, sc := range g.scs[:len(sessions)] {
+		if sc != nil {
+			vecs[i], errs[i] = p.finish(sc)
+		}
+	}
+}
+
+// prepare runs the session's own half of Eq. (3) into sc: dedup, the
+// session vector s, and the weight-1 contributions of the labelled
+// hosts, marked in sc.inSession. It reports whether s is defined — some
+// host is in the vocabulary — and so the neighbourhood query is due.
+func (p *Profiler) prepare(sc *profileScratch, hosts []string) bool {
 	if !p.cfg.SkipDedup {
 		hosts = sc.dedupFirst(hosts)
 	}
-
 	// L: labelled hosts appearing in the session (whether or not they
 	// made it into the vocabulary — the observer knows their names).
 	// Contributions are kept in a fixed order — session hosts in session
@@ -455,17 +526,29 @@ func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (o
 			contribs = append(contribs, contrib{alpha: 1, row: row}) // Eq. (3), h ∈ L
 		}
 	}
-	own := len(contribs)
-	if inVocab > 0 {
-		// H_{s}: the N nearest hosts to the session representation.
-		p.finishSessionVector(sc.sVec, inVocab)
-		contribs = p.neighbourContribs(ctx, sc, contribs)
+	sc.contribs, sc.own, sc.res = contribs, len(contribs), sc.res[:0]
+	p.finishSessionVector(sc.sVec, inVocab)
+	return inVocab > 0
+}
+
+// finish appends the labelled neighbours in sc.res outside the session
+// to its contributions in rank order, weighted [cos]_+, evaluates
+// Eq. (4) and returns sc to the pool.
+func (p *Profiler) finish(sc *profileScratch) (ontology.Vector, error) {
+	contribs := sc.contribs
+	for _, r := range sc.res {
+		row := p.labelRow[r.ID]
+		if row < 0 || sc.inSession[row] {
+			continue // unlabelled, or session membership dominates (alpha = 1)
+		}
+		if alpha := stats.SumPositive(float64(r.Score)); alpha > 0 { // Eq. (3), otherwise
+			contribs = append(contribs, contrib{alpha: alpha, row: row})
+		}
 	}
-	for _, c := range contribs[:own] {
+	for _, c := range contribs[:sc.own] {
 		sc.inSession[c.row] = false
 	}
 	sc.contribs = contribs
-
 	out, err := p.average(contribs)
 	p.scratch.Put(sc)
 	return out, err
@@ -496,9 +579,9 @@ func (p *Profiler) average(contribs []contrib) (ontology.Vector, error) {
 	return out, nil
 }
 
-// ProfileSessions profiles a batch of sessions, spreading them over
-// worker goroutines (the per-query index parallelism then works within
-// each session). It returns one vector-or-error per session, positions
+// ProfileSessions profiles a batch of sessions in groups (groupSize)
+// that worker goroutines claim; each group shares its index passes
+// (profileGroup). It returns one vector-or-error per session, positions
 // matching the input; the batch appears as one profile.batch span.
 func (p *Profiler) ProfileSessions(ctx context.Context, sessions [][]string) ([]ontology.Vector, []error) {
 	vecs := make([]ontology.Vector, len(sessions))
@@ -510,31 +593,29 @@ func (p *Profiler) ProfileSessions(ctx context.Context, sessions [][]string) ([]
 	span.SetAttr("sessions", strconv.Itoa(len(sessions)))
 	defer span.End()
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sessions) {
-		workers = len(sessions)
-	}
-	if workers <= 1 {
-		for i, s := range sessions {
-			vecs[i], errs[i] = p.ProfileSessionContext(ctx, s)
-		}
-		return vecs, errs
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(sessions))
+	size := groupSize(len(sessions), workers)
 	var next atomic.Int64
+	work := func() {
+		var g sessionGroup
+		for {
+			lo := int(next.Add(1)-1) * size
+			if lo >= len(sessions) {
+				return
+			}
+			hi := min(lo+size, len(sessions))
+			p.profileGroup(ctx, &g, sessions[lo:hi], vecs[lo:hi], errs[lo:hi])
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sessions) {
-					return
-				}
-				vecs[i], errs[i] = p.ProfileSessionContext(ctx, sessions[i])
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return vecs, errs
 }

@@ -44,3 +44,34 @@ func dot32x4Portable(q, m []float32, off *[4]int, out *[4]float32) {
 		out[j] = dot32Portable(q, m[o:o+d])
 	}
 }
+
+// The batch scan's four-query form. interleave4 lays four queries out
+// chunk by chunk — elements 4c..4c+3 of query 0, then of queries 1, 2
+// and 3 — so that the AVX2 kernel (dot32q4x4) loads each row chunk once
+// for all four. Each (query, row) pair still takes the contract above
+// lane for lane, one MUL and one ADD per element and the same reduce,
+// so every score has the bits dot32x4 gives it.
+
+// interleave4 writes the four queries q, each len(dst)/4 wide (a
+// multiple of 4), into dst chunk-interleaved.
+func interleave4(dst []float32, q *[4][]float32) {
+	for c := 0; c < len(dst)/4; c += 4 {
+		for i, v := range q {
+			copy(dst[4*c+4*i:4*c+4*i+4], v[c:c+4])
+		}
+	}
+}
+
+// dot32q4 scores the four queries q against four rows of m at the
+// element offsets off: out[4*i+j] = dot32(q[i], m[off[j]:off[j]+len(q[i])]).
+// With AVX2 and a width that is a multiple of 4 it runs dot32q4x4 over qi,
+// which holds q interleaved; otherwise it calls dot32x4 once per query.
+func dot32q4(q *[4][]float32, qi, m []float32, off *[4]int, out *[16]float32) {
+	if useAVX2 && len(q[0])%4 == 0 {
+		dot32q4x4(qi, m, off, out)
+		return
+	}
+	for i, v := range q {
+		dot32x4(v, m, off, (*[4]float32)(out[4*i:4*i+4]))
+	}
+}

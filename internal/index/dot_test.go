@@ -39,8 +39,8 @@ func assertKernelsAgree(t *testing.T, what string, q, rows []float32) {
 }
 
 // TestDotKernelsBitEqualPortable is the lane contract's oracle test:
-// whatever dot32/dot32x4 compile to on this architecture returns the
-// bits of the portable Go code.
+// whatever dot32/dot32x4/dot32q4 compile to on this architecture returns
+// the bits of the portable Go code.
 func TestDotKernelsBitEqualPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	fill := func(v []float32, gen func() float32) {
@@ -79,7 +79,14 @@ func TestDotKernelsBitEqualPortable(t *testing.T) {
 				rBuf := make([]float32, 4*d+rOff)
 				fill(qBuf, gen)
 				fill(rBuf, gen)
-				assertKernelsAgree(t, what, qBuf[qOff:], rBuf[rOff:])
+				q, rows := qBuf[qOff:], rBuf[rOff:]
+				assertKernelsAgree(t, what, q, rows)
+				// The four-query kernel, with rows as queries too: one query
+				// twice, rows out of order.
+				four := [4][]float32{q, rows[2*d : 3*d], rows[:d], q}
+				forEachQ4Path(func(path string) {
+					assertQ4Agrees(t, what+", "+path, four, rows, [4]int{3 * d, 0, 2 * d, d})
+				})
 			}
 		}
 	}
@@ -88,6 +95,43 @@ func TestDotKernelsBitEqualPortable(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	if got := dot32([]float32{negZero, negZero}, []float32{1, 1}); math.Float32bits(got) != 0 {
 		t.Fatalf("dot32(-0,-0 · 1,1) = %x, want +0", math.Float32bits(got))
+	}
+}
+
+// forEachQ4Path runs f on each path of the four-query scan this machine
+// has: the dot32x4 fallback, then the AVX2 kernel where it was detected.
+func forEachQ4Path(f func(path string)) {
+	avx := useAVX2
+	defer func() { useAVX2 = avx }()
+	useAVX2 = false
+	f("fallback")
+	if avx {
+		useAVX2 = true
+		f("avx2")
+	}
+}
+
+// assertQ4Agrees checks dot32q4 on the four queries q (any of them the
+// same slice) and four rows of m at off against dot32Portable, bit for
+// bit, NaN only as NaN.
+func assertQ4Agrees(t *testing.T, what string, q [4][]float32, m []float32, off [4]int) {
+	t.Helper()
+	d := len(q[0])
+	qi := make([]float32, 4*d)
+	if d%4 == 0 {
+		interleave4(qi, &q)
+	}
+	var out [16]float32
+	dot32q4(&q, qi, m, &off, &out)
+	for i := range q {
+		for j, o := range off {
+			got, want := out[4*i+j], dot32Portable(q[i], m[o:o+d])
+			same := math.Float32bits(got) == math.Float32bits(want)
+			if bothNaN := math.IsNaN(float64(got)) && math.IsNaN(float64(want)); !same && !bothNaN {
+				t.Fatalf("%s width %d query %d row %d (offset %d): dot32q4 %x, dot32Portable %x",
+					what, d, i, j, o, math.Float32bits(got), math.Float32bits(want))
+			}
+		}
 	}
 }
 
@@ -110,4 +154,12 @@ func TestDotKernelsRejectShortOperands(t *testing.T) {
 	mustPanic("dot32x4 with a negative offset", func() {
 		dot32x4(make([]float32, 8), make([]float32, 32), &[4]int{0, -1, 16, 24}, new([4]float32))
 	})
+	if useAVX2 {
+		mustPanic("dot32q4x4 with a row past the end", func() {
+			dot32q4x4(make([]float32, 32), make([]float32, 31), &[4]int{0, 8, 16, 24}, new([16]float32))
+		})
+		mustPanic("dot32q4x4 with a width not a multiple of 4", func() {
+			dot32q4x4(make([]float32, 24), make([]float32, 32), &[4]int{0, 6, 12, 18}, new([16]float32))
+		})
+	}
 }

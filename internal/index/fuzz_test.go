@@ -314,3 +314,43 @@ func FuzzDot32Rows(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDot32Q4 holds the batch scan's four-query kernel to the
+// single-row oracle, on the AVX2 path and on the dot32x4 fallback: any
+// width (1–70), four query picks and four row picks — repeated, out of
+// order — and raw float32 bits (NaN, ±Inf, denormals, −0). out[4i+j]
+// must be dot32Portable(query i, row j) bit for bit, NaN only as NaN.
+func FuzzDot32Q4(f *testing.F) {
+	f.Add([]byte{63, 0, 1, 2, 3, 0, 1, 2, 3}, int64(1))                                                               // the bench world's width, all in order
+	f.Add([]byte{0, 5, 5, 5, 5, 2, 2, 2, 2}, int64(2))                                                                // width 1, one query and one row four times
+	f.Add([]byte{6, 3, 1, 2, 0, 3, 0, 1, 0}, int64(3))                                                                // width 7, out of order
+	f.Add([]byte{69, 9, 0, 9, 0, 7, 7, 1, 1}, int64(4))                                                               // width 70, repeats
+	f.Add([]byte{3, 0, 1, 0, 1, 0, 1, 2, 3, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80}, int64(5)) // NaN, −Inf, denormal, −0
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		if len(data) < 9 || len(data) > 1<<14 {
+			return
+		}
+		d := 1 + int(data[0])%70
+		qPicks, rPicks, bits := data[1:5], data[5:9], data[9:]
+		// Raw bits first, random fill for the rest of eight queries and a
+		// 16-row matrix.
+		rng := rand.New(rand.NewSource(seed))
+		const queries, rows = 8, 16
+		buf := make([]float32, (queries+rows)*d)
+		for i := range buf {
+			buf[i] = float32(rng.NormFloat64())
+		}
+		for i := 0; i+4 <= len(bits) && i/4 < len(buf); i += 4 {
+			buf[i/4] = math.Float32frombits(binary.LittleEndian.Uint32(bits[i:]))
+		}
+		pool, m := buf[:queries*d], buf[queries*d:]
+		var q [4][]float32
+		var off [4]int
+		for i := range q {
+			o := int(qPicks[i]) % queries * d
+			q[i] = pool[o : o+d]
+			off[i] = int(rPicks[i]) % rows * d
+		}
+		forEachQ4Path(func(path string) { assertQ4Agrees(t, path, q, m, off) })
+	})
+}

@@ -3,17 +3,22 @@
 // Eq. (3) neighbourhood query.
 //
 // The index packs unit-normalized central embeddings into a contiguous
-// float32 matrix built once per trained model, halving memory traffic on
-// the scan (the paper's Eq. (3) neighbourhood query runs over every
-// vocabulary row per session, so the scan is bandwidth-bound). The row
-// space is partitioned into cache-sized blocks claimed by a bounded set
-// of scanners — the querying goroutine plus idle helpers from a
+// float32 matrix built once per trained model; the paper's Eq. (3)
+// neighbourhood query scans every vocabulary row per session. At the
+// bench world's size the matrix (≈ 0.5 MB) sits in L2 and the scan is
+// bound by its floating-point operations; at the paper's 470K rows it
+// streams 240 MB per query and memory bandwidth binds, which float32
+// halves against float64. For one query (SearchAppend) the row space is
+// partitioned into cache-sized blocks claimed by a bounded set of
+// scanners — the querying goroutine plus idle helpers from a
 // process-wide pool — each scoring its blocks straight into one
 // row-indexed score buffer with a four-lane SIMD kernel (dot.go); the
 // querying goroutine then folds the buffer through one bounded heap
 // under a total order (higher score first, ties broken by ascending
 // ID), so results are reproducible across runs, worker counts and block
-// partitions.
+// partitions. A batch (SearchBatchAppend) scores four queries per pass
+// over the rows on the calling goroutine, with the same bits and the
+// same fold per query.
 //
 // Exactness: the index performs the same brute-force scan as a serial
 // float64 scan (internal/core keeps one as a test oracle), only in
@@ -73,7 +78,8 @@ type Index struct {
 	blocks    int
 	workers   int
 
-	states sync.Pool // *queryState
+	states  sync.Pool // *queryState
+	batches sync.Pool // *batchState
 }
 
 // New builds an index over a row-major matrix of rows×dim central
@@ -127,6 +133,7 @@ func (ix *Index) configure(cfg Config) {
 	}
 	ix.blocks = (ix.rows + ix.blockRows - 1) / ix.blockRows
 	ix.states.New = func() any { return newQueryState(ix) }
+	ix.batches.New = func() any { return newBatchState(ix) }
 }
 
 // Subset returns a view restricted to the given original IDs, which must
@@ -219,6 +226,45 @@ func (ix *Index) SearchAppend(dst []Result, query []float64, k, workers int, exc
 	dst = qs.selectTop(dst, k, ix.rowOf(exclude))
 	ix.states.Put(qs)
 	return dst
+}
+
+// SearchBatchAppend answers several queries in shared passes over the
+// rows: dst[i] gets what SearchAppend(dst[i], queries[i], k, 0,
+// NoExclude) would append — the same IDs, score bits and order — and a
+// query without a direction leaves dst[i] unchanged. len(dst) must equal
+// len(queries).
+//
+// Each pass scores four queries against every row (dot32q4), so the
+// matrix is read once per four queries rather than once per query, then
+// selects each query's top k on its own. Passes run on the calling
+// goroutine only: a batch caller brings its own parallelism. Steady
+// state, a batch allocates nothing beyond growing dst.
+func (ix *Index) SearchBatchAppend(dst [][]Result, queries [][]float64, k int) {
+	if len(dst) != len(queries) {
+		panic("index: SearchBatchAppend needs one dst per query")
+	}
+	if k <= 0 || ix.rows == 0 {
+		return
+	}
+	bs := ix.batches.Get().(*batchState)
+	n := 0 // queries packed into the pending pass
+	for i, query := range queries {
+		if len(query) != ix.dim {
+			panic("index: query dimensionality mismatch")
+		}
+		if !packQuery(bs.q[n].q, query) {
+			continue
+		}
+		bs.who[n] = i
+		if n++; n == len(bs.q) {
+			bs.pass(dst, n, k)
+			n = 0
+		}
+	}
+	if n > 0 {
+		bs.pass(dst, n, k)
+	}
+	ix.batches.Put(bs)
 }
 
 // packQuery writes query unit-normalized into dst as float32, reporting

@@ -356,3 +356,123 @@ func BenchmarkSearchAppend(b *testing.B) {
 		dst = ix.SearchAppend(dst[:0], q, 100, 0, NoExclude)
 	}
 }
+
+// TestSearchBatchMatchesSearchAppend pins the batch scan to the
+// single-query scan on both kernel paths: the same IDs, score bits and
+// order for every query, with zero and NaN queries left unanswered,
+// repeated queries, query counts off the pass width, k at and past the
+// row count, widths on and off the AVX2 kernel's multiple of 4, and a
+// subset view's ID mapping.
+func TestSearchBatchMatchesSearchAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	forEachQ4Path(func(path string) {
+		for _, dim := range []int{24, 7} {
+			for _, rows := range []int{0, 1, 3, 4, 5, 1927} {
+				var zero []int
+				if rows > 3 {
+					zero = []int{2}
+				}
+				full := New(randMatrix(rng, rows, dim, zero...), rows, dim, Config{BlockRows: 64})
+				views := map[string]*Index{"full": full}
+				if rows > 3 {
+					views["subset"] = full.Subset([]int{0, 2, rows - 1})
+				}
+				for view, ix := range views {
+					for _, nq := range []int{1, 2, 3, 5, 6, 7, 9, 13} {
+						queries := make([][]float64, nq)
+						for i := range queries {
+							queries[i] = randMatrix(rng, 1, dim)
+							switch {
+							case i%5 == 1:
+								clear(queries[i]) // no direction
+							case i%5 == 3:
+								queries[i][dim-1] = math.NaN()
+							case i > 0 && i == nq-1:
+								queries[i] = queries[0]
+							}
+						}
+						for _, k := range []int{1, 10, ix.Rows(), ix.Rows() + 3} {
+							// A kept prefix: the batch appends, like SearchAppend.
+							prefix := []Result{{ID: -7, Score: 2}}
+							dst := make([][]Result, nq)
+							for i := range dst {
+								dst[i] = append([]Result(nil), prefix...)
+							}
+							ix.SearchBatchAppend(dst, queries, k)
+							for i, q := range queries {
+								want := ix.SearchAppend(append([]Result(nil), prefix...), q, k, 0, NoExclude)
+								if !sameResults(dst[i], want) {
+									t.Fatalf("%s, %s view, dim %d, rows %d, %d queries, k %d: query %d\n got %v\nwant %v",
+										path, view, dim, rows, nq, k, i, clip(dst[i]), clip(want))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSearchBatchSteadyStateZeroAlloc extends the zero-allocation
+// contract to the batch scan: with reused answer buffers, a batch of
+// queries allocates nothing.
+func TestSearchBatchSteadyStateZeroAlloc(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(17))
+	rows, dim := 2048, 24
+	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{BlockRows: 128})
+	queries := make([][]float64, 7)
+	for i := range queries {
+		queries[i] = randMatrix(rng, 1, dim)
+	}
+	dst := make([][]Result, len(queries))
+	run := func() {
+		for i := range dst {
+			dst[i] = dst[i][:0]
+		}
+		ix.SearchBatchAppend(dst, queries, 50)
+	}
+	for i := 0; i < 10; i++ { // warm the state pool and grow dst
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("steady-state SearchBatchAppend allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+// BenchmarkSearchBatchAppend times the batch scan per query at the bench
+// world's shape (1927 rows × 64, k 40), against one SearchAppend per
+// query on one worker.
+func BenchmarkSearchBatchAppend(b *testing.B) {
+	rng := rand.New(rand.NewSource(18))
+	rows, dim := 1927, 64
+	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{})
+	queries := make([][]float64, 16)
+	for i := range queries {
+		queries[i] = randMatrix(rng, 1, dim)
+	}
+	dst := make([][]Result, len(queries))
+	perQuery := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
+	}
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range dst {
+				dst[j] = dst[j][:0]
+			}
+			ix.SearchBatchAppend(dst, queries, 40)
+		}
+		perQuery(b)
+	})
+	b.Run("one-by-one", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, q := range queries {
+				dst[j] = ix.SearchAppend(dst[j][:0], q, 40, 1, NoExclude)
+			}
+		}
+		perQuery(b)
+	})
+}

@@ -67,6 +67,61 @@ func (qs *queryState) help(epoch uint64) {
 	qs.active.Add(-1)
 }
 
+// batchState is the pooled scratch of SearchBatchAppend: one queryState
+// per query of a pass (its packed query, score buffer and selection),
+// the pass's queries as the kernel reads them, and which batch
+// position each slot answers.
+type batchState struct {
+	ix  *Index
+	q   [4]*queryState
+	qv  [4][]float32 // the slots' packed queries, padded with slot 0's
+	qi  []float32    // qv chunk-interleaved (interleave4)
+	who [4]int
+}
+
+func newBatchState(ix *Index) *batchState {
+	bs := &batchState{ix: ix, qi: make([]float32, 4*ix.dim)}
+	for j := range bs.q {
+		bs.q[j] = newQueryState(ix)
+	}
+	return bs
+}
+
+// pass scores the n packed queries in slots 0..n-1 against every row,
+// four rows per kernel call, and appends each one's top k to its dst.
+// Slots past n repeat slot 0's query, so the kernel always has four.
+func (bs *batchState) pass(dst [][]Result, n, k int) {
+	ix, dim := bs.ix, bs.ix.dim
+	for j := range bs.qv {
+		bs.qv[j] = bs.q[0].q
+		if j < n {
+			bs.qv[j] = bs.q[j].q
+		}
+	}
+	if dim%4 == 0 {
+		interleave4(bs.qi, &bs.qv)
+	}
+	var out [16]float32
+	r := 0
+	for ; r+4 <= ix.rows; r += 4 {
+		off := [4]int{r * dim, (r + 1) * dim, (r + 2) * dim, (r + 3) * dim}
+		dot32q4(&bs.qv, bs.qi, ix.packed, &off, &out)
+		for j := 0; j < n; j++ {
+			copy(bs.q[j].scores[r:r+4], out[4*j:4*j+4])
+		}
+	}
+	for ; r < ix.rows; r++ {
+		row := ix.packed[r*dim : r*dim+dim]
+		for j := 0; j < n; j++ {
+			bs.q[j].scores[r] = dot32(bs.q[j].q, row)
+		}
+	}
+	for j := 0; j < n; j++ {
+		i := bs.who[j]
+		dst[i] = bs.q[j].selectTop(dst[i], k, -1)
+	}
+}
+
 // selectBuckets divides the cosine range [-1, 1] for selectTop's pre-filter.
 const selectBuckets = 2048
 
