@@ -83,7 +83,8 @@ endef
 # exact scan's selection, the scan's 4-row and 4-query kernels (the
 # latter on the AVX2 path and the fallback) and the trainer's two
 # row kernels against their portable twins, the model loader (what
-# PUT /v1/model parses), the gateway's batch-body scanner, the shard's /v1/import body, the
+# PUT /v1/model parses), the profile cache's sparse round trip, the
+# gateway's batch-body scanner, the shard's /v1/import body, the
 # observer's three wire parsers and the pcap reader (CI runs the same).
 # The sniffer and store-op targets cap minimization: shrinking one
 # 1200-byte Initial, or one op stream that each run replays against the
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzDot32Q4$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSGNSKernels$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelLoad$$' -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzProfileCacheRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzArrayField$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzImportStream$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzQUICInitial$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -112,14 +114,15 @@ fuzz:
 # amd64 runner, against the same pinned graph and profile hashes the
 # assembly meets and the pinned trained-model hashes and loss bits
 # (TestTrainPinnedAcrossCommits), which also hold pure-Go math.Exp to
-# the assembly's (~40 s), and then run the root package's Example
+# the assembly's, and the profile cache's byte guard and round trip
+# with 4-byte pointers (~45 s), and then run the root package's Example
 # functions, whose printed outputs must hold bit for bit off amd64 (~5 s).
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/index/ ./internal/core/
-	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/
+	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/ ./internal/engine/
 	GOARCH=386 $(GO) test -short -run '^Example' .
 	$(GO) test ./...
 	$(GO) test -race ./...

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,9 +131,11 @@ type profileScratch struct {
 	// inSession marks the label rows claimed by the session's own hosts
 	// (alpha = 1); set by prepare, cleared by finish.
 	inSession []bool
-	// hosts and seen back dedupFirst and SessionKey.
+	// hosts and seen back dedupFirst; toks and key back SessionKey.
 	hosts []string
 	seen  map[string]struct{}
+	toks  []uint32
+	key   []byte
 }
 
 // Profiler errors.
@@ -396,33 +398,39 @@ func (p *Profiler) neighbours(ctx context.Context, g *sessionGroup, ask []*profi
 }
 
 // SessionKey returns a canonical cache key for a session: the sorted
-// hosts that can influence its profile — in-vocabulary hosts (they shape
-// the session vector) and ontology-labelled hosts (they contribute with
-// weight 1 even out of vocabulary). Two sessions with equal keys produce
-// identical profiles under this profiler, so the key is safe to memoise
-// on until the model or ontology changes. The empty key means no host
-// influences the profile; callers must not cache it. Repeats are
-// dropped unless SkipDedup is set (then multiplicity changes the
+// tokens of the hosts that can influence its profile, 4 bytes each. An
+// in-vocabulary host (it shapes the session vector) is its vocabulary
+// ID; a labelled host outside the vocabulary (it contributes with
+// weight 1) is |V| plus its row in the label snapshot the profiler was
+// built with, so a later Ontology.Add changes neither key nor profile.
+// Two sessions with equal keys produce identical profiles under this
+// profiler, so the key is safe to memoise on for the profiler's
+// lifetime; it means nothing to another profiler. The empty key means
+// no host influences the profile; callers must not cache it. Repeats
+// are dropped unless SkipDedup is set (then multiplicity changes the
 // session vector, and the key keeps it).
 func (p *Profiler) SessionKey(hosts []string) string {
 	sc := p.scratch.Get().(*profileScratch)
 	defer p.scratch.Put(sc)
-	keep := sc.hosts[:0]
+	vocab := p.model.Vocab()
+	toks := sc.toks[:0]
 	for _, h := range hosts {
-		if _, ok := p.model.Vocab().ID(h); ok {
-			keep = append(keep, h)
-			continue
-		}
-		if _, ok := p.ont.Lookup(h); ok {
-			keep = append(keep, h)
+		if id, ok := vocab.ID(h); ok {
+			toks = append(toks, uint32(id))
+		} else if r, ok := p.labels.RowOf(h); ok {
+			toks = append(toks, uint32(vocab.Len())+uint32(r))
 		}
 	}
-	sc.hosts = keep
-	slices.Sort(keep)
+	slices.Sort(toks)
 	if !p.cfg.SkipDedup {
-		keep = slices.Compact(keep) // sorted, so repeats are adjacent
+		toks = slices.Compact(toks) // sorted, so repeats are adjacent
 	}
-	return strings.Join(keep, "\n")
+	key := sc.key[:0]
+	for _, t := range toks {
+		key = binary.LittleEndian.AppendUint32(key, t)
+	}
+	sc.toks, sc.key = toks, key
+	return string(key)
 }
 
 // ProfileSession computes the category vector c^{s_u^T} of a session

@@ -18,10 +18,17 @@ type categoryTable struct {
 	// ('&' as \u0026), with the colon.
 	ids  []int
 	keys [][]byte
+	// width[id] bounds what one non-zero weight of category id adds to
+	// an answer: its key, the longest float, a comma.
+	width []int
 }
 
+// maxJSONFloat is the longest appendJSONFloat output: a sign, "0.00000"
+// and 17 significant digits.
+const maxJSONFloat = 25
+
 func newCategoryTable(tax *ontology.Taxonomy) categoryTable {
-	t := categoryTable{ids: make([]int, tax.NumCategories())}
+	t := categoryTable{ids: make([]int, tax.NumCategories()), width: make([]int, tax.NumCategories())}
 	for id := range t.ids {
 		t.ids[id] = id
 	}
@@ -31,13 +38,18 @@ func newCategoryTable(tax *ontology.Taxonomy) categoryTable {
 	for _, id := range t.ids {
 		key, _ := json.Marshal(tax.Category(id).Name) // a string cannot fail
 		t.keys = append(t.keys, append(key, ':'))
+		t.width[id] = len(key) + 1 + maxJSONFloat + 1
 	}
 	return t
 }
 
 // appendBatch appends the response body for one (vector, error) pair per
-// session: json.Encoder's bytes for it, trailing newline included.
+// session: json.Encoder's bytes for it, trailing newline included. It
+// grows dst once, to a bound taken from the outcomes it writes.
 func (t categoryTable) appendBatch(dst []byte, vecs []ontology.Vector, errs []error) []byte {
+	if n := t.batchBound(vecs, errs); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, `{"profiles":[`...)
 	for i, vec := range vecs {
 		if i > 0 {
@@ -46,6 +58,26 @@ func (t categoryTable) appendBatch(dst []byte, vecs []ontology.Vector, errs []er
 		dst = t.appendResult(dst, vec, errs[i])
 	}
 	return append(dst, "]}\n"...)
+}
+
+// batchBound bounds the bytes appendBatch writes for vecs and errs. An
+// error message quotes to at most 6 bytes per byte (\u00XX, or \ufffd
+// for invalid UTF-8).
+func (t categoryTable) batchBound(vecs []ontology.Vector, errs []error) int {
+	n := len(`{"profiles":[]}`+"\n") + len(vecs)
+	for i, vec := range vecs {
+		if errs[i] != nil {
+			n += len(`{"error":""}`) + 6*len(errs[i].Error())
+			continue
+		}
+		n += len(`{"categories":{}}`)
+		for id, v := range vec {
+			if v != 0 {
+				n += t.width[id]
+			}
+		}
+	}
+	return n
 }
 
 // appendResult appends json.Marshal(ProfileResult{…}) of one session's

@@ -99,3 +99,28 @@ func TestBatchEncoderMatchesMarshal(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchEncoderGrowsOnce holds appendBatch to one allocation per
+// answer: the bound it takes from the outcomes covers every byte, down
+// to the longest float each format writes. An error outcome is left
+// out: its message goes through json.Marshal, which allocates itself.
+func TestBatchEncoderGrowsOnce(t *testing.T) {
+	tax := ontology.NewTaxonomy()
+	table := newCategoryTable(tax)
+	rng := rand.New(rand.NewSource(2203))
+	var vecs []ontology.Vector
+	for len(vecs) < 256 {
+		if vec, err := randomOutcome(rng, tax); err == nil {
+			vecs = append(vecs, vec)
+		}
+	}
+	longest := tax.NewVector()
+	for id := range longest {
+		longest[id] = []float64{-1.2345678901234567e-300, -1.2345678901234567e-6, -123456789012345678901, -0.12345678901234567}[id%4]
+	}
+	vecs = append(vecs, longest)
+	errs := make([]error, len(vecs))
+	if allocs := testing.AllocsPerRun(10, func() { table.appendBatch(nil, vecs, errs) }); allocs != 1 {
+		t.Fatalf("appendBatch allocated %v times per answer, want 1", allocs)
+	}
+}

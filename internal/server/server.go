@@ -681,7 +681,7 @@ func (b *Backend) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The stated length lets the gateway size its read buffer.
-	body := b.cats.appendBatch(make([]byte, 0, 1024*len(vecs)), vecs, errs)
+	body := b.cats.appendBatch(nil, vecs, errs)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
