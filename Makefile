@@ -84,11 +84,13 @@ endef
 # latter on the AVX2 path and the fallback) and the trainer's two
 # row kernels against their portable twins, the model loader (what
 # PUT /v1/model parses), the profile cache's sparse round trip, the
-# gateway's batch-body scanner, the shard's /v1/import body, the
-# observer's three wire parsers and the pcap reader (CI runs the same).
-# The sniffer and store-op targets cap minimization: shrinking one
-# 1200-byte Initial, or one op stream that each run replays against the
-# reference store, otherwise takes the whole ten seconds.
+# gateway's batch-body scanner, the shard's /v1/profile/batch decode
+# and /v1/import body, the observer's three wire parsers and the pcap
+# reader (CI runs the same).
+# The sniffer, store-op and shard-body targets cap minimization:
+# shrinking one 1200-byte Initial, one op stream that each run replays
+# against the reference store, or one body that each run serves twice,
+# otherwise takes the whole ten seconds.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -101,6 +103,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzModelLoad$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzProfileCacheRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzArrayField$$' -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzProfileBatchDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzImportStream$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzQUICInitial$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzClientHello$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 
 	"hostprof/internal/experiment"
@@ -98,12 +99,19 @@ func writeFig4Points(w *csv.Writer, s *experiment.Setup, r experiment.Fig4Result
 	return nil
 }
 
+// writeFig5Purity writes one row per topic, sorted by name, then the
+// chance row.
 func writeFig5Purity(w *csv.Writer, r experiment.Fig5Result) error {
 	if err := w.Write([]string{"topic", "purity"}); err != nil {
 		return err
 	}
-	for topic, p := range r.PurityByTopic {
-		if err := w.Write([]string{topic, strconv.FormatFloat(p, 'g', 4, 64)}); err != nil {
+	topics := make([]string, 0, len(r.PurityByTopic))
+	for topic := range r.PurityByTopic {
+		topics = append(topics, topic)
+	}
+	sort.Strings(topics)
+	for _, topic := range topics {
+		if err := w.Write([]string{topic, strconv.FormatFloat(r.PurityByTopic[topic], 'g', 4, 64)}); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,5 +98,39 @@ func TestCCDFSummaryAndTopShare(t *testing.T) {
 	}
 	if got := topShare(s, make([]float64, 3)); got != "n/a" {
 		t.Fatalf("zero row = %q", got)
+	}
+}
+
+// TestFig5PurityRowsSorted writes a many-topic purity table repeatedly:
+// rows come out sorted by topic with the chance row last, and every
+// write is byte-identical whatever order the map ranges in.
+func TestFig5PurityRowsSorted(t *testing.T) {
+	r := experiment.Fig5Result{PurityByTopic: map[string]float64{}, Chance: 0.05}
+	for i := 0; i < 40; i++ {
+		r.PurityByTopic[fmt.Sprintf("topic-%02d", (i*17)%40)] = float64(i%7) / 7
+	}
+	write := func() string {
+		var b strings.Builder
+		w := csv.NewWriter(&b)
+		if err := writeFig5Purity(w, r); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		return b.String()
+	}
+	first := write()
+	lines := strings.Split(strings.TrimSpace(first), "\n")
+	if len(lines) != 42 || lines[0] != "topic,purity" || lines[41] != "__chance__,0.05" {
+		t.Fatalf("table:\n%s", first)
+	}
+	for i := 2; i < 41; i++ {
+		if lines[i-1] >= lines[i] {
+			t.Fatalf("rows %d and %d out of order: %q, %q", i-1, i, lines[i-1], lines[i])
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if again := write(); again != first {
+			t.Fatalf("write %d differs:\n%s\nfirst:\n%s", i, again, first)
+		}
 	}
 }

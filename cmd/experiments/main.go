@@ -136,7 +136,7 @@ func printVerbose(s *experiment.Setup, all *experiment.AllResults) {
 	for name, p := range all.Fig5.PurityByTopic {
 		ps = append(ps, kv{name, p})
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].p > ps[j].p })
+	sort.Slice(ps, func(i, j int) bool { return ps[i].p > ps[j].p || ps[i].p == ps[j].p && ps[i].name < ps[j].name })
 	for _, e := range ps {
 		fmt.Printf("%-32s %.3f\n", e.name, e.p)
 	}

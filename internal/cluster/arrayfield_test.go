@@ -5,7 +5,16 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"hostprof/internal/jsonscan"
 )
+
+// maxJSONDepth is encoding/json's nesting limit, which the scanner
+// shares.
+const maxJSONDepth = 10000
+
+// arrayField is the gateway's body scanner under test.
+var arrayField = jsonscan.ArrayField
 
 // decodeSessions is arrayField's oracle: what the gateway did before it
 // scanned for boundaries.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -653,6 +654,59 @@ func TestGatewayBatchRejectsMalformedSessions(t *testing.T) {
 		if code := post(body); code == http.StatusBadRequest {
 			t.Errorf("%s → 400, want it forwarded", body)
 		}
+	}
+}
+
+// TestGatewayRelaysShardRefusal sends a batch the gateway forwards but a
+// shard refuses — one session past the shard's host limit — and
+// requires the gateway's answer to be the shard's own: the same status
+// and body as a direct request, with no partial flag and no tick of the
+// partial-batch alarm. The refusal is the client's fault; degrading the
+// chunk to per-session errors used to fail the valid sessions beside it
+// and raise a shard alarm.
+func TestGatewayRelaysShardRefusal(t *testing.T) {
+	fx := newClusterFixture(t, 2, 40)
+	fx.feedViaGateway(t)
+	fx.retrainViaGateway(t)
+	long := make([]string, 1025)
+	for i := range long {
+		long[i] = fmt.Sprintf("h%d.example", i)
+	}
+	// Twelve sessions make two chunks; the long one is in the first.
+	sessions := append([][]string{{"a.example"}, long}, fx.sessions(10)...)
+	body, _ := json.Marshal(server.ProfileBatchRequest{Sessions: sessions[:2]})
+	post := func(url string, body []byte) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/profile/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp, string(raw)
+	}
+	direct, want := post(fx.shardSrv[0].URL, body)
+	if direct.StatusCode != http.StatusBadRequest || !strings.Contains(want, "session 1 carries 1025 hosts, limit 1024") {
+		t.Fatalf("shard answered %d %s", direct.StatusCode, want)
+	}
+	partials := fx.gw.met.batchPartial.Value()
+	for _, n := range []int{2, len(sessions)} {
+		body, _ := json.Marshal(server.ProfileBatchRequest{Sessions: sessions[:n]})
+		resp, got := post(fx.gwSrv.URL, body)
+		if resp.StatusCode != direct.StatusCode || got != want {
+			t.Errorf("%d sessions through the gateway: %d %s, want the shard's %d %s", n, resp.StatusCode, got, direct.StatusCode, want)
+		}
+		if resp.Header.Get(PartialHeader) != "" {
+			t.Errorf("%d sessions: a refused batch flagged partial", n)
+		}
+	}
+	if got := fx.gw.met.batchPartial.Value(); got != partials {
+		t.Errorf("partial-batch alarm moved %d → %d on refused batches", partials, got)
+	}
+	// The valid sessions alone are served whole.
+	var ok server.ProfileBatchResponse
+	if resp := postJSON(t, fx.gwSrv.URL+"/v1/profile/batch", server.ProfileBatchRequest{Sessions: fx.sessions(10)}, &ok); resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) != "" || len(ok.Profiles) != 10 {
+		t.Fatalf("valid batch: %d partial=%q, %d profiles", resp.StatusCode, resp.Header.Get(PartialHeader), len(ok.Profiles))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"hostprof/internal/jsonscan"
 	"hostprof/internal/obs"
 	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/tracer"
@@ -291,7 +292,10 @@ func (g *Gateway) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // and merges results in request order. A chunk whose shard fails
 // degrades to per-session errors instead of failing the batch —
 // responses with any degraded chunk carry the X-Hostprof-Partial
-// header.
+// header. A shard that refuses a chunk with a 4xx it does not ask to
+// be retried has found the client's fault, not its own: the first such
+// answer, in chunk order, is relayed as the whole request's, and
+// nothing degrades.
 //
 // The gateway needs the session boundaries and nothing inside them, so
 // sessions and shard results stay raw JSON: chunk bodies and the merged
@@ -305,7 +309,7 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var sessions []json.RawMessage
 	if err == nil {
-		sessions, err = arrayField(raw, "sessions")
+		sessions, err = jsonscan.ArrayField(raw, "sessions")
 	}
 	if err != nil {
 		httpmw.WriteError(w, http.StatusBadRequest, "cluster: invalid JSON: "+err.Error())
@@ -348,23 +352,29 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]json.RawMessage, len(sessions))
+	refused := make([]*shardAnswer, len(chunks))
 	var (
 		wg      sync.WaitGroup
 		partial sync.Once
 		degrade bool
 	)
-	for _, c := range chunks {
+	for ci, c := range chunks {
 		wg.Add(1)
 		go func(c chunk) {
 			defer wg.Done()
 			body := spliceArray(`{"sessions":[`, sessions[c.start:c.end], "]}")
 			ans, err := g.forwardWithRetry(r.Context(), http.MethodPost, c.shard, "/v1/profile/batch",
 				map[string]string{"Content-Type": "application/json"}, body)
+			if err == nil && ans.status >= 400 && ans.status < 500 &&
+				!(&server.APIError{Status: ans.status, RetryAfter: ans.header.Get("Retry-After")}).Retryable() {
+				refused[ci] = &ans
+				return
+			}
 			if err == nil && ans.status != http.StatusOK {
 				err = fmt.Errorf("cluster: shard %s answered HTTP %d", c.shard, ans.status)
 			}
 			if err == nil {
-				profiles, jerr := arrayField(ans.body, "profiles")
+				profiles, jerr := jsonscan.ArrayField(ans.body, "profiles")
 				if jerr != nil {
 					err = fmt.Errorf("cluster: decoding batch from %s: %w", c.shard, jerr)
 				} else if len(profiles) != c.end-c.start {
@@ -385,6 +395,12 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		}(c)
 	}
 	wg.Wait()
+	for _, ans := range refused {
+		if ans != nil {
+			relay(w, *ans)
+			return
+		}
+	}
 	if degrade {
 		g.met.batchPartial.Inc()
 		w.Header().Set(PartialHeader, "1")

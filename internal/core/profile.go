@@ -131,7 +131,9 @@ type profileScratch struct {
 	// inSession marks the label rows claimed by the session's own hosts
 	// (alpha = 1); set by prepare, cleared by finish.
 	inSession []bool
-	// hosts and seen back dedupFirst; toks and key back SessionKey.
+	// hosts and seen back dedupFirst, and finish empties both: their
+	// strings may be windows onto a whole request body, which a pooled
+	// scratch must not keep alive. toks and key back SessionKey.
 	hosts []string
 	seen  map[string]struct{}
 	toks  []uint32
@@ -541,7 +543,8 @@ func (p *Profiler) prepare(sc *profileScratch, hosts []string) bool {
 
 // finish appends the labelled neighbours in sc.res outside the session
 // to its contributions in rank order, weighted [cos]_+, evaluates
-// Eq. (4) and returns sc to the pool.
+// Eq. (4) and returns sc to the pool, holding none of the session's
+// hostnames.
 func (p *Profiler) finish(sc *profileScratch) (ontology.Vector, error) {
 	contribs := sc.contribs
 	for _, r := range sc.res {
@@ -558,6 +561,8 @@ func (p *Profiler) finish(sc *profileScratch) (ontology.Vector, error) {
 	}
 	sc.contribs = contribs
 	out, err := p.average(contribs)
+	clear(sc.hosts)
+	clear(sc.seen)
 	p.scratch.Put(sc)
 	return out, err
 }

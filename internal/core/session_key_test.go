@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -99,6 +101,49 @@ func TestSessionKeyMatchesReference(t *testing.T) {
 			t.Fatalf("SkipDedup=%v: only %d distinct keys; the sessions do not exercise the key", skip, len(byKey))
 		}
 		p.scratch.Put(sc)
+	}
+}
+
+// TestProfileScratchDropsHosts profiles a batch whose hostnames are
+// windows onto one body string, as the shard's decoder makes them, and
+// requires every scratch the pool ever made to hold none of them after:
+// a pooled scratch that kept one would keep the whole body alive.
+func TestProfileScratchDropsHosts(t *testing.T) {
+	fx := newProfilingFixture(t, 0.5)
+	for _, skip := range []bool{false, true} {
+		p := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 5, SkipDedup: skip})
+		var mu sync.Mutex
+		var made []*profileScratch
+		newScratch := p.scratch.New
+		p.scratch.New = func() any {
+			sc := newScratch()
+			mu.Lock()
+			made = append(made, sc.(*profileScratch))
+			mu.Unlock()
+			return sc
+		}
+		body := strings.Join(slices.Concat(fx.ta, fx.tb, fx.ta[:3]), " ")
+		hosts := strings.Fields(body)
+		var sessions [][]string
+		for i := 0; i+5 <= len(hosts); i += 3 {
+			sessions = append(sessions, hosts[i:i+5])
+		}
+		p.ProfileSessions(context.Background(), sessions)
+		p.ProfileSession(hosts[:7])
+		if len(made) == 0 {
+			t.Fatal("no scratch made")
+		}
+		for i, sc := range made {
+			if len(sc.seen) != 0 {
+				t.Errorf("SkipDedup=%v: scratch %d keeps %d hosts in seen", skip, i, len(sc.seen))
+			}
+			for j, h := range sc.hosts[:cap(sc.hosts)] {
+				if h != "" {
+					t.Errorf("SkipDedup=%v: scratch %d keeps host %q at %d", skip, i, h, j)
+					break
+				}
+			}
+		}
 	}
 }
 

@@ -215,48 +215,109 @@ func FuzzSearchSelect(f *testing.F) {
 		ends = append(ends, scale, 2*scale, 3*scale)
 	}
 	f.Add(selectSeed(2, 9, 0, 4, ends...))
+	// Past the sampled cut's row threshold, one seed per path.
+	for _, seed := range sampledCutSeeds() {
+		f.Add(seed.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			t.Skip("cap corpus growth")
 		}
-		dim, k, flags, seed := 1, 1, 0, 0
-		if len(data) >= 4 {
-			dim = 1 + int(data[0])%12
-			k = 1 + int(data[1])
-			flags = int(data[2])
-			seed = int(data[3])
-			data = data[4:]
-		}
-		rows := len(data) / 4 / dim
-		vecs := make([]float64, rows*dim)
-		for i := range vecs {
-			bits := uint32(data[4*i]) | uint32(data[4*i+1])<<8 | uint32(data[4*i+2])<<16 | uint32(data[4*i+3])<<24
-			vecs[i] = float64(math.Float32frombits(bits))
-		}
-		ix := New(vecs, rows, dim, Config{BlockRows: 1 + flags%7})
-		query := make([]float64, dim)
-		for i := range query {
-			// Mix two rows so the query is rarely parallel to one.
-			if rows > 0 {
-				query[i] = vecs[(seed%rows)*dim+i] + 0.5*vecs[((seed+1)%rows)*dim+i]
-			} else {
-				query[i] = float64(i + 1)
-			}
-		}
-		if flags&8 != 0 && rows > 2 { // a subset view: every other row
-			var ids []int
-			for id := seed % 2; id < rows; id += 2 {
-				ids = append(ids, id)
-			}
-			ix = ix.Subset(ids)
-		}
-		exclude := NoExclude
-		if flags&16 != 0 && rows > 0 {
-			exclude = int32(seed % rows)
-		}
+		ix, query, k, exclude := selectInput(data)
 		assertSelectMatchesOracle(t, "fuzz", ix, query, k, exclude)
-		assertSelectMatchesOracle(t, "fuzz", ix, query, rows, exclude)
+		assertSelectMatchesOracle(t, "fuzz", ix, query, ix.rows, exclude)
 	})
+}
+
+// selectInput decodes one FuzzSearchSelect input into an index (or a
+// subset view of one), a query, k and the excluded ID.
+func selectInput(data []byte) (ix *Index, query []float64, k int, exclude int32) {
+	dim, k, flags, seed := 1, 1, 0, 0
+	if len(data) >= 4 {
+		dim = 1 + int(data[0])%12
+		k = 1 + int(data[1])
+		flags = int(data[2])
+		seed = int(data[3])
+		data = data[4:]
+	}
+	rows := len(data) / 4 / dim
+	vecs := make([]float64, rows*dim)
+	for i := range vecs {
+		bits := uint32(data[4*i]) | uint32(data[4*i+1])<<8 | uint32(data[4*i+2])<<16 | uint32(data[4*i+3])<<24
+		vecs[i] = float64(math.Float32frombits(bits))
+	}
+	ix = New(vecs, rows, dim, Config{BlockRows: 1 + flags%7})
+	query = make([]float64, dim)
+	for i := range query {
+		// Mix two rows so the query is rarely parallel to one.
+		if rows > 0 {
+			query[i] = vecs[(seed%rows)*dim+i] + 0.5*vecs[((seed+1)%rows)*dim+i]
+		} else {
+			query[i] = float64(i + 1)
+		}
+	}
+	if flags&8 != 0 && rows > 2 { // a subset view: every other row
+		var ids []int
+		for id := seed % 2; id < rows; id += 2 {
+			ids = append(ids, id)
+		}
+		ix = ix.Subset(ids)
+	}
+	exclude = NoExclude
+	if flags&16 != 0 && rows > 0 {
+		exclude = int32(seed % rows)
+	}
+	return ix, query, k, exclude
+}
+
+// sampledCutSeeds are FuzzSearchSelect inputs of 200 two-dimensional
+// rows, past the sampled cut's threshold at their k, each with the path
+// selectTop takes for it (TestSampledCutSeedPaths holds them there).
+func sampledCutSeeds() []struct {
+	path string
+	data []byte
+} {
+	// Directions a golden angle apart: scores spread over [-1, 1].
+	var spread []float32
+	for r := 0; r < 200; r++ {
+		a := 2.39996 * float64(r)
+		spread = append(spread, float32(math.Cos(a)), float32(math.Sin(a)))
+	}
+	// The query is row 0 plus half of row 1, (1, 0.5). Seven rows where
+	// the sample looks score 0.89 against it, the rest 0.45 and below.
+	var sampled []float32
+	for r := 0; r < 200; r++ {
+		switch {
+		case r%8 == 0 && r < 56:
+			sampled = append(sampled, 1, 0)
+		case r == 1:
+			sampled = append(sampled, 0, 1)
+		default:
+			sampled = append(sampled, -0.2-0.001*float32(r%5), 1)
+		}
+	}
+	return []struct {
+		path string
+		data []byte
+	}{
+		{pathSampled, selectSeed(1, 4, 0, 3, spread...)},  // k 5
+		{pathSampled, selectSeed(1, 4, 16, 3, spread...)}, // k 5, the best row excluded
+		{pathSampled, selectSeed(1, 4, 0, 3, repeat32(200, 0.6, 0.8)...)},
+		{pathFallback, selectSeed(1, 8, 0, 0, sampled...)}, // k 9 over 7 sampled winners
+		{pathFallback, selectSeed(1, 8, 16, 0, sampled...)},
+	}
+}
+
+// TestSampledCutSeedPaths pins which way selectTop goes for each
+// sampled-cut seed of FuzzSearchSelect, so the seeds keep reaching the
+// paths they were laid out for.
+func TestSampledCutSeedPaths(t *testing.T) {
+	for i, seed := range sampledCutSeeds() {
+		ix, query, k, exclude := selectInput(seed.data)
+		if got := selectPath(ix, query, k, exclude); got != seed.path {
+			t.Errorf("seed %d: %s, want %s", i, got, seed.path)
+		}
+	}
 }
 
 // FuzzDot32Rows holds the 4-row kernel to the single-row oracle on any

@@ -145,7 +145,7 @@ func (ix *Index) configure(cfg Config) {
 // No product code calls it: the profiler scans the whole vocabulary and
 // filters by label. It stays because bench/layers.go times a labelled
 // view as index.search_us; it goes when that row is repointed at the
-// full-vocabulary scan (ROADMAP 1(c)).
+// full-vocabulary scan (ROADMAP 1(b)).
 func (ix *Index) Subset(origIDs []int) *Index {
 	sub := &Index{
 		dim:    ix.dim,

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,9 +19,11 @@ type queryState struct {
 	// ranges of it; the query owner reads it after wg.Wait.
 	scores []float32
 	// top selects the k best of scores, touched by the query owner only;
-	// counts is its pre-filter's histogram (8 KiB at any row count).
+	// counts is its pre-filter's histogram (8 KiB at any row count), and
+	// cand holds the rows that survive a sampled cut (4 bytes per row).
 	top    topk
 	counts [selectBuckets]int32
+	cand   []int32
 
 	// epoch is odd while a query is active. Helpers receive (state,
 	// epoch) tokens from the process-wide channel; a token whose epoch
@@ -41,6 +44,7 @@ func newQueryState(ix *Index) *queryState {
 		ix:     ix,
 		q:      make([]float32, ix.dim),
 		scores: make([]float32, ix.rows),
+		cand:   make([]int32, ix.rows),
 	}
 }
 
@@ -135,35 +139,95 @@ func bucketOf(s float32) int {
 	return int(min(f, selectBuckets-1))
 }
 
+// bucketLo[b] is the least float32 that bucketOf puts in bucket b or
+// above, so for any score s but NaN, s >= bucketLo[b] exactly when
+// bucketOf(s) >= b. Each is a binary search over the float32s in order.
+var bucketLo = func() (lo [selectBuckets]float32) {
+	// key orders float32s as uint32s: negatives reversed below the
+	// positives, -0 just under +0.
+	key := func(f float32) uint32 {
+		b := math.Float32bits(f)
+		if b>>31 != 0 {
+			return ^b
+		}
+		return b | 1<<31
+	}
+	float := func(k uint32) float32 {
+		if k>>31 != 0 {
+			return math.Float32frombits(k &^ (1 << 31))
+		}
+		return math.Float32frombits(^k)
+	}
+	lo[0] = float32(math.Inf(-1))
+	for b := 1; b < selectBuckets; b++ {
+		l, h := key(-2), key(2) // bucketOf(-2) < b <= bucketOf(2)
+		for l+1 < h {
+			if m := l + (h-l)/2; bucketOf(float(m)) >= b {
+				h = m
+			} else {
+				l = m
+			}
+		}
+		lo[b] = float(h)
+	}
+	return lo
+}()
+
+// The sampled cut: every sampleStride-th score is histogrammed, and the
+// cut is taken where the sample holds 2·⌈need/sampleStride⌉+2 rows —
+// about twice the need once scaled up. It runs only over at least
+// sampleMinRatio·need rows, where the sample holds twice that many.
+const (
+	sampleStride   = 8
+	sampleMinRatio = 16
+)
+
 // selectTop appends to dst the k best rows of qs.scores, skipping row
 // exclude (-1 for none), best first.
 //
 // Each row offered to the heap costs a mispredicted sift and most rows
 // cannot win, so a count goes first: histogram the scores, walk the
-// buckets from the top until they hold k selectable rows, offer only
-// rows at or above that cut. A row below it scores strictly under k
-// selectable rows, so no tie-break puts it in the top k; the rest meet
-// the heap in row order as before.
+// buckets from the top until they hold need = k selectable rows (k+1
+// with an exclusion, which may be among them), offer only rows at or
+// above that cut. A row below it scores strictly under k selectable
+// rows, so no tie-break puts it in the top k; the rest meet the heap in
+// row order.
+//
+// Over many rows, a sampled cut (survivors) first narrows the rows that
+// histogram and heap see to those scoring at or above a bucket floor
+// lo. When at least need rows survive, the k-th best selectable score
+// is ≥ lo, so every top-k row survives, and the survivors are all the
+// rows in the buckets the full histogram's walk visits: the walk stops
+// at the same cut and the heap gets the same offers in the same order.
+// With fewer survivors the full histogram runs instead.
 func (qs *queryState) selectTop(dst []Result, k int, exclude int32) []Result {
 	h := &qs.top
 	h.reset(min(k, len(qs.scores)))
-	cut := 0
-	if k < len(qs.scores) {
-		clear(qs.counts[:])
-		for _, s := range qs.scores {
-			qs.counts[bucketOf(s)]++
-		}
-		need := int32(k)
-		if exclude >= 0 {
-			need++ // the excluded row may be among those counted
-		}
-		for cut = selectBuckets - 1; cut > 0 && qs.counts[cut] < need; cut-- {
-			need -= qs.counts[cut]
-		}
+	need := int32(k)
+	if exclude >= 0 {
+		need++
 	}
-	for r, s := range qs.scores {
-		if bucketOf(s) >= cut && int32(r) != exclude {
-			h.offer(entry{score: s, row: int32(r)})
+	if n, floor := qs.survivors(need); n >= int(need) {
+		cand := qs.cand[:n]
+		cut := qs.cut(floor, need, cand)
+		for _, r := range cand {
+			if s := qs.scores[r]; bucketOf(s) >= cut && r != exclude {
+				h.offer(entry{score: s, row: r})
+			}
+		}
+	} else {
+		cut := 0
+		if k < len(qs.scores) {
+			clear(qs.counts[:])
+			for _, s := range qs.scores {
+				qs.counts[bucketOf(s)]++
+			}
+			cut = qs.walk(selectBuckets-1, need)
+		}
+		for r, s := range qs.scores {
+			if bucketOf(s) >= cut && int32(r) != exclude {
+				h.offer(entry{score: s, row: int32(r)})
+			}
 		}
 	}
 	n := len(h.e)
@@ -183,6 +247,71 @@ func (qs *queryState) selectTop(dst []Result, k int, exclude int32) []Result {
 		dst[base+i] = Result{ID: id, Score: e.score}
 	}
 	return dst
+}
+
+// walk returns the highest bucket at or below top at which qs.counts,
+// summed from top down, reaches need — bucket 0 if it never does.
+func (qs *queryState) walk(top int, need int32) int {
+	cut := top
+	for ; cut > 0 && qs.counts[cut] < need; cut-- {
+		need -= qs.counts[cut]
+	}
+	return cut
+}
+
+// survivors runs the sampled cut: it histograms every sampleStride-th
+// score, takes the bucket floor where the sample holds
+// 2·⌈need/sampleStride⌉+2 rows, and compacts the rows scoring at or
+// above the floor's least score, in row order, into qs.cand[:n]. It
+// returns n and the floor, or n = 0 without compacting when the rows
+// are too few for a sample or the sample reaches no floor above bucket
+// 0.
+func (qs *queryState) survivors(need int32) (n, floor int) {
+	scores := qs.scores
+	if len(scores) < sampleMinRatio*int(need) {
+		return 0, 0
+	}
+	clear(qs.counts[:])
+	top := 0
+	for i := 0; i < len(scores); i += sampleStride {
+		b := bucketOf(scores[i])
+		qs.counts[b]++
+		top = max(top, b)
+	}
+	floor = qs.walk(top, 2*((need+sampleStride-1)/sampleStride)+2)
+	if floor == 0 {
+		return 0, 0
+	}
+	lo := bucketLo[floor]
+	cand := qs.cand[:len(scores)]
+	for r, s := range scores {
+		cand[n] = int32(r)
+		n += b2i(s >= lo)
+	}
+	return n, floor
+}
+
+// cut is the full histogram's cut, taken over the survivors cand of a
+// sampled cut at floor: every row in a bucket at or above the floor is
+// among them, and the walk stops at or above it, since the survivors
+// number at least need.
+func (qs *queryState) cut(floor int, need int32, cand []int32) int {
+	clear(qs.counts[floor:])
+	top := floor
+	for _, r := range cand {
+		b := bucketOf(qs.scores[r])
+		qs.counts[b]++
+		top = max(top, b)
+	}
+	return qs.walk(top, need)
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // --- scanner helper pool ------------------------------------------------

@@ -61,7 +61,9 @@ func sameResults(a, b []Result) bool {
 }
 
 // assertSelectMatchesOracle runs one query through SearchAppend, at one
-// worker and at many, and requires the oracle's answer from each.
+// worker and at many, and — without an exclusion, which the batch does
+// not take — through SearchBatchAppend, and requires the oracle's
+// answer from each.
 func assertSelectMatchesOracle(t *testing.T, what string, ix *Index, query []float64, k int, exclude int32) {
 	t.Helper()
 	want := refSelect(ix, query, k, exclude)
@@ -71,6 +73,50 @@ func assertSelectMatchesOracle(t *testing.T, what string, ix *Index, query []flo
 				what, k, workers, exclude, ix.rows, clip(got), clip(want))
 		}
 	}
+	if exclude != NoExclude {
+		return
+	}
+	got := make([][]Result, 1)
+	ix.SearchBatchAppend(got, [][]float64{query}, k)
+	if !sameResults(got[0], want) {
+		t.Fatalf("%s: SearchBatchAppend(k=%d) over %d rows differs from the oracle\n got %v\nwant %v",
+			what, k, ix.rows, clip(got[0]), clip(want))
+	}
+}
+
+// Which way selectTop goes for one query's scores.
+const (
+	pathFull     = "full histogram"   // too few rows, or the sample finds no floor
+	pathSampled  = "sampled cut"      // at least need rows survive the floor
+	pathFallback = "sampled fallback" // a floor, but fewer than need survivors
+)
+
+// selectPath scores query over ix the way the scan does and reports the
+// path selectTop takes for it at k and exclude.
+func selectPath(ix *Index, query []float64, k int, exclude int32) string {
+	qs := newQueryState(ix)
+	if !packQuery(qs.q, query) {
+		return pathFull
+	}
+	for b := 0; b < ix.blocks; b++ {
+		ix.scoreBlock(qs.q, b, qs.scores)
+	}
+	return scoresPath(qs, k, ix.rowOf(exclude))
+}
+
+// scoresPath reports the path selectTop takes over qs.scores.
+func scoresPath(qs *queryState, k int, exclude int32) string {
+	need := k
+	if exclude >= 0 {
+		need++
+	}
+	switch n, floor := qs.survivors(int32(need)); {
+	case floor == 0:
+		return pathFull
+	case n >= need:
+		return pathSampled
+	}
+	return pathFallback
 }
 
 func clip(r []Result) []Result {
@@ -246,6 +292,204 @@ func TestBucketOfMonotone(t *testing.T) {
 	}
 	if b := bucketOf(float32(math.NaN())); b != 0 {
 		t.Fatalf("bucketOf(NaN) = %d", b)
+	}
+}
+
+// TestBucketLo pins the sampled cut's floor table: bucketLo[b] is in
+// bucket b, and the float32 below it is not.
+func TestBucketLo(t *testing.T) {
+	for b := 1; b < selectBuckets; b++ {
+		lo := bucketLo[b]
+		if got := bucketOf(lo); got != b {
+			t.Fatalf("bucketOf(bucketLo[%d] = %g) = %d", b, lo, got)
+		}
+		if below := math.Nextafter32(lo, float32(math.Inf(-1))); bucketOf(below) != b-1 {
+			t.Fatalf("bucketOf(%g), just below bucketLo[%d], = %d", below, b, bucketOf(below))
+		}
+	}
+}
+
+// refTop is the oracle over bare scores: rows by score descending, ties
+// by ascending row, exclude dropped, cut to k.
+func refTop(scores []float32, k int, exclude int32) []Result {
+	var all []Result
+	for r, s := range scores {
+		if int32(r) != exclude {
+			all = append(all, Result{ID: int32(r), Score: s})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Score > all[j].Score })
+	return all[:min(k, len(all))]
+}
+
+// TestSelectTopSampledCut drives selectTop over hand-laid scores past
+// the sampled cut's row threshold, one case per way through it, and
+// requires both the path it takes and the oracle's answer. The sample
+// sees every 8th row, so placing scores on rows r%8 == 0 or off them
+// steers what the sample believes.
+func TestSelectTopSampledCut(t *testing.T) {
+	const rows = 1024
+	rng := rand.New(rand.NewSource(1606))
+	crowd := func() []float32 { // low scores everywhere
+		s := make([]float32, rows)
+		for r := range s {
+			s[r] = 0.6*rng.Float32() - 0.4
+		}
+		return s
+	}
+	at := func(b int) float32 { return bucketLo[b] }
+	b07 := bucketOf(0.7)
+	cases := []struct {
+		name    string
+		scores  func() []float32
+		k       int
+		exclude int32
+		path    string
+	}{
+		{"spread scores", crowd, 40, -1, pathSampled},
+		{"spread scores, best row excluded", crowd, 40, 0, pathSampled},
+		{"spread scores, k 1", crowd, 1, -1, pathSampled},
+		{"one score everywhere: every row survives", func() []float32 {
+			s := make([]float32, rows)
+			for r := range s {
+				s[r] = 0.25
+			}
+			return s
+		}, 40, 7, pathSampled},
+		{"every score in bucket 0: no floor", func() []float32 {
+			s := make([]float32, rows)
+			for r := range s {
+				s[r] = -1
+			}
+			return s
+		}, 40, -1, pathFull},
+		{"below the row threshold", crowd, rows/sampleMinRatio + 1, -1, pathFull},
+		// 20 high rows, all where the sample looks: it puts the floor
+		// among them, and only they survive.
+		{"few winners, all sampled", func() []float32 {
+			s := crowd()
+			for i := 0; i < 20; i++ {
+				s[8*i] = 0.9 - 0.01*float32(i)
+			}
+			return s
+		}, 40, -1, pathFallback},
+		// The k-th best ties with 60 rows the sample never sees, one
+		// ulp under the floor: they all fall below it.
+		{"k-th tie just under the floor", func() []float32 {
+			s := crowd()
+			for i := 0; i < 14; i++ {
+				s[8*i] = at(b07)
+			}
+			for i := 0; i < 60; i++ {
+				s[8*i+3] = math.Nextafter32(at(b07), 0)
+			}
+			return s
+		}, 40, -1, pathFallback},
+		// The same tie exactly on the floor (the sample's 12th row sits
+		// there) survives whole.
+		{"k-th tie on the floor", func() []float32 {
+			s := crowd()
+			for i := 0; i < 11; i++ {
+				s[8*i] = 0.9
+			}
+			s[8*11] = at(b07)
+			for i := 0; i < 60; i++ {
+				s[8*i+3] = at(b07)
+			}
+			return s
+		}, 40, -1, pathSampled},
+		// need = k+1 = 10 survivors exactly, the excluded row one of
+		// them and tied with the floor's sampled row.
+		{"excluded row at the floor, need survivors", func() []float32 {
+			s := crowd()
+			for i, v := range []float32{0.95, 0.9, 0.85, 0.8, 0.75, at(b07)} {
+				s[8*i] = v
+			}
+			s[101], s[205], s[309], s[413] = 0.97, 0.72, 0.71, at(b07)
+			return s
+		}, 9, 413, pathSampled},
+		// One survivor fewer: k survive, the excluded row among them,
+		// so only k-1 are selectable and the full histogram must run.
+		{"excluded row at the floor, k survivors", func() []float32 {
+			s := crowd()
+			for i, v := range []float32{0.95, 0.9, 0.85, 0.8, 0.75, at(b07)} {
+				s[8*i] = v
+			}
+			s[101], s[205], s[413] = 0.97, 0.72, at(b07)
+			return s
+		}, 9, 413, pathFallback},
+	}
+	ix := New(make([]float32, rows), rows, 1, Config{})
+	for _, c := range cases {
+		qs := newQueryState(ix)
+		scores := c.scores()
+		copy(qs.scores, scores)
+		if got := scoresPath(qs, c.k, c.exclude); got != c.path {
+			t.Errorf("%s: path %q, want %q", c.name, got, c.path)
+		}
+		want := refTop(scores, c.k, c.exclude)
+		if got := qs.selectTop(nil, c.k, c.exclude); !sameResults(got, want) {
+			t.Errorf("%s: selectTop(k=%d, exclude=%d)\n got %v\nwant %v", c.name, c.k, c.exclude, clip(got), clip(want))
+		}
+	}
+}
+
+// TestSearchSelectSampledCutOracle runs matrices past the sampled cut's
+// row threshold through SearchAppend and SearchBatchAppend against the
+// oracle, and pins which path each world's query takes.
+func TestSearchSelectSampledCutOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1607))
+	dim := 8
+	query := make([]float64, dim)
+	query[0] = 1
+	// A row scoring cosine c against query, its remainder on axis 1+r%7.
+	row := func(r int, c float64) []float64 {
+		v := make([]float64, dim)
+		v[0], v[1+r%(dim-1)] = c, math.Sqrt(1-c*c)
+		return v
+	}
+	worlds := map[string]struct {
+		rows  int
+		build func(rows int) []float64
+		path  string
+	}{
+		"random rows": {2000, func(rows int) []float64 { return randMatrix(rng, rows, dim, 5, 900) }, pathSampled},
+		"few winners where the sample looks": {1000, func(rows int) []float64 {
+			var m []float64
+			for r := 0; r < rows; r++ {
+				c := 0.1 * rng.Float64()
+				if r%8 == 0 && r < 8*20 {
+					c = 0.9 + 0.05*rng.Float64()
+				}
+				m = append(m, row(r, c)...)
+			}
+			return m
+		}, pathFallback},
+		"identical rows": {1000, func(rows int) []float64 {
+			var m []float64
+			for r := 0; r < rows; r++ {
+				m = append(m, row(0, 0.3)...)
+			}
+			return m
+		}, pathSampled},
+		"anti-parallel rows": {1000, func(rows int) []float64 {
+			var m []float64
+			for r := 0; r < rows; r++ {
+				m = append(m, -float64(1+r%3), 0, 0, 0, 0, 0, 0, 0)
+			}
+			return m
+		}, pathFull},
+	}
+	for what, w := range worlds {
+		ix := New(w.build(w.rows), w.rows, dim, Config{BlockRows: 128})
+		if got := selectPath(ix, query, 40, NoExclude); got != w.path {
+			t.Errorf("%s: k 40 takes the %s, want the %s", what, got, w.path)
+		}
+		for _, k := range []int{1, 9, 40, w.rows/sampleMinRatio - 1} {
+			for _, ex := range []int32{NoExclude, 0, 5, int32(w.rows / 2)} {
+				assertSelectMatchesOracle(t, what, ix, query, k, ex)
+			}
+		}
 	}
 }
 

@@ -11,10 +11,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -26,6 +28,7 @@ import (
 	"hostprof/internal/core"
 	"hostprof/internal/engine"
 	"hostprof/internal/fault"
+	"hostprof/internal/jsonscan"
 	"hostprof/internal/obs"
 	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/obs/prof"
@@ -598,7 +601,13 @@ func (b *Backend) faulty(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 const maxBodyBytes = 1 << 20
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// decodeFrom decodes the first JSON value of rd into dst, refusing
+// unknown fields; on failure it writes the 413 or 400 and reports false.
+func decodeFrom(w http.ResponseWriter, rd io.Reader, dst any) bool {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var tooBig *http.MaxBytesError
@@ -612,6 +621,38 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	}
 	return true
 }
+
+// decodeProfileBatch reads a /v1/profile/batch body once and decodes
+// its sessions with jsonscan.StringArrays, whose hosts are substrings
+// of the body. A body that scanner leaves to the library, or a read
+// that failed, goes through decodeFrom over the bytes read followed by
+// the read's error — what decodeJSON would have met — so every refusal
+// keeps decodeJSON's status and body (FuzzProfileBatchDecode).
+func decodeProfileBatch(w http.ResponseWriter, r *http.Request) ([][]string, bool) {
+	// Sized from Content-Length, so the body lands in one buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	raw := buf.Bytes()
+	if err == nil {
+		if sessions, ok := jsonscan.StringArrays(raw, "sessions"); ok {
+			return sessions, true
+		}
+	}
+	rd := io.Reader(bytes.NewReader(raw))
+	if err != nil {
+		rd = io.MultiReader(rd, errReader{err})
+	}
+	var req ProfileBatchRequest
+	if !decodeFrom(w, rd, &req) {
+		return nil, false
+	}
+	return req.Sessions, true
+}
+
+// errReader replays a read error.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req ReportRequest
@@ -655,27 +696,27 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *Backend) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
-	var req ProfileBatchRequest
-	if !decodeJSON(w, r, &req) {
+	sessions, ok := decodeProfileBatch(w, r)
+	if !ok {
 		return
 	}
 	switch {
-	case len(req.Sessions) == 0:
+	case len(sessions) == 0:
 		httpmw.WriteError(w, http.StatusBadRequest, "empty session list")
 		return
-	case len(req.Sessions) > b.cfg.MaxSessionsPerBatch:
+	case len(sessions) > b.cfg.MaxSessionsPerBatch:
 		httpmw.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch carries %d sessions, limit %d", len(req.Sessions), b.cfg.MaxSessionsPerBatch))
+			fmt.Sprintf("batch carries %d sessions, limit %d", len(sessions), b.cfg.MaxSessionsPerBatch))
 		return
 	}
-	for i, s := range req.Sessions {
+	for i, s := range sessions {
 		if len(s) > b.cfg.MaxHostsPerReport {
 			httpmw.WriteError(w, http.StatusBadRequest,
 				fmt.Sprintf("session %d carries %d hosts, limit %d", i, len(s), b.cfg.MaxHostsPerReport))
 			return
 		}
 	}
-	vecs, errs, err := b.ProfileSessions(r.Context(), req.Sessions)
+	vecs, errs, err := b.ProfileSessions(r.Context(), sessions)
 	if errors.Is(err, engine.ErrNotTrained) {
 		httpmw.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
