@@ -782,7 +782,7 @@ func (s *annBenchState) setup(b *testing.B) {
 				vecs[r*s.dim+i] = centroids[c*s.dim+i] + rng.NormFloat64()*0.35
 			}
 		}
-		s.ix = index.New(vecs, s.rows, s.dim, index.Config{})
+		s.ix = index.New(vecs, s.rows, s.dim)
 		s.ann = s.ix.BuildANN(index.ANNConfig{Seed: 99})
 
 		// Eq.(3)-shaped queries: weighted same-topic host mixtures plus

@@ -660,10 +660,11 @@ func TestGatewayBatchRejectsMalformedSessions(t *testing.T) {
 // TestGatewayRelaysShardRefusal sends a batch the gateway forwards but a
 // shard refuses — one session past the shard's host limit — and
 // requires the gateway's answer to be the shard's own: the same status
-// and body as a direct request, with no partial flag and no tick of the
-// partial-batch alarm. The refusal is the client's fault; degrading the
-// chunk to per-session errors used to fail the valid sessions beside it
-// and raise a shard alarm.
+// and body as a direct request, the session renumbered to the client's
+// batch when its chunk is not the first, with no partial flag and no
+// tick of the partial-batch alarm. The refusal is the client's fault;
+// degrading the chunk to per-session errors used to fail the valid
+// sessions beside it and raise a shard alarm.
 func TestGatewayRelaysShardRefusal(t *testing.T) {
 	fx := newClusterFixture(t, 2, 40)
 	fx.feedViaGateway(t)
@@ -689,12 +690,23 @@ func TestGatewayRelaysShardRefusal(t *testing.T) {
 	if direct.StatusCode != http.StatusBadRequest || !strings.Contains(want, "session 1 carries 1025 hosts, limit 1024") {
 		t.Fatalf("shard answered %d %s", direct.StatusCode, want)
 	}
+	// Ten sessions with the long one last put it second in the second
+	// chunk: the shard calls it session 1, the client sent it as 9.
+	late := append(fx.sessions(9), long)
 	partials := fx.gw.met.batchPartial.Value()
-	for _, n := range []int{2, len(sessions)} {
-		body, _ := json.Marshal(server.ProfileBatchRequest{Sessions: sessions[:n]})
+	for _, c := range []struct {
+		sessions [][]string
+		want     string
+	}{
+		{sessions[:2], want},
+		{sessions, want},
+		{late, strings.Replace(want, "session 1 ", "session 9 ", 1)},
+	} {
+		n := len(c.sessions)
+		body, _ := json.Marshal(server.ProfileBatchRequest{Sessions: c.sessions})
 		resp, got := post(fx.gwSrv.URL, body)
-		if resp.StatusCode != direct.StatusCode || got != want {
-			t.Errorf("%d sessions through the gateway: %d %s, want the shard's %d %s", n, resp.StatusCode, got, direct.StatusCode, want)
+		if resp.StatusCode != direct.StatusCode || got != c.want {
+			t.Errorf("%d sessions through the gateway: %d %s, want %d %s", n, resp.StatusCode, got, direct.StatusCode, c.want)
 		}
 		if resp.Header.Get(PartialHeader) != "" {
 			t.Errorf("%d sessions: a refused batch flagged partial", n)

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -395,9 +396,9 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		}(c)
 	}
 	wg.Wait()
-	for _, ans := range refused {
+	for ci, ans := range refused {
 		if ans != nil {
-			relay(w, *ans)
+			relay(w, renumberSession(*ans, chunks[ci].start))
 			return
 		}
 	}
@@ -411,6 +412,28 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(spliceArray(`{"profiles":[`, results, "]}\n"))
+}
+
+// renumberSession rewrites a shard's "session i …" refusal of a chunk
+// that starts at session start of the client's batch to name session
+// start+i, as the client numbered it: the shard counts from its chunk.
+// Any other answer, and every answer for the first chunk, is returned
+// as it came.
+func renumberSession(ans shardAnswer, start int) shardAnswer {
+	var e httpmw.ErrorBody
+	if start == 0 || json.Unmarshal(ans.body, &e) != nil {
+		return ans
+	}
+	rest, ok := strings.CutPrefix(e.Error, "session ")
+	digits := len(rest) - len(strings.TrimLeft(rest, "0123456789"))
+	i, err := strconv.Atoi(rest[:digits])
+	if !ok || err != nil {
+		return ans
+	}
+	e.Error = "session " + strconv.Itoa(start+i) + rest[digits:]
+	body, _ := json.Marshal(e) // a struct of one string cannot fail
+	ans.body = append(body, '\n')
+	return ans
 }
 
 // spliceArray returns prefix, the elements joined by commas, suffix.

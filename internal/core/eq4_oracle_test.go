@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"hostprof/internal/index"
 	"hostprof/internal/ontology"
 	"hostprof/internal/stats"
 )
@@ -46,7 +47,13 @@ func profileSessionDense(p *Profiler, hosts []string, serial bool) (ontology.Vec
 		if serial {
 			neighbours = refNearestToVector(p.model, sVec, p.cfg.N)
 		} else {
-			for _, r := range p.annSearch(nil, sVec, p.cfg.N) {
+			var res []index.Result
+			if p.ann != nil {
+				res = p.annSearch(nil, sVec, p.cfg.N)
+			} else {
+				res = p.idx.SearchAppend(nil, sVec, p.cfg.N, 0, index.NoExclude)
+			}
+			for _, r := range res {
 				neighbours = append(neighbours, Neighbour{ID: int(r.ID), Host: p.model.Vocab().Host(int(r.ID)), Cosine: float64(r.Score)})
 			}
 		}

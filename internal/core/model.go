@@ -488,7 +488,7 @@ func (m *Model) ContextVectorByID(id int) []float32 {
 // this model shares one copy.
 func (m *Model) SimilarityIndex() *index.Index {
 	m.fastOnce.Do(func() {
-		m.fastIdx = index.New(m.in, m.vocab.Len(), m.dim, index.Config{})
+		m.fastIdx = index.New(m.in, m.vocab.Len(), m.dim)
 	})
 	return m.fastIdx
 }

@@ -336,14 +336,10 @@ func (sc *profileScratch) dedupFirst(hosts []string) []string {
 }
 
 // annSearch appends to dst the answer to one Eq. (3) neighbourhood
-// query: through the HNSW graph when one is attached (counting queries
-// and fallbacks, and keeping a sampled recall estimate by re-running
-// every 64th graph-answered query exactly), through the exact scan
-// otherwise. Scans run at the index's default parallelism (workers 0).
+// query through the attached HNSW graph, counting queries and fallbacks
+// and keeping a sampled recall estimate by re-running every 64th
+// graph-answered query exactly.
 func (p *Profiler) annSearch(dst []index.Result, sVec []float64, k int) []index.Result {
-	if p.ann == nil {
-		return p.idx.SearchAppend(dst, sVec, k, 0, index.NoExclude)
-	}
 	res, fellBack := p.ann.SearchAppend(dst, sVec, k, p.cfg.ANNEf, 0, index.NoExclude)
 	p.mANNQueries.Inc() // nil-safe without cfg.Metrics
 	if fellBack {
@@ -361,9 +357,9 @@ func (p *Profiler) annSearch(dst []index.Result, sVec []float64, k int) []index.
 
 // neighbours answers the Eq. (3) neighbourhood query — H_{s}, the N
 // vocabulary hosts closest to the session representation — for every
-// session of ask, into its scratch's res. A group of exact queries
-// shares passes over the rows (index.SearchBatchAppend); a lone query,
-// or one through the ANN graph, runs on its own (annSearch). The group
+// session of ask, into its scratch's res. Exact queries share passes
+// over the rows (index.SearchBatchAppend), a lone one included; a query
+// through the ANN graph runs on its own (annSearch). The group
 // is one profile.index span under ctx and len(ask) queries in the
 // hostprof_index_* metrics.
 func (p *Profiler) neighbours(ctx context.Context, g *sessionGroup, ask []*profileScratch) {
@@ -372,7 +368,7 @@ func (p *Profiler) neighbours(ctx context.Context, g *sessionGroup, ask []*profi
 	}
 	_, span := p.cfg.Tracer.StartSpan(ctx, "profile.index")
 	start := time.Now()
-	if p.ann != nil || len(ask) == 1 {
+	if p.ann != nil {
 		for _, sc := range ask {
 			sc.res = p.annSearch(sc.res[:0], sc.sVec, p.cfg.N)
 		}
@@ -445,7 +441,7 @@ func (p *Profiler) ProfileSession(hosts []string) (ontology.Vector, error) {
 
 // ProfileSessionContext is ProfileSession under a request context: when
 // ctx carries an active trace, the index scan appears as a profile.index
-// child span. It is a group of one: prepare, one SearchAppend, finish.
+// child span. It is a group of one: prepare, one search, finish.
 func (p *Profiler) ProfileSessionContext(ctx context.Context, hosts []string) (ontology.Vector, error) {
 	var g sessionGroup
 	var vec [1]ontology.Vector

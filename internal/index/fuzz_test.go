@@ -42,7 +42,7 @@ func FuzzANNBuild(f *testing.F) {
 				uint32(data[4*i+2])<<16 | uint32(data[4*i+3])<<24
 			vecs[i] = float64(math.Float32frombits(bits))
 		}
-		ix := New(vecs, rows, dim, Config{BlockRows: 8})
+		ix := New(vecs, rows, dim)
 		cfg := ANNConfig{M: m, EfConstruction: ef, Ef: ef, Seed: 42}
 		ann := ix.BuildANN(cfg)
 		if d := graphDiff(ann, refBuildANN(ix, cfg)); d != "" {
@@ -120,7 +120,7 @@ func FuzzANNLoad(f *testing.F) {
 	const rows, dim, k = 96, 4, 5
 	rng := rand.New(rand.NewSource(96))
 	cfg := ANNConfig{M: 3, EfConstruction: 12, Ef: 8, Seed: 7}
-	ix := New(randMatrix(rng, rows, dim, 11), rows, dim, Config{BlockRows: 16})
+	ix := New(randMatrix(rng, rows, dim, 11), rows, dim)
 	built := ix.BuildANN(cfg)
 	valid := built.AppendBinary(nil)
 	queries := make([][]float64, 100)
@@ -246,7 +246,7 @@ func selectInput(data []byte) (ix *Index, query []float64, k int, exclude int32)
 		bits := uint32(data[4*i]) | uint32(data[4*i+1])<<8 | uint32(data[4*i+2])<<16 | uint32(data[4*i+3])<<24
 		vecs[i] = float64(math.Float32frombits(bits))
 	}
-	ix = New(vecs, rows, dim, Config{BlockRows: 1 + flags%7})
+	ix = New(vecs, rows, dim)
 	query = make([]float64, dim)
 	for i := range query {
 		// Mix two rows so the query is rarely parallel to one.

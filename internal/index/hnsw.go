@@ -678,9 +678,9 @@ func (a *ANN) Search(query []float64, k int) []Result {
 // bit-identical to the exact index's for the same rows — and reports
 // whether the query was answered by the exact-scan fallback. ef
 // overrides the configured search breadth (0 keeps the default; always
-// raised to at least k). workers bounds exact-fallback parallelism
-// only. exclude suppresses one original ID. A zero or non-finite query
-// has no defined neighbourhood and returns dst unchanged.
+// raised to at least k). workers is passed to the exact fallback, which
+// ignores it. exclude suppresses one original ID. A zero or non-finite
+// query has no defined neighbourhood and returns dst unchanged.
 //
 // Steady state the ANN path allocates nothing beyond dst growth:
 // scratch comes from a pool sized on first use.

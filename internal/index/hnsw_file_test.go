@@ -95,7 +95,7 @@ func TestANNLoadEqualsBuild(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/M=%d/seed=%d", tc.name, m, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(seed) + int64(tc.rows)))
 					vecs := tc.matrix(rng, tc.rows, tc.dim)
-					ix := New(vecs, tc.rows, tc.dim, Config{BlockRows: 64})
+					ix := New(vecs, tc.rows, tc.dim)
 					cfg := ANNConfig{M: m, Ef: tc.ef, Seed: seed}
 					built := ix.BuildANN(cfg)
 					if built.unindexed != tc.unindexed {
@@ -157,13 +157,13 @@ func TestANNLoadRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const rows, dim = 400, 8
 	cfg := ANNConfig{M: 4, EfConstruction: 40, Ef: 16, Seed: 9}
-	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{})
+	ix := New(randMatrix(rng, rows, dim), rows, dim)
 	built := ix.BuildANN(cfg)
 	valid := built.AppendBinary(nil)
 	if _, err := ix.LoadANN(valid, cfg); err != nil {
 		t.Fatalf("the valid encoding does not load: %v", err)
 	}
-	other := New(randMatrix(rng, rows, dim), rows, dim, Config{})
+	other := New(randMatrix(rng, rows, dim), rows, dim)
 
 	// A row above layer 0 with a layer-1 neighbour, and a layer-0-only
 	// row to mislink it to.
@@ -246,7 +246,7 @@ func TestANNLoadRejects(t *testing.T) {
 // encoding does not carry — comes from the loader's config.
 func TestANNLoadDefaultsMatchExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	ix := New(randMatrix(rng, 300, 8), 300, 8, Config{})
+	ix := New(randMatrix(rng, 300, 8), 300, 8)
 	data := ix.BuildANN(ANNConfig{}).AppendBinary(nil)
 	a, err := ix.LoadANN(data, ANNConfig{M: 16, EfConstruction: 100, Ef: 40})
 	if err != nil {
@@ -269,8 +269,8 @@ func BenchmarkANNLoad(b *testing.B) {
 	}
 	const rows, dim = 40_000, 64
 	rng := rand.New(rand.NewSource(40))
-	ix := New(clusteredMatrix(rng, rows, dim, 400, 0.25), rows, dim, Config{})
-	small := New(clusteredMatrix(rand.New(rand.NewSource(38)), 3_800, dim, 40, 0.25), 3_800, dim, Config{})
+	ix := New(clusteredMatrix(rng, rows, dim, 400, 0.25), rows, dim)
+	small := New(clusteredMatrix(rand.New(rand.NewSource(38)), 3_800, dim, 40, 0.25), 3_800, dim)
 	var ann *ANN
 	for _, c := range []struct {
 		name string

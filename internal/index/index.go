@@ -8,17 +8,14 @@
 // bench world's size the matrix (≈ 0.5 MB) sits in L2 and the scan is
 // bound by its floating-point operations; at the paper's 470K rows it
 // streams 240 MB per query and memory bandwidth binds, which float32
-// halves against float64. For one query (SearchAppend) the row space is
-// partitioned into cache-sized blocks claimed by a bounded set of
-// scanners — the querying goroutine plus idle helpers from a
-// process-wide pool — each scoring its blocks straight into one
-// row-indexed score buffer with a four-lane SIMD kernel (dot.go); the
-// querying goroutine then folds the buffer through one bounded heap
-// under a total order (higher score first, ties broken by ascending
-// ID), so results are reproducible across runs, worker counts and block
-// partitions. A batch (SearchBatchAppend) scores four queries per pass
-// over the rows on the calling goroutine, with the same bits and the
-// same fold per query.
+// halves against float64. Every exact query runs in one pass on the
+// calling goroutine: up to four packed queries are scored against every
+// row with a four-lane SIMD kernel (dot.go) into row-indexed score
+// buffers, and each buffer is folded through one bounded heap under a
+// total order (higher score first, ties broken by ascending ID), so
+// results are reproducible across runs and batch shapes. A single query
+// (SearchAppend) is a pass of one; a batch (SearchBatchAppend) shares
+// each pass among four queries and brings its own parallelism.
 //
 // Exactness: the index performs the same brute-force scan as a serial
 // float64 scan (internal/core keeps one as a test oracle), only in
@@ -32,25 +29,11 @@ package index
 
 import (
 	"math"
-	"runtime"
 	"sync"
 )
 
 // NoExclude disables row exclusion in SearchAppend.
 const NoExclude int32 = -1
-
-// Config tunes an Index. The zero value selects sensible defaults.
-type Config struct {
-	// Workers caps the number of concurrent scanners per query,
-	// including the calling goroutine. Zero selects GOMAXPROCS. A query
-	// never blocks waiting for helpers: busy helpers simply leave more
-	// blocks to the caller.
-	Workers int
-	// BlockRows is the claim granularity of the scan in rows. Zero
-	// selects a block spanning roughly 256 KiB of packed matrix,
-	// clamped to [64, 8192] rows.
-	BlockRows int
-}
 
 // Result is one query answer: a row's original ID and its cosine
 // similarity to the query.
@@ -74,11 +57,6 @@ type Index struct {
 	// so the row-order tie-break equals the ID tie-break.
 	ids []int32
 
-	blockRows int
-	blocks    int
-	workers   int
-
-	states  sync.Pool // *queryState
 	batches sync.Pool // *batchState
 }
 
@@ -86,7 +64,7 @@ type Index struct {
 // embeddings, float32 as a trained model holds them or float64. The
 // matrix is copied and normalized, each row's norm accumulated in
 // float64; the source is not retained.
-func New[F float32 | float64](vecs []F, rows, dim int, cfg Config) *Index {
+func New[F float32 | float64](vecs []F, rows, dim int) *Index {
 	if rows < 0 || dim <= 0 || len(vecs) < rows*dim {
 		panic("index: matrix shorter than rows*dim")
 	}
@@ -111,29 +89,8 @@ func New[F float32 | float64](vecs []F, rows, dim int, cfg Config) *Index {
 			dst[i] = float32(float64(x) * inv)
 		}
 	}
-	ix.configure(cfg)
-	return ix
-}
-
-// configure applies Config defaults and sizes the block partition.
-func (ix *Index) configure(cfg Config) {
-	ix.workers = cfg.Workers
-	if ix.workers <= 0 {
-		ix.workers = runtime.GOMAXPROCS(0)
-	}
-	ix.blockRows = cfg.BlockRows
-	if ix.blockRows <= 0 {
-		ix.blockRows = (256 << 10) / (4 * ix.dim)
-		if ix.blockRows < 64 {
-			ix.blockRows = 64
-		}
-		if ix.blockRows > 8192 {
-			ix.blockRows = 8192
-		}
-	}
-	ix.blocks = (ix.rows + ix.blockRows - 1) / ix.blockRows
-	ix.states.New = func() any { return newQueryState(ix) }
 	ix.batches.New = func() any { return newBatchState(ix) }
+	return ix
 }
 
 // Subset returns a view restricted to the given original IDs, which must
@@ -162,7 +119,7 @@ func (ix *Index) Subset(origIDs []int) *Index {
 		sub.ids[r] = int32(id)
 		copy(sub.packed[r*sub.dim:(r+1)*sub.dim], ix.packed[id*ix.dim:(id+1)*ix.dim])
 	}
-	sub.configure(Config{Workers: ix.workers, BlockRows: ix.blockRows})
+	sub.batches.New = func() any { return newBatchState(sub) }
 	return sub
 }
 
@@ -171,9 +128,6 @@ func (ix *Index) Rows() int { return ix.rows }
 
 // Dim returns the embedding dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
-
-// Blocks returns the number of scan blocks.
-func (ix *Index) Blocks() int { return ix.blocks }
 
 // Bytes returns the size of the packed matrix in bytes.
 func (ix *Index) Bytes() int { return 4 * len(ix.packed) }
@@ -187,14 +141,12 @@ func (ix *Index) Search(query []float64, k int) []Result {
 
 // SearchAppend appends the k rows most similar to query to dst and
 // returns the extended slice, in decreasing cosine order with ties
-// broken by ascending ID. workers caps scan parallelism for this query
-// (0 selects the index default); exclude suppresses one original ID
-// (NoExclude for none). A zero or non-finite query has no defined
-// neighbourhood and returns dst unchanged, like the serial reference.
-//
-// Steady state, the query allocates nothing: scratch comes from a pool
-// sized on first use, and parallel scanning hands blocks to persistent
-// helper goroutines rather than spawning new ones.
+// broken by ascending ID. exclude suppresses one original ID (NoExclude
+// for none). workers is accepted and ignored: the query is one pass on
+// the calling goroutine, as in SearchBatchAppend. A zero or non-finite
+// query has no defined neighbourhood and returns dst unchanged, like the
+// serial reference. Steady state, the query allocates nothing beyond
+// growing dst.
 func (ix *Index) SearchAppend(dst []Result, query []float64, k, workers int, exclude int32) []Result {
 	if k <= 0 || ix.rows == 0 {
 		return dst
@@ -202,29 +154,14 @@ func (ix *Index) SearchAppend(dst []Result, query []float64, k, workers int, exc
 	if len(query) != ix.dim {
 		panic("index: query dimensionality mismatch")
 	}
-	qs := ix.states.Get().(*queryState)
-	if !packQuery(qs.q, query) {
-		ix.states.Put(qs)
-		return dst
+	bs := ix.batches.Get().(*batchState)
+	if packQuery(bs.q[0].q, query) {
+		one := [1][]Result{dst}
+		bs.who[0] = 0
+		bs.pass(one[:], 1, k, ix.rowOf(exclude))
+		dst = one[0]
 	}
-	qs.next.Store(0)
-	qs.wg.Add(ix.blocks)
-	epoch := qs.epoch.Add(1) // odd: query active, helpers may enter
-
-	if w := ix.clampWorkers(workers); w > 1 {
-		offerHelp(qs, epoch, w-1)
-	}
-	qs.scan()
-	qs.wg.Wait()
-	qs.epoch.Add(1) // even: query done, new helpers bounce
-	for qs.active.Load() != 0 {
-		// A helper that entered just before the epoch flip exits as soon
-		// as it sees no blocks left; wait it out before the state can be
-		// handed to another query.
-		runtime.Gosched()
-	}
-	dst = qs.selectTop(dst, k, ix.rowOf(exclude))
-	ix.states.Put(qs)
+	ix.batches.Put(bs)
 	return dst
 }
 
@@ -234,8 +171,8 @@ func (ix *Index) SearchAppend(dst []Result, query []float64, k, workers int, exc
 // query without a direction leaves dst[i] unchanged. len(dst) must equal
 // len(queries).
 //
-// Each pass scores four queries against every row (dot32q4), so the
-// matrix is read once per four queries rather than once per query, then
+// Each pass scores up to four queries against every row, so the matrix
+// is read once per four queries rather than once per query, then
 // selects each query's top k on its own. Passes run on the calling
 // goroutine only: a batch caller brings its own parallelism. Steady
 // state, a batch allocates nothing beyond growing dst.
@@ -252,17 +189,17 @@ func (ix *Index) SearchBatchAppend(dst [][]Result, queries [][]float64, k int) {
 		if len(query) != ix.dim {
 			panic("index: query dimensionality mismatch")
 		}
-		if !packQuery(bs.q[n].q, query) {
+		if !packQuery(bs.slot(n).q, query) {
 			continue
 		}
 		bs.who[n] = i
 		if n++; n == len(bs.q) {
-			bs.pass(dst, n, k)
+			bs.pass(dst, n, k, -1)
 			n = 0
 		}
 	}
 	if n > 0 {
-		bs.pass(dst, n, k)
+		bs.pass(dst, n, k, -1)
 	}
 	ix.batches.Put(bs)
 }
@@ -285,21 +222,6 @@ func packQuery(dst []float32, query []float64) bool {
 		dst[i] = float32(x * inv)
 	}
 	return true
-}
-
-// clampWorkers resolves the per-query scanner budget.
-func (ix *Index) clampWorkers(workers int) int {
-	w := workers
-	if w <= 0 {
-		w = ix.workers
-	}
-	if w > ix.blocks {
-		w = ix.blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // rowOf maps an original ID to its row index, or -1 when absent.
@@ -326,19 +248,4 @@ func (ix *Index) rowOf(origID int32) int32 {
 		return int32(lo)
 	}
 	return -1
-}
-
-// scoreBlock writes the score of every row of block b into scores.
-func (ix *Index) scoreBlock(q []float32, b int, scores []float32) {
-	lo := b * ix.blockRows
-	hi := min(lo+ix.blockRows, ix.rows)
-	dim := ix.dim
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		off := [4]int{r * dim, (r + 1) * dim, (r + 2) * dim, (r + 3) * dim}
-		dot32x4(q, ix.packed, &off, (*[4]float32)(scores[r:r+4]))
-	}
-	for ; r < hi; r++ {
-		scores[r] = dot32(q, ix.packed[r*dim:r*dim+dim])
-	}
 }

@@ -106,7 +106,7 @@ func TestSearchMatchesExactRanking(t *testing.T) {
 		{rows: 333, dim: 32, k: 333},
 	} {
 		vecs := randMatrix(rng, tc.rows, tc.dim)
-		ix := New(vecs, tc.rows, tc.dim, Config{BlockRows: 64})
+		ix := New(vecs, tc.rows, tc.dim)
 		q := randMatrix(rng, 1, tc.dim)
 		got := ix.Search(q, tc.k)
 		ref := refRank(vecs, tc.rows, tc.dim, q, -1)
@@ -124,7 +124,7 @@ func TestSearchMatchesExactRanking(t *testing.T) {
 func TestSearchZeroRowsRankLast(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	vecs := randMatrix(rng, 20, 5, 3, 11)
-	ix := New(vecs, 20, 5, Config{})
+	ix := New(vecs, 20, 5)
 	got := ix.Search(randMatrix(rng, 1, 5), 20)
 	if len(got) != 20 {
 		t.Fatalf("got %d results, want 20", len(got))
@@ -145,7 +145,7 @@ func TestSearchZeroRowsRankLast(t *testing.T) {
 func TestSearchEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vecs := randMatrix(rng, 10, 4)
-	ix := New(vecs, 10, 4, Config{})
+	ix := New(vecs, 10, 4)
 	q := randMatrix(rng, 1, 4)
 
 	if got := ix.Search(q, 0); got != nil {
@@ -154,7 +154,7 @@ func TestSearchEdgeCases(t *testing.T) {
 	if got := ix.Search(make([]float64, 4), 3); got != nil {
 		t.Fatalf("zero query: got %v, want nil", got)
 	}
-	empty := New[float64](nil, 0, 4, Config{})
+	empty := New[float64](nil, 0, 4)
 	if got := empty.Search(q, 3); got != nil {
 		t.Fatalf("empty index: got %v, want nil", got)
 	}
@@ -177,7 +177,7 @@ func TestSearchEdgeCases(t *testing.T) {
 func TestSearchExclude(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	vecs := randMatrix(rng, 30, 6)
-	ix := New(vecs, 30, 6, Config{})
+	ix := New(vecs, 30, 6)
 	// Query with row 4 itself: the top hit would be row 4 (cosine 1);
 	// excluding it must drop it everywhere.
 	q := vecs[4*6 : 5*6]
@@ -196,38 +196,18 @@ func TestSearchExclude(t *testing.T) {
 
 func TestSearchTieBreakOnID(t *testing.T) {
 	// Rows 2, 5 and 9 are identical: equal cosines must rank by
-	// ascending ID regardless of block partitioning or worker count.
+	// ascending ID.
 	rng := rand.New(rand.NewSource(11))
 	dim := 8
 	vecs := randMatrix(rng, 12, dim)
 	for _, dup := range []int{5, 9} {
 		copy(vecs[dup*dim:(dup+1)*dim], vecs[2*dim:3*dim])
 	}
-	ix := New(vecs, 12, dim, Config{BlockRows: 2})
+	ix := New(vecs, 12, dim)
 	q := vecs[2*dim : 3*dim]
-	for workers := 1; workers <= 6; workers++ {
-		got := ix.SearchAppend(nil, q, 3, workers, NoExclude)
-		ids := []int32{got[0].ID, got[1].ID, got[2].ID}
-		if !reflect.DeepEqual(ids, []int32{2, 5, 9}) {
-			t.Fatalf("workers=%d: tie order %v, want [2 5 9]", workers, ids)
-		}
-	}
-}
-
-func TestSearchDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	rows, dim := 500, 16
-	vecs := randMatrix(rng, rows, dim, 100, 200)
-	ix := New(vecs, rows, dim, Config{BlockRows: 32})
-	q := randMatrix(rng, 1, dim)
-	want := ix.SearchAppend(nil, q, 40, 1, NoExclude)
-	for workers := 2; workers <= 8; workers++ {
-		for rep := 0; rep < 20; rep++ {
-			got := ix.SearchAppend(nil, q, 40, workers, NoExclude)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d rep=%d: results diverge from serial scan", workers, rep)
-			}
-		}
+	got := ix.SearchAppend(nil, q, 3, 0, NoExclude)
+	if ids := []int32{got[0].ID, got[1].ID, got[2].ID}; !reflect.DeepEqual(ids, []int32{2, 5, 9}) {
+		t.Fatalf("tie order %v, want [2 5 9]", ids)
 	}
 }
 
@@ -235,7 +215,7 @@ func TestSearchConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rows, dim := 300, 12
 	vecs := randMatrix(rng, rows, dim)
-	ix := New(vecs, rows, dim, Config{BlockRows: 16})
+	ix := New(vecs, rows, dim)
 	queries := make([][]float64, 8)
 	wants := make([][]Result, len(queries))
 	for i := range queries {
@@ -264,7 +244,7 @@ func TestSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	rows, dim := 40, 6
 	vecs := randMatrix(rng, rows, dim)
-	ix := New(vecs, rows, dim, Config{})
+	ix := New(vecs, rows, dim)
 	keep := []int{1, 4, 7, 20, 39}
 	sub := ix.Subset(keep)
 	if sub.Rows() != len(keep) {
@@ -328,7 +308,7 @@ func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rows, dim := 2048, 24
 	vecs := randMatrix(rng, rows, dim)
-	ix := New(vecs, rows, dim, Config{BlockRows: 128})
+	ix := New(vecs, rows, dim)
 	q := randMatrix(rng, 1, dim)
 	var dst []Result
 	for i := 0; i < 10; i++ { // warm the state pool and grow dst
@@ -346,7 +326,7 @@ func BenchmarkSearchAppend(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	rows, dim := 100_000, 128
 	vecs := randMatrix(rng, rows, dim)
-	ix := New(vecs, rows, dim, Config{})
+	ix := New(vecs, rows, dim)
 	q := randMatrix(rng, 1, dim)
 	var dst []Result
 	b.ReportAllocs()
@@ -372,7 +352,7 @@ func TestSearchBatchMatchesSearchAppend(t *testing.T) {
 				if rows > 3 {
 					zero = []int{2}
 				}
-				full := New(randMatrix(rng, rows, dim, zero...), rows, dim, Config{BlockRows: 64})
+				full := New(randMatrix(rng, rows, dim, zero...), rows, dim)
 				views := map[string]*Index{"full": full}
 				if rows > 3 {
 					views["subset"] = full.Subset([]int{0, 2, rows - 1})
@@ -423,7 +403,7 @@ func TestSearchBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	rows, dim := 2048, 24
-	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{BlockRows: 128})
+	ix := New(randMatrix(rng, rows, dim), rows, dim)
 	queries := make([][]float64, 7)
 	for i := range queries {
 		queries[i] = randMatrix(rng, 1, dim)
@@ -445,11 +425,11 @@ func TestSearchBatchSteadyStateZeroAlloc(t *testing.T) {
 
 // BenchmarkSearchBatchAppend times the batch scan per query at the bench
 // world's shape (1927 rows × 64, k 40), against one SearchAppend per
-// query on one worker.
+// query.
 func BenchmarkSearchBatchAppend(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
 	rows, dim := 1927, 64
-	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{})
+	ix := New(randMatrix(rng, rows, dim), rows, dim)
 	queries := make([][]float64, 16)
 	for i := range queries {
 		queries[i] = randMatrix(rng, 1, dim)
@@ -470,7 +450,7 @@ func BenchmarkSearchBatchAppend(b *testing.B) {
 	b.Run("one-by-one", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j, q := range queries {
-				dst[j] = ix.SearchAppend(dst[j][:0], q, 40, 1, NoExclude)
+				dst[j] = ix.SearchAppend(dst[j][:0], q, 40, 0, NoExclude)
 			}
 		}
 		perQuery(b)

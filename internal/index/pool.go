@@ -1,80 +1,33 @@
 package index
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
-// queryState is the pooled scratch of one in-flight query: the packed
-// query vector, the row-indexed score buffer the scanners fill (4 bytes
-// per indexed row), the owner's selection heap, and the atomics
-// coordinating block claims. It is reused across queries via the
-// index's sync.Pool, so the steady-state query allocates nothing.
+// queryState is one slot of a pass: the packed query, the row-indexed
+// score buffer the pass fills (4 bytes per indexed row), and the
+// selection over it — a bounded heap, its pre-filter's histogram (8 KiB
+// at any row count), and the rows that survive a sampled cut (4 bytes
+// per row).
 type queryState struct {
-	ix *Index
-	q  []float32
-	// scores[r] is row r's cosine to q. Scanners own disjoint block
-	// ranges of it; the query owner reads it after wg.Wait.
+	q      []float32
 	scores []float32
-	// top selects the k best of scores, touched by the query owner only;
-	// counts is its pre-filter's histogram (8 KiB at any row count), and
-	// cand holds the rows that survive a sampled cut (4 bytes per row).
 	top    topk
 	counts [selectBuckets]int32
 	cand   []int32
-
-	// epoch is odd while a query is active. Helpers receive (state,
-	// epoch) tokens from the process-wide channel; a token whose epoch
-	// no longer matches is stale — from a query that already finished —
-	// and the helper bounces off without touching anything.
-	epoch atomic.Uint64
-	// active counts helpers inside help(); the query owner waits for it
-	// to drain after the epoch flip before releasing the state.
-	active atomic.Int32
-	// next is the index of the next unclaimed scan block.
-	next atomic.Int32
-
-	wg sync.WaitGroup
 }
 
 func newQueryState(ix *Index) *queryState {
 	return &queryState{
-		ix:     ix,
 		q:      make([]float32, ix.dim),
 		scores: make([]float32, ix.rows),
 		cand:   make([]int32, ix.rows),
 	}
 }
 
-// scan claims blocks until none remain, scoring each into qs.scores. A
-// successful claim means the query owner is still blocked in wg.Wait,
-// so the write cannot race with the selection.
-func (qs *queryState) scan() {
-	for {
-		b := int(qs.next.Add(1)) - 1
-		if b >= qs.ix.blocks {
-			return
-		}
-		qs.ix.scoreBlock(qs.q, b, qs.scores)
-		qs.wg.Done()
-	}
-}
-
-// help is a helper's entry point for one token.
-func (qs *queryState) help(epoch uint64) {
-	qs.active.Add(1)
-	if qs.epoch.Load() == epoch {
-		qs.scan()
-	}
-	qs.active.Add(-1)
-}
-
-// batchState is the pooled scratch of SearchBatchAppend: one queryState
-// per query of a pass (its packed query, score buffer and selection),
-// the pass's queries as the kernel reads them, and which batch
-// position each slot answers.
+// batchState is the pooled scratch of the exact scan: one queryState per
+// query of a pass, the pass's queries as the four-query kernel reads
+// them, and which batch position each slot answers. Slots 1–3 are made
+// on first use, so a state only ever used for single queries stays one
+// slot's size.
 type batchState struct {
 	ix  *Index
 	q   [4]*queryState
@@ -84,34 +37,49 @@ type batchState struct {
 }
 
 func newBatchState(ix *Index) *batchState {
-	bs := &batchState{ix: ix, qi: make([]float32, 4*ix.dim)}
-	for j := range bs.q {
-		bs.q[j] = newQueryState(ix)
+	return &batchState{ix: ix, q: [4]*queryState{newQueryState(ix)}, qi: make([]float32, 4*ix.dim)}
+}
+
+// slot returns slot j, making it on first use.
+func (bs *batchState) slot(j int) *queryState {
+	if bs.q[j] == nil {
+		bs.q[j] = newQueryState(bs.ix)
 	}
-	return bs
+	return bs.q[j]
 }
 
 // pass scores the n packed queries in slots 0..n-1 against every row,
-// four rows per kernel call, and appends each one's top k to its dst.
-// Slots past n repeat slot 0's query, so the kernel always has four.
-func (bs *batchState) pass(dst [][]Result, n, k int) {
+// four rows per kernel call, and appends each one's top k, skipping row
+// exclude (-1 for none), to its dst. One query takes the one-query
+// kernel (dot32x4); more take the four-query kernel (dot32q4), whose
+// slots past n repeat slot 0's query. Both give every score the same
+// bits.
+func (bs *batchState) pass(dst [][]Result, n, k int, exclude int32) {
 	ix, dim := bs.ix, bs.ix.dim
-	for j := range bs.qv {
-		bs.qv[j] = bs.q[0].q
-		if j < n {
-			bs.qv[j] = bs.q[j].q
-		}
-	}
-	if dim%4 == 0 {
-		interleave4(bs.qi, &bs.qv)
-	}
-	var out [16]float32
 	r := 0
-	for ; r+4 <= ix.rows; r += 4 {
-		off := [4]int{r * dim, (r + 1) * dim, (r + 2) * dim, (r + 3) * dim}
-		dot32q4(&bs.qv, bs.qi, ix.packed, &off, &out)
-		for j := 0; j < n; j++ {
-			copy(bs.q[j].scores[r:r+4], out[4*j:4*j+4])
+	if n == 1 {
+		q, scores := bs.q[0].q, bs.q[0].scores
+		for ; r+4 <= ix.rows; r += 4 {
+			off := [4]int{r * dim, (r + 1) * dim, (r + 2) * dim, (r + 3) * dim}
+			dot32x4(q, ix.packed, &off, (*[4]float32)(scores[r:r+4]))
+		}
+	} else {
+		for j := range bs.qv {
+			bs.qv[j] = bs.q[0].q
+			if j < n {
+				bs.qv[j] = bs.q[j].q
+			}
+		}
+		if dim%4 == 0 {
+			interleave4(bs.qi, &bs.qv)
+		}
+		var out [16]float32
+		for ; r+4 <= ix.rows; r += 4 {
+			off := [4]int{r * dim, (r + 1) * dim, (r + 2) * dim, (r + 3) * dim}
+			dot32q4(&bs.qv, bs.qi, ix.packed, &off, &out)
+			for j := 0; j < n; j++ {
+				copy(bs.q[j].scores[r:r+4], out[4*j:4*j+4])
+			}
 		}
 	}
 	for ; r < ix.rows; r++ {
@@ -122,7 +90,7 @@ func (bs *batchState) pass(dst [][]Result, n, k int) {
 	}
 	for j := 0; j < n; j++ {
 		i := bs.who[j]
-		dst[i] = bs.q[j].selectTop(dst[i], k, -1)
+		dst[i] = bs.q[j].selectTop(dst[i], k, exclude, ix.ids)
 	}
 }
 
@@ -183,7 +151,8 @@ const (
 )
 
 // selectTop appends to dst the k best rows of qs.scores, skipping row
-// exclude (-1 for none), best first.
+// exclude (-1 for none), best first, each under its original ID (ids,
+// nil for identity).
 //
 // Each row offered to the heap costs a mispredicted sift and most rows
 // cannot win, so a count goes first: histogram the scores, walk the
@@ -200,7 +169,7 @@ const (
 // rows in the buckets the full histogram's walk visits: the walk stops
 // at the same cut and the heap gets the same offers in the same order.
 // With fewer survivors the full histogram runs instead.
-func (qs *queryState) selectTop(dst []Result, k int, exclude int32) []Result {
+func (qs *queryState) selectTop(dst []Result, k int, exclude int32, ids []int32) []Result {
 	h := &qs.top
 	h.reset(min(k, len(qs.scores)))
 	need := int32(k)
@@ -237,7 +206,6 @@ func (qs *queryState) selectTop(dst []Result, k int, exclude int32) []Result {
 	}
 	// Popping a min-heap of the kept set yields worst-first: fill from
 	// the back.
-	ids := qs.ix.ids
 	for i := n - 1; i >= 0; i-- {
 		e := h.pop()
 		id := e.row
@@ -312,58 +280,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// --- scanner helper pool ------------------------------------------------
-
-// token hands a live query to an idle helper.
-type token struct {
-	qs    *queryState
-	epoch uint64
-}
-
-var helperPool struct {
-	once sync.Once
-	ch   chan token
-	n    int
-}
-
-// helperCount returns the number of persistent helper goroutines,
-// starting them on first use. Helpers are process-wide and shared by
-// every index, so model retrains never leak scanner goroutines.
-func helperCount() int {
-	helperPool.once.Do(func() {
-		n := runtime.GOMAXPROCS(0) - 1
-		if n < 1 {
-			n = 1
-		}
-		if n > 32 {
-			n = 32
-		}
-		helperPool.n = n
-		helperPool.ch = make(chan token, 2*n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for t := range helperPool.ch {
-					t.qs.help(t.epoch)
-				}
-			}()
-		}
-	})
-	return helperPool.n
-}
-
-// offerHelp invites up to n helpers to the query without blocking: if
-// the pool is saturated the caller simply scans more blocks itself.
-func offerHelp(qs *queryState, epoch uint64, n int) {
-	helperCount()
-	for i := 0; i < n; i++ {
-		select {
-		case helperPool.ch <- token{qs: qs, epoch: epoch}:
-		default:
-			return
-		}
-	}
 }
 
 // --- bounded top-k heap -------------------------------------------------

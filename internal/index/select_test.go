@@ -60,18 +60,15 @@ func sameResults(a, b []Result) bool {
 	return true
 }
 
-// assertSelectMatchesOracle runs one query through SearchAppend, at one
-// worker and at many, and — without an exclusion, which the batch does
-// not take — through SearchBatchAppend, and requires the oracle's
-// answer from each.
+// assertSelectMatchesOracle runs one query through SearchAppend and —
+// without an exclusion, which the batch does not take — through
+// SearchBatchAppend, and requires the oracle's answer from each.
 func assertSelectMatchesOracle(t *testing.T, what string, ix *Index, query []float64, k int, exclude int32) {
 	t.Helper()
 	want := refSelect(ix, query, k, exclude)
-	for _, workers := range []int{1, 8} {
-		if got := ix.SearchAppend(nil, query, k, workers, exclude); !sameResults(got, want) {
-			t.Fatalf("%s: SearchAppend(k=%d, workers=%d, exclude=%d) over %d rows differs from the oracle\n got %v\nwant %v",
-				what, k, workers, exclude, ix.rows, clip(got), clip(want))
-		}
+	if got := ix.SearchAppend(nil, query, k, 0, exclude); !sameResults(got, want) {
+		t.Fatalf("%s: SearchAppend(k=%d, exclude=%d) over %d rows differs from the oracle\n got %v\nwant %v",
+			what, k, exclude, ix.rows, clip(got), clip(want))
 	}
 	if exclude != NoExclude {
 		return
@@ -91,15 +88,15 @@ const (
 	pathFallback = "sampled fallback" // a floor, but fewer than need survivors
 )
 
-// selectPath scores query over ix the way the scan does and reports the
+// selectPath scores query over ix with the scan's bits and reports the
 // path selectTop takes for it at k and exclude.
 func selectPath(ix *Index, query []float64, k int, exclude int32) string {
 	qs := newQueryState(ix)
 	if !packQuery(qs.q, query) {
 		return pathFull
 	}
-	for b := 0; b < ix.blocks; b++ {
-		ix.scoreBlock(qs.q, b, qs.scores)
+	for r := range qs.scores {
+		qs.scores[r] = dot32(qs.q, ix.packed[r*ix.dim:(r+1)*ix.dim])
 	}
 	return scoresPath(qs, k, ix.rowOf(exclude))
 }
@@ -148,7 +145,7 @@ func TestSearchSelectMatchesOracleRandom(t *testing.T) {
 			}
 		}
 		vecs := randMatrix(rng, rows, dim, zero...)
-		ix := New(vecs, rows, dim, Config{BlockRows: 1 + rng.Intn(64)})
+		ix := New(vecs, rows, dim)
 		query := randMatrix(rng, 1, dim)
 		switch trial % 15 { // a query without a direction has no neighbours
 		case 12:
@@ -257,7 +254,7 @@ func TestSearchSelectMatchesOracleTies(t *testing.T) {
 	}
 	for what, build := range matrices {
 		for _, rows := range []int{9, 257, 700} {
-			ix := New(build(rows), rows, dim, Config{BlockRows: 32})
+			ix := New(build(rows), rows, dim)
 			for _, k := range selectKs(rows) {
 				for _, ex := range []int32{NoExclude, 0, int32(rows / 2), int32(rows - 1)} {
 					assertSelectMatchesOracle(t, what, ix, query, k, ex)
@@ -419,7 +416,7 @@ func TestSelectTopSampledCut(t *testing.T) {
 			return s
 		}, 9, 413, pathFallback},
 	}
-	ix := New(make([]float32, rows), rows, 1, Config{})
+	ix := New(make([]float32, rows), rows, 1)
 	for _, c := range cases {
 		qs := newQueryState(ix)
 		scores := c.scores()
@@ -428,7 +425,7 @@ func TestSelectTopSampledCut(t *testing.T) {
 			t.Errorf("%s: path %q, want %q", c.name, got, c.path)
 		}
 		want := refTop(scores, c.k, c.exclude)
-		if got := qs.selectTop(nil, c.k, c.exclude); !sameResults(got, want) {
+		if got := qs.selectTop(nil, c.k, c.exclude, nil); !sameResults(got, want) {
 			t.Errorf("%s: selectTop(k=%d, exclude=%d)\n got %v\nwant %v", c.name, c.k, c.exclude, clip(got), clip(want))
 		}
 	}
@@ -481,7 +478,7 @@ func TestSearchSelectSampledCutOracle(t *testing.T) {
 		}, pathFull},
 	}
 	for what, w := range worlds {
-		ix := New(w.build(w.rows), w.rows, dim, Config{BlockRows: 128})
+		ix := New(w.build(w.rows), w.rows, dim)
 		if got := selectPath(ix, query, 40, NoExclude); got != w.path {
 			t.Errorf("%s: k 40 takes the %s, want the %s", what, got, w.path)
 		}
@@ -498,7 +495,7 @@ func TestSearchSelectSampledCutOracle(t *testing.T) {
 func TestSearchSelectMatchesOracleSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1603))
 	rows, dim := 400, 9
-	full := New(randMatrix(rng, rows, dim, 5, 6, 200), rows, dim, Config{BlockRows: 16})
+	full := New(randMatrix(rng, rows, dim, 5, 6, 200), rows, dim)
 	var ids []int
 	for id := 0; id < rows; id++ {
 		if rng.Float64() < 0.3 {
@@ -523,7 +520,7 @@ func TestSearchSelectMatchesOracleSubset(t *testing.T) {
 func TestSearchRejectsNonFiniteQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1604))
 	rows, dim := 300, 8
-	ix := New(randMatrix(rng, rows, dim), rows, dim, Config{})
+	ix := New(randMatrix(rng, rows, dim), rows, dim)
 	graph := ix.BuildANN(ANNConfig{Ef: 16}) // 300 rows > ef: answers from the graph
 	fallback := ix.BuildANN(ANNConfig{})    // 300 rows > default ef 128, but k below forces the scan
 	for what, bad := range map[string]float64{"+Inf": math.Inf(1), "-Inf": math.Inf(-1), "NaN": math.NaN(), "overflowing norm": 1e200} {
@@ -544,7 +541,7 @@ func TestSearchRejectsNonFiniteQuery(t *testing.T) {
 // BenchmarkSearchPaperScale times the exact scan in the paper's regime —
 // 470K hostnames, 128 dimensions, N ≪ rows — which no declared workload
 // of bench/ reaches: a clustered synthetic matrix (the recall gate's
-// shape), k = 10 and the paper's k = 1000, one scanner and GOMAXPROCS.
+// shape), k = 10 and the paper's k = 1000.
 func BenchmarkSearchPaperScale(b *testing.B) {
 	if testing.Short() {
 		b.Skip("builds a 470K x 128 matrix")
@@ -552,7 +549,7 @@ func BenchmarkSearchPaperScale(b *testing.B) {
 	rng := rand.New(rand.NewSource(470))
 	rows, dim, clusters := 470_000, 128, 2000
 	vecs := clusteredMatrix(rng, rows, dim, clusters, 0.25)
-	ix := New(vecs, rows, dim, Config{})
+	ix := New(vecs, rows, dim)
 	queries := make([][]float64, 16)
 	for i := range queries {
 		queries[i] = sessionQuery(rng, vecs, rows, dim, clusters)
@@ -560,16 +557,10 @@ func BenchmarkSearchPaperScale(b *testing.B) {
 	vecs = nil
 	var dst []Result
 	for _, k := range []int{10, 1000} {
-		for _, workers := range []int{1, 0} {
-			name := fmt.Sprintf("k=%d/workers=%d", k, workers)
-			if workers == 0 {
-				name = fmt.Sprintf("k=%d/workers=GOMAXPROCS", k)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = ix.SearchAppend(dst[:0], queries[i%len(queries)], k, 0, NoExclude)
 			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					dst = ix.SearchAppend(dst[:0], queries[i%len(queries)], k, workers, NoExclude)
-				}
-			})
-		}
+		})
 	}
 }
