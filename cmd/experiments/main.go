@@ -47,10 +47,8 @@ func main() {
 	reg := obs.NewRegistry()
 	epochSeconds := reg.Histogram("hostprof_train_epoch_seconds", obs.ExpBuckets(0.01, 4, 10))
 	epochLoss := reg.Gauge("hostprof_train_epoch_loss")
-	epochs := reg.Counter("hostprof_train_epochs_total")
 	trainings := reg.Counter("hostprof_trainings_total")
 	cfg.Train.Progress = func(e core.EpochStats) {
-		epochs.Inc()
 		epochSeconds.Observe(e.Duration.Seconds())
 		epochLoss.Set(e.Loss)
 		if e.Epoch == 0 {

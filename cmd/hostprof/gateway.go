@@ -43,7 +43,7 @@ func cmdGateway(args []string) error {
 	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning, with trace ID and stage breakdown, per gateway request slower than this (0 disables)")
 	sloReport := fs.Duration("slo-report", 250*time.Millisecond, "latency SLO target for /v1/report through the gateway: 99%% of windowed requests under this, burn rate on hostprof_gateway_slo_* (0 disables)")
 	sloProfile := fs.Duration("slo-profile", 500*time.Millisecond, "latency SLO target for /v1/profile/batch through the gateway (0 disables)")
-	fedTTL := fs.Duration("federate-ttl", 2*time.Second, "shard /varz scrape cache TTL behind /v1/cluster/metrics and the federated /metrics block")
+	fedTTL := fs.Duration("federate-ttl", 2*time.Second, "shard /varz scrape cache TTL behind /v1/cluster/metrics")
 	logf := addLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

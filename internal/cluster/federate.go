@@ -17,9 +17,8 @@ import (
 // federator caches per-shard /varz scrapes behind a short TTL so the
 // gateway can serve a whole-cluster metrics view on demand without
 // hammering the shards: one scrape fan-out amortizes over every
-// /v1/cluster/metrics and federated /metrics read inside the TTL.
-// Nothing here runs unless a federation endpoint is actually read, so
-// a gateway nobody scrapes pays zero.
+// /v1/cluster/metrics read inside the TTL. Nothing here runs unless
+// that endpoint is read, so a gateway nobody asks pays zero.
 type federator struct {
 	ttl time.Duration
 
@@ -318,43 +317,5 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	httpmw.WriteJSON(w, http.StatusOK, ClusterMetrics{
 		Shards:  scrapeStatuses(scrapes),
 		Metrics: mergeScrapes(scrapes),
-	})
-}
-
-// federatedMetricsHandler serves the gateway's /metrics: its own
-// registry first, then every federated shard series re-exposed with a
-// shard="<backend>" label. Families the gateway itself exports (its
-// own tracer/log counters share names with the shards') are skipped in
-// the federated block so each # TYPE header appears once.
-func (g *Gateway) federatedMetricsHandler() http.Handler {
-	own := g.reg.MetricsHandler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		own.ServeHTTP(w, r)
-		scrapes := g.federate(r.Context())
-		names := make([]string, 0, len(scrapes))
-		for name := range scrapes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		// One WriteSnapshots call over all shards, so each federated
-		// family gets exactly one # TYPE header.
-		var combined []obs.MetricSnapshot
-		for _, shard := range names {
-			sc := scrapes[shard]
-			if sc == nil || sc.snaps == nil {
-				continue
-			}
-			for _, s := range sc.snaps {
-				s.Labels = copyLabels(s.Labels)
-				if s.Labels == nil {
-					s.Labels = make(map[string]string, 1)
-				}
-				s.Labels["shard"] = shard
-				combined = append(combined, s)
-			}
-		}
-		local := g.reg.Families()
-		obs.WriteSnapshots(w, combined, nil,
-			func(family string) bool { return local[family] })
 	})
 }

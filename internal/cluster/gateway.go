@@ -183,7 +183,6 @@ type Gateway struct {
 type gatewayMetrics struct {
 	shed         *obs.Counter
 	retries      *obs.Counter
-	rebalances   *obs.Counter
 	batchPartial *obs.Counter
 	modelPushes  *obs.Counter
 	pushErrors   *obs.Counter
@@ -211,14 +210,16 @@ func newGatewayMetrics(reg *obs.Registry) gatewayMetrics {
 	reg.Describe("hostprof_gateway_model_version", "numeric prefix of the shard's model version (0 = untrained), by backend")
 	reg.Describe("hostprof_gateway_shed_total", "requests refused because the owning shard is down (its keyspace is shed)")
 	reg.Describe("hostprof_gateway_retries_total", "shard requests re-sent after a shed answer")
-	reg.Describe("hostprof_gateway_ring_rebalance_total", "ring rebuilds from membership changes")
 	reg.Describe("hostprof_gateway_batch_partial_total", "scatter-gather batches answered with partial results")
 	reg.Describe("hostprof_gateway_model_pushes_total", "model artifacts pushed to shards")
 	reg.Describe("hostprof_gateway_events_total", "cluster timeline events recorded, by type")
+	reg.Describe("hostprof_gateway_migration_records_total", "visit records copied between shards by migrations")
+	reg.Describe("hostprof_gateway_migration_ranges_total", "moved key ranges finished, by outcome")
+	reg.Describe("hostprof_gateway_migration_double_writes_total", "moved-user reports double-written during copy windows, by outcome")
+	reg.Describe("hostprof_gateway_migrations_total", "resize migrations, by outcome")
 	return gatewayMetrics{
 		shed:         reg.Counter("hostprof_gateway_shed_total"),
 		retries:      reg.Counter("hostprof_gateway_retries_total"),
-		rebalances:   reg.Counter("hostprof_gateway_ring_rebalance_total"),
 		batchPartial: reg.Counter("hostprof_gateway_batch_partial_total"),
 		modelPushes:  reg.Counter("hostprof_gateway_model_pushes_total", obs.L("outcome", "ok")),
 		pushErrors:   reg.Counter("hostprof_gateway_model_pushes_total", obs.L("outcome", "error")),
@@ -316,7 +317,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.shards[b] = &shardState{name: b}
 		g.wireShardGauges(b)
 	}
-	g.registerMigrationMetrics()
 	return g, nil
 }
 
@@ -334,8 +334,8 @@ func (g *Gateway) Ring() *Ring {
 // any data — the raw swap behind a data-free topology change (all-new
 // cluster, test fixtures). A resize that must preserve users' histories
 // goes through Resize instead, which refuses to coexist with this:
-// SetBackends errors while a migration is installed. Counted in
-// hostprof_gateway_ring_rebalance_total.
+// SetBackends errors while a migration is installed. A change records
+// a ring_rebalance event.
 func (g *Gateway) SetBackends(backends []string) error {
 	backends, err := normalizeBackends(backends)
 	if err != nil {
@@ -355,7 +355,6 @@ func (g *Gateway) SetBackends(backends []string) error {
 	if !changed {
 		return nil
 	}
-	g.met.rebalances.Inc()
 	g.mu.Lock()
 	g.backends = append([]string(nil), backends...)
 	for _, b := range backends {
@@ -431,7 +430,7 @@ func (g *Gateway) healthLoop() {
 //	POST /v1/cluster/resize → start/resume/join a keyspace migration
 //	GET  /v1/cluster/metrics→ federated shard metrics, merged (partial on scrape failures)
 //	GET  /v1/cluster/events → the cluster event timeline (?since=<id> cursor)
-//	GET  /metrics           → gateway metrics + shard="<name>"-labelled federated series
+//	GET  /metrics           → gateway metrics
 //	GET  /varz              → gateway metrics (JSON)
 //	GET  /healthz           → gateway liveness
 //	GET  /readyz            → 200 when ≥1 shard is alive ("degraded" mid-migration)
@@ -447,7 +446,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/resize", g.mw.Wrap("cluster_resize", g.handleResize))
 	mux.HandleFunc("GET /v1/cluster/metrics", g.mw.Wrap("cluster_metrics", g.handleClusterMetrics))
 	mux.HandleFunc("GET /v1/cluster/events", g.mw.Wrap("cluster_events", g.handleEvents))
-	mux.Handle("GET /metrics", g.federatedMetricsHandler())
+	mux.Handle("GET /metrics", g.reg.MetricsHandler())
 	mux.Handle("GET /varz", g.reg.VarzHandler())
 	mux.Handle("GET /healthz", obs.HealthzHandler(nil))
 	mux.HandleFunc("GET /readyz", g.handleReadyz)

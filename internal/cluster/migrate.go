@@ -296,28 +296,6 @@ func (m *Migration) Status() MigrationStatus {
 	return st
 }
 
-// migrationPhaseOrdinal maps states onto the
-// hostprof_gateway_migration_state gauge: 0 idle, 1 planning, 2
-// copying, 3 draining, 4 cutover, 5 done, 6 failed.
-func migrationPhaseOrdinal(state string) float64 {
-	switch state {
-	case "planning":
-		return 1
-	case "copying":
-		return 2
-	case "draining":
-		return 3
-	case "cutover":
-		return 4
-	case "done":
-		return 5
-	case "failed":
-		return 6
-	default:
-		return 0
-	}
-}
-
 func sameMembers(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -342,9 +320,7 @@ var ErrResizeConflict = errors.New("cluster: another migration is installed; res
 // membership. Returns the migration (nil when the resize is a no-op)
 // and whether this call started or resumed a run (false = joined one
 // already in flight). The heavy work happens in a supervised background
-// goroutine; poll /v1/cluster, watch the
-// hostprof_gateway_migration_state gauge, or Wait on the returned
-// Migration.
+// goroutine; poll /v1/cluster or Wait on the returned Migration.
 func (g *Gateway) Resize(ctx context.Context, backends []string) (*Migration, bool, error) {
 	backends, err := normalizeBackends(backends)
 	if err != nil {
@@ -867,7 +843,6 @@ func (m *Migration) finish(ctx context.Context) {
 	g.ringMu.Lock()
 	g.ring = m.newRing
 	g.ringMu.Unlock()
-	g.met.rebalances.Inc()
 	g.event(EventRingRebalance, "", "ring cut over to post-migration membership",
 		"backends", strconv.Itoa(len(m.to)))
 
@@ -1134,27 +1109,4 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "degraded"
 	}
 	httpmw.WriteJSON(w, code, body)
-}
-
-// registerMigrationMetrics wires the migration gauges; called from New
-// once the gateway exists.
-func (g *Gateway) registerMigrationMetrics() {
-	g.reg.Describe("hostprof_gateway_migration_state",
-		"resize migration phase: 0 idle, 1 planning, 2 copying, 3 draining, 4 cutover, 5 done, 6 failed")
-	g.reg.Describe("hostprof_gateway_migration_records_total", "visit records copied between shards by migrations")
-	g.reg.Describe("hostprof_gateway_migration_ranges_total", "moved key ranges finished, by outcome")
-	g.reg.Describe("hostprof_gateway_migration_double_writes_total", "moved-user reports double-written during copy windows, by outcome")
-	g.reg.Describe("hostprof_gateway_migrations_total", "resize migrations, by outcome")
-	g.reg.GaugeFunc("hostprof_gateway_migration_state", func() float64 {
-		if m := g.migration.Load(); m != nil {
-			return migrationPhaseOrdinal(m.Status().State)
-		}
-		g.mu.Lock()
-		last := g.lastMigration
-		g.mu.Unlock()
-		if last != nil {
-			return migrationPhaseOrdinal(last.State)
-		}
-		return 0
-	})
 }

@@ -140,7 +140,8 @@ func TestTracePushCompletesClusterTrace(t *testing.T) {
 
 // TestClusterMetricsFederationDegrades exercises the federated view:
 // all shards answering → every ledger entry ok, counters summed and
-// gauges shard-labelled; one shard killed → its entry degrades to
+// gauges shard-labelled, and none of it on the gateway's /metrics; one
+// shard killed → its entry degrades to
 // stale (last good snapshot retained), the endpoint still answers 200,
 // and the timeline records the shard_down flap.
 func TestClusterMetricsFederationDegrades(t *testing.T) {
@@ -179,28 +180,19 @@ func TestClusterMetricsFederationDegrades(t *testing.T) {
 		t.Fatal("merged view has no shard-labelled gauge")
 	}
 
-	// The federated /metrics block re-exposes shard series with a shard
-	// label and must keep the text exposition valid: one # TYPE header
-	// per family across the local and federated blocks.
+	// /v1/cluster/metrics is the one federated view: the gateway's own
+	// /metrics carries its registry only, no shard-labelled series.
 	resp, err := http.Get(fx.gwSrv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(text), `shard="`) {
-		t.Fatal("/metrics has no federated shard-labelled series")
+	if !strings.Contains(string(text), "hostprof_gateway_requests_total") {
+		t.Fatalf("gateway /metrics lacks its own series:\n%s", text)
 	}
-	typeSeen := make(map[string]bool)
-	for _, line := range strings.Split(string(text), "\n") {
-		if !strings.HasPrefix(line, "# TYPE ") {
-			continue
-		}
-		fam := strings.Fields(line)[2]
-		if typeSeen[fam] {
-			t.Fatalf("duplicate # TYPE header for family %s", fam)
-		}
-		typeSeen[fam] = true
+	if strings.Contains(string(text), `shard="`) {
+		t.Fatalf("gateway /metrics carries federated shard-labelled series:\n%s", text)
 	}
 
 	// Kill one shard: federation degrades that entry, never the

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hostprof/internal/obs"
 	"hostprof/internal/obs/tracer"
 	"hostprof/internal/ontology"
 	"hostprof/internal/stats"
@@ -322,7 +323,8 @@ func TestProfileBatchMatchesSequential(t *testing.T) {
 func TestProfileBatchTraceSpanPerGroup(t *testing.T) {
 	fx := newProfilingFixture(t, 0.5)
 	tr := tracer.New(tracer.Config{SampleRate: 1, Seed: 7})
-	p := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20, Tracer: tr})
+	reg := obs.NewRegistry()
+	p := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20, Tracer: tr, Metrics: reg})
 	sessions := make([][]string, 512)
 	for i := range sessions {
 		sessions[i] = []string{fx.ta[i%len(fx.ta)], fx.tb[(i/3)%len(fx.tb)]}
@@ -357,6 +359,10 @@ func TestProfileBatchTraceSpanPerGroup(t *testing.T) {
 	}
 	if queries != len(sessions) {
 		t.Fatalf("profile.index spans count %d queries, want %d", queries, len(sessions))
+	}
+	// A shared pass still observes once per query.
+	if got := reg.Histogram("hostprof_index_query_seconds", nil).Count(); got != int64(len(sessions)) {
+		t.Fatalf("hostprof_index_query_seconds_count = %d, want %d", got, len(sessions))
 	}
 }
 

@@ -42,9 +42,9 @@ type ProfilerConfig struct {
 	N int
 	// Agg is the aggregation function g. Default AggMean.
 	Agg Aggregation
-	// DedupFirstVisit drops repeat visits of a hostname within the
-	// session, keeping the first, as the paper does to damp interactive
-	// services (Section 4.1). Default true (set SkipDedup to disable).
+	// SkipDedup keeps repeat visits of a hostname within the session.
+	// By default they are dropped, keeping the first, as the paper does
+	// to damp interactive services (Section 4.1).
 	SkipDedup bool
 	// ANN routes Eq. (3) neighbourhood queries through an HNSW graph
 	// over the packed rows instead of the exact scan — sublinear in the
@@ -102,7 +102,6 @@ type Profiler struct {
 	annWant   atomic.Int64
 
 	// Cached metric handles, nil without cfg.Metrics.
-	mQueries      *obs.Counter
 	mQuerySeconds *obs.Histogram
 	mANNQueries   *obs.Counter
 	mANNFallbacks *obs.Counter
@@ -218,13 +217,11 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 	reg.Describe("hostprof_index_rows", "Vocabulary rows in the packed similarity index.")
 	reg.Describe("hostprof_index_bytes", "Size of the packed similarity matrix in bytes.")
 	reg.Describe("hostprof_index_labelled_rows", "Vocabulary hosts that carry an ontology label.")
-	reg.Describe("hostprof_index_queries_total", "Neighbourhood queries answered by the packed similarity index.")
 	reg.Describe("hostprof_index_query_seconds", "Packed similarity index query latency; each query of a shared batch pass records the pass's time over its query count.")
 	reg.Histogram("hostprof_index_build_seconds", obs.ExpBuckets(0.001, 2, 14)).Observe(packed.Seconds())
 	reg.Gauge("hostprof_index_rows").Set(float64(p.idx.Rows()))
 	reg.Gauge("hostprof_index_bytes").Set(float64(p.idx.Bytes()))
 	reg.Gauge("hostprof_index_labelled_rows").Set(float64(labelled))
-	p.mQueries = reg.Counter("hostprof_index_queries_total")
 	p.mQuerySeconds = reg.Histogram("hostprof_index_query_seconds", obs.ExpBuckets(0.0001, 2, 14))
 	if p.ann == nil {
 		return
@@ -381,8 +378,7 @@ func (p *Profiler) neighbours(ctx context.Context, g *sessionGroup, ask []*profi
 			sc.res = g.res[i]
 		}
 	}
-	if p.mQueries != nil {
-		p.mQueries.Add(int64(len(ask)))
+	if p.mQuerySeconds != nil {
 		per := time.Since(start).Seconds() / float64(len(ask))
 		for range ask {
 			p.mQuerySeconds.Observe(per)

@@ -79,10 +79,8 @@ type Engine struct {
 
 // metrics caches the engine's registry handles.
 type metrics struct {
-	retrains       *obs.Counter
 	retrainErrors  *obs.Counter
 	retrainSeconds *obs.Histogram
-	epochs         *obs.Counter
 	epochSeconds   *obs.Histogram
 	epochLoss      *obs.Gauge
 	profileSeconds *obs.Histogram
@@ -94,11 +92,9 @@ type metrics struct {
 var trainBuckets = obs.ExpBuckets(0.01, 4, 10)
 
 func newMetrics(reg *obs.Registry) metrics {
-	reg.Describe("hostprof_retrain_total", "model retrains attempted")
 	reg.Describe("hostprof_retrain_errors_total", "model retrains that failed or were aborted")
-	reg.Describe("hostprof_retrain_seconds", "wall time of full model retrains")
+	reg.Describe("hostprof_retrain_seconds", "wall time of full model retrains, failed ones included")
 	reg.Describe("hostprof_retrain_state", "0 idle, 1 retrain in flight")
-	reg.Describe("hostprof_train_epochs_total", "training epochs completed across retrains")
 	reg.Describe("hostprof_train_epoch_seconds", "wall time of one training epoch")
 	reg.Describe("hostprof_train_epoch_loss", "training loss of the most recent epoch")
 	reg.Describe("hostprof_profile_seconds", "per-report session profiling latency")
@@ -106,10 +102,8 @@ func newMetrics(reg *obs.Registry) metrics {
 	reg.Describe("hostprof_profile_cache_size", "entries currently held by the session-profile LRU")
 	reg.Describe("hostprof_model_trained", "1 when a trained model is being served, else 0")
 	return metrics{
-		retrains:       reg.Counter("hostprof_retrain_total"),
 		retrainErrors:  reg.Counter("hostprof_retrain_errors_total"),
 		retrainSeconds: reg.Histogram("hostprof_retrain_seconds", trainBuckets),
-		epochs:         reg.Counter("hostprof_train_epochs_total"),
 		epochSeconds:   reg.Histogram("hostprof_train_epoch_seconds", trainBuckets),
 		epochLoss:      reg.Gauge("hostprof_train_epoch_loss"),
 		profileSeconds: reg.Histogram("hostprof_profile_seconds", nil),
@@ -241,7 +235,6 @@ func (e *Engine) run(corpus func() [][]string, label string) func(context.Contex
 		tc := e.cfg.Train
 		user := tc.Progress
 		tc.Progress = func(ep core.EpochStats) {
-			e.met.epochs.Inc()
 			e.met.epochSeconds.Observe(ep.Duration.Seconds())
 			e.met.epochLoss.Set(ep.Loss)
 			tsp.Event(fmt.Sprintf("epoch %d: loss=%.4f dur=%s", ep.Epoch, ep.Loss, ep.Duration.Round(time.Millisecond)))
@@ -264,7 +257,6 @@ func (e *Engine) run(corpus func() [][]string, label string) func(context.Contex
 				slog.String("error", err.Error()))
 			return fmt.Errorf("hostprof: %s: %w", label, err)
 		}
-		e.met.retrains.Inc()
 		e.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "retrain complete",
 			slog.Int("sequences", len(seqs)),
 			slog.Int("vocab", model.Vocab().Len()),

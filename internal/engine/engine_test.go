@@ -143,8 +143,8 @@ func TestRetrainCoalesces(t *testing.T) {
 	if n := leaders.Load(); n != 1 {
 		t.Fatalf("%d leaders, want 1", n)
 	}
-	if got := fx.reg.Counter("hostprof_retrain_total").Value(); got != 1 {
-		t.Fatalf("hostprof_retrain_total = %d, want 1", got)
+	if got := fx.reg.Histogram("hostprof_retrain_seconds", nil).Count(); got != 1 {
+		t.Fatalf("hostprof_retrain_seconds_count = %d, want 1", got)
 	}
 	if fx.e.Profiler() == nil || fx.e.Profiler().Model() != fx.st.Model() {
 		t.Fatal("served generation and store model disagree after retrain")

@@ -4,8 +4,9 @@
 // reads, answering Eq. (3) neighbourhood queries in time roughly
 // logarithmic in the vocabulary instead of linear.
 //
-// Determinism. The exact index promises bit-identical results for any
-// worker count; the ANN layer keeps that promise by construction:
+// Determinism. The exact index promises bit-identical results for a
+// query, alone or in a batch; the ANN layer keeps that promise by
+// construction:
 //
 //   - Node levels are a pure function of (seed, row) — a splitmix64
 //     hash fed through the standard exponential level formula — so the
@@ -14,9 +15,8 @@
 //     single goroutine; the search beam and every neighbour-selection
 //     pass compare entries under the same (score desc, row asc) total
 //     order the exact scan uses, so equal-score choices are stable.
-//   - Queries are sequential over the frozen graph; the `workers`
-//     argument only parallelizes the exact-scan fallback, which is
-//     itself deterministic for any worker count.
+//   - Queries are sequential over the frozen graph, and so is the
+//     exact-scan fallback; the `workers` argument is ignored.
 //
 // Two builds over the same rows therefore produce identical graphs,
 // and a query returns bit-identical results however often it is

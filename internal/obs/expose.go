@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -142,84 +141,6 @@ var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // escapeHelp escapes HELP text (backslash and newline only).
 func escapeHelp(s string) string { return helpEscaper.Replace(s) }
-
-// Families returns the set of family names with at least one
-// registered series — what a page composed of several sources needs to
-// avoid duplicate # TYPE headers. Safe on nil (returns nil).
-func (r *Registry) Families() map[string]bool {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]bool, len(r.metrics))
-	for _, m := range r.metrics {
-		out[m.name] = true
-	}
-	return out
-}
-
-// WriteSnapshots renders decoded metric snapshots (e.g. a federated
-// peer's /varz body) in the Prometheus text format: families sorted by
-// name, one # TYPE header per family, extra labels appended to every
-// series. skip, when non-nil, omits whole families — the caller's own
-// registry may already have exposed them on the same page. Histogram
-// bucket counts in a MetricSnapshot are already cumulative, so they
-// are emitted as-is with the +Inf bucket synthesized from Count.
-// Exemplars are not rendered.
-func WriteSnapshots(w io.Writer, snaps []MetricSnapshot, extra []Label, skip func(family string) bool) error {
-	type row struct {
-		snap   MetricSnapshot
-		labels []Label
-		key    string
-	}
-	rows := make([]row, 0, len(snaps))
-	for _, s := range snaps {
-		name := sanitizeName(s.Name, true)
-		if name == "" || (skip != nil && skip(name)) {
-			continue
-		}
-		labels := make([]Label, 0, len(s.Labels)+len(extra))
-		for k, v := range s.Labels {
-			labels = append(labels, Label{Name: k, Value: v})
-		}
-		labels = append(labels, extra...)
-		labels = canonLabels(labels)
-		s.Name = name
-		rows = append(rows, row{snap: s, labels: labels, key: name + "\x00" + labelString(labels)})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	bw := bufio.NewWriter(w)
-	prev := ""
-	for _, rw := range rows {
-		s := rw.snap
-		if s.Name != prev {
-			prev = s.Name
-			bw.WriteString("# TYPE ")
-			bw.WriteString(s.Name)
-			bw.WriteByte(' ')
-			bw.WriteString(s.Kind)
-			bw.WriteByte('\n')
-		}
-		switch s.Kind {
-		case "histogram":
-			for _, b := range s.Buckets {
-				writeSample(bw, s.Name, "_bucket", rw.labels, formatFloat(b.LE), formatInt(b.Count))
-				bw.WriteByte('\n')
-			}
-			writeSample(bw, s.Name, "_bucket", rw.labels, "+Inf", formatInt(s.Count))
-			bw.WriteByte('\n')
-			writeSample(bw, s.Name, "_sum", rw.labels, "", formatFloat(s.Sum))
-			bw.WriteByte('\n')
-			writeSample(bw, s.Name, "_count", rw.labels, "", formatInt(s.Count))
-			bw.WriteByte('\n')
-		default: // counter, gauge
-			writeSample(bw, s.Name, "", rw.labels, "", formatFloat(s.Value))
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
-}
 
 // BucketSnapshot is one cumulative histogram bucket in a snapshot. The
 // implicit +Inf bucket is omitted; Count covers all observations.

@@ -9,14 +9,16 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// surfaceFile is the committed operator surface: every metric family,
-// every flag per `hostprof` subcommand, every /debug/* and every other
+// surfaceFile is the committed operator surface: every metric family
+// and the ones nothing reads (see unreadFamilies), every flag per
+// `hostprof` subcommand, every /debug/* and every other
 // route per process, every command (package main) of the module, every
 // exported field of the two processes' Config structs, and the product
 // Go line count. TestSurfaceRatchet holds the tree to it exactly, so a
@@ -28,6 +30,7 @@ const moduleRoot = "../.."
 
 type surface struct {
 	MetricFamilies []string            `json:"metric_families"`
+	UnreadFamilies []string            `json:"unread_families"`
 	Flags          map[string][]string `json:"flags"`
 	DebugRoutes    map[string][]string `json:"debug_routes"`
 	APIRoutes      map[string][]string `json:"api_routes"`
@@ -61,8 +64,8 @@ var routeSources = map[string][]struct{ dir, fn string }{
 func TestSurfaceRatchet(t *testing.T) {
 	fams := map[string]bool{}
 	for _, w := range wiredRegistries(t) {
-		for f := range w.reg.Families() {
-			fams[f] = true
+		for _, m := range w.reg.Snapshot() {
+			fams[m.Name] = true
 		}
 	}
 	live := surface{
@@ -87,6 +90,7 @@ func TestSurfaceRatchet(t *testing.T) {
 		live.DebugRoutes[proc] = sortedKeys(debug)
 		live.APIRoutes[proc] = sortedKeys(api)
 	}
+	live.UnreadFamilies = unreadFamilies(t, moduleRoot, live.MetricFamilies)
 	live.Commands = mainPackages(t, moduleRoot)
 	live.ConfigFields = map[string][]string{}
 	for name, dir := range configStructs {
@@ -103,6 +107,8 @@ func TestSurfaceRatchet(t *testing.T) {
 	}
 	added, removed := diffNames("metric family", committed.MetricFamilies, live.MetricFamilies)
 	a, r := diffNames("command", committed.Commands, live.Commands)
+	added, removed = append(added, a...), append(removed, r...)
+	a, r = diffNames("unread metric family", committed.UnreadFamilies, live.UnreadFamilies)
 	added, removed = append(added, a...), append(removed, r...)
 	for _, kind := range []struct {
 		what      string
@@ -169,6 +175,70 @@ func union(a, b map[string][]string) map[string]bool {
 		out[k] = true
 	}
 	return out
+}
+
+// sloInputs are the request-latency histograms the SLO trackers read
+// (prof.NewSLOTracker's source family), so they count as read.
+var sloInputs = map[string]bool{
+	"hostprof_http_request_seconds":    true,
+	"hostprof_gateway_request_seconds": true,
+}
+
+// unreadFamilies lists the families of fams that no reader names. The
+// readers are every _test.go file but this ratchet and the HELP lint
+// (which name every family by construction), the bench harness's
+// sources, `hostprof status` and README.md. A family is named by its
+// full name, alone or followed by _bucket, _sum or _count. Each unread
+// family is a question nobody asked or one nobody checks, so the list
+// is held exactly: a new one is surface growth.
+func unreadFamilies(t *testing.T, root string, fams []string) []string {
+	t.Helper()
+	var text bytes.Buffer
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil || !familyReader(filepath.ToSlash(rel)) {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		text.Write(data)
+		text.WriteByte('\n')
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, f := range fams {
+		named := regexp.MustCompile(`\b` + regexp.QuoteMeta(f) + `(_bucket|_sum|_count)?\b`)
+		if !sloInputs[f] && !named.Match(text.Bytes()) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// familyReader reports whether the module file at rel (slash-separated)
+// is one whose naming a family makes the family read.
+func familyReader(rel string) bool {
+	switch {
+	case rel == "README.md" || rel == "cmd/hostprof/status.go":
+		return true
+	case strings.HasPrefix(rel, "bench/"): // sources, not the built binary or run output
+		ext := filepath.Ext(rel)
+		return ext == ".go" || ext == ".sh" || ext == ".md"
+	case strings.HasSuffix(rel, "_test.go"):
+		return rel != "internal/obs/surface_test.go" && rel != "internal/obs/describe_lint_test.go"
+	}
+	return false
 }
 
 // mainPackages lists, relative to root, every directory of the module

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hostprof/internal/ontology"
@@ -102,8 +103,9 @@ func TestBatchEncoderMatchesMarshal(t *testing.T) {
 
 // TestBatchEncoderGrowsOnce holds appendBatch to one allocation per
 // answer: the bound it takes from the outcomes covers every byte, down
-// to the longest float each format writes. An error outcome is left
-// out: its message goes through json.Marshal, which allocates itself.
+// to the longest float each format writes, so the body's capacity is
+// that bound exactly. An error outcome is left out: its message goes
+// through json.Marshal, which allocates itself.
 func TestBatchEncoderGrowsOnce(t *testing.T) {
 	tax := ontology.NewTaxonomy()
 	table := newCategoryTable(tax)
@@ -120,6 +122,17 @@ func TestBatchEncoderGrowsOnce(t *testing.T) {
 	}
 	vecs = append(vecs, longest)
 	errs := make([]error, len(vecs))
+	out := table.appendBatch(nil, vecs, errs)
+	if bound := table.batchBound(vecs, errs); cap(out) != bound {
+		t.Fatalf("appendBatch wrote %d bytes into capacity %d, want one growth to the bound %d", len(out), cap(out), bound)
+	}
+	if raceDetectorEnabled {
+		t.Skip("the race runtime allocates on its own; the capacity check above still ran")
+	}
+	// Collect once first: a process's first GC cycle starts the
+	// runtime's mark workers, which allocates, and the megabyte answers
+	// below would otherwise trigger it inside the count.
+	runtime.GC()
 	if allocs := testing.AllocsPerRun(10, func() { table.appendBatch(nil, vecs, errs) }); allocs != 1 {
 		t.Fatalf("appendBatch allocated %v times per answer, want 1", allocs)
 	}

@@ -96,8 +96,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 		`hostprof_http_request_seconds_bucket{endpoint="report",le="+Inf"}`,
 		"hostprof_reports_total",
 		"hostprof_report_hosts_total",
-		"hostprof_retrain_total 1",
-		"hostprof_train_epochs_total 4",
+		"hostprof_retrain_seconds_count 1",
+		"hostprof_train_epoch_seconds_count 4",
 		"hostprof_train_epoch_loss",
 		"hostprof_profile_seconds_count",
 		`hostprof_campaign_impressions{source="eavesdropper"} 1`,
@@ -191,7 +191,7 @@ func TestSharedRegistryAcrossLayers(t *testing.T) {
 	if got := fx.b.Metrics(); got != reg {
 		t.Fatal("Metrics() must return the configured registry")
 	}
-	if reg.Counter("hostprof_retrain_total").Value() != 1 {
+	if reg.Histogram("hostprof_retrain_seconds", nil).Count() != 1 {
 		t.Fatal("retrain not visible in shared registry")
 	}
 }

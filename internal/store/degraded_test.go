@@ -54,7 +54,7 @@ func TestChaosWALFaultDegradesAndReattaches(t *testing.T) {
 	if !s.Degraded() {
 		t.Fatal("store not degraded after WAL append failure")
 	}
-	if got := gaugeValue(t, reg, "hostprof_store_degraded"); got != 1 {
+	if got := metricValue(t, reg, "hostprof_store_degraded"); got != 1 {
 		t.Fatalf("hostprof_store_degraded = %v, want 1", got)
 	}
 	if s.met.appendErrors.Value() == 0 {
@@ -72,7 +72,9 @@ func TestChaosWALFaultDegradesAndReattaches(t *testing.T) {
 	}
 
 	// Probes keep failing while the fault is armed.
-	waitFor(t, "a failed probe", func() bool { return s.met.walProbeFailures.Value() > 0 })
+	waitFor(t, "a failed probe", func() bool {
+		return metricValue(t, reg, "hostprof_store_wal_probe_failures_total") > 0
+	})
 	if !s.Degraded() {
 		t.Fatal("store re-attached while the fault was still armed")
 	}
@@ -81,11 +83,11 @@ func TestChaosWALFaultDegradesAndReattaches(t *testing.T) {
 	// durability for everything ingested during the outage.
 	fault.Reset()
 	waitFor(t, "WAL re-attach", func() bool { return !s.Degraded() })
-	if s.met.walReattaches.Value() != 1 {
-		t.Fatalf("reattaches = %d, want 1", s.met.walReattaches.Value())
+	if got := metricValue(t, reg, "hostprof_store_wal_reattaches_total"); got != 1 {
+		t.Fatalf("hostprof_store_wal_reattaches_total = %v, want 1", got)
 	}
-	waitFor(t, "post-reattach snapshot", func() bool { return s.met.snapshots.Value() >= 1 })
-	if got := gaugeValue(t, reg, "hostprof_store_degraded"); got != 0 {
+	waitFor(t, "post-reattach snapshot", func() bool { return s.met.snapshotSeconds.Count() >= 1 })
+	if got := metricValue(t, reg, "hostprof_store_degraded"); got != 0 {
 		t.Fatalf("hostprof_store_degraded = %v after re-attach, want 0", got)
 	}
 
@@ -139,8 +141,9 @@ func TestAppendRejectsOversizedHost(t *testing.T) {
 	}
 }
 
-// gaugeValue reads one gauge from the registry's JSON snapshot.
-func gaugeValue(t *testing.T, reg *obs.Registry, name string) float64 {
+// metricValue reads one counter or gauge from the registry's JSON
+// snapshot.
+func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	t.Helper()
 	for _, m := range reg.Snapshot() {
 		if m.Name == name {

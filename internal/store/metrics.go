@@ -11,7 +11,6 @@ type storeMetrics struct {
 	walBytes         *obs.Counter
 	fsyncs           *obs.Counter
 	rotations        *obs.Counter
-	snapshots        *obs.Counter
 	snapshotErrors   *obs.Counter
 	snapshotSeconds  *obs.Histogram
 	recoveryRecords  *obs.Counter
@@ -28,9 +27,8 @@ func newStoreMetrics(reg *obs.Registry, s *Store) storeMetrics {
 	reg.Describe("hostprof_store_wal_bytes_total", "bytes written to the write-ahead log")
 	reg.Describe("hostprof_store_fsyncs_total", "WAL fsync calls issued")
 	reg.Describe("hostprof_store_segment_rotations_total", "WAL segment rotations (size bound or snapshot cut)")
-	reg.Describe("hostprof_store_snapshots_total", "snapshots written successfully")
 	reg.Describe("hostprof_store_snapshot_errors_total", "snapshot writes that failed")
-	reg.Describe("hostprof_store_snapshot_seconds", "wall time of snapshot writes")
+	reg.Describe("hostprof_store_snapshot_seconds", "wall time of successful snapshot writes")
 	reg.Describe("hostprof_store_recovery_records_total", "WAL records replayed during startup recovery")
 	reg.Describe("hostprof_store_recovery_torn_tails_total", "torn WAL tails truncated during recovery")
 	reg.Describe("hostprof_store_wal_probe_failures_total", "failed WAL re-attach probes while degraded")
@@ -53,7 +51,6 @@ func newStoreMetrics(reg *obs.Registry, s *Store) storeMetrics {
 		walBytes:         reg.Counter("hostprof_store_wal_bytes_total"),
 		fsyncs:           reg.Counter("hostprof_store_fsyncs_total"),
 		rotations:        reg.Counter("hostprof_store_segment_rotations_total"),
-		snapshots:        reg.Counter("hostprof_store_snapshots_total"),
 		snapshotErrors:   reg.Counter("hostprof_store_snapshot_errors_total"),
 		snapshotSeconds:  reg.Histogram("hostprof_store_snapshot_seconds", snapshotBuckets),
 		recoveryRecords:  reg.Counter("hostprof_store_recovery_records_total"),

@@ -101,13 +101,17 @@ func TestRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := mustOpen(t, Config{Dir: dir})
+	reg := obs.NewRegistry()
+	s2 := mustOpen(t, Config{Dir: dir, Metrics: reg})
 	rec := s2.Recovery()
 	if rec.ReplayedRecords != n-1 {
 		t.Fatalf("ReplayedRecords = %d, want %d", rec.ReplayedRecords, n-1)
 	}
 	if !rec.TornTail {
 		t.Fatal("TornTail not reported")
+	}
+	if got := metricValue(t, reg, "hostprof_store_recovery_torn_tails_total"); got != 1 {
+		t.Fatalf("hostprof_store_recovery_torn_tails_total = %v, want 1", got)
 	}
 	if got := s2.Len(); got != n-1 {
 		t.Fatalf("Len = %d, want %d", got, n-1)

@@ -834,7 +834,6 @@ func (s *Store) Snapshot() error {
 	}
 	removeObsolete(s.cfg.Dir, cut, cut)
 	sp.End()
-	s.met.snapshots.Inc()
 	return nil
 }
 

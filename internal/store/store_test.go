@@ -192,8 +192,8 @@ func TestMetricsExported(t *testing.T) {
 	if s.met.fsyncs.Value() == 0 {
 		t.Fatal("fsyncs_total = 0 under FsyncAlways")
 	}
-	if s.met.snapshots.Value() != 1 {
-		t.Fatalf("snapshots_total = %d, want 1", s.met.snapshots.Value())
+	if got := s.met.snapshotSeconds.Count(); got != 1 {
+		t.Fatalf("snapshot_seconds_count = %d, want 1", got)
 	}
 	if s.met.walBytes.Value() == 0 {
 		t.Fatal("wal_bytes_total = 0 after appends")

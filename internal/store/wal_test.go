@@ -90,7 +90,8 @@ func TestDecodeRecordTrailingGarbage(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, SegmentBytes: 64, Fsync: FsyncNever, Metrics: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	s := mustOpen(t, Config{Dir: dir, SegmentBytes: 64, Fsync: FsyncNever, Metrics: reg})
 	for i := 0; i < 20; i++ {
 		if err := s.Append(visit(i, int64(i), "rotate.example")); err != nil {
 			t.Fatal(err)
@@ -106,8 +107,8 @@ func TestSegmentRotation(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("got %d segments, want rotation to produce several", len(segs))
 	}
-	if s.met.rotations.Value() == 0 {
-		t.Fatal("segment_rotations_total = 0")
+	if got := metricValue(t, reg, "hostprof_store_segment_rotations_total"); got < float64(len(segs)-1) {
+		t.Fatalf("hostprof_store_segment_rotations_total = %v, want at least %d for %d segments", got, len(segs)-1, len(segs))
 	}
 	// All records must survive a reopen across segment boundaries.
 	s.Close()
@@ -308,7 +309,7 @@ func TestBatchAppendWritesSameSegments(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := gaugeValue(t, reg, "hostprof_store_fsyncs_total"); got != float64(len(batches)) {
+		if got := metricValue(t, reg, "hostprof_store_fsyncs_total"); got != float64(len(batches)) {
 			t.Fatalf("hostprof_store_fsyncs_total = %v, want %d (one per call)", got, len(batches))
 		}
 	})
@@ -349,7 +350,7 @@ func TestBatchAppendWritesSameSegments(t *testing.T) {
 		want := s.SnapshotTrace().Visits()
 		fault.Reset()
 		waitFor(t, "WAL re-attach", func() bool { return !s.Degraded() })
-		waitFor(t, "post-reattach snapshot", func() bool { return s.met.snapshots.Value() >= 1 })
+		waitFor(t, "post-reattach snapshot", func() bool { return s.met.snapshotSeconds.Count() >= 1 })
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
