@@ -29,13 +29,7 @@ func cmdGateway(args []string) error {
 	vnodes := fs.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per shard on the hash ring")
 	shardTimeout := fs.Duration("shard-timeout", 5*time.Second, "per-shard request deadline (reports, batch chunks, probes)")
 	retrainTimeout := fs.Duration("retrain-timeout", 10*time.Minute, "deadline for a retrain plus model distribution")
-	healthEvery := fs.Duration("health-interval", 2*time.Second, "shard /readyz probe cadence (0 disables the loop)")
-	shardRetries := fs.Int("shard-retries", 2, "re-sends per shard request the shard shed with 429/Retry-After")
-	maxBatch := fs.Int("max-batch", 2048, "sessions accepted per /v1/profile/batch")
-	chunk := fs.Int("shard-batch", 256, "sessions per shard chunk in scatter-gather")
-	migChunk := fs.Int("migrate-chunk", 0, "visits per export chunk during live resize (0 = default)")
-	migThrottle := fs.Duration("migrate-throttle", 0, "pause between copy chunks during live resize (0 = full speed)")
-	migWorkers := fs.Int("migrate-workers", 0, "concurrent range copiers during live resize (0 = default)")
+	healthEvery := fs.Duration("health-interval", 2*time.Second, "shard /readyz probe cadence, also how long a /v1/cluster/metrics scrape stays fresh (0 disables the loop; every read then re-scrapes)")
 	httpTimeout := fs.Duration("http-timeout", time.Minute, "HTTP read/write timeout (idle timeout is 4x this)")
 	traceSample := fs.Float64("trace-sample", 1, "request-trace head-sampling rate in [0,1]; 0 disables tracing")
 	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained for /debug/traces")
@@ -43,7 +37,6 @@ func cmdGateway(args []string) error {
 	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning, with trace ID and stage breakdown, per gateway request slower than this (0 disables)")
 	sloReport := fs.Duration("slo-report", 250*time.Millisecond, "latency SLO target for /v1/report through the gateway: 99%% of windowed requests under this, burn rate on hostprof_gateway_slo_* (0 disables)")
 	sloProfile := fs.Duration("slo-profile", 500*time.Millisecond, "latency SLO target for /v1/profile/batch through the gateway (0 disables)")
-	fedTTL := fs.Duration("federate-ttl", 2*time.Second, "shard /varz scrape cache TTL behind /v1/cluster/metrics")
 	logf := addLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,23 +62,16 @@ func cmdGateway(args []string) error {
 		sloTargets["profile_batch"] = *sloProfile
 	}
 	gw, err := cluster.New(cluster.Config{
-		Backends:            strings.Split(*backends, ","),
-		VirtualNodes:        *vnodes,
-		ShardTimeout:        *shardTimeout,
-		RetrainTimeout:      *retrainTimeout,
-		HealthInterval:      *healthEvery,
-		ShardRetries:        *shardRetries,
-		MaxSessionsPerBatch: *maxBatch,
-		ShardBatchLimit:     *chunk,
-		MigrationChunk:      *migChunk,
-		MigrationThrottle:   *migThrottle,
-		MigrationWorkers:    *migWorkers,
-		SLOTargets:          sloTargets,
-		SlowRequest:         *slowReq,
-		FederationTTL:       *fedTTL,
-		Metrics:             obs.Default,
-		Tracer:              trc,
-		Logger:              slog.Default(),
+		Backends:       strings.Split(*backends, ","),
+		VirtualNodes:   *vnodes,
+		ShardTimeout:   *shardTimeout,
+		RetrainTimeout: *retrainTimeout,
+		HealthInterval: *healthEvery,
+		SLOTargets:     sloTargets,
+		SlowRequest:    *slowReq,
+		Metrics:        obs.Default,
+		Tracer:         trc,
+		Logger:         slog.Default(),
 	})
 	if err != nil {
 		return err

@@ -153,12 +153,12 @@ func TestChaosGatewayShardKillAndRecovery(t *testing.T) {
 
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	gw, err := New(Config{
-		Backends:        urls,
-		HealthInterval:  -1, // tests drive probes explicitly
-		ShardTimeout:    3 * time.Second,
-		ShardBatchLimit: 8,
-		FederationTTL:   time.Millisecond, // every scrape below sees live state
-		Logger:          quiet,
+		Backends: urls,
+		// Tests drive probes explicitly, and with the loop off every
+		// scrape below sees live state.
+		HealthInterval: -1,
+		ShardTimeout:   3 * time.Second,
+		Logger:         quiet,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +331,9 @@ func TestChaosGatewayShardKillAndRecovery(t *testing.T) {
 	if !sawDown {
 		t.Fatalf("timeline recorded no shard_down for %s during the outage: %+v", victim, evDuring.Events)
 	}
+	// Two shard chunks, one per survivor.
 	var batch server.ProfileBatchResponse
-	sessions := make([][]string, 24)
+	sessions := make([][]string, 2*server.MaxSessionsPerBatch)
 	for i := range sessions {
 		sessions[i] = session(i)
 	}
@@ -346,7 +347,7 @@ func TestChaosGatewayShardKillAndRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch with 2/3 shards → %d: %s", resp.StatusCode, raw)
 	}
-	if err := json.Unmarshal(raw, &batch); err != nil || len(batch.Profiles) != 24 {
+	if err := json.Unmarshal(raw, &batch); err != nil || len(batch.Profiles) != len(sessions) {
 		t.Fatalf("batch over survivors: %v (%d profiles)", err, len(batch.Profiles))
 	}
 

@@ -27,7 +27,7 @@ const (
 	// recovering an old generation.
 	EventModelVersion = "model_version"
 	// EventRingRebalance records a ring rebuild from a membership
-	// change (SetBackends or a completed resize migration).
+	// change: a completed resize migration.
 	EventRingRebalance = "ring_rebalance"
 	// EventShedOpen / EventShedClose bracket a shed window: the span
 	// between the first request refused because its owning shard was

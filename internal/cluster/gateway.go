@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,30 +38,10 @@ type Config struct {
 	// distribution. Default 10m.
 	RetrainTimeout time.Duration
 	// HealthInterval is the readiness-poll cadence. <= 0 disables the
-	// background loop; CheckHealth can still be driven manually.
+	// background loop; CheckHealth can still be driven manually. It is
+	// also how long a /v1/cluster/metrics scrape stays fresh: with the
+	// loop off, every read re-scrapes.
 	HealthInterval time.Duration
-	// ShardRetries re-sends a shard request the shard shed (429, or 503
-	// with Retry-After) before giving up, reusing the extension
-	// client's backoff schedule (server.RetryDelay). Default 2;
-	// negative disables.
-	ShardRetries int
-	// MaxSessionsPerBatch caps a gateway batch (default 2048). The
-	// gateway re-chunks below every shard's own limit, so its cap can
-	// exceed a single backend's.
-	MaxSessionsPerBatch int
-	// ShardBatchLimit is the largest chunk sent to one shard in one
-	// request (default 256, the backend's MaxSessionsPerBatch default).
-	ShardBatchLimit int
-	// MigrationChunk is the visit-record count per export/import call
-	// while a resize migration copies a user's history (default 4096).
-	MigrationChunk int
-	// MigrationThrottle, when positive, sleeps between migration copy
-	// chunks. Production resizes leave it zero; tests use it to hold
-	// the double-write window open deterministically.
-	MigrationThrottle time.Duration
-	// MigrationWorkers bounds concurrently copying key ranges during a
-	// resize (default 4).
-	MigrationWorkers int
 	// SLOTargets maps endpoint names ("report", "profile_batch") to
 	// latency SLO targets, exported as hostprof_gateway_slo_* gauges
 	// over a five-minute sliding window. Every target is a bucket bound
@@ -73,10 +52,6 @@ type Config struct {
 	// gateway request slower than this, with its trace ID and stage
 	// breakdown.
 	SlowRequest time.Duration
-	// FederationTTL bounds how stale the cached shard /varz scrapes
-	// behind /v1/cluster/metrics may get before a read re-scrapes
-	// (default 2s).
-	FederationTTL time.Duration
 	// Metrics, when non-nil, is the registry the gateway exports into
 	// (hostprof_gateway_* names). Nil creates a private registry.
 	Metrics *obs.Registry
@@ -100,27 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetrainTimeout <= 0 {
 		c.RetrainTimeout = 10 * time.Minute
-	}
-	if c.ShardRetries == 0 {
-		c.ShardRetries = 2
-	}
-	if c.ShardRetries < 0 {
-		c.ShardRetries = 0
-	}
-	if c.MaxSessionsPerBatch <= 0 {
-		c.MaxSessionsPerBatch = 2048
-	}
-	if c.MigrationChunk <= 0 {
-		c.MigrationChunk = 4096
-	}
-	if c.MigrationWorkers <= 0 {
-		c.MigrationWorkers = 4
-	}
-	if c.ShardBatchLimit <= 0 {
-		c.ShardBatchLimit = 256
-	}
-	if c.FederationTTL <= 0 {
-		c.FederationTTL = 2 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -153,8 +107,8 @@ type Gateway struct {
 	// gives installation a drain point: forwarders hold it shared for a
 	// write's duration, so after install takes (and releases) it
 	// exclusively, every in-flight write predating the migration has
-	// finished and all later writes see it. resizeMu serializes
-	// Resize/SetBackends calls against each other.
+	// finished and all later writes see it. resizeMu serializes Resize
+	// calls against each other.
 	migration  atomic.Pointer[Migration]
 	migBarrier sync.RWMutex
 	resizeMu   sync.Mutex
@@ -162,9 +116,8 @@ type Gateway struct {
 	mu     sync.Mutex
 	shards map[string]*shardState
 	// backends is the live membership — cfg.Backends at build time,
-	// replaced when a migration completes or SetBackends swaps the
-	// ring. trainNode and model anti-entropy iterate this, not the
-	// frozen config.
+	// replaced when a migration completes. trainNode and model
+	// anti-entropy iterate this, not the frozen config.
 	backends      []string
 	lastMigration *MigrationStatus
 	// modelVersion/modelData cache the last artifact the gateway pulled,
@@ -194,9 +147,6 @@ type gatewayMetrics struct {
 	migFailed        *obs.Counter
 	migRangesDone    *obs.Counter
 	migRangesAborted *obs.Counter
-	migRecords       *obs.Counter
-	doubleWrites     *obs.Counter
-	doubleWriteErrs  *obs.Counter
 }
 
 func newGatewayMetrics(reg *obs.Registry) gatewayMetrics {
@@ -207,15 +157,12 @@ func newGatewayMetrics(reg *obs.Registry) gatewayMetrics {
 	reg.Describe("hostprof_gateway_shard_errors_total", "shard transport failures, by backend")
 	reg.Describe("hostprof_gateway_shard_up", "1 when the shard answered its last health probe, by backend")
 	reg.Describe("hostprof_gateway_shard_ready", "1 when the shard reported ready, by backend")
-	reg.Describe("hostprof_gateway_model_version", "numeric prefix of the shard's model version (0 = untrained), by backend")
 	reg.Describe("hostprof_gateway_shed_total", "requests refused because the owning shard is down (its keyspace is shed)")
 	reg.Describe("hostprof_gateway_retries_total", "shard requests re-sent after a shed answer")
 	reg.Describe("hostprof_gateway_batch_partial_total", "scatter-gather batches answered with partial results")
 	reg.Describe("hostprof_gateway_model_pushes_total", "model artifacts pushed to shards")
 	reg.Describe("hostprof_gateway_events_total", "cluster timeline events recorded, by type")
-	reg.Describe("hostprof_gateway_migration_records_total", "visit records copied between shards by migrations")
 	reg.Describe("hostprof_gateway_migration_ranges_total", "moved key ranges finished, by outcome")
-	reg.Describe("hostprof_gateway_migration_double_writes_total", "moved-user reports double-written during copy windows, by outcome")
 	reg.Describe("hostprof_gateway_migrations_total", "resize migrations, by outcome")
 	return gatewayMetrics{
 		shed:         reg.Counter("hostprof_gateway_shed_total"),
@@ -230,14 +177,11 @@ func newGatewayMetrics(reg *obs.Registry) gatewayMetrics {
 		migFailed:        reg.Counter("hostprof_gateway_migrations_total", obs.L("outcome", "failed")),
 		migRangesDone:    reg.Counter("hostprof_gateway_migration_ranges_total", obs.L("outcome", "done")),
 		migRangesAborted: reg.Counter("hostprof_gateway_migration_ranges_total", obs.L("outcome", "aborted")),
-		migRecords:       reg.Counter("hostprof_gateway_migration_records_total"),
-		doubleWrites:     reg.Counter("hostprof_gateway_migration_double_writes_total", obs.L("outcome", "ok")),
-		doubleWriteErrs:  reg.Counter("hostprof_gateway_migration_double_writes_total", obs.L("outcome", "error")),
 	}
 }
 
-// normalizeBackends is the one backend normalization, applied by New,
-// SetBackends and Resize alike: each entry is trimmed of surrounding
+// normalizeBackends is the one backend normalization, applied by New
+// and Resize alike: each entry is trimmed of surrounding
 // whitespace, empty entries are dropped (a trailing comma on the
 // command line), a scheme-less host:port gets http://, and trailing
 // slashes go. An entry with inner whitespace or no host is refused, as
@@ -298,7 +242,7 @@ func New(cfg Config) (*Gateway, error) {
 		log:      cfg.Logger,
 		client:   client,
 		events:   newEventLog(eventBuffer),
-		fed:      &federator{ttl: cfg.FederationTTL},
+		fed:      &federator{ttl: cfg.HealthInterval},
 		ring:     ring,
 		shards:   make(map[string]*shardState, len(cfg.Backends)),
 		backends: append([]string(nil), cfg.Backends...),
@@ -328,55 +272,6 @@ func (g *Gateway) Ring() *Ring {
 	g.ringMu.Lock()
 	defer g.ringMu.Unlock()
 	return g.ring
-}
-
-// SetBackends rebuilds the ring over a new member set WITHOUT migrating
-// any data — the raw swap behind a data-free topology change (all-new
-// cluster, test fixtures). A resize that must preserve users' histories
-// goes through Resize instead, which refuses to coexist with this:
-// SetBackends errors while a migration is installed. A change records
-// a ring_rebalance event.
-func (g *Gateway) SetBackends(backends []string) error {
-	backends, err := normalizeBackends(backends)
-	if err != nil {
-		return err
-	}
-	ring, err := NewRing(backends, g.cfg.VirtualNodes)
-	if err != nil {
-		return err
-	}
-	if m := g.migration.Load(); m != nil {
-		return fmt.Errorf("cluster: cannot swap backends while a migration is installed (state %s)", m.Status().State)
-	}
-	g.ringMu.Lock()
-	changed := !g.ring.Equal(backends)
-	g.ring = ring
-	g.ringMu.Unlock()
-	if !changed {
-		return nil
-	}
-	g.mu.Lock()
-	g.backends = append([]string(nil), backends...)
-	for _, b := range backends {
-		if g.shards[b] == nil {
-			g.shards[b] = &shardState{name: b}
-			g.wireShardGauges(b)
-		}
-	}
-	keep := make(map[string]bool, len(backends))
-	for _, b := range backends {
-		keep[b] = true
-	}
-	for name := range g.shards {
-		if !keep[name] {
-			delete(g.shards, name)
-		}
-	}
-	g.mu.Unlock()
-	g.event(EventRingRebalance, "", "ring rebalanced over new membership",
-		"backends", strconv.Itoa(len(backends)))
-	g.log.Info("gateway ring rebalanced", slog.Int("backends", len(backends)))
-	return nil
 }
 
 // Start launches the health loop (when HealthInterval > 0) after one

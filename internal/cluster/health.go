@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -55,10 +54,10 @@ type ClusterStatus struct {
 }
 
 // wireShardGauges registers the per-backend health gauges. The
-// callbacks read live state under g.mu at scrape time; a backend
-// removed by SetBackends scrapes as 0/0/0 rather than unregistering
-// (the registry keeps families forever — cheap, and the zeros document
-// the departure).
+// callbacks read live state under g.mu at scrape time; a backend a
+// finished resize pruned scrapes as 0/0 rather than unregistering (the
+// registry keeps families forever — cheap, and the zeros document the
+// departure).
 func (g *Gateway) wireShardGauges(name string) {
 	lbl := obs.L("backend", name)
 	read := func(f func(*shardState) float64) func() float64 {
@@ -80,24 +79,6 @@ func (g *Gateway) wireShardGauges(name string) {
 	}
 	g.reg.GaugeFunc("hostprof_gateway_shard_up", read(func(s *shardState) float64 { return b2f(s.alive) }), lbl)
 	g.reg.GaugeFunc("hostprof_gateway_shard_ready", read(func(s *shardState) float64 { return b2f(s.ready) }), lbl)
-	g.reg.GaugeFunc("hostprof_gateway_model_version", read(func(s *shardState) float64 {
-		return versionOrdinal(s.modelVersion)
-	}), lbl)
-}
-
-// versionOrdinal maps a content version to a comparable-for-equality
-// number (first 48 bits of the hex hash — exact in a float64), so
-// "every shard exports the same hostprof_gateway_model_version" is a
-// dashboard-checkable convergence signal. 0 means untrained.
-func versionOrdinal(version string) float64 {
-	if len(version) < 12 {
-		return 0
-	}
-	n, err := strconv.ParseUint(version[:12], 16, 64)
-	if err != nil {
-		return 0
-	}
-	return float64(n)
 }
 
 // CheckHealth probes every shard's /readyz once, in parallel, and
@@ -163,7 +144,7 @@ func (g *Gateway) probeShard(ctx context.Context, name string) {
 func (g *Gateway) markProbe(name string, alive bool, rd server.Readiness, errMsg string) {
 	g.mu.Lock()
 	s := g.shards[name]
-	if s == nil { // removed by a concurrent SetBackends
+	if s == nil { // pruned by a resize that finished meanwhile
 		g.mu.Unlock()
 		return
 	}

@@ -16,10 +16,11 @@
 // enumerates the range's users and captures their source record counts
 // C0; from then on every accepted report is double-written (source
 // first — the ack — then imported to the target). The copy loop streams
-// exactly records [0, C0) per user, chunked and resumable by offset
-// watermark, so copied history and double-written live traffic
-// partition perfectly: nothing is lost and nothing lands twice. Cutover
-// takes the gate again and compares per-user record counts and
+// exactly records [0, C0) per user, in chunks at increasing offsets, so
+// copied history and double-written live traffic partition perfectly:
+// nothing is lost and nothing lands twice. Every round starts with a
+// fresh freeze, so a retried or resumed range recopies from record 0.
+// Cutover takes the gate again and compares per-user record counts and
 // order-insensitive content digests (store.VisitHash sums) between
 // source and target; only an exact match flips the range to done, after
 // which routing serves the new owner. Any mismatch — including a target
@@ -104,7 +105,7 @@ type migRange struct {
 	// Status reads it under the migration mutex via statusLocked.
 	users    []int       // range's users, re-enumerated at each freeze
 	frozen   map[int]int // per-user source record count C0 at freeze
-	copied   map[int]int // per-user copy watermark into [0, C0)
+	copied   map[int]int // per-user records of [0, C0) copied this round
 	attempts int
 	lastErr  string
 }
@@ -355,11 +356,6 @@ func (g *Gateway) Resize(ctx context.Context, backends []string) (*Migration, bo
 		return nil, false, nil
 	}
 	moved := DiffRings(oldRing, newRing)
-	if len(moved) == 0 {
-		// Membership changed but no keyspace moved (cannot happen with
-		// distinct vnode sets, but handle it): plain ring swap.
-		return nil, false, g.SetBackends(backends)
-	}
 
 	m := &Migration{
 		g:       g,
@@ -487,8 +483,7 @@ func (m *Migration) run(ctx context.Context) {
 
 	m.setPhase("copying")
 	cctx, cspan := g.tr.StartSpan(ctx, "gw.migrate.copy")
-	workers := g.cfg.MigrationWorkers
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, migrationWorkers)
 	var wg sync.WaitGroup
 	for _, r := range m.allRanges() {
 		if r.st() == rangeDone { // kept from a resumed run
@@ -619,8 +614,14 @@ func (m *Migration) plan(ctx context.Context) error {
 }
 
 // migrationAttempts bounds the freeze → copy → verify rounds per range
-// before the range is rolled back to its old owner.
-const migrationAttempts = 3
+// before the range is rolled back to its old owner; migrationChunk is
+// the visit records per export/import call; migrationWorkers bounds the
+// ranges copying at once.
+const (
+	migrationAttempts = 3
+	migrationChunk    = 4096
+	migrationWorkers  = 4
+)
 
 // runRange drives one range to done or aborted: up to
 // migrationAttempts rounds of freeze → copy → verify, aborting early
@@ -733,12 +734,12 @@ func (m *Migration) freezeRange(ctx context.Context, r *migRange) error {
 	return nil
 }
 
-// copyRange streams each frozen user's records [watermark, C0) from
-// source to target in cfg.MigrationChunk-sized chunks. Interruptions
-// resume from the per-user watermark — offsets are stable on the source
-// (store.UserVisits), so a chunk is never re-sent after it was acked.
+// copyRange streams each frozen user's records [0, C0) from source to
+// target in migrationChunk-sized chunks at increasing offsets — offsets
+// are stable on the source (store.UserVisits), so within a round no
+// chunk is sent twice. An error ends the round; the next one freezes
+// afresh and recopies from record 0.
 func (m *Migration) copyRange(ctx context.Context, r *migRange) error {
-	g := m.g
 	for _, u := range r.users {
 		for r.copied[u] < r.frozen[u] {
 			if ctx.Err() != nil {
@@ -746,8 +747,8 @@ func (m *Migration) copyRange(ctx context.Context, r *migRange) error {
 			}
 			w := r.copied[u]
 			limit := r.frozen[u] - w
-			if limit > g.cfg.MigrationChunk {
-				limit = g.cfg.MigrationChunk
+			if limit > migrationChunk {
+				limit = migrationChunk
 			}
 			visits, err := m.exportChunk(ctx, r.From, u, w, limit)
 			if err != nil {
@@ -769,16 +770,8 @@ func (m *Migration) copyRange(ctx context.Context, r *migRange) error {
 			r.copied[u] = w + len(visits)
 			m.mu.Unlock()
 			m.records.Add(int64(len(visits)))
-			g.met.migRecords.Add(int64(len(visits)))
 			if err := fault.Inject(fault.MigrateCopyChunk); err != nil {
 				return err
-			}
-			if g.cfg.MigrationThrottle > 0 {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(g.cfg.MigrationThrottle):
-				}
 			}
 		}
 	}

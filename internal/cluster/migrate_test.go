@@ -11,10 +11,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hostprof/internal/core"
+	"hostprof/internal/fault"
 	"hostprof/internal/server"
 )
 
@@ -44,6 +46,21 @@ func reportAt(t *testing.T, baseURL string, user int, ts int64, hosts []string) 
 	t.Helper()
 	resp := postJSON(t, baseURL+"/v1/report", server.ReportRequest{User: user, Time: ts, Hosts: hosts}, nil)
 	return resp.StatusCode
+}
+
+// importHistory appends n visits for user straight into a shard's
+// store, cycling through hosts, and returns the user's record count
+// there afterwards.
+func importHistory(t *testing.T, shardURL string, user, n int, hosts []string) int {
+	t.Helper()
+	visits := make([]server.WireVisit, n)
+	for i := range visits {
+		visits[i] = server.WireVisit{User: user, Time: int64(8_000_000 + i), Host: hosts[i%len(hosts)]}
+	}
+	if resp := postJSON(t, shardURL+"/v1/import", server.ImportRequest{Visits: visits}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("import of %d visits for user %d → %d", n, user, resp.StatusCode)
+	}
+	return digestCount(t, shardURL, user)
 }
 
 // assertExactPlacement checks that every shard holds exactly the users
@@ -77,7 +94,9 @@ func assertExactPlacement(t *testing.T, fx *clusterFixture, fed map[int]bool, sh
 // (HTTP resize), each time verifying that the data moved exactly — every
 // user sits on precisely the shard the new ring names, sources are
 // purged, the joiner got the model before taking traffic, and the whole
-// shrink is traceable as one plan/copy/cutover span tree.
+// shrink is traceable as one plan/copy/cutover span tree. One moving
+// user carries more history than one copy chunk, so the copy loop's
+// later chunks run too.
 func TestGatewayResizeGrowShrinkExactPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration integration test skipped in -short")
@@ -92,6 +111,33 @@ func TestGatewayResizeGrowShrinkExactPlacement(t *testing.T) {
 	three := append([]string(nil), fx.gw.Ring().Nodes()...)
 	fourth := fx.addShard(t)
 	four := append(append([]string(nil), three...), fourth)
+	newRing, err := NewRing(four, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy := -1
+	for uid := range fed {
+		before, _ := fx.gw.Ring().Owner(uid)
+		if after, _ := newRing.Owner(uid); before != after {
+			heavy = uid
+			break
+		}
+	}
+	if heavy < 0 {
+		t.Fatal("no fed user moves under the new ring; test world degenerate")
+	}
+	heavyFrom, _ := fx.gw.Ring().Owner(heavy)
+	heavyTo, _ := newRing.Owner(heavy)
+	heavyRecords := importHistory(t, heavyFrom, heavy, migrationChunk+4, fx.sessions(1)[0])
+	assertHeavy := func(phase, owner, former string) {
+		t.Helper()
+		if got := digestCount(t, owner, heavy); got != heavyRecords {
+			t.Fatalf("%s: owner holds %d records for user %d, want %d", phase, got, heavy, heavyRecords)
+		}
+		if got := digestCount(t, former, heavy); got != 0 {
+			t.Fatalf("%s: former owner still holds %d records for user %d", phase, got, heavy)
+		}
+	}
 
 	m, started, err := fx.gw.Resize(context.Background(), four)
 	if err != nil || !started || m == nil {
@@ -110,12 +156,13 @@ func TestGatewayResizeGrowShrinkExactPlacement(t *testing.T) {
 		t.Fatalf("joiner at model %q, cluster trained %q", got, trained.Version)
 	}
 	assertExactPlacement(t, fx, fed, []int{0, 1, 2, 3})
+	assertHeavy("after grow", heavyTo, heavyFrom)
 	st := fx.gw.ClusterStatus()
 	if st.Migration == nil || st.Migration.State != "done" || st.Backends != 4 {
 		t.Fatalf("cluster status after grow: %+v", st)
 	}
-	if st.Migration.RecordsCopied == 0 {
-		t.Fatal("grow migration copied zero records")
+	if st.Migration.RecordsCopied < int64(heavyRecords) {
+		t.Fatalf("grow migration copied %d records, the heavy user alone has %d", st.Migration.RecordsCopied, heavyRecords)
 	}
 
 	// Gateway readiness is back to plain ok once the migration is done.
@@ -159,6 +206,10 @@ func TestGatewayResizeGrowShrinkExactPlacement(t *testing.T) {
 		t.Fatalf("ring after shrink spans %v, want %v", fx.gw.Ring().Nodes(), three)
 	}
 	assertExactPlacement(t, fx, fed, []int{0, 1, 2})
+	// The leaver keeps its stale copy, so only the owner is checked.
+	if got := digestCount(t, heavyFrom, heavy); got != heavyRecords {
+		t.Fatalf("after shrink: owner holds %d records for user %d, want %d", got, heavy, heavyRecords)
+	}
 	_ = rr
 
 	// The shrink ran under the resize request's trace: one trace holds
@@ -174,8 +225,8 @@ func TestGatewayResizeGrowShrinkExactPlacement(t *testing.T) {
 	}
 }
 
-// TestGatewayResizeDoubleWriteWindow holds the copy window open with a
-// throttle and pushes live reports for a migrating user straight through
+// TestGatewayResizeDoubleWriteWindow holds the copy window open with
+// latency at the copy-chunk fault point and pushes live reports for a migrating user straight through
 // it: every acked report must surface on the new owner after cutover
 // (the zero-loss property the double-write exists for), and while the
 // window is open the gateway's /readyz reports degraded.
@@ -183,14 +234,11 @@ func TestGatewayResizeDoubleWriteWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration integration test skipped in -short")
 	}
-	fx := newClusterFixtureCfg(t, 3, 150, func(c *Config) {
-		c.VirtualNodes = 8
-		c.MigrationThrottle = time.Millisecond
-		c.MigrationChunk = 16
-		c.MigrationWorkers = 1
-	})
+	fx := newClusterFixtureCfg(t, 3, 150, func(c *Config) { c.VirtualNodes = 8 })
 	fed := fx.feedViaGateway(t)
 	fx.retrainViaGateway(t)
+	fault.Set(fault.MigrateCopyChunk, fault.Latency(25*time.Millisecond))
+	t.Cleanup(fault.Reset)
 
 	three := append([]string(nil), fx.gw.Ring().Nodes()...)
 	fourth := fx.addShard(t)
@@ -304,12 +352,7 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration integration test skipped in -short")
 	}
-	fx := newClusterFixtureCfg(t, 3, 200, func(c *Config) {
-		c.VirtualNodes = 8
-		c.MigrationThrottle = time.Millisecond
-		c.MigrationChunk = 8
-		c.MigrationWorkers = 1
-	})
+	fx := newClusterFixtureCfg(t, 3, 200, func(c *Config) { c.VirtualNodes = 8 })
 	fed := fx.feedViaGateway(t)
 	fx.retrainViaGateway(t)
 	three := append([]string(nil), fx.gw.Ring().Nodes()...)
@@ -341,6 +384,13 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	go srv.Serve(ln)
 	four := append(append([]string(nil), three...), joinerURL)
 
+	// Hold every copy chunk until the target is dead, so the kill lands
+	// mid-copy at any pace.
+	killed := make(chan struct{})
+	release := sync.OnceFunc(func() { close(killed) })
+	defer release() // a failing test must not leave gw.Close waiting on the copy
+	fault.Set(fault.MigrateCopyChunk, func() error { <-killed; return nil })
+	t.Cleanup(fault.Reset)
 	m, started, err := fx.gw.Resize(context.Background(), four)
 	if err != nil || !started {
 		t.Fatalf("Resize: started=%v err=%v", started, err)
@@ -354,6 +404,7 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	srv.Close()
+	release()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := m.Wait(ctx); err == nil {
@@ -382,9 +433,6 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	resp := postJSON(t, fx.gwSrv.URL+"/v1/cluster/resize", ResizeRequest{Backends: three[:2]}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("conflicting resize → %d, want 409", resp.StatusCode)
-	}
-	if err := fx.gw.SetBackends(three[:2]); err == nil {
-		t.Fatal("SetBackends succeeded across an installed migration")
 	}
 
 	// Restart the joiner on the same address — empty, as if its disk was
@@ -436,8 +484,8 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	}
 }
 
-// TestNormalizeBackends pins the one backend normalization New,
-// SetBackends and Resize share with the CLI's -backends list.
+// TestNormalizeBackends pins the one backend normalization New and
+// Resize share with the CLI's -backends list.
 func TestNormalizeBackends(t *testing.T) {
 	cases := []struct {
 		name string
@@ -475,11 +523,13 @@ func TestNormalizeBackends(t *testing.T) {
 	if got := gw.Ring().Nodes(); !slices.Equal(got, []string{"http://127.0.0.1:1"}) {
 		t.Fatalf("New kept backends %q", got)
 	}
-	if err := gw.SetBackends([]string{"127.0.0.1:1", "127.0.0.1:2"}); err != nil {
-		t.Fatal(err)
+	// The same member spelled another way is no change, and a bad entry
+	// is refused before any migration is planned.
+	if m, started, err := gw.Resize(context.Background(), []string{" 127.0.0.1:1/ ", ""}); m != nil || started || err != nil {
+		t.Fatalf("Resize to the same member respelled: m=%v started=%v err=%v", m, started, err)
 	}
-	if got := gw.Ring().Nodes(); !slices.Equal(got, []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}) {
-		t.Fatalf("SetBackends kept backends %q", got)
+	if m, _, err := gw.Resize(context.Background(), []string{"http://bad host:1"}); m != nil || err == nil {
+		t.Fatalf("Resize accepted a backend with inner whitespace: m=%v err=%v", m, err)
 	}
 }
 

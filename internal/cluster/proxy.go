@@ -90,16 +90,23 @@ func (g *Gateway) doShard(ctx context.Context, method, shard, path string, hdr m
 	return ans, nil
 }
 
-// retryBase seeds the shed-retry backoff and retryMax caps every wait,
-// including a shard's own Retry-After.
+// shardRetries is how often a shard request the shard shed is re-sent;
+// retryBase seeds the backoff and retryMax caps every wait, including a
+// shard's own Retry-After.
 const (
-	retryBase = 50 * time.Millisecond
-	retryMax  = time.Second
+	shardRetries = 2
+	retryBase    = 50 * time.Millisecond
+	retryMax     = time.Second
 )
+
+// maxGatewayBatch caps the sessions of one gateway batch. The gateway
+// chunks below every shard's server.MaxSessionsPerBatch, so its cap can
+// exceed a single shard's.
+const maxGatewayBatch = 2048
 
 // forwardWithRetry is doShard plus the shed-retry loop: an answer that
 // means "come back later" (429, or 503 with Retry-After — the same
-// contract the Extension client honors) is retried up to ShardRetries
+// contract the Extension client honors) is retried up to shardRetries
 // times with RetryDelay backoff before being relayed to the client.
 func (g *Gateway) forwardWithRetry(ctx context.Context, method, shard, path string, hdr map[string]string, body []byte) (shardAnswer, error) {
 	for attempt := 0; ; attempt++ {
@@ -108,7 +115,7 @@ func (g *Gateway) forwardWithRetry(ctx context.Context, method, shard, path stri
 			return ans, err
 		}
 		apiErr := &server.APIError{Status: ans.status, RetryAfter: ans.header.Get("Retry-After")}
-		if attempt >= g.cfg.ShardRetries || !apiErr.Retryable() {
+		if attempt >= shardRetries || !apiErr.Retryable() {
 			return ans, nil
 		}
 		g.met.retries.Inc()
@@ -249,13 +256,10 @@ func (g *Gateway) doubleWrite(ctx context.Context, target string, rg *migRange, 
 	}
 	if err != nil {
 		rg.dirty.Store(true)
-		g.met.doubleWriteErrs.Inc()
 		if sp := tracer.FromContext(ctx); sp.Recording() {
 			sp.Event("double-write failed: " + err.Error())
 		}
-		return
 	}
-	g.met.doubleWrites.Inc()
 }
 
 func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -289,8 +293,9 @@ func (g *Gateway) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // handleProfileBatch scatter-gathers a batch across every ready shard.
 // Sessions are standalone host lists (not user-keyed) and every ready
 // shard serves the same model generation, so any shard can profile any
-// session: the gateway chunks the batch, spreads chunks round-robin,
-// and merges results in request order. A chunk whose shard fails
+// session: the gateway cuts the batch into chunks of the shard's own
+// limit (server.MaxSessionsPerBatch), spreads them round-robin, and
+// merges results in request order. A chunk whose shard fails
 // degrades to per-session errors instead of failing the batch —
 // responses with any degraded chunk carry the X-Hostprof-Partial
 // header. A shard that refuses a chunk with a 4xx it does not ask to
@@ -323,9 +328,9 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if len(sessions) > g.cfg.MaxSessionsPerBatch {
+	if len(sessions) > maxGatewayBatch {
 		httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: %d sessions exceeds limit %d", len(sessions), g.cfg.MaxSessionsPerBatch))
+			fmt.Sprintf("cluster: %d sessions exceeds limit %d", len(sessions), maxGatewayBatch))
 		return
 	}
 	shards := g.readyShards()
@@ -344,8 +349,8 @@ func (g *Gateway) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		shard      string
 	}
 	var chunks []chunk
-	for i, start := 0, 0; start < len(sessions); i, start = i+1, start+g.cfg.ShardBatchLimit {
-		end := start + g.cfg.ShardBatchLimit
+	for i, start := 0, 0; start < len(sessions); i, start = i+1, start+server.MaxSessionsPerBatch {
+		end := start + server.MaxSessionsPerBatch
 		if end > len(sessions) {
 			end = len(sessions)
 		}

@@ -328,7 +328,6 @@ func TestFaultSignalMatrix(t *testing.T) {
 			t.Cleanup(fault.Reset)
 			fx := newClusterFixtureWith(t, 2, 12, func(c *Config) {
 				c.VirtualNodes = 8
-				c.ShardRetries = 1
 			}, func(c *server.Config) {
 				c.DataDir = t.TempDir()
 				c.MaxInflightReports = 1

@@ -111,7 +111,6 @@ func wiredRegistries(t *testing.T) []struct {
 	gw, err := cluster.New(cluster.Config{
 		Backends:       []string{bsrv.URL},
 		HealthInterval: -1,
-		FederationTTL:  time.Nanosecond,
 		SLOTargets:     map[string]time.Duration{"report": 250 * time.Millisecond},
 		SlowRequest:    time.Nanosecond,
 		Metrics:        greg,

@@ -1,0 +1,156 @@
+package obs_test
+
+import (
+	"bytes"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"unicode"
+)
+
+// docFiles are the documents whose references TestDocReferences holds
+// to the tree, relative to the module root.
+var docFiles = []string{"README.md", "DESIGN.md"}
+
+var (
+	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	flagRow     = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
+)
+
+// sourceExts are the extensions that make a backticked word a file
+// reference even when it is not rooted at a module directory
+// (`federate.go`, `tracer/push.go`).
+var sourceExts = map[string]bool{".go": true, ".s": true, ".sh": true, ".md": true, ".json": true}
+
+// TestDocReferences fails when README.md or DESIGN.md names what the
+// tree does not have: a flag-table row (| `-name` |) for a flag no
+// `hostprof` subcommand defines, or a backticked reference that does
+// not resolve. Outside fenced blocks, each word of a code span is a
+// reference when it is rooted at a top-level directory of the module
+// (internal/…, cmd/…, bench/…) or has a source extension. A rooted
+// path (globs allowed) must exist, and `dir/pkg.Ident` needs the
+// package directory; a name or path tail with a source extension
+// (`federate.go`, `tracer/push.go`, `sgns*.go`) must match the tail of
+// some module file's path. A trailing `:N` needs the file to have at
+// least N lines.
+func TestDocReferences(t *testing.T) {
+	defined := map[string]bool{}
+	for _, names := range subcommandFlags(t, "../../cmd/hostprof") {
+		for _, n := range names {
+			defined[n] = true
+		}
+	}
+	entries, err := os.ReadDir(moduleRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			roots[e.Name()] = true
+		}
+	}
+	files := moduleFiles(t, moduleRoot)
+	for _, doc := range docFiles {
+		raw, err := os.ReadFile(filepath.Join(moduleRoot, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := fencedBlock.ReplaceAllString(string(raw), "")
+		for _, m := range flagRow.FindAllStringSubmatch(text, -1) {
+			if !defined[m[1]] {
+				t.Errorf("%s: flag-table row -%s: no hostprof subcommand defines it", doc, m[1])
+			}
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+			for _, word := range strings.Fields(span[1]) {
+				if ref, line, rooted, ok := docReference(word, roots); ok && !resolves(ref, line, rooted, files) {
+					t.Errorf("%s: %s (in `%s`) does not resolve in the tree", doc, word, span[1])
+				}
+			}
+		}
+	}
+}
+
+// docReference reports whether word is a reference to the tree, and
+// returns it normalized: no leading ./, trailing /... or :N (returned
+// as line).
+func docReference(word string, roots map[string]bool) (ref string, line int, rooted, ok bool) {
+	if strings.Contains(word, "://") || strings.HasPrefix(word, "/") || strings.HasPrefix(word, "-") {
+		return "", 0, false, false
+	}
+	ref = strings.TrimSuffix(strings.TrimPrefix(word, "./"), "/...")
+	if i := strings.LastIndexByte(ref, ':'); i > 0 {
+		if n, err := strconv.Atoi(ref[i+1:]); err == nil {
+			ref, line = ref[:i], n
+		}
+	}
+	first, _, nested := strings.Cut(ref, "/")
+	rooted = nested && roots[first]
+	return ref, line, rooted, rooted || sourceExts[path.Ext(ref)]
+}
+
+// resolves reports whether ref names something in the tree (see
+// TestDocReferences); files holds every module file's slash path.
+func resolves(ref string, line int, rooted bool, files []string) bool {
+	var hits []string
+	if rooted {
+		hits, _ = filepath.Glob(filepath.Join(moduleRoot, ref))
+		if dir, last := path.Split(ref); len(hits) == 0 {
+			if pkg, ident, ok := strings.Cut(last, "."); ok && ident != "" && unicode.IsUpper(rune(ident[0])) {
+				hits, _ = filepath.Glob(filepath.Join(moduleRoot, dir, pkg))
+			}
+		}
+	} else {
+		depth := strings.Count(ref, "/") + 1
+		for _, f := range files {
+			segs := strings.Split(f, "/")
+			if len(segs) < depth {
+				continue
+			}
+			if ok, _ := path.Match(ref, strings.Join(segs[len(segs)-depth:], "/")); ok {
+				hits = append(hits, filepath.Join(moduleRoot, f))
+			}
+		}
+	}
+	if line == 0 {
+		return len(hits) > 0
+	}
+	for _, h := range hits {
+		if data, err := os.ReadFile(h); err == nil && bytes.Count(data, []byte("\n")) >= line {
+			return true
+		}
+	}
+	return false
+}
+
+// moduleFiles lists the slash paths, relative to root, of every file
+// under it outside hidden directories.
+func moduleFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, p)
+		out = append(out, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

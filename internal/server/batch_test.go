@@ -18,9 +18,8 @@ import (
 	"hostprof/internal/synth"
 )
 
-// newBatchFixture spins a backend with the profile cache enabled and a
-// tight batch limit, so batch validation is reachable with small
-// payloads.
+// newBatchFixture spins a backend with a profile cache of cacheSize
+// entries (0 disables it).
 func newBatchFixture(t *testing.T, cacheSize int) (*backendFixture, *obs.Registry) {
 	t.Helper()
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 100, Trackers: 15, Seed: 3})
@@ -28,13 +27,12 @@ func newBatchFixture(t *testing.T, cacheSize int) (*backendFixture, *obs.Registr
 	db := ads.BuildFromOntology(ont, ads.BuildConfig{Seed: 7})
 	reg := obs.NewRegistry()
 	b, err := New(Config{
-		Ontology:            ont,
-		AdDB:                db,
-		Train:               core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
-		Profile:             core.ProfilerConfig{N: 30, Agg: core.AggIDF},
-		Metrics:             reg,
-		ProfileCache:        cacheSize,
-		MaxSessionsPerBatch: 4,
+		Ontology:     ont,
+		AdDB:         db,
+		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Profile:      core.ProfilerConfig{N: 30, Agg: core.AggIDF},
+		Metrics:      reg,
+		ProfileCache: cacheSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +145,7 @@ func TestProfileBatchValidation(t *testing.T) {
 	_, err := ext.ProfileBatch(context.Background(), nil)
 	wantStatus(err, http.StatusBadRequest, "empty batch")
 
-	_, err = ext.ProfileBatch(context.Background(), make([][]string, 5)) // fixture limit 4
+	_, err = ext.ProfileBatch(context.Background(), make([][]string, MaxSessionsPerBatch+1))
 	wantStatus(err, http.StatusBadRequest, "oversized batch")
 
 	big := make([]string, 1025) // default per-session limit 1024
