@@ -84,9 +84,9 @@ endef
 # latter on the AVX2 path and the fallback) and the trainer's two
 # row kernels against their portable twins, the model loader (what
 # PUT /v1/model parses), the profile cache's sparse round trip, the
-# gateway's batch-body scanner, the shard's /v1/profile/batch decode
-# and /v1/import body, the observer's three wire parsers and the pcap
-# reader (CI runs the same).
+# gateway's batch-body scanner, the shard's /v1/profile/batch decode,
+# /v1/import body and /v1/import decode, the observer's three wire
+# parsers and the pcap reader (CI runs the same).
 # The sniffer, store-op and shard-body targets cap minimization:
 # shrinking one 1200-byte Initial, one op stream that each run replays
 # against the reference store, or one body that each run serves twice,
@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzArrayField$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzProfileBatchDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzImportStream$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzImportDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzQUICInitial$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzClientHello$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz '^FuzzDNS$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -218,6 +218,64 @@ func (fx *clusterFixture) retrainViaGateway(t *testing.T) RetrainResponse {
 	return out
 }
 
+// shardAccounting sums, for one backend, the gateway's
+// hostprof_gateway_shard_requests_total over codes, the count of its
+// hostprof_gateway_shard_request_seconds and its
+// hostprof_gateway_shard_errors_total.
+func (fx *clusterFixture) shardAccounting(backend string) (counted float64, timed int64, errs float64) {
+	for _, m := range fx.gw.Metrics().Snapshot() {
+		switch {
+		case m.Labels["backend"] != backend:
+		case m.Name == "hostprof_gateway_shard_requests_total":
+			counted += m.Value
+		case m.Name == "hostprof_gateway_shard_request_seconds":
+			timed = m.Count
+		case m.Name == "hostprof_gateway_shard_errors_total":
+			errs = m.Value
+		}
+	}
+	return counted, timed, errs
+}
+
+// checkShardAccounting requires every exchange with every shard to be
+// timed and counted once, by backend; the health probes bypass both.
+func (fx *clusterFixture) checkShardAccounting(t *testing.T, when string) {
+	t.Helper()
+	for i, srv := range fx.shardSrv {
+		if counted, timed, _ := fx.shardAccounting(srv.URL); counted == 0 || float64(timed) != counted {
+			t.Errorf("%s, shard %d: hostprof_gateway_shard_request_seconds_count = %d, hostprof_gateway_shard_requests_total sums to %g",
+				when, i, timed, counted)
+		}
+	}
+}
+
+// TestGatewayRetrainTransportFailureCounted fails the trainer's
+// connection: the gateway answers 502, marks the trainer dead, and
+// counts and times the exchange as one shard error, as for any other
+// exchange.
+func TestGatewayRetrainTransportFailureCounted(t *testing.T) {
+	fx := newClusterFixture(t, 2, 10)
+	trainer := fx.shardSrv[0].URL
+	fx.shardSrv[0].Close()
+	resp, err := http.Post(fx.gwSrv.URL+"/v1/retrain", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("retrain with the trainer down → %d %s, want 502", resp.StatusCode, raw)
+	}
+	if counted, timed, errs := fx.shardAccounting(trainer); errs != 1 || timed != 1 || counted != 0 {
+		t.Fatalf("trainer: shard errors %g, timed exchanges %d, answered %g; want 1, 1, 0", errs, timed, counted)
+	}
+	for _, sh := range fx.gw.ClusterStatus().Shards {
+		if sh.Backend == trainer && sh.Alive {
+			t.Fatal("a trainer whose connection failed is still alive")
+		}
+	}
+}
+
 // TestGatewayClusterIntegration is the 3-node acceptance test: reports
 // for ~1K users land on exactly the shard the ring names, a batch
 // scatter-gathers across every shard, and one retrain converges all
@@ -231,25 +289,7 @@ func TestGatewayClusterIntegration(t *testing.T) {
 	if len(fed) < 900 {
 		t.Fatalf("population produced only %d reporting users", len(fed))
 	}
-	// Every proxied exchange is timed and counted once, by backend; the
-	// health probes bypass both.
-	for i, srv := range fx.shardSrv {
-		var counted float64
-		var timed int64
-		for _, m := range fx.gw.Metrics().Snapshot() {
-			switch {
-			case m.Labels["backend"] != srv.URL:
-			case m.Name == "hostprof_gateway_shard_requests_total":
-				counted += m.Value
-			case m.Name == "hostprof_gateway_shard_request_seconds":
-				timed = m.Count
-			}
-		}
-		if counted == 0 || float64(timed) != counted {
-			t.Errorf("shard %d: hostprof_gateway_shard_request_seconds_count = %d, hostprof_gateway_shard_requests_total sums to %g",
-				i, timed, counted)
-		}
-	}
+	fx.checkShardAccounting(t, "after the feed")
 
 	// Placement: each shard must hold exactly the users the ring assigns
 	// to it — no failover, no spillover.
@@ -294,6 +334,7 @@ func TestGatewayClusterIntegration(t *testing.T) {
 	if !st.Converged || st.ModelVersion != rep.Version || st.ReadyShards != 3 {
 		t.Fatalf("cluster status after retrain: %+v", st)
 	}
+	fx.checkShardAccounting(t, "after the retrain")
 	reg := fx.gw.Metrics()
 	if ok, failed := reg.Counter("hostprof_gateway_model_pushes_total", obs.L("outcome", "ok")).Value(),
 		reg.Counter("hostprof_gateway_model_pushes_total", obs.L("outcome", "error")).Value(); ok != 2 || failed != 0 {

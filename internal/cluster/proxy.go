@@ -42,12 +42,18 @@ type shardAnswer struct {
 	header http.Header
 }
 
-// doShard performs one HTTP exchange with a shard, recording per-shard
-// metrics and propagating the current span's traceparent so the shard's
-// handler span joins the caller's trace. A transport-level failure
-// marks the shard dead (routing stops before the next health probe).
+// doShard performs one HTTP exchange with a shard within ShardTimeout.
 func (g *Gateway) doShard(ctx context.Context, method, shard, path string, hdr map[string]string, body []byte) (shardAnswer, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ShardTimeout)
+	return g.exchange(ctx, g.cfg.ShardTimeout, method, shard, path, hdr, body)
+}
+
+// exchange performs one HTTP exchange with a shard within timeout,
+// recording per-shard metrics and propagating the current span's
+// traceparent so the shard's handler span joins the caller's trace. A
+// transport-level failure marks the shard dead (routing stops before
+// the next health probe).
+func (g *Gateway) exchange(ctx context.Context, timeout time.Duration, method, shard, path string, hdr map[string]string, body []byte) (shardAnswer, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -521,30 +527,17 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	if sp := tracer.FromContext(ctx); sp.Recording() {
 		sp.SetAttr("trainer", trainer)
 	}
-	// The retrain itself ignores ShardTimeout — training legitimately
-	// takes longer than a serving request — so it bypasses doShard.
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, trainer+"/v1/retrain", bytes.NewReader([]byte("{}")))
-	if err != nil {
-		httpmw.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tp := tracer.FromContext(ctx).Traceparent(); tp != "" {
-		req.Header.Set("traceparent", tp)
-	}
+	// Training legitimately takes longer than a serving request, so the
+	// exchange gets RetrainTimeout, not ShardTimeout.
 	start := time.Now()
-	resp, err := g.client.Do(req)
+	ans, err := g.exchange(ctx, g.cfg.RetrainTimeout, http.MethodPost, trainer, "/v1/retrain",
+		map[string]string{"Content-Type": "application/json"}, []byte("{}"))
 	if err != nil {
-		g.markDead(trainer, err)
-		httpmw.WriteError(w, http.StatusBadGateway, fmt.Sprintf("cluster: retrain on %s: %v", trainer, err))
+		httpmw.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	g.reg.Counter("hostprof_gateway_shard_requests_total",
-		obs.L("backend", trainer), obs.L("code", strconv.Itoa(resp.StatusCode))).Inc()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		relay(w, shardAnswer{status: resp.StatusCode, body: body, header: resp.Header})
+	if ans.status < 200 || ans.status >= 300 {
+		relay(w, ans)
 		return
 	}
 	g.log.Info("cluster retrain finished",

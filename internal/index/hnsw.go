@@ -287,19 +287,23 @@ func (a *ANN) greedy(q []float32, cur entry, layer int) entry {
 //
 // Each step expands st.cur, the best unexpanded entry: its unvisited
 // neighbours are scored four rows per kernel call — a score does not
-// depend on the beam — then admitted in list order. The search ends
-// when every entry kept is expanded: the paper's stop, "nearest
-// candidate farther than the furthest result", because a candidate the
-// beam dropped ranks below all it kept.
+// depend on the beam — and those that outrank the worst kept entry are
+// merged in at once. The search ends when every entry kept is
+// expanded: the paper's stop, "nearest candidate farther than the
+// furthest result", because a candidate the beam dropped ranks below
+// all it kept.
 func (a *ANN) searchLayerFrom(q []float32, ef, layer int, st *annState) {
 	st.nextEpoch()
 	st.beam, st.expanded, st.cur = st.beam[:0], st.expanded[:0], 0
+	add := st.add[:0]
 	for _, e := range st.seed {
 		if st.visited[e.row] != st.epoch {
 			st.visited[e.row] = st.epoch
-			st.admit(e, ef)
+			add = append(add, e)
 		}
 	}
+	st.add = add
+	st.merge(ef)
 	for st.cur < len(st.beam) {
 		c := st.beam[st.cur].row
 		st.expanded[st.cur] = true
@@ -320,9 +324,12 @@ func (a *ANN) searchLayerFrom(q []float32, ef, layer int, st *annState) {
 		fresh = fresh[:n]
 		scores := st.scores[:n]
 		a.scoreRows(q, fresh, scores)
+		add := st.add[:0]
 		for i, nb := range fresh {
-			st.admit(entry{score: scores[i], row: nb}, ef)
+			add = append(add, entry{score: scores[i], row: nb})
 		}
+		st.add = add
+		st.merge(ef)
 	}
 }
 
@@ -341,32 +348,62 @@ func (a *ANN) scoreRows(q []float32, rows []int32, out []float32) {
 	}
 }
 
-// admit puts e into the beam at its rank if the beam has room or e
-// outranks the worst kept entry, which then falls off. An entry landing
-// above the cursor becomes the best unexpanded one.
-func (st *annState) admit(e entry, ef int) {
-	n := len(st.beam)
-	if n == ef && !worse(st.beam[n-1], e) {
+// merge puts st.add — rows the beam does not hold — into the beam,
+// which then holds the ef best of both, as admitting them one at a time
+// would leave it. When the beam is full, newcomers that do not outrank
+// its worst entry are dropped first. The rest are sorted best first (an
+// expansion brings at most 2M, and seeds handed down arrive sorted),
+// the worst of both fall off, and the kept ones are placed from the
+// back, so each entry and its expanded mark move at most once. The
+// best newcomer, if it lands above the cursor, becomes the best
+// unexpanded entry.
+func (st *annState) merge(ef int) {
+	add := st.add
+	if len(st.beam) == ef {
+		worst, m := st.beam[ef-1], 0
+		for _, e := range add {
+			if worse(worst, e) {
+				add[m] = e
+				m++
+			}
+		}
+		add = add[:m]
+	}
+	if len(add) == 0 {
 		return
 	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if worse(st.beam[mid], e) {
-			hi = mid
+	for i := 1; i < len(add); i++ {
+		e, j := add[i], i
+		for ; j > 0 && worse(add[j-1], e); j-- {
+			add[j] = add[j-1]
+		}
+		add[j] = e
+	}
+	n := len(st.beam)
+	l := min(ef, n+len(add))
+	if l > n {
+		st.beam = append(st.beam, add[:l-n]...) // placeholders, overwritten below
+		st.expanded = append(st.expanded, make([]bool, l-n)...)
+	}
+	i, j := n-1, len(add)-1
+	for drop := n + len(add) - l; drop > 0; drop-- {
+		if i >= 0 && worse(st.beam[i], add[j]) {
+			i--
 		} else {
-			lo = mid + 1
+			j--
 		}
 	}
-	if n < ef {
-		st.beam, st.expanded = append(st.beam, entry{}), append(st.expanded, false)
+	k := l - 1
+	for ; j >= 0; k-- {
+		if i >= 0 && worse(st.beam[i], add[j]) {
+			st.beam[k], st.expanded[k] = st.beam[i], st.expanded[i]
+			i--
+		} else {
+			st.beam[k], st.expanded[k] = add[j], false
+			j--
+		}
 	}
-	copy(st.beam[lo+1:], st.beam[lo:])
-	copy(st.expanded[lo+1:], st.expanded[lo:])
-	st.beam[lo], st.expanded[lo] = e, false
-	if lo < st.cur {
-		st.cur = lo
-	}
+	st.cur = min(st.cur, k+1)
 }
 
 // annBuilder is what one BuildANN call knows beyond the graph it grows,
@@ -750,6 +787,7 @@ type annState struct {
 	cur      int     // index of the best unexpanded beam entry
 	fresh    []int32 // an expansion's unvisited neighbours
 	scores   []float32
+	add      []entry // entries merging into the beam
 	seed     []entry // entry points handed into searchLayerFrom
 }
 

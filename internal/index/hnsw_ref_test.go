@@ -449,3 +449,82 @@ func TestANNSearchEqualsReference(t *testing.T) {
 		})
 	}
 }
+
+// refAdmit is the admission the merge replaced, one entry at a time: e
+// goes into the beam at its binary-searched rank if the beam has room
+// or e outranks the worst kept entry, which then falls off; an entry
+// landing above the cursor becomes the best unexpanded one.
+func refAdmit(st *annState, e entry, ef int) {
+	n := len(st.beam)
+	if n == ef && !worse(st.beam[n-1], e) {
+		return
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if worse(st.beam[mid], e) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if n < ef {
+		st.beam, st.expanded = append(st.beam, entry{}), append(st.expanded, false)
+	}
+	copy(st.beam[lo+1:], st.beam[lo:])
+	copy(st.expanded[lo+1:], st.expanded[lo:])
+	st.beam[lo], st.expanded[lo] = e, false
+	if lo < st.cur {
+		st.cur = lo
+	}
+}
+
+// TestMergeEqualsAdmission holds merge to refAdmit over the same
+// newcomers in list order — beam, expanded marks and cursor alike — for
+// ef 1 to 40, beams empty, part-full and full, every cursor position the
+// search can leave (every entry above it expanded, the one at it not,
+// the rest either), up to 2M = 32 newcomers and seed-sized batches past
+// ef. Scores come from eight values, so most comparisons are ties that
+// the row decides.
+func TestMergeEqualsAdmission(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	score := func() float32 { return float32(rng.Intn(8)) / 8 }
+	var st, ref annState
+	for ef := 1; ef <= 40; ef++ {
+		for trial := 0; trial < 40; trial++ {
+			rows := rng.Perm(4 * (ef + 40))
+			n := []int{0, ef, rng.Intn(ef + 1)}[trial%3]
+			beam := make([]entry, n)
+			for i := range beam {
+				beam[i] = entry{score: score(), row: int32(rows[i])}
+			}
+			slices.SortFunc(beam, func(a, b entry) int {
+				if worse(b, a) {
+					return -1
+				}
+				return 1
+			})
+			add := make([]entry, rng.Intn([]int{33, ef + 40}[trial%2]))
+			for i := range add {
+				add[i] = entry{score: score(), row: int32(rows[n+i])}
+			}
+			for cur := 0; cur <= n; cur++ {
+				expanded := make([]bool, n)
+				for i := range expanded {
+					expanded[i] = i < cur || i > cur && rng.Intn(2) == 0
+				}
+				st.beam, st.expanded, st.cur = append(st.beam[:0], beam...), append(st.expanded[:0], expanded...), cur
+				ref.beam, ref.expanded, ref.cur = append(ref.beam[:0], beam...), append(ref.expanded[:0], expanded...), cur
+				st.add = append(st.add[:0], add...)
+				st.merge(ef)
+				for _, e := range add {
+					refAdmit(&ref, e, ef)
+				}
+				if !slices.Equal(st.beam, ref.beam) || !slices.Equal(st.expanded, ref.expanded) || st.cur != ref.cur {
+					t.Fatalf("ef %d, beam %v, cursor %d, adding %v:\nmerge     %v %v cursor %d\nadmission %v %v cursor %d",
+						ef, beam, cur, add, st.beam, st.expanded, st.cur, ref.beam, ref.expanded, ref.cur)
+				}
+			}
+		}
+	}
+}

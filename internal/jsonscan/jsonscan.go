@@ -1,9 +1,11 @@
-// Package jsonscan is the one JSON scanner of the /v1/profile/batch
-// hops: the gateway splits a batch body into its sessions' byte ranges
-// (ArrayField) and the shard decodes those sessions into host lists
-// (StringArrays), each in one strict pass that answers as encoding/json
-// does. FuzzArrayField (internal/cluster) and FuzzProfileBatchDecode
-// (internal/server) hold the two to the library.
+// Package jsonscan is the one JSON scanner of the hops that carry bulk
+// bodies: on /v1/profile/batch the gateway splits a batch body into its
+// sessions' byte ranges (ArrayField) and the shard decodes those
+// sessions into host lists (StringArrays); on /v1/import the shard
+// decodes a migration or bulk-load chunk into its visits (Import). Each
+// is one strict pass that answers as encoding/json does or leaves the
+// body to it. FuzzArrayField (internal/cluster), FuzzProfileBatchDecode
+// and FuzzImportDecode (internal/server) hold the three to the library.
 package jsonscan
 
 import (
@@ -44,9 +46,10 @@ func ArrayField(raw []byte, key string) ([]json.RawMessage, error) {
 // span is one array element, raw[start:end].
 type span struct{ start, end int }
 
-// errDeclined stops a pass at what StringArrays leaves to the library:
-// under arrayField's only, a member other than the key or the key
-// twice; a session that is not null or an array of strings and nulls.
+// errDeclined stops a pass at what StringArrays or Import leaves to the
+// library: under arrayField's only, a member other than the key or the
+// key twice; a session that is not null or an array of strings and
+// nulls; an import body outside the shape Import takes.
 var errDeclined = errors.New("jsonscan: left to encoding/json")
 
 // arrayField is ArrayField as spans — nil when key's value is null or
@@ -84,7 +87,12 @@ func arrayField(raw []byte, key string, only bool, elem func(raw []byte, i int) 
 			if elems == nil {
 				elems = []span{} // [] is an empty array, not null
 			}
-			elems, i, err = arrayElems(raw, i, elems[:0], elem)
+			elems = elems[:0]
+			i, err = elements(raw, i, func(start int) (int, error) {
+				end, err := elem(raw, start)
+				elems = append(elems, span{start, end})
+				return end, err
+			})
 		default:
 			err = fmt.Errorf("%q is not an array", key)
 		}
@@ -98,24 +106,26 @@ func arrayField(raw []byte, key string, only bool, elem func(raw []byte, i int) 
 	return elems, nil
 }
 
-// arrayElems appends to elems the spans of the elements of the array
-// opening at raw[i], itself an object member, and returns the index
-// past its ']'.
-func arrayElems(raw []byte, i int, elems []span, elem func(raw []byte, i int) (int, error)) ([]span, int, error) {
+// elements calls elem on the start of each element of the array
+// opening at raw[i] — elem returns the index past that element — and
+// returns the index past the array.
+func elements(raw []byte, i int, elem func(i int) (int, error)) (int, error) {
+	if at(raw, i) != '[' {
+		return 0, errDeclined
+	}
 	if i = skipSpace(raw, i+1); at(raw, i) == ']' {
-		return elems, i + 1, nil
+		return i + 1, nil
 	}
 	for more := true; more; {
-		end, err := elem(raw, i)
+		end, err := elem(i)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		elems = append(elems, span{i, end})
 		if i, more, err = next(raw, end, ']'); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
-	return elems, i, nil
+	return i, nil
 }
 
 // skipElem validates any JSON value as an array element of a top-level
@@ -174,35 +184,29 @@ func (d *hostsDecoder) session(raw []byte, i int) (int, error) {
 		d.bounds = append(d.bounds, span{-1, -1})
 		return i + len("null"), nil
 	}
-	if at(raw, i) != '[' {
-		return 0, errDeclined
-	}
 	start := len(d.all)
-	if i = skipSpace(raw, i+1); at(raw, i) == ']' {
-		i++
-	} else {
-		for more := true; more; {
-			h, end, err := d.host(raw, i)
-			if err != nil {
-				return 0, err
-			}
-			d.all = append(d.all, h)
-			if i, more, err = next(raw, end, ']'); err != nil {
-				return 0, err
-			}
-		}
-	}
+	i, err := elements(raw, i, func(i int) (int, error) {
+		h, end, err := d.host(raw, i)
+		d.all = append(d.all, h)
+		return end, err
+	})
 	d.bounds = append(d.bounds, span{start, len(d.all)})
-	return i, nil
+	return i, err
 }
 
 // host decodes the host starting at raw[i], a string or null, and
-// returns the index past it. A plain string is a substring of the body;
-// any other is what encoding/json makes of it.
+// returns the index past it.
 func (d *hostsDecoder) host(raw []byte, i int) (string, int, error) {
 	if hasLiteral(raw, i, "null") {
 		return "", i + len("null"), nil
 	}
+	return text(raw, i, &d.body)
+}
+
+// text decodes the string starting at raw[i] and returns the index past
+// it. A plain string is a substring of *body, string(raw) made on first
+// use; any other is what encoding/json makes of it.
+func text(raw []byte, i int, body *string) (string, int, error) {
 	end, plain, err := scanString(raw, i)
 	if err != nil || !plain {
 		var s string
@@ -211,10 +215,10 @@ func (d *hostsDecoder) host(raw []byte, i int) (string, int, error) {
 		}
 		return s, end, err
 	}
-	if d.body == "" {
-		d.body = string(raw)
+	if *body == "" {
+		*body = string(raw)
 	}
-	return d.body[i+1 : end-1], end, nil
+	return (*body)[i+1 : end-1], end, nil
 }
 
 // next steps over what follows a member of a container closed by end:

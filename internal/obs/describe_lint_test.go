@@ -84,7 +84,7 @@ func wiredRegistries(t *testing.T) []struct {
 		Ontology:    ont,
 		AdDB:        db,
 		Train:       core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
-		Profile:     core.ProfilerConfig{N: 30, Agg: core.AggIDF},
+		Profile:     core.ProfilerConfig{N: 30, Agg: core.AggIDF, ANN: true}, // as serve -ann
 		Metrics:     breg,
 		Tracer:      tracer.New(tracer.Config{Service: "lint", SampleRate: 1, Metrics: breg}),
 		SLOTargets:  map[string]time.Duration{"report": 250 * time.Millisecond},
@@ -127,9 +127,11 @@ func wiredRegistries(t *testing.T) []struct {
 
 	// Traffic through the gateway materializes request counters,
 	// latency histograms, SLO gauges, federation and event series on
-	// both registries (503 pre-training is fine — it still counts).
+	// both registries (the report's 503 pre-training still counts); the
+	// retrain has the backend publish its index and ANN families.
 	for _, req := range []struct{ method, path, body string }{
 		{http.MethodPost, "/v1/report", `{"user":1,"time":1000,"hosts":["a.example","b.example"]}`},
+		{http.MethodPost, "/v1/retrain", `{}`},
 		{http.MethodGet, "/v1/cluster", ""},
 		{http.MethodGet, "/v1/cluster/metrics", ""},
 		{http.MethodGet, "/v1/cluster/events", ""},

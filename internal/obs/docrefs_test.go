@@ -21,6 +21,7 @@ var (
 	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
 	flagRow     = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
+	familyName  = regexp.MustCompile(`hostprof_[a-z0-9_]*\*?`)
 )
 
 // sourceExts are the extensions that make a backticked word a file
@@ -38,8 +39,17 @@ var sourceExts = map[string]bool{".go": true, ".s": true, ".sh": true, ".md": tr
 // package directory; a name or path tail with a source extension
 // (`federate.go`, `tracer/push.go`, `sgns*.go`) must match the tail of
 // some module file's path. A trailing `:N` needs the file to have at
-// least N lines.
+// least N lines. Anywhere in either document, a full hostprof_* name
+// must be a family some wired registry exports, alone or with a
+// _bucket, _sum or _count suffix; a prefix — ending in _ or _*, or
+// one that families extend, as a MetricPrefix is — names no family.
 func TestDocReferences(t *testing.T) {
+	exported := map[string]bool{}
+	for _, w := range wiredRegistries(t) {
+		for _, m := range w.reg.Snapshot() {
+			exported[m.Name] = true
+		}
+	}
 	defined := map[string]bool{}
 	for _, names := range subcommandFlags(t, "../../cmd/hostprof") {
 		for _, n := range names {
@@ -62,6 +72,11 @@ func TestDocReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, name := range familyName.FindAllString(string(raw), -1) {
+			if !familyResolves(name, exported) {
+				t.Errorf("%s: %s: no wired registry exports that family", doc, name)
+			}
+		}
 		text := fencedBlock.ReplaceAllString(string(raw), "")
 		for _, m := range flagRow.FindAllStringSubmatch(text, -1) {
 			if !defined[m[1]] {
@@ -76,6 +91,25 @@ func TestDocReferences(t *testing.T) {
 			}
 		}
 	}
+}
+
+// familyResolves reports whether name, a hostprof_* word of a
+// document, is an exported family, one of its series, or a prefix.
+func familyResolves(name string, exported map[string]bool) bool {
+	if strings.HasSuffix(name, "_") || strings.HasSuffix(name, "*") || exported[name] {
+		return true
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && exported[base] {
+			return true
+		}
+	}
+	for fam := range exported {
+		if strings.HasPrefix(fam, name+"_") {
+			return true
+		}
+	}
+	return false
 }
 
 // docReference reports whether word is a reference to the tree, and

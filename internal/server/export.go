@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hostprof/internal/jsonscan"
 	"hostprof/internal/obs"
 	"hostprof/internal/obs/httpmw"
 	"hostprof/internal/store"
@@ -39,12 +40,9 @@ const exportDefaultLimit = 4096
 // JSON cap: an import chunk carries thousands of visit records.
 const maxImportBody = 8 << 20
 
-// WireVisit is one visit on the export/import wire.
-type WireVisit struct {
-	User int    `json:"user"`
-	Time int64  `json:"t"`
-	Host string `json:"h"`
-}
+// WireVisit is one visit on the export/import wire. It is jsonscan's
+// type, so that the import scanner decodes straight into it.
+type WireVisit = jsonscan.Visit
 
 // ExportUserChunk is one user's slice of an export response: visits
 // [From, From+len(Visits)) of the user's stored subsequence, plus the
@@ -181,6 +179,28 @@ func (b *Backend) handleExportDigest(w http.ResponseWriter, r *http.Request) {
 	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
+// decodeImport reads a /v1/import body once and decodes it with
+// jsonscan.Import, whose hosts are substrings of the body; the store
+// clones each host it interns, so none pins the body. A body that pass
+// leaves to the library, or a read that failed, goes to encoding/json
+// over the bytes read followed by the read's error — the decoder the
+// handler used alone, which ignores unknown fields — so every refusal
+// keeps its status and body (FuzzImportDecode).
+func decodeImport(w http.ResponseWriter, r *http.Request) (ImportRequest, bool) {
+	raw, err := readBody(w, r, maxImportBody)
+	if err == nil {
+		if reset, visits, ok := jsonscan.Import(raw); ok {
+			return ImportRequest{Reset: reset, Visits: visits}, true
+		}
+	}
+	var req ImportRequest
+	if err := json.NewDecoder(replay(raw, err)).Decode(&req); err != nil {
+		writeDecodeError(w, err)
+		return ImportRequest{}, false
+	}
+	return req, true
+}
+
 // handleImport applies one migration chunk: reset listed users, then
 // append visits. Appends go through the normal ingest path (WAL-first,
 // blocklist-filtered), so an imported record is exactly as durable as a
@@ -189,17 +209,13 @@ func (b *Backend) handleExportDigest(w http.ResponseWriter, r *http.Request) {
 // The reset is memory-only until the next snapshot; the migration's
 // verify pass catches a crash-resurrected reset and simply recopies.
 func (b *Backend) handleImport(w http.ResponseWriter, r *http.Request) {
-	var req ImportRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxImportBody))
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpmw.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpmw.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
-		return
+	if req, ok := decodeImport(w, r); ok {
+		b.applyImport(w, req)
 	}
+}
+
+// applyImport answers a decoded import chunk.
+func (b *Backend) applyImport(w http.ResponseWriter, req ImportRequest) {
 	// Everything Append could refuse is refused here, before the reset, so
 	// a bad chunk changes nothing.
 	for _, v := range req.Visits {

@@ -10,8 +10,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"hostprof/internal/jsonscan"
 	"hostprof/internal/store"
+	"hostprof/internal/synth"
 	"hostprof/internal/trace"
 )
 
@@ -77,13 +80,13 @@ func exportUser(t testing.TB, h http.Handler, user int) []WireVisit {
 func TestImportRejectsOversizeHostBeforeReset(t *testing.T) {
 	fx := newBackendFixture(t)
 	h := fx.b.Handler()
-	seed, _ := json.Marshal(ImportRequest{Visits: []WireVisit{{1, 1, "a.example"}, {1, 2, "b.example"}}})
+	seed, _ := json.Marshal(ImportRequest{Visits: []WireVisit{{User: 1, Time: 1, Host: "a.example"}, {User: 1, Time: 2, Host: "b.example"}}})
 	if rec := serveBody(h, http.MethodPost, "/v1/import", seed); rec.Code != http.StatusOK {
 		t.Fatalf("seeding import: %d %s", rec.Code, rec.Body.String())
 	}
 	n, sum := storeDigest(fx.b)
 	big := strings.Repeat("h", store.MaxHostBytes+1)
-	body, _ := json.Marshal(ImportRequest{Reset: []int{1}, Visits: []WireVisit{{2, 1, "c.example"}, {2, 2, big}}})
+	body, _ := json.Marshal(ImportRequest{Reset: []int{1}, Visits: []WireVisit{{User: 2, Time: 1, Host: "c.example"}, {User: 2, Time: 2, Host: big}}})
 	rec := serveBody(h, http.MethodPost, "/v1/import", body)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversize host: %d %s, want 400", rec.Code, rec.Body.String())
@@ -95,9 +98,92 @@ func TestImportRejectsOversizeHostBeforeReset(t *testing.T) {
 		t.Fatalf("user 1 holds %d visits after a refused reset, want 2", got)
 	}
 	// A hostname exactly at the limit is storable.
-	body, _ = json.Marshal(ImportRequest{Visits: []WireVisit{{2, 1, big[1:]}}})
+	body, _ = json.Marshal(ImportRequest{Visits: []WireVisit{{User: 2, Time: 1, Host: big[1:]}}})
 	if rec := serveBody(h, http.MethodPost, "/v1/import", body); rec.Code != http.StatusOK {
 		t.Fatalf("host of MaxHostBytes: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestImportScannerStoresLikeLibrary imports a synthetic population's
+// browsing, in chunks of 4 096 visits marshalled as the bench harness
+// marshals its seed corpus, through the handler into one backend and
+// through the library's decode into another: every chunk must take the
+// scanner, and the two stores must hold the same visits in the same
+// order.
+func TestImportScannerStoresLikeLibrary(t *testing.T) {
+	fast, lib := newBackendFixture(t), newBackendFixture(t)
+	pop := synth.NewPopulation(fast.u, synth.PopulationConfig{Users: 24, Days: 3, Seed: 17})
+	visits := pop.Browse().Visits()
+	for lo := 0; lo < len(visits); lo += 4096 {
+		chunk := make([]WireVisit, 0, 4096)
+		for _, v := range visits[lo:min(lo+4096, len(visits))] {
+			chunk = append(chunk, WireVisit{User: v.User, Time: v.Time, Host: v.Host})
+		}
+		body, _ := json.Marshal(ImportRequest{Visits: chunk})
+		if _, _, ok := jsonscan.Import(body); !ok {
+			t.Fatalf("chunk at %d left to encoding/json", lo)
+		}
+		if rec := serveBody(fast.b.Handler(), http.MethodPost, "/v1/import", body); rec.Code != http.StatusOK {
+			t.Fatalf("chunk at %d: %d %s", lo, rec.Code, rec.Body.String())
+		}
+		rec := httptest.NewRecorder()
+		if req, ok := libraryImport(rec, httptest.NewRequest(http.MethodPost, "/v1/import", bytes.NewReader(body))); ok {
+			lib.b.applyImport(rec, req)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("chunk at %d through the library: %d %s", lo, rec.Code, rec.Body.String())
+		}
+	}
+	if len(visits) <= 4096 {
+		t.Fatalf("%d visits make one chunk", len(visits))
+	}
+	n, sum := storeDigest(fast.b)
+	if n2, sum2 := storeDigest(lib.b); n == 0 || n != n2 || sum != sum2 {
+		t.Fatalf("scanner stored %d visits (sum %x), library %d (sum %x)", n, sum, n2, sum2)
+	}
+	for _, u := range fast.b.store.Users() {
+		if got, want := userVisits(fast.b, u), userVisits(lib.b, u); !slices.Equal(got, want) {
+			t.Fatalf("user %d: scanner stored %d visits, library %d, or another order", u, len(got), len(want))
+		}
+	}
+}
+
+// TestImportPinsNoBody imports a chunk the scanner decodes, its plain
+// hosts windows onto one body string, and requires that no hostname the
+// store interned shares memory with the request's: a store that kept
+// one would keep the whole body alive.
+func TestImportPinsNoBody(t *testing.T) {
+	fx := newBackendFixture(t)
+	body := importBody(500)
+	if _, _, ok := jsonscan.Import(body); !ok {
+		t.Fatal("chunk left to encoding/json")
+	}
+	rec := httptest.NewRecorder()
+	req, ok := decodeImport(rec, httptest.NewRequest(http.MethodPost, "/v1/import", bytes.NewReader(body)))
+	if !ok {
+		t.Fatalf("decode: %d %s", rec.Code, rec.Body.String())
+	}
+	fx.b.applyImport(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("import: %d %s", rec.Code, rec.Body.String())
+	}
+	stored := map[string]bool{}
+	for _, u := range fx.b.store.Users() {
+		for _, v := range userVisits(fx.b, u) {
+			stored[v.Host] = true
+		}
+	}
+	if len(stored) < 300 {
+		t.Fatalf("store interned %d hosts", len(stored))
+	}
+	for h := range stored {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(h)))
+		for _, v := range req.Visits {
+			q := uintptr(unsafe.Pointer(unsafe.StringData(v.Host)))
+			if p < q+uintptr(len(v.Host)) && q < p+uintptr(len(h)) {
+				t.Fatalf("interned host %q shares memory with the request's %q", h, v.Host)
+			}
+		}
 	}
 }
 

@@ -613,16 +613,22 @@ func decodeFrom(w http.ResponseWriter, rd io.Reader, dst any) bool {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		httpmw.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
+		writeDecodeError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeDecodeError answers a body that failed to decode: 413 past the
+// size cap, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpmw.WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	httpmw.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 }
 
 // decodeProfileBatch reads a /v1/profile/batch body once and decodes
@@ -632,24 +638,35 @@ func decodeFrom(w http.ResponseWriter, rd io.Reader, dst any) bool {
 // the read's error — what decodeJSON would have met — so every refusal
 // keeps decodeJSON's status and body (FuzzProfileBatchDecode).
 func decodeProfileBatch(w http.ResponseWriter, r *http.Request) ([][]string, bool) {
-	// Sized from Content-Length, so the body lands in one buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	raw := buf.Bytes()
+	raw, err := readBody(w, r, maxBodyBytes)
 	if err == nil {
 		if sessions, ok := jsonscan.StringArrays(raw, "sessions"); ok {
 			return sessions, true
 		}
 	}
+	var req ProfileBatchRequest
+	if !decodeFrom(w, replay(raw, err), &req) {
+		return nil, false
+	}
+	return req.Sessions, true
+}
+
+// readBody reads r's body, capped at limit, into one buffer sized from
+// Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// replay reads raw, then fails with err if the read that got raw did:
+// what a decoder reading the body itself would have met.
+func replay(raw []byte, err error) io.Reader {
 	rd := io.Reader(bytes.NewReader(raw))
 	if err != nil {
 		rd = io.MultiReader(rd, errReader{err})
 	}
-	var req ProfileBatchRequest
-	if !decodeFrom(w, rd, &req) {
-		return nil, false
-	}
-	return req.Sessions, true
+	return rd
 }
 
 // errReader replays a read error.
