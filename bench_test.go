@@ -659,47 +659,39 @@ func BenchmarkAblationDailyRetrain(b *testing.B) {
 
 // --- Serving index (parallel top-k vs serial scan) ----------------------
 
-// nearestBenchModel lazily builds a production-sized frozen model
-// (100K hosts x 128 dims, the scale the paper's ISP vantage implies) so
-// both scan paths query identical embeddings.
+// nearestBenchIndex lazily builds a production-sized packed index
+// (100K rows x 128 dims, the scale the paper's ISP vantage implies) over
+// uniform random rows, and returns it with its rows.
 var (
-	nnOnce  sync.Once
-	nnModel *core.Model
-	nnErr   error
+	nnOnce sync.Once
+	nnIdx  *index.Index
+	nnRows []float32
 )
 
-func nearestBenchModel(b *testing.B) *core.Model {
-	b.Helper()
+const nnVocab, nnDim = 100_000, 128
+
+func nearestBenchIndex() (*index.Index, []float32) {
 	nnOnce.Do(func() {
-		const vocab, dim = 100_000, 128
 		rng := stats.NewRNG(512)
-		hosts := make([]string, vocab)
-		for i := range hosts {
-			hosts[i] = "h" + strconv.Itoa(i) + ".example"
+		nnRows = make([]float32, nnVocab*nnDim)
+		for i := range nnRows {
+			nnRows[i] = float32(rng.Float64()*2 - 1)
 		}
-		in := make([]float64, vocab*dim)
-		for i := range in {
-			in[i] = rng.Float64()*2 - 1
-		}
-		nnModel, nnErr = core.NewModelFromVectors(hosts, dim, in)
+		nnIdx = index.New(nnRows, nnVocab, nnDim)
 	})
-	if nnErr != nil {
-		b.Fatal(nnErr)
-	}
-	return nnModel
+	return nnIdx, nnRows
 }
 
 // BenchmarkNearestToVector times the packed parallel index at
 // vocab=100K, dim=128, k=1000 — the scan behind Profiler neighbourhood
 // queries.
 func BenchmarkNearestToVector(b *testing.B) {
-	m := nearestBenchModel(b)
-	q := stats.Widen(m.VectorByID(17))
+	ix, rows := nearestBenchIndex() // built outside the timer
+	q := stats.Widen(rows[17*nnDim : 18*nnDim])
 	const k = 1000
-	bytesPerQuery := int64(m.Vocab().Len()) * 128 * 4
+	bytesPerQuery := int64(nnVocab) * nnDim * 4
 
 	b.Run("indexed", func(b *testing.B) {
-		ix := m.SimilarityIndex() // built outside the timer
 		var dst []index.Result
 		b.SetBytes(bytesPerQuery)
 		b.ResetTimer()

@@ -3,10 +3,12 @@ package hostprof
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"hostprof/internal/sniffer"
 	"hostprof/internal/stats"
+	"hostprof/internal/store"
 	"hostprof/internal/synth"
 )
 
@@ -57,6 +59,33 @@ func TestPipelineEndToEnd(t *testing.T) {
 		if bl.Contains(h) {
 			t.Fatalf("tracker %q in pipeline trace", h)
 		}
+	}
+	// The ingest counters account for every frame and every visit a
+	// fresh observer extracts from the same capture; the one visit the
+	// store refuses is an oversized hostname.
+	if p.IngestVisit(Visit{User: 0, Time: 1, Host: strings.Repeat("a", store.MaxHostBytes+1)}) {
+		t.Fatal("oversized hostname stored")
+	}
+	extracted := NewObserver(ObserverConfig{}).ObserveAll(cap.Packets, cap.Times).Visits()
+	blocked := 0
+	for _, v := range extracted {
+		if bl.Contains(v.Host) {
+			blocked++
+		}
+	}
+	reg := p.Metrics()
+	for name, want := range map[string]int{
+		"hostprof_ingest_frames_total":          len(cap.Packets),
+		"hostprof_ingest_visits_total":          ingested,
+		"hostprof_ingest_blocklist_drops_total": blocked,
+		"hostprof_ingest_store_errors_total":    1,
+	} {
+		if got := reg.Counter(name).Value(); got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if blocked == 0 || ingested+blocked != len(extracted) {
+		t.Fatalf("%d stored + %d blocked of %d extracted visits", ingested, blocked, len(extracted))
 	}
 	// The pipeline's trace is the observer's reconstruction of real
 	// browsing: spot-check one user's hostname sequence matches (modulo
@@ -135,9 +164,6 @@ func TestFacadeConstructors(t *testing.T) {
 	sel, err := NewAdSelector(db, ont, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sel.K() != 20 {
-		t.Fatalf("K = %d", sel.K())
 	}
 	got := sel.Select(v, 5)
 	if len(got) != 1 || got[0].LandingHost != "h.example" {

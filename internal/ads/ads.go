@@ -178,9 +178,6 @@ func NewSelector(db *DB, ont *ontology.Ontology, k int) (*Selector, error) {
 	return s, nil
 }
 
-// K returns the neighbour count used for selection.
-func (s *Selector) K() int { return s.k }
-
 // cand is a candidate row keyed by distance: the expanded-form squared
 // distance while scanning, the exact distance once rescored.
 type cand struct {

@@ -92,8 +92,8 @@ func TestSelectorDefaultK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.K() != 20 {
-		t.Fatalf("default K = %d, want 20 (paper Section 5.4)", sel.K())
+	if sel.k != 20 {
+		t.Fatalf("default K = %d, want 20 (paper Section 5.4)", sel.k)
 	}
 }
 
@@ -331,7 +331,7 @@ func newSelectorWorld(tb testing.TB, ont *ontology.Ontology, k int) *selectorWor
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &selectorWorld{tax: ont.Taxonomy(), sel: sel, ref: newReferenceSelector(db, ont, sel.K())}
+	return &selectorWorld{tax: ont.Taxonomy(), sel: sel, ref: newReferenceSelector(db, ont, sel.k)}
 }
 
 // eq4Profile draws a profile shaped like Eq. 4's output: the weighted
@@ -341,7 +341,9 @@ func (w *selectorWorld) eq4Profile(rng *stats.RNG) ontology.Vector {
 	out := w.tax.NewVector()
 	var denom float64
 	add := func(alpha float64) {
-		stats.AXPY(alpha, w.ref.vecs[rng.Intn(len(w.ref.vecs))], out)
+		for i, v := range w.ref.vecs[rng.Intn(len(w.ref.vecs))] {
+			out[i] += alpha * v
+		}
 		denom += alpha
 	}
 	for i := rng.Intn(4); i > 0; i-- {

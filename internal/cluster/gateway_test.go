@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -339,6 +340,17 @@ func TestGatewayClusterIntegration(t *testing.T) {
 	if ok, failed := reg.Counter("hostprof_gateway_model_pushes_total", obs.L("outcome", "ok")).Value(),
 		reg.Counter("hostprof_gateway_model_pushes_total", obs.L("outcome", "error")).Value(); ok != 2 || failed != 0 {
 		t.Fatalf("hostprof_gateway_model_pushes_total ok=%d error=%d, want 2 and 0", ok, failed)
+	}
+	// Each push is one import on the shard it went to; the trainer
+	// installed its own model and imported nothing.
+	for i, b := range fx.backends {
+		want := int64(0)
+		if slices.Contains(rep.Distributed, fx.shardSrv[i].URL) {
+			want = 1
+		}
+		if got := b.Metrics().Counter("hostprof_model_imports_total").Value(); got != want {
+			t.Errorf("shard %d: hostprof_model_imports_total = %d, want %d", i, got, want)
+		}
 	}
 
 	// Post-train, a report through the gateway serves ads end to end.

@@ -241,9 +241,6 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // Equal reports whether the ring spans exactly the given node set.
 func (r *Ring) Equal(nodes []string) bool {
 	if len(nodes) != len(r.nodes) {
@@ -257,17 +254,4 @@ func (r *Ring) Equal(nodes []string) bool {
 		}
 	}
 	return true
-}
-
-// Spread counts, over users [0, n), how many keys each member owns —
-// the placement-evenness diagnostic behind the vnode default and the
-// ring tests.
-func (r *Ring) Spread(n int) map[string]int {
-	out := make(map[string]int, len(r.nodes))
-	for u := 0; u < n; u++ {
-		if node, ok := r.Owner(u); ok {
-			out[node]++
-		}
-	}
-	return out
 }

@@ -315,3 +315,15 @@ func TestDiffRingsSingleNodeSwap(t *testing.T) {
 		}
 	}
 }
+
+// Spread counts, over users [0, n), how many keys each member owns —
+// the placement-evenness check behind the vnode default.
+func (r *Ring) Spread(n int) map[string]int {
+	out := make(map[string]int, len(r.nodes))
+	for u := 0; u < n; u++ {
+		if node, ok := r.Owner(u); ok {
+			out[node]++
+		}
+	}
+	return out
+}

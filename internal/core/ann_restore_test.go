@@ -123,7 +123,8 @@ func TestANNGraphOnePerModel(t *testing.T) {
 	}
 }
 
-// TestIndexMetricsDescribeThePackedIndex: the size gauge is the one
+// TestIndexMetricsDescribeThePackedIndex: the rows gauge is the
+// vocabulary, the size gauge is the one
 // packed matrix (no labelled copy beside it), the labelled-rows gauge is
 // |H_L ∩ H|, and the pack-time histogram stops before the graph build,
 // which has a histogram of its own.
@@ -132,6 +133,9 @@ func TestIndexMetricsDescribeThePackedIndex(t *testing.T) {
 	m := randModel(t, stats.NewRNG(707), rows, dim)
 	reg := obs.NewRegistry()
 	NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true, Metrics: reg})
+	if got := metricValue(t, reg, "hostprof_index_rows"); got != rows {
+		t.Errorf("hostprof_index_rows = %v, want %d", got, rows)
+	}
 	if got := metricValue(t, reg, "hostprof_index_bytes"); got != 4*rows*dim {
 		t.Errorf("hostprof_index_bytes = %v, want 4·rows·dim = %d", got, 4*rows*dim)
 	}

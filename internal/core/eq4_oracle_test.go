@@ -79,7 +79,7 @@ func profileSessionDense(p *Profiler, hosts []string, serial bool) (ontology.Vec
 		denom += c.alpha
 	}
 	for _, c := range contribs {
-		stats.AXPY(c.alpha/denom, c.vec, out)
+		axpy(c.alpha/denom, c.vec, out)
 	}
 	out.Clamp()
 	return out, nil

@@ -418,3 +418,35 @@ func TestProfileSessionErrNoLabelsPinned(t *testing.T) {
 		t.Fatalf("unlabelled neighbourhood: err = %v, want ErrNoLabels", err)
 	}
 }
+
+// NewModelFromVectors assembles a frozen Model directly from a host list
+// and a row-major central-embedding matrix of len(hosts)×dim, for tests
+// that need a model without running training. The matrix is rounded to
+// float32, the model's representation. Hosts must be unique; each gets a
+// uniform count of 1 and the context matrix is left empty.
+func NewModelFromVectors(hosts []string, dim int, in []float64) (*Model, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("core: non-positive dimensionality %d", dim)
+	}
+	if len(in) != len(hosts)*dim {
+		return nil, fmt.Errorf("core: matrix length %d != %d hosts x dim %d", len(in), len(hosts), dim)
+	}
+	v := &Vocab{
+		hosts:  append([]string(nil), hosts...),
+		index:  make(map[string]int, len(hosts)),
+		counts: make([]int64, len(hosts)),
+		total:  int64(len(hosts)),
+	}
+	for i, h := range hosts {
+		if _, dup := v.index[h]; dup {
+			return nil, fmt.Errorf("core: duplicate host %q", h)
+		}
+		v.index[h] = i
+		v.counts[i] = 1
+	}
+	m := &Model{vocab: v, dim: dim, in: make([]float32, len(in))}
+	for i, x := range in {
+		m.in[i] = float32(x)
+	}
+	return m, nil
+}

@@ -476,12 +476,6 @@ func (m *Model) VectorByID(id int) []float32 {
 	return m.in[id*m.dim : id*m.dim+m.dim]
 }
 
-// ContextVectorByID returns the context embedding h' for a vocabulary
-// index; exposed for tests and diagnostics.
-func (m *Model) ContextVectorByID(id int) []float32 {
-	return m.out[id*m.dim : id*m.dim+m.dim]
-}
-
 // SimilarityIndex returns the packed float32 top-k similarity index over
 // the central embeddings, building it on first use. The index is
 // immutable — models are frozen after training — so every profiler over
@@ -565,20 +559,6 @@ func (m *Model) annGraph(cfg index.ANNConfig) (*index.ANN, ANNRestore) {
 	return m.ann, how
 }
 
-// Similarity returns the cosine similarity between the embeddings of two
-// hosts, or an error if either is out of vocabulary.
-func (m *Model) Similarity(a, b string) (float64, error) {
-	va, ok := m.Vector(a)
-	if !ok {
-		return 0, fmt.Errorf("core: host %q not in vocabulary", a)
-	}
-	vb, ok := m.Vector(b)
-	if !ok {
-		return 0, fmt.Errorf("core: host %q not in vocabulary", b)
-	}
-	return stats.Cosine(stats.Widen(va), stats.Widen(vb)), nil
-}
-
 // Neighbour is one result of a nearest-neighbour query.
 type Neighbour struct {
 	ID     int
@@ -600,37 +580,4 @@ func (m *Model) MostSimilar(host string, k int) ([]Neighbour, error) {
 		ns[i] = Neighbour{ID: int(r.ID), Host: m.vocab.Host(int(r.ID)), Cosine: float64(r.Score)}
 	}
 	return ns, nil
-}
-
-// NewModelFromVectors assembles a frozen Model directly from a host list
-// and a row-major central-embedding matrix of len(hosts)×dim, for tools,
-// benchmarks and tests that need a model without running training. The
-// matrix is rounded to float32, the model's representation. Hosts must be
-// unique; each gets a uniform count of 1 and the context matrix is left
-// empty.
-func NewModelFromVectors(hosts []string, dim int, in []float64) (*Model, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("core: non-positive dimensionality %d", dim)
-	}
-	if len(in) != len(hosts)*dim {
-		return nil, fmt.Errorf("core: matrix length %d != %d hosts x dim %d", len(in), len(hosts), dim)
-	}
-	v := &Vocab{
-		hosts:  append([]string(nil), hosts...),
-		index:  make(map[string]int, len(hosts)),
-		counts: make([]int64, len(hosts)),
-		total:  int64(len(hosts)),
-	}
-	for i, h := range hosts {
-		if _, dup := v.index[h]; dup {
-			return nil, fmt.Errorf("core: duplicate host %q", h)
-		}
-		v.index[h] = i
-		v.counts[i] = 1
-	}
-	m := &Model{vocab: v, dim: dim, in: make([]float32, len(in))}
-	for i, x := range in {
-		m.in[i] = float32(x)
-	}
-	return m, nil
 }

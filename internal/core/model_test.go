@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -453,4 +454,18 @@ func TestSubsamplingReducesFrequentHostUpdates(t *testing.T) {
 	if _, ok := m.Vector("portal.example"); !ok {
 		t.Fatal("frequent host missing from vocab")
 	}
+}
+
+// Similarity returns the cosine similarity between the embeddings of two
+// hosts, or an error if either is out of vocabulary.
+func (m *Model) Similarity(a, b string) (float64, error) {
+	va, ok := m.Vector(a)
+	if !ok {
+		return 0, fmt.Errorf("core: host %q not in vocabulary", a)
+	}
+	vb, ok := m.Vector(b)
+	if !ok {
+		return 0, fmt.Errorf("core: host %q not in vocabulary", b)
+	}
+	return stats.Cosine(stats.Widen(va), stats.Widen(vb)), nil
 }

@@ -278,9 +278,6 @@ func logIDF(total, count float64) float64 {
 // Model returns the underlying embedding model.
 func (p *Profiler) Model() *Model { return p.model }
 
-// Ontology returns the ontology used for label transfer.
-func (p *Profiler) Ontology() *ontology.Ontology { return p.ont }
-
 // SessionVector computes the aggregated representation s of a session (the
 // vector g({h : h ∈ s})). Hosts outside the vocabulary are ignored. The
 // second return value is the number of in-vocabulary hosts used.

@@ -235,7 +235,10 @@ func TestProfilePermutationInvariantQuick(t *testing.T) {
 	rng := stats.NewRNG(777)
 	for trial := 0; trial < 20; trial++ {
 		perm := append([]string(nil), base...)
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := len(perm) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
 		got, err := p.ProfileSession(perm)
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func refNearestToVector(m *Model, query []float64, k int) []Neighbour {
 		return nil
 	}
 	qn := append([]float64(nil), query...)
-	if n := stats.Normalize(qn); n == 0 || math.IsNaN(n) || math.IsInf(n, 0) {
+	if n := normalize(qn); n == 0 || math.IsNaN(n) || math.IsInf(n, 0) {
 		return nil // no direction to rank against, as in the packed index
 	}
 	// Bounded min-heap rooted at the worst kept neighbour.
@@ -72,7 +72,7 @@ func refNearestToVector(m *Model, query []float64, k int) []Neighbour {
 		for i, x := range m.VectorByID(id) {
 			row[i] = float64(x)
 		}
-		stats.Normalize(row)
+		normalize(row)
 		cand := Neighbour{ID: id, Cosine: stats.Dot(qn, row)}
 		if len(h) < k {
 			push(cand)
@@ -86,4 +86,18 @@ func refNearestToVector(m *Model, query []float64, k int) []Neighbour {
 		h[i].Host = m.vocab.Host(h[i].ID)
 	}
 	return h
+}
+
+// normalize scales x to unit L2 norm in place and returns the original
+// norm; a zero vector is left unchanged and 0 returned.
+func normalize(x []float64) float64 {
+	n := stats.Norm(x)
+	if n == 0 {
+		return 0
+	}
+	inv := 1 / n
+	for i := range x {
+		x[i] *= inv
+	}
+	return n
 }

@@ -88,7 +88,10 @@ func TestSessionKeyMatchesReference(t *testing.T) {
 			}
 			check(session)
 			twin := append(slices.Clone(session), "unknown-twin.example")
-			rng.Shuffle(len(twin), func(i, j int) { twin[i], twin[j] = twin[j], twin[i] })
+			for i := len(twin) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				twin[i], twin[j] = twin[j], twin[i]
+			}
 			if !skip && len(session) > 0 {
 				twin = append(twin, session[rng.Intn(len(session))])
 			}

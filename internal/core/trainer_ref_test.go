@@ -19,7 +19,7 @@ func widenWeights(m *Model) *refWeights {
 
 // refTrainSequence is Equation (2)'s SGD in float64 throughout, as the
 // trainer ran it before its rows became float32 and, before that, before
-// its steps were fused — stats.Dot, then one stats.AXPY per update, one
+// its steps were fused — stats.Dot, then one axpy per update, one
 // log per sample — kept as the oracle trainSequence is checked against.
 // It trains w, not t.m, and otherwise uses t's state: it draws from the
 // same generators in the same order, so from equal state the two see
@@ -79,11 +79,18 @@ func (t *trainer) refTrainSequence(w *refWeights, seq []int32, lr float64) {
 					}
 				}
 				g := (label - y) * lr
-				stats.AXPY(g, ovec, w.neu1e)
-				stats.AXPY(g, cvec, ovec)
+				axpy(g, ovec, w.neu1e)
+				axpy(g, cvec, ovec)
 			}
-			stats.AXPY(1, w.neu1e, cvec)
+			axpy(1, w.neu1e, cvec)
 		}
+	}
+}
+
+// axpy computes y += alpha*x in place; x and y have equal length.
+func axpy(alpha float64, x, y []float64) {
+	for i, v := range x {
+		y[i] += alpha * v
 	}
 }
 

@@ -186,6 +186,30 @@ func TestFailedRetrainKeepsGeneration(t *testing.T) {
 	}
 }
 
+// TestProfileErrorsCounted: hostprof_profile_errors_total counts each
+// session whose profile is an error — an empty and an unlabelled one,
+// alone or in a batch, cached or not — and nothing else.
+func TestProfileErrorsCounted(t *testing.T) {
+	fx := newFixture(t, nil)
+	ctx := context.Background()
+	if err := fx.retrain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	empty, unlabelled := []string{}, fx.sessions[len(fx.sessions)-1]
+	for i, s := range [][]string{empty, unlabelled, fx.sessions[0], unlabelled} {
+		if _, err := fx.e.Profile(ctx, s); (err != nil) != (i != 2) {
+			t.Fatalf("session %d: err = %v", i, err)
+		}
+	}
+	_, errs, err := fx.e.ProfileSessions(ctx, [][]string{empty, fx.sessions[1], unlabelled})
+	if err != nil || errs[0] == nil || errs[1] != nil || errs[2] == nil {
+		t.Fatalf("batch errors %v, %v", errs, err)
+	}
+	if got := fx.reg.Counter("hostprof_profile_errors_total").Value(); got != 5 {
+		t.Fatalf("hostprof_profile_errors_total = %d, want 5", got)
+	}
+}
+
 // TestWaiterAbandonsRunContinues: a caller whose wait context ends stops
 // waiting with its own error; the run, bound to runCtx, still installs.
 func TestWaiterAbandonsRunContinues(t *testing.T) {

@@ -90,7 +90,7 @@ func SetN(point string, n int, fn func() error) {
 }
 
 // Clear disarms point; when the last hook is cleared the fast path goes
-// back to a single atomic load.
+// back to a single atomic load. Test-only by design.
 func Clear(point string) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -110,7 +110,7 @@ func Reset() {
 }
 
 // Hits returns how many times the hook at point has fired since it was
-// armed.
+// armed. Test-only by design: tests read it to see a fault fire.
 func Hits(point string) int {
 	mu.Lock()
 	defer mu.Unlock()
@@ -126,13 +126,13 @@ func Error(err error) func() error {
 }
 
 // Latency returns a hook that sleeps for d and succeeds — injected slow
-// I/O rather than failed I/O.
+// I/O rather than failed I/O. Test-only by design.
 func Latency(d time.Duration) func() error {
 	return func() error { time.Sleep(d); return nil }
 }
 
 // Panic returns a hook that panics with msg, for exercising recovery
-// paths.
+// paths. Test-only by design.
 func Panic(msg string) func() error {
 	return func() error { panic("fault: " + msg) }
 }

@@ -194,9 +194,6 @@ func (a *ANN) Stats() ANNStats {
 // its index, so a holder can reuse it instead of building again.
 func (a *ANN) BuiltWith(cfg ANNConfig) bool { return a.cfg == cfg.withDefaults() }
 
-// Index returns the exact index the graph was built over.
-func (a *ANN) Index() *Index { return a.ix }
-
 // insertable reports whether a packed row carries a usable direction:
 // finite values, not all zero.
 func (a *ANN) insertable(row int32) bool {

@@ -427,9 +427,9 @@ func TestANNSearchEqualsReference(t *testing.T) {
 			a := c.ix.BuildANN(c.cfg)
 			st, ref := newAnnState(a), newRefState(a)
 			rng := rand.New(rand.NewSource(31))
-			q := make([]float32, c.ix.Dim())
+			q := make([]float32, c.ix.dim)
 			for trial := 0; trial < 30; trial++ {
-				if !packQuery(q, randMatrix(rng, 1, c.ix.Dim())) {
+				if !packQuery(q, randMatrix(rng, 1, c.ix.dim)) {
 					continue
 				}
 				cur := entry{score: dot32(q, a.vec(a.entry)), row: a.entry}

@@ -243,7 +243,7 @@ func TestANNStats(t *testing.T) {
 	if st.Edges <= 0 || st.BuildTime <= 0 {
 		t.Fatalf("stats edges/build time: %+v", st)
 	}
-	if ann.Index() != ix {
+	if ann.ix != ix {
 		t.Fatal("Index() must return the underlying exact index")
 	}
 }
@@ -283,9 +283,9 @@ func BenchmarkANNSearchAppend(b *testing.B) {
 	queries := make([][]float64, 256)
 	for i := range queries {
 		r := rng.Intn(ix.Rows())
-		q := make([]float64, ix.Dim())
+		q := make([]float64, ix.dim)
 		for j := range q {
-			q[j] = float64(ix.packed[r*ix.Dim()+j]) + 0.1*rng.NormFloat64()
+			q[j] = float64(ix.packed[r*ix.dim+j]) + 0.1*rng.NormFloat64()
 		}
 		queries[i] = q
 	}

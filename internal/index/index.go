@@ -126,9 +126,6 @@ func (ix *Index) Subset(origIDs []int) *Index {
 // Rows returns the number of indexed rows.
 func (ix *Index) Rows() int { return ix.rows }
 
-// Dim returns the embedding dimensionality.
-func (ix *Index) Dim() int { return ix.dim }
-
 // Bytes returns the size of the packed matrix in bytes.
 func (ix *Index) Bytes() int { return 4 * len(ix.packed) }
 

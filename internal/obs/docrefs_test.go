@@ -2,6 +2,9 @@ package obs_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path"
@@ -22,6 +25,8 @@ var (
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
 	flagRow     = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
 	familyName  = regexp.MustCompile(`hostprof_[a-z0-9_]*\*?`)
+	// goIdent is a word's leading pkg.Name or pkg.Type.Member.
+	goIdent = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
 )
 
 // sourceExts are the extensions that make a backticked word a file
@@ -39,7 +44,13 @@ var sourceExts = map[string]bool{".go": true, ".s": true, ".sh": true, ".md": tr
 // package directory; a name or path tail with a source extension
 // (`federate.go`, `tracer/push.go`, `sgns*.go`) must match the tail of
 // some module file's path. A trailing `:N` needs the file to have at
-// least N lines. Anywhere in either document, a full hostprof_* name
+// least N lines. A word that starts `pkg.Name` or `pkg.Type.Member`,
+// where pkg is the base name of a directory under internal/ and Name is
+// capitalised, must name what some .go file of that package, test files
+// included, declares: a top-level or method name, or a method or field
+// of Type (lower-case span names such as `store.ingest` are not
+// identifiers).
+// Anywhere in either document, a full hostprof_* name
 // must be a family some wired registry exports, alone or with a
 // _bucket, _sum or _count suffix; a prefix — ending in _ or _*, or
 // one that families extend, as a MetricPrefix is — names no family.
@@ -67,6 +78,7 @@ func TestDocReferences(t *testing.T) {
 		}
 	}
 	files := moduleFiles(t, moduleRoot)
+	decls := internalDecls(t, filepath.Join(moduleRoot, "internal"))
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(filepath.Join(moduleRoot, doc))
 		if err != nil {
@@ -87,6 +99,11 @@ func TestDocReferences(t *testing.T) {
 			for _, word := range strings.Fields(span[1]) {
 				if ref, line, rooted, ok := docReference(word, roots); ok && !resolves(ref, line, rooted, files) {
 					t.Errorf("%s: %s (in `%s`) does not resolve in the tree", doc, word, span[1])
+				}
+				if m := goIdent.FindStringSubmatch(word); m != nil {
+					if pkg, ok := decls[m[1]]; ok && !pkg[strings.TrimSuffix(m[2]+"."+m[3], ".")] {
+						t.Errorf("%s: %s (in `%s`): package %s declares no such identifier", doc, m[0], span[1], m[1])
+					}
 				}
 			}
 		}
@@ -187,4 +204,84 @@ func moduleFiles(t *testing.T, root string) []string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// internalDecls maps the base name of every package directory under
+// root to what its .go files, test files included, declare: top-level
+// names and method names ("Name", so `store.Snapshot()` names the method
+// a store value has) and the methods and fields of its types
+// ("Type.Member").
+func internalDecls(t *testing.T, root string) map[string]map[string]bool {
+	t.Helper()
+	out := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.Base(filepath.Dir(p))
+		names := out[pkg]
+		if names == nil {
+			names = map[string]bool{}
+			out[pkg] = names
+		}
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				names[decl.Name.Name] = true
+				if decl.Recv != nil {
+					names[receiverName(decl.Recv.List[0].Type)+"."+decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						var fields *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						}
+						if fields != nil {
+							for _, f := range fields.List {
+								for _, n := range f.Names {
+									names[spec.Name.Name+"."+n.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// receiverName returns the type name of a method receiver: T, *T, T[E]
+// or *T[E].
+func receiverName(recv ast.Expr) string {
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if idx, ok := recv.(*ast.IndexExpr); ok {
+		recv = idx.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

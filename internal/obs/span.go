@@ -28,10 +28,3 @@ func (s Span) End() time.Duration {
 	s.h.Observe(d.Seconds())
 	return d
 }
-
-// Timed runs f and records its duration into h.
-func Timed(h *Histogram, f func()) time.Duration {
-	sp := StartSpan(h)
-	f()
-	return sp.End()
-}

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -20,9 +21,12 @@ import (
 // and the ones nothing reads (see unreadFamilies), every flag per
 // `hostprof` subcommand, every /debug/* and every other
 // route per process, every command (package main) of the module, every
-// exported field of the two processes' Config structs, and the product
-// Go line count. TestSurfaceRatchet holds the tree to it exactly, so a
-// change that adds a name or a line edits the file in plain sight.
+// exported field of the two processes' Config structs, the product Go
+// line count, the exported functions only tests call (held by
+// TestProductReachability) and the byte sizes of the docs
+// TestDocReferences reads. TestSurfaceRatchet holds the tree to it
+// exactly, so a change that adds a name, a line or a doc byte edits the
+// file in plain sight.
 const surfaceFile = "../../surface.json"
 
 // moduleRoot is the main module's root directory.
@@ -37,6 +41,8 @@ type surface struct {
 	Commands       []string            `json:"commands"`
 	ConfigFields   map[string][]string `json:"config_fields"`
 	ProductGoLines int                 `json:"product_go_lines"`
+	TestOnlyFuncs  []string            `json:"test_only_funcs"`
+	DocBytes       map[string]int      `json:"doc_bytes"`
 }
 
 // configStructs names, per package directory, the Config struct whose
@@ -57,10 +63,12 @@ var routeSources = map[string][]struct{ dir, fn string }{
 // TestSurfaceRatchet compares the live surface — the families the fully
 // wired registries of TestDescribeCoverage hold, the flags each
 // subcommand defines, the routes each process mounts, the product Go
-// lines — with surface.json. A name the file lacks fails the test: adding surface is
-// a visible edit of that file. A name the file has but the tree lost
-// fails too, printing the contents to commit, so the file stays exact
-// and a deleted name cannot come back unnoticed.
+// lines, the docs' bytes — with surface.json. A name the file lacks
+// fails the test: adding surface is a visible edit of that file. A name
+// the file has but the tree lost fails too, printing the contents to
+// commit, so the file stays exact and a deleted name cannot come back
+// unnoticed. test_only_funcs is printed here and checked by
+// TestProductReachability.
 func TestSurfaceRatchet(t *testing.T) {
 	fams := map[string]bool{}
 	for _, w := range wiredRegistries(t) {
@@ -74,6 +82,15 @@ func TestSurfaceRatchet(t *testing.T) {
 		DebugRoutes:    map[string][]string{},
 		APIRoutes:      map[string][]string{},
 		ProductGoLines: productGoLines(t, moduleRoot),
+		TestOnlyFuncs:  testOnlyFuncs(t, moduleRoot),
+		DocBytes:       map[string]int{},
+	}
+	for _, doc := range docFiles {
+		fi, err := os.Stat(filepath.Join(moduleRoot, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live.DocBytes[doc] = int(fi.Size())
 	}
 	for proc, srcs := range routeSources {
 		debug, api := map[string]bool{}, map[string]bool{}
@@ -126,13 +143,18 @@ func TestSurfaceRatchet(t *testing.T) {
 		}
 	}
 	lines := live.ProductGoLines != committed.ProductGoLines
-	if len(added) == 0 && len(removed) == 0 && !lines {
+	docs := !maps.Equal(live.DocBytes, committed.DocBytes)
+	if len(added) == 0 && len(removed) == 0 && !lines && !docs {
 		return
 	}
 	want, _ := json.MarshalIndent(live, "", "  ")
 	if lines {
 		t.Errorf("product Go is %d lines, surface.json holds %d — record the new count in plain sight",
 			live.ProductGoLines, committed.ProductGoLines)
+	}
+	if docs {
+		t.Errorf("doc bytes are %v, surface.json holds %v — record the new sizes in plain sight",
+			live.DocBytes, committed.DocBytes)
 	}
 	for _, a := range added {
 		t.Errorf("surface grew: %s is not in surface.json — an addition edits that file in plain sight", a)
@@ -390,13 +412,7 @@ func parseFuncs(t *testing.T, dir string) map[string]*ast.FuncDecl {
 			}
 			key := fd.Name.Name
 			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					key = id.Name + "." + key
-				}
+				key = receiverName(fd.Recv.List[0].Type) + "." + key
 			}
 			funcs[key] = fd
 		}

@@ -255,15 +255,6 @@ type Stage struct {
 
 type spanKey struct{}
 
-// ContextWithSpan returns a context carrying s; StartSpan under it
-// creates children of s.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
 // FromContext returns the span carried by ctx, or nil.
 func FromContext(ctx context.Context) *Span {
 	if ctx == nil {

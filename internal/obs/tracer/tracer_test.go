@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"hostprof/internal/obs"
 )
 
 func newTestTracer(rate float64, buf int) *Tracer {
@@ -210,6 +212,44 @@ func TestErrorTailRetention(t *testing.T) {
 	}
 	if !got.Errored || got.Spans[0].Error != "boom" {
 		t.Fatalf("errored trace export = %+v", got)
+	}
+}
+
+// TestTracerCounters: the tracer's four families count exactly. Every
+// ended span counts once; every completed trace is kept (head-sampled
+// or errored) or dropped; the buffer gauge is the kept traces up to the
+// ring's capacity.
+func TestTracerCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	const capacity, traces = 4, 40
+	tr := New(Config{Service: "test", SampleRate: 0.5, BufferTraces: capacity, Seed: 42, Metrics: reg})
+	wantKept := 0
+	for i := 0; i < traces; i++ {
+		ctx, root := tr.StartSpan(context.Background(), "root")
+		_, child := tr.StartSpan(ctx, "child")
+		errored := i%10 == 0
+		if errored {
+			child.Error(errors.New("boom"))
+		}
+		child.End()
+		root.End()
+		if errored || tr.sampled(root.TraceID()) {
+			wantKept++
+		}
+	}
+	value := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		value[m.Name] = m.Value
+	}
+	kept, dropped := value["hostprof_traces_kept_total"], value["hostprof_traces_dropped_total"]
+	if kept != float64(wantKept) || dropped != float64(traces-wantKept) || dropped == 0 {
+		t.Fatalf("kept %v, dropped %v; want %d of %d kept, some dropped", kept, dropped, wantKept, traces)
+	}
+	if got := value["hostprof_trace_spans_total"]; got != 2*traces {
+		t.Fatalf("hostprof_trace_spans_total = %v, want %d", got, 2*traces)
+	}
+	if got := value["hostprof_trace_buffer_traces"]; got != float64(min(wantKept, capacity)) {
+		t.Fatalf("hostprof_trace_buffer_traces = %v, want min(%d, %d)", got, wantKept, capacity)
 	}
 }
 

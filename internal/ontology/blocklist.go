@@ -38,27 +38,6 @@ func (b *Blocklist) Contains(host string) bool {
 // Len returns the number of blocked hostnames.
 func (b *Blocklist) Len() int { return len(b.hosts) }
 
-// Merge adds every entry of other into b.
-func (b *Blocklist) Merge(other *Blocklist) {
-	for h := range other.hosts {
-		b.hosts[h] = struct{}{}
-	}
-}
-
-// Filter returns the subsequence of hosts not present in the blocklist,
-// preserving order. It also returns the number of removed entries.
-func (b *Blocklist) Filter(hosts []string) (kept []string, removed int) {
-	kept = make([]string, 0, len(hosts))
-	for _, h := range hosts {
-		if b.Contains(h) {
-			removed++
-			continue
-		}
-		kept = append(kept, h)
-	}
-	return kept, removed
-}
-
 // ParseHostsFile reads blocklist entries from r. Two formats found in the
 // wild are accepted, matching the paper's three sources:
 //

@@ -76,8 +76,3 @@ func (o *Ontology) Hosts() []string {
 	sort.Strings(hs)
 	return hs
 }
-
-// Labels returns the underlying host → vector map. The map and its vectors
-// must be treated as read-only; it is exposed for the profiler's inner
-// loops, which iterate over every labelled host.
-func (o *Ontology) Labels() map[string]Vector { return o.labels }

@@ -116,30 +116,6 @@ func TestBlocklistParsePlainFormat(t *testing.T) {
 	}
 }
 
-func TestBlocklistMerge(t *testing.T) {
-	a := NewBlocklist()
-	a.Add("x.example")
-	c := NewBlocklist()
-	c.Add("y.example")
-	a.Merge(c)
-	if !a.Contains("x.example") || !a.Contains("y.example") {
-		t.Fatal("merge lost entries")
-	}
-}
-
-func TestBlocklistFilter(t *testing.T) {
-	b := NewBlocklist()
-	b.Add("tracker.example")
-	in := []string{"site.example", "tracker.example", "cdn.example", "tracker.example"}
-	kept, removed := b.Filter(in)
-	if removed != 2 {
-		t.Fatalf("removed = %d", removed)
-	}
-	if len(kept) != 2 || kept[0] != "site.example" || kept[1] != "cdn.example" {
-		t.Fatalf("kept = %v", kept)
-	}
-}
-
 func TestLooksLikeIP(t *testing.T) {
 	cases := map[string]bool{
 		"127.0.0.1":       true,

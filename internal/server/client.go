@@ -239,18 +239,6 @@ func (e *Extension) ProfileBatch(ctx context.Context, sessions [][]string) ([]Pr
 	return resp.Profiles, nil
 }
 
-// Feedback reports one displayed ad and whether it was clicked.
-func (e *Extension) Feedback(adID int, source string, clicked bool) error {
-	return e.FeedbackContext(context.Background(), adID, source, clicked)
-}
-
-// FeedbackContext is Feedback under a caller context.
-func (e *Extension) FeedbackContext(ctx context.Context, adID int, source string, clicked bool) error {
-	return e.post(ctx, "client.feedback", "/v1/feedback", FeedbackRequest{
-		User: e.User, AdID: adID, Source: source, Clicked: clicked,
-	}, nil)
-}
-
 // Retrain asks the backend to refit its model on everything reported so
 // far (operator endpoint; the paper ran this daily). The call blocks
 // until the retrain — possibly one already in flight that this request

@@ -37,7 +37,7 @@ func TestClientRetriesShedRequests(t *testing.T) {
 		RetryMax:  5 * time.Millisecond,
 	}
 	start := time.Now()
-	if err := ext.Feedback(1, "original", false); err != nil {
+	if err := ext.feedback(1, "original", false); err != nil {
 		t.Fatalf("call failed despite retry budget: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -60,7 +60,7 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	defer srv.Close()
 
 	ext := &Extension{BaseURL: srv.URL, MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}
-	err := ext.Feedback(1, "original", false)
+	err := ext.feedback(1, "original", false)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want APIError 429", err)
@@ -104,7 +104,7 @@ func TestClientRetryHonorsContext(t *testing.T) {
 	ext := &Extension{BaseURL: srv.URL, MaxRetries: 10, RetryBase: 50 * time.Millisecond, RetryMax: time.Minute}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err := ext.FeedbackContext(ctx, 1, "original", false)
+	err := ext.post(ctx, "client.feedback", "/v1/feedback", FeedbackRequest{AdID: 1, Source: "original"}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -66,10 +66,10 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("readyz body after training: %+v", rd)
 	}
 	fx.feedVisits(t) // now served by a trained model → profiles run
-	if err := ext.Feedback(1, "eavesdropper", true); err != nil {
+	if err := ext.feedback(1, "eavesdropper", true); err != nil {
 		t.Fatal(err)
 	}
-	if err := ext.Feedback(2, "original", false); err != nil {
+	if err := ext.feedback(2, "original", false); err != nil {
 		t.Fatal(err)
 	}
 

@@ -207,7 +207,7 @@ func TestRetrainAsync(t *testing.T) {
 	if err := ext.RetrainAsync(); err != nil {
 		t.Fatalf("async retrain: %v", err)
 	}
-	if !fx.b.RetrainRunning() {
+	if !fx.b.eng.Running() {
 		t.Fatal("no retrain in flight right after 202")
 	}
 	if got := gaugeVal(t, reg, "hostprof_retrain_state"); got != 1 {
@@ -218,7 +218,7 @@ func TestRetrainAsync(t *testing.T) {
 		t.Fatalf("second async retrain: %v", err)
 	}
 	waitForCond(t, "async retrain to finish", func() bool { return fx.b.Ready() })
-	waitForCond(t, "retrain state to clear", func() bool { return !fx.b.RetrainRunning() })
+	waitForCond(t, "retrain state to clear", func() bool { return !fx.b.eng.Running() })
 	if got := gaugeVal(t, reg, "hostprof_retrain_state"); got != 0 {
 		t.Fatalf("hostprof_retrain_state = %v after run, want 0", got)
 	}
@@ -456,7 +456,7 @@ func TestConcurrentReportsAndRetrain(t *testing.T) {
 					t.Errorf("worker %d report %d: %v", w, i, err)
 					return
 				}
-				if err := ext.Feedback(1, "original", i%3 == 0); err != nil {
+				if err := ext.feedback(1, "original", i%3 == 0); err != nil {
 					var fbErr *APIError
 					if !errors.As(err, &fbErr) || fbErr.Status != http.StatusTooManyRequests {
 						t.Errorf("worker %d feedback %d: %v", w, i, err)

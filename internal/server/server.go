@@ -300,13 +300,10 @@ func (b *Backend) RetrainContext(ctx context.Context) error {
 // RetrainAsync starts a retrain in the background unless one is already
 // running, reporting whether this call started it. The run is bound to
 // ctx (use context.Background() to detach it from any request). Poll
-// RetrainRunning or hostprof_retrain_state for progress.
+// hostprof_retrain_state for progress.
 func (b *Backend) RetrainAsync(ctx context.Context) bool {
 	return b.eng.RetrainAsync(ctx, b.store.AllSequences, retrainLabel)
 }
-
-// RetrainRunning reports whether a retrain is in flight.
-func (b *Backend) RetrainRunning() bool { return b.eng.Running() }
 
 // sessionWindow is the paper's T, in seconds: a report is answered
 // from the user's last twenty minutes of visits.

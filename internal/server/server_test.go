@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -136,10 +137,10 @@ func TestBackendEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Feedback round trip.
-	if err := ext.Feedback(adsList[0].ID, "eavesdropper", true); err != nil {
+	if err := ext.feedback(adsList[0].ID, "eavesdropper", true); err != nil {
 		t.Fatal(err)
 	}
-	if err := ext.Feedback(adsList[0].ID, "original", false); err != nil {
+	if err := ext.feedback(adsList[0].ID, "original", false); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = ext.Stats()
@@ -197,6 +198,9 @@ func TestBackendBlocklistFiltersReports(t *testing.T) {
 	if st.Visits != 0 {
 		t.Fatalf("tracker visits stored: %+v", st)
 	}
+	if got := fx.b.Metrics().Counter("hostprof_report_blocklist_drops_total").Value(); got != 2 {
+		t.Fatalf("hostprof_report_blocklist_drops_total = %d, want 2", got)
+	}
 }
 
 func TestBackendConcurrentReports(t *testing.T) {
@@ -218,7 +222,7 @@ func TestBackendConcurrentReports(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := ext.Feedback(1, "original", false); err != nil {
+				if err := ext.feedback(1, "original", false); err != nil {
 					errs <- err
 					return
 				}
@@ -261,4 +265,12 @@ func TestWireAdJSONShape(t *testing.T) {
 	if strings.TrimSpace(buf.String()) != want {
 		t.Fatalf("wire shape %q", buf.String())
 	}
+}
+
+// feedback posts one displayed ad's outcome to /v1/feedback, the call
+// the paper's extension makes after showing an ad.
+func (e *Extension) feedback(adID int, source string, clicked bool) error {
+	return e.post(context.Background(), "client.feedback", "/v1/feedback", FeedbackRequest{
+		User: e.User, AdID: adID, Source: source, Clicked: clicked,
+	}, nil)
 }

@@ -53,16 +53,16 @@ func TestObserverEvictsIdleFlows(t *testing.T) {
 	for i := 0; i < 2047; i++ {
 		obs.ProcessPacket(mk(uint16(10000+i), 0), 0)
 	}
-	if obs.ActiveFlows() != 2047 {
-		t.Fatalf("flows = %d", obs.ActiveFlows())
+	if len(obs.flows) != 2047 {
+		t.Fatalf("flows = %d", len(obs.flows))
 	}
 	// A new flow far in the future triggers the sweep.
 	obs.ProcessPacket(mk(60000, 1000), 1000)
 	if obs.Stats().FlowsEvicted == 0 {
 		t.Fatal("no flows evicted after timeout")
 	}
-	if obs.ActiveFlows() >= 2048 {
-		t.Fatalf("flow table did not shrink: %d", obs.ActiveFlows())
+	if len(obs.flows) >= 2048 {
+		t.Fatalf("flow table did not shrink: %d", len(obs.flows))
 	}
 }
 

@@ -48,7 +48,7 @@ func TestObserverIPFallbackOnECH(t *testing.T) {
 		t.Fatal("different servers collided on one IP token")
 	}
 	// Token matches the deterministic resolver view.
-	want := IPToken(addr16(ServerAddr("hidden.example")))
+	want := IPToken(addr16(serverAddr("hidden.example")))
 	if vs[0].Host != want {
 		t.Fatalf("token %q, want %q", vs[0].Host, want)
 	}

@@ -336,15 +336,6 @@ func onesComplement(s uint32) uint16 {
 	return ^uint16(s)
 }
 
-// VerifyIPv4Checksum recomputes an IPv4 header checksum and reports
-// whether it matches (used in tests and diagnostics).
-func VerifyIPv4Checksum(hdr []byte) bool {
-	if len(hdr) < 20 {
-		return false
-	}
-	return onesComplement(sum16(hdr[:20], 0)) == 0
-}
-
 // Packet is the zero-allocation decode target, in the spirit of
 // gopacket's DecodingLayerParser: one Packet is reused across calls and
 // the slices returned alias the input buffer.

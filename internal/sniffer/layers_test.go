@@ -238,3 +238,12 @@ func TestTCPRoundTripQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// VerifyIPv4Checksum recomputes an IPv4 header checksum and reports
+// whether it matches.
+func VerifyIPv4Checksum(hdr []byte) bool {
+	if len(hdr) < 20 {
+		return false
+	}
+	return onesComplement(sum16(hdr[:20], 0)) == 0
+}

@@ -32,8 +32,8 @@ func TestObserverExportsMetrics(t *testing.T) {
 	if got := reg.Counter("hostprof_sniffer_packets_total").Value(); got != st.Packets || got == 0 {
 		t.Fatalf("packets counter = %d, stats = %d", got, st.Packets)
 	}
-	if got := reg.Gauge("hostprof_sniffer_flows_active").Value(); got != float64(obs.ActiveFlows()) {
-		t.Fatalf("flows gauge = %v, active = %d", got, obs.ActiveFlows())
+	if got := reg.Gauge("hostprof_sniffer_flows_active").Value(); got != float64(len(obs.flows)) {
+		t.Fatalf("flows gauge = %v, active = %d", got, len(obs.flows))
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -359,9 +359,6 @@ func (o *Observer) maybeEvict(now int64) {
 	}
 }
 
-// ActiveFlows returns the number of tracked flows (diagnostics).
-func (o *Observer) ActiveFlows() int { return len(o.flows) }
-
 // ObserveAll runs every (packet, timestamp) pair through the observer and
 // collects the extracted visits into a trace.
 func (o *Observer) ObserveAll(packets [][]byte, times []int64) *trace.Trace {

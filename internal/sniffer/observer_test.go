@@ -165,8 +165,8 @@ func TestObserverAbandonsNonTLSFlows(t *testing.T) {
 	if _, ok := obs.ProcessPacket(pkt, 0); ok {
 		t.Fatal("HTTP produced a visit")
 	}
-	if obs.ActiveFlows() != 1 {
-		t.Fatalf("flows = %d", obs.ActiveFlows())
+	if len(obs.flows) != 1 {
+		t.Fatalf("flows = %d", len(obs.flows))
 	}
 	// More data on the same flow is ignored cheaply.
 	pkt2 := tcpFrame(src, dst, 50000, 443, 17, 1, TCPFlagACK|TCPFlagPSH, []byte("Host: x\r\n\r\n"))

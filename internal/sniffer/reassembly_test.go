@@ -110,7 +110,10 @@ func TestAssemblerPermutationQuick(t *testing.T) {
 			segs = append(segs, seg{off, data[off : off+n]})
 			off += n
 		}
-		r.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+		for i := len(segs) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			segs[i], segs[j] = segs[j], segs[i]
+		}
 		a := newStreamAssembler()
 		a.SYN(1000)
 		for _, sg := range segs {

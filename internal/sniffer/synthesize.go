@@ -95,11 +95,6 @@ func userAddr(user int) [4]byte {
 	return [4]byte{10, byte(user >> 8), byte(user), 1}
 }
 
-// ServerAddr returns the deterministic pseudo-server IPv4 address the
-// synthesizer uses for a hostname; exported so experiments can model an
-// observer that resolves labelled hostnames to addresses offline.
-func ServerAddr(host string) [4]byte { return serverAddr(host) }
-
 // serverAddr derives a stable pseudo-server IPv4 address for a hostname.
 func serverAddr(host string) [4]byte {
 	var h uint32 = 2166136261

@@ -94,20 +94,6 @@ func CCDF(xs []float64) []CCDFPoint {
 	return out
 }
 
-// CCDFAt evaluates the fraction of samples in xs that are >= x.
-func CCDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var c int
-	for _, v := range xs {
-		if v >= x {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
 // Histogram counts xs into k equal-width bins spanning [min, max]. Values
 // outside the range are clamped into the edge bins.
 func Histogram(xs []float64, k int, min, max float64) []int {

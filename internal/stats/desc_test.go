@@ -109,19 +109,6 @@ func TestCCDFMonotonic(t *testing.T) {
 	}
 }
 
-func TestCCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CCDFAt(xs, 3); !almostEq(got, 0.5, 1e-12) {
-		t.Fatalf("CCDFAt(3) = %v, want 0.5", got)
-	}
-	if got := CCDFAt(xs, 0); got != 1 {
-		t.Fatalf("CCDFAt(0) = %v, want 1", got)
-	}
-	if got := CCDFAt(xs, 5); got != 0 {
-		t.Fatalf("CCDFAt(5) = %v, want 0", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 0.5, 1.5, 2.5, 9.9, -5, 15}
 	bins := Histogram(xs, 10, 0, 10)
@@ -140,7 +127,7 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-// Property: CCDF evaluated at each output X agrees with CCDFAt.
+// Property: each CCDF point's Frac is the share of samples >= its X.
 func TestCCDFConsistencyQuick(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
@@ -151,7 +138,13 @@ func TestCCDFConsistencyQuick(t *testing.T) {
 			xs[i] = float64(v % 16)
 		}
 		for _, p := range CCDF(xs) {
-			if !almostEq(p.Frac, CCDFAt(xs, p.X), 1e-12) {
+			var c int
+			for _, v := range xs {
+				if v >= p.X {
+					c++
+				}
+			}
+			if !almostEq(p.Frac, float64(c)/float64(len(xs)), 1e-12) {
 				return false
 			}
 		}

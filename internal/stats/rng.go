@@ -26,12 +26,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Seed resets the generator state to seed, discarding any cached values.
-func (r *RNG) Seed(seed uint64) {
-	r.state = seed
-	r.hasSpare = false
-}
-
 // Uint64 returns the next pseudo-random 64-bit value.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -58,11 +52,6 @@ func (r *RNG) Intn(n int) int {
 		panic("stats: Intn called with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative 63-bit value.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Bool returns true with probability p.
@@ -92,16 +81,6 @@ func (r *RNG) NormFloat64() float64 {
 	return u * m
 }
 
-// ExpFloat64 returns an exponential deviate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -117,14 +96,6 @@ func (r *RNG) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -96,22 +96,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRNG(13)
-	const n = 100000
-	var s float64
-	for i := 0; i < n; i++ {
-		x := r.ExpFloat64()
-		if x < 0 {
-			t.Fatalf("negative exponential deviate %v", x)
-		}
-		s += x
-	}
-	if m := s / n; math.Abs(m-1) > 0.03 {
-		t.Fatalf("exp mean = %v, want ~1", m)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(5)
 	p := r.Perm(100)

@@ -51,9 +51,6 @@ func PairedTTest(a, b []float64) (TTestResult, error) {
 	return TTestResult{N: n, MeanDiff: md, T: t, DF: df, P: p}, nil
 }
 
-// Significant reports whether the two-tailed p-value falls below alpha.
-func (r TTestResult) Significant(alpha float64) bool { return r.P < alpha }
-
 func sign(x float64) int {
 	if x < 0 {
 		return -1

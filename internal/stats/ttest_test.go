@@ -85,7 +85,7 @@ func TestPairedTTestKnown(t *testing.T) {
 	if !almostEq(res.P, want, 1e-6) {
 		t.Fatalf("P = %v, numeric integration gives %v", res.P, want)
 	}
-	if !res.Significant(0.05) {
+	if res.P >= 0.05 {
 		t.Fatal("should be significant at 0.05")
 	}
 }
@@ -121,7 +121,7 @@ func TestPairedTTestNotSignificant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Significant(0.05) {
+	if res.P < 0.05 {
 		t.Fatalf("tiny noise should not be significant, p=%v", res.P)
 	}
 }

@@ -53,33 +53,11 @@ func Euclidean(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AXPY computes y += alpha*x in place. x and y must have equal length.
-func AXPY(alpha float64, x, y []float64) {
-	_ = y[len(x)-1]
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scale multiplies every element of x by alpha in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Normalize scales x to unit L2 norm in place and returns the original
-// norm. A zero vector is left unchanged and 0 is returned.
-func Normalize(x []float64) float64 {
-	n := Norm(x)
-	if n == 0 {
-		return 0
-	}
-	inv := 1 / n
-	for i := range x {
-		x[i] *= inv
-	}
-	return n
 }
 
 // Sigmoid returns 1/(1+exp(-x)) computed in a numerically stable way.

@@ -39,30 +39,11 @@ func TestEuclidean(t *testing.T) {
 	}
 }
 
-func TestAXPYAndScale(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("AXPY result %v", y)
-	}
+func TestScale(t *testing.T) {
+	y := []float64{7, 9}
 	Scale(0.5, y)
 	if y[0] != 3.5 || y[1] != 4.5 {
 		t.Fatalf("Scale result %v", y)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	x := []float64{3, 4}
-	n := Normalize(x)
-	if n != 5 {
-		t.Fatalf("returned norm %v", n)
-	}
-	if !almostEq(Norm(x), 1, 1e-12) {
-		t.Fatalf("normalized norm %v", Norm(x))
-	}
-	z := []float64{0, 0}
-	if Normalize(z) != 0 {
-		t.Fatal("zero vector should return 0")
 	}
 }
 

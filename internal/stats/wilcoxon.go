@@ -93,5 +93,7 @@ func WilcoxonSignedRank(a, b []float64) (WilcoxonResult, error) {
 	return WilcoxonResult{W: wPlus, N: n, Z: z, P: p}, nil
 }
 
-// Significant reports whether the two-sided p-value falls below alpha.
-func (r WilcoxonResult) Significant(alpha float64) bool { return r.P < alpha }
+// normalSF returns P(Z > z) for the standard normal distribution.
+func normalSF(z float64) float64 {
+	return 0.5 * math.Erfc(z/math.Sqrt2)
+}

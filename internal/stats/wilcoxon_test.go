@@ -17,7 +17,7 @@ func TestWilcoxonKnownRanks(t *testing.T) {
 	if r.W != 11 || r.N != 5 {
 		t.Fatalf("W=%v N=%d, want 11/5", r.W, r.N)
 	}
-	if r.Significant(0.05) {
+	if r.P < 0.05 {
 		t.Fatalf("weak evidence should not be significant: p=%v", r.P)
 	}
 }
@@ -47,7 +47,7 @@ func TestWilcoxonDetectsConsistentShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Significant(0.01) {
+	if r.P >= 0.01 {
 		t.Fatalf("consistent shift not detected: p=%v", r.P)
 	}
 	if r.Z <= 0 {
@@ -101,7 +101,20 @@ func TestWilcoxonAgreesWithTTestDirection(t *testing.T) {
 	if (wr.Z < 0) != (tr.T < 0) {
 		t.Fatalf("tests disagree on direction: Z=%v T=%v", wr.Z, tr.T)
 	}
-	if !wr.Significant(0.01) || !tr.Significant(0.01) {
+	if wr.P >= 0.01 || tr.P >= 0.01 {
 		t.Fatalf("both should detect the shift: p=%v / %v", wr.P, tr.P)
+	}
+}
+
+func TestNormalSF(t *testing.T) {
+	cases := []struct{ z, p float64 }{
+		{0, 0.5},
+		{1.959964, 0.025},
+		{2.575829, 0.005},
+	}
+	for _, c := range cases {
+		if got := normalSF(c.z); math.Abs(got-c.p) > 1e-4 {
+			t.Errorf("normalSF(%v) = %v, want %v", c.z, got, c.p)
+		}
 	}
 }

@@ -34,9 +34,6 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// N returns the size of the sampler's support.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Draw returns the next rank in [0, n), rank 0 being the most popular.
 func (z *Zipf) Draw() int {
 	u := z.rng.Float64()
@@ -94,6 +91,3 @@ func (w *Weighted) Draw() int {
 	}
 	return i
 }
-
-// N returns the number of outcomes.
-func (w *Weighted) N() int { return len(w.cdf) }

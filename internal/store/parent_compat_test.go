@@ -57,8 +57,17 @@ func assertRows(t *testing.T, m *core.Model, wire parentModelWire, same func(row
 	if wire.Version != 1 || wire.Dim != m.Dim() || len(wire.Hosts) != m.Vocab().Len() || len(wire.In) != len(wire.Hosts)*wire.Dim || len(wire.Out) != len(wire.In) {
 		t.Fatalf("version %d, %d hosts × %d, %d/%d weights against a %d×%d model", wire.Version, len(wire.Hosts), wire.Dim, len(wire.In), len(wire.Out), m.Vocab().Len(), m.Dim())
 	}
+	// The context rows have no accessor; Save writes them.
+	var saved struct{ Out []float32 }
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
 	for id := range wire.Hosts {
-		in, out := m.VectorByID(id), m.ContextVectorByID(id)
+		in, out := m.VectorByID(id), saved.Out[id*wire.Dim:(id+1)*wire.Dim]
 		for j := range in {
 			if k := id*wire.Dim + j; !same(in[j], wire.In[k]) || !same(out[j], wire.Out[k]) {
 				t.Fatalf("row %d element %d: model %v / %v, encoding %v / %v", id, j, in[j], out[j], wire.In[k], wire.Out[k])

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -181,7 +183,8 @@ func TestModelRoundTripThroughSnapshot(t *testing.T) {
 
 func TestMetricsExported(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := mustOpen(t, Config{Dir: t.TempDir(), Metrics: reg, Fsync: FsyncAlways})
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir, Metrics: reg, Fsync: FsyncAlways})
 	appendAll(t, s, []trace.Visit{visit(1, 1, "a.example"), visit(2, 2, "b.example")})
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -210,6 +213,18 @@ func TestMetricsExported(t *testing.T) {
 		if !strings.Contains(exp.String(), name) {
 			t.Errorf("exposition missing %s", name)
 		}
+	}
+	// A snapshot that cannot be published counts one error. A non-empty
+	// directory where the next snapshot goes defeats the rename even for
+	// root, which ignores permission bits.
+	if err := os.MkdirAll(filepath.Join(snapPath(dir, s.wal.seq), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err == nil {
+		t.Fatal("snapshot published over a non-empty directory")
+	}
+	if got := metricValue(t, reg, "hostprof_store_snapshot_errors_total"); got != 1 {
+		t.Fatalf("hostprof_store_snapshot_errors_total = %v, want 1", got)
 	}
 }
 

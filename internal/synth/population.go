@@ -13,17 +13,6 @@ type User struct {
 	Interests []float64 // length = taxonomy.NumTops()
 }
 
-// TopInterests returns the topic indices with non-zero interest.
-func (u User) TopInterests() []int {
-	var out []int
-	for ti, w := range u.Interests {
-		if w > 0 {
-			out = append(out, ti)
-		}
-	}
-	return out
-}
-
 // PopulationConfig sizes the user population and its browsing behaviour.
 type PopulationConfig struct {
 	// Users is the number of participants. Default 100.

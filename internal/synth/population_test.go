@@ -132,17 +132,13 @@ func TestBrowseInterestsDriveTopics(t *testing.T) {
 	per := tr.PerUserVisits()
 	matches, total := 0, 0
 	for _, usr := range p.Users {
-		interested := make(map[int]bool)
-		for _, ti := range usr.TopInterests() {
-			interested[ti] = true
-		}
 		for _, v := range per[usr.ID] {
 			h, _ := u.HostByName(v.Host)
 			if h.Kind != KindSite {
 				continue
 			}
 			total++
-			if interested[u.Sites[h.Site].Top] {
+			if usr.Interests[u.Sites[h.Site].Top] > 0 {
 				matches++
 			}
 		}
