@@ -55,9 +55,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal("observer extracted nothing")
 	}
 	// Blocklisted hosts never reach the trace.
-	for _, h := range p.Trace().Hosts() {
-		if bl.Contains(h) {
-			t.Fatalf("tracker %q in pipeline trace", h)
+	for _, v := range p.Trace().Visits() {
+		if bl.Contains(v.Host) {
+			t.Fatalf("tracker %q in pipeline trace", v.Host)
 		}
 	}
 	// The ingest counters account for every frame and every visit a

@@ -8,37 +8,38 @@
 //	pending → copying → draining → done (cutover)
 //	                  ↘ aborted (rolled back to the old owner)
 //
-// The copy protocol is exact, not approximate. Each range carries a
-// write gate (an RWMutex): report traffic for the range holds it shared
-// across the whole source(+target) round trip, and the supervisor takes
-// it exclusively to freeze the range — at which point no write is in
-// flight. Under that freeze the supervisor resets the target's copy,
-// enumerates the range's users and captures their source record counts
-// C0; from then on every accepted report is double-written (source
-// first — the ack — then imported to the target). The copy loop streams
-// exactly records [0, C0) per user, in chunks at increasing offsets, so
-// copied history and double-written live traffic partition perfectly:
-// nothing is lost and nothing lands twice. Every round starts with a
-// fresh freeze, so a retried or resumed range recopies from record 0.
-// Cutover takes the gate again and compares per-user record counts and
-// order-insensitive content digests (store.VisitHash sums) between
-// source and target; only an exact match flips the range to done, after
-// which routing serves the new owner. Any mismatch — including a target
-// crash that resurrected a reset — is repaired by reset + recopy.
+// The migration reaches shards only through shardIO (list users, read
+// digests, export a chunk, import visits or a reset, liveness); the
+// gateway's implementation is httpShards. Each attempt at a range is one
+// round, whose counts and watermarks are locals. A round freezes the
+// range under its write gate (an RWMutex: report traffic holds it shared
+// across the whole source(+target) round trip, the round exclusively, so
+// no write is in flight): it resets the target's copy, enumerates the
+// range's users and captures their source record counts C0, and flips
+// the range to copying before releasing the gate, so every later report
+// is double-written (source first — the ack — then imported to the
+// target). The copy streams exactly records [0, C0) per user in chunks
+// at increasing offsets, so copied history and double-written traffic
+// partition perfectly. The verify takes the gate again and compares
+// per-user record counts and order-insensitive content digests
+// (store.VisitHash sums); only an exact match flips the range to done,
+// under the gate, after which routing serves the new owner. Any
+// mismatch — a failed double-write, a target crash that resurrected a
+// reset — is repaired by the next round's reset + recopy. Migration.route
+// is the one copy of this routing policy; routeUser asks it.
 //
-// Failure semantics: a dying source aborts only its own ranges (its
-// keyspace was shed anyway); a dying target rolls its ranges back to
-// the old owner, which never stopped being authoritative; a failed
-// migration stays installed — done ranges keep routing to their new
-// owner, everything else to the old — and re-POSTing the same resize
-// resumes it idempotently: done ranges are kept, the rest are reset and
-// recopied. Source data is purged only after every range has cut over.
+// Failure semantics: a dying source aborts only its own ranges; a dying
+// target rolls its ranges back to the old owner, which never stopped
+// being authoritative; a failed migration stays installed and
+// re-POSTing the same resize resumes it: done ranges are kept, the rest
+// reset and recopied. Source data is purged only after every range has
+// cut over. TestChaosMigrationSchedules drives the rounds and the purge
+// over in-memory shards through 1 000 seeded fault schedules.
 //
 // The one unprotected window: the gateway process itself dying
-// mid-migration loses the in-memory range states, and post-cutover
-// writes that reached only the target cannot be recovered by restarting
-// the resize from scratch. Persisting migration state is future work;
-// until then, resize from a single gateway and let it finish.
+// mid-migration loses the in-memory range states. Persisting migration
+// state is future work; until then, resize from a single gateway and
+// let it finish.
 package cluster
 
 import (
@@ -48,6 +49,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -89,11 +91,8 @@ func (s rangeState) String() string {
 type migRange struct {
 	MovedRange
 
-	// gate is the range's write barrier. Forwarders hold it shared for
-	// the duration of a write (source forward + target import); the
-	// supervisor holds it exclusively to freeze the range for count
-	// capture and for the cutover verify — guaranteeing no write is in
-	// flight at either decision point.
+	// gate is the range's write barrier: writes hold it shared (see
+	// route), a round exclusively to freeze and to verify.
 	gate  sync.RWMutex
 	state atomic.Int32
 	// dirty flips when a double-write to the target fails after the
@@ -101,11 +100,9 @@ type migRange struct {
 	// recopy makes it exact again. Read at verify under the gate.
 	dirty atomic.Bool
 
-	// Everything below is owned by the supervisor's single range worker;
-	// Status reads it under the migration mutex via statusLocked.
-	users    []int       // range's users, re-enumerated at each freeze
-	frozen   map[int]int // per-user source record count C0 at freeze
-	copied   map[int]int // per-user records of [0, C0) copied this round
+	// Written by the range's one worker; Status reads them under the
+	// migration mutex.
+	users    []int // range's users, re-enumerated at each freeze and verify
 	attempts int
 	lastErr  string
 }
@@ -115,7 +112,7 @@ func (r *migRange) st() rangeState { return rangeState(r.state.Load()) }
 // Migration is one supervised resize operation.
 type Migration struct {
 	g       *Gateway
-	oldRing *Ring
+	shards  shardIO
 	newRing *Ring
 	from    []string // old membership, sorted
 	to      []string // new membership, sorted
@@ -136,6 +133,42 @@ type Migration struct {
 	done     chan struct{}
 
 	records atomic.Int64 // visit records copied
+}
+
+// newMigration plans the move from oldRing to newRing: its joiners,
+// leavers and the moved ranges DiffRings finds, all pending. It reaches
+// shards through shards.
+func newMigration(g *Gateway, shards shardIO, oldRing, newRing *Ring) *Migration {
+	m := &Migration{
+		g:       g,
+		shards:  shards,
+		newRing: newRing,
+		from:    oldRing.Nodes(),
+		to:      newRing.Nodes(),
+		phase:   "planning",
+		started: time.Now(),
+		done:    make(chan struct{}),
+	}
+	for _, n := range m.to {
+		if !slices.Contains(m.from, n) {
+			m.joiners = append(m.joiners, n)
+		}
+	}
+	for _, n := range m.from {
+		if !slices.Contains(m.to, n) {
+			m.leavers = append(m.leavers, n)
+		}
+	}
+	for _, mr := range DiffRings(oldRing, newRing) {
+		r := &migRange{MovedRange: mr}
+		if mr.Lo >= mr.Hi {
+			m.wrap = r
+			continue
+		}
+		m.ranges = append(m.ranges, r)
+	}
+	sort.Slice(m.ranges, func(i, j int) bool { return m.ranges[i].Lo < m.ranges[j].Lo })
+	return m
 }
 
 // terminalPhase reports whether a phase string is an end state.
@@ -164,27 +197,64 @@ func (m *Migration) rangeFor(h uint64) *migRange {
 	return nil
 }
 
+// userRoute is where one user's request goes while a migration is
+// installed. The zero value leaves the ring's owner in place.
+type userRoute struct {
+	owner  string    // serves the request; "" when the ring's owner does
+	mirror string    // also takes an accepted report, or ""
+	held   *migRange // the range whose gate the request holds shared, or nil
+}
+
+// route is the migration's routing policy for one user. A moved user
+// is served by the range's old owner until the range cuts over, by the
+// new owner after, and by the old again once the range is rolled back.
+// A write (a report: feedback mutates campaign tallies, not the visit
+// store) to a range not yet done holds the range's gate shared until
+// release. For a pending range this is what makes the freeze exact —
+// its exclusive acquire waits for the report to land, so the C0 capture
+// counts it; once the freeze has run, the write is also mirrored to the
+// target. A nil m routes every user by the ring.
+func (m *Migration) route(user int, write bool) userRoute {
+	if m == nil {
+		return userRoute{}
+	}
+	r := m.rangeFor(userHash(user))
+	if r == nil {
+		return userRoute{}
+	}
+	r.gate.RLock()
+	switch s := r.st(); {
+	case s == rangeDone:
+		r.gate.RUnlock()
+		return userRoute{owner: r.To}
+	case s == rangeAborted || !write:
+		r.gate.RUnlock()
+		return userRoute{owner: r.From}
+	case s == rangePending:
+		return userRoute{owner: r.From, held: r}
+	default: // copying, draining
+		return userRoute{owner: r.From, mirror: r.To, held: r}
+	}
+}
+
+// markDirty records that the mirror of an acked write failed, so the
+// range cannot cut over before a reset and recopy. Call it before
+// release: verify reads the flag under the exclusive gate.
+func (rt userRoute) markDirty() { rt.held.dirty.Store(true) }
+
+// release drops the gate a write route holds.
+func (rt userRoute) release() {
+	if rt.held != nil {
+		rt.held.gate.RUnlock()
+	}
+}
+
 // Done returns a channel closed when the current run reaches a terminal
 // phase (done or failed).
 func (m *Migration) Done() <-chan struct{} {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.done
-}
-
-// Wait blocks until the current run terminates or ctx expires, then
-// returns nil for done and an error for failed.
-func (m *Migration) Wait(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-m.Done():
-	}
-	st := m.Status()
-	if st.State != "done" {
-		return fmt.Errorf("cluster: migration %s: %s", st.State, st.Error)
-	}
-	return nil
 }
 
 func (m *Migration) setPhase(p string) {
@@ -194,25 +264,24 @@ func (m *Migration) setPhase(p string) {
 	m.phaseEvent(p)
 }
 
+// tally counts the ranges in each state.
+func (m *Migration) tally() (n [rangeAborted + 1]int) {
+	for _, r := range m.allRanges() {
+		n[r.st()]++
+	}
+	return n
+}
+
 // phaseEvent records one migration state-machine transition on the
 // cluster timeline, with the range counts an operator needs to judge
 // progress. Called from the supervisor goroutine only.
 func (m *Migration) phaseEvent(p string) {
-	total, done, aborted := 0, 0, 0
-	for _, r := range m.allRanges() {
-		total++
-		switch r.st() {
-		case rangeDone:
-			done++
-		case rangeAborted:
-			aborted++
-		}
-	}
+	n := m.tally()
 	m.g.event(EventMigration, "", "migration "+p,
 		"phase", p,
-		"ranges", strconv.Itoa(total),
-		"ranges_done", strconv.Itoa(done),
-		"ranges_aborted", strconv.Itoa(aborted),
+		"ranges", strconv.Itoa(len(m.allRanges())),
+		"ranges_done", strconv.Itoa(n[rangeDone]),
+		"ranges_aborted", strconv.Itoa(n[rangeAborted]),
 		"records_copied", strconv.FormatInt(m.records.Load(), 10))
 }
 
@@ -254,63 +323,38 @@ type MigrationStatus struct {
 func (m *Migration) Status() MigrationStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	n := m.tally()
 	st := MigrationStatus{
 		State:         m.phase,
 		From:          m.from,
 		To:            m.to,
 		StartedAt:     m.started,
 		FinishedAt:    m.finished,
+		Ranges:        len(m.allRanges()),
+		RangesDone:    n[rangeDone],
+		RangesAborted: n[rangeAborted],
 		Users:         m.users,
 		RecordsCopied: m.records.Load(),
 		Resumes:       m.resumes,
 		TraceID:       m.traceID,
 		Error:         m.errMsg,
 	}
-	copying, draining := 0, 0
 	for _, r := range m.allRanges() {
-		st.Ranges++
-		rs := r.st()
-		switch rs {
-		case rangeDone:
-			st.RangesDone++
-		case rangeAborted:
-			st.RangesAborted++
-		case rangeCopying:
-			copying++
-		case rangeDraining:
-			draining++
-		}
 		st.RangeDetail = append(st.RangeDetail, RangeStatus{
 			Lo:       strconv.FormatUint(r.Lo, 16),
 			Hi:       strconv.FormatUint(r.Hi, 16),
 			From:     r.From,
 			To:       r.To,
-			State:    rs.String(),
+			State:    r.st().String(),
 			Users:    len(r.users),
 			Attempts: r.attempts,
 			LastErr:  r.lastErr,
 		})
 	}
-	if st.State == "copying" && copying == 0 && draining > 0 {
+	if st.State == "copying" && n[rangeCopying] == 0 && n[rangeDraining] > 0 {
 		st.State = "draining"
 	}
 	return st
-}
-
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]string(nil), a...)
-	bs := append([]string(nil), b...)
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ErrResizeConflict is returned when a resize targets a different
@@ -321,7 +365,7 @@ var ErrResizeConflict = errors.New("cluster: another migration is installed; res
 // membership. Returns the migration (nil when the resize is a no-op)
 // and whether this call started or resumed a run (false = joined one
 // already in flight). The heavy work happens in a supervised background
-// goroutine; poll /v1/cluster or Wait on the returned Migration.
+// goroutine; poll /v1/cluster or the returned Migration's Status.
 func (g *Gateway) Resize(ctx context.Context, backends []string) (*Migration, bool, error) {
 	backends, err := normalizeBackends(backends)
 	if err != nil {
@@ -336,11 +380,10 @@ func (g *Gateway) Resize(ctx context.Context, backends []string) (*Migration, bo
 	defer g.resizeMu.Unlock()
 
 	if existing := g.migration.Load(); existing != nil {
-		st := existing.Status()
-		if !sameMembers(existing.to, backends) {
+		if !existing.newRing.Equal(backends) {
 			return nil, false, ErrResizeConflict
 		}
-		if !terminalPhase(st.State) {
+		if !terminalPhase(existing.Status().State) {
 			return existing, false, nil // join the run in flight
 		}
 		// Failed run to the same membership: resume it. Done runs are
@@ -355,37 +398,7 @@ func (g *Gateway) Resize(ctx context.Context, backends []string) (*Migration, bo
 	if oldRing.Equal(backends) {
 		return nil, false, nil
 	}
-	moved := DiffRings(oldRing, newRing)
-
-	m := &Migration{
-		g:       g,
-		oldRing: oldRing,
-		newRing: newRing,
-		from:    oldRing.Nodes(),
-		to:      newRing.Nodes(),
-		phase:   "planning",
-		started: time.Now(),
-		done:    make(chan struct{}),
-	}
-	for _, n := range m.to {
-		if !contains(m.from, n) {
-			m.joiners = append(m.joiners, n)
-		}
-	}
-	for _, n := range m.from {
-		if !contains(m.to, n) {
-			m.leavers = append(m.leavers, n)
-		}
-	}
-	for _, mr := range moved {
-		r := &migRange{MovedRange: mr}
-		if mr.Lo >= mr.Hi {
-			m.wrap = r
-			continue
-		}
-		m.ranges = append(m.ranges, r)
-	}
-	sort.Slice(m.ranges, func(i, j int) bool { return m.ranges[i].Lo < m.ranges[j].Lo })
+	m := newMigration(g, httpShards{g}, oldRing, newRing)
 
 	// Install behind the barrier: after Unlock, every in-flight write
 	// that predates the migration has drained, so no un-gated write can
@@ -396,19 +409,10 @@ func (g *Gateway) Resize(ctx context.Context, backends []string) (*Migration, bo
 	g.met.migStarts.Inc()
 	g.log.Info("cluster resize started",
 		slog.Int("from", len(m.from)), slog.Int("to", len(m.to)),
-		slog.Int("moved_ranges", len(moved)),
+		slog.Int("moved_ranges", len(m.allRanges())),
 		slog.Any("joiners", m.joiners), slog.Any("leavers", m.leavers))
 	g.spawnMigration(ctx, m)
 	return m, true, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // prepareResume resets every non-done range for a fresh attempt. Done
@@ -424,7 +428,6 @@ func (m *Migration) prepareResume() {
 		r.dirty.Store(false)
 		r.attempts = 0
 		r.lastErr = ""
-		r.frozen, r.copied = nil, nil
 	}
 	m.phase = "planning"
 	m.errMsg = ""
@@ -500,14 +503,8 @@ func (m *Migration) run(ctx context.Context) {
 	cspan.SetAttr("records", strconv.FormatInt(m.records.Load(), 10))
 	cspan.End()
 
-	aborted := 0
-	for _, r := range m.allRanges() {
-		if r.st() != rangeDone {
-			aborted++
-		}
-	}
-	if aborted > 0 {
-		m.fail(fmt.Errorf("%d of %d ranges aborted", aborted, len(m.allRanges())))
+	if n, all := m.tally(), len(m.allRanges()); n[rangeDone] < all {
+		m.fail(fmt.Errorf("%d of %d ranges aborted", all-n[rangeDone], all))
 		return
 	}
 
@@ -597,7 +594,7 @@ func (m *Migration) plan(ctx context.Context) error {
 	// moving users per source.
 	total := 0
 	for s := range sources {
-		users, err := m.exportUsers(ctx, s)
+		users, err := m.shards.users(ctx, s)
 		if err != nil {
 			return err
 		}
@@ -613,73 +610,51 @@ func (m *Migration) plan(ctx context.Context) error {
 	return nil
 }
 
-// migrationAttempts bounds the freeze → copy → verify rounds per range
-// before the range is rolled back to its old owner; migrationChunk is
-// the visit records per export/import call; migrationWorkers bounds the
-// ranges copying at once.
+// migrationAttempts bounds the rounds per range before the range is
+// rolled back to its old owner; migrationChunk is the visit records per
+// export/import call; migrationWorkers bounds the ranges copying at
+// once.
 const (
 	migrationAttempts = 3
 	migrationChunk    = 4096
 	migrationWorkers  = 4
 )
 
-// runRange drives one range to done or aborted: up to
-// migrationAttempts rounds of freeze → copy → verify, aborting early
-// when the source or target dies.
+// runRange drives one range to done or aborted: up to migrationAttempts
+// rounds, aborting early when the source or target dies.
 func (m *Migration) runRange(ctx context.Context, r *migRange) {
-	g := m.g
-	for {
-		m.mu.Lock()
-		r.attempts++
-		attempt := r.attempts
-		m.mu.Unlock()
-		if attempt > migrationAttempts {
-			m.abortRange(r, fmt.Errorf("cluster: %d attempts exhausted", migrationAttempts))
-			return
+	for attempt := 1; ; attempt++ {
+		err := ctx.Err()
+		if err == nil {
+			err = m.checkEndpoints(r)
 		}
-		if ctx.Err() != nil {
-			m.abortRange(r, ctx.Err())
-			return
+		if err == nil && attempt > migrationAttempts {
+			err = fmt.Errorf("cluster: %d attempts exhausted", migrationAttempts)
 		}
-		if err := m.checkEndpoints(r); err != nil {
+		if err != nil {
 			m.abortRange(r, err)
 			return
 		}
-
-		err := m.freezeRange(ctx, r)
-		if err == nil {
-			err = m.copyRange(ctx, r)
-		}
-		if err == nil {
-			r.state.Store(int32(rangeDraining))
-			var ok bool
-			ok, err = m.verifyRange(ctx, r)
-			if ok {
-				g.met.migRangesDone.Inc()
-				return
-			}
-		}
-		if err != nil {
+		m.mu.Lock()
+		r.attempts = attempt
+		m.mu.Unlock()
+		if err := m.round(ctx, r); err != nil {
 			m.mu.Lock()
 			r.lastErr = err.Error()
 			m.mu.Unlock()
-			if eerr := m.checkEndpoints(r); eerr != nil {
-				m.abortRange(r, eerr)
-				return
-			}
+			continue
 		}
-		// Mismatch or transient error with both endpoints alive: reset
-		// and recopy on the next round.
-		r.state.Store(int32(rangeCopying))
+		m.g.met.migRangesDone.Inc()
+		return
 	}
 }
 
 // checkEndpoints reports which endpoint of a range died, if any.
 func (m *Migration) checkEndpoints(r *migRange) error {
-	if !m.g.shardSnapshot(r.From).alive {
+	if !m.shards.alive(r.From) {
 		return fmt.Errorf("cluster: source %s died", r.From)
 	}
-	if !m.g.shardSnapshot(r.To).alive {
+	if !m.shards.alive(r.To) {
 		return fmt.Errorf("cluster: target %s died", r.To)
 	}
 	return nil
@@ -699,121 +674,94 @@ func (m *Migration) abortRange(r *migRange, err error) {
 		slog.String("err", err.Error()))
 }
 
-// freezeRange is the exactness pivot: under the range's exclusive write
-// gate — no report in flight — it re-enumerates the range's users,
-// resets the target's copy of them, and captures each user's source
-// record count C0. Setting state to copying before releasing the gate
-// means every subsequent write is double-written AND lands at source
-// offset >= C0: the bulk copy of [0, C0) and the double-written tail
-// partition the user's history exactly.
-func (m *Migration) freezeRange(ctx context.Context, r *migRange) error {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	users, err := m.exportUsersInRange(ctx, r)
-	if err != nil {
-		return err
-	}
-	if err := m.importReset(ctx, r.To, users); err != nil {
-		return err
-	}
-	frozen, err := m.fetchDigests(ctx, r.From, users)
-	if err != nil {
-		return err
-	}
-	counts := make(map[int]int, len(frozen))
-	for u, d := range frozen {
-		counts[u] = d.count
-	}
-	m.mu.Lock()
-	r.users = users
-	r.frozen = counts
-	r.copied = make(map[int]int, len(users))
-	m.mu.Unlock()
-	r.dirty.Store(false)
-	r.state.Store(int32(rangeCopying))
-	return nil
-}
-
-// copyRange streams each frozen user's records [0, C0) from source to
-// target in migrationChunk-sized chunks at increasing offsets — offsets
-// are stable on the source (store.UserVisits), so within a round no
-// chunk is sent twice. An error ends the round; the next one freezes
+// round is one attempt at a range: freeze, copy, verify. It returns nil
+// once the range has cut over; after an error the next round freezes
 // afresh and recopies from record 0.
-func (m *Migration) copyRange(ctx context.Context, r *migRange) error {
-	for _, u := range r.users {
-		for r.copied[u] < r.frozen[u] {
-			if ctx.Err() != nil {
-				return ctx.Err()
+func (m *Migration) round(ctx context.Context, r *migRange) error {
+	// Freeze, under the exclusive gate: no report is in flight. The flip
+	// to copying before the gate is released means every later write is
+	// mirrored AND lands at source offset >= C0.
+	var users []int
+	var c0 map[int]userDigest
+	err := func() error {
+		r.gate.Lock()
+		defer r.gate.Unlock()
+		var err error
+		if users, err = m.usersIn(ctx, r); err != nil {
+			return err
+		}
+		if err = m.reset(ctx, r.To, users); err != nil {
+			return err
+		}
+		if c0, err = m.shards.digests(ctx, r.From, users); err != nil {
+			return err
+		}
+		m.mu.Lock()
+		r.users = users
+		m.mu.Unlock()
+		r.dirty.Store(false)
+		r.state.Store(int32(rangeCopying))
+		return nil
+	}()
+	if err != nil {
+		return err
+	}
+
+	// Copy records [0, C0) at increasing offsets, stable on the source
+	// (store.UserVisits), so no chunk is sent twice.
+	for _, u := range users {
+		for w := 0; w < c0[u].count; {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			w := r.copied[u]
-			limit := r.frozen[u] - w
-			if limit > migrationChunk {
-				limit = migrationChunk
-			}
-			visits, err := m.exportChunk(ctx, r.From, u, w, limit)
+			limit := min(c0[u].count-w, migrationChunk)
+			visits, err := m.shards.export(ctx, r.From, u, w, limit)
 			if err != nil {
 				return err
 			}
 			if len(visits) == 0 {
 				// The source has fewer records than the freeze counted —
-				// it restarted and lost an unsynced WAL tail. Refreeze.
+				// it restarted and lost an unsynced WAL tail.
 				return fmt.Errorf("cluster: source %s shrank under user %d (watermark %d of %d)",
-					r.From, u, w, r.frozen[u])
+					r.From, u, w, c0[u].count)
 			}
-			if len(visits) > limit {
-				visits = visits[:limit]
-			}
-			if err := m.importVisits(ctx, r.To, visits); err != nil {
+			visits = visits[:min(len(visits), limit)]
+			if err := m.shards.ingest(ctx, r.To, server.ImportRequest{Visits: visits}); err != nil {
 				return err
 			}
-			m.mu.Lock()
-			r.copied[u] = w + len(visits)
-			m.mu.Unlock()
+			w += len(visits)
 			m.records.Add(int64(len(visits)))
 			if err := fault.Inject(fault.MigrateCopyChunk); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
-}
+	r.state.Store(int32(rangeDraining))
 
-// verifyRange is the cutover handshake: under the exclusive gate it
-// re-enumerates the range's users on the source (catching users born
-// during the copy — their every record was double-written) and compares
-// per-user record counts and content digests between source and target.
-// Only an exact match — and a clean dirty flag — flips the range to
-// done; the flip happens before the gate is released, so the first
-// write after verify already routes to the new owner.
-func (m *Migration) verifyRange(ctx context.Context, r *migRange) (bool, error) {
+	// Verify, under the exclusive gate: re-enumerate (catching users born
+	// during the copy, whose every record was double-written) and compare
+	// source and target. The flip to done happens before the gate is
+	// released, so the first write after it routes to the new owner.
 	r.gate.Lock()
 	defer r.gate.Unlock()
-	users, err := m.exportUsersInRange(ctx, r)
-	if err != nil {
-		return false, err
+	if users, err = m.usersIn(ctx, r); err != nil {
+		return err
 	}
-	src, err := m.fetchDigests(ctx, r.From, users)
+	src, err := m.shards.digests(ctx, r.From, users)
 	if err != nil {
-		return false, err
+		return err
 	}
-	tgt, err := m.fetchDigests(ctx, r.To, users)
+	tgt, err := m.shards.digests(ctx, r.To, users)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if r.dirty.Load() {
-		m.mu.Lock()
-		r.lastErr = "dirty: a double-write to the target failed"
-		m.mu.Unlock()
-		return false, nil
+		return errors.New("dirty: a double-write to the target failed")
 	}
 	for _, u := range users {
-		s, t := src[u], tgt[u]
-		if s.count != t.count || s.sum != t.sum {
-			m.mu.Lock()
-			r.lastErr = fmt.Sprintf("digest mismatch for user %d: source %d/%x target %d/%x",
+		if s, t := src[u], tgt[u]; s != t {
+			return fmt.Errorf("digest mismatch for user %d: source %d/%x target %d/%x",
 				u, s.count, s.sum, t.count, t.sum)
-			m.mu.Unlock()
-			return false, nil
 		}
 	}
 	m.mu.Lock()
@@ -824,7 +772,24 @@ func (m *Migration) verifyRange(ctx context.Context, r *migRange) (bool, error) 
 	m.g.log.Info("migration range cut over",
 		slog.String("from", r.From), slog.String("to", r.To),
 		slog.Int("users", len(users)))
-	return true, nil
+	return nil
+}
+
+// usersIn lists the range's users present on its source.
+func (m *Migration) usersIn(ctx context.Context, r *migRange) ([]int, error) {
+	all, err := m.shards.users(ctx, r.From)
+	if err != nil {
+		return nil, err
+	}
+	return slices.DeleteFunc(all, func(u int) bool { return !r.Contains(userHash(u)) }), nil
+}
+
+// reset drops users on a shard (recopy preamble, source purge).
+func (m *Migration) reset(ctx context.Context, shard string, users []int) error {
+	if len(users) == 0 {
+		return nil
+	}
+	return m.shards.ingest(ctx, shard, server.ImportRequest{Reset: users})
 }
 
 // finish completes a fully cut-over migration: swap the ring and
@@ -847,17 +812,14 @@ func (m *Migration) finish(ctx context.Context) {
 	// double-counting /v1/stats and wasting memory. Leavers skip the
 	// purge — they are leaving. A purge failure is logged, not fatal:
 	// the copy is authoritative on the target either way.
-	purgeUsers := map[string][]int{}
-	for _, r := range m.allRanges() {
-		if contains(m.to, r.From) {
-			purgeUsers[r.From] = append(purgeUsers[r.From], r.users...)
+	for _, src := range m.to {
+		var users []int
+		for _, r := range m.allRanges() {
+			if r.From == src {
+				users = append(users, r.users...)
+			}
 		}
-	}
-	for src, users := range purgeUsers {
-		if len(users) == 0 {
-			continue
-		}
-		if err := m.importReset(ctx, src, users); err != nil {
+		if err := m.reset(ctx, src, users); err != nil {
 			g.log.Warn("migration source purge failed",
 				slog.String("backend", src), slog.String("err", err.Error()))
 		}
@@ -903,15 +865,34 @@ func (m *Migration) fail(err error) {
 	m.g.log.Warn("cluster resize failed (resumable)", slog.String("err", err.Error()))
 }
 
-// --- shard I/O helpers ---------------------------------------------------
+// --- shard I/O -----------------------------------------------------------
+
+// shardIO is all the migration asks of a shard. httpShards is the
+// gateway's; migrate_sim_test.go backs it with in-memory stores.
+type shardIO interface {
+	// users lists every user stored on the shard.
+	users(ctx context.Context, shard string) ([]int, error)
+	// digests reads per-user record counts and content digests.
+	digests(ctx context.Context, shard string, users []int) (map[int]userDigest, error)
+	// export reads one user's visits [from, from+limit).
+	export(ctx context.Context, shard string, user, from, limit int) ([]server.WireVisit, error)
+	// ingest applies one import: drop the Reset users, append the Visits.
+	ingest(ctx context.Context, shard string, req server.ImportRequest) error
+	// alive reports whether the shard is up.
+	alive(shard string) bool
+}
 
 type userDigest struct {
 	count int
 	sum   uint64
 }
 
-func (m *Migration) shardGet(ctx context.Context, shard, path string, out any) error {
-	ans, err := m.g.forwardWithRetry(ctx, http.MethodGet, shard, path, nil, nil)
+// httpShards speaks the shards' export/import API, every request
+// through forwardWithRetry; liveness is the health loop's.
+type httpShards struct{ g *Gateway }
+
+func (h httpShards) get(ctx context.Context, shard, path string, out any) error {
+	ans, err := h.g.forwardWithRetry(ctx, http.MethodGet, shard, path, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -921,43 +902,23 @@ func (m *Migration) shardGet(ctx context.Context, shard, path string, out any) e
 	return json.Unmarshal(ans.body, out)
 }
 
-// exportUsers lists every user stored on a shard.
-func (m *Migration) exportUsers(ctx context.Context, shard string) ([]int, error) {
+func (h httpShards) users(ctx context.Context, shard string) ([]int, error) {
 	var resp server.ExportUsersResponse
-	if err := m.shardGet(ctx, shard, "/v1/export/users", &resp); err != nil {
+	if err := h.get(ctx, shard, "/v1/export/users", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Users, nil
 }
 
-// exportUsersInRange lists the range's users present on its source.
-func (m *Migration) exportUsersInRange(ctx context.Context, r *migRange) ([]int, error) {
-	all, err := m.exportUsers(ctx, r.From)
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, u := range all {
-		if r.Contains(userHash(u)) {
-			out = append(out, u)
-		}
-	}
-	return out, nil
-}
-
-// fetchDigests reads per-user digests from a shard, batching the user
-// list into bounded query strings.
-func (m *Migration) fetchDigests(ctx context.Context, shard string, users []int) (map[int]userDigest, error) {
+// digests batches the user list into bounded query strings.
+func (h httpShards) digests(ctx context.Context, shard string, users []int) (map[int]userDigest, error) {
 	out := make(map[int]userDigest, len(users))
 	const batch = 256
 	for start := 0; start < len(users); start += batch {
-		end := start + batch
-		if end > len(users) {
-			end = len(users)
-		}
+		end := min(start+batch, len(users))
 		var resp server.DigestResponse
 		path := "/v1/export/digest?users=" + joinUsers(users[start:end])
-		if err := m.shardGet(ctx, shard, path, &resp); err != nil {
+		if err := h.get(ctx, shard, path, &resp); err != nil {
 			return nil, err
 		}
 		for k, d := range resp.Digests {
@@ -975,11 +936,10 @@ func (m *Migration) fetchDigests(ctx context.Context, shard string, users []int)
 	return out, nil
 }
 
-// exportChunk reads one user's visits [from, from+limit) from a shard.
-func (m *Migration) exportChunk(ctx context.Context, shard string, user, from, limit int) ([]server.WireVisit, error) {
+func (h httpShards) export(ctx context.Context, shard string, user, from, limit int) ([]server.WireVisit, error) {
 	var resp server.ExportResponse
 	path := fmt.Sprintf("/v1/export?users=%d&from=%d&limit=%d", user, from, limit)
-	if err := m.shardGet(ctx, shard, path, &resp); err != nil {
+	if err := h.get(ctx, shard, path, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Users) != 1 || resp.Users[0].User != user {
@@ -988,25 +948,12 @@ func (m *Migration) exportChunk(ctx context.Context, shard string, user, from, l
 	return resp.Users[0].Visits, nil
 }
 
-// importVisits appends a chunk to a shard.
-func (m *Migration) importVisits(ctx context.Context, shard string, visits []server.WireVisit) error {
-	return m.importCall(ctx, shard, server.ImportRequest{Visits: visits})
-}
-
-// importReset drops users on a shard (recopy preamble, source purge).
-func (m *Migration) importReset(ctx context.Context, shard string, users []int) error {
-	if len(users) == 0 {
-		return nil
-	}
-	return m.importCall(ctx, shard, server.ImportRequest{Reset: users})
-}
-
-func (m *Migration) importCall(ctx context.Context, shard string, req server.ImportRequest) error {
+func (h httpShards) ingest(ctx context.Context, shard string, req server.ImportRequest) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	ans, err := m.g.forwardWithRetry(ctx, http.MethodPost, shard, "/v1/import",
+	ans, err := h.g.forwardWithRetry(ctx, http.MethodPost, shard, "/v1/import",
 		map[string]string{"Content-Type": "application/json"}, body)
 	if err != nil {
 		return err
@@ -1016,6 +963,8 @@ func (m *Migration) importCall(ctx context.Context, shard string, req server.Imp
 	}
 	return nil
 }
+
+func (h httpShards) alive(shard string) bool { return h.g.shardSnapshot(shard).alive }
 
 func joinUsers(users []int) string {
 	buf := make([]byte, 0, len(users)*7)

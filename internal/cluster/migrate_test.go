@@ -40,6 +40,20 @@ func digestCount(t *testing.T, shardURL string, user int) int {
 	return out.Digests[strconv.Itoa(user)].Count
 }
 
+// waitMigration blocks until m's current run terminates or ctx
+// expires, then returns nil for done and an error for failed.
+func waitMigration(ctx context.Context, m *Migration) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-m.Done():
+	}
+	if st := m.Status(); st.State != "done" {
+		return fmt.Errorf("cluster: migration %s: %s", st.State, st.Error)
+	}
+	return nil
+}
+
 // reportAt posts one report with an explicit timestamp and returns the
 // status code.
 func reportAt(t *testing.T, baseURL string, user int, ts int64, hosts []string) int {
@@ -145,7 +159,7 @@ func TestGatewayResizeGrowShrinkExactPlacement(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := m.Wait(ctx); err != nil {
+	if err := waitMigration(ctx, m); err != nil {
 		t.Fatalf("grow migration: %v (status %+v)", err, m.Status())
 	}
 	if !fx.gw.Ring().Equal(four) {
@@ -322,7 +336,7 @@ func TestGatewayResizeDoubleWriteWindow(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := m.Wait(ctx); err != nil {
+	if err := waitMigration(ctx, m); err != nil {
 		t.Fatalf("migration failed under live writes: %v (status %+v)", err, m.Status())
 	}
 	if duringCopy == 0 {
@@ -407,7 +421,7 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	release()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := m.Wait(ctx); err == nil {
+	if err := waitMigration(ctx, m); err == nil {
 		t.Fatalf("migration finished although its only target died: %+v", m.Status())
 	}
 	st := m.Status()
@@ -451,7 +465,7 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 	if err != nil || !started || m2 != m {
 		t.Fatalf("resume: m2==m %v started=%v err=%v", m2 == m, started, err)
 	}
-	if err := m2.Wait(ctx); err != nil {
+	if err := waitMigration(ctx, m2); err != nil {
 		t.Fatalf("resumed migration: %v (status %+v)", err, m2.Status())
 	}
 	if got := m2.Status(); got.Resumes != 1 {

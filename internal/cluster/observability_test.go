@@ -485,7 +485,7 @@ func TestModelShippingEmitsEdgeEvents(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := m.Wait(ctx); err != nil {
+	if err := waitMigration(ctx, m); err != nil {
 		t.Fatalf("grow migration: %v", err)
 	}
 	if !saw(mid.LastID, EventShardReady, joiner, "model_version", rep.Version) {

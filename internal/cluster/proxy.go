@@ -155,18 +155,12 @@ func relay(w http.ResponseWriter, ans shardAnswer) {
 
 // routeUser is the single-user forwarding path shared by /v1/report and
 // /v1/feedback: hash the user onto the ring, shed if the owner is down,
-// forward otherwise.
-//
-// While a migration is installed the route consults it: a user in a
-// moved range is served by the old owner until the range cuts over, by
-// the new owner after. During the copy window (report != nil — feedback
-// mutates campaign tallies, not the visit store, and is not
-// double-written) an accepted report is additionally imported into the
-// target; the range's write gate is held shared across both round
-// trips, which is what lets the migration freeze the range with no
-// write in flight. A failed target import marks the range dirty — the
-// client's ack stands (the source has the visit), and the migration
-// repairs the target by reset + recopy before it can ever cut over.
+// forward otherwise. While a migration is installed, Migration.route
+// may move the owner and, for a report, hold the user's range until the
+// write lands and name a target that also takes it. A failed mirror is
+// handed back through the route — the client's ack stands (the source
+// has the visit), and the migration repairs the target before it can
+// ever cut over.
 func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string, user int, raw []byte, report *server.ReportRequest) {
 	g.migBarrier.RLock()
 	defer g.migBarrier.RUnlock()
@@ -175,44 +169,16 @@ func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string,
 		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: empty ring")
 		return
 	}
-	var doubleTo string
-	var rg *migRange
-	if mig := g.migration.Load(); mig != nil {
-		if mr := mig.rangeFor(userHash(user)); mr != nil {
-			mr.gate.RLock()
-			switch mr.st() {
-			case rangeDone:
-				owner = mr.To
-				mr.gate.RUnlock()
-			case rangeAborted:
-				owner = mr.From
-				mr.gate.RUnlock()
-			default: // pending, copying, draining
-				owner = mr.From
-				if report != nil {
-					// Hold the gate across the write(s). For a pending range
-					// this is what makes the freeze exact: the freeze's
-					// exclusive acquire waits for this report to land, so the
-					// C0 capture counts it. Once the freeze has run the state
-					// reads copying/draining and the write is also mirrored.
-					rg = mr
-					if s := mr.st(); s == rangeCopying || s == rangeDraining {
-						doubleTo = mr.To
-					}
-				} else {
-					mr.gate.RUnlock()
-				}
-			}
-		}
-	}
-	if rg != nil {
-		defer rg.gate.RUnlock()
+	rt := g.migration.Load().route(user, report != nil)
+	defer rt.release()
+	if rt.owner != "" {
+		owner = rt.owner
 	}
 	if sp := tracer.FromContext(r.Context()); sp.Recording() {
 		sp.SetAttr("shard", owner)
 		sp.SetAttr("user", strconv.Itoa(user))
-		if doubleTo != "" {
-			sp.SetAttr("double_write", doubleTo)
+		if rt.mirror != "" {
+			sp.SetAttr("double_write", rt.mirror)
 		}
 	}
 	if st := g.shardSnapshot(owner); !st.alive {
@@ -234,8 +200,13 @@ func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string,
 		httpmw.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	if doubleTo != "" && ans.status < 300 {
-		g.doubleWrite(r.Context(), doubleTo, rg, report)
+	if rt.mirror != "" && ans.status < 300 {
+		if err := g.doubleWrite(r.Context(), rt.mirror, report); err != nil {
+			rt.markDirty()
+			if sp := tracer.FromContext(r.Context()); sp.Recording() {
+				sp.Event("double-write failed: " + err.Error())
+			}
+		}
 	}
 	relay(w, ans)
 }
@@ -244,28 +215,22 @@ func (g *Gateway) routeUser(w http.ResponseWriter, r *http.Request, path string,
 // target via /v1/import — the raw ingest path, which applies the same
 // blocklist the source's report handler applied and skips profiling, so
 // the target ends up byte-for-byte equivalent without paying for ads it
-// will never serve. Failure marks the range dirty; the source ack is
-// already safe.
-func (g *Gateway) doubleWrite(ctx context.Context, target string, rg *migRange, report *server.ReportRequest) {
+// will never serve.
+func (g *Gateway) doubleWrite(ctx context.Context, target string, report *server.ReportRequest) error {
 	visits := make([]server.WireVisit, len(report.Hosts))
 	for i, h := range report.Hosts {
 		visits[i] = server.WireVisit{User: report.User, Time: report.Time, Host: h}
 	}
 	body, err := json.Marshal(server.ImportRequest{Visits: visits})
-	if err == nil {
-		var ans shardAnswer
-		ans, err = g.doShard(ctx, http.MethodPost, target, "/v1/import",
-			map[string]string{"Content-Type": "application/json"}, body)
-		if err == nil && ans.status != http.StatusOK {
-			err = fmt.Errorf("cluster: double-write to %s answered HTTP %d", target, ans.status)
-		}
-	}
 	if err != nil {
-		rg.dirty.Store(true)
-		if sp := tracer.FromContext(ctx); sp.Recording() {
-			sp.Event("double-write failed: " + err.Error())
-		}
+		return err
 	}
+	ans, err := g.doShard(ctx, http.MethodPost, target, "/v1/import",
+		map[string]string{"Content-Type": "application/json"}, body)
+	if err == nil && ans.status != http.StatusOK {
+		err = fmt.Errorf("cluster: double-write to %s answered HTTP %d", target, ans.status)
+	}
+	return err
 }
 
 func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -307,7 +307,7 @@ func TestFaultSignalMatrix(t *testing.T) {
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 				defer cancel()
-				if err := m.Wait(ctx); err == nil {
+				if err := waitMigration(ctx, m); err == nil {
 					t.Fatal("migration with every copy chunk failing succeeded")
 				}
 			},

@@ -59,6 +59,27 @@ func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
 	}
 }
 
+// TestANNSampledQueriesCounted pins the recall estimate's denominator:
+// every 64th graph-answered query, from the first, is re-run exactly,
+// so after Q of them sampled = ⌈Q/64⌉ and queries_total = Q.
+func TestANNSampledQueriesCounted(t *testing.T) {
+	m := randModel(t, stats.NewRNG(808), 2000, 16)
+	reg := obs.NewRegistry()
+	p := NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true, ANNEf: 32, Metrics: reg})
+	for q := 1; q <= 130; q++ {
+		p.annSearch(nil, stats.Widen(m.VectorByID(q)), 10)
+		queries := metricValue(t, reg, "hostprof_index_ann_queries_total")
+		sampled := metricValue(t, reg, "hostprof_index_ann_sampled_queries_total")
+		if queries != float64(q) || sampled != float64((q+63)/64) {
+			t.Fatalf("after %d graph-answered queries: queries_total %v, sampled %v; want %d and %d",
+				q, queries, sampled, q, (q+63)/64)
+		}
+	}
+	if fb := metricValue(t, reg, "hostprof_index_ann_fallbacks_total"); fb != 0 {
+		t.Fatalf("%v queries fell back; every one must be graph-answered", fb)
+	}
+}
+
 // TestANNSelfExclusionTrainedModel checks the exclusion semantics over
 // a trained model's index: an ANN query for a host's own vector with
 // that host excluded never returns it, under both the graph and the

@@ -227,9 +227,6 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 		return
 	}
 	reg.Describe("hostprof_index_ann_build_seconds", "Time to build the HNSW graph; a graph restored from a snapshot is not a build.")
-	reg.Describe("hostprof_index_ann_nodes", "Rows inserted into the HNSW graph.")
-	reg.Describe("hostprof_index_ann_edges", "Directed edges in the HNSW graph over all layers.")
-	reg.Describe("hostprof_index_ann_max_level", "Highest populated HNSW layer.")
 	reg.Describe("hostprof_index_ann_queries_total", "Neighbourhood queries routed through the ANN layer.")
 	reg.Describe("hostprof_index_ann_fallbacks_total", "ANN queries answered by the exact-scan fallback instead of the graph.")
 	reg.Describe("hostprof_index_ann_sampled_queries_total", "Graph-answered queries re-run exactly for the recall estimate.")
@@ -238,13 +235,9 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 	// this process built its graph or was handed it. 1 ms to 70 min: a
 	// build is ~0.25 s at 3.7K rows and minutes at the paper's 470K.
 	build := reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 4, 12))
-	st := p.ann.Stats()
 	if p.annHow.Built {
-		build.Observe(st.BuildTime.Seconds())
+		build.Observe(p.ann.Stats().BuildTime.Seconds())
 	}
-	reg.Gauge("hostprof_index_ann_nodes").Set(float64(st.GraphRows))
-	reg.Gauge("hostprof_index_ann_edges").Set(float64(st.Edges))
-	reg.Gauge("hostprof_index_ann_max_level").Set(float64(st.MaxLevel))
 	p.mANNQueries = reg.Counter("hostprof_index_ann_queries_total")
 	p.mANNFallbacks = reg.Counter("hostprof_index_ann_fallbacks_total")
 	p.mANNSampled = reg.Counter("hostprof_index_ann_sampled_queries_total")

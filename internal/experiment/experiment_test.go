@@ -42,9 +42,9 @@ func TestNewSetupWiring(t *testing.T) {
 		t.Fatal("empty vocabulary")
 	}
 	// No tracker hostname survives filtering.
-	for _, h := range s.Filtered.Hosts() {
-		if s.Blocklist.Contains(h) {
-			t.Fatalf("tracker %q survived filtering", h)
+	for _, v := range s.Filtered.Visits() {
+		if s.Blocklist.Contains(v.Host) {
+			t.Fatalf("tracker %q survived filtering", v.Host)
 		}
 	}
 }

@@ -116,7 +116,6 @@ type ANNStats struct {
 	Rows      int // rows in the underlying index
 	GraphRows int // rows inserted into the graph
 	Unindexed int // rows rejected at insert (zero / non-finite)
-	MaxLevel  int // highest populated layer
 	Edges     int // directed edges over all layers
 	M         int
 	Ef        int
@@ -182,7 +181,6 @@ func (a *ANN) Stats() ANNStats {
 		Rows:      a.ix.rows,
 		GraphRows: a.graphRows,
 		Unindexed: a.unindexed,
-		MaxLevel:  a.maxLevel,
 		Edges:     edges,
 		M:         a.cfg.M,
 		Ef:        a.cfg.Ef,

@@ -171,14 +171,6 @@ func sampleThreshold(rate float64) uint64 {
 // Enabled reports whether StartSpan can create spans. Safe on nil.
 func (t *Tracer) Enabled() bool { return t != nil && t.thresh > 0 }
 
-// Service returns the tracer's service name. Safe on nil.
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
-}
-
 // sampled is the deterministic head decision: a pure function of
 // (threshold, trace ID), so every process agrees on the same ID.
 func (t *Tracer) sampled(id TraceID) bool {
@@ -304,14 +296,6 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		s.td = &traceData{id: id, sampled: t.sampled(id)}
 	}
 	return context.WithValue(ctx, spanKey{}, s), s
-}
-
-// TraceID returns the span's trace ID (zero on nil).
-func (s *Span) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.td.id
 }
 
 // TraceIDString returns the hex trace ID, or "" on nil — the form

@@ -299,7 +299,7 @@ func TestNilSafety(t *testing.T) {
 		sp.TraceIDString() != "" || sp.Recording() {
 		t.Fatal("nil span is not a no-op")
 	}
-	if tr.Traces() != nil || tr.Ingest(nil) != 0 || tr.Service() != "" {
+	if tr.Traces() != nil || tr.Ingest(nil) != 0 {
 		t.Fatal("nil tracer methods not safe")
 	}
 	if _, ok := tr.TraceByID("00"); ok {
@@ -509,4 +509,12 @@ func TestLoggerTraceStamping(t *testing.T) {
 	if out := buf.String(); strings.Contains(out, "dropped") || !strings.Contains(out, "kept") {
 		t.Fatalf("level gating broken: %q", out)
 	}
+}
+
+// TraceID returns the span's trace ID (zero on nil).
+func (s *Span) TraceID() TraceID {
+	if s == nil {
+		return TraceID{}
+	}
+	return s.td.id
 }

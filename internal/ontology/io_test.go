@@ -28,7 +28,7 @@ func TestOntologyJSONLRoundTrip(t *testing.T) {
 	}
 	gv, ok := got.Lookup("b.example")
 	if !ok || gv[3] != 0.8 || gv[100] != 0.25 {
-		t.Fatalf("b.example = %v", gv.Support(0))
+		t.Fatalf("b.example: ok %v, weights %v and %v", ok, gv[3], gv[100])
 	}
 	gv, _ = got.Lookup("a.example")
 	if gv[327] != 1 {

@@ -10,7 +10,6 @@ package ontology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // topSpec pins a top-level topic name to its number of second-level
@@ -187,17 +186,4 @@ func (v Vector) TopLevel(t *Taxonomy) []float64 {
 		}
 	}
 	return out
-}
-
-// Support returns the IDs of categories with weight above threshold,
-// sorted ascending.
-func (v Vector) Support(threshold float64) []int {
-	var ids []int
-	for id, x := range v {
-		if x > threshold {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }

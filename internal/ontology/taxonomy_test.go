@@ -124,14 +124,6 @@ func TestVectorTopLevel(t *testing.T) {
 	}
 }
 
-func TestVectorSupport(t *testing.T) {
-	v := Vector{0, 0.3, 0, 0.7}
-	s := v.Support(0.1)
-	if len(s) != 2 || s[0] != 1 || s[1] != 3 {
-		t.Fatalf("support = %v", s)
-	}
-}
-
 func TestVectorTopLevelBoundedQuick(t *testing.T) {
 	tax := NewTaxonomy()
 	f := func(seed [16]uint8) bool {

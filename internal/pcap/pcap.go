@@ -190,18 +190,3 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// ReadAll consumes every record.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}

@@ -271,3 +271,18 @@ func FuzzPcap(f *testing.F) {
 		}
 	})
 }
+
+// ReadAll consumes every record.
+func (r *Reader) ReadAll() ([]Record, error) {
+	var out []Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}

@@ -286,7 +286,7 @@ func TestProfileCacheNeverStaleAcrossRetrain(t *testing.T) {
 
 	// After the swap, every cached answer must match a profiler built
 	// directly on the store's current (post-swap) model.
-	fresh := core.NewProfiler(b.Store().Model(), ont, core.ProfilerConfig{N: 30, Agg: core.AggIDF})
+	fresh := core.NewProfiler(b.store.Model(), ont, core.ProfilerConfig{N: 30, Agg: core.AggIDF})
 	vecs, errs, err := b.ProfileSessions(context.Background(), sessions)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestProfileCacheNeverStaleAcrossRetrainANN(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	fresh := core.NewProfiler(b.Store().Model(), ont, profCfg)
+	fresh := core.NewProfiler(b.store.Model(), ont, profCfg)
 	vecs, errs, err := b.ProfileSessions(context.Background(), sessions)
 	if err != nil {
 		t.Fatal(err)

@@ -239,24 +239,12 @@ func (e *Extension) ProfileBatch(ctx context.Context, sessions [][]string) ([]Pr
 	return resp.Profiles, nil
 }
 
-// Retrain asks the backend to refit its model on everything reported so
-// far (operator endpoint; the paper ran this daily). The call blocks
-// until the retrain — possibly one already in flight that this request
-// joined — finishes.
-func (e *Extension) Retrain() error {
-	return e.RetrainContext(context.Background())
-}
-
-// RetrainContext is Retrain under a caller context.
+// RetrainContext asks the backend to refit its model on everything
+// reported so far (operator endpoint; the paper ran this daily). The
+// call blocks until the retrain — possibly one already in flight that
+// this request joined — finishes, or ctx ends.
 func (e *Extension) RetrainContext(ctx context.Context) error {
 	return e.post(ctx, "client.retrain", "/v1/retrain", struct{}{}, nil)
-}
-
-// RetrainAsync kicks off a background retrain and returns as soon as the
-// backend accepts it (202). Poll Stats().Trained or the
-// hostprof_retrain_state gauge for completion.
-func (e *Extension) RetrainAsync() error {
-	return e.post(context.Background(), "client.retrain_async", "/v1/retrain?async=1", struct{}{}, nil)
 }
 
 // PushTrace posts locally captured span records to the backend's
@@ -283,30 +271,4 @@ func (e *Extension) PushTrace(ctx context.Context, spans []tracer.SpanData) erro
 		return &APIError{Status: resp.StatusCode, Message: "trace push rejected"}
 	}
 	return nil
-}
-
-// Stats fetches the backend's aggregate statistics.
-func (e *Extension) Stats() (Stats, error) {
-	return e.StatsContext(context.Background())
-}
-
-// StatsContext is Stats under a caller context.
-func (e *Extension) StatsContext(ctx context.Context) (Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return Stats{}, fmt.Errorf("server client: stats: %w", err)
-	}
-	resp, err := e.client().Do(req)
-	if err != nil {
-		return Stats{}, fmt.Errorf("server client: stats: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Stats{}, &APIError{Status: resp.StatusCode}
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Stats{}, fmt.Errorf("server client: decoding stats: %w", err)
-	}
-	return st, nil
 }

@@ -125,7 +125,7 @@ func TestBackendCrashRecovery(t *testing.T) {
 	if !b2.Ready() {
 		t.Fatal("restarted backend is cold: model not restored from snapshot")
 	}
-	rec := b2.Store().Recovery()
+	rec := b2.store.Recovery()
 	if !rec.ModelRestored {
 		t.Fatal("RecoveryStats.ModelRestored = false")
 	}
@@ -170,7 +170,7 @@ func TestBackendGracefulClose(t *testing.T) {
 	}
 	b2 := newDurableBackend(t, dir, nil)
 	t.Cleanup(func() { b2.Close() })
-	rec := b2.Store().Recovery()
+	rec := b2.store.Recovery()
 	if rec.ReplayedRecords != 0 {
 		t.Fatalf("replayed %d records after graceful close, want 0 (snapshot covers all)", rec.ReplayedRecords)
 	}
@@ -398,7 +398,7 @@ func TestRestartUnderOtherANNConfig(t *testing.T) {
 		if built := strings.Contains(logs.String(), `msg="ANN graph built" rows=`); built != (tc.builds > 0) {
 			t.Fatalf("%s: %d graph builds, built line logged = %v:\n%s", tc.name, tc.builds, built, logs.String())
 		}
-		if !tc.profile.ANN && b2.Store().Model().EncodedANN() != nil {
+		if !tc.profile.ANN && b2.store.Model().EncodedANN() != nil {
 			t.Fatalf("%s: the served model still holds graph bytes", tc.name)
 		}
 		scratch, err := core.Load(bytes.NewReader(art.Data))

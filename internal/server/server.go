@@ -258,10 +258,6 @@ func New(cfg Config) (*Backend, error) {
 	return b, nil
 }
 
-// Store returns the backend's visit store, for durability operations and
-// recovery stats.
-func (b *Backend) Store() *store.Store { return b.store }
-
 // Close flushes the store, takes a final snapshot (so the next start
 // recovers instantly) and releases the WAL. It is the graceful-shutdown
 // half of the durability contract; a SIGKILLed backend relies on WAL
@@ -281,21 +277,6 @@ func (b *Backend) Metrics() *obs.Registry { return b.reg }
 // Ready reports whether the model has been trained, i.e. whether
 // /v1/report can serve ads; it feeds the /readyz readiness probe.
 func (b *Backend) Ready() bool { return b.eng.Profiler() != nil }
-
-// Retrain fits a fresh embedding on every per-user-day sequence stored so
-// far and swaps in a new profiler (the paper's daily retraining step).
-// Equivalent to RetrainContext(context.Background()).
-func (b *Backend) Retrain() error {
-	return b.RetrainContext(context.Background())
-}
-
-// RetrainContext is Retrain under ctx, which bounds both the caller's
-// wait and (for the call that starts it) the run. Concurrent calls
-// coalesce into one training pass; see engine.Engine.Retrain.
-func (b *Backend) RetrainContext(ctx context.Context) error {
-	_, err := b.eng.Retrain(ctx, ctx, b.store.AllSequences, retrainLabel)
-	return err
-}
 
 // RetrainAsync starts a retrain in the background unless one is already
 // running, reporting whether this call started it. The run is bound to

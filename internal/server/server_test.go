@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -273,4 +274,45 @@ func (e *Extension) feedback(adID int, source string, clicked bool) error {
 	return e.post(context.Background(), "client.feedback", "/v1/feedback", FeedbackRequest{
 		User: e.User, AdID: adID, Source: source, Clicked: clicked,
 	}, nil)
+}
+
+// Retrain is RetrainContext without a deadline.
+func (e *Extension) Retrain() error {
+	return e.RetrainContext(context.Background())
+}
+
+// RetrainAsync kicks off a background retrain and returns as soon as the
+// backend accepts it (202).
+func (e *Extension) RetrainAsync() error {
+	return e.post(context.Background(), "client.retrain_async", "/v1/retrain?async=1", struct{}{}, nil)
+}
+
+// Stats fetches the backend's aggregate statistics.
+func (e *Extension) Stats() (Stats, error) {
+	resp, err := e.client().Get(e.BaseURL + "/v1/stats")
+	if err != nil {
+		return Stats{}, fmt.Errorf("server client: stats: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return Stats{}, &APIError{Status: resp.StatusCode}
+	}
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return Stats{}, fmt.Errorf("server client: decoding stats: %w", err)
+	}
+	return st, nil
+}
+
+// Retrain is RetrainContext without a deadline.
+func (b *Backend) Retrain() error {
+	return b.RetrainContext(context.Background())
+}
+
+// RetrainContext fits a fresh embedding on every stored per-user-day
+// sequence, joining a run already in flight; ctx bounds the wait and,
+// for the call that starts it, the run.
+func (b *Backend) RetrainContext(ctx context.Context) error {
+	_, err := b.eng.Retrain(ctx, ctx, b.store.AllSequences, retrainLabel)
+	return err
 }

@@ -83,3 +83,60 @@ func TestObserverStatsConcurrentWithProcessing(t *testing.T) {
 		t.Fatal("no visits observed")
 	}
 }
+
+// TestObserverFlowAndResolutionCounters reads the flow and resolution
+// families at exact values off one capture: 1022 TLS flows at t=0; at
+// t=1000 a resolver round trip (one A answer) and an encrypted hello to
+// the answered address; one more TLS flow, whose creation makes 1024
+// tracked flows and so runs the idle sweep; and one frame too short to
+// decode. The sweep runs before the new flow's lastSeen is stamped, so
+// it evicts that flow with the 1022 idle ones, and the flow's next
+// segment opens it again: opened = 1022 + 1 + 2, evicted = 1022 + 1,
+// and the two left are the encrypted hello's and the reopened one.
+func TestObserverFlowAndResolutionCounters(t *testing.T) {
+	var visits []trace.Visit
+	for u := range 1022 {
+		visits = append(visits, trace.Visit{User: u, Time: 0, Host: "alpha.example"})
+	}
+	tls := NewSynthesizer(WireConfig{Channel: ChannelTLS, Seed: 6})
+	cap, err := tls.SynthesizeTrace(makeTrace(visits...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ech := NewSynthesizer(WireConfig{Channel: ChannelECH, DNSLookupProb: 1, Seed: 7})
+	if err := ech.AppendVisit(cap, trace.Visit{User: 2000, Time: 1000, Host: "beta.example"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tls.AppendVisit(cap, trace.Visit{User: 2001, Time: 1000, Host: "gamma.example"}); err != nil {
+		t.Fatal(err)
+	}
+	cap.Append([]byte{0xde, 0xad}, 1000)
+
+	reg := obspkg.NewRegistry()
+	obs := NewObserver(ObserverConfig{IPFallback: true, Metrics: reg})
+	tr := obs.ObserveAll(cap.Packets, cap.Times)
+	want := map[string]int64{
+		"hostprof_sniffer_undecodable_total":        1,
+		"hostprof_sniffer_dns_mappings_total":       1,
+		"hostprof_sniffer_resolved_fallbacks_total": 1,
+		"hostprof_sniffer_flows_opened_total":       1025,
+		"hostprof_sniffer_flows_evicted_total":      1023,
+	}
+	for name, n := range want {
+		if got := reg.Counter(name).Value(); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+	if got := reg.Gauge("hostprof_sniffer_flows_active").Value(); got != 2 || len(obs.flows) != 2 {
+		t.Errorf("flows_active = %v over %d tracked flows, want 2", got, len(obs.flows))
+	}
+	resolved := 0
+	for _, v := range tr.Visits() {
+		if v.User == 2000 && v.Host == "beta.example" {
+			resolved++
+		}
+	}
+	if resolved != 2 { // the resolver query, then the hello named by its answer
+		t.Errorf("user 2000 has %d beta.example visits, want the query's and the hello's", resolved)
+	}
+}

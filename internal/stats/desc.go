@@ -93,24 +93,3 @@ func CCDF(xs []float64) []CCDFPoint {
 	}
 	return out
 }
-
-// Histogram counts xs into k equal-width bins spanning [min, max]. Values
-// outside the range are clamped into the edge bins.
-func Histogram(xs []float64, k int, min, max float64) []int {
-	if k <= 0 || max <= min {
-		return nil
-	}
-	bins := make([]int, k)
-	w := (max - min) / float64(k)
-	for _, x := range xs {
-		i := int((x - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= k {
-			i = k - 1
-		}
-		bins[i]++
-	}
-	return bins
-}

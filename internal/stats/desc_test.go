@@ -109,24 +109,6 @@ func TestCCDFMonotonic(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1.5, 2.5, 9.9, -5, 15}
-	bins := Histogram(xs, 10, 0, 10)
-	if bins[0] != 3 { // 0, 0.5 and clamped -5
-		t.Fatalf("bin 0 = %d, want 3", bins[0])
-	}
-	if bins[9] != 2 { // 9.9 and clamped 15
-		t.Fatalf("bin 9 = %d, want 2", bins[9])
-	}
-	var total int
-	for _, b := range bins {
-		total += b
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram total %d != %d", total, len(xs))
-	}
-}
-
 // Property: each CCDF point's Frac is the share of samples >= its X.
 func TestCCDFConsistencyQuick(t *testing.T) {
 	f := func(raw []uint8) bool {

@@ -782,14 +782,6 @@ func (s *Store) InstallModel(m *core.Model, data []byte) {
 	s.modelMu.Unlock()
 }
 
-// Flush forces buffered WAL writes to stable storage.
-func (s *Store) Flush() error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Sync()
-}
-
 // ErrDegraded is returned by Snapshot while the WAL is detached: a
 // snapshot cut needs a healthy log to retire segments against.
 var ErrDegraded = errors.New("store: degraded (WAL detached)")

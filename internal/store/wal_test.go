@@ -97,7 +97,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := listSegments(dir)

@@ -57,9 +57,9 @@ func TestBrowseProducesOrderedTrace(t *testing.T) {
 		t.Fatalf("trace spans %d days, want <= 3", tr.Days())
 	}
 	// All hosts must exist in the universe.
-	for _, h := range tr.Hosts() {
-		if _, ok := u.HostByName(h); !ok {
-			t.Fatalf("trace host %q not in universe", h)
+	for _, v := range tr.Visits() {
+		if _, ok := u.HostByName(v.Host); !ok {
+			t.Fatalf("trace host %q not in universe", v.Host)
 		}
 	}
 }

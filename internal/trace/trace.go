@@ -89,20 +89,6 @@ func (t *Trace) Days() int {
 	return max + 1
 }
 
-// Hosts returns the sorted distinct hostnames in the trace.
-func (t *Trace) Hosts() []string {
-	set := make(map[string]bool)
-	for _, v := range t.visits {
-		set[v.Host] = true
-	}
-	out := make([]string, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FilterHosts returns a new trace without visits whose host is rejected
 // by keep.
 func (t *Trace) FilterHosts(keep func(host string) bool) *Trace {
