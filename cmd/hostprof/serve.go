@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -48,7 +47,6 @@ func cmdServe(args []string) error {
 	httpTimeout := fs.Duration("http-timeout", time.Minute, "HTTP read/write timeout (idle timeout is 4x this)")
 	traceSample := fs.Float64("trace-sample", 1, "request-trace head-sampling rate in [0,1]; errored traces are always kept; 0 disables tracing")
 	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained for /debug/traces")
-	tracePush := fs.String("trace-push", "", "gateway base URL to push completed traces to (e.g. http://127.0.0.1:8410), assembling whole-cluster traces at the gateway's /debug/traces; empty disables")
 	slowReq := fs.Duration("slow-request", time.Second, "log one structured warning, with trace ID and stage breakdown, per request slower than this (negative disables)")
 	fs.Duration("prof-interval", 0, "ignored; accepted so existing command lines still start")
 	sloReport := fs.Duration("slo-report", 250*time.Millisecond, "latency SLO target for /v1/report: 99%% of windowed requests under this, burn rate on hostprof_slo_* (0 disables)")
@@ -67,32 +65,12 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Cross-process trace completion: with -trace-push, every kept
-	// trace's spans are queued to the gateway's POST /debug/traces
-	// collector (batched, bounded, drop-on-backpressure), so one
-	// Perfetto export at the gateway shows a report crossing the wire.
-	var pusher *tracer.Pusher
-	if *tracePush != "" {
-		url := strings.TrimSuffix(strings.TrimSpace(*tracePush), "/")
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		pusher = tracer.NewPusher(tracer.PushConfig{
-			URL:     url + "/debug/traces",
-			Metrics: obs.Default,
-		})
-		defer pusher.Close()
-	}
-	trcCfg := tracer.Config{
+	trc := tracer.New(tracer.Config{
 		Service:      "hostprof-serve",
 		SampleRate:   *traceSample,
 		BufferTraces: *traceBuffer,
 		Metrics:      obs.Default,
-	}
-	if pusher != nil {
-		trcCfg.Sink = pusher.Offer
-	}
-	trc := tracer.New(trcCfg)
+	})
 
 	sloTargets := make(map[string]time.Duration)
 	if *sloReport > 0 {

@@ -329,7 +329,8 @@ func (g *Gateway) healthLoop() {
 //	GET  /varz              → gateway metrics (JSON)
 //	GET  /healthz           → gateway liveness
 //	GET  /readyz            → 200 when ≥1 shard is alive ("degraded" mid-migration)
-//	GET  /debug/traces      → distributed traces (gateway spans + shard-pushed spans)
+//	GET  /debug/traces      → distributed traces (gateway spans merged with each alive shard's at read time)
+//	POST /debug/traces      → client-pushed spans merged into the gateway's buffer
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/report", g.mw.Wrap("report", g.handleReport))
@@ -346,7 +347,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("GET /healthz", obs.HealthzHandler(nil))
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	if g.tr.Enabled() {
-		mux.Handle("/debug/traces", g.tr.Handler())
+		mux.HandleFunc("GET /debug/traces", g.handleTraces)
+		mux.Handle("POST /debug/traces", g.tr.Handler())
 	}
 	return mux
 }

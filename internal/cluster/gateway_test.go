@@ -831,3 +831,45 @@ func TestGatewayOversizedBodyIs413(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayStatsPartial reads /v1/stats through the fan-out it shares
+// with /debug/traces: every alive shard's counts summed, marked partial
+// while a shard the gateway still holds alive fails (which marks it
+// dead), unmarked once it is no longer asked, and 503 with none alive.
+func TestGatewayStatsPartial(t *testing.T) {
+	fx := newClusterFixture(t, 3, 6)
+	fx.feedViaGateway(t)
+	read := func(wantCode int, wantPartial string) server.Stats {
+		t.Helper()
+		resp, err := http.Get(fx.gwSrv.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st server.Stats
+		json.NewDecoder(resp.Body).Decode(&st)
+		if resp.StatusCode != wantCode || resp.Header.Get(PartialHeader) != wantPartial {
+			t.Fatalf("GET /v1/stats: HTTP %d partial %q, want %d %q", resp.StatusCode, resp.Header.Get(PartialHeader), wantCode, wantPartial)
+		}
+		return st
+	}
+	want := 0
+	for _, b := range fx.backends {
+		want += b.CurrentStats().Visits
+	}
+	if st := read(http.StatusOK, ""); st.Visits != want || want == 0 {
+		t.Fatalf("summed visits = %d, want %d", st.Visits, want)
+	}
+	want -= fx.backends[0].CurrentStats().Visits
+	fx.shardSrv[0].Close()
+	if st := read(http.StatusOK, "1"); st.Visits != want {
+		t.Fatalf("visits with shard 0 failing = %d, want %d", st.Visits, want)
+	}
+	if st := read(http.StatusOK, ""); st.Visits != want {
+		t.Fatalf("visits with shard 0 dead = %d, want %d", st.Visits, want)
+	}
+	fx.shardSrv[1].Close()
+	fx.shardSrv[2].Close()
+	fx.gw.CheckHealth(context.Background())
+	read(http.StatusServiceUnavailable, "")
+}

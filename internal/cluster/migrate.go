@@ -33,8 +33,10 @@
 // being authoritative; a failed migration stays installed and
 // re-POSTing the same resize resumes it: done ranges are kept, the rest
 // reset and recopied. Source data is purged only after every range has
-// cut over. TestChaosMigrationSchedules drives the rounds and the purge
-// over in-memory shards through 1 000 seeded fault schedules.
+// cut over, and before the ring swap: a failed purge fails the
+// migration, and the resume purges again. TestChaosMigrationSchedules
+// drives the rounds and the purge over in-memory shards through 1 000
+// seeded fault schedules.
 //
 // The one unprotected window: the gateway process itself dying
 // mid-migration loses the in-memory range states. Persisting migration
@@ -459,8 +461,8 @@ func (g *Gateway) spawnMigration(ctx context.Context, m *Migration) {
 }
 
 // run drives one migration attempt end to end: plan, copy every range,
-// then either finish (swap ring, purge sources) or record the failure
-// and stay installed for resume.
+// then finish (purge sources, swap ring). A failed step records the
+// failure and the migration stays installed for resume.
 func (m *Migration) run(ctx context.Context) {
 	g := m.g
 	defer func() {
@@ -792,11 +794,30 @@ func (m *Migration) reset(ctx context.Context, shard string, users []int) error 
 	return m.shards.ingest(ctx, shard, server.ImportRequest{Reset: users})
 }
 
-// finish completes a fully cut-over migration: swap the ring and
-// membership, purge moved users from surviving sources, prune leavers.
+// finish completes a fully cut-over migration: purge moved users from
+// surviving sources, then swap the ring and membership and prune
+// leavers. A failed purge fails the migration before the swap, so it
+// stays installed (done ranges keep routing to their new owners) and a
+// re-POST of the same resize purges again: a reset is idempotent.
 func (m *Migration) finish(ctx context.Context) {
 	g := m.g
 	m.setPhase("cutover")
+
+	// Purge: moved users' history still sits on surviving sources,
+	// double-counting /v1/stats and wasting memory. Leavers skip the
+	// purge — they are leaving.
+	for _, src := range m.to {
+		var users []int
+		for _, r := range m.allRanges() {
+			if r.From == src {
+				users = append(users, r.users...)
+			}
+		}
+		if err := m.reset(ctx, src, users); err != nil {
+			m.fail(fmt.Errorf("cluster: purging moved users from %s: %w", src, err))
+			return
+		}
+	}
 
 	g.ringMu.Lock()
 	g.ring = m.newRing
@@ -807,23 +828,6 @@ func (m *Migration) finish(ctx context.Context) {
 	g.mu.Lock()
 	g.backends = append([]string(nil), m.to...)
 	g.mu.Unlock()
-
-	// Purge: moved users' history still sits on surviving sources,
-	// double-counting /v1/stats and wasting memory. Leavers skip the
-	// purge — they are leaving. A purge failure is logged, not fatal:
-	// the copy is authoritative on the target either way.
-	for _, src := range m.to {
-		var users []int
-		for _, r := range m.allRanges() {
-			if r.From == src {
-				users = append(users, r.users...)
-			}
-		}
-		if err := m.reset(ctx, src, users); err != nil {
-			g.log.Warn("migration source purge failed",
-				slog.String("backend", src), slog.String("err", err.Error()))
-		}
-	}
 
 	g.mu.Lock()
 	for _, l := range m.leavers {

@@ -32,8 +32,9 @@ type simShards struct {
 	m      *Migration
 	stores map[string]*store.Store // memory-only: Append cannot fail
 	dead   map[string]bool
-	// calm stops errors, deaths and failed mirrors (reports go on): the
-	// resumed run and the purge run under it.
+	// calm stops errors, deaths and failed mirrors (reports go on): a
+	// resumed run, and the finish that resumes a failed one, run under
+	// it.
 	calm       bool
 	population int                // reports draw users from [0, population)
 	acked      map[int]userDigest // per user, the acked visits
@@ -188,11 +189,13 @@ func (s *simShards) alive(shard string) bool { return !s.dead[shard] }
 // runSchedule plays one seed: 2–4 shards holding a few dozen users with
 // histories, a seeded grow, shrink or replace, every range's attempt
 // loop under the fault schedule, a resume of a failed run with faults
-// cleared and every shard up, then finish. It checks that (a) each
-// user's acked visits are exactly the final owner's history, by count
-// and VisitHash sum, (b) no other member of the new ring holds the user,
-// and (c) the run, resumed or not, reaches done. It reports whether the
-// run was resumed, and adds what its schedule did to n.
+// cleared and every shard up, then finish under the fault schedule
+// again, resumed with faults cleared when its source purge fails. It
+// checks that (a) each user's acked visits are exactly the final
+// owner's history, by count and VisitHash sum, (b) no other member of
+// the new ring holds the user, and (c) the run, resumed or not, reaches
+// done. It reports whether the ranges or the finish were resumed, and
+// adds what its schedule did to n.
 func runSchedule(t *testing.T, seed uint64, n *simCounts) (resumed bool) {
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	shards := 2 + rng.IntN(3)
@@ -264,7 +267,17 @@ func runSchedule(t *testing.T, seed uint64, n *simCounts) (resumed bool) {
 			t.Fatalf("(c) range %x..%x %s→%s ends %s: %s", r.Lo, r.Hi, r.From, r.To, r.st(), r.lastErr)
 		}
 	}
+	s.calm = false
 	s.m.finish(ctx)
+	if s.m.Status().State == "failed" {
+		if g.migration.Load() != s.m || g.Ring().Equal(newNodes) {
+			t.Fatalf("(c) a failed purge uninstalled the migration or swapped the ring")
+		}
+		resumed = true
+		s.calm, s.dead = true, map[string]bool{}
+		s.m.prepareResume()
+		s.m.finish(ctx)
+	}
 	if st := s.m.Status(); st.State != "done" || g.migration.Load() != nil || !g.Ring().Equal(newNodes) {
 		t.Fatalf("(c) after finish: state %s, still installed %v, ring %v", st.State, g.migration.Load() != nil, g.Ring().Nodes())
 	}

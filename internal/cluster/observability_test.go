@@ -42,33 +42,25 @@ func getJSON(t *testing.T, url string, out any) {
 // acceptance test: one POST /v1/report through the gateway must yield
 // one trace at the gateway's /debug/traces holding both the gateway's
 // gw.* spans and the shard's http.report/store.ingest spans under the
-// same trace ID — the shard pushes its half via the tracer Sink →
-// Pusher → POST /debug/traces path, and Ingest merges by ID.
+// same trace ID. Shards run the default tracer and push nothing: the
+// gateway merges their halves into its own when the trace is read, in
+// both formats, and marks the listing partial when a shard cannot be
+// read.
 func TestTracePushCompletesClusterTrace(t *testing.T) {
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 60, Trackers: 10, Seed: 3})
 	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.2, Seed: 5})
 	db := ads.BuildFromOntology(ont, ads.BuildConfig{Seed: 7})
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 
-	// The pusher needs the gateway URL, which does not exist until the
-	// shards do — the sink closure resolves it lazily, which is also
-	// how it stays nil-safe before wiring.
-	var pusher atomic.Pointer[tracer.Pusher]
-	sink := func(spans []tracer.SpanData) {
-		if p := pusher.Load(); p != nil {
-			p.Offer(spans)
-		}
-	}
-
 	var urls []string
+	var shardSrv []*httptest.Server
 	for i := 0; i < 2; i++ {
-		trc := tracer.New(tracer.Config{Service: "hostprof-serve", SampleRate: 1, Sink: sink})
 		b, err := server.New(server.Config{
 			Ontology: ont,
 			AdDB:     db,
 			Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
 			Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
-			Tracer:   trc,
+			Tracer:   tracer.New(tracer.Config{Service: "hostprof-serve", SampleRate: 1}),
 			Logger:   quiet,
 		})
 		if err != nil {
@@ -77,14 +69,11 @@ func TestTracePushCompletesClusterTrace(t *testing.T) {
 		srv := httptest.NewServer(b.Handler())
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
+		shardSrv = append(shardSrv, srv)
 	}
 
-	gw, err := New(Config{
-		Backends:       urls,
-		HealthInterval: -1,
-		Tracer:         tracer.New(tracer.Config{Service: "hostprof-gateway", SampleRate: 1}),
-		Logger:         quiet,
-	})
+	gwTr := tracer.New(tracer.Config{Service: "hostprof-gateway", SampleRate: 1})
+	gw, err := New(Config{Backends: urls, HealthInterval: -1, Tracer: gwTr, Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,48 +82,83 @@ func TestTracePushCompletesClusterTrace(t *testing.T) {
 	gwSrv := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwSrv.Close)
 
-	p := tracer.NewPusher(tracer.PushConfig{
-		URL:           gwSrv.URL + "/debug/traces",
-		FlushInterval: 10 * time.Millisecond,
-	})
-	t.Cleanup(p.Close)
-	pusher.Store(p)
-
 	// One report through the gateway; 503 is the ingested-but-untrained
-	// answer, which still traces end to end.
+	// answer, which still traces end to end. Both processes end their
+	// spans before answering, so the trace is whole once this returns.
 	report(t, gwSrv.URL, 1, []string{"news.example", "cdn.example"},
 		http.StatusOK, http.StatusServiceUnavailable)
+	own := gwTr.Traces()
+	if len(own) != 1 {
+		t.Fatalf("gateway retained %d traces, want the report's one", len(own))
+	}
+	id := own[0].TraceID
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var body struct {
-			Traces []tracer.TraceJSON `json:"traces"`
+	var body struct {
+		Traces []tracer.TraceJSON `json:"traces"`
+	}
+	getJSON(t, gwSrv.URL+"/debug/traces?trace="+id, &body)
+	if len(body.Traces) != 1 || body.Traces[0].TraceID != id {
+		t.Fatalf("?trace=%s answered %d traces: %+v", id, len(body.Traces), body.Traces)
+	}
+	bySvc := map[string]map[string]bool{}
+	for _, sp := range body.Traces[0].Spans {
+		if sp.TraceID != id {
+			t.Fatalf("span %s carries trace %s inside trace %s", sp.Name, sp.TraceID, id)
 		}
-		getJSON(t, gwSrv.URL+"/debug/traces", &body)
-		for _, tr := range body.Traces {
-			names := make(map[string]bool)
-			services := make(map[string]bool)
-			for _, sp := range tr.Spans {
-				if sp.TraceID != tr.TraceID {
-					t.Fatalf("span %s carries trace %s inside trace %s", sp.Name, sp.TraceID, tr.TraceID)
-				}
-				names[sp.Name] = true
-				services[sp.Service] = true
-			}
-			if names["gw.report"] && names["store.ingest"] {
-				if !names["http.report"] {
-					t.Fatalf("merged trace missing the shard's root span: %v", names)
-				}
-				if !services["hostprof-gateway"] || !services["hostprof-serve"] {
-					t.Fatalf("merged trace spans one service only: %v", services)
-				}
-				return
-			}
+		if bySvc[sp.Service] == nil {
+			bySvc[sp.Service] = map[string]bool{}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no merged gateway+shard trace after 5s; traces: %+v", body.Traces)
+		bySvc[sp.Service][sp.Name] = true
+	}
+	if !bySvc["hostprof-gateway"]["gw.report"] || !bySvc["hostprof-serve"]["http.report"] || !bySvc["hostprof-serve"]["store.ingest"] {
+		t.Fatalf("merged trace lacks gw.report, http.report or store.ingest: %v", bySvc)
+	}
+
+	// The Chrome rendering of the same read holds the same spans.
+	var chrome struct {
+		TraceEvents []struct {
+			Phase string         `json:"ph"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	getJSON(t, gwSrv.URL+"/debug/traces?format=chrome&trace="+id, &chrome)
+	rendered := map[any]bool{}
+	for _, ev := range chrome.TraceEvents {
+		if ev.Phase == "X" {
+			rendered[ev.Args["span_id"]] = true
 		}
-		time.Sleep(25 * time.Millisecond)
+	}
+	if len(rendered) != len(body.Traces[0].Spans) {
+		t.Fatalf("chrome format renders %d spans, JSON %d", len(rendered), len(body.Traces[0].Spans))
+	}
+	for _, sp := range body.Traces[0].Spans {
+		if !rendered[sp.SpanID] {
+			t.Fatalf("chrome format lacks span %s (%s)", sp.SpanID, sp.Name)
+		}
+	}
+
+	// One shard gone: the listing still answers, with the gateway's half
+	// and the partial mark.
+	shardSrv[0].Close()
+	resp, err := http.Get(gwSrv.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) == "" {
+		t.Fatalf("listing with a shard down: HTTP %d, %s %q", resp.StatusCode, PartialHeader, resp.Header.Get(PartialHeader))
+	}
+	gwHalf := false
+	for _, tr := range body.Traces {
+		for _, sp := range tr.Spans {
+			gwHalf = gwHalf || (tr.TraceID == id && sp.Name == "gw.report")
+		}
+	}
+	if !gwHalf {
+		t.Fatalf("listing with a shard down lost the gateway's half: %+v", body.Traces)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -669,55 +670,57 @@ func (g *Gateway) SyncModels(ctx context.Context) {
 	}
 }
 
-// handleStats aggregates /v1/stats across alive shards: visit and user
-// counts sum (placement partitions users), impression and click maps
-// merge, CTR is recomputed from the merged totals, and Trained reports
-// whether every alive shard serves a model.
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
+// shardGet is one alive shard's answer to a fanned-out GET.
+type shardGet struct {
+	ans shardAnswer
+	err error
+}
+
+// getAlive GETs path on every alive shard at once through doShard. An
+// empty result means no shard is alive.
+func (g *Gateway) getAlive(ctx context.Context, path string) []shardGet {
 	shards := g.aliveShards()
-	if len(shards) == 0 {
-		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: no alive shards")
-		return
-	}
-	type answer struct {
-		st  server.Stats
-		err error
-	}
-	answers := make([]answer, len(shards))
+	out := make([]shardGet, len(shards))
 	var wg sync.WaitGroup
 	for i, shard := range shards {
 		wg.Add(1)
 		go func(i int, shard string) {
 			defer wg.Done()
-			ans, err := g.doShard(r.Context(), http.MethodGet, shard, "/v1/stats", nil, nil)
-			if err == nil && ans.status != http.StatusOK {
-				err = fmt.Errorf("HTTP %d", ans.status)
-			}
-			if err == nil {
-				err = json.Unmarshal(ans.body, &answers[i].st)
-			}
-			answers[i].err = err
+			out[i].ans, out[i].err = g.doShard(ctx, http.MethodGet, shard, path, nil, nil)
 		}(i, shard)
 	}
 	wg.Wait()
+	return out
+}
 
+// handleStats aggregates /v1/stats across alive shards: visit and user
+// counts sum (placement partitions users), impression and click maps
+// merge, CTR is recomputed from the merged totals, and Trained reports
+// whether every alive shard serves a model.
+func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
+	answers := g.getAlive(r.Context(), "/v1/stats")
+	if len(answers) == 0 {
+		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: no alive shards")
+		return
+	}
 	agg := server.Stats{Trained: true, Impressions: map[string]int64{}, Clicks: map[string]int64{}, CTRPercent: map[string]float64{}}
 	reached := 0
 	for _, a := range answers {
-		if a.err != nil {
+		var st server.Stats
+		if a.err != nil || a.ans.status != http.StatusOK || json.Unmarshal(a.ans.body, &st) != nil {
 			continue
 		}
 		reached++
-		agg.Visits += a.st.Visits
-		agg.Users += a.st.Users
-		agg.Trained = agg.Trained && a.st.Trained
-		if a.st.VocabSize > agg.VocabSize {
-			agg.VocabSize = a.st.VocabSize
+		agg.Visits += st.Visits
+		agg.Users += st.Users
+		agg.Trained = agg.Trained && st.Trained
+		if st.VocabSize > agg.VocabSize {
+			agg.VocabSize = st.VocabSize
 		}
-		for k, v := range a.st.Impressions {
+		for k, v := range st.Impressions {
 			agg.Impressions[k] += v
 		}
-		for k, v := range a.st.Clicks {
+		for k, v := range st.Clicks {
 			agg.Clicks[k] += v
 		}
 	}
@@ -730,10 +733,50 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			agg.CTRPercent[k] = 100 * float64(agg.Clicks[k]) / float64(imp)
 		}
 	}
-	if reached < len(shards) {
+	if reached < len(answers) {
 		w.Header().Set(PartialHeader, "1")
 	}
 	httpmw.WriteJSON(w, http.StatusOK, agg)
+}
+
+// handleTraces answers GET /debug/traces (and ?trace=<id>, in either
+// format) with the cluster's traces, assembled at read time: the
+// gateway's own retained traces merged by ID with each alive shard's
+// answer to the same read. Shards are asked for JSON whatever the
+// format, since only that merges. A shard's 404 means it holds no half;
+// any other failure leaves its half out and marks the answer partial.
+func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
+	id := r.URL.Query().Get("trace")
+	path := "/debug/traces"
+	var own []tracer.TraceJSON
+	if id != "" {
+		path += "?trace=" + url.QueryEscape(id)
+		if tr, ok := g.tr.TraceByID(id); ok {
+			own = []tracer.TraceJSON{tr}
+		}
+	} else {
+		own = g.tr.Traces()
+	}
+	sources := [][]tracer.TraceJSON{own}
+	for _, a := range g.getAlive(r.Context(), path) {
+		if a.err == nil && a.ans.status == http.StatusNotFound {
+			continue
+		}
+		var body struct {
+			Traces []tracer.TraceJSON `json:"traces"`
+		}
+		if a.err != nil || a.ans.status != http.StatusOK || json.Unmarshal(a.ans.body, &body) != nil {
+			w.Header().Set(PartialHeader, "1")
+			continue
+		}
+		sources = append(sources, body.Traces)
+	}
+	traces := tracer.Merge(sources...)
+	if id != "" && len(traces) == 0 {
+		http.Error(w, "no such trace", http.StatusNotFound)
+		return
+	}
+	tracer.WriteTraces(w, r, traces)
 }
 
 // handleCluster serves the operator view: ring membership, per-shard

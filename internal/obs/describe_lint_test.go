@@ -97,15 +97,6 @@ func wiredRegistries(t *testing.T) []struct {
 	bsrv := httptest.NewServer(b.Handler())
 	t.Cleanup(bsrv.Close)
 
-	// Shard-side pusher counters ride the same registry.
-	pusher := tracer.NewPusher(tracer.PushConfig{
-		URL:     bsrv.URL + "/debug/traces",
-		Metrics: breg,
-		Logger:  quiet,
-	})
-	pusher.Offer([]tracer.SpanData{{TraceID: "0102030405060708090a0b0c0d0e0f10", SpanID: "0000000000000001", Service: "lint", Name: "x"}})
-	t.Cleanup(pusher.Close)
-
 	// Gateway over that backend, with the full observability plane on.
 	greg := obs.NewRegistry()
 	gw, err := cluster.New(cluster.Config{

@@ -31,7 +31,7 @@ var (
 
 // sourceExts are the extensions that make a backticked word a file
 // reference even when it is not rooted at a module directory
-// (`federate.go`, `tracer/push.go`).
+// (`federate.go`, `tracer/export.go`).
 var sourceExts = map[string]bool{".go": true, ".s": true, ".sh": true, ".md": true, ".json": true}
 
 // TestDocReferences fails when README.md or DESIGN.md names what the
@@ -42,7 +42,7 @@ var sourceExts = map[string]bool{".go": true, ".s": true, ".sh": true, ".md": tr
 // (internal/…, cmd/…, bench/…) or has a source extension. A rooted
 // path (globs allowed) must exist, and `dir/pkg.Ident` needs the
 // package directory; a name or path tail with a source extension
-// (`federate.go`, `tracer/push.go`, `sgns*.go`) must match the tail of
+// (`federate.go`, `tracer/export.go`, `sgns*.go`) must match the tail of
 // some module file's path. A trailing `:N` needs the file to have at
 // least N lines. A word that starts `pkg.Name` or `pkg.Type.Member`,
 // where pkg is the base name of a directory under internal/ and Name is

@@ -51,6 +51,7 @@ type surface struct {
 var configStructs = map[string]string{
 	"server.Config":  "../server",
 	"cluster.Config": "../cluster",
+	"tracer.Config":  "tracer",
 }
 
 // routeSources names, per process, the functions that mount its HTTP

@@ -1,11 +1,14 @@
 package tracer
 
 import (
+	"cmp"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // TraceJSON is one retained trace as served by /debug/traces.
@@ -93,6 +96,51 @@ func (t *Tracer) Ingest(spans []SpanData) int {
 		t.buf.add(td)
 	}
 	return n
+}
+
+// Merge unions the traces of several sources, such as a gateway's own
+// buffer and each shard's, into one list. Traces sharing an ID become
+// one; a span two sources both hold (same span ID) appears once, as the
+// first source gave it; Sampled and Errored are OR-ed. The result is
+// oldest first by each trace's earliest span start, ties by trace ID.
+// The sources are not modified.
+func Merge(sources ...[]TraceJSON) []TraceJSON {
+	type spanKey struct{ trace, span string }
+	out := []TraceJSON{}
+	at := make(map[string]int)
+	seen := make(map[spanKey]bool)
+	for _, src := range sources {
+		for _, tr := range src {
+			i, ok := at[tr.TraceID]
+			if !ok {
+				i = len(out)
+				at[tr.TraceID] = i
+				out = append(out, TraceJSON{TraceID: tr.TraceID, Spans: []SpanData{}})
+			}
+			m := &out[i]
+			m.Sampled = m.Sampled || tr.Sampled
+			m.Errored = m.Errored || tr.Errored
+			for _, sd := range tr.Spans {
+				if k := (spanKey{tr.TraceID, sd.SpanID}); !seen[k] {
+					seen[k] = true
+					m.Spans = append(m.Spans, sd)
+				}
+			}
+		}
+	}
+	earliest := func(tr TraceJSON) int64 {
+		var first int64
+		for i, sd := range tr.Spans {
+			if i == 0 || sd.Start < first {
+				first = sd.Start
+			}
+		}
+		return first
+	}
+	slices.SortFunc(out, func(a, b TraceJSON) int {
+		return cmp.Or(cmp.Compare(earliest(a), earliest(b)), strings.Compare(a.TraceID, b.TraceID))
+	})
+	return out
 }
 
 // chromeEvent is one entry of the Chrome trace-event format ("X"
@@ -212,11 +260,18 @@ func (t *Tracer) Handler() http.Handler {
 		} else {
 			traces = t.Traces()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if r.URL.Query().Get("format") == "chrome" {
-			json.NewEncoder(w).Encode(chromeExport(traces))
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{"traces": traces})
+		WriteTraces(w, r, traces)
 	})
+}
+
+// WriteTraces answers a GET /debug/traces with traces: Chrome
+// trace-event JSON when r asks for format=chrome, {"traces": [...]}
+// otherwise.
+func WriteTraces(w http.ResponseWriter, r *http.Request, traces []TraceJSON) {
+	w.Header().Set("Content-Type", "application/json")
+	if r.URL.Query().Get("format") == "chrome" {
+		json.NewEncoder(w).Encode(chromeExport(traces))
+		return
+	}
+	json.NewEncoder(w).Encode(map[string]any{"traces": traces})
 }

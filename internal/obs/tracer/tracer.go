@@ -99,12 +99,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Seed fixes the ID sequence for tests; 0 seeds from the clock.
 	Seed uint64
-	// Sink, when non-nil, receives a copy of every kept trace's spans
-	// at completion — the cross-process export hook a Pusher plugs into
-	// so a shard's half of a distributed trace reaches the gateway's
-	// collector. Called synchronously from the root span's End, so
-	// implementations must not block (Pusher.Offer drops instead).
-	Sink func(spans []SpanData)
 }
 
 // Tracer creates spans and retains completed traces. All methods are
@@ -114,7 +108,6 @@ type Tracer struct {
 	thresh  uint64 // head-sampling threshold over the ID's low 8 bytes
 	idstate atomic.Uint64
 	buf     ring
-	sink    func([]SpanData)
 
 	spans   *obs.Counter
 	kept    *obs.Counter
@@ -135,7 +128,6 @@ func New(cfg Config) *Tracer {
 		service: cfg.Service,
 		thresh:  sampleThreshold(cfg.SampleRate),
 		buf:     ring{cap: cfg.BufferTraces, byID: make(map[TraceID]*traceData)},
-		sink:    cfg.Sink,
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -441,13 +433,6 @@ func (t *Tracer) finish(td *traceData) {
 	}
 	t.kept.Inc()
 	t.buf.add(td)
-	if t.sink != nil {
-		td.mu.Lock()
-		spans := make([]SpanData, len(td.spans))
-		copy(spans, td.spans)
-		td.mu.Unlock()
-		t.sink(spans)
-	}
 }
 
 // ring is the completed-trace buffer: fixed capacity, oldest evicted
@@ -468,8 +453,8 @@ func (r *ring) len() int {
 }
 
 // add inserts td, merging into an existing entry with the same trace ID
-// (the cross-process push path) and evicting the oldest entry at
-// capacity.
+// (spans a client pushes through Ingest) and evicting the oldest entry
+// at capacity.
 func (r *ring) add(td *traceData) {
 	r.mu.Lock()
 	if have, ok := r.byID[td.id]; ok && have != td {

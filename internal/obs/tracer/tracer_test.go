@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"hostprof/internal/obs"
@@ -372,6 +373,142 @@ func TestIngestMerge(t *testing.T) {
 	}
 	if _, ok := tr2.TraceByID(id); !ok {
 		t.Fatal("pushed trace not retained despite explicit keep")
+	}
+}
+
+// mkSpan builds one externally-shaped span record.
+func mkSpan(traceID, spanID, parentID, service, name string) SpanData {
+	return SpanData{
+		TraceID:  traceID,
+		SpanID:   spanID,
+		ParentID: parentID,
+		Service:  service,
+		Name:     name,
+		Start:    1_000_000,
+		Duration: 2_000,
+	}
+}
+
+// TestIngestConcurrentSources is Ingest's merge contract under -race:
+// three batches of one trace ID land concurrently, and the buffer ends
+// up with one trace holding every span.
+func TestIngestConcurrentSources(t *testing.T) {
+	collector := New(Config{Service: "gateway", SampleRate: 1, BufferTraces: 8})
+	const traceID = "0102030405060708090a0b0c0d0e0f10"
+	batches := [][]SpanData{
+		{
+			mkSpan(traceID, "0000000000000001", "", "gateway", "gw.report"),
+			mkSpan(traceID, "0000000000000002", "0000000000000001", "gateway", "shard.report"),
+		},
+		{
+			mkSpan(traceID, "0000000000000003", "0000000000000002", "shard-a", "http.report"),
+			mkSpan(traceID, "0000000000000004", "0000000000000003", "shard-a", "store.ingest"),
+		},
+		{
+			mkSpan(traceID, "0000000000000005", "0000000000000002", "shard-b", "http.report"),
+		},
+	}
+	var wg sync.WaitGroup
+	for _, b := range batches {
+		wg.Add(1)
+		go func(b []SpanData) {
+			defer wg.Done()
+			if n := collector.Ingest(b); n != len(b) {
+				t.Errorf("Ingest accepted %d of %d spans", n, len(b))
+			}
+		}(b)
+	}
+	wg.Wait()
+
+	tr, ok := collector.TraceByID(traceID)
+	if !ok {
+		t.Fatal("merged trace not retrievable by ID")
+	}
+	if len(tr.Spans) != 5 {
+		t.Fatalf("merged trace has %d spans, want 5: %+v", len(tr.Spans), tr.Spans)
+	}
+	if !tr.Sampled {
+		t.Fatal("pushed trace must be retained (sampled)")
+	}
+	services := make(map[string]int)
+	for _, sp := range tr.Spans {
+		if sp.TraceID != traceID {
+			t.Fatalf("span %s under wrong trace: %s", sp.Name, sp.TraceID)
+		}
+		services[sp.Service]++
+	}
+	if services["gateway"] != 2 || services["shard-a"] != 2 || services["shard-b"] != 1 {
+		t.Fatalf("span distribution by service = %v", services)
+	}
+	// Exactly one retained trace: three concurrent pushes of one ID
+	// must not fan out into three buffer entries.
+	if n := len(collector.Traces()); n != 1 {
+		t.Fatalf("buffer holds %d traces, want 1", n)
+	}
+
+	// Malformed IDs are skipped, not fatal.
+	if n := collector.Ingest([]SpanData{mkSpan("zz", "01", "", "s", "bad")}); n != 0 {
+		t.Fatalf("malformed trace ID accepted: %d", n)
+	}
+}
+
+// TestMerge pins Merge's contract: traces union across sources by ID, a
+// span two sources hold appears once, Sampled and Errored are OR-ed,
+// and the result runs oldest first by earliest span start, ties by ID.
+func TestMerge(t *testing.T) {
+	const a, b, c = "0000000000000000000000000000000a", "0000000000000000000000000000000b", "0000000000000000000000000000000c"
+	at := func(sd SpanData, start int64) SpanData { sd.Start = start; return sd }
+	gw := []TraceJSON{
+		{TraceID: a, Sampled: true, Spans: []SpanData{at(mkSpan(a, "01", "", "gw", "gw.report"), 300)}},
+		{TraceID: b, Spans: []SpanData{at(mkSpan(b, "02", "", "gw", "gw.report"), 100)}},
+	}
+	shard1 := []TraceJSON{
+		{TraceID: a, Errored: true, Spans: []SpanData{
+			at(mkSpan(a, "11", "01", "s1", "http.report"), 310),
+			at(mkSpan(a, "01", "", "gw", "gw.report"), 300), // also in gw's buffer
+		}},
+		{TraceID: c, Sampled: true, Spans: []SpanData{at(mkSpan(c, "12", "", "s1", "http.retrain"), 300)}},
+	}
+	shard2 := []TraceJSON{
+		{TraceID: b, Sampled: true, Spans: []SpanData{at(mkSpan(b, "21", "02", "s2", "http.report"), 50)}},
+	}
+	before := fmt.Sprint(gw, shard1, shard2)
+	got := Merge(gw, shard1, shard2)
+	if after := fmt.Sprint(gw, shard1, shard2); after != before {
+		t.Fatalf("Merge modified its sources:\n%s\n%s", before, after)
+	}
+	var order []string
+	for _, tr := range got {
+		order = append(order, tr.TraceID)
+	}
+	// b starts at 50 (its shard span precedes the gateway's); a and c tie
+	// at 300, so the ID breaks the tie.
+	if want := []string{b, a, c}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	spans := func(tr TraceJSON) []string {
+		var out []string
+		for _, sd := range tr.Spans {
+			out = append(out, sd.SpanID)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		tr               TraceJSON
+		spans            string
+		sampled, errored bool
+	}{
+		{got[0], "[02 21]", true, false},
+		{got[1], "[01 11]", true, true},
+		{got[2], "[12]", true, false},
+	} {
+		if s := fmt.Sprint(spans(tc.tr)); s != tc.spans || tc.tr.Sampled != tc.sampled || tc.tr.Errored != tc.errored {
+			t.Errorf("trace %s: spans %s sampled %v errored %v, want %s %v %v",
+				tc.tr.TraceID, s, tc.tr.Sampled, tc.tr.Errored, tc.spans, tc.sampled, tc.errored)
+		}
+	}
+	if got := Merge(); got == nil || len(got) != 0 {
+		t.Fatalf("Merge() = %#v, want an empty non-nil list", got)
 	}
 }
 

@@ -89,10 +89,9 @@ func TestObserverStatsConcurrentWithProcessing(t *testing.T) {
 // t=1000 a resolver round trip (one A answer) and an encrypted hello to
 // the answered address; one more TLS flow, whose creation makes 1024
 // tracked flows and so runs the idle sweep; and one frame too short to
-// decode. The sweep runs before the new flow's lastSeen is stamped, so
-// it evicts that flow with the 1022 idle ones, and the flow's next
-// segment opens it again: opened = 1022 + 1 + 2, evicted = 1022 + 1,
-// and the two left are the encrypted hello's and the reopened one.
+// decode. A new flow is created seen at its first segment, so the sweep
+// evicts only the 1022 idle ones: opened = 1022 + 2, evicted = 1022,
+// and the two left are the encrypted hello's and the sweeping one.
 func TestObserverFlowAndResolutionCounters(t *testing.T) {
 	var visits []trace.Visit
 	for u := range 1022 {
@@ -119,8 +118,8 @@ func TestObserverFlowAndResolutionCounters(t *testing.T) {
 		"hostprof_sniffer_undecodable_total":        1,
 		"hostprof_sniffer_dns_mappings_total":       1,
 		"hostprof_sniffer_resolved_fallbacks_total": 1,
-		"hostprof_sniffer_flows_opened_total":       1025,
-		"hostprof_sniffer_flows_evicted_total":      1023,
+		"hostprof_sniffer_flows_opened_total":       1024,
+		"hostprof_sniffer_flows_evicted_total":      1022,
 	}
 	for name, n := range want {
 		if got := reg.Counter(name).Value(); got != n {

@@ -254,7 +254,7 @@ func (o *Observer) processTCP(ts int64) (trace.Visit, bool) {
 	}
 	st := o.flows[key]
 	if st == nil {
-		st = &flowState{}
+		st = &flowState{lastSeen: ts}
 		o.flows[key] = st
 		o.met.flowsTracked.Inc()
 		o.maybeEvict(ts)
@@ -345,8 +345,10 @@ func (o *Observer) learnDNSResponse(datagram []byte) {
 	}
 }
 
-// maybeEvict drops flows idle longer than the timeout; called on flow
-// creation so the map stays bounded by concurrent-flow count.
+// maybeEvict drops flows idle longer than the timeout, sweeping on every
+// 1 024th flow creation. The map is not bounded by the number of
+// concurrent flows: between sweeps it holds every flow opened, idle or
+// not.
 func (o *Observer) maybeEvict(now int64) {
 	if len(o.flows)%1024 != 0 {
 		return

@@ -353,7 +353,7 @@ func (o *refObserver) processTCP(ts int64) (trace.Visit, bool) {
 	}
 	st := o.flows[key]
 	if st == nil {
-		st = &refFlowState{asm: newStreamAssembler()}
+		st = &refFlowState{asm: newStreamAssembler(), lastSeen: ts}
 		o.flows[key] = st
 		o.stats.FlowsTracked++
 		if len(o.flows)%1024 == 0 {
