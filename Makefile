@@ -79,7 +79,7 @@ awk -v t="$$total" -v f="$(2)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 endef
 
 # Short fuzz smoke over the WAL record decoder, the visit store against
-# its shard-scan reference, the ANN build, the ANN graph loader, the
+# its shard-scan reference, the snapshot decoder, the ANN build, the ANN graph loader, the
 # exact scan's selection, the scan's 4-row and 4-query kernels (the
 # latter on the AVX2 path and the fallback) and the trainer's two
 # row kernels against their portable twins, the model loader (what
@@ -94,6 +94,7 @@ endef
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNBuild$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzANNLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSearchSelect$$' -fuzztime 10s
@@ -118,15 +119,16 @@ fuzz:
 # amd64 runner, against the same pinned graph and profile hashes the
 # assembly meets and the pinned trained-model hashes and loss bits
 # (TestTrainPinnedAcrossCommits), which also hold pure-Go math.Exp to
-# the assembly's, and the profile cache's byte guard and round trip
-# with 4-byte pointers (~45 s), and then run the root package's Example
+# the assembly's, the profile cache's byte guard and round trip with
+# 4-byte pointers, and the store's WAL and snapshot decoders against
+# 4-byte ints (~50 s), and then run the root package's Example
 # functions, whose printed outputs must hold bit for bit off amd64 (~5 s).
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/index/ ./internal/core/
-	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/ ./internal/engine/
+	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/ ./internal/engine/ ./internal/store/
 	GOARCH=386 $(GO) test -short -run '^Example' .
 	$(GO) test ./...
 	$(GO) test -race ./...

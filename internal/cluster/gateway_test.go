@@ -835,7 +835,8 @@ func TestGatewayOversizedBodyIs413(t *testing.T) {
 // TestGatewayStatsPartial reads /v1/stats through the fan-out it shares
 // with /debug/traces: every alive shard's counts summed, marked partial
 // while a shard the gateway still holds alive fails (which marks it
-// dead), unmarked once it is no longer asked, and 503 with none alive.
+// dead) and still marked once it is held dead and no longer asked, since
+// its counts are missing either way; 503 with none alive.
 func TestGatewayStatsPartial(t *testing.T) {
 	fx := newClusterFixture(t, 3, 6)
 	fx.feedViaGateway(t)
@@ -865,7 +866,7 @@ func TestGatewayStatsPartial(t *testing.T) {
 	if st := read(http.StatusOK, "1"); st.Visits != want {
 		t.Fatalf("visits with shard 0 failing = %d, want %d", st.Visits, want)
 	}
-	if st := read(http.StatusOK, ""); st.Visits != want {
+	if st := read(http.StatusOK, "1"); st.Visits != want {
 		t.Fatalf("visits with shard 0 dead = %d, want %d", st.Visits, want)
 	}
 	fx.shardSrv[1].Close()

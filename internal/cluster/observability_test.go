@@ -138,27 +138,33 @@ func TestTracePushCompletesClusterTrace(t *testing.T) {
 	}
 
 	// One shard gone: the listing still answers, with the gateway's half
-	// and the partial mark.
+	// and the partial mark — on the read that finds the shard failing,
+	// and on the next, once the gateway holds it dead and does not ask it.
 	shardSrv[0].Close()
-	resp, err := http.Get(gwSrv.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) == "" {
-		t.Fatalf("listing with a shard down: HTTP %d, %s %q", resp.StatusCode, PartialHeader, resp.Header.Get(PartialHeader))
-	}
-	gwHalf := false
-	for _, tr := range body.Traces {
-		for _, sp := range tr.Spans {
-			gwHalf = gwHalf || (tr.TraceID == id && sp.Name == "gw.report")
+	for _, when := range []string{"failing", "held dead"} {
+		resp, err := http.Get(gwSrv.URL + "/debug/traces")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !gwHalf {
-		t.Fatalf("listing with a shard down lost the gateway's half: %+v", body.Traces)
+		body.Traces = nil
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) == "" {
+			t.Fatalf("listing with a shard %s: HTTP %d, %s %q", when, resp.StatusCode, PartialHeader, resp.Header.Get(PartialHeader))
+		}
+		gwHalf := false
+		for _, tr := range body.Traces {
+			for _, sp := range tr.Spans {
+				gwHalf = gwHalf || (tr.TraceID == id && sp.Name == "gw.report")
+			}
+		}
+		if !gwHalf {
+			t.Fatalf("listing with a shard %s lost the gateway's half: %+v", when, body.Traces)
+		}
+		gw.CheckHealth(context.Background())
 	}
 }
 

@@ -677,10 +677,13 @@ type shardGet struct {
 }
 
 // getAlive GETs path on every alive shard at once through doShard. An
-// empty result means no shard is alive.
-func (g *Gateway) getAlive(ctx context.Context, path string) []shardGet {
+// empty result means no shard is alive. partial reports that the ring
+// holds shards the gateway holds dead and did not ask, so an answer built
+// from the rest lacks theirs.
+func (g *Gateway) getAlive(ctx context.Context, path string) (out []shardGet, partial bool) {
 	shards := g.aliveShards()
-	out := make([]shardGet, len(shards))
+	partial = len(shards) < len(g.Ring().Nodes())
+	out = make([]shardGet, len(shards))
 	var wg sync.WaitGroup
 	for i, shard := range shards {
 		wg.Add(1)
@@ -690,15 +693,16 @@ func (g *Gateway) getAlive(ctx context.Context, path string) []shardGet {
 		}(i, shard)
 	}
 	wg.Wait()
-	return out
+	return out, partial
 }
 
 // handleStats aggregates /v1/stats across alive shards: visit and user
 // counts sum (placement partitions users), impression and click maps
 // merge, CTR is recomputed from the merged totals, and Trained reports
-// whether every alive shard serves a model.
+// whether every alive shard serves a model. The answer is marked
+// partial unless every shard of the ring answered.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	answers := g.getAlive(r.Context(), "/v1/stats")
+	answers, partial := g.getAlive(r.Context(), "/v1/stats")
 	if len(answers) == 0 {
 		httpmw.WriteError(w, http.StatusServiceUnavailable, "cluster: no alive shards")
 		return
@@ -733,7 +737,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			agg.CTRPercent[k] = 100 * float64(agg.Clicks[k]) / float64(imp)
 		}
 	}
-	if reached < len(answers) {
+	if partial || reached < len(answers) {
 		w.Header().Set(PartialHeader, "1")
 	}
 	httpmw.WriteJSON(w, http.StatusOK, agg)
@@ -744,7 +748,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // gateway's own retained traces merged by ID with each alive shard's
 // answer to the same read. Shards are asked for JSON whatever the
 // format, since only that merges. A shard's 404 means it holds no half;
-// any other failure leaves its half out and marks the answer partial.
+// any other failure, or a shard held dead and not asked, leaves its half
+// out and marks the answer partial.
 func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("trace")
 	path := "/debug/traces"
@@ -758,7 +763,11 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		own = g.tr.Traces()
 	}
 	sources := [][]tracer.TraceJSON{own}
-	for _, a := range g.getAlive(r.Context(), path) {
+	answers, partial := g.getAlive(r.Context(), path)
+	if partial {
+		w.Header().Set(PartialHeader, "1")
+	}
+	for _, a := range answers {
 		if a.err == nil && a.ans.status == http.StatusNotFound {
 			continue
 		}

@@ -3,8 +3,10 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strconv"
 	"strings"
@@ -28,7 +30,16 @@ func ioTestModel(t *testing.T) *Model {
 	return m
 }
 
-func encodeWire(t *testing.T, wire modelWire) []byte {
+func savedModel(t testing.TB, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeWire(t testing.TB, wire modelWire) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -39,6 +50,92 @@ func encodeWire(t *testing.T, wire modelWire) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// withCRC returns body followed by its CRC-32C trailer: a model file
+// whose checksum holds, whatever body says.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, castagnoli))
+}
+
+// TestSaveWritesFlatLayout: Save's bytes are the documented layout, to
+// the byte count — header, host table, counts, the central rows and the
+// trailer, no context rows — and load back to the same vocabulary and
+// the same bits of every central row.
+func TestSaveWritesFlatLayout(t *testing.T) {
+	m := ioTestModel(t)
+	raw := savedModel(t, m)
+	want := modelHeader + modelTrailer + m.vocab.Len()*(4+8) + len(m.in)*4
+	for _, h := range m.vocab.hosts {
+		want += len(h)
+	}
+	if len(raw) != want || string(raw[:4]) != modelMagic {
+		t.Fatalf("Save wrote %d bytes starting %q, the layout is %d starting %q", len(raw), raw[:4], want, modelMagic)
+	}
+	back, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.out = nil
+	if weightsDigest(back) != weightsDigest(m) || back.dim != m.dim {
+		t.Fatal("the loaded model is not the saved one")
+	}
+	if !bytes.Equal(savedModel(t, back), raw) {
+		t.Fatal("saving the loaded model gives other bytes")
+	}
+}
+
+// TestLoadRefusesEachLayoutCheck breaks one field of a saved model at a
+// time, the checksum made to hold again, and wants the check on that
+// field to refuse it with its own error.
+func TestLoadRefusesEachLayoutCheck(t *testing.T) {
+	raw := savedModel(t, ioTestModel(t))
+	body := raw[:len(raw)-modelTrailer]
+	put := func(off int, v uint32) []byte {
+		b := bytes.Clone(body)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return withCRC(b)
+	}
+	flipped := bytes.Clone(raw)
+	flipped[len(flipped)/2] ^= 1
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"magic only", []byte(modelMagic), errModelTruncated},
+		{"flipped bit", flipped, errModelChecksum},
+		{"truncated", raw[:len(raw)-1], errModelChecksum},
+		{"version", put(4, modelVersion+1), errModelVersion},
+		{"zero dim", put(8, 0), errModelShape},
+		{"zero hosts", put(12, 0), errModelShape},
+		{"hosts past the end", put(12, math.MaxUint32), errModelHosts},
+		{"hostname past the end", put(modelHeader, math.MaxUint32), errModelHosts},
+		{"dim off by one", put(8, 17), errModelRows},
+		{"row bytes short", withCRC(body[:len(body)-4]), errModelRows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Load(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
+				t.Fatalf("Load = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLoadReadsGobModels: a model in the gob encoding earlier releases
+// wrote loads, its context rows dropped.
+func TestLoadReadsGobModels(t *testing.T) {
+	m := ioTestModel(t)
+	raw := encodeWire(t, modelWire{Version: modelWireVersion, Dim: m.dim, Hosts: m.vocab.hosts,
+		Counts: m.vocab.counts, In: m.in, Out: m.out})
+	back, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.out = nil
+	if weightsDigest(back) != weightsDigest(m) {
+		t.Fatal("the gob model loads to other weights")
+	}
 }
 
 // TestLoadRejectsWireVersionMismatch: a future (or past) format version
@@ -64,12 +161,7 @@ func TestLoadRejectsWireVersionMismatch(t *testing.T) {
 // TestLoadTruncatedStream: every strict prefix of a valid serialization
 // must fail cleanly (no panic, no silently empty model).
 func TestLoadTruncatedStream(t *testing.T) {
-	m := ioTestModel(t)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := savedModel(t, ioTestModel(t))
 	for _, n := range []int{0, 1, len(full) / 4, len(full) / 2, len(full) - 1} {
 		if _, err := Load(bytes.NewReader(full[:n])); err == nil {
 			t.Fatalf("Load accepted a %d/%d-byte truncated stream", n, len(full))
@@ -115,32 +207,43 @@ func dimOverflowWire() modelWire {
 // FuzzModelLoad holds the one parser of model bytes — what PUT /v1/model
 // and a snapshot hand to Load — to: an error, or a model that serves.
 // Its index builds, a profiler over it builds, and profiling a session
-// of one of its hosts returns rather than panics.
+// of one of its hosts returns rather than panics. An input in the flat
+// layout is also loaded with its checksum made to hold, so that mutations
+// reach the checks behind it.
 func FuzzModelLoad(f *testing.F) {
 	m, err := Train([][]string{{"a.example", "b.example", "a.example", "c.example"}}, smallConfig())
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	raw := savedModel(f, m)
+	f.Add(raw)
+	f.Add(raw[:len(raw)-modelTrailer])
+	f.Add(raw[:modelHeader+4])
+	f.Add(encodeWire(f, modelWire{Version: modelWireVersion, Dim: m.dim, Hosts: m.vocab.hosts,
+		Counts: m.vocab.counts, In: m.in, Out: m.out}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		m.SimilarityIndex()
-		tax := ontology.NewTaxonomy()
-		ont := ontology.New(tax)
-		v := tax.NewVector()
-		v[0] = 1
-		ont.Add(m.Vocab().Host(0), v)
-		p := NewProfiler(m, ont, ProfilerConfig{N: 3})
-		if _, err := p.ProfileSession([]string{m.Vocab().Host(m.Vocab().Len() - 1)}); err != nil && !errors.Is(err, ErrNoLabels) {
-			t.Fatalf("profiling an in-vocabulary host: %v", err)
+		loadServes(t, data)
+		if len(data) >= modelTrailer && bytes.HasPrefix(data, []byte(modelMagic)) {
+			loadServes(t, withCRC(data[:len(data)-modelTrailer]))
 		}
 	})
+}
+
+// loadServes loads data and, if that succeeds, serves from the model.
+func loadServes(t *testing.T, data []byte) {
+	m, err := Load(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	m.SimilarityIndex()
+	tax := ontology.NewTaxonomy()
+	ont := ontology.New(tax)
+	v := tax.NewVector()
+	v[0] = 1
+	ont.Add(m.Vocab().Host(0), v)
+	p := NewProfiler(m, ont, ProfilerConfig{N: 3})
+	if _, err := p.ProfileSession([]string{m.Vocab().Host(m.Vocab().Len() - 1)}); err != nil && !errors.Is(err, ErrNoLabels) {
+		t.Fatalf("profiling an in-vocabulary host: %v", err)
+	}
 }

@@ -120,7 +120,7 @@ type Model struct {
 	vocab *Vocab
 	dim   int
 	in    []float32 // |H| × dim central representations, row-major
-	out   []float32 // |H| × dim context representations, row-major
+	out   []float32 // |H| × dim context representations; training only, nil after Load
 
 	// fastIdx is the packed, unit-normalized similarity index over the
 	// central embeddings; built lazily by SimilarityIndex, once per model.
@@ -332,10 +332,11 @@ type trainer struct {
 	kept     []int32   // subsampled sequence, reused across sequences
 	neu1e    []float32 // gradient accumulator for the centre vector
 
-	// One pair's target rows, as offsets into m.out, and their dots and
-	// steps; sized for 1+Negative on first use.
+	// One pair's target rows, as offsets into m.out, their dots and
+	// steps, and their σs for the loss; sized for 1+Negative on first use.
 	rows        []int
 	dots, grads []float32
+	sigmas      []float64
 
 	// Loss accounting, only maintained when trackLoss is set; read by
 	// the Train goroutine at epoch barriers.
@@ -367,6 +368,7 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 	if len(t.grads) <= t.cfg.Negative {
 		t.rows = make([]int, 0, t.cfg.Negative+1)
 		t.dots, t.grads = make([]float32, t.cfg.Negative+1), make([]float32, t.cfg.Negative+1)
+		t.sigmas = make([]float64, t.cfg.Negative+1)
 	}
 	for c := range kept {
 		centre := int(kept[c])
@@ -410,9 +412,7 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 				perCall = len(rows)
 			}
 			clear(neu1e)
-			// Equation (2)'s loss for the pair is -log σ(x) - Σ log σ(-x_k):
-			// the probabilities are multiplied up in lik and logged once.
-			lik := 1.0
+			sigmas := t.sigmas[:len(rows)]
 			for first := 0; first < len(rows); first += perCall {
 				group := rows[first : first+perCall]
 				dots, grads := t.dots[:len(group)], t.grads[:len(group)]
@@ -428,30 +428,40 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 						label = 1
 					}
 					y := stats.Sigmoid(float64(x))
+					sigmas[first+i] = y
 					grads[i] = float32((label - y) * lr)
-					if t.trackLoss {
-						if first+i > 0 {
-							y = 1 - y
-						}
-						// Each factor is at least lossEps, so flushing below
-						// 1e-280 keeps lik normal for any Negative.
-						if lik *= y + lossEps; lik < 1e-280 {
-							t.lossSum -= math.Log(lik)
-							lik = 1
-						}
-					}
 				}
 				t.kernels.update(grads, cvec, t.m.out, group, neu1e)
 			}
 			if t.trackLoss {
-				t.lossSum -= math.Log(lik)
-				t.lossPairs++
+				t.pairLoss(sigmas)
 			}
 			for i, e := range neu1e {
 				cvec[i] += e
 			}
 		}
 	}
+}
+
+// pairLoss adds one pair's loss, -log σ(x) - Σ log σ(-x_k) in
+// Equation (2), given the pair's σs in sample order: the probabilities
+// are multiplied up and logged once. It runs after the pair's steps, so
+// no σ waits on the product.
+func (t *trainer) pairLoss(sigmas []float64) {
+	lik := 1.0
+	for i, y := range sigmas {
+		if i > 0 {
+			y = 1 - y
+		}
+		// Each factor is at least lossEps, so flushing below 1e-280
+		// keeps lik normal for any Negative.
+		if lik *= y + lossEps; lik < 1e-280 {
+			t.lossSum -= math.Log(lik)
+			lik = 1
+		}
+	}
+	t.lossSum -= math.Log(lik)
+	t.lossPairs++
 }
 
 // Vocab returns the model's vocabulary.

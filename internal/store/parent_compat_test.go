@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"hostprof/internal/core"
 	"hostprof/internal/ontology"
+	"hostprof/internal/trace"
 )
 
 // The fixtures under testdata/ were written by commit f0fabdb, the last
@@ -50,27 +52,19 @@ func halfLabelled(m *core.Model) *ontology.Ontology {
 }
 
 // assertRows wants m and the parent-shaped decoding of a model to have
-// one shape and, element for element of both matrices, values that same
-// accepts.
-func assertRows(t *testing.T, m *core.Model, wire parentModelWire, same func(row float32, enc float64) bool) {
+// one shape and, element for element of the central rows, the parent's
+// value rounded to float32. The parent's context rows are not loaded:
+// nothing reads them after training.
+func assertRows(t *testing.T, m *core.Model, wire parentModelWire) {
 	t.Helper()
-	if wire.Version != 1 || wire.Dim != m.Dim() || len(wire.Hosts) != m.Vocab().Len() || len(wire.In) != len(wire.Hosts)*wire.Dim || len(wire.Out) != len(wire.In) {
-		t.Fatalf("version %d, %d hosts × %d, %d/%d weights against a %d×%d model", wire.Version, len(wire.Hosts), wire.Dim, len(wire.In), len(wire.Out), m.Vocab().Len(), m.Dim())
-	}
-	// The context rows have no accessor; Save writes them.
-	var saved struct{ Out []float32 }
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
-		t.Fatal(err)
+	if wire.Version != 1 || wire.Dim != m.Dim() || len(wire.Hosts) != m.Vocab().Len() || len(wire.In) != len(wire.Hosts)*wire.Dim {
+		t.Fatalf("version %d, %d hosts × %d, %d weights against a %d×%d model", wire.Version, len(wire.Hosts), wire.Dim, len(wire.In), m.Vocab().Len(), m.Dim())
 	}
 	for id := range wire.Hosts {
-		in, out := m.VectorByID(id), saved.Out[id*wire.Dim:(id+1)*wire.Dim]
+		in := m.VectorByID(id)
 		for j := range in {
-			if k := id*wire.Dim + j; !same(in[j], wire.In[k]) || !same(out[j], wire.Out[k]) {
-				t.Fatalf("row %d element %d: model %v / %v, encoding %v / %v", id, j, in[j], out[j], wire.In[k], wire.Out[k])
+			if k := id*wire.Dim + j; in[j] != float32(wire.In[k]) {
+				t.Fatalf("row %d element %d: model %v, encoding %v", id, j, in[j], wire.In[k])
 			}
 		}
 	}
@@ -116,7 +110,7 @@ func TestParentWrittenArtifactLoads(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
-	assertRows(t, m, wire, func(row float32, enc float64) bool { return row == float32(enc) })
+	assertRows(t, m, wire)
 	assertServesParentProfile(t, m, core.ProfilerConfig{})
 }
 
@@ -152,18 +146,91 @@ func TestParentWrittenSnapshotOpens(t *testing.T) {
 	assertServesParentProfile(t, s.Model(), ann)
 }
 
-// TestSavedModelDecodesIntoParentStruct is the other direction, the
-// rollback: what Save writes here decodes into the parent's []float64
-// fields, every value the float32 row's, widened.
+// TestSavedModelDecodesIntoParentStruct is the rollback, a refusal:
+// what Save writes here is not gob, so neither release that read models
+// with gob — float64 rows or float32 — decodes it, and a shard of such a
+// release answers 400 to it on PUT /v1/model instead of loading a
+// misread model.
 func TestSavedModelDecodesIntoParentStruct(t *testing.T) {
 	m, _, _ := graphModel(t)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var wire parentModelWire
-	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
-		t.Fatalf("the parent's struct does not decode this commit's model: %v", err)
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&parentModelWire{}); err == nil {
+		t.Fatal("the float64 release's struct decodes this commit's model")
 	}
-	assertRows(t, m, wire, func(row float32, enc float64) bool { return float64(row) == enc })
+	var float32Wire struct {
+		Version int
+		Dim     int
+		Hosts   []string
+		Counts  []int64
+		In, Out []float32
+	}
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&float32Wire); err == nil {
+		t.Fatal("the float32 gob release's struct decodes this commit's model")
+	}
+}
+
+// The gob snapshot parent_d5c9674_snapshot.gob was written by d5c9674,
+// the last release whose snapshots were gob, over float32 rows:
+// testdata/parent_d5c9674_fixtures_gen.go.txt is its program, which
+// printed the version below.
+const parentGraphModelVersion = "848267ceae7a38ca"
+
+// parentGraphVisits are the visits that program stored: nine users,
+// twelve visits each, user 3's last one a late report.
+func parentGraphVisits() []trace.Visit {
+	var vs []trace.Visit
+	for i := 0; i < 108; i++ {
+		v := trace.Visit{User: i % 9, Time: int64(100 * i), Host: fmt.Sprintf("h%d.example", i%17)}
+		if i == 102 {
+			v.Time = 5
+		}
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// TestParentGobSnapshotWithGraphOpens: a gob snapshot with a graph opens
+// here with its visits, its model under the parent's version and its
+// graph restored, not rebuilt; the next Snapshot rewrites it in the flat
+// layout, which opens to the same store, model bytes and graph.
+func TestParentGobSnapshotWithGraphOpens(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent_d5c9674_snapshot.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(snapPath(dir, 1), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ref := mustOpen(t, Config{})
+	appendAll(t, ref, parentGraphVisits())
+	ann := core.ProfilerConfig{N: 5, ANN: true, ANNM: 4, ANNEf: 8}
+	for gen := 0; gen < 2; gen++ {
+		s := mustOpen(t, Config{Dir: dir})
+		if rec := s.Recovery(); !rec.ModelRestored || rec.SnapshotVisits != 108 || rec.SkippedSnapshots != 0 {
+			t.Fatalf("generation %d: recovery = %+v", gen, rec)
+		}
+		if got := s.ModelVersion(); got != parentGraphModelVersion {
+			t.Fatalf("generation %d: ModelVersion = %s, the parent advertised %s", gen, got, parentGraphModelVersion)
+		}
+		assertSameReads(t, s, ref)
+		how := core.NewProfiler(s.Model(), halfLabelled(s.Model()), ann).ANNRestore()
+		if !how.Restored || how.Built || how.Rejected != nil {
+			t.Fatalf("generation %d: the graph was not restored: %+v", gen, how)
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.gob"))
+		if len(snaps) != 1 {
+			t.Fatalf("snapshots after generation %d: %v", gen, snaps)
+		}
+		if data, err = os.ReadFile(snaps[0]); err != nil || !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+			t.Fatalf("generation %d's snapshot is not in the flat layout (%v)", gen, err)
+		}
+	}
 }

@@ -92,7 +92,9 @@ func decodeRecord(b []byte) (trace.Visit, int, error) {
 		return trace.Visit{}, 0, ErrCorruptRecord
 	}
 	user, k := binary.Varint(payload)
-	if k <= 0 {
+	if k <= 0 || int64(int(user)) != user {
+		// A user that does not fit an int (on a 32-bit build) is refused,
+		// not truncated into another user.
 		return trace.Visit{}, 0, ErrCorruptRecord
 	}
 	payload = payload[k:]

@@ -498,7 +498,7 @@ func TestOnlySnapshotUnreadableIsReported(t *testing.T) {
 	}
 }
 
-// parentSnapshotWire is snapshotWire as it was before snapshots carried
+// parentSnapshotWire is gobSnapshot as it was before snapshots carried
 // a graph.
 type parentSnapshotWire struct {
 	Version int
@@ -507,11 +507,12 @@ type parentSnapshotWire struct {
 	Model   []byte
 }
 
-// TestSnapshotGraphFieldCompatibleBothWays pins that the graph is an
-// optional field, not a format change: a snapshot written without it
-// opens here and the graph is simply built, and a snapshot written with
-// it decodes into the old struct with everything else intact — so a
-// rollback opens what this code wrote.
+// TestSnapshotGraphFieldCompatibleBothWays: a gob snapshot written
+// before the graph field existed opens here and the graph is simply
+// built. The other way is a refusal: a snapshot written here is not gob,
+// so a release that knows only gob fails to decode it — both struct
+// shapes that releases declared — and skips it as unreadable, with its
+// warning and count, rather than misread it.
 func TestSnapshotGraphFieldCompatibleBothWays(t *testing.T) {
 	m, _, ont := graphModel(t)
 	var mb bytes.Buffer
@@ -522,7 +523,7 @@ func TestSnapshotGraphFieldCompatibleBothWays(t *testing.T) {
 	oldDir := t.TempDir()
 	var old bytes.Buffer
 	if err := gob.NewEncoder(&old).Encode(parentSnapshotWire{
-		Version: snapshotVersion, Seq: 7, Visits: []trace.Visit{visit(1, 1, "old.example")}, Model: mb.Bytes(),
+		Version: gobSnapshotVersion, Seq: 7, Visits: []trace.Visit{visit(1, 1, "old.example")}, Model: mb.Bytes(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -547,17 +548,15 @@ func TestSnapshotGraphFieldCompatibleBothWays(t *testing.T) {
 	if err := s2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(snapPath(newDir, 1))
+	data, err := os.ReadFile(snapPath(newDir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var back parentSnapshotWire
-	if err := gob.NewDecoder(f).Decode(&back); err != nil {
-		t.Fatalf("the old struct does not decode a snapshot with the graph field: %v", err)
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&parentSnapshotWire{}); err == nil {
+		t.Fatal("the struct without the graph field decodes a snapshot in the flat layout")
 	}
-	if back.Version != snapshotVersion || back.Seq != 1 || len(back.Visits) != 1 || !bytes.Equal(back.Model, mb.Bytes()) {
-		t.Fatalf("old struct decoded version %d seq %d visits %d, model equal %v", back.Version, back.Seq, len(back.Visits), bytes.Equal(back.Model, mb.Bytes()))
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&gobSnapshot{}); err == nil {
+		t.Fatal("the struct with the graph field decodes a snapshot in the flat layout")
 	}
 }
 
@@ -588,7 +587,7 @@ func TestDamagedGraphSectionRebuilds(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := writeSnapshot(dir, 3, []trace.Visit{visit(1, 1, "kept.example")}, mb.Bytes(), tc.ann); err != nil {
+			if err := writeSnapshot(dir, 3, mb.Bytes(), tc.ann, shardsOf(t, visit(1, 1, "kept.example"))); err != nil {
 				t.Fatal(err)
 			}
 			s := mustOpen(t, Config{Dir: dir})

@@ -35,7 +35,6 @@ import (
 	"log/slog"
 	"math/bits"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -242,7 +241,7 @@ type Store struct {
 
 	// gate serializes snapshot cuts against appends: Append holds it
 	// shared (appenders never block each other here), Snapshot holds it
-	// exclusively while copying visits and cutting the WAL, so the
+	// exclusively while encoding the shards and cutting the WAL, so the
 	// snapshot plus the post-cut segments always equal the store
 	// exactly — no lost and no duplicated visit.
 	gate   sync.RWMutex
@@ -321,22 +320,21 @@ func Open(cfg Config) (*Store, error) {
 // recover loads the newest snapshot, replays the WAL tail and opens a
 // fresh segment for new appends.
 func (s *Store) recover() error {
-	wire, model, haveSnap, err := s.newestSnapshot()
+	snap, model, haveSnap, err := s.newestSnapshot()
 	if err != nil {
 		return err
 	}
 	var snapSeq uint64
 	if haveSnap {
-		snapSeq = wire.Seq
-		s.applyVisits(wire.Visits)
+		snapSeq = snap.Seq
+		s.rec.SnapshotVisits = s.restore(snap)
 		if model != nil {
 			// The snapshot's bytes are the model's artifact: the version
 			// served after a restart is the hash of what is on disk, and
 			// the first /readyz does not encode the model to learn it.
 			s.model = model
-			s.artifact = &ModelArtifact{Version: ArtifactVersion(wire.Model), Data: wire.Model}
+			s.artifact = &ModelArtifact{Version: ArtifactVersion(snap.Model), Data: snap.Model}
 		}
-		s.rec.SnapshotVisits = len(wire.Visits)
 		s.rec.ModelRestored = model != nil
 	}
 	segs, err := listSegments(s.cfg.Dir)
@@ -371,27 +369,6 @@ func (s *Store) recover() error {
 // applyVisit inserts v without WAL traffic (recovery path).
 func (s *Store) applyVisit(v trace.Visit) {
 	s.shards[s.shardOf(v.User)].add(v)
-}
-
-// applyVisits inserts a snapshot's visits without WAL traffic, each
-// shard's in slice order. Interning a host is a map lookup per visit, so
-// the shards are split across GOMAXPROCS workers: the store is not yet
-// shared and each worker owns the shards it fills.
-func (s *Store) applyVisits(vs []trace.Visit) {
-	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, v := range vs {
-				if i := s.shardOf(v.User); int(i)%workers == w {
-					s.shards[i].add(v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func (s *Store) shardOf(user int) uint64 {
@@ -551,8 +528,6 @@ func (s *Store) Users() []int {
 
 // copyVisits copies every visit into one fresh slice, user by user in
 // each shard's first-append order, each user's visits in arrival order.
-// Callers that need a cut consistent with the WAL must hold the gate
-// exclusively.
 func (s *Store) copyVisits() []trace.Visit {
 	out := make([]trace.Visit, 0, s.Len())
 	for i := range s.shards {
@@ -790,9 +765,9 @@ var ErrDegraded = errors.New("store: degraded (WAL detached)")
 // then retires the WAL segments it covers. The model goes to disk as its
 // cached artifact — the bytes whose hash ModelVersion reports — with the
 // model's HNSW graph, when it has one, encoded beside it. Appends are
-// blocked only for the in-memory copy and WAL cut, not for the disk
-// write. No-op for in-memory stores; ErrDegraded while the WAL is
-// detached.
+// blocked only while the shards are encoded and the WAL is cut, not for
+// the disk write. No-op for in-memory stores; ErrDegraded while the WAL
+// is detached.
 func (s *Store) Snapshot() error {
 	if s.wal == nil {
 		return nil
@@ -804,7 +779,7 @@ func (s *Store) Snapshot() error {
 	defer s.snapMu.Unlock()
 	sp := obs.StartSpan(s.met.snapshotSeconds)
 	s.gate.Lock()
-	visits := s.copyVisits()
+	shards := s.appendShards(nil)
 	cut, err := s.wal.Cut()
 	s.gate.Unlock()
 	if err != nil {
@@ -820,7 +795,7 @@ func (s *Store) Snapshot() error {
 	if model != nil {
 		ann = model.EncodedANN()
 	}
-	if err := writeSnapshot(s.cfg.Dir, cut, visits, art.Data, ann); err != nil {
+	if err := writeSnapshot(s.cfg.Dir, cut, art.Data, ann, shards); err != nil {
 		s.met.snapshotErrors.Inc()
 		return err
 	}

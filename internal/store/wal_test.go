@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -69,6 +70,18 @@ func TestDecodeRecordErrors(t *testing.T) {
 		if _, _, err := decodeRecord(b); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, c.want)
 		}
+	}
+	// A user of 2⁴⁰ is a user on a 64-bit build and corrupt on a 32-bit
+	// one, never truncated into user 0.
+	payload := binary.AppendVarint(nil, int64(1)<<40)
+	payload = binary.AppendVarint(payload, 9)
+	payload = binary.AppendUvarint(payload, 1)
+	payload = append(payload, 'h')
+	b := append(make([]byte, recordHeader), payload...)
+	putFrame(b, payload)
+	v, _, err := decodeRecord(b)
+	if strconv.IntSize == 32 && !errors.Is(err, ErrCorruptRecord) || strconv.IntSize == 64 && (err != nil || int64(v.User) != int64(1)<<40) {
+		t.Errorf("user 2⁴⁰ on a %d-bit build: %+v, %v", strconv.IntSize, v, err)
 	}
 }
 
