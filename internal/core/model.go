@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,20 +44,21 @@ type TrainConfig struct {
 	// LR and MinLR bound the linearly decayed learning rate.
 	// Defaults 0.025 and 1e-4.
 	LR, MinLR float64
-	// Workers is the number of concurrent trainer goroutines. With more
-	// than one worker, weight updates follow the standard lock-free
-	// Hogwild scheme used by word2vec/gensim: concurrent updates may
-	// race benignly, trading bit-level determinism for throughput.
-	// Default runtime.GOMAXPROCS(0); a bit-identical model per seed needs
-	// Workers: 1. A race-detector build always trains on one worker (see
-	// race_on.go).
+	// Workers is the number of concurrent trainer goroutines. Default 1,
+	// which trains a bit-identical model per corpus and configuration.
+	// More than one worker updates the weights by the lock-free Hogwild
+	// scheme of word2vec/gensim: concurrent updates may race benignly,
+	// trading bit-level determinism for throughput, which two workers
+	// gained only on the largest vocabulary measured, 73K rows, and by
+	// under 10 % (EXPERIMENTS.md, "Training cost"). A race-detector build
+	// always trains on one worker (see race_on.go).
 	Workers int
 	// Seed seeds all training randomness.
 	Seed uint64
 	// Progress, when non-nil, is called once after every completed
 	// epoch, from the goroutine running Train, with all workers
-	// quiesced. Setting it also enables loss tracking, which costs one
-	// log evaluation per trained (centre, context) pair.
+	// quiesced. Setting it also enables loss tracking, which costs a few
+	// multiplications per trained (centre, context) pair.
 	Progress func(EpochStats)
 }
 
@@ -107,7 +107,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 		c.MinLR = 1e-4
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = 1
 	}
 	return c
 }
@@ -239,6 +239,7 @@ func train(ctx context.Context, corpus [][]string, cfg TrainConfig, kernels sgns
 			keep:      keep,
 			neu1e:     make([]float32, cfg.Dim),
 			trackLoss: cfg.Progress != nil,
+			lik:       1,
 		}
 	}
 	// Epochs are barriered: all workers finish epoch e before any starts
@@ -282,6 +283,7 @@ func train(ctx context.Context, corpus [][]string, cfg TrainConfig, kernels sgns
 			var lossSum float64
 			var pairs int64
 			for _, tr := range trainers {
+				tr.flushLoss()
 				lossSum += tr.lossSum
 				pairs += tr.lossPairs
 				tr.lossSum, tr.lossPairs = 0, 0
@@ -339,10 +341,12 @@ type trainer struct {
 	sigmas      []float64
 
 	// Loss accounting, only maintained when trackLoss is set; read by
-	// the Train goroutine at epoch barriers.
+	// the Train goroutine at epoch barriers. lik is the product of the
+	// pair likelihoods not yet in lossSum, carried across pairs.
 	trackLoss bool
 	lossSum   float64
 	lossPairs int64
+	lik       float64
 }
 
 // trainSequence applies one pass of skip-gram negative sampling over a
@@ -445,10 +449,11 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 
 // pairLoss adds one pair's loss, -log σ(x) - Σ log σ(-x_k) in
 // Equation (2), given the pair's σs in sample order: the probabilities
-// are multiplied up and logged once. It runs after the pair's steps, so
-// no σ waits on the product.
+// are multiplied into t.lik, which is logged into lossSum only when it
+// nears underflow and at the epoch barrier (flushLoss), not per pair. It
+// runs after the pair's steps, so no σ waits on the product.
 func (t *trainer) pairLoss(sigmas []float64) {
-	lik := 1.0
+	lik := t.lik
 	for i, y := range sigmas {
 		if i > 0 {
 			y = 1 - y
@@ -460,8 +465,14 @@ func (t *trainer) pairLoss(sigmas []float64) {
 			lik = 1
 		}
 	}
-	t.lossSum -= math.Log(lik)
+	t.lik = lik
 	t.lossPairs++
+}
+
+// flushLoss moves the carried likelihood product into lossSum.
+func (t *trainer) flushLoss() {
+	t.lossSum -= math.Log(t.lik)
+	t.lik = 1
 }
 
 // Vocab returns the model's vocabulary.

@@ -26,14 +26,17 @@ package core
 // first wrote. Two rows either coincide or do not overlap, and neither
 // neu nor c overlaps a row.
 //
-// The amd64 assembly (sgns_amd64.s) prefetches every row before the
-// first dot, holds a dot's lanes in two SSE registers, two add chains in
-// flight, and keeps four elements of c and neu in registers while it
-// steps through the rows; the portable code below spells the same
-// arithmetic out. Both perform the same IEEE-754 operations in
-// the same order, so from equal rows they leave equal bits — except that
-// a NaN is only promised to be a NaN, sign and payload being the
-// processor's — and one worker trains the same model whichever ran.
+// The amd64 assembly (sgns_amd64.s) has two pairs, whose dots both
+// prefetch every row before the first product. The SSE2 pair holds a
+// dot's lanes in two SSE registers, two add chains in flight, and keeps
+// four elements of c and neu in registers while it steps through the
+// rows. The AVX pair scores two rows at a time, each row's eight lanes
+// in one YMM register, and updates row by row, eight elements at a
+// time. The portable code below spells the same arithmetic out. All
+// perform the same IEEE-754 operations in the same order, so from equal
+// rows they leave equal bits — except that a NaN is only promised to be
+// a NaN, sign and payload being the processor's — and one worker trains
+// the same model whichever ran.
 
 // sgnsDotRowsPortable is the dot contract in plain Go: the implementation
 // on architectures without assembly and the oracle the assembly is tested

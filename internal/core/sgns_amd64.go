@@ -1,5 +1,12 @@
 package core
 
+import "hostprof/internal/index"
+
+// useAVX selects the AVX pair over the SSE2 pair: set at init by
+// internal/index's CPU check, whose AVX2 implies the AVX these kernels
+// use. Tests clear it to run the SSE2 pair on the same machine.
+var useAVX = index.HasAVX2()
+
 // sgnsDotRows sets out[k] to the float32 inner product of c with the row
 // of m at element offset off[k], under the contract in sgns.go.
 func sgnsDotRows(c, m []float32, off []int, out []float32) {
@@ -7,6 +14,10 @@ func sgnsDotRows(c, m []float32, off []int, out []float32) {
 		panic("core: sgnsDotRows output shorter than its rows")
 	}
 	checkRows(len(c), m, off)
+	if useAVX {
+		sgnsDotRowsAVX(c, m, off, out)
+		return
+	}
 	sgnsDotRowsAsm(c, m, off, out)
 }
 
@@ -17,6 +28,10 @@ func sgnsUpdateRows(g, c, m []float32, off []int, neu []float32) {
 		panic("core: sgnsUpdateRows length mismatch")
 	}
 	checkRows(len(c), m, off)
+	if useAVX {
+		sgnsUpdateRowsAVX(g, c, m, off, neu)
+		return
+	}
 	sgnsUpdateRowsAsm(g, c, m, off, neu)
 }
 
@@ -38,3 +53,9 @@ func sgnsDotRowsAsm(c, m []float32, off []int, out []float32)
 
 //go:noescape
 func sgnsUpdateRowsAsm(g, c, m []float32, off []int, neu []float32)
+
+//go:noescape
+func sgnsDotRowsAVX(c, m []float32, off []int, out []float32)
+
+//go:noescape
+func sgnsUpdateRowsAVX(g, c, m []float32, off []int, neu []float32)

@@ -1,9 +1,10 @@
 #include "textflag.h"
 
-// The contract these routines implement is stated in sgns.go. Baseline
-// SSE2 only — no FMA, no AVX — so every product is rounded before its
-// add, as in the portable code. AX is the byte offset into c, neu and
-// every row; a row starts at m + 4*off[k] bytes.
+// The contract these routines implement is stated in sgns.go. The first
+// pair is baseline SSE2, the second AVX (sgns_amd64.go picks one at
+// init); neither uses FMA, so every product is rounded before its add,
+// as in the portable code. AX is the byte offset into c, neu and every
+// row; a row starts at m + 4*off[k] bytes.
 
 // func sgnsDotRowsAsm(c, m []float32, off []int, out []float32)
 TEXT ·sgnsDotRowsAsm(SB), NOSPLIT, $0-96
@@ -174,4 +175,200 @@ utailrow:
 	JNZ    utailloop
 
 udone:
+	RET
+
+// func sgnsDotRowsAVX(c, m []float32, off []int, out []float32)
+//
+// Two rows per pass, c read once for both: each row's eight lanes sit in
+// one YMM register (Y0, Y1). After the groups of eight, lanes 4..7 move
+// to X5/X6 and the group of four, the tail and the reduction run on
+// lanes 0..3 as in the SSE2 kernel. An odd last row is paired with
+// itself and both of its equal sums are stored to its one slot.
+TEXT ·sgnsDotRowsAVX(SB), NOSPLIT, $0-96
+	MOVQ  c_base+0(FP), SI
+	MOVQ  c_len+8(FP), CX
+	MOVQ  m_base+24(FP), BX
+	MOVQ  off_base+48(FP), R8
+	MOVQ  off_len+56(FP), R9
+	MOVQ  out_base+72(FP), R10
+	TESTQ R9, R9
+	JZ    vdone
+
+	MOVQ CX, DX
+	SHLQ $2, DX              // row bytes
+	MOVQ R8, R13
+	MOVQ R9, R12
+
+vpf:
+	MOVQ       (R13), DI
+	LEAQ       (BX)(DI*4), DI
+	XORQ       AX, AX
+
+vpfline:
+	PREFETCHT0 (DI)(AX*1)
+	ADDQ       $64, AX
+	CMPQ       AX, DX
+	JLT        vpfline
+	PREFETCHT0 -4(DI)(DX*1)
+	ADDQ       $8, R13
+	DECQ       R12
+	JNZ        vpf
+
+vpair:
+	MOVQ   (R8), DI
+	LEAQ   (BX)(DI*4), DI    // row k
+	MOVQ   DI, R11           // row k+1, or row k again if it is the last
+	XORQ   R12, R12          // out offset of row k+1's sum
+	CMPQ   R9, $2
+	JLT    vrows
+	MOVQ   8(R8), R11
+	LEAQ   (BX)(R11*4), R11
+	MOVQ   $4, R12
+
+vrows:
+	VXORPS Y0, Y0, Y0        // row k's lanes s0..s7
+	VXORPS Y1, Y1, Y1        // row k+1's
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	SHRQ   $3, DX
+	JZ     vfour
+
+vloop8:
+	VMOVUPS (SI)(AX*1), Y2
+	VMULPS  (DI)(AX*1), Y2, Y3
+	VMULPS  (R11)(AX*1), Y2, Y4
+	VADDPS  Y3, Y0, Y0
+	VADDPS  Y4, Y1, Y1
+	ADDQ    $32, AX
+	DECQ    DX
+	JNZ     vloop8
+
+vfour:
+	VEXTRACTF128 $1, Y0, X5  // s4..s7, before a 128-bit op clears them
+	VEXTRACTF128 $1, Y1, X6
+	TESTQ        $4, CX
+	JZ           vtail
+	VMOVUPS      (SI)(AX*1), X2
+	VMULPS       (DI)(AX*1), X2, X3
+	VMULPS       (R11)(AX*1), X2, X4
+	VADDPS       X3, X0, X0
+	VADDPS       X4, X1, X1
+	ADDQ         $16, AX
+
+vtail:
+	MOVQ CX, DX
+	ANDQ $3, DX
+	JZ   vreduce
+
+vtailloop:
+	VMOVSS (SI)(AX*1), X2
+	VMULSS (DI)(AX*1), X2, X3
+	VMULSS (R11)(AX*1), X2, X4
+	VADDSS X3, X0, X0
+	VADDSS X4, X1, X1
+	ADDQ   $4, AX
+	DECQ   DX
+	JNZ    vtailloop
+
+vreduce:
+	VADDPS  X5, X0, X0       // t_j = s_j + s_{j+4}
+	VADDPS  X6, X1, X1
+	VPSHUFD $0x55, X0, X2
+	VPSHUFD $0xAA, X0, X3
+	VPSHUFD $0xFF, X0, X4
+	VADDSS  X2, X0, X0
+	VADDSS  X3, X0, X0
+	VADDSS  X4, X0, X0
+	VPSHUFD $0x55, X1, X2
+	VPSHUFD $0xAA, X1, X3
+	VPSHUFD $0xFF, X1, X4
+	VADDSS  X2, X1, X1
+	VADDSS  X3, X1, X1
+	VADDSS  X4, X1, X1
+	VMOVSS  X0, (R10)
+	VMOVSS  X1, (R10)(R12*1)
+	ADDQ    $16, R8
+	ADDQ    $8, R10
+	SUBQ    $2, R9
+	JGT     vpair
+
+vdone:
+	VZEROUPPER
+	RET
+
+// func sgnsUpdateRowsAVX(g, c, m []float32, off []int, neu []float32)
+//
+// Row by row, in row order: each row is stepped over all its elements,
+// eight at a time, then a group of four and up to three singles, neu read
+// and written beside it. Every element still sees the rows in the
+// contract's k order, and a repeated row its own earlier write.
+TEXT ·sgnsUpdateRowsAVX(SB), NOSPLIT, $0-120
+	MOVQ  g_base+0(FP), R11
+	MOVQ  c_base+24(FP), SI
+	MOVQ  c_len+32(FP), CX
+	MOVQ  m_base+48(FP), BX
+	MOVQ  off_base+72(FP), R8
+	MOVQ  off_len+80(FP), R9
+	MOVQ  neu_base+96(FP), R10
+	TESTQ R9, R9
+	JZ    vudone
+
+vurow:
+	VBROADCASTSS (R11), Y7   // g[k] in every lane
+	MOVQ         (R8), DI
+	LEAQ         (BX)(DI*4), DI
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	SHRQ         $3, DX
+	JZ           vufour
+
+vuloop8:
+	VMOVUPS (DI)(AX*1), Y1   // o, as read
+	VMULPS  Y7, Y1, Y4
+	VADDPS  (R10)(AX*1), Y4, Y4
+	VMOVUPS Y4, (R10)(AX*1)  // neu += g·o
+	VMULPS  (SI)(AX*1), Y7, Y5
+	VADDPS  Y5, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)   // o += g·c
+	ADDQ    $32, AX
+	DECQ    DX
+	JNZ     vuloop8
+
+vufour:
+	TESTQ   $4, CX
+	JZ      vutail
+	VMOVUPS (DI)(AX*1), X1
+	VMULPS  X7, X1, X4
+	VADDPS  (R10)(AX*1), X4, X4
+	VMOVUPS X4, (R10)(AX*1)
+	VMULPS  (SI)(AX*1), X7, X5
+	VADDPS  X5, X1, X1
+	VMOVUPS X1, (DI)(AX*1)
+	ADDQ    $16, AX
+
+vutail:
+	MOVQ CX, DX
+	ANDQ $3, DX
+	JZ   vunext
+
+vutailloop:
+	VMOVSS (DI)(AX*1), X1
+	VMULSS X7, X1, X4
+	VADDSS (R10)(AX*1), X4, X4
+	VMOVSS X4, (R10)(AX*1)
+	VMULSS (SI)(AX*1), X7, X5
+	VADDSS X5, X1, X1
+	VMOVSS X1, (DI)(AX*1)
+	ADDQ   $4, AX
+	DECQ   DX
+	JNZ    vutailloop
+
+vunext:
+	ADDQ $4, R11
+	ADDQ $8, R8
+	DECQ R9
+	JNZ  vurow
+
+vudone:
+	VZEROUPPER
 	RET

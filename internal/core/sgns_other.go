@@ -2,6 +2,9 @@
 
 package core
 
+// useAVX stays false off amd64, where the portable pair is the only one.
+var useAVX = false
+
 // sgnsDotRows sets out[k] to the float32 inner product of c with the row
 // of m at element offset off[k], under the contract in sgns.go.
 func sgnsDotRows(c, m []float32, off []int, out []float32) { sgnsDotRowsPortable(c, m, off, out) }

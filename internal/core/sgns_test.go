@@ -12,46 +12,80 @@ func sameFloat32(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// assertSGNSKernelsAgree runs sgnsDotRows and sgnsUpdateRows — whatever
-// they compile to on this architecture — and the portable pair over
-// copies of the same operands and wants the same dots and the same m and
-// neu afterwards, every element of m included; c must come back
-// untouched.
-func assertSGNSKernelsAgree(t *testing.T, what string, g, c, m []float32, off []int, neu []float32) {
-	t.Helper()
-	d := len(c)
-	got, want := make([]float32, len(off)), make([]float32, len(off))
-	sgnsDotRows(c, m, off, got)
-	sgnsDotRowsPortable(c, m, off, want)
-	for k := range off {
-		if !sameFloat32(got[k], want[k]) {
-			t.Fatalf("%s dim %d, offsets %v: row %d dot = %x, portable = %x", what, d, off, k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+// sgnsPaths runs f once per kernel pair that sgnsDotRows and
+// sgnsUpdateRows can take on this machine, through useAVX: on amd64 the
+// SSE2 pair and, where the CPU has AVX, the AVX pair; elsewhere the
+// portable pair alone.
+func sgnsPaths(f func(path string)) {
+	avx := useAVX
+	defer func() { useAVX = avx }()
+	for _, p := range []struct {
+		name string
+		avx  bool
+	}{{"baseline", false}, {"avx", true}} {
+		if p.avx && !avx {
+			continue
 		}
-	}
-	c0 := append([]float32(nil), c...)
-	m2, neu2 := append([]float32(nil), m...), append([]float32(nil), neu...)
-	sgnsUpdateRows(g, c, m, off, neu)
-	sgnsUpdateRowsPortable(g, c0, m2, off, neu2)
-	for i := range m {
-		if !sameFloat32(m[i], m2[i]) {
-			t.Fatalf("%s dim %d, offsets %v, g %v: sgnsUpdateRows left m[%d] = %x, portable %x", what, d, off, g, i, math.Float32bits(m[i]), math.Float32bits(m2[i]))
-		}
-	}
-	for i := range c {
-		if !sameFloat32(neu[i], neu2[i]) {
-			t.Fatalf("%s dim %d, offsets %v, g %v: sgnsUpdateRows left neu[%d] = %x, portable %x", what, d, off, g, i, math.Float32bits(neu[i]), math.Float32bits(neu2[i]))
-		}
-		if math.Float32bits(c[i]) != math.Float32bits(c0[i]) {
-			t.Fatalf("%s dim %d: sgnsUpdateRows wrote c[%d]", what, d, i)
-		}
+		useAVX = p.avx
+		f(p.name)
 	}
 }
 
+// copyAt returns a copy of src that starts skew float32s into its
+// allocation, so skews 0 to 3 put it at every 4-byte offset from a
+// 16-byte boundary.
+func copyAt(src []float32, skew int) []float32 {
+	return append(make([]float32, skew, skew+len(src)), src...)[skew:]
+}
+
+// assertSGNSKernelsAgree runs sgnsDotRows and sgnsUpdateRows — on every
+// path sgnsPaths takes, each over copies of c, m and neu at every skew
+// copyAt makes: the kernels must not assume alignment — and the portable
+// pair over copies of the same operands and wants the same dots and the
+// same m and neu afterwards, every element of m included; c must come
+// back untouched. The operands themselves are left as they were.
+func assertSGNSKernelsAgree(t *testing.T, what string, g, c, m []float32, off []int, neu []float32) {
+	t.Helper()
+	d := len(c)
+	want := make([]float32, len(off))
+	sgnsDotRowsPortable(c, m, off, want)
+	c0 := append([]float32(nil), c...)
+	mWant, neuWant := append([]float32(nil), m...), append([]float32(nil), neu...)
+	sgnsUpdateRowsPortable(g, c0, mWant, off, neuWant)
+	sgnsPaths(func(path string) {
+		t.Helper()
+		for skew := 0; skew < 4; skew++ {
+			cGot, mGot, neuGot := copyAt(c, skew), copyAt(m, (skew+1)%4), copyAt(neu, (skew+2)%4)
+			got := make([]float32, len(off))
+			sgnsDotRows(cGot, mGot, off, got)
+			for k := range off {
+				if !sameFloat32(got[k], want[k]) {
+					t.Fatalf("%s %s dim %d, offsets %v, skew %d: row %d dot = %x, portable = %x", path, what, d, off, skew, k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+				}
+			}
+			sgnsUpdateRows(g, cGot, mGot, off, neuGot)
+			for i := range mGot {
+				if !sameFloat32(mGot[i], mWant[i]) {
+					t.Fatalf("%s %s dim %d, offsets %v, g %v, skew %d: sgnsUpdateRows left m[%d] = %x, portable %x", path, what, d, off, g, skew, i, math.Float32bits(mGot[i]), math.Float32bits(mWant[i]))
+				}
+			}
+			for i := range c {
+				if !sameFloat32(neuGot[i], neuWant[i]) {
+					t.Fatalf("%s %s dim %d, offsets %v, g %v, skew %d: sgnsUpdateRows left neu[%d] = %x, portable %x", path, what, d, off, g, skew, i, math.Float32bits(neuGot[i]), math.Float32bits(neuWant[i]))
+				}
+				if math.Float32bits(cGot[i]) != math.Float32bits(c[i]) {
+					t.Fatalf("%s %s dim %d, skew %d: sgnsUpdateRows wrote c[%d]", path, what, d, skew, i)
+				}
+			}
+		}
+	})
+}
+
 // TestSGNSKernelsBitEqualPortable is the kernel contract's oracle test
-// (sgns.go): every dimension from an empty main loop through two tails
-// past the default 100, 0 to 8 rows — repeated ones among them — on
-// operands cut from larger buffers at odd offsets: the kernels must not
-// assume 16-byte alignment.
+// (sgns.go), on every kernel path this machine has: every dimension from
+// an empty main loop through two tails past the default 100, 0 to 8 rows
+// — repeated ones among them — on operands at every 4-byte offset from
+// a 16-byte boundary (assertSGNSKernelsAgree).
 func TestSGNSKernelsBitEqualPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	uniform := func() float32 { return rng.Float32()*2 - 1 }
@@ -103,17 +137,19 @@ func TestSGNSKernelsBitEqualPortable(t *testing.T) {
 			}
 		}
 	}
-	m, neu := []float32{1, 2, 3, 4, 5}, []float32{6, 7, 8, 9, 10}
-	sgnsUpdateRows([]float32{0}, []float32{1, 1, 1, 1, 1}, m, []int{0}, neu)
-	for i := range m {
-		if m[i] != float32(i+1) || neu[i] != float32(i+6) {
-			t.Fatalf("g = 0 moved element %d: o %v neu %v", i, m[i], neu[i])
+	sgnsPaths(func(path string) {
+		m, neu := []float32{1, 2, 3, 4, 5}, []float32{6, 7, 8, 9, 10}
+		sgnsUpdateRows([]float32{0}, []float32{1, 1, 1, 1, 1}, m, []int{0}, neu)
+		for i := range m {
+			if m[i] != float32(i+1) || neu[i] != float32(i+6) {
+				t.Fatalf("%s: g = 0 moved element %d: o %v neu %v", path, i, m[i], neu[i])
+			}
 		}
-	}
-	out := []float32{1}
-	if sgnsDotRows(nil, nil, []int{0}, out); math.Float32bits(out[0]) != 0 {
-		t.Fatalf("empty dot = %x, want +0", math.Float32bits(out[0]))
-	}
+		out := []float32{1}
+		if sgnsDotRows(nil, nil, []int{0}, out); math.Float32bits(out[0]) != 0 {
+			t.Fatalf("%s: empty dot = %x, want +0", path, math.Float32bits(out[0]))
+		}
+	})
 }
 
 // TestSGNSKernelsRejectShortOperands pins the bounds checks in front of
@@ -142,8 +178,8 @@ func TestSGNSKernelsRejectShortOperands(t *testing.T) {
 // FuzzSGNSKernels reads a row count and each row's slot from the first
 // bytes, then reinterprets the rest as float32 words — every bit pattern,
 // NaN payloads and denormals included: one step per row, then per element
-// c, neu and one value per slot. It holds the kernels to the portable
-// pair on them, repeated rows included.
+// c, neu and one value per slot. It holds the kernels, on every path
+// this machine has, to the portable pair on them, repeated rows included.
 func FuzzSGNSKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte{1, 0}, binary.LittleEndian.AppendUint32(nil, math.Float32bits(0.5))...))

@@ -133,6 +133,7 @@ func kernelFixture(hosts, dim, seqLen int, zipf bool) (*trainer, []int32) {
 		kernels:   sgnsKernels{sgnsDotRows, sgnsUpdateRows},
 		neu1e:     make([]float32, dim),
 		trackLoss: true,
+		lik:       1,
 	}, seq
 }
 
@@ -145,7 +146,8 @@ type pairPaths struct{ fused, fallback int }
 // seqTrainSequence is trainSequence as it ran before a pair's negatives
 // were drawn first: each sample draws its target, is scored and moves its
 // row before the next negative is drawn, one single-row call of each
-// kernel per sample. It is the bit-for-bit oracle of trainSequence,
+// kernel per sample, its loss factors multiplied into t.lik under
+// pairLoss's flush rule. It is the bit-for-bit oracle of trainSequence,
 // which must reach the same weights, loss and generator states.
 func (t *trainer) seqTrainSequence(seq []int32, lr float64, paths *pairPaths) {
 	kept := seq
@@ -181,7 +183,6 @@ func (t *trainer) seqTrainSequence(seq []int32, lr float64, paths *pairPaths) {
 			}
 			ctx := int(kept[j])
 			clear(neu1e)
-			lik := 1.0
 			targets := []int{ctx}
 			for k := 0; k <= t.cfg.Negative; k++ {
 				target, label := ctx, 1.0
@@ -201,14 +202,13 @@ func (t *trainer) seqTrainSequence(seq []int32, lr float64, paths *pairPaths) {
 					if k > 0 {
 						y = 1 - y
 					}
-					if lik *= y + lossEps; lik < 1e-280 {
-						t.lossSum -= math.Log(lik)
-						lik = 1
+					if t.lik *= y + lossEps; t.lik < 1e-280 {
+						t.lossSum -= math.Log(t.lik)
+						t.lik = 1
 					}
 				}
 			}
 			if t.trackLoss {
-				t.lossSum -= math.Log(lik)
 				t.lossPairs++
 			}
 			for i, e := range neu1e {
@@ -255,8 +255,8 @@ func TestTrainSequenceMatchesSequential(t *testing.T) {
 								math.Float32bits(got.m.out[i]), math.Float32bits(want.m.out[i]))
 						}
 					}
-					if math.Float64bits(got.lossSum) != math.Float64bits(want.lossSum) || got.lossPairs != want.lossPairs {
-						t.Fatalf("%s: loss %v over %d pairs, sequential %v over %d", what, got.lossSum, got.lossPairs, want.lossSum, want.lossPairs)
+					if math.Float64bits(got.lossSum) != math.Float64bits(want.lossSum) || math.Float64bits(got.lik) != math.Float64bits(want.lik) || got.lossPairs != want.lossPairs {
+						t.Fatalf("%s: loss %v carrying %v over %d pairs, sequential %v carrying %v over %d", what, got.lossSum, got.lik, got.lossPairs, want.lossSum, want.lik, want.lossPairs)
 					}
 					if got.rng.Uint64() != want.rng.Uint64() || got.noiseRNG.Uint64() != want.noiseRNG.Uint64() {
 						t.Fatalf("%s: trainer and sequential step consumed different random streams", what)
@@ -289,6 +289,7 @@ func TestTrainSequenceMatchesReference(t *testing.T) {
 			want, _ := kernelFixture(50, dim, 200, false)
 			ref := widenWeights(want.m)
 			got.trainSequence(seq, 0.025)
+			got.flushLoss()
 			want.refTrainSequence(ref, seq, 0.025)
 			var worst float64
 			for i := range ref.in {
@@ -327,6 +328,7 @@ func TestTrainSequenceLossSurvivesManyNegatives(t *testing.T) {
 	got, want := build(), build()
 	seq := []int32{0, 1}
 	got.trainSequence(seq, 1e-9)
+	got.flushLoss()
 	want.refTrainSequence(widenWeights(want.m), seq, 1e-9)
 	if math.IsInf(got.lossSum, 0) || math.IsNaN(got.lossSum) {
 		t.Fatalf("loss = %v", got.lossSum)

@@ -23,9 +23,11 @@ func dot32x4(q, m []float32, off *[4]int, out *[4]float32) {
 // useAVX2 selects the four-query kernel for the batch scan: set at init
 // when the CPU has AVX2 and the OS saves YMM state. Tests clear it to run
 // the dot32x4 fallback on the same machine.
-var useAVX2 = cpuHasAVX2()
+var useAVX2 = HasAVX2()
 
-func cpuHasAVX2() bool {
+// HasAVX2 reports whether the CPU has AVX2 (and so AVX) and the OS saves
+// YMM state: the one CPU check the repository's assembly is chosen by.
+func HasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}

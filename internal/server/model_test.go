@@ -3,10 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"testing"
+
+	"hostprof/internal/ads"
+	"hostprof/internal/core"
+	"hostprof/internal/synth"
 )
 
 // TestModelExportImportRoundTrip is the model-distribution contract: a
@@ -95,6 +101,65 @@ func TestModelExportImportRoundTrip(t *testing.T) {
 	ext := &Extension{BaseURL: dst.srv.URL, User: 0}
 	if _, err := ext.ProfileBatch(t.Context(), [][]string{{site, support}}); err != nil {
 		t.Fatalf("profile on imported model: %v", err)
+	}
+}
+
+// TestServeRetrainIsAFunctionOfItsInputs: two backends with the
+// training configuration serve builds — Dim and Epochs set, Workers left
+// to its default — import the same visits and retrain on two or more
+// cores; they must serve the same model artifact, byte for byte, and
+// report the same last-epoch loss.
+func TestServeRetrainIsAFunctionOfItsInputs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	u := synth.NewUniverse(synth.UniverseConfig{Sites: 300, Trackers: 15, Seed: 3})
+	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.2, Seed: 5})
+	db := ads.BuildFromOntology(ont, ads.BuildConfig{Seed: 7})
+	var visits []WireVisit
+	for _, v := range synth.NewPopulation(u, synth.PopulationConfig{Users: 60, Days: 2, Seed: 13}).Browse().Visits() {
+		visits = append(visits, WireVisit{User: v.User, Time: v.Time, Host: v.Host})
+	}
+	body, err := json.Marshal(ImportRequest{Visits: visits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var artifacts [2][]byte
+	var losses [2]float64
+	for i := range artifacts {
+		b, err := New(Config{
+			Ontology: ont,
+			AdDB:     db,
+			Train:    core.TrainConfig{Dim: 64, Epochs: 5}, // serve's -dim and -epochs defaults
+			Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := b.Handler()
+		if rec := serveBody(h, http.MethodPost, "/v1/import", body); rec.Code != http.StatusOK {
+			t.Fatalf("import → %d: %s", rec.Code, rec.Body)
+		}
+		if rec := serveBody(h, http.MethodPost, "/v1/retrain", nil); rec.Code != http.StatusNoContent {
+			t.Fatalf("retrain → %d: %s", rec.Code, rec.Body)
+		}
+		rec := serveBody(h, http.MethodGet, "/v1/model", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/model → %d: %s", rec.Code, rec.Body)
+		}
+		artifacts[i] = rec.Body.Bytes()
+		for _, s := range b.Metrics().Snapshot() {
+			if s.Name == "hostprof_train_epoch_loss" {
+				losses[i] = s.Value
+			}
+		}
+		b.Close()
+	}
+	if !bytes.Equal(artifacts[0], artifacts[1]) {
+		t.Errorf("the same visits retrained into different models (%d and %d bytes)", len(artifacts[0]), len(artifacts[1]))
+	}
+	if losses[0] != losses[1] || losses[0] == 0 {
+		t.Errorf("last-epoch loss %v and %v, want one nonzero value", losses[0], losses[1])
 	}
 }
 
