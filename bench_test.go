@@ -189,7 +189,7 @@ func BenchmarkTrainThroughput(b *testing.B) {
 	for _, seq := range corpus {
 		tokens += int64(len(seq))
 	}
-	cfg := core.TrainConfig{Dim: 32, Epochs: 1, MinCount: 2, Workers: 1, Seed: 5, Subsample: -1}
+	cfg := core.TrainConfig{Dim: 32, Epochs: 1, MinCount: 2, Seed: 5, Subsample: -1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Train(corpus, cfg); err != nil {
@@ -430,21 +430,6 @@ func dominantShare(m [][]float64) (int, float64) {
 
 // Keep the facade exercised from the bench package too.
 var _ = hostprof.NewTaxonomy
-
-func BenchmarkTrainParallelScaling(b *testing.B) {
-	s := setupBench(b)
-	corpus := s.Filtered.AllSequences()
-	for _, w := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "workers1", 2: "workers2", 4: "workers4"}[w], func(b *testing.B) {
-			cfg := core.TrainConfig{Dim: 32, Epochs: 1, MinCount: 2, Workers: w, Seed: 5, Subsample: -1}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Train(corpus, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkAdNetworkServe(b *testing.B) {
 	s := setupBench(b)

@@ -46,7 +46,7 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	if err := cmdTrain([]string{
 		"-trace", sniffed, "-blocklist", filepath.Join(dir, "blocklist.hosts"),
 		"-model", model, "-dim", "12", "-epochs", "2", "-mincount", "2",
-		"-sample", "-1", "-workers", "1", "-seed", "3",
+		"-sample", "-1", "-seed", "3",
 	}); err != nil {
 		t.Fatalf("train: %v", err)
 	}

@@ -23,7 +23,6 @@ func cmdTrain(args []string) error {
 	epochs := fs.Int("epochs", 5, "training epochs")
 	minCount := fs.Int("mincount", 5, "minimum hostname frequency")
 	sample := fs.Float64("sample", 1e-3, "frequent-host subsampling threshold (<=0 disables)")
-	workers := fs.Int("workers", 0, "trainer goroutines (0 = one worker)")
 	seed := fs.Uint64("seed", 1, "training seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,8 +71,7 @@ func cmdTrain(args []string) error {
 	}
 	model, err := core.Train(corpus, core.TrainConfig{
 		Dim: *dim, Window: *window, Negative: *negative,
-		Epochs: *epochs, MinCount: *minCount, Subsample: sub,
-		Workers: *workers, Seed: *seed,
+		Epochs: *epochs, MinCount: *minCount, Subsample: sub, Seed: *seed,
 	})
 	if err != nil {
 		return err

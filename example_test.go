@@ -22,7 +22,7 @@ func Example_profiling() {
 		{"goal.example", "score.example", "kick.example", "goal.example"},
 	}
 	model, err := hostprof.Train(corpus, hostprof.TrainConfig{
-		Dim: 16, MinCount: 1, Epochs: 40, Workers: 1, Seed: 7, Subsample: -1,
+		Dim: 16, MinCount: 1, Epochs: 40, Seed: 7, Subsample: -1,
 	})
 	if err != nil {
 		panic(err)
@@ -109,7 +109,7 @@ func ExampleNewPipeline() {
 	pipe, err := hostprof.NewPipeline(hostprof.PipelineConfig{
 		Ontology:  ontology,
 		Blocklist: synth.BuildBlocklist(universe, 1, 5),
-		Train:     hostprof.TrainConfig{Dim: 24, Epochs: 8, MinCount: 2, Workers: 1, Seed: 6, Subsample: -1},
+		Train:     hostprof.TrainConfig{Dim: 24, Epochs: 8, MinCount: 2, Seed: 6, Subsample: -1},
 		Profile:   hostprof.ProfilerConfig{N: 80, Agg: hostprof.AggIDF},
 	})
 	if err != nil {
@@ -176,7 +176,7 @@ func ExampleModel_MostSimilar() {
 	universe := synth.NewUniverse(synth.UniverseConfig{Sites: 200, Seed: 17})
 	population := synth.NewPopulation(universe, synth.PopulationConfig{Users: 40, Days: 5, Seed: 19})
 	model, err := hostprof.Train(population.Browse().AllSequences(), hostprof.TrainConfig{
-		Dim: 32, Epochs: 10, MinCount: 2, Workers: 1, Seed: 23, Subsample: -1,
+		Dim: 32, Epochs: 10, MinCount: 2, Seed: 23, Subsample: -1,
 	})
 	if err != nil {
 		panic(err)

@@ -34,7 +34,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	p, err := NewPipeline(PipelineConfig{
 		Ontology:  ont,
 		Blocklist: bl,
-		Train:     TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 3, Subsample: -1},
+		Train:     TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 3, Subsample: -1},
 		Profile:   ProfilerConfig{N: 50},
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestPipelineRetrainOnDay(t *testing.T) {
 	_, ont, tr, _ := buildWorld(t)
 	p, err := NewPipeline(PipelineConfig{
 		Ontology: ont,
-		Train:    TrainConfig{Dim: 8, Epochs: 2, MinCount: 2, Workers: 1, Seed: 3, Subsample: -1},
+		Train:    TrainConfig{Dim: 8, Epochs: 2, MinCount: 2, Seed: 3, Subsample: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestFacadeTrainAndPersist(t *testing.T) {
 		{"a.example", "b.example", "a.example", "b.example"},
 		{"c.example", "d.example", "c.example", "d.example"},
 	}
-	m, err := Train(corpus, TrainConfig{Dim: 8, Epochs: 2, MinCount: 1, Workers: 1, Seed: 1, Subsample: -1})
+	m, err := Train(corpus, TrainConfig{Dim: 8, Epochs: 2, MinCount: 1, Seed: 1, Subsample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func (fx *clusterFixture) addShard(t *testing.T) string {
 	cfg := server.Config{
 		Ontology: fx.ont,
 		AdDB:     fx.db,
-		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 11, Subsample: -1},
 		Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Tracer:   trc,
 		Logger:   quiet,

@@ -378,7 +378,7 @@ func TestGatewayResizeTargetDeathRollbackAndResume(t *testing.T) {
 		b, err := server.New(server.Config{
 			Ontology: fx.ont,
 			AdDB:     fx.db,
-			Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+			Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 11, Subsample: -1},
 			Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 			Logger:   quiet,
 		})

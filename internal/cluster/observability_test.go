@@ -58,7 +58,7 @@ func TestTracePushCompletesClusterTrace(t *testing.T) {
 		b, err := server.New(server.Config{
 			Ontology: ont,
 			AdDB:     db,
-			Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+			Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Seed: 11, Subsample: -1},
 			Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 			Tracer:   tracer.New(tracer.Config{Service: "hostprof-serve", SampleRate: 1}),
 			Logger:   quiet,

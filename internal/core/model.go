@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hostprof/internal/fault"
@@ -44,20 +43,10 @@ type TrainConfig struct {
 	// LR and MinLR bound the linearly decayed learning rate.
 	// Defaults 0.025 and 1e-4.
 	LR, MinLR float64
-	// Workers is the number of concurrent trainer goroutines. Default 1,
-	// which trains a bit-identical model per corpus and configuration.
-	// More than one worker updates the weights by the lock-free Hogwild
-	// scheme of word2vec/gensim: concurrent updates may race benignly,
-	// trading bit-level determinism for throughput, which two workers
-	// gained only on the largest vocabulary measured, 73K rows, and by
-	// under 10 % (EXPERIMENTS.md, "Training cost"). A race-detector build
-	// always trains on one worker (see race_on.go).
-	Workers int
 	// Seed seeds all training randomness.
 	Seed uint64
 	// Progress, when non-nil, is called once after every completed
-	// epoch, from the goroutine running Train, with all workers
-	// quiesced. Setting it also enables loss tracking, which costs a few
+	// epoch, from the goroutine running Train. Setting it also enables loss tracking, which costs a few
 	// multiplications per trained (centre, context) pair.
 	Progress func(EpochStats)
 }
@@ -106,9 +95,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.MinLR <= 0 {
 		c.MinLR = 1e-4
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	return c
 }
 
@@ -152,25 +138,12 @@ func Train(corpus [][]string, cfg TrainConfig) (*Model, error) {
 }
 
 // TrainContext is Train with cooperative cancellation: ctx is checked
-// at every epoch boundary and, within an epoch, by every worker before
-// each sequence, so a production-sized retrain stops well under one
-// epoch after cancellation. On cancellation the partially trained model
-// is discarded and ctx.Err() is returned (wrapped; test with
-// errors.Is).
+// at every epoch boundary and, within an epoch, before each sequence, so
+// a production-sized retrain stops well under one epoch after
+// cancellation. On cancellation the partially trained model is
+// discarded and ctx.Err() is returned (wrapped; test with errors.Is).
+// One goroutine trains, so the model is a function of corpus and cfg.
 func TrainContext(ctx context.Context, corpus [][]string, cfg TrainConfig) (*Model, error) {
-	return train(ctx, corpus, cfg, sgnsKernels{sgnsDotRows, sgnsUpdateRows})
-}
-
-// sgnsKernels is the pair of row kernels a trainer steps through (see
-// sgns.go); a parameter so that a test can train through the portable
-// pair on an architecture that has assembly.
-type sgnsKernels struct {
-	dot    func(c, m []float32, off []int, out []float32)
-	update func(g, c, m []float32, off []int, neu []float32)
-}
-
-// train is TrainContext through the given kernels.
-func train(ctx context.Context, corpus [][]string, cfg TrainConfig, kernels sgnsKernels) (*Model, error) {
 	cfg = cfg.withDefaults()
 	vocab := BuildVocab(corpus, cfg.MinCount)
 	if vocab.Len() == 0 {
@@ -204,47 +177,31 @@ func train(ctx context.Context, corpus [][]string, cfg TrainConfig, kernels sgns
 		m.in[i] = float32((init.Float64() - 0.5) / float64(cfg.Dim))
 	}
 
-	// Noise distribution: counts^power behind one alias table that every
-	// worker draws from with its own generator (word2vec's unigram table,
-	// exact instead of discretized, O(1) per draw).
+	// Noise distribution: counts^power behind one alias table
+	// (word2vec's unigram table, exact instead of discretized, O(1) per
+	// draw).
 	weights := make([]float64, vocab.Len())
 	for i := range weights {
 		weights[i] = math.Pow(float64(vocab.Count(i)), cfg.UnigramPower)
 	}
-	noise := stats.NewAlias(weights)
 
-	keep := keepProbabilities(vocab, cfg.Subsample)
-
+	// Every row the trainer hands a kernel is id·dim of a matrix of
+	// vocab.Len() rows, with id from encoded or drawn by an alias table
+	// over vocab.Len() outcomes, so trainSequence runs the kernels
+	// without their per-call bounds check.
+	tr := &trainer{
+		m:         m,
+		cfg:       cfg,
+		rng:       stats.NewRNG(cfg.Seed ^ 1),
+		noise:     stats.NewAlias(weights),
+		noiseRNG:  stats.NewRNG(cfg.Seed + 13),
+		keep:      keepProbabilities(vocab, cfg.Subsample),
+		neu1e:     make([]float32, cfg.Dim),
+		trackLoss: cfg.Progress != nil,
+		lik:       1,
+	}
 	totalWork := tokens * int64(cfg.Epochs)
-	var done atomic.Int64
-
-	workers := cfg.Workers
-	if workers > len(encoded) {
-		workers = len(encoded)
-	}
-	if raceDetectorEnabled {
-		// Hogwild's benign weight races trip the race detector; run
-		// single-threaded under -race (see race_on.go).
-		workers = 1
-	}
-	trainers := make([]*trainer, workers)
-	for w := range trainers {
-		trainers[w] = &trainer{
-			m:         m,
-			cfg:       cfg,
-			kernels:   kernels,
-			rng:       stats.NewRNG(cfg.Seed ^ (0x9e37*uint64(w) + 1)),
-			noise:     noise,
-			noiseRNG:  stats.NewRNG(cfg.Seed + uint64(w)*7919 + 13),
-			keep:      keep,
-			neu1e:     make([]float32, cfg.Dim),
-			trackLoss: cfg.Progress != nil,
-			lik:       1,
-		}
-	}
-	// Epochs are barriered: all workers finish epoch e before any starts
-	// e+1, so Progress observes a quiesced model. Per worker, the
-	// sequence order and RNG consumption match the pre-barrier scheme.
+	var done int64
 	cancelled := ctx.Done()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
@@ -254,51 +211,33 @@ func train(ctx context.Context, corpus [][]string, cfg TrainConfig, kernels sgns
 			return nil, fmt.Errorf("core: epoch %d: %w", epoch, err)
 		}
 		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(tr *trainer, w int) {
-				defer wg.Done()
-				for s := w; s < len(encoded); s += workers {
-					select {
-					case <-cancelled:
-						return
-					default:
-					}
-					seq := encoded[s]
-					progress := float64(done.Add(int64(len(seq)))) / float64(totalWork)
-					lr := cfg.LR * (1 - progress)
-					if lr < cfg.MinLR {
-						lr = cfg.MinLR
-					}
-					tr.trainSequence(seq, lr)
-				}
-			}(trainers[w], w)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: training cancelled in epoch %d: %w", epoch, err)
+		for _, seq := range encoded {
+			select {
+			case <-cancelled:
+				return nil, fmt.Errorf("core: training cancelled in epoch %d: %w", epoch, ctx.Err())
+			default:
+			}
+			done += int64(len(seq))
+			lr := cfg.LR * (1 - float64(done)/float64(totalWork))
+			if lr < cfg.MinLR {
+				lr = cfg.MinLR
+			}
+			tr.trainSequence(seq, lr)
 		}
 		if cfg.Progress != nil {
-			var lossSum float64
-			var pairs int64
-			for _, tr := range trainers {
-				tr.flushLoss()
-				lossSum += tr.lossSum
-				pairs += tr.lossPairs
-				tr.lossSum, tr.lossPairs = 0, 0
-			}
+			tr.flushLoss()
 			loss := 0.0
-			if pairs > 0 {
-				loss = lossSum / float64(pairs)
+			if tr.lossPairs > 0 {
+				loss = tr.lossSum / float64(tr.lossPairs)
 			}
 			cfg.Progress(EpochStats{
 				Epoch:    epoch,
 				Epochs:   cfg.Epochs,
 				Loss:     loss,
-				Pairs:    pairs,
+				Pairs:    tr.lossPairs,
 				Duration: time.Since(start),
 			})
+			tr.lossSum, tr.lossPairs = 0, 0
 		}
 	}
 	return m, nil
@@ -322,13 +261,12 @@ func keepProbabilities(vocab *Vocab, sample float64) []float64 {
 	return keep
 }
 
-// trainer holds per-worker training state.
+// trainer holds the training state of one Train call.
 type trainer struct {
 	m        *Model
 	cfg      TrainConfig
-	kernels  sgnsKernels
-	rng      *stats.RNG   // subsampling and window shrink
-	noise    *stats.Alias // shared by all workers, read-only
+	rng      *stats.RNG // subsampling and window shrink
+	noise    *stats.Alias
 	noiseRNG *stats.RNG
 	keep     []float64
 	kept     []int32   // subsampled sequence, reused across sequences
@@ -340,9 +278,9 @@ type trainer struct {
 	dots, grads []float32
 	sigmas      []float64
 
-	// Loss accounting, only maintained when trackLoss is set; read by
-	// the Train goroutine at epoch barriers. lik is the product of the
-	// pair likelihoods not yet in lossSum, carried across pairs.
+	// Loss accounting, only maintained when trackLoss is set; read at
+	// the end of each epoch. lik is the product of the pair likelihoods
+	// not yet in lossSum, carried across pairs.
 	trackLoss bool
 	lossSum   float64
 	lossPairs int64
@@ -350,7 +288,8 @@ type trainer struct {
 }
 
 // trainSequence applies one pass of skip-gram negative sampling over a
-// single encoded sequence at learning rate lr.
+// single encoded sequence at learning rate lr. Its rows are in bounds by
+// construction (TrainContext), so it calls the unchecked kernels.
 func (t *trainer) trainSequence(seq []int32, lr float64) {
 	// Subsample frequent hosts first, as word2vec does, so the window
 	// spans the retained subsequence.
@@ -420,7 +359,7 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 			for first := 0; first < len(rows); first += perCall {
 				group := rows[first : first+perCall]
 				dots, grads := t.dots[:len(group)], t.grads[:len(group)]
-				t.kernels.dot(cvec, t.m.out, group, dots)
+				dotRows(cvec, t.m.out, group, dots)
 				for i, x := range dots {
 					// One SGD step of Equation (2) per target: score
 					// y = σ(c·o), then move the target row along c and add
@@ -435,13 +374,11 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 					sigmas[first+i] = y
 					grads[i] = float32((label - y) * lr)
 				}
-				t.kernels.update(grads, cvec, t.m.out, group, neu1e)
+				// The last call also moves the centre row by neu1e.
+				updateRows(grads, cvec, t.m.out, group, neu1e, first+perCall == len(rows))
 			}
 			if t.trackLoss {
 				t.pairLoss(sigmas)
-			}
-			for i, e := range neu1e {
-				cvec[i] += e
 			}
 		}
 	}

@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"testing"
 
@@ -46,7 +47,6 @@ func smallConfig() TrainConfig {
 		Subsample: -1, // disabled: the toy corpus is tiny
 		MinCount:  1,
 		Epochs:    3,
-		Workers:   1,
 		Seed:      42,
 	}
 }
@@ -83,9 +83,9 @@ func TestTrainSeparatesTopics(t *testing.T) {
 	}
 }
 
-// TestTrainDeterministicSingleWorker: one worker is a function of the
-// corpus and the configuration — twice gives the same weights — and
-// not of the architecture's kernels: the portable pair trains the model
+// TestTrainDeterministicSingleWorker: training is a function of the
+// corpus and the configuration — twice gives the same weights — and not
+// of the architecture's kernels: the portable pair trains the model
 // every assembly pair this machine has trains (the same test on an
 // architecture without assembly compares the portable pair with itself).
 func TestTrainDeterministicSingleWorker(t *testing.T) {
@@ -93,7 +93,10 @@ func TestTrainDeterministicSingleWorker(t *testing.T) {
 	corpus, _, _ := topicCorpus(rng, 6, 50, 8)
 	cfg := smallConfig()
 	cfg.Dim = 23 // a group of eight, one of four and a tail of three
-	portable, err := train(context.Background(), corpus, cfg, sgnsKernels{sgnsDotRowsPortable, sgnsUpdateRowsPortable})
+	path := sgnsPath
+	sgnsPath = sgnsPortable
+	portable, err := Train(corpus, cfg)
+	sgnsPath = path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestTrainDeterministicSingleWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		if weightsDigest(m1) != weightsDigest(m2) {
-			t.Fatalf("%s: single-worker training is not deterministic", path)
+			t.Fatalf("%s: training is not deterministic", path)
 		}
 		if weightsDigest(m1) != weightsDigest(portable) {
 			t.Fatalf("%s: training through the portable kernels and through this architecture's gave different models", path)
@@ -115,42 +118,58 @@ func TestTrainDeterministicSingleWorker(t *testing.T) {
 	})
 }
 
-// TestTrainPinnedAcrossCommits pins one worker's trained model and
-// per-epoch loss to their bits, so that a change to the trainer's step
-// that claims the same model is held to it across commits, and so that
-// the portable kernels and pure-Go math.Exp on other architectures (make
-// ci runs this under GOARCH=386) are held to what the amd64 assembly
-// trains. It pins weightsDigest, not Save's bytes, so that a change of
-// file layout does not move it; the digests were computed at d5c9674,
-// the last gob release, by this test body. The loss bits are those of
-// the likelihood product carried across pairs and logged once per flush
-// (pairLoss), which rounds differently from one log per pair in the last
-// few bits. It runs under -short on purpose.
+// goldenPath is the repository's file of pinned digests, one object per
+// stage of the chain.
+const goldenPath = "../../testdata/golden.json"
+
+// goldenTrain is the golden file's train stage: per model dimension, the
+// weightsDigest and the per-epoch loss bits, in hex.
+type goldenTrain struct {
+	Models []struct {
+		Dim           int      `json:"dim"`
+		WeightsSHA256 string   `json:"weights_sha256"`
+		LossBits      []string `json:"loss_bits"`
+	} `json:"models"`
+}
+
+// TestTrainPinnedAcrossCommits holds the trained model and per-epoch
+// loss to the golden file's train stage, bit for bit, so that a change
+// to the trainer's step that claims the same model is held to it across
+// commits, and so that the portable kernels on other architectures
+// (make ci runs this under GOARCH=386) are held to what the amd64
+// assembly trains. It pins weightsDigest, not Save's bytes, so that a
+// change of file layout does not move it. The loss bits are those of the
+// likelihood product carried across pairs and logged once per flush
+// (pairLoss). It runs under -short on purpose.
 func TestTrainPinnedAcrossCommits(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Train goldenTrain `json:"train"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	if len(golden.Train.Models) == 0 {
+		t.Fatalf("%s pins no trained model", goldenPath)
+	}
 	corpus, _, _ := topicCorpus(stats.NewRNG(7), 10, 400, 12)
-	for _, tc := range []struct {
-		dim    int
-		sha256 string
-		loss   []uint64
-	}{
-		{23, "7f59a046aaa155ba45232c64c06d0c995af0bc5d520532a4611d638ca54087a6",
-			[]uint64{0x40043ab8826dfe11, 0x40002c8c64bb2dbf, 0x400025f3554a16f1}},
-		{64, "1a5787a1f8b043b3ef6aabd92b2e1eb1c9eff203dca19d81c193b16231ce1375",
-			[]uint64{0x40047ede38d3acae, 0x40002da54170be63, 0x4000265be967ac2d}},
-	} {
+	for _, pin := range golden.Train.Models {
 		cfg := smallConfig()
-		cfg.Dim = tc.dim
-		var loss []uint64
-		cfg.Progress = func(e EpochStats) { loss = append(loss, math.Float64bits(e.Loss)) }
+		cfg.Dim = pin.Dim
+		var loss []string
+		cfg.Progress = func(e EpochStats) { loss = append(loss, fmt.Sprintf("%016x", math.Float64bits(e.Loss))) }
 		m, err := Train(corpus, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := weightsDigest(m); got != tc.sha256 {
-			t.Errorf("dim %d: weights sha256 %s, pinned %s", tc.dim, got, tc.sha256)
+		if got := weightsDigest(m); got != pin.WeightsSHA256 {
+			t.Errorf("dim %d: weights sha256 %s, golden %s", pin.Dim, got, pin.WeightsSHA256)
 		}
-		if !slices.Equal(loss, tc.loss) {
-			t.Errorf("dim %d: per-epoch loss bits %x, pinned %x", tc.dim, loss, tc.loss)
+		if !slices.Equal(loss, pin.LossBits) {
+			t.Errorf("dim %d: per-epoch loss bits %q, golden %q", pin.Dim, loss, pin.LossBits)
 		}
 	}
 }
@@ -359,22 +378,6 @@ func TestNearestToVectorMatchesBruteForce(t *testing.T) {
 		if math.Abs(got[i].Cosine-ref[i].cos) > 1e-9 {
 			t.Fatalf("rank %d: heap %v vs brute %v", i, got[i].Cosine, ref[i].cos)
 		}
-	}
-}
-
-func TestTrainMultiWorkerStillLearns(t *testing.T) {
-	rng := stats.NewRNG(19)
-	corpus, ta, tb := topicCorpus(rng, 8, 300, 10)
-	cfg := smallConfig()
-	cfg.Workers = 4
-	m, err := Train(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	intra, _ := m.Similarity(ta[0], ta[1])
-	inter, _ := m.Similarity(ta[0], tb[1])
-	if intra <= inter {
-		t.Fatalf("multi-worker model failed to learn: intra=%.3f inter=%.3f", intra, inter)
 	}
 }
 

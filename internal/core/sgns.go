@@ -2,11 +2,11 @@ package core
 
 // The trainer's kernel contract. One SGD step of Equation (2) on a
 // (centre, context) pair scores 1+K target rows of the context matrix
-// against the centre row, takes a sigmoid of each dot widened to float64,
-// and moves every target row along the centre row while summing the
-// centre's share of the gradient. The two passes are the kernels below;
-// both take their rows as one matrix m plus element offsets, a row being
-// m[off[k] : off[k]+len(c)].
+// against the centre row, takes a sigmoid of each dot, moves every
+// target row along the centre row while summing the centre's share of
+// the gradient, and then moves the centre row by that sum. The two
+// passes are the kernels below; both take their rows as one matrix m
+// plus element offsets, a row being m[off[k] : off[k]+len(c)].
 //
 // sgnsDotRows sets out[k] to the dot product of c with row k. Each dot
 // keeps eight partial sums: lane j adds the products of elements j, j+8,
@@ -19,12 +19,14 @@ package core
 //
 // sgnsUpdateRows is elementwise: for element i, for k = 0, 1, … in order,
 // neu[i] += g[k]·o_k[i], then o_k[i] += g[k]·c[i] on the o_k[i] it read,
-// each product rounded to float32 before its add. Those are the IEEE
-// operations, in the same order, of one single-row update per k in turn:
-// each element touches only element i of neu, c and the rows. A repeated
-// offset therefore moves its row twice, the second step reading what the
-// first wrote. Two rows either coincide or do not overlap, and neither
-// neu nor c overlaps a row.
+// each product rounded to float32 before its add; then, with centre set,
+// c[i] += neu[i] on the neu[i] it wrote. Those are the IEEE operations,
+// in the same order, of one single-row update per k in turn followed by
+// the centre's add: each element touches only element i of neu, c and
+// the rows. A repeated offset therefore moves its row twice, the second
+// step reading what the first wrote. Two rows either coincide or do not
+// overlap, and neither neu nor c overlaps a row or the other. A pair
+// that steps in several calls sets centre on its last call only.
 //
 // The amd64 assembly (sgns_amd64.s) has two pairs, whose dots both
 // prefetch every row before the first product. The SSE2 pair holds a
@@ -32,11 +34,19 @@ package core
 // four elements of c and neu in registers while it steps through the
 // rows. The AVX pair scores two rows at a time, each row's eight lanes
 // in one YMM register, and updates row by row, eight elements at a
-// time. The portable code below spells the same arithmetic out. All
-// perform the same IEEE-754 operations in the same order, so from equal
-// rows they leave equal bits — except that a NaN is only promised to be
-// a NaN, sign and payload being the processor's — and one worker trains
-// the same model whichever ran.
+// time, then adds neu to c in a last pass. The portable code below
+// spells the same arithmetic out. All perform the same IEEE-754
+// operations in the same order, so from equal rows they leave equal
+// bits — except that a NaN is only promised to be a NaN, sign and
+// payload being the processor's — and the trainer trains the same model
+// whichever ran.
+
+// The kernel pairs sgnsPath picks from.
+const (
+	sgnsPortable = iota
+	sgnsSSE2
+	sgnsAVX
+)
 
 // sgnsDotRowsPortable is the dot contract in plain Go: the implementation
 // on architectures without assembly and the oracle the assembly is tested
@@ -76,7 +86,7 @@ func sgnsDotRowsPortable(c, m []float32, off []int, out []float32) {
 
 // sgnsUpdateRowsPortable is the update contract in plain Go; g holds one
 // step per offset and neu is as long as c.
-func sgnsUpdateRowsPortable(g, c, m []float32, off []int, neu []float32) {
+func sgnsUpdateRowsPortable(g, c, m []float32, off []int, neu []float32, centre bool) {
 	g, neu = g[:len(off)], neu[:len(c)]
 	for _, o := range off {
 		_ = m[o : o+len(c)]
@@ -86,6 +96,9 @@ func sgnsUpdateRowsPortable(g, c, m []float32, off []int, neu []float32) {
 			oi := m[o+i]
 			neu[i] += float32(g[k] * oi)
 			m[o+i] = oi + float32(g[k]*ci)
+		}
+		if centre {
+			c[i] = ci + neu[i]
 		}
 	}
 }

@@ -2,10 +2,42 @@ package core
 
 import "hostprof/internal/index"
 
-// useAVX selects the AVX pair over the SSE2 pair: set at init by
-// internal/index's CPU check, whose AVX2 implies the AVX these kernels
-// use. Tests clear it to run the SSE2 pair on the same machine.
-var useAVX = index.HasAVX2()
+// sgnsPath is the pair dotRows and updateRows run: AVX where
+// internal/index's CPU check finds AVX2, which implies the AVX these
+// kernels use, else SSE2. Tests set it to run every pair, the portable
+// one included, on the same machine.
+var sgnsPath = func() int {
+	if index.HasAVX2() {
+		return sgnsAVX
+	}
+	return sgnsSSE2
+}()
+
+// dotRows is sgnsDotRows without its bounds check, for a caller that
+// has proven every row inside m (trainSequence).
+func dotRows(c, m []float32, off []int, out []float32) {
+	switch sgnsPath {
+	case sgnsAVX:
+		sgnsDotRowsAVX(c, m, off, out)
+	case sgnsSSE2:
+		sgnsDotRowsAsm(c, m, off, out)
+	default:
+		sgnsDotRowsPortable(c, m, off, out)
+	}
+}
+
+// updateRows is sgnsUpdateRows without its bounds check, for a caller
+// that has proven every row inside m (trainSequence).
+func updateRows(g, c, m []float32, off []int, neu []float32, centre bool) {
+	switch sgnsPath {
+	case sgnsAVX:
+		sgnsUpdateRowsAVX(g, c, m, off, neu, centre)
+	case sgnsSSE2:
+		sgnsUpdateRowsAsm(g, c, m, off, neu, centre)
+	default:
+		sgnsUpdateRowsPortable(g, c, m, off, neu, centre)
+	}
+}
 
 // sgnsDotRows sets out[k] to the float32 inner product of c with the row
 // of m at element offset off[k], under the contract in sgns.go.
@@ -14,25 +46,18 @@ func sgnsDotRows(c, m []float32, off []int, out []float32) {
 		panic("core: sgnsDotRows output shorter than its rows")
 	}
 	checkRows(len(c), m, off)
-	if useAVX {
-		sgnsDotRowsAVX(c, m, off, out)
-		return
-	}
-	sgnsDotRowsAsm(c, m, off, out)
+	dotRows(c, m, off, out)
 }
 
 // sgnsUpdateRows adds g[k]·(row k) to neu and g[k]·c to row k of m for
-// every offset, under the contract in sgns.go.
-func sgnsUpdateRows(g, c, m []float32, off []int, neu []float32) {
+// every offset and, with centre set, neu to c, under the contract in
+// sgns.go.
+func sgnsUpdateRows(g, c, m []float32, off []int, neu []float32, centre bool) {
 	if len(g) < len(off) || len(neu) < len(c) {
 		panic("core: sgnsUpdateRows length mismatch")
 	}
 	checkRows(len(c), m, off)
-	if useAVX {
-		sgnsUpdateRowsAVX(g, c, m, off, neu)
-		return
-	}
-	sgnsUpdateRowsAsm(g, c, m, off, neu)
+	updateRows(g, c, m, off, neu, centre)
 }
 
 // checkRows panics unless every offset starts a whole n-element row of m.
@@ -46,16 +71,17 @@ func checkRows(n int, m []float32, off []int) {
 }
 
 // The assembly reads len(c) values from every row, and from neu, through
-// raw pointers without a bounds check; the wrappers above are the check.
+// raw pointers without a bounds check: sgnsDotRows and sgnsUpdateRows
+// check, and trainSequence's rows are in bounds by construction.
 
 //go:noescape
 func sgnsDotRowsAsm(c, m []float32, off []int, out []float32)
 
 //go:noescape
-func sgnsUpdateRowsAsm(g, c, m []float32, off []int, neu []float32)
+func sgnsUpdateRowsAsm(g, c, m []float32, off []int, neu []float32, centre bool)
 
 //go:noescape
 func sgnsDotRowsAVX(c, m []float32, off []int, out []float32)
 
 //go:noescape
-func sgnsUpdateRowsAVX(g, c, m []float32, off []int, neu []float32)
+func sgnsUpdateRowsAVX(g, c, m []float32, off []int, neu []float32, centre bool)

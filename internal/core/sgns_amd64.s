@@ -101,30 +101,32 @@ reduce:
 done:
 	RET
 
-// func sgnsUpdateRowsAsm(g, c, m []float32, off []int, neu []float32)
+// func sgnsUpdateRowsAsm(g, c, m []float32, off []int, neu []float32, centre bool)
 //
 // Four elements of c and neu stay in X2 and X3 while every row's four
 // elements are read, stepped and written back in row order, so a
-// repeated row sees its own earlier write.
-TEXT ·sgnsUpdateRowsAsm(SB), NOSPLIT, $0-120
-	MOVQ  g_base+0(FP), R11
-	MOVQ  c_base+24(FP), SI
-	MOVQ  c_len+32(FP), CX
-	MOVQ  m_base+48(FP), BX
-	MOVQ  off_base+72(FP), R8
-	MOVQ  off_len+80(FP), R9
-	MOVQ  neu_base+96(FP), R10
-	TESTQ R9, R9
-	JZ    udone
-	XORQ  AX, AX
-	MOVQ  CX, DX
-	SHRQ  $2, DX             // groups of four
-	JZ    utail
+// repeated row sees its own earlier write; then neu is stored and, with
+// centre set, c + neu is stored to c.
+TEXT ·sgnsUpdateRowsAsm(SB), NOSPLIT, $0-121
+	MOVQ    g_base+0(FP), R11
+	MOVQ    c_base+24(FP), SI
+	MOVQ    c_len+32(FP), CX
+	MOVQ    m_base+48(FP), BX
+	MOVQ    off_base+72(FP), R8
+	MOVQ    off_len+80(FP), R9
+	MOVQ    neu_base+96(FP), R10
+	MOVBQZX centre+120(FP), R13
+	XORQ    AX, AX
+	MOVQ    CX, DX
+	SHRQ    $2, DX           // groups of four
+	JZ      utail
 
 uloop:
 	MOVUPS (SI)(AX*1), X2    // c
 	MOVUPS (R10)(AX*1), X3   // neu
 	XORQ   R12, R12          // k
+	TESTQ  R9, R9
+	JZ     urowsdone
 
 urow:
 	MOVSS  (R11)(R12*4), X7
@@ -141,10 +143,18 @@ urow:
 	INCQ   R12
 	CMPQ   R12, R9
 	JNE    urow
+
+urowsdone:
 	MOVUPS X3, (R10)(AX*1)
-	ADDQ   $16, AX
-	DECQ   DX
-	JNZ    uloop
+	TESTQ  R13, R13
+	JZ     unext
+	ADDPS  X3, X2            // c += neu
+	MOVUPS X2, (SI)(AX*1)
+
+unext:
+	ADDQ $16, AX
+	DECQ DX
+	JNZ  uloop
 
 utail:
 	ANDQ $3, CX
@@ -154,6 +164,8 @@ utailloop:
 	MOVSS (SI)(AX*1), X2
 	MOVSS (R10)(AX*1), X3
 	XORQ  R12, R12
+	TESTQ R9, R9
+	JZ    utailrowsdone
 
 utailrow:
 	MOVSS  (R11)(R12*4), X7
@@ -169,10 +181,18 @@ utailrow:
 	INCQ   R12
 	CMPQ   R12, R9
 	JNE    utailrow
-	MOVSS  X3, (R10)(AX*1)
-	ADDQ   $4, AX
-	DECQ   CX
-	JNZ    utailloop
+
+utailrowsdone:
+	MOVSS X3, (R10)(AX*1)
+	TESTQ R13, R13
+	JZ    utailnext
+	ADDSS X3, X2
+	MOVSS X2, (SI)(AX*1)
+
+utailnext:
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  utailloop
 
 udone:
 	RET
@@ -296,22 +316,25 @@ vdone:
 	VZEROUPPER
 	RET
 
-// func sgnsUpdateRowsAVX(g, c, m []float32, off []int, neu []float32)
+// func sgnsUpdateRowsAVX(g, c, m []float32, off []int, neu []float32, centre bool)
 //
 // Row by row, in row order: each row is stepped over all its elements,
 // eight at a time, then a group of four and up to three singles, neu read
 // and written beside it. Every element still sees the rows in the
-// contract's k order, and a repeated row its own earlier write.
-TEXT ·sgnsUpdateRowsAVX(SB), NOSPLIT, $0-120
-	MOVQ  g_base+0(FP), R11
-	MOVQ  c_base+24(FP), SI
-	MOVQ  c_len+32(FP), CX
-	MOVQ  m_base+48(FP), BX
-	MOVQ  off_base+72(FP), R8
-	MOVQ  off_len+80(FP), R9
-	MOVQ  neu_base+96(FP), R10
-	TESTQ R9, R9
-	JZ    vudone
+// contract's k order, and a repeated row its own earlier write. With
+// centre set, a last pass over the elements adds neu to c, which no row
+// reads any more.
+TEXT ·sgnsUpdateRowsAVX(SB), NOSPLIT, $0-121
+	MOVQ    g_base+0(FP), R11
+	MOVQ    c_base+24(FP), SI
+	MOVQ    c_len+32(FP), CX
+	MOVQ    m_base+48(FP), BX
+	MOVQ    off_base+72(FP), R8
+	MOVQ    off_len+80(FP), R9
+	MOVQ    neu_base+96(FP), R10
+	MOVBQZX centre+120(FP), R13
+	TESTQ   R9, R9
+	JZ      vucentre
 
 vurow:
 	VBROADCASTSS (R11), Y7   // g[k] in every lane
@@ -368,6 +391,42 @@ vunext:
 	ADDQ $8, R8
 	DECQ R9
 	JNZ  vurow
+
+vucentre:
+	TESTQ R13, R13
+	JZ    vudone
+	XORQ  AX, AX
+	MOVQ  CX, DX
+	SHRQ  $3, DX
+	JZ    vcfour
+
+vcloop8:
+	VMOVUPS (SI)(AX*1), Y1
+	VADDPS  (R10)(AX*1), Y1, Y1
+	VMOVUPS Y1, (SI)(AX*1)   // c += neu
+	ADDQ    $32, AX
+	DECQ    DX
+	JNZ     vcloop8
+
+vcfour:
+	TESTQ   $4, CX
+	JZ      vctail
+	VMOVUPS (SI)(AX*1), X1
+	VADDPS  (R10)(AX*1), X1, X1
+	VMOVUPS X1, (SI)(AX*1)
+	ADDQ    $16, AX
+
+vctail:
+	ANDQ $3, CX
+	JZ   vudone
+
+vctailloop:
+	VMOVSS (SI)(AX*1), X1
+	VADDSS (R10)(AX*1), X1, X1
+	VMOVSS X1, (SI)(AX*1)
+	ADDQ   $4, AX
+	DECQ   CX
+	JNZ    vctailloop
 
 vudone:
 	VZEROUPPER

@@ -13,21 +13,19 @@ func sameFloat32(a, b float32) bool {
 }
 
 // sgnsPaths runs f once per kernel pair that sgnsDotRows and
-// sgnsUpdateRows can take on this machine, through useAVX: on amd64 the
-// SSE2 pair and, where the CPU has AVX, the AVX pair; elsewhere the
+// sgnsUpdateRows can take on this machine, through sgnsPath: on amd64
+// the SSE2 pair and, where the CPU has AVX, the AVX pair; elsewhere the
 // portable pair alone.
 func sgnsPaths(f func(path string)) {
-	avx := useAVX
-	defer func() { useAVX = avx }()
-	for _, p := range []struct {
-		name string
-		avx  bool
-	}{{"baseline", false}, {"avx", true}} {
-		if p.avx && !avx {
-			continue
-		}
-		useAVX = p.avx
-		f(p.name)
+	path := sgnsPath
+	defer func() { sgnsPath = path }()
+	paths := []int{path}
+	if path == sgnsAVX {
+		paths = []int{sgnsSSE2, sgnsAVX}
+	}
+	for _, p := range paths {
+		sgnsPath = p
+		f([...]string{"portable", "sse2", "avx"}[p])
 	}
 }
 
@@ -38,47 +36,56 @@ func copyAt(src []float32, skew int) []float32 {
 	return append(make([]float32, skew, skew+len(src)), src...)[skew:]
 }
 
-// assertSGNSKernelsAgree runs sgnsDotRows and sgnsUpdateRows — on every
-// path sgnsPaths takes, each over copies of c, m and neu at every skew
-// copyAt makes: the kernels must not assume alignment — and the portable
-// pair over copies of the same operands and wants the same dots and the
-// same m and neu afterwards, every element of m included; c must come
-// back untouched. The operands themselves are left as they were.
+// assertSGNSKernelsAgree runs sgnsDotRows and sgnsUpdateRows, the
+// latter with centre off and on — on every path sgnsPaths takes, each
+// over copies of c, m and neu at every skew copyAt makes: the kernels
+// must not assume alignment — and the portable pair over copies of the
+// same operands and wants the same dots and the same m, neu and c
+// afterwards, every element of m included; c must come back untouched
+// with centre off. The operands themselves are left as they were.
 func assertSGNSKernelsAgree(t *testing.T, what string, g, c, m []float32, off []int, neu []float32) {
 	t.Helper()
 	d := len(c)
 	want := make([]float32, len(off))
 	sgnsDotRowsPortable(c, m, off, want)
-	c0 := append([]float32(nil), c...)
-	mWant, neuWant := append([]float32(nil), m...), append([]float32(nil), neu...)
-	sgnsUpdateRowsPortable(g, c0, mWant, off, neuWant)
-	sgnsPaths(func(path string) {
-		t.Helper()
-		for skew := 0; skew < 4; skew++ {
-			cGot, mGot, neuGot := copyAt(c, skew), copyAt(m, (skew+1)%4), copyAt(neu, (skew+2)%4)
-			got := make([]float32, len(off))
-			sgnsDotRows(cGot, mGot, off, got)
-			for k := range off {
-				if !sameFloat32(got[k], want[k]) {
-					t.Fatalf("%s %s dim %d, offsets %v, skew %d: row %d dot = %x, portable = %x", path, what, d, off, skew, k, math.Float32bits(got[k]), math.Float32bits(want[k]))
-				}
-			}
-			sgnsUpdateRows(g, cGot, mGot, off, neuGot)
-			for i := range mGot {
-				if !sameFloat32(mGot[i], mWant[i]) {
-					t.Fatalf("%s %s dim %d, offsets %v, g %v, skew %d: sgnsUpdateRows left m[%d] = %x, portable %x", path, what, d, off, g, skew, i, math.Float32bits(mGot[i]), math.Float32bits(mWant[i]))
-				}
-			}
+	for _, centre := range []bool{false, true} {
+		cWant, mWant, neuWant := append([]float32(nil), c...), append([]float32(nil), m...), append([]float32(nil), neu...)
+		sgnsUpdateRowsPortable(g, cWant, mWant, off, neuWant, centre)
+		if !centre {
 			for i := range c {
-				if !sameFloat32(neuGot[i], neuWant[i]) {
-					t.Fatalf("%s %s dim %d, offsets %v, g %v, skew %d: sgnsUpdateRows left neu[%d] = %x, portable %x", path, what, d, off, g, skew, i, math.Float32bits(neuGot[i]), math.Float32bits(neuWant[i]))
-				}
-				if math.Float32bits(cGot[i]) != math.Float32bits(c[i]) {
-					t.Fatalf("%s %s dim %d, skew %d: sgnsUpdateRows wrote c[%d]", path, what, d, skew, i)
+				if math.Float32bits(cWant[i]) != math.Float32bits(c[i]) {
+					t.Fatalf("%s dim %d: portable update wrote c[%d] with centre off", what, d, i)
 				}
 			}
 		}
-	})
+		sgnsPaths(func(path string) {
+			t.Helper()
+			for skew := 0; skew < 4; skew++ {
+				cGot, mGot, neuGot := copyAt(c, skew), copyAt(m, (skew+1)%4), copyAt(neu, (skew+2)%4)
+				got := make([]float32, len(off))
+				sgnsDotRows(cGot, mGot, off, got)
+				for k := range off {
+					if !sameFloat32(got[k], want[k]) {
+						t.Fatalf("%s %s dim %d, offsets %v, skew %d: row %d dot = %x, portable = %x", path, what, d, off, skew, k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+					}
+				}
+				sgnsUpdateRows(g, cGot, mGot, off, neuGot, centre)
+				for i := range mGot {
+					if !sameFloat32(mGot[i], mWant[i]) {
+						t.Fatalf("%s %s dim %d, offsets %v, g %v, centre %v, skew %d: sgnsUpdateRows left m[%d] = %x, portable %x", path, what, d, off, g, centre, skew, i, math.Float32bits(mGot[i]), math.Float32bits(mWant[i]))
+					}
+				}
+				for i := range c {
+					if !sameFloat32(neuGot[i], neuWant[i]) {
+						t.Fatalf("%s %s dim %d, offsets %v, g %v, centre %v, skew %d: sgnsUpdateRows left neu[%d] = %x, portable %x", path, what, d, off, g, centre, skew, i, math.Float32bits(neuGot[i]), math.Float32bits(neuWant[i]))
+					}
+					if !sameFloat32(cGot[i], cWant[i]) {
+						t.Fatalf("%s %s dim %d, offsets %v, g %v, centre %v, skew %d: sgnsUpdateRows left c[%d] = %x, portable %x", path, what, d, off, g, centre, skew, i, math.Float32bits(cGot[i]), math.Float32bits(cWant[i]))
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestSGNSKernelsBitEqualPortable is the kernel contract's oracle test
@@ -138,11 +145,18 @@ func TestSGNSKernelsBitEqualPortable(t *testing.T) {
 		}
 	}
 	sgnsPaths(func(path string) {
-		m, neu := []float32{1, 2, 3, 4, 5}, []float32{6, 7, 8, 9, 10}
-		sgnsUpdateRows([]float32{0}, []float32{1, 1, 1, 1, 1}, m, []int{0}, neu)
+		m, neu, c := []float32{1, 2, 3, 4, 5}, []float32{6, 7, 8, 9, 10}, []float32{1, 1, 1, 1, 1}
+		sgnsUpdateRows([]float32{0}, c, m, []int{0}, neu, false)
 		for i := range m {
-			if m[i] != float32(i+1) || neu[i] != float32(i+6) {
-				t.Fatalf("%s: g = 0 moved element %d: o %v neu %v", path, i, m[i], neu[i])
+			if m[i] != float32(i+1) || neu[i] != float32(i+6) || c[i] != 1 {
+				t.Fatalf("%s: g = 0 moved element %d: o %v neu %v c %v", path, i, m[i], neu[i], c[i])
+			}
+		}
+		// No rows, centre on: the centre's add alone.
+		sgnsUpdateRows(nil, c, m, nil, neu, true)
+		for i := range c {
+			if c[i] != float32(i+7) || neu[i] != float32(i+6) {
+				t.Fatalf("%s: a rowless centre step left c[%d] = %v, neu %v", path, i, c[i], neu[i])
 			}
 		}
 		out := []float32{1}
@@ -169,10 +183,11 @@ func TestSGNSKernelsRejectShortOperands(t *testing.T) {
 	mustPanic("sgnsDotRows with a row past the end", func() { sgnsDotRows(v(8), v(15), []int{0, 8}, v(2)) })
 	mustPanic("sgnsDotRows with a negative offset", func() { sgnsDotRows(v(8), v(16), []int{-1}, v(1)) })
 	mustPanic("sgnsDotRows with a row wider than the matrix", func() { sgnsDotRows(v(8), v(7), []int{0}, v(1)) })
-	mustPanic("sgnsUpdateRows with a short g", func() { sgnsUpdateRows(v(1), v(8), v(16), []int{0, 8}, v(8)) })
-	mustPanic("sgnsUpdateRows with a short neu", func() { sgnsUpdateRows(v(1), v(8), v(8), []int{0}, v(7)) })
-	mustPanic("sgnsUpdateRows with a row past the end", func() { sgnsUpdateRows(v(2), v(8), v(15), []int{0, 8}, v(8)) })
-	mustPanic("sgnsUpdateRows with a negative offset", func() { sgnsUpdateRows(v(1), v(8), v(16), []int{-8}, v(8)) })
+	mustPanic("sgnsUpdateRows with a short g", func() { sgnsUpdateRows(v(1), v(8), v(16), []int{0, 8}, v(8), false) })
+	mustPanic("sgnsUpdateRows with a short neu", func() { sgnsUpdateRows(v(1), v(8), v(8), []int{0}, v(7), false) })
+	mustPanic("sgnsUpdateRows with a short neu and no rows", func() { sgnsUpdateRows(nil, v(8), v(8), nil, v(7), true) })
+	mustPanic("sgnsUpdateRows with a row past the end", func() { sgnsUpdateRows(v(2), v(8), v(15), []int{0, 8}, v(8), true) })
+	mustPanic("sgnsUpdateRows with a negative offset", func() { sgnsUpdateRows(v(1), v(8), v(16), []int{-8}, v(8), false) })
 }
 
 // FuzzSGNSKernels reads a row count and each row's slot from the first

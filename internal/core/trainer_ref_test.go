@@ -130,7 +130,6 @@ func kernelFixture(hosts, dim, seqLen int, zipf bool) (*trainer, []int32) {
 		noise:     stats.NewAlias(weights),
 		noiseRNG:  stats.NewRNG(8),
 		keep:      keep,
-		kernels:   sgnsKernels{sgnsDotRows, sgnsUpdateRows},
 		neu1e:     make([]float32, dim),
 		trackLoss: true,
 		lik:       1,
@@ -194,10 +193,10 @@ func (t *trainer) seqTrainSequence(seq []int32, lr float64, paths *pairPaths) {
 					targets = append(targets, target)
 				}
 				row := []int{target * dim}
-				t.kernels.dot(cvec, t.m.out, row, dot[:])
+				sgnsDotRows(cvec, t.m.out, row, dot[:])
 				y := stats.Sigmoid(float64(dot[0]))
 				g[0] = float32((label - y) * lr)
-				t.kernels.update(g[:], cvec, t.m.out, row, neu1e)
+				sgnsUpdateRows(g[:], cvec, t.m.out, row, neu1e, false)
 				if t.trackLoss {
 					if k > 0 {
 						y = 1 - y

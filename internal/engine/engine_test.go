@@ -50,7 +50,7 @@ func newFixture(t *testing.T, mutate func(*Config)) *fixture {
 	cfg := Config{
 		Ontology: ont,
 		Store:    st,
-		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 1, Seed: 11, Subsample: -1},
 		Profile:  testProfile,
 		Metrics:  reg,
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),

@@ -44,7 +44,7 @@ func SmallConfig(seed uint64) SetupConfig {
 		Population: synth.PopulationConfig{Users: 30, Days: 6, PopularBias: 0.25, Seed: seed + 1},
 		Ontology:   synth.OntologyConfig{Coverage: 0.106, Seed: seed + 2},
 		Train: core.TrainConfig{
-			Dim: 32, Epochs: 15, MinCount: 2, Workers: 1, Seed: seed + 3,
+			Dim: 32, Epochs: 15, MinCount: 2, Seed: seed + 3,
 			// Subsampling disabled: on a corpus this small the 1e-3
 			// threshold would discard most site-host occurrences.
 			Subsample: -1,
@@ -64,7 +64,7 @@ func DefaultConfig(seed uint64) SetupConfig {
 		Population: synth.PopulationConfig{Users: 150, Days: 14, PopularBias: 0.25, Seed: seed + 1},
 		Ontology:   synth.OntologyConfig{Coverage: 0.106, Seed: seed + 2},
 		Train: core.TrainConfig{
-			Dim: 64, Epochs: 4, MinCount: 3, Workers: 0, Seed: seed + 3,
+			Dim: 64, Epochs: 4, MinCount: 3, Seed: seed + 3,
 		},
 		ProfilerN:     40,
 		SessionWindow: 20 * 60,

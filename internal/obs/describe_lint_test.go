@@ -83,7 +83,7 @@ func wiredRegistries(t *testing.T) []struct {
 	b, err := server.New(server.Config{
 		Ontology:    ont,
 		AdDB:        db,
-		Train:       core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Train:       core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Seed: 11, Subsample: -1},
 		Profile:     core.ProfilerConfig{N: 30, Agg: core.AggIDF, ANN: true}, // as serve -ann
 		Metrics:     breg,
 		Tracer:      tracer.New(tracer.Config{Service: "lint", SampleRate: 1, Metrics: breg}),
@@ -148,7 +148,7 @@ func wiredRegistries(t *testing.T) []struct {
 	preg := obs.NewRegistry()
 	pipe, err := hostprof.NewPipeline(hostprof.PipelineConfig{
 		Ontology: ont,
-		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Seed: 11, Subsample: -1},
 		Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Metrics:  preg,
 	})

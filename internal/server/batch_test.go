@@ -29,7 +29,7 @@ func newBatchFixture(t *testing.T, cacheSize int) (*backendFixture, *obs.Registr
 	b, err := New(Config{
 		Ontology:     ont,
 		AdDB:         db,
-		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 11, Subsample: -1},
 		Profile:      core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Metrics:      reg,
 		ProfileCache: cacheSize,
@@ -232,7 +232,7 @@ func TestProfileCacheNeverStaleAcrossRetrain(t *testing.T) {
 	b, err := New(Config{
 		Ontology:     ont,
 		AdDB:         db,
-		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 11, Subsample: -1},
 		Profile:      core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		ProfileCache: 128,
 	})
@@ -327,7 +327,7 @@ func TestProfileCacheNeverStaleAcrossRetrainANN(t *testing.T) {
 	b, err := New(Config{
 		Ontology:     ont,
 		AdDB:         db,
-		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Train:        core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 11, Subsample: -1},
 		Profile:      profCfg,
 		ProfileCache: 128,
 	})

@@ -51,7 +51,7 @@ func chaosChild() {
 	b, err := New(Config{
 		Ontology: ont,
 		AdDB:     db,
-		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Seed: 11, Subsample: -1},
 		Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		DataDir:  os.Getenv(chaosDirEnv),
 		Fsync:    store.FsyncAlways,

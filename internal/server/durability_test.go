@@ -40,7 +40,7 @@ func newDurableBackendWith(t *testing.T, dir string, reg *obs.Registry, profile 
 	cfg := Config{
 		Ontology: ont,
 		AdDB:     db,
-		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Train:    core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 2, Seed: 11, Subsample: -1},
 		Profile:  profile,
 		Metrics:  reg,
 		DataDir:  dir,

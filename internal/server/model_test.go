@@ -105,8 +105,8 @@ func TestModelExportImportRoundTrip(t *testing.T) {
 }
 
 // TestServeRetrainIsAFunctionOfItsInputs: two backends with the
-// training configuration serve builds — Dim and Epochs set, Workers left
-// to its default — import the same visits and retrain on two or more
+// training configuration serve builds — Dim and Epochs set, the rest
+// left to their defaults — import the same visits and retrain on two or more
 // cores; they must serve the same model artifact, byte for byte, and
 // report the same last-epoch loss.
 func TestServeRetrainIsAFunctionOfItsInputs(t *testing.T) {

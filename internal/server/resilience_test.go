@@ -33,7 +33,7 @@ func newResilienceFixture(t *testing.T, mutate func(*Config)) *backendFixture {
 	cfg := Config{
 		Ontology: ont,
 		AdDB:     db,
-		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Train:    core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 1, Seed: 11, Subsample: -1},
 		Profile:  core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 	}
 	if mutate != nil {

@@ -42,7 +42,7 @@ func newBackendFixtureWith(t testing.TB, reg *obs.Registry) *backendFixture {
 		Ontology:  ont,
 		AdDB:      db,
 		Blocklist: bl,
-		Train:     core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 11, Subsample: -1},
+		Train:     core.TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 11, Subsample: -1},
 		Profile:   core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Metrics:   reg,
 	})

@@ -191,7 +191,7 @@ func newBenchBackend(b *testing.B, tr *tracer.Tracer) (*Backend, []string) {
 	bk, err := New(Config{
 		Ontology:    ont,
 		AdDB:        db,
-		Train:       core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Workers: 1, Seed: 11, Subsample: -1},
+		Train:       core.TrainConfig{Dim: 16, Epochs: 2, MinCount: 1, Seed: 11, Subsample: -1},
 		Profile:     core.ProfilerConfig{N: 30, Agg: core.AggIDF},
 		Tracer:      tr,
 		SlowRequest: -1,

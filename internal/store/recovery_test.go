@@ -302,7 +302,7 @@ func graphModel(t *testing.T) (*core.Model, []byte, *ontology.Ontology) {
 		}
 		corpus = append(corpus, seq)
 	}
-	m, err := core.Train(corpus, core.TrainConfig{Dim: 8, Epochs: 1, MinCount: 1, Workers: 1, Seed: 5})
+	m, err := core.Train(corpus, core.TrainConfig{Dim: 8, Epochs: 1, MinCount: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func emptyRetrainFixture(t *testing.T, mutate func(*PipelineConfig)) (*Pipeline,
 	_, ont, tr, _ := buildWorld(t)
 	cfg := PipelineConfig{
 		Ontology: ont,
-		Train:    TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Workers: 1, Seed: 3, Subsample: -1},
+		Train:    TrainConfig{Dim: 16, Epochs: 4, MinCount: 2, Seed: 3, Subsample: -1},
 	}
 	if mutate != nil {
 		mutate(&cfg)
