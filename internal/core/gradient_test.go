@@ -35,9 +35,14 @@ func sgnsLoss(m *Model, centre, ctx, neg int) float64 {
 }
 
 func sgnsLossVecs(u, vp, vn []float64) float64 {
-	return -math.Log(stats.Sigmoid(stats.Dot(u, vp))) -
-		math.Log(stats.Sigmoid(-stats.Dot(u, vn)))
+	return -math.Log(exactSigmoid(stats.Dot(u, vp))) -
+		math.Log(exactSigmoid(-stats.Dot(u, vn)))
 }
+
+// exactSigmoid is 1/(1+e^−x), the σ of Equation (2) itself, which the
+// loss and gradient checks below are about; the trainer reads σ from
+// word2vec's table (sigmoid).
+func exactSigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // newFixedTrainer wires a trainer whose negative sampler always draws
 // host c (index 2) and whose window shrink is deterministic (Window=1).
@@ -101,13 +106,13 @@ func TestTrainStepMatchesHandComputedUpdate(t *testing.T) {
 	step := func(centre, ctx, neg int) {
 		acc := make([]float64, 4)
 		// Positive pair.
-		g := (1 - stats.Sigmoid(dot(u[centre], v[ctx]))) * lr
+		g := (1 - sigmoid(float32(dot(u[centre], v[ctx])))) * lr
 		for i := 0; i < 4; i++ {
 			acc[i] += g * v[ctx][i]
 			v[ctx][i] += g * u[centre][i]
 		}
 		// Negative pair (sampler always yields neg).
-		g = (0 - stats.Sigmoid(dot(u[centre], v[neg]))) * lr
+		g = (0 - sigmoid(float32(dot(u[centre], v[neg])))) * lr
 		for i := 0; i < 4; i++ {
 			acc[i] += g * v[neg][i]
 			v[neg][i] += g * u[centre][i]
@@ -166,8 +171,8 @@ func TestNumericalGradient(t *testing.T) {
 	v1 := row(m.out, 1)
 	v2 := row(m.out, 2)
 	for d := 0; d < 4; d++ {
-		analytic := -(1-stats.Sigmoid(stats.Dot(u, v1)))*v1[d] +
-			stats.Sigmoid(stats.Dot(u, v2))*v2[d]
+		analytic := -(1-exactSigmoid(stats.Dot(u, v1)))*v1[d] +
+			exactSigmoid(stats.Dot(u, v2))*v2[d]
 		orig := u[d]
 		u[d] = orig + eps
 		lp := sgnsLossVecs(u, v1, v2)

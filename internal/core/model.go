@@ -362,15 +362,15 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 				dotRows(cvec, t.m.out, group, dots)
 				for i, x := range dots {
 					// One SGD step of Equation (2) per target: score
-					// y = σ(c·o), then move the target row along c and add
-					// the centre's share of the gradient, g = (label - y)·lr,
-					// to neu1e. σ, g and the loss are float64; only the rows
-					// are float32.
+					// y = σ(c·o) from word2vec's table (sigmoid.go), then
+					// move the target row along c and add the centre's share
+					// of the gradient, g = (label - y)·lr, to neu1e. σ, g and
+					// the loss are float64; only the rows are float32.
 					label := 0.0
 					if first+i == 0 {
 						label = 1
 					}
-					y := stats.Sigmoid(float64(x))
+					y := sigmoid(x)
 					sigmas[first+i] = y
 					grads[i] = float32((label - y) * lr)
 				}

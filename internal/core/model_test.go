@@ -122,18 +122,20 @@ func TestTrainDeterministicSingleWorker(t *testing.T) {
 // stage of the chain.
 const goldenPath = "../../testdata/golden.json"
 
-// goldenTrain is the golden file's train stage: per model dimension, the
+// goldenTrain is the golden file's train stage: a sha256 of the σ
+// table's float64 bits, little-endian, and per model dimension the
 // weightsDigest and the per-epoch loss bits, in hex.
 type goldenTrain struct {
-	Models []struct {
+	SigmoidTableSHA256 string `json:"sigmoid_table_sha256"`
+	Models             []struct {
 		Dim           int      `json:"dim"`
 		WeightsSHA256 string   `json:"weights_sha256"`
 		LossBits      []string `json:"loss_bits"`
 	} `json:"models"`
 }
 
-// TestTrainPinnedAcrossCommits holds the trained model and per-epoch
-// loss to the golden file's train stage, bit for bit, so that a change
+// TestTrainPinnedAcrossCommits holds the σ table, the trained model and
+// the per-epoch loss to the golden file's train stage, bit for bit, so that a change
 // to the trainer's step that claims the same model is held to it across
 // commits, and so that the portable kernels on other architectures
 // (make ci runs this under GOARCH=386) are held to what the amd64
@@ -154,6 +156,13 @@ func TestTrainPinnedAcrossCommits(t *testing.T) {
 	}
 	if len(golden.Train.Models) == 0 {
 		t.Fatalf("%s pins no trained model", goldenPath)
+	}
+	var table []byte
+	for _, y := range sigmoidTable {
+		table = binary.LittleEndian.AppendUint64(table, math.Float64bits(y))
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(table)); got != golden.Train.SigmoidTableSHA256 {
+		t.Errorf("σ table sha256 %s, golden %s", got, golden.Train.SigmoidTableSHA256)
 	}
 	corpus, _, _ := topicCorpus(stats.NewRNG(7), 10, 400, 12)
 	for _, pin := range golden.Train.Models {

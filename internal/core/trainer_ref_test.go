@@ -69,7 +69,7 @@ func (t *trainer) refTrainSequence(w *refWeights, seq []int32, lr float64) {
 					label = 0
 				}
 				ovec := w.out[target*dim : target*dim+dim]
-				y := stats.Sigmoid(stats.Dot(cvec, ovec))
+				y := sigmoid(float32(stats.Dot(cvec, ovec)))
 				if t.trackLoss {
 					if label == 1 {
 						t.lossSum -= math.Log(y + lossEps)
@@ -194,7 +194,7 @@ func (t *trainer) seqTrainSequence(seq []int32, lr float64, paths *pairPaths) {
 				}
 				row := []int{target * dim}
 				sgnsDotRows(cvec, t.m.out, row, dot[:])
-				y := stats.Sigmoid(float64(dot[0]))
+				y := sigmoid(dot[0])
 				g[0] = float32((label - y) * lr)
 				sgnsUpdateRows(g[:], cvec, t.m.out, row, neu1e, false)
 				if t.trackLoss {

@@ -60,16 +60,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Sigmoid returns 1/(1+exp(-x)) computed in a numerically stable way.
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
-}
-
 // ArgMax returns the index of the largest element of xs, or -1 for an
 // empty slice. Ties resolve to the lowest index.
 func ArgMax(xs []float64) int {

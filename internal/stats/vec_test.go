@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -44,37 +43,6 @@ func TestScale(t *testing.T) {
 	Scale(0.5, y)
 	if y[0] != 3.5 || y[1] != 4.5 {
 		t.Fatalf("Scale result %v", y)
-	}
-}
-
-func TestSigmoid(t *testing.T) {
-	if got := Sigmoid(0); got != 0.5 {
-		t.Fatalf("Sigmoid(0) = %v", got)
-	}
-	if got := Sigmoid(100); !almostEq(got, 1, 1e-9) {
-		t.Fatalf("Sigmoid(100) = %v", got)
-	}
-	if got := Sigmoid(-100); !almostEq(got, 0, 1e-9) {
-		t.Fatalf("Sigmoid(-100) = %v", got)
-	}
-	// Stability: no NaN at extremes.
-	for _, x := range []float64{-745, 745, -1e6, 1e6} {
-		if math.IsNaN(Sigmoid(x)) {
-			t.Fatalf("Sigmoid(%v) is NaN", x)
-		}
-	}
-}
-
-func TestSigmoidSymmetryQuick(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-		x = math.Mod(x, 50)
-		return almostEq(Sigmoid(x)+Sigmoid(-x), 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
