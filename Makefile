@@ -117,11 +117,11 @@ fuzz:
 # pair — are what every GOARCH but amd64 runs. The arm64 cross-build
 # keeps them compiling and vetted; the 386 steps run them natively on an
 # amd64 runner, against the same pinned graph and profile hashes the
-# assembly meets and the pinned trained-model hashes and loss bits
-# (TestTrainPinnedAcrossCommits), which also hold pure-Go math.Exp to
-# the assembly's, the profile cache's byte guard and round trip with
-# 4-byte pointers, and the store's WAL and snapshot decoders against
-# 4-byte ints (~50 s), and then run the root package's Example
+# assembly meets and testdata/golden.json's train stage (σ table, model
+# and loss bits; TestTrainPinnedAcrossCommits), the profile cache's byte
+# guard and round trip with 4-byte pointers, and the store's WAL and
+# snapshot decoders against 4-byte ints (~50 s), and then run the root
+# package's Example
 # functions, whose printed outputs must hold bit for bit off amd64 (~5 s).
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi

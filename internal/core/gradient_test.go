@@ -84,7 +84,8 @@ func TestTrainStepDecreasesLoss(t *testing.T) {
 //	g_neg = (0 − σ(u·v_neg))·lr      v_neg += g_neg·u;  acc += g_neg·v_neg(old)
 //	u += acc
 //
-// in float64 from the model's float32 starting weights, and verifies every
+// in float64 from the model's float32 starting weights, σ taken from the
+// trainer's table (sigmoid) on each dot rounded to float32, and verifies every
 // weight of the model to 1e-7: the trainer rounds the dot (4 products of
 // magnitude ≤ 0.1), g and each of the two updates a weight receives here
 // to float32, half an ulp of a weight below 0.5 — 3e-8 — at a time.

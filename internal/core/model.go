@@ -46,8 +46,9 @@ type TrainConfig struct {
 	// Seed seeds all training randomness.
 	Seed uint64
 	// Progress, when non-nil, is called once after every completed
-	// epoch, from the goroutine running Train. Setting it also enables loss tracking, which costs a few
-	// multiplications per trained (centre, context) pair.
+	// epoch, from the goroutine running Train. Setting it also enables
+	// loss tracking, which costs a few multiplications per trained
+	// (centre, context) pair.
 	Progress func(EpochStats)
 }
 
@@ -387,8 +388,8 @@ func (t *trainer) trainSequence(seq []int32, lr float64) {
 // pairLoss adds one pair's loss, -log σ(x) - Σ log σ(-x_k) in
 // Equation (2), given the pair's σs in sample order: the probabilities
 // are multiplied into t.lik, which is logged into lossSum only when it
-// nears underflow and at the epoch barrier (flushLoss), not per pair. It
-// runs after the pair's steps, so no σ waits on the product.
+// nears underflow and at the end of each epoch (flushLoss), not per
+// pair. It runs after the pair's steps, so no σ waits on the product.
 func (t *trainer) pairLoss(sigmas []float64) {
 	lik := t.lik
 	for i, y := range sigmas {

@@ -46,8 +46,7 @@ func TestTrainProgressHook(t *testing.T) {
 }
 
 // The progress hook must not change the learned weights: a run with the
-// hook set and one without must produce identical embeddings under a
-// single deterministic worker.
+// hook set and one without must produce identical embeddings.
 func TestTrainProgressHookDoesNotPerturbTraining(t *testing.T) {
 	rng := stats.NewRNG(92)
 	corpus, ta, _ := topicCorpus(rng, 6, 100, 10)

@@ -48,6 +48,38 @@ const (
 	sgnsAVX
 )
 
+// sgnsDotRows sets out[k] to the float32 inner product of c with the row
+// of m at element offset off[k], under the contract above: dotRows
+// behind a bounds check, for callers that have not proven their rows.
+func sgnsDotRows(c, m []float32, off []int, out []float32) {
+	if len(out) < len(off) {
+		panic("core: sgnsDotRows output shorter than its rows")
+	}
+	checkRows(len(c), m, off)
+	dotRows(c, m, off, out)
+}
+
+// sgnsUpdateRows adds g[k]·(row k) to neu and g[k]·c to row k of m for
+// every offset and, with centre set, neu to c, under the contract above:
+// updateRows behind a bounds check.
+func sgnsUpdateRows(g, c, m []float32, off []int, neu []float32, centre bool) {
+	if len(g) < len(off) || len(neu) < len(c) {
+		panic("core: sgnsUpdateRows length mismatch")
+	}
+	checkRows(len(c), m, off)
+	updateRows(g, c, m, off, neu, centre)
+}
+
+// checkRows panics unless every offset starts a whole n-element row of m.
+func checkRows(n int, m []float32, off []int) {
+	for _, o := range off {
+		// A negative offset wraps past len(m) as an unsigned number.
+		if uint(o) > uint(len(m)) || n > len(m)-o {
+			panic("core: sgns row outside the matrix")
+		}
+	}
+}
+
 // sgnsDotRowsPortable is the dot contract in plain Go: the implementation
 // on architectures without assembly and the oracle the assembly is tested
 // against. The float32 conversions pin the rounding of each product,

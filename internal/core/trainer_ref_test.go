@@ -21,6 +21,7 @@ func widenWeights(m *Model) *refWeights {
 // trainer ran it before its rows became float32 and, before that, before
 // its steps were fused — stats.Dot, then one axpy per update, one
 // log per sample — kept as the oracle trainSequence is checked against.
+// Its σ is the trainer's table (sigmoid) on the dot rounded to float32.
 // It trains w, not t.m, and otherwise uses t's state: it draws from the
 // same generators in the same order, so from equal state the two see
 // identical samples.
@@ -275,11 +276,12 @@ func TestTrainSequenceMatchesSequential(t *testing.T) {
 // identical draws, and holds them together at float32 tolerance. A weight
 // here stays below 1 in magnitude and is moved some 70 times, each move
 // rounding it to half an ulp (≤ 6e-8) beside the rounding of the dot and
-// of g: weights agree to 5e-6 (measured: ≤ 8.3e-7 at every dim), which is
+// of g: weights agree to 5e-6 (measured: ≤ 5.4e-7 at every dim), which is
 // still a tenth of what reading the moved o[i] in place of the old one,
 // (lr·|c|)² ≈ 8e-5, would cost. The loss is summed in float64 on both
-// sides from sigmoids of dots that differ by float32 rounding: 1e-6
-// relative (measured: ≤ 7.7e-9), the same pair count. Summation order
+// sides from table σs of dots that differ by float32 rounding, and so
+// almost always read the same bucket: 1e-6 relative (measured: ≤ 5e-15),
+// the same pair count. Summation order
 // is below this test's sight; TestSGNSKernelsBitEqualPortable holds it.
 func TestTrainSequenceMatchesReference(t *testing.T) {
 	for _, dim := range []int{1, 3, 4, 7, 64, 100, 130} {
