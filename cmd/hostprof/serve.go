@@ -33,7 +33,7 @@ func cmdServe(args []string) error {
 	dim := fs.Int("dim", 64, "embedding dimensionality")
 	epochs := fs.Int("epochs", 5, "training epochs per retrain")
 	n := fs.Int("n", 40, "profiler neighbourhood size N")
-	ann := fs.Bool("ann", false, "answer neighbourhood queries with an HNSW graph (sublinear in vocabulary; built per retrain, restored from the snapshot on restart; falls back to the exact scan when the graph cannot meet recall)")
+	ann := fs.Bool("ann", false, "answer neighbourhood queries with an HNSW graph (sublinear in vocabulary; built per retrain only above max(ef, N)·2M rows, below which the exact scan serves; restored from the snapshot on restart; falls back to the exact scan when the graph cannot meet recall)")
 	annEf := fs.Int("ann-ef", 0, "ANN search breadth ef: larger is more accurate and slower (0 = default 128; only with -ann)")
 	annM := fs.Int("ann-m", 0, "ANN graph degree M: neighbours kept per node per layer (0 = default 16; only with -ann)")
 	adsSeed := fs.Uint64("ads-seed", 1, "ad inventory seed")

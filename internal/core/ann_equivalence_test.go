@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"hostprof/internal/index"
@@ -27,16 +29,27 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	return total
 }
 
-// TestANNSmallVocabFallsBackIdentical pins the fallback trigger end to
-// end: a vocabulary smaller than the search breadth ef means every ANN
-// query is answered by the exact scan, so profiles are bit-identical to
-// the exact profiler's, and the fallback counter matches the query
-// counter.
+// TestANNSmallVocabFallsBackIdentical pins the small-vocabulary rule end
+// to end: a vocabulary of at most max(ef, N)·2M rows gets no graph —
+// none built, none loaded from the bytes a snapshot carried, none left
+// for the next snapshot — and the ANN profiler answers exactly like the
+// exact one, bit for bit, with the ann families registered at 0 and the
+// recall estimate at 1. Above the rule, a query the graph cannot answer
+// (k reaching the graph's size) still falls back to the exact scan and
+// is counted as one.
 func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
-	fx := newProfilingFixture(t, 0.5) // vocab 24 « default ef 128
+	fx := newProfilingFixture(t, 0.5) // vocab 24 « 128·2·16
+	fx.model.SetEncodedANN(fx.model.SimilarityIndex().BuildANN(index.ANNConfig{}).AppendBinary(nil))
 	reg := obs.NewRegistry()
 	annP := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20, ANN: true, Metrics: reg})
 	exactP := NewProfiler(fx.model, fx.ont, ProfilerConfig{N: 20})
+	want := ANNRestore{Skipped: true, Rows: fx.model.Vocab().Len(), Threshold: 128 * 2 * 16}
+	if annP.ann != nil || annP.ANNRestore() != want {
+		t.Fatalf("ANN profiler over %d rows: graph %v, %+v; want none, %+v", want.Rows, annP.ann != nil, annP.ANNRestore(), want)
+	}
+	if fx.model.EncodedANN() != nil {
+		t.Fatal("a graphless ANN profiler left the snapshot's graph bytes on the model")
+	}
 
 	sessions := [][]string{fx.ta[:4], fx.tb[:4], {fx.ta[0], fx.tb[0]}}
 	for i, s := range sessions {
@@ -46,16 +59,44 @@ func TestANNSmallVocabFallsBackIdentical(t *testing.T) {
 			t.Fatalf("session %d: ann err %v, exact err %v", i, errA, errB)
 		}
 		if !vectorsBitEqual(a, b) {
-			t.Fatalf("session %d: ann profile differs from exact under full fallback", i)
+			t.Fatalf("session %d: ann profile differs from exact below the graph threshold", i)
 		}
+	}
+	if got := histCount(reg, "hostprof_index_ann_build_seconds"); got != 0 {
+		t.Fatalf("build histogram count %d without a graph, want it registered at 0", got)
 	}
 	queries := metricValue(t, reg, "hostprof_index_ann_queries_total")
 	fallbacks := metricValue(t, reg, "hostprof_index_ann_fallbacks_total")
-	if queries == 0 || queries != fallbacks {
-		t.Fatalf("queries=%v fallbacks=%v; a small vocabulary must fall back every time", queries, fallbacks)
+	if queries != 0 || fallbacks != 0 {
+		t.Fatalf("queries=%v fallbacks=%v without a graph; the exact pass answers, want 0 and 0", queries, fallbacks)
 	}
 	if est := metricValue(t, reg, "hostprof_index_ann_recall_estimate"); est != 1 {
-		t.Fatalf("recall estimate %v before any graph-answered sample, want 1", est)
+		t.Fatalf("recall estimate %v without a graph, want 1", est)
+	}
+
+	// The pinned exact profiles, served by an ANN profiler whose 2000
+	// rows are below the default threshold.
+	m := randModel(t, stats.NewRNG(808), 2000, 16)
+	below := NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true})
+	if got := profilesHash(t, below, 2000); hex.EncodeToString(got[:]) != exactProfilesHash {
+		t.Fatalf("ANN profiler below the threshold: profiles hash %x, the exact profiler serves %s", got, exactProfilesHash)
+	}
+
+	// Above it (ef 32: 1 024 < 2 000 rows) the graph serves, and a query
+	// for every row falls back to the exact scan.
+	reg = obs.NewRegistry()
+	above := NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true, ANNEf: 32, Metrics: reg})
+	if above.ann == nil {
+		t.Fatalf("no graph over 2000 rows at ef 32: %+v", above.ANNRestore())
+	}
+	q := stats.Widen(m.VectorByID(7))
+	got := above.annSearch(nil, q, 2000)
+	exact := above.idx.SearchAppend(nil, q, 2000, 0, index.NoExclude)
+	if !slices.Equal(got, exact) {
+		t.Fatal("a query for every row did not answer like the exact scan")
+	}
+	if queries, fallbacks := metricValue(t, reg, "hostprof_index_ann_queries_total"), metricValue(t, reg, "hostprof_index_ann_fallbacks_total"); queries != 1 || fallbacks != 1 {
+		t.Fatalf("queries=%v fallbacks=%v after one query for every row, want 1 and 1", queries, fallbacks)
 	}
 }
 

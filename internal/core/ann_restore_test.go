@@ -91,7 +91,7 @@ func TestANNGraphOnePerModel(t *testing.T) {
 	if how := p1.ANNRestore(); !how.Built || how.Restored || how.Rejected != nil {
 		t.Fatalf("first profiler: %+v, want a build", how)
 	}
-	p2 := NewProfiler(m, ont, ProfilerConfig{N: 20, ANN: true, ANNEf: 64, Metrics: reg})
+	p2 := NewProfiler(m, ont, ProfilerConfig{N: 20, ANN: true, ANNEf: 48, Metrics: reg})
 	if p2.ann != p1.ann || p2.ANNRestore() != (ANNRestore{}) {
 		t.Fatalf("second profiler over the model did not share its graph: %+v", p2.ANNRestore())
 	}
@@ -117,7 +117,7 @@ func TestANNGraphOnePerModel(t *testing.T) {
 		}
 	}
 
-	p3 := NewProfiler(m, ont, ProfilerConfig{N: 20, ANN: true, ANNM: 8})
+	p3 := NewProfiler(m, ont, ProfilerConfig{N: 20, ANN: true, ANNEf: 32, ANNM: 8})
 	if p3.ann == p1.ann || !p3.ANNRestore().Built {
 		t.Fatal("a profiler of another degree was handed the M=16 graph")
 	}
@@ -132,7 +132,7 @@ func TestIndexMetricsDescribeThePackedIndex(t *testing.T) {
 	const rows, dim = 2000, 16
 	m := randModel(t, stats.NewRNG(707), rows, dim)
 	reg := obs.NewRegistry()
-	NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true, Metrics: reg})
+	NewProfiler(m, halfLabelled(m), ProfilerConfig{N: 20, ANN: true, ANNEf: 32, Metrics: reg})
 	if got := metricValue(t, reg, "hostprof_index_rows"); got != rows {
 		t.Errorf("hostprof_index_rows = %v, want %d", got, rows)
 	}

@@ -195,8 +195,8 @@ func TestProfileSessionPoisonedHost(t *testing.T) {
 	clean := m.Vocab().Host(11)
 	for mode, cfg := range map[string]ProfilerConfig{
 		"exact":        {N: 50},
-		"ann":          {N: 10, ANN: true, ANNEf: 16},
-		"ann fallback": {N: 400, ANN: true},
+		"ann":          {N: 10, ANN: true, ANNEf: 16, ANNM: 8}, // 400 rows > 16·2·8: a graph
+		"ann no graph": {N: 400, ANN: true},                    // 400 rows ≤ 400·2·16: exact
 		"serial":       {N: 50},
 	} {
 		p := NewProfiler(m, ont, cfg)

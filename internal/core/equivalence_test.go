@@ -276,7 +276,8 @@ func TestProfileBatchMatchesSequential(t *testing.T) {
 	configs := map[string]ProfilerConfig{
 		"exact":          {N: 20},
 		"exact idf, dup": {N: 20, Agg: AggIDF, SkipDedup: true},
-		"ann":            {N: 20, ANN: true, ANNEf: 8},
+		// M 4: the 400-row world is above max(ef, N)·2M = 160 and gets a graph.
+		"ann": {N: 20, ANN: true, ANNEf: 8, ANNM: 4},
 	}
 	for wname, w := range worlds {
 		vocab := w.m.Vocab().Len()

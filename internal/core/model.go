@@ -475,12 +475,14 @@ func (m *Model) EncodedANN() []byte {
 type ANNRestore struct {
 	// Built: this profiler ran BuildANN. Restored: it decoded and
 	// validated the graph from a snapshot's bytes instead. Either took
-	// Elapsed, and Rows and Edges size what it got. Neither: an earlier
+	// Elapsed, and Rows and Edges size what it got. Skipped: the model's
+	// Rows are at most Threshold, index.ANNConfig.MaxScored(N), so the
+	// profiler serves exactly and has no graph. None of them: an earlier
 	// profiler over the same model had the graph already, or cfg.ANN is
 	// off.
-	Built, Restored bool
-	Elapsed         time.Duration
-	Rows, Edges     int
+	Built, Restored, Skipped bool
+	Elapsed                  time.Duration
+	Rows, Edges, Threshold   int
 	// Rejected is why a snapshot's graph was refused — it is some other
 	// graph, or damaged — and built afresh instead.
 	Rejected error

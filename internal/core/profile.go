@@ -52,6 +52,8 @@ type ProfilerConfig struct {
 	// the graph cannot meet its recall contract (see index.ANN). The
 	// graph belongs to the model: profilers over one model share it, and
 	// one a snapshot carried for the model is loaded instead of built.
+	// A vocabulary of at most index.ANNConfig.MaxScored(N) rows gets no
+	// graph: the profiler serves it exactly, as without ANN.
 	ANN bool
 	// ANNEf is the ANN search breadth (dynamic candidate list size);
 	// 0 selects the index default (128). Larger is slower and more
@@ -88,8 +90,9 @@ type Profiler struct {
 	// answers Eq. (3).
 	idx *index.Index
 
-	// ann is the model's HNSW graph over idx, nil unless cfg.ANN; annHow
-	// says whether this profiler built, loaded or shared it. A graph is
+	// ann is the model's HNSW graph over idx, nil unless cfg.ANN and the
+	// vocabulary is large enough for it; annHow says whether this
+	// profiler built, loaded, shared or skipped it. A graph is
 	// immutable and cached on the model it was built over, so queries
 	// can never pair an old graph with new vectors.
 	ann    *index.ANN
@@ -166,7 +169,6 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 		labels:   ont.LabelMatrix(),
 		labelRow: make([]int32, m.Vocab().Len()),
 		attrK:    strconv.Itoa(cfg.N),
-		attrANN:  strconv.FormatBool(cfg.ANN),
 	}
 	labelled := 0 // |H_L ∩ H|
 	for id := range p.labelRow {
@@ -195,14 +197,21 @@ func NewProfiler(m *Model, ont *ontology.Ontology, cfg ProfilerConfig) *Profiler
 	packed := time.Since(start) // before the graph: that has its own histogram
 	p.attrRows = strconv.Itoa(p.idx.Rows())
 	if cfg.ANN {
-		// ANNEf is passed per query instead, so profilers of different
-		// search breadth share one graph.
-		p.ann, p.annHow = m.annGraph(index.ANNConfig{M: cfg.ANNM})
-	} else {
+		threshold := index.ANNConfig{M: cfg.ANNM, Ef: cfg.ANNEf}.MaxScored(cfg.N)
+		if rows := p.idx.Rows(); rows > threshold {
+			// ANNEf is passed per query instead, so profilers of
+			// different search breadth share one graph.
+			p.ann, p.annHow = m.annGraph(index.ANNConfig{M: cfg.ANNM})
+		} else {
+			p.annHow = ANNRestore{Skipped: true, Rows: rows, Threshold: threshold}
+		}
+	}
+	if p.ann == nil {
 		// This profiler serves without a graph, so the one a snapshot
 		// carried for the model has no taker: do not keep its bytes alive.
 		m.SetEncodedANN(nil)
 	}
+	p.attrANN = strconv.FormatBool(p.ann != nil)
 	if cfg.Metrics != nil {
 		p.publish(cfg.Metrics, labelled, packed)
 	}
@@ -223,7 +232,7 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 	reg.Gauge("hostprof_index_bytes").Set(float64(p.idx.Bytes()))
 	reg.Gauge("hostprof_index_labelled_rows").Set(float64(labelled))
 	p.mQuerySeconds = reg.Histogram("hostprof_index_query_seconds", obs.ExpBuckets(0.0001, 2, 14))
-	if p.ann == nil {
+	if !p.cfg.ANN {
 		return
 	}
 	reg.Describe("hostprof_index_ann_build_seconds", "Time to build the HNSW graph; a graph restored from a snapshot is not a build.")
@@ -232,7 +241,8 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 	reg.Describe("hostprof_index_ann_sampled_queries_total", "Graph-answered queries re-run exactly for the recall estimate.")
 	reg.Describe("hostprof_index_ann_recall_estimate", "Sampled ANN recall against the exact scan since the last (re)build; 1 before any sample.")
 	// Registered even when nothing is built, so its count says whether
-	// this process built its graph or was handed it. 1 ms to 70 min: a
+	// this process built its graph, was handed it or needed none (the
+	// other ann families then stay at 0, the estimate at 1). 1 ms to 70 min: a
 	// build is ~0.25 s at 3.7K rows and minutes at the paper's 470K.
 	build := reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 4, 12))
 	if p.annHow.Built {

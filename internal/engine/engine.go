@@ -146,7 +146,8 @@ func New(cfg Config) *Engine {
 
 // build assembles the serving state for one model: its profiler (index,
 // optional ANN graph — loaded when the store's snapshot carried the
-// model's, built otherwise) and an empty cache.
+// model's, built otherwise, skipped when the vocabulary is too small to
+// pay for it) and an empty cache.
 func (e *Engine) build(model *core.Model) *generation {
 	p := core.NewProfiler(model, e.cfg.Ontology, e.cfg.Profile)
 	how := p.ANNRestore()
@@ -163,6 +164,11 @@ func (e *Engine) build(model *core.Model) *generation {
 			slog.Int("rows", how.Rows),
 			slog.Int("edges", how.Edges),
 			slog.Duration("elapsed", how.Elapsed))
+	}
+	if how.Skipped {
+		e.cfg.Logger.Info("ANN graph skipped, the exact scan serves",
+			slog.Int("rows", how.Rows),
+			slog.Int("threshold", how.Threshold))
 	}
 	return &generation{
 		profiler: p,

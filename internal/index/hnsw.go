@@ -83,6 +83,15 @@ func (c ANNConfig) withDefaults() ANNConfig {
 	return c
 }
 
+// MaxScored is the most rows a search for k neighbours under c can
+// score on the base layer: a beam of max(Ef, k) candidates, each with
+// up to 2M neighbours. A graph over no more rows than that can do the
+// exact scan's work and more, so a caller serves such an index exactly.
+func (c ANNConfig) MaxScored(k int) int {
+	c = c.withDefaults()
+	return max(c.Ef, k) * 2 * c.M
+}
+
 // ANN is a frozen HNSW graph over an Index's packed rows. Queries are
 // safe for concurrent use; the graph is immutable once BuildANN or
 // LoadANN returns it.

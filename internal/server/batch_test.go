@@ -321,9 +321,10 @@ func TestProfileCacheNeverStaleAcrossRetrainANN(t *testing.T) {
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 100, Trackers: 15, Seed: 3})
 	ont := synth.BuildOntology(u, synth.OntologyConfig{Coverage: 0.2, Seed: 5})
 	db := ads.BuildFromOntology(ont, ads.BuildConfig{Seed: 7})
-	// ANNEf is tiny so the graph genuinely answers queries at this
-	// vocabulary size instead of falling back to the exact scan.
-	profCfg := core.ProfilerConfig{N: 30, Agg: core.AggIDF, ANN: true, ANNEf: 8}
+	// ANNEf and ANNM are tiny so that this vocabulary (about 200 rows)
+	// is above max(ef, N)·2M = 80 and gets a graph, and so that the graph
+	// genuinely answers queries instead of falling back to the exact scan.
+	profCfg := core.ProfilerConfig{N: 10, Agg: core.AggIDF, ANN: true, ANNEf: 8, ANNM: 4}
 	b, err := New(Config{
 		Ontology:     ont,
 		AdDB:         db,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"log/slog"
 	"math"
 	"math/rand"
@@ -223,17 +224,18 @@ func TestBackendStoreLogsToConfiguredLogger(t *testing.T) {
 }
 
 // annProfile is the profiler configuration of the graph-restart tests:
-// ANNEf is tiny so the graph answers at this vocabulary size instead of
-// falling back to the exact scan.
-var annProfile = core.ProfilerConfig{N: 10, Agg: core.AggIDF, ANN: true, ANNEf: 8}
+// ANNEf and ANNM are tiny so that this vocabulary (149 rows) is above
+// max(ef, N)·2M = 80 and gets a graph, and so that the graph answers
+// instead of falling back to the exact scan.
+var annProfile = core.ProfilerConfig{N: 10, Agg: core.AggIDF, ANN: true, ANNEf: 8, ANNM: 4}
 
-// trainANNBackend ingests the fixture browsing into a fresh durable ANN
-// backend over dir and retrains it (which installs, builds the graph and
-// snapshots). It returns the backend and 200 seeded sessions over the
-// hosts it saw.
-func trainANNBackend(t *testing.T, dir string) (*Backend, [][]string) {
+// trainANNBackend ingests the fixture browsing into a fresh durable
+// backend over dir under profile and retrains it (which installs, builds
+// the graph if profile gets one, and snapshots). It returns the backend
+// and 200 seeded sessions over the hosts it saw.
+func trainANNBackend(t *testing.T, dir string, profile core.ProfilerConfig, reg *obs.Registry, logs *bytes.Buffer) (*Backend, [][]string) {
 	t.Helper()
-	b := newDurableBackendWith(t, dir, nil, annProfile, nil)
+	b := newDurableBackendWith(t, dir, reg, profile, logs)
 	u := synth.NewUniverse(synth.UniverseConfig{Sites: 100, Trackers: 15, Seed: 3})
 	visits := synth.NewPopulation(u, synth.PopulationConfig{Users: 6, Days: 2, Seed: 13}).Browse().Visits()
 	for _, v := range visits {
@@ -309,7 +311,7 @@ func annBuilds(reg *obs.Registry) int64 {
 // its graph rather than built one.
 func TestWarmRestartRestoresANNGraph(t *testing.T) {
 	dir := t.TempDir()
-	b, sessions := trainANNBackend(t, dir)
+	b, sessions := trainANNBackend(t, dir, annProfile, nil, nil)
 	wantV, wantE := batchAnswers(t, b, sessions)
 	version := b.ModelVersion()
 	if version == "" {
@@ -351,6 +353,62 @@ func TestWarmRestartRestoresANNGraph(t *testing.T) {
 	}
 }
 
+// TestANNBelowThresholdServesExact: at serve's default ef and M the
+// fixture's 149 rows are below max(ef, N)·2M = 4 096, so an -ann backend
+// builds no graph — one INFO line gives rows and threshold, the build
+// histogram is registered at 0 — writes none into its snapshot, and
+// answers like a fresh exact profiler bit for bit; a restart does the
+// same.
+func TestANNBelowThresholdServesExact(t *testing.T) {
+	dir := t.TempDir()
+	profile := annProfile
+	profile.ANNEf, profile.ANNM = 0, 0
+	reg := obs.NewRegistry()
+	var logs bytes.Buffer
+	b, sessions := trainANNBackend(t, dir, profile, reg, &logs)
+	art, ok, err := b.ModelArtifact()
+	if err != nil || !ok {
+		t.Fatalf("artifact: ok=%v err=%v", ok, err)
+	}
+	scratch, err := core.Load(bytes.NewReader(art.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := profile
+	exact.ANN = false
+	wantV, wantE := core.NewProfiler(scratch, b.cfg.Ontology, exact).ProfileSessions(context.Background(), sessions)
+	const skipped = `msg="ANN graph skipped, the exact scan serves" rows=149 threshold=4096`
+	for gen := 0; gen < 2; gen++ {
+		if !strings.Contains(logs.String(), skipped) || strings.Contains(logs.String(), "ANN graph built") || strings.Contains(logs.String(), "ANN graph restored") {
+			t.Fatalf("generation %d: want the skip logged with rows and threshold, no build and no restore (%d bytes):\n%s", gen, logs.Len(), logs.String())
+		}
+		if got := annBuilds(reg); got != 0 {
+			t.Fatalf("generation %d: %d graph builds, want the histogram registered at 0", gen, got)
+		}
+		gotV, gotE := batchAnswers(t, b, sessions)
+		requireSameAnswers(t, "below the threshold", gotV, gotE, wantV, wantE)
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(store.Config{Dir: dir, Fsync: store.FsyncNever, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc := st.Model().EncodedANN(); enc != nil {
+			t.Fatalf("generation %d: the snapshot carries %d graph bytes", gen, len(enc))
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reg = obs.NewRegistry()
+		logs.Reset()
+		b = newDurableBackendWith(t, dir, reg, profile, &logs)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestartUnderOtherANNConfig: the persisted graph is used only by
 // the configuration that built it. Another -ann-m refuses it with a
 // logged reason and builds its own; no -ann at all serves the exact
@@ -358,7 +416,7 @@ func TestWarmRestartRestoresANNGraph(t *testing.T) {
 // built from nothing over the same model.
 func TestRestartUnderOtherANNConfig(t *testing.T) {
 	dir := t.TempDir()
-	b, sessions := trainANNBackend(t, dir)
+	b, sessions := trainANNBackend(t, dir, annProfile, nil, nil)
 	art, ok, err := b.ModelArtifact()
 	if err != nil || !ok {
 		t.Fatalf("artifact: ok=%v err=%v", ok, err)
@@ -367,7 +425,7 @@ func TestRestartUnderOtherANNConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherM := annProfile
-	otherM.ANNM = 8
+	otherM.ANNM = 6
 	exact := annProfile
 	exact.ANN = false
 	for _, tc := range []struct {
@@ -376,7 +434,7 @@ func TestRestartUnderOtherANNConfig(t *testing.T) {
 		builds  int64
 		logged  string
 	}{
-		{"another ANNM", otherM, 1, "want M=8"},
+		{"another ANNM", otherM, 1, "want M=6"},
 		{"no ANN", exact, -1, ""},
 	} {
 		reg := obs.NewRegistry()

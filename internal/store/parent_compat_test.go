@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hostprof/internal/core"
+	"hostprof/internal/index"
 	"hostprof/internal/ontology"
 	"hostprof/internal/trace"
 )
@@ -117,8 +118,9 @@ func TestParentWrittenArtifactLoads(t *testing.T) {
 // TestParentWrittenSnapshotOpens: the same for a snapshot — visits,
 // model and version come back. Its graph does not: it was built over
 // the packing of the float64 rows, the index over the rounded rows is
-// other rows, so the graph is refused with that reason and built again,
-// once, as after any change of -ann-m.
+// other rows, so index's loader refuses the graph with that reason. An
+// -ann profiler never asks for it: 60 rows are below max(ef, N)·2M, so
+// it serves exactly and drops the bytes.
 func TestParentWrittenSnapshotOpens(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "parent_f0fabdb_snapshot.gob"))
 	if err != nil {
@@ -138,12 +140,26 @@ func TestParentWrittenSnapshotOpens(t *testing.T) {
 	if got := s.Session(1, 100, 1000); len(got) != 3 {
 		t.Fatalf("user 1's session after recovery: %v", got)
 	}
-	ann := core.ProfilerConfig{ANN: true, ANNM: 4, ANNEf: 8}
-	how := core.NewProfiler(s.Model(), halfLabelled(s.Model()), ann).ANNRestore()
-	if how.Rejected == nil || !strings.Contains(how.Rejected.Error(), "other rows") || !how.Built {
-		t.Fatalf("the parent's graph over rounded rows: %+v, want it refused as other rows and built", how)
+	graph := s.Model().EncodedANN()
+	if _, err := s.Model().SimilarityIndex().LoadANN(graph, index.ANNConfig{M: 4}); err == nil || !strings.Contains(err.Error(), "other rows") {
+		t.Fatalf("the parent's graph (%d bytes) over rounded rows: %v, want it refused as other rows", len(graph), err)
 	}
+	ann := core.ProfilerConfig{ANN: true, ANNM: 4, ANNEf: 8}
+	assertSkipsGraph(t, s.Model(), ann)
 	assertServesParentProfile(t, s.Model(), ann)
+}
+
+// assertSkipsGraph wants an -ann profiler under cfg over m, whose rows
+// are at most max(ef, N)·2M, to build and load no graph and to leave no
+// graph bytes on m for the next snapshot.
+func assertSkipsGraph(t *testing.T, m *core.Model, cfg core.ProfilerConfig) {
+	t.Helper()
+	if how := core.NewProfiler(m, halfLabelled(m), cfg).ANNRestore(); !how.Skipped || how.Built || how.Restored || how.Rows != m.Vocab().Len() {
+		t.Fatalf("an -ann profiler over %d rows: %+v, want the graph skipped", m.Vocab().Len(), how)
+	}
+	if m.EncodedANN() != nil {
+		t.Fatal("a graphless -ann profiler left the snapshot's graph bytes on the model")
+	}
 }
 
 // TestSavedModelDecodesIntoParentStruct is the rollback, a refusal:
@@ -194,8 +210,10 @@ func parentGraphVisits() []trace.Visit {
 
 // TestParentGobSnapshotWithGraphOpens: a gob snapshot with a graph opens
 // here with its visits, its model under the parent's version and its
-// graph restored, not rebuilt; the next Snapshot rewrites it in the flat
-// layout, which opens to the same store, model bytes and graph.
+// graph, which index's loader restores; the next Snapshot rewrites it in
+// the flat layout, which opens to the same store, model bytes and graph.
+// The 60-row model is below max(ef, N)·2M, so an -ann profiler over the
+// last generation serves it exactly and drops the graph's bytes.
 func TestParentGobSnapshotWithGraphOpens(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "parent_d5c9674_snapshot.gob"))
 	if err != nil {
@@ -217,9 +235,9 @@ func TestParentGobSnapshotWithGraphOpens(t *testing.T) {
 			t.Fatalf("generation %d: ModelVersion = %s, the parent advertised %s", gen, got, parentGraphModelVersion)
 		}
 		assertSameReads(t, s, ref)
-		how := core.NewProfiler(s.Model(), halfLabelled(s.Model()), ann).ANNRestore()
-		if !how.Restored || how.Built || how.Rejected != nil {
-			t.Fatalf("generation %d: the graph was not restored: %+v", gen, how)
+		graph, err := s.Model().SimilarityIndex().LoadANN(s.Model().EncodedANN(), index.ANNConfig{M: 4})
+		if err != nil || graph.Stats().GraphRows != s.Model().Vocab().Len() {
+			t.Fatalf("generation %d: the graph was not restored: %v", gen, err)
 		}
 		if err := s.Snapshot(); err != nil {
 			t.Fatal(err)
@@ -233,4 +251,5 @@ func TestParentGobSnapshotWithGraphOpens(t *testing.T) {
 			t.Fatalf("generation %d's snapshot is not in the flat layout (%v)", gen, err)
 		}
 	}
+	assertSkipsGraph(t, mustOpen(t, Config{Dir: dir}).Model(), ann)
 }
