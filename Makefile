@@ -119,17 +119,19 @@ fuzz:
 # amd64 runner, against the same pinned graph and profile hashes the
 # assembly meets and testdata/golden.json's train stage (σ table, model
 # and loss bits; TestTrainPinnedAcrossCommits), the profile cache's byte
-# guard and round trip with 4-byte pointers, and the store's WAL and
-# snapshot decoders against 4-byte ints (~50 s), and then run the root
-# package's Example
-# functions, whose printed outputs must hold bit for bit off amd64 (~5 s).
+# guard and round trip with 4-byte pointers, the store's WAL and
+# snapshot decoders against 4-byte ints and t-SNE's portable exp against
+# its pinned bits (~50 s), and then run the root package's Example
+# functions and `experiments -small`'s table test, whose printed outputs
+# must hold bit for bit off amd64 (~15 s).
 ci:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed: $$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/index/ ./internal/core/
-	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/ ./internal/engine/ ./internal/store/
+	GOARCH=386 $(GO) test -short ./internal/index/ ./internal/core/ ./internal/engine/ ./internal/store/ ./internal/tsne/
 	GOARCH=386 $(GO) test -short -run '^Example' .
+	GOARCH=386 $(GO) test -short -run '^TestSmallTableByteForByte$$' ./cmd/experiments/
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-check

@@ -235,7 +235,7 @@ func rowEntropy(d2row, row []float64, i int, beta float64) float64 {
 			row[j] = 0
 			continue
 		}
-		v := math.Exp(-d2row[j] * beta)
+		v := exp(-d2row[j] * beta)
 		row[j] = v
 		sum += v
 	}
