@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,14 +8,16 @@ import (
 	"hostprof/internal/experiment"
 )
 
-var updateSmallTable = flag.Bool("update-small-table", false, "rewrite testdata/small_table.md from this run")
-
 // TestSmallTableByteForByte runs `experiments -small` in process and
-// wants its stdout table byte for byte as testdata/small_table.md holds
-// it. The run is a function of its seed: the same at any GOMAXPROCS and,
-// since t-SNE's exp is portable, on amd64 and under GOARCH=386 (CI runs
-// both). A change that moves a number rewrites the file with
-// -update-small-table and says why.
+// wants the table it prints on stdout byte for byte as
+// testdata/small_table.md holds it. The run is a function of its seed:
+// the same at any GOMAXPROCS and, since t-SNE's exp is portable, on
+// amd64 and under GOARCH=386 (CI runs both). A change that moves a
+// number rewrites the file with
+//
+//	go run ./cmd/experiments -small > cmd/experiments/testdata/small_table.md
+//
+// and says why.
 func TestSmallTableByteForByte(t *testing.T) {
 	s, err := experiment.NewSetup(experiment.SmallConfig(defaultSeed))
 	if err != nil {
@@ -28,11 +29,6 @@ func TestSmallTableByteForByte(t *testing.T) {
 	}
 	got := all.MarkdownReport() + "\n" // main prints it with Println
 	path := filepath.Join("testdata", "small_table.md")
-	if *updateSmallTable {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

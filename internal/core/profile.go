@@ -242,8 +242,8 @@ func (p *Profiler) publish(reg *obs.Registry, labelled int, packed time.Duration
 	reg.Describe("hostprof_index_ann_recall_estimate", "Sampled ANN recall against the exact scan since the last (re)build; 1 before any sample.")
 	// Registered even when nothing is built, so its count says whether
 	// this process built its graph, was handed it or needed none (the
-	// other ann families then stay at 0, the estimate at 1). 1 ms to 70 min: a
-	// build is ~0.25 s at 3.7K rows and minutes at the paper's 470K.
+	// other ann families then stay at 0, the estimate at 1). 1 ms to
+	// 70 min: a build is ~0.25 s at 3.7K rows and minutes at 470K.
 	build := reg.Histogram("hostprof_index_ann_build_seconds", obs.ExpBuckets(0.001, 4, 12))
 	if p.annHow.Built {
 		build.Observe(p.ann.Stats().BuildTime.Seconds())
